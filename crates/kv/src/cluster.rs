@@ -1959,14 +1959,12 @@ impl Cluster {
             return;
         }
         let gen = *self.range_gens.get(&range).unwrap_or(&0);
-        let (peer_nodes, from_peer) = {
-            match self.nodes[from_node.0 as usize].replicas.get(&range) {
-                Some(rep) => (rep.peer_nodes.clone(), rep.peer),
-                None => return,
-            }
+        let Some(rep) = self.nodes[from_node.0 as usize].replicas.get(&range) else {
+            return;
         };
+        let from_peer = rep.peer;
         for (to_peer, msg) in msgs {
-            let to_node = peer_nodes[to_peer as usize];
+            let to_node = rep.peer_nodes[to_peer as usize];
             match self.topo.link(from_node, to_node, &mut self.rng) {
                 Link::Deliver(d) => {
                     self.queue.schedule(

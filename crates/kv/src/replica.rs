@@ -20,6 +20,7 @@
 //! when the read's whole uncertainty window is closed (§5.1).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mr_clock::{Hlc, Timestamp};
 use mr_proto::{
@@ -46,7 +47,11 @@ pub struct Command {
 /// intents, its STAGING record, concurrent 1PC writes — coalesce into one
 /// entry and therefore one consensus round; apply fans the batch back out
 /// into per-command effects and responses.
-pub type Batch = Vec<Command>;
+///
+/// A shared handle: the batch is materialised once, at the proposal, and the
+/// leader's log, every in-flight `AppendEntries`, every follower's log and
+/// every apply hold that one allocation by reference count.
+pub type Batch = Rc<[Command]>;
 
 /// Replicated operations.
 #[derive(Clone, Debug)]
@@ -1100,7 +1105,7 @@ impl Replica {
     ) -> EvalOutcome {
         self.flush_buf_into_log();
         let term = self.raft.term();
-        match self.raft.propose(vec![cmd], now) {
+        match self.raft.propose(Rc::new([cmd]), now) {
             Some((index, msgs)) => {
                 self.pending_props.insert(
                     (index, 0),
@@ -1128,27 +1133,25 @@ impl Replica {
         }
         let buf = std::mem::take(&mut self.batch_buf);
         self.prop_occupancy.push(buf.len() as u32);
-        let term = self.raft.term();
-        let mut cmds = Vec::with_capacity(buf.len());
-        let mut props = Vec::with_capacity(buf.len());
-        for (cmd, response, path) in buf {
-            cmds.push(cmd);
-            props.push((response, path));
-        }
-        let index = self
-            .raft
-            .propose_batched(cmds)
-            .expect("leadership checked above");
-        for (slot, (response, path)) in props.into_iter().enumerate() {
-            self.pending_props.insert(
-                (index, slot),
-                PendingProp {
+        let (term, index) = (self.raft.term(), self.raft.last_index() + 1);
+        // The one place a batch is materialised: commands move out of the
+        // buffer into the shared entry payload, their reply hooks into
+        // `pending_props`.
+        let cmds: Batch = buf
+            .into_iter()
+            .enumerate()
+            .map(|(slot, (cmd, response, path))| {
+                let prop = PendingProp {
                     path,
                     response,
                     term,
-                },
-            );
-        }
+                };
+                self.pending_props.insert((index, slot), prop);
+                cmd
+            })
+            .collect();
+        let appended = self.raft.propose_batched(cmds);
+        assert_eq!(appended, Some(index), "leadership checked above");
     }
 
     /// Ship the buffered batch: append it to the log and broadcast every
@@ -1200,7 +1203,7 @@ impl Replica {
             closed_ts: self.tracker.closed(),
             op: CmdOp::Noop,
         };
-        match self.raft.propose(vec![cmd], now) {
+        match self.raft.propose(Rc::new([cmd]), now) {
             Some((_, msgs)) => msgs,
             None => Vec::new(),
         }
@@ -1221,7 +1224,7 @@ impl Replica {
             closed_ts: self.tracker.closed(),
             op: CmdOp::ClaimLease { node: self.node },
         };
-        match self.raft.propose(vec![cmd], now) {
+        match self.raft.propose(Rc::new([cmd]), now) {
             Some((_, msgs)) => {
                 self.lease_claim_term = Some(self.raft.term());
                 msgs
@@ -1251,7 +1254,7 @@ impl Replica {
             closed_ts: self.tracker.closed(),
             op,
         };
-        match self.raft.propose(vec![cmd], now) {
+        match self.raft.propose(Rc::new([cmd]), now) {
             Some((_, msgs)) => {
                 self.lifecycle_term = Some(self.raft.term());
                 Some(msgs)

@@ -18,8 +18,10 @@ use proptest::prelude::*;
 
 use mr_clock::Timestamp;
 use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions};
+use mr_kv::replica::{Batch, CmdOp, Command};
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, Span, Value};
+use mr_raft::{RaftConfig, RaftNode};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
 
 const KEYS: usize = 4;
@@ -115,6 +117,57 @@ fn launch_txn(c: &mut Cluster, gateway: NodeId, idx: usize, recs: Rc<RefCell<Vec
     let keys = recs.borrow()[idx].keys.clone();
     let h = c.txn_begin(gateway);
     put_chain(c, h, idx, keys.into_iter(), recs);
+}
+
+/// The copy discipline of the replication path: a proposed batch is
+/// materialised once, and the paper's 3 voters + 2 non-voters, the appends
+/// in flight between them and every `take_committed` drain hold that one
+/// allocation — a re-sent or duplicated entry costs a pointer.
+#[test]
+fn replication_shares_one_batch_allocation() {
+    let now = SimTime::ZERO;
+    let mut nodes: Vec<RaftNode<Batch>> = (0..5)
+        .map(|id| {
+            let cfg = RaftConfig {
+                id,
+                voters: vec![0, 1, 2],
+                learners: vec![3, 4],
+                election_timeout: SimDuration::from_millis(150),
+                heartbeat_interval: SimDuration::from_millis(50),
+                quiesce: true,
+            };
+            RaftNode::new(cfg, now)
+        })
+        .collect();
+    nodes[0].bootstrap_leader(now);
+    let batch: Batch = Rc::new([Command {
+        closed_ts: Timestamp::ZERO,
+        op: CmdOp::Noop,
+    }]);
+    let (_, first) = nodes[0].propose(batch.clone(), now).unwrap();
+    // A second proposal before any ack: its appends re-cover entry 1.
+    let (_, second) = nodes[0].propose(batch.clone(), now).unwrap();
+    assert_eq!(Rc::strong_count(&batch), 1 + 2 + 3 * 4, "log + appends");
+    // Deliver both rounds, the first one twice, and the resulting acks.
+    for (to, msg) in first.clone().into_iter().chain(first).chain(second) {
+        for (_, ack) in nodes[to as usize].step(0, msg, now) {
+            nodes[0].step(to, ack, now);
+        }
+    }
+    let later = now + SimDuration::from_millis(60);
+    for (to, heartbeat) in nodes[0].tick(later) {
+        nodes[to as usize].step(0, heartbeat, later);
+    }
+    assert_eq!(
+        Rc::strong_count(&batch),
+        1 + 2 * 5,
+        "two entries in five logs"
+    );
+    for node in &mut nodes {
+        let drained = node.take_committed();
+        assert_eq!(drained.len(), 2);
+        assert!(drained.iter().all(|e| Rc::ptr_eq(&e.payload, &batch)));
+    }
 }
 
 proptest! {

@@ -1,13 +1,17 @@
 //! The Raft state machine.
 
-use std::collections::HashMap;
-
 use mr_sim::{SimDuration, SimTime};
 
 /// A replica's identity within its Raft group.
 pub type Peer = u32;
 
 /// A replicated log entry carrying an opaque payload.
+///
+/// Copy discipline: an entry is cloned into every `AppendEntries` that
+/// covers it and out of every [`RaftNode::take_committed`] drain, so `P`
+/// should be a handle whose clone is a pointer copy (`mr-kv` uses
+/// `Rc<[Command]>`): the payload is materialised once at the proposal and
+/// every log, in-flight message and apply shares it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Entry<P> {
     pub index: u64,
@@ -94,15 +98,19 @@ impl RaftConfig {
     fn quorum(&self) -> usize {
         self.voters.len() / 2 + 1
     }
+}
 
-    /// All peers this replica replicates to (when leader).
-    fn peers(&self) -> impl Iterator<Item = Peer> + '_ {
-        self.voters
-            .iter()
-            .chain(self.learners.iter())
-            .copied()
-            .filter(move |&p| p != self.id)
-    }
+/// What a leader knows about one peer's log.
+#[derive(Clone, Copy)]
+struct Progress {
+    /// Next log index to send.
+    next: u64,
+    /// Highest index known replicated.
+    matched: u64,
+    /// Highest index already shipped (suppresses duplicate streaming: an
+    /// ack only triggers a follow-up append once everything previously sent
+    /// has been acknowledged).
+    sent: u64,
 }
 
 /// One replica's Raft state machine.
@@ -116,13 +124,12 @@ pub struct RaftNode<P> {
     applied_index: u64,
     /// Known leader (for redirect hints).
     leader_hint: Option<Peer>,
-    /// Leader replication progress.
-    next_index: HashMap<Peer, u64>,
-    match_index: HashMap<Peer, u64>,
-    /// Highest log index already shipped to each peer (suppresses duplicate
-    /// streaming: an ack only triggers a follow-up append once everything
-    /// previously sent has been acknowledged).
-    sent_index: HashMap<Peer, u64>,
+    /// Every other member, voters then learners: whom a leader replicates to.
+    peers: Vec<Peer>,
+    /// Leader replication progress, indexed by peer id (built on election,
+    /// empty on a replica that never led; slots of non-members and of this
+    /// replica itself are never read).
+    progress: Vec<Progress>,
     /// Candidate vote tally.
     votes: usize,
     last_heartbeat: SimTime,
@@ -145,6 +152,8 @@ pub struct RaftNode<P> {
 
 impl<P: Clone> RaftNode<P> {
     pub fn new(cfg: RaftConfig, now: SimTime) -> RaftNode<P> {
+        let members = cfg.voters.iter().chain(&cfg.learners);
+        let peers: Vec<Peer> = members.copied().filter(|&p| p != cfg.id).collect();
         RaftNode {
             cfg,
             role: Role::Follower,
@@ -154,9 +163,8 @@ impl<P: Clone> RaftNode<P> {
             commit_index: 0,
             applied_index: 0,
             leader_hint: None,
-            next_index: HashMap::new(),
-            match_index: HashMap::new(),
-            sent_index: HashMap::new(),
+            peers,
+            progress: Vec::new(),
             votes: 0,
             last_heartbeat: now,
             last_broadcast: now,
@@ -267,9 +275,6 @@ impl<P: Clone> RaftNode<P> {
         self.role = Role::Follower;
         self.leader_hint = None;
         self.votes = 0;
-        self.next_index.clear();
-        self.match_index.clear();
-        self.sent_index.clear();
         self.pending_broadcast = false;
         self.quiesced = false;
         let resume = recovered_applied.min(self.last_index());
@@ -301,21 +306,8 @@ impl<P: Clone> RaftNode<P> {
     /// Append a payload to the leader's log and broadcast it. Returns the
     /// assigned index, or `None` if this replica is not the leader.
     pub fn propose(&mut self, payload: P, now: SimTime) -> Option<(u64, Vec<(Peer, RaftMsg<P>)>)> {
-        if self.role != Role::Leader {
-            return None;
-        }
-        let index = self.last_index() + 1;
-        self.log.push(Entry {
-            index,
-            term: self.term,
-            payload,
-        });
-        self.after_log_change();
-        // Single-voter groups commit immediately.
-        self.maybe_advance_commit();
-        self.quiesced = false;
-        let msgs = self.broadcast_appends(now);
-        Some((index, msgs))
+        let index = self.propose_batched(payload)?;
+        Some((index, self.broadcast_appends(now)))
     }
 
     /// Append a payload to the leader's log *without* broadcasting it:
@@ -376,9 +368,9 @@ impl<P: Clone> RaftNode<P> {
             && self.commit_index == self.last_index()
             && self.applied_index == self.commit_index
             && self
-                .cfg
-                .peers()
-                .all(|p| *self.match_index.get(&p).unwrap_or(&0) == self.last_index())
+                .peers
+                .iter()
+                .all(|&p| self.progress[p as usize].matched == self.last_index())
     }
 
     /// Wake a quiesced replica, restarting its election clock. The cluster
@@ -419,7 +411,7 @@ impl<P: Clone> RaftNode<P> {
                             commit: self.commit_index,
                             last_term: self.last_term(),
                         };
-                        return self.cfg.peers().map(|p| (p, msg.clone())).collect();
+                        return self.peers.iter().map(|&p| (p, msg.clone())).collect();
                     }
                     self.broadcast_appends(now)
                 } else {
@@ -466,13 +458,14 @@ impl<P: Clone> RaftNode<P> {
     fn become_leader(&mut self, now: SimTime) {
         self.role = Role::Leader;
         self.leader_hint = Some(self.cfg.id);
-        self.next_index.clear();
-        self.match_index.clear();
-        self.sent_index.clear();
-        for p in self.cfg.peers().collect::<Vec<_>>() {
-            self.next_index.insert(p, self.last_index() + 1);
-            self.match_index.insert(p, 0);
-        }
+        let fresh = Progress {
+            next: self.last_index() + 1,
+            matched: 0,
+            sent: 0,
+        };
+        let slots = self.peers.iter().max().map_or(0, |&p| p as usize + 1);
+        self.progress.clear();
+        self.progress.resize(slots, fresh);
         self.last_broadcast = now;
     }
 
@@ -480,21 +473,25 @@ impl<P: Clone> RaftNode<P> {
         self.last_broadcast = now;
         self.pending_broadcast = false;
         self.quiesced = false;
-        let peers: Vec<Peer> = self.cfg.peers().collect();
-        peers.into_iter().map(|p| (p, self.append_for(p))).collect()
+        (0..self.peers.len())
+            .map(|i| (self.peers[i], self.append_for(self.peers[i])))
+            .collect()
     }
 
+    /// The append covering `[next, last]` for `peer`. Every append re-covers
+    /// the whole unacked window rather than pipelining from `sent`: links
+    /// reorder, and a follower can only accept an append whose predecessor
+    /// it already holds. The entries are clones of the log's (see
+    /// [`Entry`]), never copies of their payloads.
     fn append_for(&mut self, peer: Peer) -> RaftMsg<P> {
-        self.sent_index.insert(peer, self.last_index());
-        let next = *self.next_index.get(&peer).unwrap_or(&1);
-        let prev_index = next - 1;
-        let prev_term = self.term_at(prev_index).unwrap_or(0);
-        let entries: Vec<Entry<P>> = self.log.get(prev_index as usize..).unwrap_or(&[]).to_vec();
+        let pr = &mut self.progress[peer as usize];
+        pr.sent = self.log.len() as u64;
+        let prev_index = pr.next - 1;
         RaftMsg::AppendEntries {
             term: self.term,
             prev_index,
-            prev_term,
-            entries,
+            prev_term: self.term_at(prev_index).unwrap_or(0),
+            entries: self.log.get(prev_index as usize..).unwrap_or(&[]).to_vec(),
             commit: self.commit_index,
         }
     }
@@ -557,6 +554,15 @@ impl<P: Clone> RaftNode<P> {
         }
     }
 
+    fn append_resp(&self, to: Peer, success: bool, match_index: u64) -> Vec<(Peer, RaftMsg<P>)> {
+        let resp = RaftMsg::AppendResp {
+            term: self.term,
+            success,
+            match_index,
+        };
+        vec![(to, resp)]
+    }
+
     fn handle_quiesce(
         &mut self,
         from: Peer,
@@ -567,14 +573,7 @@ impl<P: Clone> RaftNode<P> {
     ) -> Vec<(Peer, RaftMsg<P>)> {
         if term < self.term {
             // Depose the stale leader, same as a stale AppendEntries.
-            return vec![(
-                from,
-                RaftMsg::AppendResp {
-                    term: self.term,
-                    success: false,
-                    match_index: 0,
-                },
-            )];
+            return self.append_resp(from, false, 0);
         }
         // Valid leader for our term.
         self.role = Role::Follower;
@@ -590,14 +589,7 @@ impl<P: Clone> RaftNode<P> {
         // Lagging (or divergent) log: refuse to quiesce and wake the leader
         // so normal append repair takes over.
         let hint = self.last_index().min(commit);
-        vec![(
-            from,
-            RaftMsg::AppendResp {
-                term: self.term,
-                success: false,
-                match_index: hint,
-            },
-        )]
+        self.append_resp(from, false, hint)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -612,14 +604,7 @@ impl<P: Clone> RaftNode<P> {
         now: SimTime,
     ) -> Vec<(Peer, RaftMsg<P>)> {
         if term < self.term {
-            return vec![(
-                from,
-                RaftMsg::AppendResp {
-                    term: self.term,
-                    success: false,
-                    match_index: 0,
-                },
-            )];
+            return self.append_resp(from, false, 0);
         }
         // Valid leader for our term.
         self.role = Role::Follower;
@@ -631,17 +616,18 @@ impl<P: Clone> RaftNode<P> {
             // Hint the leader to back up to our log end (or below the
             // divergence point).
             let hint = self.last_index().min(prev_index.saturating_sub(1));
-            return vec![(
-                from,
-                RaftMsg::AppendResp {
-                    term: self.term,
-                    success: false,
-                    match_index: hint,
-                },
-            )];
+            return self.append_resp(from, false, hint);
         }
+        // Log Matching: if our entry at the last index the append overlaps
+        // carries the leader's term, everything up to it is identical — a
+        // re-sent window is skipped without comparing it entry by entry.
+        let held = self.last_index().min(prev_index + entries.len() as u64);
+        let skip = match (held - prev_index) as usize {
+            n if n > 0 && self.term_at(held) == Some(entries[n - 1].term) => n,
+            _ => 0,
+        };
         // Append, truncating any divergent suffix.
-        for e in entries {
+        for e in entries.into_iter().skip(skip) {
             let pos = e.index as usize - 1;
             match self.log.get(pos) {
                 Some(existing) if existing.term == e.term => {} // already have it
@@ -655,14 +641,7 @@ impl<P: Clone> RaftNode<P> {
         self.after_log_change();
         let match_index = self.last_index();
         self.commit_index = self.commit_index.max(commit.min(match_index));
-        vec![(
-            from,
-            RaftMsg::AppendResp {
-                term: self.term,
-                success: true,
-                match_index,
-            },
-        )]
+        self.append_resp(from, true, match_index)
     }
 
     fn handle_append_resp(
@@ -675,16 +654,20 @@ impl<P: Clone> RaftNode<P> {
         if self.role != Role::Leader || term < self.term {
             return Vec::new();
         }
+        let Some(pr) = self.progress.get_mut(from as usize) else {
+            return Vec::new(); // not a member of this group
+        };
         if success {
-            let m = self.match_index.entry(from).or_insert(0);
-            *m = (*m).max(match_index);
-            self.next_index.insert(from, match_index + 1);
-            self.maybe_advance_commit();
+            // Acks reorder: an older one must not pull `next` back below
+            // what a newer one already proved replicated.
+            pr.matched = pr.matched.max(match_index);
+            pr.next = pr.matched + 1;
             // Continue streaming only when (a) the peer is behind and
             // (b) everything previously shipped has been acknowledged —
             // otherwise in-flight appends already cover the gap and a
             // resend per ack would snowball.
-            let sent = *self.sent_index.get(&from).unwrap_or(&0);
+            let sent = pr.sent;
+            self.maybe_advance_commit();
             if match_index < self.last_index() && match_index >= sent {
                 return vec![(from, self.append_for(from))];
             }
@@ -692,30 +675,27 @@ impl<P: Clone> RaftNode<P> {
         } else {
             // Back up to the follower's hint (but at least one step) and
             // retry.
-            let cur = *self.next_index.get(&from).unwrap_or(&1);
-            let backed = cur.saturating_sub(1).min(match_index + 1).max(1);
-            self.next_index.insert(from, backed);
+            pr.next = pr.next.saturating_sub(1).min(match_index + 1).max(1);
             vec![(from, self.append_for(from))]
         }
     }
 
     fn maybe_advance_commit(&mut self) {
         // Highest index replicated on a quorum of voters whose entry is from
-        // the current term.
-        let mut indexes: Vec<u64> = self
-            .cfg
-            .voters
+        // the current term: the largest voter position that at least
+        // `quorum` voters have reached (groups are a handful of voters, so
+        // counting beats sorting a scratch copy).
+        let position = |v: &Peer| match *v {
+            v if v == self.cfg.id => self.last_index(),
+            v => self.progress[v as usize].matched,
+        };
+        let voters = &self.cfg.voters;
+        let quorum_index = voters
             .iter()
-            .map(|&v| {
-                if v == self.cfg.id {
-                    self.last_index()
-                } else {
-                    *self.match_index.get(&v).unwrap_or(&0)
-                }
-            })
-            .collect();
-        indexes.sort_unstable_by(|a, b| b.cmp(a));
-        let quorum_index = indexes[self.cfg.quorum() - 1];
+            .map(position)
+            .filter(|&i| voters.iter().filter(|v| position(v) >= i).count() >= self.cfg.quorum())
+            .max()
+            .unwrap_or(0);
         if quorum_index > self.commit_index && self.term_at(quorum_index) == Some(self.term) {
             self.commit_index = quorum_index;
         }
@@ -937,6 +917,92 @@ mod tests {
         assert_eq!(g.node(1).log.len(), 1);
         assert_eq!(g.node(1).log[0].payload, "fresh");
         assert_eq!(g.node(0).commit_index(), 1);
+    }
+
+    fn entry(index: u64, term: u64, payload: &'static str) -> Entry<&'static str> {
+        Entry {
+            index,
+            term,
+            payload,
+        }
+    }
+
+    /// Node 1 as a term-3 follower holding `log`, handed an append of
+    /// `entries` after `prev_index`; returns the acked match index.
+    fn follower_append(
+        g: &mut Group,
+        log: &[Entry<&'static str>],
+        prev_index: u64,
+        entries: &[Entry<&'static str>],
+    ) -> u64 {
+        g.node(1).term = 3;
+        g.node(1).log = log.to_vec();
+        let prev_term = g.node(1).term_at(prev_index).unwrap();
+        let msg = RaftMsg::AppendEntries {
+            term: 3,
+            prev_index,
+            prev_term,
+            entries: entries.to_vec(),
+            commit: 0,
+        };
+        match g.node(1).step(0, msg, SimTime::ZERO).pop() {
+            Some((
+                0,
+                RaftMsg::AppendResp {
+                    success: true,
+                    match_index,
+                    ..
+                },
+            )) => match_index,
+            m => panic!("unexpected {m:?}"),
+        }
+    }
+
+    #[test]
+    fn prefix_skip_truncates_exactly_at_the_divergence() {
+        let leader = [entry(1, 1, "a"), entry(2, 3, "b"), entry(3, 3, "c")];
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        // Divergence (index 2) *before* the last overlapping entry (index 3).
+        let stale = [entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
+        assert_eq!(follower_append(&mut g, &stale, 0, &leader), 3);
+        assert_eq!(g.node(1).log, leader);
+        // Divergence *at* the last overlapping entry, stale tail beyond it.
+        let stale = [entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
+        assert_eq!(follower_append(&mut g, &stale, 0, &leader[..2]), 2);
+        assert_eq!(g.node(1).log, leader[..2]);
+        // Divergence right behind `prev_index`: nothing is skipped.
+        assert_eq!(follower_append(&mut g, &stale, 1, &leader[1..]), 3);
+        assert_eq!(g.node(1).log, leader);
+        // A re-sent, shorter window is a held prefix: skipped whole, and the
+        // entry past it must survive.
+        assert_eq!(follower_append(&mut g, &leader, 0, &leader[..2]), 3);
+        assert_eq!(g.node(1).log, leader);
+        // A window reaching past the held prefix appends only the rest.
+        assert_eq!(follower_append(&mut g, &leader[..2], 1, &leader[1..]), 3);
+        assert_eq!(g.node(1).log, leader);
+    }
+
+    #[test]
+    fn reordered_older_ack_does_not_regress_next_index() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        g.node(0).bootstrap_leader(SimTime::ZERO);
+        for p in ["a", "b", "c", "d", "e", "f"] {
+            g.node(0).propose_batched(p).unwrap();
+        }
+        g.node(0).flush_appends(SimTime::ZERO);
+        for match_index in [5, 3] {
+            let ack = RaftMsg::AppendResp {
+                term: 1,
+                success: true,
+                match_index,
+            };
+            assert!(g.node(0).step(1, ack, SimTime::ZERO).is_empty());
+        }
+        let (_, msgs) = g.node(0).propose("g", SimTime::ZERO).unwrap();
+        match &msgs[0] {
+            (1, RaftMsg::AppendEntries { entries, .. }) => assert_eq!(entries[0].index, 6),
+            m => panic!("unexpected {m:?}"),
+        }
     }
 
     #[test]

@@ -190,3 +190,87 @@ proptest! {
         }
     }
 }
+
+/// What one follower saw of a run: every ack it sent, and the entries it
+/// applied.
+type FollowerView = (Vec<u64>, Vec<Payload>);
+
+/// The leader proposes `k` entries with no ack in between, so every append
+/// re-covers the whole unacked window. `deliver` maps the appends a follower
+/// is owed to the sequence it actually receives. Returns each follower's
+/// view.
+fn replicate(
+    k: u32,
+    deliver: fn(Vec<RaftMsg<Payload>>) -> Vec<RaftMsg<Payload>>,
+) -> Vec<FollowerView> {
+    let mut h = Harness::new(3);
+    h.nodes[0].bootstrap_leader(SimTime::ZERO);
+    let mut owed: Vec<Vec<RaftMsg<Payload>>> = vec![Vec::new(); 3];
+    for p in 1..=k {
+        let (_, msgs) = h.nodes[0].propose(p, SimTime::ZERO).unwrap();
+        for (to, m) in msgs {
+            owed[to as usize].push(m);
+        }
+    }
+    let mut acks: Vec<Vec<u64>> = vec![Vec::new(); 3];
+    for to in 1..3 {
+        for m in deliver(std::mem::take(&mut owed[to])) {
+            for (dest, resp) in h.nodes[to].step(0, m, SimTime::ZERO) {
+                match resp {
+                    RaftMsg::AppendResp {
+                        success: true,
+                        match_index,
+                        ..
+                    } => acks[to].push(match_index),
+                    m => panic!("unexpected {m:?}"),
+                }
+                let before = h.nodes[0].commit_index();
+                let more = h.nodes[0].step(to as u32, resp, SimTime::ZERO);
+                assert!(h.nodes[0].commit_index() >= before, "commit went back");
+                assert_eq!(dest, 0);
+                h.send(0, more);
+            }
+        }
+    }
+    assert_eq!(h.nodes[0].commit_index(), k as u64);
+    // Whatever streaming the acks triggered, then one heartbeat round.
+    while !h.net.queue.is_empty() {
+        h.step_network(0, false);
+    }
+    h.tick_all();
+    while !h.net.queue.is_empty() {
+        h.step_network(0, false);
+    }
+    let applied = h.drain_committed();
+    (1..3)
+        .map(|i| (acks[i].clone(), applied[i].clone()))
+        .collect()
+}
+
+/// The decision to keep re-covering the unacked window (instead of
+/// pipelining from the last entry sent) rests on this: an append delivered
+/// twice, or after a later one, changes nothing — the follower's log is the
+/// same, every ack reports the same `match_index`, and commit only advances.
+#[test]
+fn duplicated_and_reversed_appends_are_idempotent() {
+    for k in 1..=8u32 {
+        let in_order = replicate(k, |m| m);
+        let twice = replicate(k, |m| m.into_iter().flat_map(|m| [m.clone(), m]).collect());
+        let reversed_twice = replicate(k, |m| {
+            m.into_iter().rev().flat_map(|m| [m.clone(), m]).collect()
+        });
+        for f in 0..2 {
+            let expect: Vec<Payload> = (1..=k).collect();
+            assert_eq!(in_order[f].1, expect);
+            assert_eq!(twice[f].1, expect, "duplicates changed the log");
+            assert_eq!(reversed_twice[f].1, expect, "reordering changed the log");
+            // In order, each append acks its own tail; a duplicate repeats
+            // the ack of the original.
+            let doubled: Vec<u64> = in_order[f].0.iter().flat_map(|&a| [a, a]).collect();
+            assert_eq!(twice[f].0, doubled);
+            // Newest first: the first append carries everything, and every
+            // older one is a held prefix acking the same tail.
+            assert_eq!(reversed_twice[f].0, vec![k as u64; 2 * k as usize]);
+        }
+    }
+}

@@ -12,11 +12,11 @@
 //!   runs that certainly lack the key. Reads merge the memtable chain with
 //!   run versions and apply the exact MVCC read rules via
 //!   [`VersionChain::read`].
-//! * **WAL** — every mutation is buffered as a [`WalOp`]; applying a Raft
-//!   entry seals one framed record ([`Engine::seal_entry`]), and
-//!   [`Engine::sync`] advances the fsync pointer. Runs and checkpoints are
-//!   durable the moment they are written (SST + manifest sync); the WAL
-//!   covers only the memtable.
+//! * **WAL** — every mutation is encoded as a [`WalOp`] as it happens;
+//!   applying a Raft entry seals the encoded ops into one framed record
+//!   ([`Engine::seal_entry`]), and [`Engine::sync`] advances the fsync
+//!   pointer. Runs and checkpoints are durable the moment they are written
+//!   (SST + manifest sync); the WAL covers only the memtable.
 //! * **Crash recovery** — [`Engine::crash_and_recover`] drops all volatile
 //!   state (memtable, unsynced WAL tail) and rebuilds from the checkpoint
 //!   record plus the durable WAL suffix, truncating torn tails detected by
@@ -112,9 +112,10 @@ pub struct Engine {
     mem: MvccStore,
     runs: Vec<SortedRun>,
     wal: Wal,
-    /// Ops of the Raft entry currently being applied, sealed into one WAL
-    /// record by [`Engine::seal_entry`].
-    pending: Vec<WalOp>,
+    /// Encoded ops of the Raft entry currently being applied (and how many),
+    /// sealed into one WAL record by [`Engine::seal_entry`].
+    pending: Vec<u8>,
+    pending_ops: u32,
     /// Durable shadow of the replica's transaction records.
     txn_records: BTreeMap<u64, TxnRecData>,
     gc_threshold: Timestamp,
@@ -137,6 +138,7 @@ impl Default for Engine {
             runs: Vec::new(),
             wal: Wal::new(),
             pending: Vec::new(),
+            pending_ops: 0,
             txn_records: BTreeMap::new(),
             gc_threshold: Timestamp::ZERO,
             applied_index: 0,
@@ -146,7 +148,7 @@ impl Default for Engine {
             stats: EngineStats::default(),
         };
         // An empty durable checkpoint anchors the log.
-        e.wal.reset_to_checkpoint(e.encode_checkpoint(), 0);
+        e.wal.reset_to_checkpoint(&e.encode_checkpoint(), 0);
         e
     }
 }
@@ -366,37 +368,33 @@ impl Engine {
         value: Option<Value>,
         txn: &TxnMeta,
     ) -> Result<PutOutcome, MvccError> {
-        let mut meta = txn.clone();
-        let mut write_too_old = false;
-        if let Some(l) = self.run_latest_ts(key) {
-            if l >= meta.write_ts {
+        let run_newer = self.run_latest_ts(key).filter(|l| *l >= txn.write_ts);
+        let out = match run_newer {
+            Some(l) => {
+                let mut meta = txn.clone();
                 meta.write_ts = l.next();
-                write_too_old = true;
+                self.mem.put(key, value.clone(), &meta)?
             }
-        }
-        let out = self.mem.put(key, value.clone(), &meta)?;
-        let mut logged = txn.clone();
-        logged.write_ts = out.written_ts;
-        self.pending.push(WalOp::PutIntent {
-            key: key.clone(),
-            value,
-            txn: logged,
-        });
+            None => self.mem.put(key, value.clone(), txn)?,
+        };
+        codec::put_intent_op(self.log_op(), key, &value, txn, out.written_ts);
         Ok(PutOutcome {
             written_ts: out.written_ts,
-            write_too_old: out.write_too_old || write_too_old,
+            write_too_old: out.write_too_old || run_newer.is_some(),
         })
+    }
+
+    /// The buffer the next op of the entry being applied is encoded into.
+    fn log_op(&mut self) -> &mut Vec<u8> {
+        self.pending_ops += 1;
+        &mut self.pending
     }
 
     /// Promote `txn_id`'s intent on `key` to a committed version.
     pub fn commit_intent(&mut self, key: &Key, txn_id: TxnId, commit_ts: Timestamp) -> bool {
         let done = self.mem.commit_intent(key, txn_id, commit_ts);
         if done {
-            self.pending.push(WalOp::CommitIntent {
-                key: key.clone(),
-                txn_id,
-                commit_ts,
-            });
+            codec::commit_intent_op(self.log_op(), key, txn_id, commit_ts);
         }
         done
     }
@@ -405,28 +403,22 @@ impl Engine {
     pub fn abort_intent(&mut self, key: &Key, txn_id: TxnId) -> bool {
         let done = self.mem.abort_intent(key, txn_id);
         if done {
-            self.pending.push(WalOp::AbortIntent {
-                key: key.clone(),
-                txn_id,
-            });
+            codec::abort_intent_op(self.log_op(), key, txn_id);
         }
         done
     }
 
     /// Record (upsert) a transaction record in the durable shadow.
     pub fn note_txn_record(&mut self, txn_id: u64, rec: TxnRecData) {
-        self.txn_records.insert(txn_id, rec.clone());
-        self.pending.push(WalOp::TxnRecord {
-            txn_id: TxnId(txn_id),
-            rec,
-        });
+        codec::txn_record_op(self.log_op(), TxnId(txn_id), &rec);
+        self.txn_records.insert(txn_id, rec);
     }
 
     /// Directly install a committed version (bulk preload). The caller
     /// should checkpoint after a bulk load (see [`Engine::rebaseline`]).
     pub fn preload(&mut self, key: Key, value: Value, ts: Timestamp) {
-        self.mem.preload(key.clone(), value.clone(), ts);
-        self.pending.push(WalOp::Preload { key, value, ts });
+        codec::preload_op(self.log_op(), &key, &value, ts);
+        self.mem.preload(key, value, ts);
     }
 
     // ------------------------------------------------------------------
@@ -439,13 +431,17 @@ impl Engine {
     pub fn seal_entry(&mut self, apply_index: u64, closed_ts: Timestamp) {
         self.applied_index = apply_index;
         self.closed_ts = self.closed_ts.max(closed_ts);
-        let ops = std::mem::take(&mut self.pending);
-        let payload = codec::encode_record(&WalRecord::Entry {
-            apply_index,
-            closed_ts,
-            ops,
+        let (ops, n) = (&self.pending, self.pending_ops);
+        self.wal.append(|out| {
+            codec::put_entry_header(out, apply_index, closed_ts, n);
+            out.extend_from_slice(ops);
         });
-        self.wal.append(&payload);
+        self.drop_pending();
+    }
+
+    fn drop_pending(&mut self) {
+        self.pending.clear();
+        self.pending_ops = 0;
     }
 
     /// Advance the WAL fsync pointer — unless syncs are deferred by the
@@ -525,9 +521,9 @@ impl Engine {
     /// Write a fresh durable checkpoint and truncate the WAL to it.
     /// Models an SST/manifest write, durable immediately.
     pub fn checkpoint_now(&mut self, now_nanos: u64) {
-        self.pending.clear();
+        self.drop_pending();
         let image = self.encode_checkpoint();
-        self.wal.reset_to_checkpoint(image, now_nanos);
+        self.wal.reset_to_checkpoint(&image, now_nanos);
     }
 
     /// Re-seed the engine's durable identity after range surgery (install,
@@ -556,7 +552,7 @@ impl Engine {
     /// the post-recovery log is clean.
     pub fn crash_and_recover(&mut self) -> RecoveryInfo {
         self.wal.crash();
-        self.pending.clear();
+        self.drop_pending();
         self.mem = MvccStore::new();
         self.txn_records.clear();
         self.applied_index = 0;
@@ -899,6 +895,70 @@ mod tests {
             .unwrap();
         assert!(out.write_too_old);
         assert_eq!(out.written_ts, Timestamp::new(100, 1));
+    }
+
+    #[test]
+    fn sealed_record_is_the_codec_image_of_the_ops() {
+        // The engine encodes each op as it happens; the sealed frame must be
+        // byte for byte what the `WalOp` codec writes for the same ops.
+        let (k, ts) = (Key::from, |wall| Timestamp::new(wall, 0));
+        let mut e = Engine::new();
+        commit_put(&mut e, "k", "old", 1, 10);
+        e.seal_entry(1, ts(10));
+        e.flush(0);
+        let mut meta = txn(2, 5);
+        meta.epoch = 3;
+        e.put(&k("k"), Some(Value::from("new")), &meta).unwrap(); // forwarded above the run
+        e.put(&k("gone"), None, &meta).unwrap();
+        e.commit_intent(&k("k"), meta.id, ts(20));
+        e.abort_intent(&k("gone"), meta.id);
+        let rec = TxnRecData {
+            status: mr_proto::TxnStatus::Staging,
+            commit_ts: ts(20),
+            in_flight: vec![k("k"), k("gone")],
+        };
+        e.note_txn_record(2, rec.clone());
+        e.preload(k("seed"), Value::from("s"), ts(1));
+        let before = e.wal().len();
+        e.seal_entry(2, ts(15));
+        let mut forwarded = meta.clone();
+        forwarded.write_ts = ts(10).next();
+        let ops = vec![
+            WalOp::PutIntent {
+                key: k("k"),
+                value: Some(Value::from("new")),
+                txn: forwarded,
+            },
+            WalOp::PutIntent {
+                key: k("gone"),
+                value: None,
+                txn: meta.clone(),
+            },
+            WalOp::CommitIntent {
+                key: k("k"),
+                txn_id: meta.id,
+                commit_ts: ts(20),
+            },
+            WalOp::AbortIntent {
+                key: k("gone"),
+                txn_id: meta.id,
+            },
+            WalOp::TxnRecord {
+                txn_id: meta.id,
+                rec,
+            },
+            WalOp::Preload {
+                key: k("seed"),
+                value: Value::from("s"),
+                ts: ts(1),
+            },
+        ];
+        let reference = crate::wal::tests::encode_record(&WalRecord::Entry {
+            apply_index: 2,
+            closed_ts: ts(15),
+            ops,
+        });
+        assert_eq!(&e.wal().bytes()[before + 8..], reference);
     }
 
     #[test]

@@ -72,18 +72,29 @@ pub enum WalRecord {
     },
 }
 
-/// CRC32 (IEEE 802.3, reflected), computed bitwise — the log is small and
-/// hermetic determinism beats table setup.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// Per-byte remainders of the reflected IEEE 802.3 polynomial, evaluated at
+/// compile time: hermetic, no runtime set-up.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC32 (IEEE 802.3, reflected), one table lookup per byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0, |crc, &b| {
+        (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize]
+    })
 }
 
 /// Byte codec for WAL payloads and checkpoints.
@@ -118,9 +129,13 @@ pub mod codec {
         }
     }
     pub fn put_txn_meta(out: &mut Vec<u8>, t: &TxnMeta) {
+        put_txn_meta_at(out, t, t.write_ts);
+    }
+    /// `t` as it stands once its write timestamp is forwarded to `write_ts`.
+    fn put_txn_meta_at(out: &mut Vec<u8>, t: &TxnMeta, write_ts: Timestamp) {
         put_u64(out, t.id.0);
         put_key(out, &t.anchor);
-        put_ts(out, t.write_ts);
+        put_ts(out, write_ts);
         put_u32(out, t.epoch);
     }
     fn status_byte(s: TxnStatus) -> u8 {
@@ -228,41 +243,43 @@ pub mod codec {
         }
     }
 
-    pub fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
-        match op {
-            WalOp::PutIntent { key, value, txn } => {
-                out.push(0);
-                put_key(out, key);
-                put_opt_value(out, value);
-                put_txn_meta(out, txn);
-            }
-            WalOp::CommitIntent {
-                key,
-                txn_id,
-                commit_ts,
-            } => {
-                out.push(1);
-                put_key(out, key);
-                put_u64(out, txn_id.0);
-                put_ts(out, *commit_ts);
-            }
-            WalOp::AbortIntent { key, txn_id } => {
-                out.push(2);
-                put_key(out, key);
-                put_u64(out, txn_id.0);
-            }
-            WalOp::TxnRecord { txn_id, rec } => {
-                out.push(3);
-                put_u64(out, txn_id.0);
-                put_txn_rec(out, rec);
-            }
-            WalOp::Preload { key, value, ts } => {
-                out.push(4);
-                put_key(out, key);
-                put_bytes(out, &value.0);
-                put_ts(out, *ts);
-            }
-        }
+    // One encoder per op kind, taking its parts by reference: the engine
+    // encodes each mutation as it happens and never builds an owned `WalOp`.
+
+    /// [`WalOp::PutIntent`] of `txn` laid down at `write_ts`.
+    pub fn put_intent_op(
+        out: &mut Vec<u8>,
+        key: &Key,
+        value: &Option<Value>,
+        txn: &TxnMeta,
+        write_ts: Timestamp,
+    ) {
+        out.push(0);
+        put_key(out, key);
+        put_opt_value(out, value);
+        put_txn_meta_at(out, txn, write_ts);
+    }
+    pub fn commit_intent_op(out: &mut Vec<u8>, key: &Key, txn_id: TxnId, commit_ts: Timestamp) {
+        out.push(1);
+        put_key(out, key);
+        put_u64(out, txn_id.0);
+        put_ts(out, commit_ts);
+    }
+    pub fn abort_intent_op(out: &mut Vec<u8>, key: &Key, txn_id: TxnId) {
+        out.push(2);
+        put_key(out, key);
+        put_u64(out, txn_id.0);
+    }
+    pub fn txn_record_op(out: &mut Vec<u8>, txn_id: TxnId, rec: &TxnRecData) {
+        out.push(3);
+        put_u64(out, txn_id.0);
+        put_txn_rec(out, rec);
+    }
+    pub fn preload_op(out: &mut Vec<u8>, key: &Key, value: &Value, ts: Timestamp) {
+        out.push(4);
+        put_key(out, key);
+        put_bytes(out, &value.0);
+        put_ts(out, ts);
     }
 
     pub fn decode_op(c: &mut Cursor<'_>) -> Result<WalOp, DecodeError> {
@@ -294,29 +311,18 @@ pub mod codec {
         })
     }
 
-    /// Record payload: `[kind: u8]` + body.
-    pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-        let mut out = Vec::new();
-        match rec {
-            WalRecord::Checkpoint(image) => {
-                out.push(0);
-                put_bytes(&mut out, image);
-            }
-            WalRecord::Entry {
-                apply_index,
-                closed_ts,
-                ops,
-            } => {
-                out.push(1);
-                put_u64(&mut out, *apply_index);
-                put_ts(&mut out, *closed_ts);
-                put_u32(&mut out, ops.len() as u32);
-                for op in ops {
-                    encode_op(&mut out, op);
-                }
-            }
-        }
-        out
+    /// A checkpoint record's payload (`[kind: u8]` + body).
+    pub fn put_checkpoint(out: &mut Vec<u8>, image: &[u8]) {
+        out.push(0);
+        put_bytes(out, image);
+    }
+
+    /// Head of an entry record's payload; its `ops` encoded ops follow.
+    pub fn put_entry_header(out: &mut Vec<u8>, apply_index: u64, closed_ts: Timestamp, ops: u32) {
+        out.push(1);
+        put_u64(out, apply_index);
+        put_ts(out, closed_ts);
+        put_u32(out, ops);
     }
 
     pub fn decode_record(payload: &[u8]) -> Result<WalRecord, DecodeError> {
@@ -437,13 +443,17 @@ impl Wal {
         Wal::default()
     }
 
-    /// Frame and append one record payload. Volatile until the next sync.
-    pub fn append(&mut self, payload: &[u8]) {
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        codec::put_u32(&mut frame, payload.len() as u32);
-        codec::put_u32(&mut frame, crc32(payload));
-        frame.extend_from_slice(payload);
-        self.buf.extend_from_slice(&frame);
+    /// Frame and append one record, whose payload `write` encodes straight
+    /// into the log (the frame header is filled in behind it). Volatile
+    /// until the next sync.
+    pub fn append(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let frame = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        write(&mut self.buf);
+        let payload = &self.buf[frame + 8..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        self.buf[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
         self.records += 1;
     }
 
@@ -461,10 +471,10 @@ impl Wal {
     }
 
     /// Replace the entire log with a single (durable) checkpoint record.
-    pub fn reset_to_checkpoint(&mut self, image: Vec<u8>, now_nanos: u64) {
+    pub fn reset_to_checkpoint(&mut self, image: &[u8], now_nanos: u64) {
         self.buf.clear();
         self.records = 0;
-        self.append(&codec::encode_record(&WalRecord::Checkpoint(image)));
+        self.append(|out| codec::put_checkpoint(out, image));
         self.sync(now_nanos);
     }
 
@@ -510,8 +520,50 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use super::codec::*;
     use super::*;
+
+    fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
+        match op {
+            WalOp::PutIntent { key, value, txn } => {
+                put_intent_op(out, key, value, txn, txn.write_ts)
+            }
+            WalOp::CommitIntent {
+                key,
+                txn_id,
+                commit_ts,
+            } => commit_intent_op(out, key, *txn_id, *commit_ts),
+            WalOp::AbortIntent { key, txn_id } => abort_intent_op(out, key, *txn_id),
+            WalOp::TxnRecord { txn_id, rec } => txn_record_op(out, *txn_id, rec),
+            WalOp::Preload { key, value, ts } => preload_op(out, key, value, *ts),
+        }
+    }
+
+    /// Record-level encoder, the inverse of [`codec::decode_record`]: what
+    /// the write path, which streams the same bytes piece by piece, is
+    /// checked against.
+    pub(crate) fn encode_record(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        match rec {
+            WalRecord::Checkpoint(image) => put_checkpoint(&mut out, image),
+            WalRecord::Entry {
+                apply_index,
+                closed_ts,
+                ops,
+            } => {
+                put_entry_header(&mut out, *apply_index, *closed_ts, ops.len() as u32);
+                for op in ops {
+                    encode_op(&mut out, op);
+                }
+            }
+        }
+        out
+    }
+
+    fn append(wal: &mut Wal, rec: &WalRecord) {
+        wal.append(|out| out.extend_from_slice(&encode_record(rec)));
+    }
 
     fn entry(i: u64, key: &str) -> WalRecord {
         WalRecord::Entry {
@@ -522,6 +574,36 @@ mod tests {
                 txn_id: TxnId(i),
                 commit_ts: Timestamp::new(i * 10, 2),
             }],
+        }
+    }
+
+    /// The bitwise definition the table is derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_reference() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..300 {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
         }
     }
 
@@ -570,7 +652,7 @@ mod tests {
             closed_ts: Timestamp::new(40, 0),
             ops,
         };
-        let bytes = codec::encode_record(&rec);
+        let bytes = encode_record(&rec);
         let back = codec::decode_record(&bytes).unwrap();
         assert_eq!(back, rec);
         // The synthetic flag must survive (it is excluded from Timestamp
@@ -588,7 +670,7 @@ mod tests {
     fn replay_stops_at_crc_mismatch() {
         let mut wal = Wal::new();
         for i in 1..=3 {
-            wal.append(&codec::encode_record(&entry(i, "k")));
+            append(&mut wal, &entry(i, "k"));
         }
         wal.sync(100);
         // Flip a payload byte of the last record.
@@ -604,9 +686,9 @@ mod tests {
     #[test]
     fn crash_discards_unsynced_tail() {
         let mut wal = Wal::new();
-        wal.append(&codec::encode_record(&entry(1, "a")));
+        append(&mut wal, &entry(1, "a"));
         wal.sync(50);
-        wal.append(&codec::encode_record(&entry(2, "b")));
+        append(&mut wal, &entry(2, "b"));
         // No sync: record 2 is volatile.
         wal.crash();
         let out = replay(wal.bytes());
@@ -620,8 +702,8 @@ mod tests {
     #[test]
     fn torn_mid_frame_truncates_cleanly() {
         let mut wal = Wal::new();
-        wal.append(&codec::encode_record(&entry(1, "a")));
-        wal.append(&codec::encode_record(&entry(2, "b")));
+        append(&mut wal, &entry(1, "a"));
+        append(&mut wal, &entry(2, "b"));
         let cut = wal.frame_boundaries()[1] + 5; // mid-second-frame
         wal.crash_at(cut);
         let out = replay(wal.bytes());
@@ -633,9 +715,9 @@ mod tests {
     #[test]
     fn reset_to_checkpoint_restarts_log() {
         let mut wal = Wal::new();
-        wal.append(&codec::encode_record(&entry(1, "a")));
+        append(&mut wal, &entry(1, "a"));
         wal.sync(10);
-        wal.reset_to_checkpoint(vec![1, 2, 3], 20);
+        wal.reset_to_checkpoint(&[1, 2, 3], 20);
         let out = replay(wal.bytes());
         assert_eq!(out.records.len(), 1);
         assert_eq!(out.records[0], WalRecord::Checkpoint(vec![1, 2, 3]));

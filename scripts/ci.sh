@@ -2,6 +2,11 @@
 # Repo CI gate: formatting, lints (warnings are errors), and the full test
 # suite. Run from anywhere; operates on the repository root. Offline-safe:
 # all external deps are vendored under third_party/.
+#
+#   scripts/ci.sh [parent-rev]
+#
+# With a parent revision, also runs scripts/digest_parity.sh against it: the
+# gate for a change that claims to move host time only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +18,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> cargo test -q -p mr-ledger: both-clocks determinism gate"
+# The ledger's own suite, called out so its verdict is not lost among the
+# workspace's: same-seed runs give equal sim_digests traced and untraced and
+# across processes, different seeds differ, the output audit is clean, and
+# BENCHMARK.json lists exactly the metrics the ledger prints.
+cargo test -q -p mr-ledger
+
+if [ -n "${1:-}" ]; then
+    echo "==> digest_parity: simulated behaviour identical to $1"
+    scripts/digest_parity.sh "$1"
+fi
 
 echo "==> strict-monitor perf_probe smoke"
 # Short probe run with every online invariant monitor escalated to a panic:
