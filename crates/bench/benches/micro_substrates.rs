@@ -12,7 +12,7 @@ use mr_raft::{RaftConfig, RaftNode};
 use mr_sim::{EventQueue, SimDuration, SimTime};
 use mr_sql::encoding::{decode_row, encode_row, index_key};
 use mr_sql::types::Datum;
-use mr_storage::MvccStore;
+use mr_storage::Engine;
 
 fn bench_hlc(c: &mut Criterion) {
     c.bench_function("hlc/now", |b| {
@@ -35,8 +35,8 @@ fn bench_hlc(c: &mut Criterion) {
 }
 
 fn bench_mvcc(c: &mut Criterion) {
-    fn store_with(n: u64) -> MvccStore {
-        let mut s = MvccStore::new();
+    fn store_with(n: u64) -> Engine {
+        let mut s = Engine::new();
         for i in 0..n {
             let key = Key::from_vec(i.to_be_bytes().to_vec());
             s.preload(key, Value::from("v"), Timestamp::new(i + 1, 0));
@@ -63,8 +63,8 @@ fn bench_mvcc(c: &mut Criterion) {
         );
     });
     c.bench_function("mvcc/hot_key_deep_chain_get", |b| {
-        // 5k versions on one key: reads stay O(log n).
-        let mut s = MvccStore::new();
+        // 5k versions on one key: what a read of a deep chain costs.
+        let mut s = Engine::new();
         let key = Key::from("hot");
         for i in 0..5_000u64 {
             s.preload(key.clone(), Value::from("v"), Timestamp::new(i + 1, 0));

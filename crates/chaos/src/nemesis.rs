@@ -14,7 +14,9 @@
 //! export.
 
 use mr_clock::Timestamp;
-use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig, ReadOptions, Staleness};
+use mr_kv::cluster::{
+    Cluster, ClusterConfig, InjectedBug, LifecycleConfig, ReadOptions, Staleness,
+};
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{
@@ -49,14 +51,10 @@ pub struct ChaosConfig {
     /// for runs that deliberately break an invariant (the injected-bug
     /// test), where the offline checker is the detector under test.
     pub strict_monitors: bool,
-    /// Arm the intentionally injected follower-read bug (requires the
-    /// `injected-bug` feature; panics otherwise). Used to prove the
-    /// checker catches a real stale read.
-    pub arm_injected_bug: bool,
-    /// Arm the intentionally injected parallel-commit bug (client acked
-    /// before in-flight writes replicate; requires the `injected-bug`
-    /// feature; panics otherwise).
-    pub arm_premature_ack_bug: bool,
+    /// Arm one of the intentionally injected bugs (requires the
+    /// `injected-bug` feature; panics otherwise). Used to prove the checker
+    /// catches a real violation of each class — see [`InjectedBug`].
+    pub arm_bug: Option<InjectedBug>,
     /// Issue transactional writes as pipelined intents (async consensus).
     pub pipelined_writes: bool,
     /// Commit with a STAGING record in parallel with in-flight writes.
@@ -80,16 +78,6 @@ pub struct ChaosConfig {
     /// fresh timestamp-cache entries — the state a split must carry to
     /// both halves, and the detection channel for the split-tscache bug.
     pub recent_stale_reads: bool,
-    /// Arm the intentionally injected split bug (the RHS of a split gets a
-    /// zero timestamp-cache bound; requires the `injected-bug` feature;
-    /// panics otherwise). Used to prove the checker catches a split that
-    /// forgets the reads the parent range already served.
-    pub arm_split_tscache_bug: bool,
-    /// Arm the intentionally injected durability bug (writes acknowledged
-    /// before the WAL/Raft-log fsync point; requires the `injected-bug`
-    /// feature; panics otherwise). Used to prove the checker catches a
-    /// volatile crash that loses acked writes.
-    pub arm_wal_skip_fsync_bug: bool,
 }
 
 impl Default for ChaosConfig {
@@ -102,16 +90,13 @@ impl Default for ChaosConfig {
             run_for: SimDuration::from_secs(60),
             rpc_timeout: SimDuration::from_secs(1),
             strict_monitors: true,
-            arm_injected_bug: false,
-            arm_premature_ack_bug: false,
+            arm_bug: None,
             pipelined_writes: true,
             parallel_commits: true,
             cold_ranges: 0,
             tracing: false,
             range_lifecycle: false,
             recent_stale_reads: false,
-            arm_split_tscache_bug: false,
-            arm_wal_skip_fsync_bug: false,
         }
     }
 }
@@ -190,17 +175,11 @@ pub fn build_chaos_cluster(cfg: &ChaosConfig) -> Cluster {
             ..ClusterConfig::default()
         },
     );
-    if cfg.arm_injected_bug {
-        arm_bug(&mut cluster);
-    }
-    if cfg.arm_premature_ack_bug {
-        arm_ack_bug(&mut cluster);
-    }
-    if cfg.arm_split_tscache_bug {
-        arm_split_bug(&mut cluster);
-    }
-    if cfg.arm_wal_skip_fsync_bug {
-        arm_fsync_bug(&mut cluster);
+    if let Some(bug) = cfg.arm_bug {
+        #[cfg(feature = "injected-bug")]
+        cluster.arm_bug(bug);
+        #[cfg(not(feature = "injected-bug"))]
+        panic!("arming {bug:?} requires building mr-chaos with --features injected-bug");
     }
     let db_regions: Vec<RegionId> = (0..3).map(RegionId).collect();
     let home = RegionId(0);
@@ -248,46 +227,6 @@ pub fn build_chaos_cluster(cfg: &ChaosConfig) -> Cluster {
             .expect("allocate cold range");
     }
     cluster
-}
-
-#[cfg(feature = "injected-bug")]
-fn arm_bug(cluster: &mut Cluster) {
-    cluster.arm_stale_read_bug();
-}
-
-#[cfg(not(feature = "injected-bug"))]
-fn arm_bug(_cluster: &mut Cluster) {
-    panic!("arm_injected_bug requires building mr-chaos with --features injected-bug");
-}
-
-#[cfg(feature = "injected-bug")]
-fn arm_ack_bug(cluster: &mut Cluster) {
-    cluster.arm_premature_ack_bug();
-}
-
-#[cfg(not(feature = "injected-bug"))]
-fn arm_ack_bug(_cluster: &mut Cluster) {
-    panic!("arm_premature_ack_bug requires building mr-chaos with --features injected-bug");
-}
-
-#[cfg(feature = "injected-bug")]
-fn arm_split_bug(cluster: &mut Cluster) {
-    cluster.arm_split_tscache_bug();
-}
-
-#[cfg(not(feature = "injected-bug"))]
-fn arm_split_bug(_cluster: &mut Cluster) {
-    panic!("arm_split_tscache_bug requires building mr-chaos with --features injected-bug");
-}
-
-#[cfg(feature = "injected-bug")]
-fn arm_fsync_bug(cluster: &mut Cluster) {
-    cluster.arm_wal_skip_fsync_bug();
-}
-
-#[cfg(not(feature = "injected-bug"))]
-fn arm_fsync_bug(_cluster: &mut Cluster) {
-    panic!("arm_wal_skip_fsync_bug requires building mr-chaos with --features injected-bug");
 }
 
 /// One closed-loop register client, moved through its continuation chain.

@@ -291,7 +291,7 @@ fn injected_stale_read_bug_is_caught_with_seed_and_step() {
     let cfg = ChaosConfig {
         seed: 666,
         run_for: secs(50),
-        arm_injected_bug: true,
+        arm_bug: Some(mr_kv::InjectedBug::StaleRead),
         // The online follower-read monitor would panic on the bug; this
         // test is about the *offline checker* catching it.
         strict_monitors: false,
@@ -356,7 +356,7 @@ fn injected_premature_ack_bug_is_caught() {
     let cfg = ChaosConfig {
         seed: 1,
         run_for: schedule.span() + secs(10),
-        arm_premature_ack_bug: true,
+        arm_bug: Some(mr_kv::InjectedBug::PrematureAck),
         // The online monitors would panic on the bug; this test is about
         // the *offline checker* catching it.
         strict_monitors: false,
@@ -501,7 +501,7 @@ fn split_storm_config(seed: u64, armed: bool) -> ChaosConfig {
         clients_per_region: 3,
         think: SimDuration::from_millis(20),
         recent_stale_reads: true,
-        arm_split_tscache_bug: armed,
+        arm_bug: armed.then_some(mr_kv::InjectedBug::SplitTscache),
         // The offline checker is the detector under test; relaxed
         // monitors in BOTH runs so the armed/control diff is the bug.
         strict_monitors: false,

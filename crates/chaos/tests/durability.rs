@@ -7,7 +7,7 @@
 //! ZONE-survivable range's whole Raft group through crash-restart, and a
 //! split racing a node mid-recovery — with the strict online monitors on,
 //! and requires a clean checker verdict on every seed. A scripted scenario
-//! pins the full-group recovery down, and the armed `wal_skip_fsync_bug`
+//! pins the full-group recovery down, and the armed `InjectedBug::WalSkipFsync`
 //! canary proves the checker catches a node that acknowledges writes
 //! before its WAL fsync point.
 
@@ -97,7 +97,7 @@ fn full_region_volatile_crash_recovers_cleanly() {
     assert!(outcome.ops_ok > 100, "workload barely ran");
 }
 
-/// The armed canary: with the `wal_skip_fsync_bug` armed, per-apply fsyncs
+/// The armed canary: with `InjectedBug::WalSkipFsync` armed, per-apply fsyncs
 /// are deferred to a periodic sync tick, so a volatile crash between ticks
 /// loses writes the cluster already acknowledged. The identical scenario
 /// that is clean above must now fail the offline checker — proving the
@@ -128,7 +128,7 @@ fn injected_wal_skip_fsync_bug_is_caught() {
     let cfg = ChaosConfig {
         seed: 7,
         run_for: secs(40),
-        arm_wal_skip_fsync_bug: true,
+        arm_bug: Some(mr_kv::InjectedBug::WalSkipFsync),
         // The online monitors may trip on the lost writes; this test is
         // about the *offline checker* catching them.
         strict_monitors: false,

@@ -28,7 +28,7 @@ fn canary_run(seed: u64) -> ChaosOutcome {
     let cfg = ChaosConfig {
         seed,
         run_for: secs(50),
-        arm_injected_bug: true,
+        arm_bug: Some(mr_kv::InjectedBug::StaleRead),
         strict_monitors: false,
         tracing: true,
         ..ChaosConfig::default()

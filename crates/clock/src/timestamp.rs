@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mr_sim::{SimDuration, SimTime};
+use mr_sim::SimDuration;
 
 /// An MVCC timestamp: a wall-clock component in nanoseconds and a logical
 /// counter for ordering events within the same nanosecond.
@@ -69,10 +69,6 @@ impl Timestamp {
             logical,
             synthetic: false,
         }
-    }
-
-    pub fn from_sim(t: SimTime) -> Timestamp {
-        Timestamp::new(t.nanos(), 0)
     }
 
     pub fn is_zero(self) -> bool {

@@ -7,7 +7,7 @@
 //! placement first (per-region minimums), then free placement by diversity,
 //! with deterministic tie-breaking by node id.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mr_sim::{NodeId, RegionId, Topology};
 
@@ -125,7 +125,7 @@ pub fn allocate(topo: &Topology, cfg: &ZoneConfig) -> Result<AllocationOutcome, 
     let mut non_voters: Vec<NodeId> = Vec::new();
 
     // Live nodes per region.
-    let mut pools: HashMap<RegionId, Vec<NodeId>> = HashMap::new();
+    let mut pools: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
     for n in topo.node_ids().filter(|&n| topo.is_node_alive(n)) {
         pools.entry(topo.region_of(n)).or_default().push(n);
     }
@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(home_voters, 2);
         // No region loss removes quorum: voters span >= 3 regions with at
         // most 2 in any region.
-        let mut per_region: HashMap<RegionId, usize> = HashMap::new();
+        let mut per_region: BTreeMap<RegionId, usize> = BTreeMap::new();
         for v in &voters {
             *per_region.entry(topo.region_of(v.node)).or_default() += 1;
         }

@@ -1,0 +1,327 @@
+//! Periodic maintenance: Raft ticks, the closed-timestamp side transport,
+//! MVCC GC, the armed-bug WAL sync tick, and the observability scrape.
+//!
+//! Every pass here walks registry × replicas (or nodes × replicas) *in
+//! place*, in the containers' own order — range id, then replica slot or
+//! node id — which fixes the order of the messages a pass emits and so the
+//! order of RNG draws (link jitter) that same-seed determinism, and the
+//! chaos history replays built on it, depend on.
+
+use mr_clock::Timestamp;
+use mr_proto::RangeId;
+use mr_raft::{Peer, RaftMsg};
+use mr_sim::{Link, NodeId, SimDuration};
+
+use super::{Cluster, Event, InjectedBug};
+use crate::metrics::ScrapeStats;
+use crate::replica::{Batch, Effect};
+use crate::zone::ClosedTsPolicy;
+
+/// Period of the WAL fsync tick that is the only fsync point while
+/// [`InjectedBug::WalSkipFsync`] is armed.
+pub(super) const WAL_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(3);
+
+impl Cluster {
+    pub(super) fn handle_raft_tick(&mut self) {
+        self.queue
+            .schedule(self.cfg.raft_tick_interval, Event::RaftTick);
+        let now = self.queue.now();
+        let mut outbox: Vec<(NodeId, RangeId, Vec<(Peer, RaftMsg<Batch>)>)> = Vec::new();
+        let mut flush_effects: Vec<(NodeId, RangeId, Vec<Effect>)> = Vec::new();
+        let mut heartbeats = 0u64;
+        for node in &mut self.nodes {
+            if !self.topo.is_node_alive(node.id) {
+                continue;
+            }
+            for (&rid, rep) in &mut node.replicas {
+                // Leadership doubt un-quiesces: a quiesced follower whose
+                // last known leader is dead or unreachable restarts its
+                // election clock — quiescence parks timers on the promise
+                // that the leader will send traffic when needed, and a dead
+                // leader never will.
+                if rep.raft.is_quiesced() && !rep.raft.is_leader() {
+                    if let Some(lh) = rep.raft.leader_hint() {
+                        let lh_node = rep.node_for_peer(lh);
+                        if !self.topo.is_node_alive(lh_node)
+                            || !self.topo.reachable(node.id, lh_node)
+                        {
+                            rep.raft.unquiesce(now);
+                        }
+                    }
+                }
+                // Leadership follows the lease (CRDB colocates Raft
+                // leadership with the leaseholder). A cooperative transfer
+                // issued while a previous transfer's election was still in
+                // flight finds the old leaseholder no longer leader, so its
+                // TimeoutNow is never sent and nothing else would ever make
+                // the new leaseholder campaign — the range would answer
+                // NotLeaseholder from both nodes forever. Any leader that
+                // notices the divergence hands leadership to the (live,
+                // reachable) leaseholder; if the leaseholder is dead, the
+                // orphaned-lease path reclaims the lease instead.
+                if rep.raft.is_leader() {
+                    if let Some(desc) = self.registry.get(rid) {
+                        if desc.leaseholder != node.id
+                            && self.topo.is_node_alive(desc.leaseholder)
+                            && self.topo.reachable(node.id, desc.leaseholder)
+                        {
+                            if let Some(peer) = rep.peer_for_node(desc.leaseholder) {
+                                let msgs = rep.raft.transfer_leadership(peer);
+                                if !msgs.is_empty() {
+                                    outbox.push((node.id, rid, msgs));
+                                }
+                            }
+                        }
+                    }
+                }
+                // Safety net: commands buffered for a flush that never
+                // fired (the scheduling node crashed and restarted between
+                // proposal and flush) must not sit forever.
+                if rep.has_pending_batch() && !rep.flush_scheduled {
+                    let (msgs, effs) = rep.flush_batch(now);
+                    if !msgs.is_empty() {
+                        outbox.push((node.id, rid, msgs));
+                    }
+                    if !effs.is_empty() {
+                        flush_effects.push((node.id, rid, effs));
+                    }
+                }
+                let msgs = rep.raft.tick(now);
+                heartbeats += msgs
+                    .iter()
+                    .filter(|(_, m)| matches!(m, RaftMsg::AppendEntries { .. }))
+                    .count() as u64;
+                if !msgs.is_empty() {
+                    outbox.push((node.id, rid, msgs));
+                }
+            }
+        }
+        self.m.heartbeats_sent.add(heartbeats);
+        for (node, range, effs) in flush_effects {
+            self.dispatch_effects(node, range, effs);
+        }
+        for (node, range, msgs) in outbox {
+            self.dispatch_raft_msgs(node, range, msgs);
+            self.maybe_claim_lease(node, range);
+        }
+    }
+
+    /// Per-range MVCC garbage collection. Each range's threshold candidate
+    /// is the minimum of three bounds: `now - gc.ttl` (zone config), the
+    /// minimum applied closed timestamp across the range's *live* replicas
+    /// (follower reads must keep working), and the oldest active protected
+    /// timestamp. Each replica ratchets its local threshold monotonically
+    /// and reclaims shadowed history at its next flush/compaction.
+    pub(super) fn handle_gc_tick(&mut self) {
+        self.queue.schedule(self.cfg.gc_interval, Event::GcTick);
+        let now = self.queue.now();
+        let protected_min = self.protected.min();
+        let (nodes, topo) = (&mut self.nodes, &self.topo);
+        let mut removed = 0usize;
+        for d in self.registry.iter() {
+            let live = || d.replica_nodes().filter(|&n| topo.is_node_alive(n));
+            // The frontier bound: no live replica may lose history it can
+            // still serve follower reads from.
+            let min_closed = live()
+                .filter_map(|n| nodes[n.0 as usize].replicas.get(&d.id))
+                .map(|rep| rep.tracker.closed())
+                .min();
+            let Some(min_closed) = min_closed else {
+                continue;
+            };
+            let candidate = mr_storage::gc_threshold(
+                now.nanos(),
+                d.zone_config.gc_ttl.nanos(),
+                min_closed,
+                protected_min,
+            );
+            if candidate.is_zero() {
+                continue;
+            }
+            for n in live() {
+                if let Some(rep) = nodes[n.0 as usize].replicas.get_mut(&d.id) {
+                    let report = rep.store.maintain(candidate, now.nanos());
+                    removed += report.mem_gc_removed + report.compact_removed;
+                }
+            }
+        }
+        self.m.gc_versions_removed.add(removed as u64);
+    }
+
+    /// Fsync every live replica's WAL and Raft log. Scheduled only while
+    /// [`InjectedBug::WalSkipFsync`] is armed, where it is the sole fsync
+    /// point (see [`Event::WalSyncTick`]).
+    pub(super) fn handle_wal_sync_tick(&mut self) {
+        if self.injected_bug != Some(InjectedBug::WalSkipFsync) {
+            return;
+        }
+        self.queue.schedule(WAL_SYNC_INTERVAL, Event::WalSyncTick);
+        let now_nanos = self.queue.now().nanos();
+        for node in &mut self.nodes {
+            if !self.topo.is_node_alive(node.id) {
+                continue;
+            }
+            for rep in node.replicas.values_mut() {
+                rep.store.sync_now(now_nanos);
+                rep.raft.mark_log_synced();
+            }
+        }
+    }
+
+    /// Refresh derived gauges (closed-timestamp lag per policy, lock
+    /// contention, in-flight ops) and snapshot the registry into the scrape
+    /// series. Runs on `obs_scrape_interval`.
+    pub(super) fn handle_obs_scrape(&mut self) {
+        if let Some(interval) = self.cfg.obs_scrape_interval {
+            self.queue.schedule(interval, Event::ObsScrape);
+        }
+        self.scrape_now();
+    }
+
+    /// Run one observability scrape immediately (tests and benches call
+    /// this before reading counters so scrape-drained instruments — batch
+    /// occupancy, quiesced-range counts — reflect activity since the last
+    /// periodic scrape).
+    pub fn scrape_now(&mut self) {
+        let now = self.queue.now();
+        let mut s = ScrapeStats {
+            protected_timestamps: self.protected.len() as i64,
+            ops_outstanding: self.outstanding_ops as i64,
+            load_tracked_ranges: self.obs.load.len() as i64,
+            slow_txn_records: self.attr_log.len() as i64,
+            trace_retained_spans: self.obs.tracer.len() as i64,
+            trace_dropped_spans: self.obs.tracer.dropped() as i64,
+            ..ScrapeStats::default()
+        };
+        for d in self.registry.iter() {
+            // Worst (largest) closed-timestamp lag across replicas, split
+            // by policy. Negative values mean the closed frontier leads
+            // present time, as lead-policy (GLOBAL) ranges are designed to.
+            let worst_lag = if d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead {
+                &mut s.closedts_worst_lead
+            } else {
+                &mut s.closedts_worst_lag
+            };
+            for n in d.replica_nodes() {
+                let Some(rep) = self.nodes[n.0 as usize].replicas.get_mut(&d.id) else {
+                    continue;
+                };
+                let lag = rep.tracker.lag_nanos(now.nanos());
+                *worst_lag = Some(worst_lag.map_or(lag, |w| w.max(lag)));
+                // The closed-timestamp frontier of a replica must never
+                // move backwards between scrapes (trackers only `forward`).
+                let wall = rep.tracker.closed().wall;
+                if let Some(prev) = rep.monitor_closed.replace(wall) {
+                    self.obs.monitors.check(
+                        &self.obs.registry,
+                        "closed_ts_monotonic",
+                        now,
+                        wall >= prev,
+                        || {
+                            format!(
+                                "range {} replica n{}: closed frontier regressed {prev} -> {wall}",
+                                d.id, n.0
+                            )
+                        },
+                    );
+                }
+                if n == d.leaseholder {
+                    s.lock_waiters += rep.locks.total_waiters() as i64;
+                    s.locked_keys += rep.locks.locked_key_count() as i64;
+                }
+                // Group-commit accounting: drain the batch occupancy
+                // recorded since the last scrape, and count quiesced leaders.
+                for batch in rep.take_prop_occupancy() {
+                    self.m.batch_occupancy.record(batch as u64);
+                    self.m.proposals_batched.add(batch as u64);
+                    self.m.entries_proposed.inc();
+                }
+                if rep.raft.is_leader() && rep.raft.is_quiesced() {
+                    s.quiesced_ranges += 1;
+                }
+                // Storage-engine accounting, summed across replicas: WAL
+                // footprint, LSM shape, bloom effectiveness, GC
+                // reclamation, recoveries.
+                let e = rep.store.stats();
+                s.wal_bytes += rep.store.wal_bytes() as i64;
+                s.wal_records += rep.store.wal_record_count() as i64;
+                s.sst_count += rep.store.sst_count() as i64;
+                s.sst_versions += rep.store.sst_version_count() as i64;
+                s.memtable_versions += rep.store.mem_version_count() as i64;
+                s.bloom_probes += e.bloom_probes.get() as i64;
+                s.bloom_skips += e.bloom_skips.get() as i64;
+                s.gc_reclaimed += e.gc_reclaimed as i64;
+                s.flushes += e.flushes as i64;
+                s.compactions += e.compactions as i64;
+                s.wal_recoveries += e.recoveries as i64;
+            }
+        }
+        self.m.set_scrape_gauges(&s);
+        self.obs.scrape(now);
+    }
+
+    pub(super) fn handle_side_transport(&mut self) {
+        self.queue
+            .schedule(self.cfg.side_transport_interval, Event::SideTransport);
+        let now = self.queue.now();
+        let params = self.cfg.closed_ts;
+        // Batch updates per (source leaseholder, destination) pair — the
+        // CRDB side transport is node-to-node, not per-range. One slot per
+        // pair, `from * n + to`: walking the slots ships the batches in
+        // (from, to) order.
+        let n = self.nodes.len();
+        let mut batches: Vec<Vec<(RangeId, Timestamp, u64)>> = vec![Vec::new(); n * n];
+        for d in self.registry.iter() {
+            let (lh, policy) = (d.leaseholder, d.zone_config.closed_ts_policy);
+            if !self.topo.is_node_alive(lh) {
+                continue;
+            }
+            if policy == ClosedTsPolicy::Lag && !self.cfg.lag_side_transport {
+                continue;
+            }
+            let node = &mut self.nodes[lh.0 as usize];
+            let skew = node.hlc.physical_clock().skew_nanos();
+            let Some(rep) = node.replicas.get_mut(&d.id) else {
+                continue;
+            };
+            if !rep.raft.is_leader() {
+                continue;
+            }
+            let target = rep.lease.advance(&params, policy, now, skew);
+            let index = rep.raft.last_index();
+            // The leaseholder's own tracker advances immediately.
+            let applied = rep.raft.applied_index();
+            rep.tracker.on_side_transport(target, index, applied);
+            for follower in d.replica_nodes().filter(|&f| f != lh) {
+                batches[lh.0 as usize * n + follower.0 as usize].push((d.id, target, index));
+            }
+        }
+        for (slot, updates) in batches.into_iter().enumerate() {
+            if updates.is_empty() {
+                continue;
+            }
+            let (from, to) = (NodeId((slot / n) as u32), NodeId((slot % n) as u32));
+            if let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) {
+                self.queue
+                    .schedule(d, Event::SideTransportDeliver { to, updates });
+            }
+        }
+    }
+
+    pub(super) fn handle_side_transport_deliver(
+        &mut self,
+        to: NodeId,
+        updates: Vec<(RangeId, Timestamp, u64)>,
+    ) {
+        if !self.topo.is_node_alive(to) {
+            return;
+        }
+        let node = &mut self.nodes[to.0 as usize];
+        for (range, ts, index) in updates {
+            if let Some(rep) = node.replicas.get_mut(&range) {
+                let applied = rep.raft.applied_index();
+                rep.tracker.on_side_transport(ts, index, applied);
+            }
+        }
+    }
+}

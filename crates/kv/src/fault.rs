@@ -158,7 +158,12 @@ impl Cluster {
                 self.set_node_skew(*node, *skew_nanos);
             }
             FaultKind::RegressClosedTs { range, node, delta } => {
-                self.regress_closed_ts_internal(*range, *node, *delta);
+                let rep = self
+                    .node_mut(*node)
+                    .replicas
+                    .get_mut(range)
+                    .unwrap_or_else(|| panic!("no replica of {range} on {node}"));
+                rep.tracker.fault_regress(delta.nanos());
             }
             FaultKind::HealAll => {
                 self.topo_mut().heal_all_partitions();

@@ -68,6 +68,8 @@ impl LockTable {
         span: &Span,
         exclude: Option<mr_proto::TxnId>,
     ) -> Option<(&Key, &TxnMeta)> {
+        // Order-insensitive: the minimum key over the matches.
+        #[allow(clippy::disallowed_methods)]
         self.queues
             .iter()
             .filter(|(k, q)| {
@@ -84,6 +86,8 @@ impl LockTable {
 
     /// Total waiters across all keys (for metrics).
     pub fn total_waiters(&self) -> usize {
+        // Order-insensitive: a sum.
+        #[allow(clippy::disallowed_methods)]
         self.queues.values().map(|q| q.waiters.len()).sum()
     }
 

@@ -9,7 +9,7 @@
 //! Naming scheme: `kv.<component>.<what>`, labels sorted. See DESIGN.md
 //! ("Observability") for the full metric table.
 
-use mr_obs::{Counter, HistogramHandle, Registry};
+use mr_obs::{Counter, Gauge, HistogramHandle, Registry};
 
 /// Request kinds, used as the `kind` label on `kv.rpc.sent_by_kind` and as
 /// RPC span names (`rpc.<kind>`).
@@ -66,6 +66,77 @@ pub(crate) fn rpc_span_name(req: &mr_proto::Request) -> &'static str {
     NAMES[req_kind_index(req)]
 }
 
+/// What one observability scrape measures: sums over every replica plus a
+/// few cluster-level sizes. Each field feeds the [`SCRAPE_GAUGES`] row that
+/// reads it.
+#[derive(Default)]
+pub(crate) struct ScrapeStats {
+    pub wal_bytes: i64,
+    pub wal_records: i64,
+    pub sst_count: i64,
+    pub sst_versions: i64,
+    pub memtable_versions: i64,
+    pub bloom_probes: i64,
+    pub bloom_skips: i64,
+    pub gc_reclaimed: i64,
+    pub flushes: i64,
+    pub compactions: i64,
+    pub wal_recoveries: i64,
+    pub protected_timestamps: i64,
+    /// Leaders currently quiesced.
+    pub quiesced_ranges: i64,
+    /// Worst closed-timestamp lag over lag-policy / lead-policy replicas
+    /// (`None` when there is no such replica; exported as 0).
+    pub closedts_worst_lag: Option<i64>,
+    pub closedts_worst_lead: Option<i64>,
+    pub lock_waiters: i64,
+    pub locked_keys: i64,
+    pub ops_outstanding: i64,
+    pub load_tracked_ranges: i64,
+    pub slow_txn_records: i64,
+    pub trace_retained_spans: i64,
+    pub trace_dropped_spans: i64,
+}
+
+type ScrapeGaugeRow = (
+    &'static str,
+    &'static [(&'static str, &'static str)],
+    fn(&ScrapeStats) -> i64,
+);
+
+/// The gauges every scrape refreshes: name, labels, and the statistic each
+/// one exports. Adding a scrape gauge is one field above and one row here.
+const SCRAPE_GAUGES: [ScrapeGaugeRow; 22] = [
+    ("storage.wal_bytes", &[], |s| s.wal_bytes),
+    ("storage.wal_records", &[], |s| s.wal_records),
+    ("storage.sst_count", &[], |s| s.sst_count),
+    ("storage.sst_versions", &[], |s| s.sst_versions),
+    ("storage.memtable_versions", &[], |s| s.memtable_versions),
+    ("storage.bloom_probes", &[], |s| s.bloom_probes),
+    ("storage.bloom_skips", &[], |s| s.bloom_skips),
+    ("storage.gc_reclaimed", &[], |s| s.gc_reclaimed),
+    ("storage.flushes", &[], |s| s.flushes),
+    ("storage.compactions", &[], |s| s.compactions),
+    ("storage.wal_recoveries", &[], |s| s.wal_recoveries),
+    ("storage.protected_timestamps", &[], |s| {
+        s.protected_timestamps
+    }),
+    ("raft.quiesced_ranges", &[], |s| s.quiesced_ranges),
+    ("kv.closedts.lag_nanos", &[("policy", "lag")], |s| {
+        s.closedts_worst_lag.unwrap_or(0)
+    }),
+    ("kv.closedts.lag_nanos", &[("policy", "lead")], |s| {
+        s.closedts_worst_lead.unwrap_or(0)
+    }),
+    ("kv.locks.waiters", &[], |s| s.lock_waiters),
+    ("kv.locks.held_keys", &[], |s| s.locked_keys),
+    ("kv.ops.outstanding", &[], |s| s.ops_outstanding),
+    ("kv.load.tracked_ranges", &[], |s| s.load_tracked_ranges),
+    ("kv.attr.slow_txn_records", &[], |s| s.slow_txn_records),
+    ("obs.trace.retained_spans", &[], |s| s.trace_retained_spans),
+    ("obs.trace.dropped_spans", &[], |s| s.trace_dropped_spans),
+];
+
 /// Every KV instrument, bound once per cluster.
 pub(crate) struct KvMetrics {
     pub rpcs_sent: Counter,
@@ -118,6 +189,8 @@ pub(crate) struct KvMetrics {
     pub read_fast_path: Counter,
     /// Commands per proposed Raft entry (mean > 1 means batching works).
     pub batch_occupancy: HistogramHandle,
+    /// One handle per [`SCRAPE_GAUGES`] row, with the row's reader.
+    scrape_gauges: Vec<(Gauge, fn(&ScrapeStats) -> i64)>,
 }
 
 impl KvMetrics {
@@ -157,6 +230,17 @@ impl KvMetrics {
             heartbeats_sent: r.counter("raft.heartbeats_sent", &[]),
             read_fast_path: r.counter("raft.read_fast_path", &[]),
             batch_occupancy: r.histogram("raft.batch_occupancy", &[]),
+            scrape_gauges: SCRAPE_GAUGES
+                .iter()
+                .map(|&(name, labels, read)| (r.gauge(name, labels), read))
+                .collect(),
+        }
+    }
+
+    /// Export one scrape's statistics through the [`SCRAPE_GAUGES`] table.
+    pub fn set_scrape_gauges(&self, stats: &ScrapeStats) {
+        for (gauge, read) in &self.scrape_gauges {
+            gauge.set(read(stats));
         }
     }
 }

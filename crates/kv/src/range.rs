@@ -110,6 +110,52 @@ impl RangeLineage {
     }
 }
 
+/// Everything the cluster tracks about one range id outside its descriptor
+/// and replicas. One record per id ever seen; retiring a range (merge,
+/// drop) resets [`RangeMeta::live`] in one assignment while `gen` and
+/// `lineage` persist as history.
+#[derive(Debug, Default)]
+pub(crate) struct RangeMeta {
+    /// Reconfiguration generation: bumped whenever the id's Raft group is
+    /// (re)installed or retired, so traffic of an older incarnation is
+    /// recognised as stale.
+    pub gen: u32,
+    /// Lifecycle lineage (boot/split/merge origin, rebalance counters) —
+    /// the `crdb_internal.ranges` lineage columns. `None` only for ids the
+    /// admin plane never created.
+    pub lineage: Option<RangeLineage>,
+    pub live: LiveRangeMeta,
+}
+
+/// Bookkeeping that is only meaningful while the range exists.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct LiveRangeMeta {
+    /// Highest applied `ClaimLease` log index (all replicas of a range
+    /// apply the same claim entry; only the first application moves the
+    /// lease). Reset when the Raft group is reinstalled, because the fresh
+    /// group restarts log indices.
+    pub lease_claim: u64,
+    /// The recorded leaseholder crashed while holding the lease. An
+    /// orphaned lease may be usurped by the next Raft leader even after the
+    /// old holder restarts: the registry still names the old node, but a
+    /// revived whole-region group can elect a *different* leader, and
+    /// without this mark the alive-and-reachable guard in
+    /// `maybe_claim_lease` would leave the lease pointing at a Raft
+    /// follower forever (every proposal stalls, the range never recovers).
+    pub lease_orphaned: bool,
+    /// Last lifecycle action (proposal or application) touching the range;
+    /// drives the split/merge cooldown hysteresis.
+    pub last_lifecycle: Option<SimTime>,
+    /// When the *load-based* rebalancer last moved the lease, possibly
+    /// outside the configured preference. The replication report grants a
+    /// grace window (one cooldown) before flagging `WrongLeaseholder` — the
+    /// next rebalance tick either keeps the move (still hot) or re-homes
+    /// the lease.
+    pub lease_rebalanced: Option<SimTime>,
+    /// Proposal time of an in-flight split of this (parent) range.
+    pub split_pending: Option<SimTime>,
+}
+
 /// The authoritative key → range mapping.
 #[derive(Default)]
 pub struct RangeRegistry {

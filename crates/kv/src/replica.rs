@@ -140,14 +140,11 @@ pub enum Effect {
     /// same entry).
     LeaseApplied { node: NodeId, index: u64 },
     /// A replicated split applied; the cluster performs the descriptor and
-    /// store surgery (deduplicated by log index, like `LeaseApplied`).
-    SplitApplied {
-        split_key: Key,
-        rhs: RangeId,
-        index: u64,
-    },
+    /// store surgery (the first application installs `rhs`, which is what
+    /// re-deliveries from the other replicas bail on).
+    SplitApplied { split_key: Key, rhs: RangeId },
     /// A replicated merge applied; the cluster absorbs `rhs`.
-    MergeApplied { rhs: RangeId, index: u64 },
+    MergeApplied { rhs: RangeId },
 }
 
 /// Outcome of evaluating a request.
@@ -270,6 +267,10 @@ pub struct Replica {
     /// Whether a raft group-commit flush event is already on the calendar
     /// for this replica (dedups flush scheduling per batch).
     pub flush_scheduled: bool,
+    /// Closed-timestamp wall time the scrape-time `closed_ts_monotonic`
+    /// monitor last observed on this replica; `None` until the first scrape
+    /// of this incarnation.
+    pub monitor_closed: Option<u64>,
 }
 
 impl Replica {
@@ -303,6 +304,7 @@ impl Replica {
             lease_claim_term: None,
             lifecycle_term: None,
             flush_scheduled: false,
+            monitor_closed: None,
         }
     }
 
@@ -373,6 +375,10 @@ impl Replica {
         self.lease_claim_term = None;
         self.lifecycle_term = None;
         self.flush_scheduled = false;
+        // The recovered closed frontier comes from the last durable entry
+        // record — legitimately below side-transport promises the old
+        // incarnation observed — so the monitor's baseline restarts too.
+        self.monitor_closed = None;
         info
     }
 
@@ -1498,18 +1504,16 @@ impl Replica {
             }
             CmdOp::Split { split_key, rhs } => {
                 // The descriptor/store surgery is cluster-level (it spans
-                // replicas on several nodes); signal it, deduplicated there
-                // by log index.
+                // replicas on several nodes); signal it.
                 self.lifecycle_term = None;
                 effects.push(Effect::SplitApplied {
                     split_key: split_key.clone(),
                     rhs: *rhs,
-                    index,
                 });
             }
             CmdOp::Merge { rhs } => {
                 self.lifecycle_term = None;
-                effects.push(Effect::MergeApplied { rhs: *rhs, index });
+                effects.push(Effect::MergeApplied { rhs: *rhs });
             }
             CmdOp::Resolve {
                 key,

@@ -85,16 +85,15 @@ pub struct ReplicationReport {
 impl ReplicationReport {
     /// Classify every registered range against its own zone config.
     pub fn build(at: SimTime, registry: &RangeRegistry, topo: &Topology) -> ReplicationReport {
-        let mut ranges: Vec<RangeConformance> =
-            registry.iter().map(|d| classify(d, topo)).collect();
-        ranges.sort_by_key(|c| c.range.0);
+        // The registry iterates in range-id order, so the report is sorted.
+        let ranges = registry.iter().map(|d| classify(d, topo)).collect();
         ReplicationReport { at, ranges }
     }
 
     /// Like [`ReplicationReport::build`], but suppress `WrongLeaseholder`
     /// for ranges whose lease was deliberately moved by the load-based
-    /// rebalancer within the last `grace` window (`rebalanced` maps range →
-    /// time of the move). A transient, intentional out-of-preference lease
+    /// rebalancer within the last `grace` window (`rebalanced` gives the
+    /// time of a range's last such move). A transient, intentional out-of-preference lease
     /// is not a conformance violation; once the grace window lapses without
     /// the rebalancer re-homing or re-affirming the lease, the report flags
     /// it again.
@@ -102,12 +101,12 @@ impl ReplicationReport {
         at: SimTime,
         registry: &RangeRegistry,
         topo: &Topology,
-        rebalanced: &std::collections::HashMap<RangeId, SimTime>,
+        rebalanced: impl Fn(RangeId) -> Option<SimTime>,
         grace: mr_sim::SimDuration,
     ) -> ReplicationReport {
         let mut report = ReplicationReport::build(at, registry, topo);
         for c in report.ranges.iter_mut() {
-            if let Some(&t) = rebalanced.get(&c.range) {
+            if let Some(t) = rebalanced(c.range) {
                 if at.0.saturating_sub(t.0) <= grace.nanos() {
                     c.problems
                         .retain(|&(s, _)| s != RangeStatus::WrongLeaseholder);
@@ -361,7 +360,7 @@ mod tests {
             SimTime(1_000 + SimDuration::from_secs(5).nanos()),
             &reg,
             &t,
-            &rebalanced,
+            |id| rebalanced.get(&id).copied(),
             grace,
         );
         assert_eq!(fresh.violations(), 0);
@@ -372,19 +371,13 @@ mod tests {
             SimTime(1_000 + SimDuration::from_secs(11).nanos()),
             &reg,
             &t,
-            &rebalanced,
+            |id| rebalanced.get(&id).copied(),
             grace,
         );
         assert_eq!(stale.count(RangeStatus::WrongLeaseholder), 1);
 
         // Ranges never rebalanced are unaffected.
-        let other = ReplicationReport::build_with_grace(
-            SimTime(2_000),
-            &reg,
-            &t,
-            &std::collections::HashMap::new(),
-            grace,
-        );
+        let other = ReplicationReport::build_with_grace(SimTime(2_000), &reg, &t, |_| None, grace);
         assert_eq!(other.count(RangeStatus::WrongLeaseholder), 1);
     }
 

@@ -30,7 +30,7 @@ use mr_proto::{Key, KvError, ReadCtx, Request, Response, Span, TxnId, TxnMeta, T
 use mr_sim::{NodeId, SimDuration, SimTime};
 
 use crate::attribution::{AttrAcc, Component, TxnAttrRecord, COMPONENTS};
-use crate::cluster::{Cluster, Cont, KvResult, ReadOptions, Staleness};
+use crate::cluster::{Cluster, Cont, InjectedBug, KvResult, ReadOptions, Staleness};
 use crate::zone::ClosedTsPolicy;
 
 /// Maximum transparent re-routes before an error surfaces to the caller.
@@ -187,7 +187,7 @@ impl Cluster {
         }
         self.txns.insert(
             id,
-            TxnState {
+            Box::new(TxnState {
                 id,
                 gateway,
                 read_ts,
@@ -206,7 +206,7 @@ impl Cluster {
                 attr: AttrAcc::new(self.now()),
                 committed: false,
                 ranges: Vec::new(),
-            },
+            }),
         );
         TxnHandle { id, gateway }
     }
@@ -1022,9 +1022,6 @@ impl Cluster {
             MAX_ATTEMPTS,
             tspan,
             Box::new(move |c, res| {
-                if c.cfg.trace {
-                    eprintln!("[pc] put txn={id} key={record_key:?} res={res:?}");
-                }
                 match res {
                     Ok(Response::Put { written_ts }) => {
                         {
@@ -1323,7 +1320,7 @@ impl Cluster {
         }));
         {
             let mut p = pl.borrow_mut();
-            if p.outstanding == 0 || self.premature_ack_bug {
+            if p.outstanding == 0 || self.injected_bug == Some(InjectedBug::PrematureAck) {
                 // No writes outstanding — or (injected bug) don't wait for
                 // them: the ack then races replication and a crash can lose
                 // acknowledged writes. The chaos checker must catch this.
@@ -1385,11 +1382,6 @@ impl Cluster {
             (p.failed.take(), p.max_written_ts)
         };
         let gateway = c.txns.get(&id).map(|st| st.gateway).expect("txn state");
-        if c.cfg.trace {
-            eprintln!(
-                "[pc] stage-complete txn={id} staged={staged_ts} res={stage_res:?} failed={failed:?} maxw={max_written}"
-            );
-        }
         if let Err(e) = stage_res {
             // The record's fate is unknown (timeout, failover): write an
             // explicit ABORT — it beats zombie stage retries and pins
@@ -1460,9 +1452,6 @@ impl Cluster {
             8,
             tspan,
             Box::new(move |c, res| {
-                if c.cfg.trace {
-                    eprintln!("[pc] make-explicit txn={id} cts={commit_ts} res={res:?}");
-                }
                 if let Ok(Response::EndTxn { .. }) = res {
                     c.finalize_intents(id, TxnStatus::Committed, commit_ts);
                 }
@@ -1769,13 +1758,7 @@ impl Cluster {
         holder: TxnMeta,
     ) {
         if !self.active_pushers.insert((range, key.clone())) {
-            if self.cfg.trace {
-                eprintln!("[pusher] dedup {range} {key:?}");
-            }
             return;
-        }
-        if self.cfg.trace {
-            eprintln!("[pusher] start {range} {key:?} holder {}", holder.id);
         }
         let delay = SimDuration::from_millis(100);
         self.schedule(
@@ -1810,16 +1793,8 @@ impl Cluster {
                 || r.store.intent(&key).map(|i| i.txn.id) == Some(holder.id)
         });
         if !still_blocked || !still_leaseholder || !self.topology().is_node_alive(node) {
-            if self.cfg.trace {
-                eprintln!(
-                    "[pusher] stop {range} {key:?} blocked={still_blocked} lh={still_leaseholder}"
-                );
-            }
             self.active_pushers.remove(&(range, key));
             return;
-        }
-        if self.cfg.trace {
-            eprintln!("[pusher] push {range} {key:?} -> {}", holder.id);
         }
         let push = Request::PushTxn {
             pushee: holder.id,
@@ -1878,9 +1853,6 @@ impl Cluster {
                     // readings), so a coordinator racing this abort with a
                     // stage or commit wins or loses by log order, and the
                     // record's authoritative disposition drives resolution.
-                    if c.cfg.trace {
-                        eprintln!("[pusher] expire {range} {key:?} holder {}", holder.id);
-                    }
                     c.recover_finalize(
                         node,
                         range,
@@ -1920,12 +1892,6 @@ impl Cluster {
         in_flight: Vec<Key>,
     ) {
         self.m.staging_recoveries.inc();
-        if self.cfg.trace {
-            eprintln!(
-                "[pc] recover txn={} staged={staged_ts} in_flight={in_flight:?}",
-                holder.id
-            );
-        }
         let now = self.now();
         let rspan = self.obs.tracer.start("txn.staging_recovery", None, now);
         if rspan.is_some() {
@@ -2032,12 +1998,6 @@ impl Cluster {
             4,
             rspan,
             Box::new(move |c, res| {
-                if c.cfg.trace {
-                    eprintln!(
-                        "[pc] recover-finalize txn={} staged={staged_ts} verdict_commit={commit} res={res:?}",
-                        holder.id
-                    );
-                }
                 let now = c.now();
                 match res {
                     Ok(Response::RecoverTxn { status, commit_ts }) if status.is_finalized() => {

@@ -785,18 +785,19 @@ fn excessive_clock_skew_permits_stale_reads_but_not_corruption() {
 fn gc_collects_old_versions_without_breaking_reads() {
     let cfg = ClusterConfig {
         gc_interval: SimDuration::from_secs(10),
-        gc_ttl: SimDuration::from_secs(15),
         ..ClusterConfig::default()
     };
     let mut c = cluster(cfg);
-    let zc = derive_zone_config(
+    let mut zc = derive_zone_config(
         US_EAST,
         &all_regions(),
         SurvivalGoal::Zone,
         PlacementPolicy::Default,
         ClosedTsPolicy::Lag,
     );
-    c.create_range(Span::all(), zc).unwrap();
+    // Longer than the 10s default, so the reads below can tell them apart.
+    zc.gc_ttl = SimDuration::from_secs(15);
+    let range = c.create_range(Span::all(), zc).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(2).nanos()));
     // Ten versions of the same key over 10 seconds.
     for i in 0..10 {
@@ -813,13 +814,20 @@ fn gc_collects_old_versions_without_breaking_reads() {
     // Fresh reads still see the newest value...
     let (val, _) = read_key(&mut c, gw(1), "k1", fresh());
     assert_eq!(val.unwrap(), Some(Value::from("v9")));
-    // ...and stale reads within the TTL window still work.
-    let opts = ReadOptions {
-        staleness: Staleness::ExactAgo(SimDuration::from_secs(5)),
+    // ...and stale reads within the range's own TTL window still work:
+    // 12s back is inside its 15s, outside the default 10s.
+    let info = c.storage_info_of(range).unwrap();
+    assert_eq!(info.gc_ttl, SimDuration::from_secs(15));
+    assert!(!info.gc_threshold.is_zero());
+    let opts = |secs| ReadOptions {
+        staleness: Staleness::ExactAgo(SimDuration::from_secs(secs)),
         fallback_to_leaseholder: true,
     };
-    let (val, _) = read_key(&mut c, gw(2), "k1", opts);
+    let (val, _) = read_key(&mut c, gw(2), "k1", opts(12));
     assert_eq!(val.unwrap(), Some(Value::from("v9")));
+    // Past the TTL the history is gone and the read says so.
+    let (val, _) = read_key(&mut c, gw(2), "k1", opts(20));
+    assert!(matches!(val, Err(KvError::BatchTimestampBeforeGC { .. })));
 }
 
 #[test]

@@ -386,3 +386,47 @@ fn lease_rebalances_toward_demand_then_rehomes() {
     );
     assert_eq!(c.replication_report().violations(), 0);
 }
+
+/// Split, then merge the halves back: the retired right-hand id keeps only
+/// its history, and the scrape-time `closed_ts_monotonic` monitor restarts
+/// its baseline exactly where the replicas were re-installed — one check
+/// per replica per scrape except the first scrape after each surgery. The
+/// count is what the map-keyed bookkeeping this replaced produced for the
+/// same run (recorded at the parent commit).
+#[test]
+fn split_then_merge_retires_the_rhs_and_keeps_monitor_baselines() {
+    let mut c = cluster(config());
+    let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    for k in ["a1", "m1", "z1"] {
+        write_key(&mut c, gw(0), k, &format!("v-{k}"));
+    }
+    let rhs = c.admin_split_at(Key::from("m")).expect("split proposed");
+    c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
+    assert_eq!(c.registry().len(), 2);
+    assert!(c.admin_merge_at(Key::from("a")), "merge proposed");
+    c.run_until(SimTime(SimDuration::from_secs(20).nanos()));
+
+    assert_eq!(c.registry().len(), 1);
+    assert!(c.registry().get(rhs).is_none());
+    assert!(c.storage_info_of(rhs).is_none());
+    let rl = c.lineage_of(rhs).expect("lineage outlives the range");
+    assert_eq!(rl.merged_into, Some(lhs));
+    assert_eq!(c.lineage_of(lhs).unwrap().merges_absorbed, 1);
+    for k in ["a1", "m1", "z1"] {
+        assert_eq!(
+            read_key(&mut c, gw(1), k).unwrap(),
+            Some(Value::from(format!("v-{k}").as_str()))
+        );
+    }
+    assert_eq!(c.obs.monitors.violation_count(), 0);
+    let checks = c
+        .obs
+        .registry
+        .counter(
+            "obs.monitor.checks",
+            &[("invariant", "closed_ts_monotonic")],
+        )
+        .get();
+    assert_eq!(checks, 147);
+}

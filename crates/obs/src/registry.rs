@@ -17,7 +17,6 @@ use std::rc::Rc;
 
 use crate::export::{csv_field, json_escape};
 use crate::histogram::{Histogram, HistogramSnapshot};
-use mr_sim::SimDuration;
 use std::collections::BTreeMap;
 
 /// Identity of an instrument: a dotted name (`layer.component.what`) plus
@@ -94,9 +93,6 @@ pub struct HistogramHandle(Rc<RefCell<Histogram>>);
 impl HistogramHandle {
     pub fn record(&self, value: u64) {
         self.0.borrow_mut().record(value);
-    }
-    pub fn record_duration(&self, d: SimDuration) {
-        self.record(d.nanos());
     }
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.borrow().snapshot()

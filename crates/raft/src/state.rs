@@ -144,7 +144,7 @@ pub struct RaftNode<P> {
     /// Highest log index durably fsynced. Normally tracks the log tail
     /// (entries are synced at append, the Raft durability contract);
     /// with `defer_log_sync` it only advances on [`RaftNode::mark_log_synced`]
-    /// — the armed `wal_skip_fsync_bug` acks entries before their fsync.
+    /// — the armed `InjectedBug::WalSkipFsync` acks entries before their fsync.
     log_synced_index: u64,
     /// When set, appends do NOT advance `log_synced_index`.
     defer_log_sync: bool,
@@ -247,7 +247,7 @@ impl<P: Clone> RaftNode<P> {
         self.log_synced_index
     }
 
-    /// Arm or disarm deferred log syncs (the `wal_skip_fsync_bug` canary:
+    /// Arm or disarm deferred log syncs (the `InjectedBug::WalSkipFsync` canary:
     /// entries are acked before they are durable).
     pub fn set_defer_log_sync(&mut self, defer: bool) {
         self.defer_log_sync = defer;

@@ -203,7 +203,6 @@ pub enum Link {
 /// The cluster topology and network state.
 pub struct Topology {
     region_names: Vec<String>,
-    zone_names: Vec<String>,
     nodes: Vec<NodeLocality>,
     rtt: RttMatrix,
     params: NetworkParams,
@@ -221,7 +220,6 @@ impl Topology {
         assert_eq!(region_names.len(), rtt.regions());
         let mut t = Topology {
             region_names: region_names.iter().map(|s| s.to_string()).collect(),
-            zone_names: Vec::new(),
             nodes: Vec::new(),
             rtt,
             params: NetworkParams::default(),
@@ -229,11 +227,9 @@ impl Topology {
             partitions: HashSet::new(),
             isolated_regions: HashSet::new(),
         };
-        for (ri, rname) in region_names.iter().enumerate() {
-            for zi in 0..nodes_per_region {
-                let zone = ZoneId(t.zone_names.len() as u32);
-                t.zone_names
-                    .push(format!("{rname}-{}", (b'a' + zi as u8) as char));
+        for ri in 0..region_names.len() {
+            for _ in 0..nodes_per_region {
+                let zone = ZoneId(t.nodes.len() as u32);
                 t.nodes.push(NodeLocality {
                     region: RegionId(ri as u32),
                     zone,
@@ -277,10 +273,6 @@ impl Topology {
 
     pub fn region_name(&self, r: RegionId) -> &str {
         &self.region_names[r.0 as usize]
-    }
-
-    pub fn zone_name(&self, z: ZoneId) -> &str {
-        &self.zone_names[z.0 as usize]
     }
 
     pub fn region_by_name(&self, name: &str) -> Option<RegionId> {

@@ -66,11 +66,6 @@ impl BloomFilter {
         self.probe_bits(key)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
-
-    /// Size of the bit array in bytes (for storage accounting).
-    pub fn byte_len(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

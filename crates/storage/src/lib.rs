@@ -1,8 +1,10 @@
 //! MVCC storage engine.
 //!
-//! Each range replica applies committed Raft commands to an [`MvccStore`]: a
-//! multi-version key-value map with write intents. The engine implements the
-//! read/write rules the paper's transaction machinery relies on:
+//! Each range replica applies committed Raft commands to an [`Engine`]: a
+//! multi-version key-value map with write intents, kept in a memtable over
+//! immutable sorted runs and made durable by a WAL. [`Engine`] is the one
+//! MVCC API; it implements the read/write rules the paper's transaction
+//! machinery relies on:
 //!
 //! * reads at a timestamp observe the latest committed version at or below
 //!   that timestamp, report conflicting intents, and detect committed values
@@ -28,6 +30,6 @@ pub mod wal;
 pub use bloom::BloomFilter;
 pub use gc::{gc_threshold, ProtectedTimestamps};
 pub use lsm::{Engine, EngineStats, MaintainReport, RecoveryInfo, SortedRun};
-pub use mvcc::{Intent, MvccError, MvccStore, PutOutcome, ReadOutcome, Version, VersionChain};
+pub use mvcc::{Intent, MvccError, PutOutcome, ReadOutcome, Version, VersionChain};
 pub use tscache::TsCache;
 pub use wal::{TxnRecData, Wal, WalOp, WalRecord};

@@ -1,11 +1,11 @@
 //! The LSM storage engine: mutable memtable, immutable sorted runs with
 //! bloom filters, WAL durability, and GC-aware compaction.
 //!
-//! [`Engine`] is the per-replica storage stack. It mirrors the
-//! [`MvccStore`] API (the replica apply path is engine-agnostic) while
-//! adding the durability machinery the paper's correctness story assumes:
+//! [`Engine`] is the per-replica storage stack and the crate's one MVCC
+//! API: the MVCC read/write rules plus the durability machinery the paper's
+//! correctness story assumes:
 //!
-//! * **Memtable** — an [`MvccStore`] holding open intents and
+//! * **Memtable** — the crate-private mutable tier holding open intents and
 //!   recently-committed versions.
 //! * **Sorted runs ("SSTs")** — immutable key-ordered version arrays
 //!   produced by flushes, each with a bloom filter so point lookups skip
@@ -121,7 +121,7 @@ pub struct Engine {
     gc_threshold: Timestamp,
     applied_index: u64,
     closed_ts: Timestamp,
-    /// When set (armed `wal_skip_fsync_bug`), [`Engine::sync`] is a no-op
+    /// When set (armed `InjectedBug::WalSkipFsync`), [`Engine::sync`] is a no-op
     /// and durability waits for a periodic [`Engine::sync_now`] tick — the
     /// node acks writes before its WAL fsync point.
     pub defer_sync: bool,
@@ -172,37 +172,32 @@ impl Engine {
         Ok(())
     }
 
-    /// Versions of `key` held by the runs, bloom filters consulted first.
-    fn run_versions(&self, key: &Key) -> Vec<Version> {
-        let mut out = Vec::new();
-        for run in &self.runs {
-            self.stats
-                .bloom_probes
-                .set(self.stats.bloom_probes.get() + 1);
+    /// The version lists of `key` in every run that holds it, bloom filters
+    /// consulted first — the one place runs are probed.
+    fn run_chains<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = &'a [Version]> + 'a {
+        let stats = &self.stats;
+        self.runs.iter().filter_map(move |run| {
+            stats.bloom_probes.set(stats.bloom_probes.get() + 1);
             if !run.bloom.may_contain(key.as_slice()) {
-                self.stats.bloom_skips.set(self.stats.bloom_skips.get() + 1);
-                continue;
+                stats.bloom_skips.set(stats.bloom_skips.get() + 1);
+                return None;
             }
-            if let Ok(i) = run.entries.binary_search_by(|e| e.0.cmp(key)) {
-                out.extend_from_slice(&run.entries[i].1);
-            }
-        }
-        out
+            let i = run.entries.binary_search_by(|e| e.0.cmp(key)).ok()?;
+            Some(run.entries[i].1.as_slice())
+        })
     }
 
     /// The merged per-key view: memtable chain (intent + versions) plus
     /// run versions, deduplicated by timestamp.
     fn merged_chain(&self, key: &Key) -> Option<VersionChain> {
-        let mem = self.mem.chain(key);
-        let rv = self.run_versions(key);
-        if rv.is_empty() {
-            return mem.cloned();
+        let mut chain = self.mem.chain(key).cloned();
+        for versions in self.run_chains(key) {
+            let c = chain.get_or_insert_with(VersionChain::default);
+            for v in versions {
+                c.insert_version(v.ts, v.value.clone());
+            }
         }
-        let mut c = mem.cloned().unwrap_or_default();
-        for v in rv {
-            c.insert_version(v.ts, v.value);
-        }
-        Some(c)
+        chain
     }
 
     /// Distinct keys (memtable ∪ runs) in `span`, sorted.
@@ -291,30 +286,15 @@ impl Engine {
 
     /// Latest committed timestamp on `key` across memtable and runs.
     pub fn latest_committed_ts(&self, key: &Key) -> Option<Timestamp> {
-        let run_latest = self.run_latest_ts(key);
-        match (self.mem.latest_committed_ts(key), run_latest) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        }
+        self.mem
+            .latest_committed_ts(key)
+            .max(self.run_latest_ts(key))
     }
 
     fn run_latest_ts(&self, key: &Key) -> Option<Timestamp> {
-        let mut latest: Option<Timestamp> = None;
-        for run in &self.runs {
-            self.stats
-                .bloom_probes
-                .set(self.stats.bloom_probes.get() + 1);
-            if !run.bloom.may_contain(key.as_slice()) {
-                self.stats.bloom_skips.set(self.stats.bloom_skips.get() + 1);
-                continue;
-            }
-            if let Ok(i) = run.entries.binary_search_by(|e| e.0.cmp(key)) {
-                if let Some(v) = run.entries[i].1.first() {
-                    latest = Some(latest.map_or(v.ts, |l| l.max(v.ts)));
-                }
-            }
-        }
-        latest
+        self.run_chains(key)
+            .filter_map(|versions| versions.first().map(|v| v.ts))
+            .max()
     }
 
     /// The lowest intent timestamp in `span`, if any (bounded-staleness
@@ -445,7 +425,7 @@ impl Engine {
     }
 
     /// Advance the WAL fsync pointer — unless syncs are deferred by the
-    /// armed `wal_skip_fsync_bug`.
+    /// armed `InjectedBug::WalSkipFsync`.
     pub fn sync(&mut self, now_nanos: u64) {
         if !self.defer_sync {
             self.wal.sync(now_nanos);
@@ -721,18 +701,6 @@ impl Engine {
         }
     }
 
-    /// Legacy direct-GC entry point (tests): ratchet the threshold and
-    /// reclaim without flushing or checkpointing.
-    pub fn gc(&mut self, threshold: Timestamp) -> usize {
-        self.gc_threshold = self.gc_threshold.max(threshold);
-        let mut removed = self.mem.gc_with(self.gc_threshold, self.runs.is_empty());
-        if !self.runs.is_empty() {
-            removed += self.compact_internal();
-        }
-        self.stats.gc_reclaimed += removed as u64;
-        removed
-    }
-
     // ------------------------------------------------------------------
     // Range surgery
     // ------------------------------------------------------------------
@@ -790,17 +758,8 @@ impl Engine {
     pub fn wal_bytes(&self) -> usize {
         self.wal.len()
     }
-    pub fn wal_durable_bytes(&self) -> usize {
-        self.wal.durable_len()
-    }
     pub fn wal_record_count(&self) -> u64 {
         self.wal.record_count()
-    }
-    pub fn wal_syncs(&self) -> u64 {
-        self.wal.syncs
-    }
-    pub fn wal_last_sync_nanos(&self) -> u64 {
-        self.wal.last_sync_nanos
     }
     pub fn sst_count(&self) -> usize {
         self.runs.len()
@@ -810,9 +769,6 @@ impl Engine {
     }
     pub fn mem_version_count(&self) -> usize {
         self.mem.version_count()
-    }
-    pub fn txn_record_shadow_len(&self) -> usize {
-        self.txn_records.len()
     }
 
     /// Test hook: deterministic byte image of the full recoverable state
@@ -1016,6 +972,106 @@ mod tests {
         assert_eq!(read(&e, "a", 100), None);
     }
 
+    /// Run `check` against the same writes held in the memtable and, after
+    /// a flush, in a sorted run.
+    fn in_memtable_and_in_run(fill: impl Fn(&mut Engine), check: impl Fn(&mut Engine, bool)) {
+        for flushed in [false, true] {
+            let mut e = Engine::new();
+            fill(&mut e);
+            if flushed {
+                e.flush(0);
+            }
+            check(&mut e, flushed);
+        }
+    }
+
+    #[test]
+    fn scan_respects_snapshot_and_limit() {
+        in_memtable_and_in_run(
+            |e| {
+                for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
+                    commit_put(e, k, "v", i as u64, 10 * (i as u64 + 1));
+                }
+            },
+            |e, _| {
+                let span = Span::new(Key::from("a"), Key::from("z"));
+                let rows = e
+                    .scan(&span, &ReadCtx::stale(Timestamp::new(25, 0)), 100)
+                    .unwrap();
+                assert_eq!(rows.len(), 2); // a@10, b@20
+                let rows = e
+                    .scan(&span, &ReadCtx::stale(Timestamp::new(100, 0)), 3)
+                    .unwrap();
+                assert_eq!(rows.len(), 3);
+                assert_eq!(rows[0].0, Key::from("a"));
+            },
+        );
+    }
+
+    #[test]
+    fn refresh_span_detects_conflicts() {
+        let ts = |wall| Timestamp::new(wall, 0);
+        in_memtable_and_in_run(
+            |e| {
+                commit_put(e, "k", "v", 1, 100);
+            },
+            |e, _| {
+                let span = Span::new(Key::from("a"), Key::from("z"));
+                // Window excluding the commit: ok.
+                assert!(e.refresh_span(&span, ts(100), ts(200), TxnId(9)).is_ok());
+                // Window including the commit: conflict.
+                assert_eq!(
+                    e.refresh_span(&span, ts(50), ts(150), TxnId(9)),
+                    Err(ts(100))
+                );
+                // Foreign intent in window: conflict; own intent ignored.
+                let t = txn(2, 120);
+                e.put(&Key::from("m"), Some(Value::from("x")), &t).unwrap();
+                assert!(e.refresh_span(&span, ts(110), ts(130), t.id).is_ok());
+                assert_eq!(
+                    e.refresh_span(&span, ts(110), ts(130), TxnId(9)),
+                    Err(ts(120))
+                );
+            },
+        );
+    }
+
+    #[test]
+    fn gc_keeps_visible_version() {
+        in_memtable_and_in_run(
+            |e| {
+                commit_put(e, "k", "v1", 1, 10);
+                commit_put(e, "k", "v2", 2, 20);
+                commit_put(e, "k", "v3", 3, 30);
+            },
+            |e, flushed| {
+                let rep = e.maintain(Timestamp::new(25, 0), 0);
+                // v1 dropped; v2 visible at 25; v3 above.
+                assert_eq!(rep.mem_gc_removed + rep.compact_removed, 1);
+                assert_eq!(rep.compacted, flushed);
+                assert_eq!(read(e, "k", 25), Some(Value::from("v2")));
+                assert_eq!(read(e, "k", 35), Some(Value::from("v3")));
+            },
+        );
+    }
+
+    #[test]
+    fn gc_drops_old_tombstoned_keys() {
+        in_memtable_and_in_run(
+            |e| {
+                commit_put(e, "k", "v1", 1, 10);
+                let t = txn(2, 20);
+                let out = e.put(&Key::from("k"), None, &t).unwrap();
+                e.commit_intent(&Key::from("k"), t.id, out.written_ts);
+            },
+            |e, _| {
+                e.maintain(Timestamp::new(100, 0), 0);
+                assert_eq!(e.version_count(), 0);
+                assert_eq!(e.key_count(), 0);
+            },
+        );
+    }
+
     #[test]
     fn maintain_gc_reclaims_and_reads_below_threshold_fail() {
         let mut e = Engine::new();
@@ -1036,19 +1092,6 @@ mod tests {
             .get(&Key::from("k"), &ReadCtx::stale(Timestamp::new(50, 0)))
             .unwrap_err();
         assert!(matches!(err, MvccError::BelowGcThreshold { .. }));
-    }
-
-    #[test]
-    fn compaction_drops_expired_tombstones() {
-        let mut e = Engine::new();
-        commit_put(&mut e, "k", "v1", 1, 10);
-        let t = txn(2, 20);
-        let out = e.put(&Key::from("k"), None, &t).unwrap();
-        e.commit_intent(&Key::from("k"), t.id, out.written_ts);
-        e.flush(0);
-        e.maintain(Timestamp::new(100, 0), 0);
-        assert_eq!(e.version_count(), 0);
-        assert_eq!(e.key_count(), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The multi-version key-value map with write intents.
+//! MVCC building blocks: per-key version chains with the read rules, and
+//! the crate-private memtable the LSM [`crate::lsm::Engine`] mutates.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -75,8 +76,8 @@ impl VersionChain {
 
     /// The MVCC point-read over this (possibly merged) chain: own-intent
     /// read-your-writes, foreign-intent conflicts, uncertainty-interval
-    /// restarts, then snapshot visibility. Single source of truth shared by
-    /// [`MvccStore::get`] and the LSM engine's merged reads.
+    /// restarts, then snapshot visibility. The single source of truth for
+    /// every read the LSM engine serves.
     pub fn read(&self, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
         if let Some(intent) = &self.intent {
             let own = ctx
@@ -165,57 +166,17 @@ pub struct PutOutcome {
     pub write_too_old: bool,
 }
 
-/// The MVCC store for one replica.
+/// The engine's memtable: the mutable tier holding open intents and
+/// not-yet-flushed committed versions. Reads go through
+/// [`crate::lsm::Engine`], which merges it with the sorted runs.
 #[derive(Clone, Debug, Default)]
-pub struct MvccStore {
+pub(crate) struct MvccStore {
     data: BTreeMap<Key, VersionChain>,
 }
 
 impl MvccStore {
     pub fn new() -> MvccStore {
         MvccStore::default()
-    }
-
-    /// Point read at `ctx.read_ts` with uncertainty detection.
-    pub fn get(&self, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
-        let Some(chain) = self.data.get(key) else {
-            return Ok(ReadOutcome {
-                value: None,
-                value_ts: Timestamp::ZERO,
-            });
-        };
-        self.read_chain(key, chain, ctx)
-    }
-
-    fn read_chain(
-        &self,
-        key: &Key,
-        chain: &VersionChain,
-        ctx: &ReadCtx,
-    ) -> Result<ReadOutcome, MvccError> {
-        chain.read(key, ctx)
-    }
-
-    /// Scan `[span.start, span.end)` at `ctx.read_ts`, returning up to
-    /// `max_keys` live rows. Tombstoned keys are skipped but still subject
-    /// to intent/uncertainty checks.
-    pub fn scan(
-        &self,
-        span: &Span,
-        ctx: &ReadCtx,
-        max_keys: usize,
-    ) -> Result<Vec<(Key, Value, Timestamp)>, MvccError> {
-        let mut out = Vec::new();
-        for (key, chain) in self.range(span) {
-            let r = self.read_chain(key, chain, ctx)?;
-            if let Some(v) = r.value {
-                out.push((key.clone(), v, r.value_ts));
-                if out.len() >= max_keys {
-                    break;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Iterate the chains whose keys fall in `span`.
@@ -306,29 +267,6 @@ impl MvccStore {
         self.data.get(key).and_then(|c| c.intent.as_ref())
     }
 
-    /// Validate that no committed version or foreign intent landed in
-    /// `(from_ts, to_ts]` anywhere in `span` — the read-refresh check.
-    /// On conflict returns the offending timestamp.
-    pub fn refresh_span(
-        &self,
-        span: &Span,
-        from_ts: Timestamp,
-        to_ts: Timestamp,
-        txn_id: TxnId,
-    ) -> Result<(), Timestamp> {
-        for (_, chain) in self.range(span) {
-            if let Some(v) = chain.committed_in(from_ts, to_ts) {
-                return Err(v.ts);
-            }
-            if let Some(intent) = &chain.intent {
-                if intent.txn.id != txn_id && intent.txn.write_ts <= to_ts {
-                    return Err(intent.txn.write_ts);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Latest committed timestamp on `key` (for negotiation and tests).
     pub fn latest_committed_ts(&self, key: &Key) -> Option<Timestamp> {
         self.data.get(key).and_then(|c| c.latest_ts())
@@ -341,24 +279,6 @@ impl MvccStore {
         self.range(span)
             .filter_map(|(_, c)| c.intent.as_ref().map(|i| i.txn.write_ts))
             .min()
-    }
-
-    /// Scan live rows, treating open intents as their provisional values
-    /// (newest state wins). Used by offline DDL validation/rewrites, which
-    /// run when the range is quiescent or nearly so: a row mid-write counts
-    /// as present.
-    pub fn scan_latest_including_intents(&self, span: &Span) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        for (key, chain) in self.range(span) {
-            let candidate = match &chain.intent {
-                Some(intent) => intent.value.clone(),
-                None => chain.versions.first().and_then(|v| v.value.clone()),
-            };
-            if let Some(v) = candidate {
-                out.push((key.clone(), v));
-            }
-        }
-        out
     }
 
     /// Split the store at `split_key`: every chain at or above it moves
@@ -429,21 +349,9 @@ impl MvccStore {
         out
     }
 
-    /// Number of keys with any state (intents or versions).
-    pub fn key_count(&self) -> usize {
-        self.data.len()
-    }
-
     /// Total committed versions across all keys.
     pub fn version_count(&self) -> usize {
         self.data.values().map(|c| c.versions.len()).sum()
-    }
-
-    /// Garbage-collect committed versions strictly older than the latest
-    /// version at or below `threshold` (keeping that one as the visible
-    /// value for reads at the threshold). Returns versions removed.
-    pub fn gc(&mut self, threshold: Timestamp) -> usize {
-        self.gc_with(threshold, true)
     }
 
     /// GC with explicit control over tombstone elision. `drop_tombstones`
@@ -490,11 +398,26 @@ mod tests {
         assert!(store.commit_intent(&Key::from(key), t.id, out.written_ts));
     }
 
+    /// Point read straight off the memtable chain (what `Engine::get` does
+    /// when no run holds the key).
+    fn get(store: &MvccStore, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
+        match store.chain(key) {
+            Some(chain) => chain.read(key, ctx),
+            None => Ok(ReadOutcome {
+                value: None,
+                value_ts: Timestamp::ZERO,
+            }),
+        }
+    }
+
     fn read(store: &MvccStore, key: &str, ts: u64) -> Option<Value> {
-        store
-            .get(&Key::from(key), &ReadCtx::stale(Timestamp::new(ts, 0)))
-            .unwrap()
-            .value
+        get(
+            store,
+            &Key::from(key),
+            &ReadCtx::stale(Timestamp::new(ts, 0)),
+        )
+        .unwrap()
+        .value
     }
 
     #[test]
@@ -526,21 +449,19 @@ mod tests {
         let t = txn(1, 10);
         s.put(&Key::from("k"), Some(Value::from("v")), &t).unwrap();
         // Read above the intent ts: blocked.
-        let err = s
-            .get(&Key::from("k"), &ReadCtx::stale(Timestamp::new(15, 0)))
-            .unwrap_err();
+        let err = get(&s, &Key::from("k"), &ReadCtx::stale(Timestamp::new(15, 0))).unwrap_err();
         assert!(matches!(err, MvccError::WriteIntent { .. }));
         // Read below the intent ts: proceeds (sees nothing).
         assert_eq!(read(&s, "k", 5), None);
         // Uncertain intent (above read_ts, inside limit) also blocks.
         let ctx = ReadCtx::fresh(Timestamp::new(5, 0), Timestamp::new(12, 0));
         assert!(matches!(
-            s.get(&Key::from("k"), &ctx),
+            get(&s, &Key::from("k"), &ctx),
             Err(MvccError::WriteIntent { .. })
         ));
         // Intent above the limit is ignorable.
         let ctx = ReadCtx::fresh(Timestamp::new(5, 0), Timestamp::new(9, 0));
-        assert!(s.get(&Key::from("k"), &ctx).unwrap().value.is_none());
+        assert!(get(&s, &Key::from("k"), &ctx).unwrap().value.is_none());
     }
 
     #[test]
@@ -554,7 +475,7 @@ mod tests {
             uncertainty_limit: t.write_ts,
             txn: Some(t.clone()),
         };
-        let r = s.get(&Key::from("k"), &ctx).unwrap();
+        let r = get(&s, &Key::from("k"), &ctx).unwrap();
         assert_eq!(r.value, Some(Value::from("mine")));
         // A different epoch of the same txn does not see the old intent as
         // its own... but storage treats mismatched epoch as foreign.
@@ -566,7 +487,7 @@ mod tests {
             txn: Some(t2),
         };
         assert!(matches!(
-            s.get(&Key::from("k"), &ctx2),
+            get(&s, &Key::from("k"), &ctx2),
             Err(MvccError::WriteIntent { .. })
         ));
     }
@@ -577,7 +498,7 @@ mod tests {
         commit_put(&mut s, "k", "v", 1, 100);
         // Value at 100 is inside [50, 150]: uncertain.
         let ctx = ReadCtx::fresh(Timestamp::new(50, 0), Timestamp::new(150, 0));
-        match s.get(&Key::from("k"), &ctx).unwrap_err() {
+        match get(&s, &Key::from("k"), &ctx).unwrap_err() {
             MvccError::Uncertainty { value_ts, .. } => {
                 assert_eq!(value_ts, Timestamp::new(100, 0))
             }
@@ -585,11 +506,11 @@ mod tests {
         }
         // Limit below the value: certain, invisible.
         let ctx = ReadCtx::fresh(Timestamp::new(50, 0), Timestamp::new(99, 0));
-        assert!(s.get(&Key::from("k"), &ctx).unwrap().value.is_none());
+        assert!(get(&s, &Key::from("k"), &ctx).unwrap().value.is_none());
         // Read at/above the value: visible, no uncertainty.
         let ctx = ReadCtx::fresh(Timestamp::new(100, 0), Timestamp::new(150, 0));
         assert_eq!(
-            s.get(&Key::from("k"), &ctx).unwrap().value,
+            get(&s, &Key::from("k"), &ctx).unwrap().value,
             Some(Value::from("v"))
         );
     }
@@ -600,7 +521,7 @@ mod tests {
         commit_put(&mut s, "k", "a", 1, 100);
         commit_put(&mut s, "k", "b", 2, 120);
         let ctx = ReadCtx::fresh(Timestamp::new(50, 0), Timestamp::new(150, 0));
-        match s.get(&Key::from("k"), &ctx).unwrap_err() {
+        match get(&s, &Key::from("k"), &ctx).unwrap_err() {
             MvccError::Uncertainty { value_ts, .. } => {
                 assert_eq!(value_ts, Timestamp::new(100, 0))
             }
@@ -647,7 +568,7 @@ mod tests {
         s.put(&Key::from("k"), Some(Value::from("v")), &t).unwrap();
         assert!(s.abort_intent(&Key::from("k"), t.id));
         assert_eq!(read(&s, "k", 100), None);
-        assert_eq!(s.key_count(), 0);
+        assert_eq!(s.chains().count(), 0);
         // Idempotent.
         assert!(!s.abort_intent(&Key::from("k"), t.id));
     }
@@ -664,65 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_respects_snapshot_and_limit() {
-        let mut s = MvccStore::new();
-        for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
-            commit_put(&mut s, k, "v", i as u64, 10 * (i as u64 + 1));
-        }
-        let span = Span::new(Key::from("a"), Key::from("z"));
-        let rows = s
-            .scan(&span, &ReadCtx::stale(Timestamp::new(25, 0)), 100)
-            .unwrap();
-        assert_eq!(rows.len(), 2); // a@10, b@20
-        let rows = s
-            .scan(&span, &ReadCtx::stale(Timestamp::new(100, 0)), 3)
-            .unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, Key::from("a"));
-    }
-
-    #[test]
-    fn refresh_span_detects_conflicts() {
-        let mut s = MvccStore::new();
-        commit_put(&mut s, "k", "v", 1, 100);
-        let span = Span::new(Key::from("a"), Key::from("z"));
-        // Window excluding the commit: ok.
-        assert!(s
-            .refresh_span(
-                &span,
-                Timestamp::new(100, 0),
-                Timestamp::new(200, 0),
-                TxnId(9)
-            )
-            .is_ok());
-        // Window including the commit: conflict.
-        assert_eq!(
-            s.refresh_span(
-                &span,
-                Timestamp::new(50, 0),
-                Timestamp::new(150, 0),
-                TxnId(9)
-            ),
-            Err(Timestamp::new(100, 0))
-        );
-        // Foreign intent in window: conflict; own intent ignored.
-        let t = txn(2, 120);
-        s.put(&Key::from("m"), Some(Value::from("x")), &t).unwrap();
-        assert!(s
-            .refresh_span(&span, Timestamp::new(110, 0), Timestamp::new(130, 0), t.id)
-            .is_ok());
-        assert_eq!(
-            s.refresh_span(
-                &span,
-                Timestamp::new(110, 0),
-                Timestamp::new(130, 0),
-                TxnId(9)
-            ),
-            Err(Timestamp::new(120, 0))
-        );
-    }
-
-    #[test]
     fn synthetic_value_ts_survives_roundtrip() {
         let mut s = MvccStore::new();
         let mut t = txn(1, 0);
@@ -731,22 +593,10 @@ mod tests {
         assert!(out.written_ts.synthetic);
         s.commit_intent(&Key::from("k"), t.id, out.written_ts);
         let ctx = ReadCtx::fresh(Timestamp::new(400, 0), Timestamp::new(600, 0));
-        match s.get(&Key::from("k"), &ctx).unwrap_err() {
+        match get(&s, &Key::from("k"), &ctx).unwrap_err() {
             MvccError::Uncertainty { value_ts, .. } => assert!(value_ts.synthetic),
             e => panic!("unexpected: {e:?}"),
         }
-    }
-
-    #[test]
-    fn gc_keeps_visible_version() {
-        let mut s = MvccStore::new();
-        commit_put(&mut s, "k", "v1", 1, 10);
-        commit_put(&mut s, "k", "v2", 2, 20);
-        commit_put(&mut s, "k", "v3", 3, 30);
-        let removed = s.gc(Timestamp::new(25, 0));
-        assert_eq!(removed, 1); // v1 dropped; v2 visible at 25; v3 above.
-        assert_eq!(read(&s, "k", 25), Some(Value::from("v2")));
-        assert_eq!(read(&s, "k", 35), Some(Value::from("v3")));
     }
 
     #[test]
@@ -758,8 +608,8 @@ mod tests {
         let t = txn(3, 20);
         s.put(&Key::from("z"), Some(Value::from("vz")), &t).unwrap();
         let rhs = s.split_off(&Key::from("m"));
-        assert_eq!(s.key_count(), 1);
-        assert_eq!(rhs.key_count(), 2);
+        assert_eq!(s.chains().count(), 1);
+        assert_eq!(rhs.chains().count(), 2);
         assert_eq!(read(&s, "a", 100), Some(Value::from("va")));
         assert_eq!(read(&s, "m", 100), None);
         assert_eq!(read(&rhs, "m", 100), Some(Value::from("vm")));
@@ -767,20 +617,9 @@ mod tests {
         // Merging back restores the original contents.
         let mut merged = s.clone();
         merged.absorb(rhs);
-        assert_eq!(merged.key_count(), 3);
+        assert_eq!(merged.chains().count(), 3);
         assert_eq!(read(&merged, "a", 100), Some(Value::from("va")));
         assert_eq!(read(&merged, "m", 100), Some(Value::from("vm")));
         assert!(merged.intent(&Key::from("z")).is_some());
-    }
-
-    #[test]
-    fn gc_drops_old_tombstoned_keys() {
-        let mut s = MvccStore::new();
-        commit_put(&mut s, "k", "v1", 1, 10);
-        let t = txn(2, 20);
-        let out = s.put(&Key::from("k"), None, &t).unwrap();
-        s.commit_intent(&Key::from("k"), t.id, out.written_ts);
-        s.gc(Timestamp::new(100, 0));
-        assert_eq!(s.key_count(), 0);
     }
 }

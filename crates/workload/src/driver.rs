@@ -118,10 +118,6 @@ impl DriverStats {
             .sum();
         n as f64 * 60e9 / self.elapsed.nanos() as f64
     }
-
-    pub fn total_errors(&self) -> u64 {
-        self.failed
-    }
 }
 
 struct ClientState {
@@ -174,10 +170,6 @@ impl ClosedLoop {
             script_start: SimTime::ZERO,
             pending_after_think: None,
         });
-    }
-
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
     }
 
     /// Pull the next op from the client's source and start it.

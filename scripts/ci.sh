@@ -14,7 +14,12 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# crates/kv/clippy.toml makes walking a HashMap/HashSet in mr-kv an error
+# here (disallowed-methods): iteration order there must be structural.
 cargo clippy --workspace --all-targets -- -D warnings
+# The canary switch (`Cluster::arm_bug`, one `injected-bug` feature on
+# mr-kv, forwarded by mr-chaos) only compiles with the feature: lint it too.
+cargo clippy -p mr-chaos --features injected-bug --all-targets -- -D warnings
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -148,9 +153,10 @@ cargo test -q -p mr-chaos --features injected-bug --test chaos_e2e \
     injected_split_tscache_bug_is_caught >/dev/null
 cargo test -q -p mr-chaos --test chaos_e2e split_storm_without_bug_is_clean >/dev/null
 
-echo "==> injected-bug canary: the checker must catch the armed stale read"
-# Compile the deliberate follower-read bug in and verify the history
-# checker still detects it — guards against the checker itself rotting.
+echo "==> injected-bug canary: the checker must catch every armed bug"
+# Compile the arming switch in and run the whole chaos suite: the stale
+# follower read and the premature parallel-commit ack join the two canaries
+# above, each beside its unarmed twin — guards against the checker rotting.
 cargo test -q -p mr-chaos --features injected-bug >/dev/null
 
 echo "==> forensics_canary: the armed bug must yield a deterministic bundle"
