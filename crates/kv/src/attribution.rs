@@ -99,7 +99,6 @@ pub struct AttrAcc {
     /// skipped into `other`). Advances with each charge; never retreats.
     watermark: SimTime,
     nanos: [u64; COMPONENTS.len()],
-    done: bool,
 }
 
 impl AttrAcc {
@@ -108,7 +107,6 @@ impl AttrAcc {
             start,
             watermark: start,
             nanos: [0; COMPONENTS.len()],
-            done: false,
         }
     }
 
@@ -132,9 +130,6 @@ impl AttrAcc {
         seg_end: SimTime,
         lock_nanos: u64,
     ) {
-        if self.done {
-            return;
-        }
         let eff_start = self.watermark.max(seg_start);
         if seg_end <= eff_start {
             return;
@@ -151,10 +146,9 @@ impl AttrAcc {
     }
 
     /// Close the accumulator: total end-to-end nanos and the derived
-    /// `other` remainder. Later charges (straggler RPCs of an aborted
-    /// pipeline) are ignored.
-    pub fn finalize(&mut self, now: SimTime) -> AttrBreakdown {
-        self.done = true;
+    /// `other` remainder. Consumes it — a finished transaction's state is
+    /// gone, so straggler RPCs of an aborted pipeline find nothing to charge.
+    pub fn finalize(self, now: SimTime) -> AttrBreakdown {
         let total = (now - self.start).nanos();
         let charged: u64 = self.nanos.iter().sum();
         AttrBreakdown {
@@ -162,10 +156,6 @@ impl AttrAcc {
             comp_nanos: self.nanos,
             other_nanos: total.saturating_sub(charged),
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 }
 
@@ -383,15 +373,6 @@ mod tests {
         b.charge_split(Component::Replication, t(0), t(100), 500);
         assert_eq!(b.get(Component::LockWait), 10);
         assert_eq!(b.get(Component::Replication), 0);
-    }
-
-    #[test]
-    fn charges_after_finalize_are_ignored() {
-        let mut a = AttrAcc::new(t(0));
-        a.charge(Component::Rpc, t(0), t(10));
-        a.finalize(t(10));
-        a.charge(Component::Rpc, t(10), t(50));
-        assert_eq!(a.get(Component::Rpc), 10);
     }
 
     #[test]

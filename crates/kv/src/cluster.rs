@@ -393,11 +393,10 @@ pub struct Cluster {
     /// Latency breakdowns of finished transactions, backing
     /// `crdb_internal.slow_txns` and the bench attribution export.
     pub attr_log: TxnAttrLog,
-    /// Gateway-side transaction state, ordered by id. Boxed: finished
-    /// transactions are never removed, so the map grows with the run, and a
-    /// B-tree fed ever-increasing keys keeps its nodes about half full —
-    /// half-empty nodes of pointers are cheap, of whole states they are not.
-    pub(crate) txns: BTreeMap<TxnId, Box<TxnState>>,
+    /// Gateway-side state of every *unfinished* transaction, ordered by
+    /// id: an entry leaves the map when its outcome is decided, so the map
+    /// stays at about one entry per client.
+    pub(crate) txns: BTreeMap<TxnId, TxnState>,
     pub(crate) next_txn: u64,
     /// Client operations in flight (used by `run_until_quiescent`).
     outstanding_ops: usize,
@@ -516,7 +515,6 @@ impl Cluster {
     pub fn active_txns(&self) -> Vec<ActiveTxn> {
         self.txns
             .values()
-            .filter(|st| !st.finished)
             .map(|st| ActiveTxn {
                 id: st.id.0,
                 gateway: st.gateway,

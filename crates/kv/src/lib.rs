@@ -11,6 +11,8 @@
 //! * [`allocator`] — constraint-satisfying, diversity-scored replica
 //!   placement (§3.2);
 //! * [`range`] — range descriptors and the key → range routing table;
+//! * [`join`] — the count-down join every concurrent fan-out (coordinator
+//!   and SQL executor) waits on;
 //! * [`locks`] — per-leaseholder lock wait-queues;
 //! * [`metrics`] — pre-bound [`mr_obs`] instrument handles shared by the
 //!   event loop and the transaction coordinator;
@@ -37,6 +39,7 @@ pub mod closedts;
 pub mod cluster;
 pub mod events;
 pub mod fault;
+pub mod join;
 pub mod locks;
 pub mod metrics;
 pub mod range;

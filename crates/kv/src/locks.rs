@@ -9,7 +9,8 @@
 //! leaseholder to engage in conflict resolution"). The replica layer
 //! re-evaluates waiters when the lock is released.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 
 use mr_proto::{Key, Span, TxnMeta};
 
@@ -28,7 +29,8 @@ struct KeyQueue {
 /// Lock state for one replica (consulted only while it holds the lease).
 #[derive(Debug, Default)]
 pub struct LockTable {
-    queues: HashMap<Key, KeyQueue>,
+    /// Ordered by key, so a span's locks are one range query.
+    queues: BTreeMap<Key, KeyQueue>,
 }
 
 impl LockTable {
@@ -68,15 +70,19 @@ impl LockTable {
         span: &Span,
         exclude: Option<mr_proto::TxnId>,
     ) -> Option<(&Key, &TxnMeta)> {
-        // Order-insensitive: the minimum key over the matches.
-        #[allow(clippy::disallowed_methods)]
+        let end = if span.end.is_empty() {
+            Bound::Unbounded // empty end = unbounded, see `Span::contains`
+        } else if span.end < span.start {
+            return None; // contains nothing (and `range` would panic)
+        } else {
+            Bound::Excluded(&span.end)
+        };
         self.queues
-            .iter()
-            .filter(|(k, q)| {
-                span.contains(k) && q.holder.as_ref().is_some_and(|h| Some(h.id) != exclude)
+            .range::<Key, _>((Bound::Included(&span.start), end))
+            .find_map(|(k, q)| {
+                let holder = q.holder.as_ref()?;
+                (Some(holder.id) != exclude).then_some((k, holder))
             })
-            .map(|(k, q)| (k, q.holder.as_ref().unwrap()))
-            .min_by_key(|(k, _)| (*k).clone())
     }
 
     /// Number of requests waiting on `key`.
@@ -86,8 +92,6 @@ impl LockTable {
 
     /// Total waiters across all keys (for metrics).
     pub fn total_waiters(&self) -> usize {
-        // Order-insensitive: a sum.
-        #[allow(clippy::disallowed_methods)]
         self.queues.values().map(|q| q.waiters.len()).sum()
     }
 
@@ -193,6 +197,22 @@ mod tests {
         assert!(lt
             .first_locked_in_span(&Span::new(Key::from("e"), Key::from("f")), None)
             .is_none());
+        // Unbounded end reaches the last key; the end bound is exclusive.
+        let (k, _) = lt
+            .first_locked_in_span(&Span::new(Key::from("c"), Key::default()), None)
+            .unwrap();
+        assert_eq!(k, &Key::from("d"));
+        assert!(lt
+            .first_locked_in_span(&Span::new(Key::from("c"), Key::from("d")), None)
+            .is_none());
+        // An inverted span contains nothing.
+        assert!(lt
+            .first_locked_in_span(&Span::new(Key::from("z"), Key::from("a")), None)
+            .is_none());
+        // A queue with waiters but no holder is not a lock.
+        lt.enqueue(&Key::from("a"), 7);
+        let (k, _) = lt.first_locked_in_span(&span, None).unwrap();
+        assert_eq!(k, &Key::from("b"));
     }
 
     #[test]

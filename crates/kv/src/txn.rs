@@ -21,16 +21,16 @@
 //! * bounded-staleness reads (§5.3.2): a negotiation phase picks the
 //!   freshest timestamp servable locally, then the read runs there.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::convert::Infallible;
 
 use mr_clock::Timestamp;
 use mr_obs::SpanId;
 use mr_proto::{Key, KvError, ReadCtx, Request, Response, Span, TxnId, TxnMeta, TxnStatus, Value};
-use mr_sim::{NodeId, SimDuration, SimTime};
+use mr_sim::{NodeId, SimDuration};
 
 use crate::attribution::{AttrAcc, Component, TxnAttrRecord, COMPONENTS};
 use crate::cluster::{Cluster, Cont, InjectedBug, KvResult, ReadOptions, Staleness};
+use crate::join::Join;
 use crate::zone::ClosedTsPolicy;
 
 /// Maximum transparent re-routes before an error surfaces to the caller.
@@ -41,12 +41,43 @@ const MAX_ATTEMPTS: u8 = 16;
 pub struct TxnHandle {
     pub id: TxnId,
     pub gateway: NodeId,
+    /// The transaction's trace span: operations nest under it, including
+    /// ones that find the transaction already gone.
+    pub span: Option<SpanId>,
 }
 
-/// Coordinator-side tracking of pipelined (in-flight) intent writes: Put
-/// RPCs issued at statement time that the commit must join (§ write
-/// pipelining / parallel commits).
-pub(crate) struct PipelineState {
+/// Coordinator-side state of one *unfinished* transaction. The entry is
+/// removed from `Cluster::txns` the moment the transaction's outcome is
+/// decided; whatever still has to happen (commit wait, record finalization,
+/// intent resolution) carries what it needs by value.
+pub(crate) struct TxnState {
+    pub id: TxnId,
+    pub gateway: NodeId,
+    /// MVCC snapshot the transaction reads at.
+    read_ts: Timestamp,
+    /// Fixed upper bound of the uncertainty interval (does not move on
+    /// restarts within the same transaction, §6.1).
+    uncertainty_limit: Timestamp,
+    /// Provisional commit timestamp.
+    write_ts: Timestamp,
+    /// Anchor key of the transaction record (first write).
+    anchor: Option<Key>,
+    /// Read spans with the timestamp at which each was (last) validated.
+    reads: Vec<(Span, Timestamp)>,
+    /// Keys with intents laid down (two-phase path only).
+    intents: Vec<Key>,
+    /// Writes buffered at the coordinator until commit (CRDB-style write
+    /// buffering enabling the 1PC fast path). Last write per key wins.
+    buffered: Vec<(Key, Option<Value>)>,
+    epoch: u32,
+    /// The transaction's trace span (operation spans nest under it).
+    pub span: Option<SpanId>,
+    /// Keys with a pipelined intent write issued (`cfg.pipelined_writes`) —
+    /// the in-flight write set a parallel commit stages.
+    sent: Vec<Key>,
+    /// A sent key was written again: its issued intent holds a stale value,
+    /// so commit falls back to re-putting every buffered write.
+    rewrote_sent: bool,
     /// Pipelined Put RPCs issued but not yet acknowledged.
     outstanding: usize,
     /// Highest timestamp an acknowledged pipelined write landed at.
@@ -56,64 +87,13 @@ pub(crate) struct PipelineState {
     /// Continuation armed by commit/rollback, fired when `outstanding`
     /// drains to zero.
     waiter: Option<Box<dyn FnOnce(&mut Cluster)>>,
-}
-
-impl Default for PipelineState {
-    fn default() -> Self {
-        PipelineState {
-            outstanding: 0,
-            max_written_ts: Timestamp::ZERO,
-            failed: None,
-            waiter: None,
-        }
-    }
-}
-
-/// Join of the two arms of a parallel commit: the STAGING record write and
-/// the outstanding pipelined intents.
-struct StageJoin {
-    stage: Option<KvResult<Timestamp>>,
-    puts_done: bool,
-    cont: Option<Cont<KvResult<Timestamp>>>,
-}
-
-/// Coordinator-side transaction state.
-pub(crate) struct TxnState {
-    pub id: TxnId,
-    pub gateway: NodeId,
-    /// MVCC snapshot the transaction reads at.
-    pub read_ts: Timestamp,
-    /// Fixed upper bound of the uncertainty interval (does not move on
-    /// restarts within the same transaction, §6.1).
-    pub uncertainty_limit: Timestamp,
-    /// Provisional commit timestamp.
-    pub write_ts: Timestamp,
-    /// Anchor key of the transaction record (first write).
-    pub anchor: Option<Key>,
-    /// Read spans with the timestamp at which each was (last) validated.
-    pub reads: Vec<(Span, Timestamp)>,
-    /// Keys with intents laid down (two-phase path only).
-    pub intents: Vec<Key>,
-    /// Writes buffered at the coordinator until commit (CRDB-style write
-    /// buffering enabling the 1PC fast path). Last write per key wins.
-    pub buffered: Vec<(Key, Option<Value>)>,
-    pub epoch: u32,
-    pub finished: bool,
-    /// The transaction's trace span (operation spans nest under it).
-    pub span: Option<SpanId>,
-    /// In-flight pipelined writes (`cfg.pipelined_writes`).
-    pub pipeline: Rc<RefCell<PipelineState>>,
-    /// Keys with a pipelined intent write issued — the in-flight write set
-    /// a parallel commit stages.
-    pub sent: Vec<Key>,
-    /// A sent key was written again: its issued intent holds a stale value,
-    /// so commit falls back to re-putting every buffered write.
-    pub rewrote_sent: bool,
+    /// Rollback was requested and is waiting for `outstanding` to drain
+    /// (resolving a key whose Put is still in flight would orphan the
+    /// intent). The transaction accepts no further operations.
+    rolled_back: bool,
     /// Latency attribution accumulator (RPC / replication / lock-wait /
     /// commit-wait / retry components, watermark-unioned).
     pub attr: AttrAcc,
-    /// Whether the transaction reached a commit (vs abort/rollback).
-    pub committed: bool,
     /// Distinct ranges touched by attributed RPCs, sorted ascending.
     pub ranges: Vec<u64>,
 }
@@ -125,6 +105,110 @@ impl TxnState {
             anchor: self.anchor.clone().unwrap_or_else(|| Key::MIN.clone()),
             write_ts: self.write_ts,
             epoch: self.epoch,
+        }
+    }
+
+    /// What the fire-and-forget tail of a finished transaction needs, taken
+    /// by value: the record's identity and the intents to resolve.
+    fn tail(&mut self) -> TxnTail {
+        TxnTail {
+            meta: self.meta(),
+            gateway: self.gateway,
+            span: self.span,
+            intents: std::mem::take(&mut self.intents),
+        }
+    }
+}
+
+/// The part of a transaction that outlives its [`TxnState`]: record
+/// finalization and intent resolution run after the client was answered.
+struct TxnTail {
+    meta: TxnMeta,
+    gateway: NodeId,
+    span: Option<SpanId>,
+    intents: Vec<Key>,
+}
+
+/// How a commit was decided, which fixes what its epilogue still owes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CommitKind {
+    /// Nothing written: no record, no intents. Counted once its reader-side
+    /// commit wait is over.
+    ReadOnly,
+    /// The record is COMMITTED (EndTxn or one-phase commit).
+    Explicit,
+    /// Parallel commit: STAGING record plus every write landed. The record
+    /// is made explicit after the ack.
+    Implicit,
+}
+
+/// What a read covers: one key, or a span bounded to `max_keys` rows.
+#[derive(Clone)]
+enum ReadTarget {
+    Point(Key),
+    Span(Span, usize),
+}
+
+impl ReadTarget {
+    /// The key the read routes by.
+    fn start(&self) -> &Key {
+        match self {
+            ReadTarget::Point(key) => key,
+            ReadTarget::Span(span, _) => &span.start,
+        }
+    }
+
+    /// The span the read observes (read-set entry, negotiation subject).
+    fn span(&self) -> Span {
+        match self {
+            ReadTarget::Point(key) => Span::point(key.clone()),
+            ReadTarget::Span(span, _) => span.clone(),
+        }
+    }
+
+    fn request(&self, ctx: ReadCtx) -> Request {
+        match self {
+            ReadTarget::Point(key) => Request::Get {
+                ctx,
+                key: key.clone(),
+            },
+            ReadTarget::Span(span, max_keys) => Request::Scan {
+                ctx,
+                span: span.clone(),
+                max_keys: *max_keys,
+            },
+        }
+    }
+
+    /// `point` for a point read, `span` for a scan: picks an operation's
+    /// name (trace span and `kv.op.latency{op}`) by the read's shape.
+    fn pick(&self, point: &'static str, span: &'static str) -> &'static str {
+        match self {
+            ReadTarget::Point(_) => point,
+            ReadTarget::Span(..) => span,
+        }
+    }
+}
+
+/// The client-facing shape of a read's response.
+trait ReadOut: 'static {
+    fn from_response(resp: Response) -> Self;
+}
+
+impl ReadOut for Option<Value> {
+    fn from_response(resp: Response) -> Self {
+        match resp {
+            Response::Get { value, .. } => value,
+            _ => unreachable!("get returned non-get response"),
+        }
+    }
+}
+
+impl ReadOut for Vec<(Key, Value)> {
+    fn from_response(resp: Response) -> Self {
+        match resp {
+            Response::Scan { rows } => rows,
+            _ => unreachable!("scan returned non-scan response"),
         }
     }
 }
@@ -187,7 +271,7 @@ impl Cluster {
         }
         self.txns.insert(
             id,
-            Box::new(TxnState {
+            TxnState {
                 id,
                 gateway,
                 read_ts,
@@ -198,25 +282,45 @@ impl Cluster {
                 intents: Vec::new(),
                 buffered: Vec::new(),
                 epoch: 0,
-                finished: false,
                 span,
-                pipeline: Rc::new(RefCell::new(PipelineState::default())),
                 sent: Vec::new(),
                 rewrote_sent: false,
+                outstanding: 0,
+                max_written_ts: Timestamp::ZERO,
+                failed: None,
+                waiter: None,
+                rolled_back: false,
                 attr: AttrAcc::new(self.now()),
-                committed: false,
                 ranges: Vec::new(),
-            }),
+            },
         );
-        TxnHandle { id, gateway }
+        TxnHandle { id, gateway, span }
+    }
+
+    /// The open transaction `id`, or the error an operation on it gets: a
+    /// finished transaction left no state behind, so an id that was issued
+    /// but is gone (or is rolling back) reads as aborted.
+    fn txn_open(&mut self, id: TxnId) -> KvResult<&mut TxnState> {
+        let gone = if (1..self.next_txn).contains(&id.0) {
+            KvError::TxnAborted { id }
+        } else {
+            KvError::TxnNotFound { id }
+        };
+        self.txns
+            .get_mut(&id)
+            .filter(|st| !st.rolled_back)
+            .ok_or(gone)
+    }
+
+    /// Take an open transaction out of the map: its outcome is decided.
+    fn txn_take(&mut self, id: TxnId) -> KvResult<TxnState> {
+        self.txn_open(id)?;
+        Ok(self.txns.remove(&id).expect("open transactions are mapped"))
     }
 
     /// Transactional point read.
     pub fn txn_get(&mut self, h: TxnHandle, key: Key, cont: Cont<KvResult<Option<Value>>>) {
-        let policy = self.policy_of(&key);
-        let parent = self.txn_span(h.id);
-        let (span, cont) = self.instrument_op("kv.get", policy, h.gateway, parent, cont);
-        self.txn_get_inner(h.id, key, span, cont);
+        self.txn_read(h, ReadTarget::Point(key), cont);
     }
 
     /// Transactional scan (bounded by `max_keys`).
@@ -227,10 +331,7 @@ impl Cluster {
         max_keys: usize,
         cont: Cont<KvResult<Vec<(Key, Value)>>>,
     ) {
-        let policy = self.policy_of(&span.start);
-        let parent = self.txn_span(h.id);
-        let (tspan, cont) = self.instrument_op("kv.scan", policy, h.gateway, parent, cont);
-        self.txn_scan_inner(h.id, span, max_keys, tspan, cont);
+        self.txn_read(h, ReadTarget::Span(span, max_keys), cont);
     }
 
     /// Transactional write (`None` deletes).
@@ -242,9 +343,77 @@ impl Cluster {
         cont: Cont<KvResult<()>>,
     ) {
         let policy = self.policy_of(&key);
-        let parent = self.txn_span(h.id);
-        let (_, cont) = self.instrument_op("kv.put", policy, h.gateway, parent, cont);
-        self.txn_put_inner(h.id, key, value, cont);
+        let (_, cont) = self.instrument_op("kv.put", policy, h.gateway, h.span, cont);
+        let id = h.id;
+        let pipelined = self.cfg.pipelined_writes;
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
+        };
+        if st.anchor.is_none() {
+            st.anchor = Some(key.clone());
+        }
+        // Buffer the write: read-your-writes always serves from the buffer.
+        match st.buffered.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = value.clone(),
+            None => st.buffered.push((key.clone(), value.clone())),
+        }
+        if !pipelined {
+            // Legacy: writes flush at commit (1PC when single-range).
+            return cont(self, Ok(()));
+        }
+        // Write pipelining: propose the intent now and return before it
+        // replicates; the commit joins the in-flight set.
+        if st.sent.contains(&key) {
+            // The issued intent now holds a stale value; commit falls back
+            // to the re-putting slow path.
+            st.rewrote_sent = true;
+            return cont(self, Ok(()));
+        }
+        st.sent.push(key.clone());
+        st.outstanding += 1;
+        let (meta, gateway, tspan) = (st.meta(), st.gateway, st.span);
+        self.m.pipelined_writes.inc();
+        let record_key = key.clone();
+        self.dist_send(
+            gateway,
+            key.clone(),
+            RouteMode::Leaseholder,
+            Request::Put {
+                txn: meta,
+                key,
+                value,
+            },
+            MAX_ATTEMPTS,
+            tspan,
+            Box::new(move |c, res| {
+                // The transaction may have ended with this write still in
+                // flight (an abort does not wait for it): nobody to tell.
+                let Some(st) = c.txns.get_mut(&id) else {
+                    return;
+                };
+                match res {
+                    Ok(Response::Put { written_ts }) => {
+                        st.max_written_ts = st.max_written_ts.forward(written_ts);
+                        st.write_ts = st.write_ts.forward(written_ts);
+                    }
+                    Ok(_) => unreachable!("put returned non-put response"),
+                    Err(e) => {
+                        st.failed.get_or_insert(e);
+                    }
+                }
+                // Even on error the intent may have landed; remember the
+                // key so an abort resolves it.
+                st.intents.push(record_key);
+                st.outstanding -= 1;
+                if st.outstanding == 0 {
+                    if let Some(waiter) = st.waiter.take() {
+                        waiter(c);
+                    }
+                }
+            }),
+        );
+        cont(self, Ok(()));
     }
 
     /// Commit. Returns the commit timestamp after any required read
@@ -252,44 +421,117 @@ impl Cluster {
     pub fn txn_commit(&mut self, h: TxnHandle, cont: Cont<KvResult<Timestamp>>) {
         // Label commit latency by the policy of the written ranges: a
         // lead-policy key anywhere makes this a global transaction (§6.2).
-        let policy = match self.txns.get(&h.id) {
-            Some(st) if st.buffered.is_empty() && st.intents.is_empty() => "ro",
-            Some(st) => {
-                let key = st.buffered.first().map(|(k, _)| k.clone());
-                match key {
-                    Some(k) => self.policy_of(&k),
-                    None => "ro",
-                }
-            }
+        let first_write = self.txns.get(&h.id).and_then(|st| st.buffered.first());
+        let policy = match first_write {
+            Some((key, _)) => self.policy_of(key),
             None => "ro",
         };
-        let parent = self.txn_span(h.id);
-        let (span, cont) = self.instrument_op("kv.commit", policy, h.gateway, parent, cont);
-        self.txn_commit_inner(h.id, span, cont);
+        let (tspan, cont) = self.instrument_op("kv.commit", policy, h.gateway, h.span, cont);
+        let id = h.id;
+        if let Err(e) = self.txn_open(id) {
+            return cont(self, Err(e));
+        }
+        let st = &self.txns[&id];
+        let gateway = st.gateway;
+        if st.buffered.is_empty() && st.intents.is_empty() {
+            // Read-only: complete locally. Commit-wait if the read
+            // timestamp became future-time by observing a future value
+            // (§6.2: reader-side commit wait, capped at max_clock_offset).
+            let commit_ts = st.read_ts;
+            return self.txn_committed(id, CommitKind::ReadOnly, commit_ts, tspan, cont);
+        }
+        // Pipelined writes are already in flight as intents: join them and
+        // commit via the parallel-commits (or explicit two-phase) path.
+        if !st.sent.is_empty() {
+            return self.txn_commit_pipelined(id, tspan, cont);
+        }
+        // 1PC fast path: every buffered write lands in one range.
+        let single_range = {
+            let mut range = None;
+            let mut ok = true;
+            for (key, _) in &st.buffered {
+                match self.registry().lookup(key) {
+                    Some(d) if range.is_none() => range = Some(d.id),
+                    Some(d) if range == Some(d.id) => {}
+                    _ => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if ok {
+                range
+            } else {
+                None
+            }
+        };
+        let Some(range) = single_range else {
+            return self.txn_commit_slow(id, tspan, cont);
+        };
+        let span = self.registry().get(range).map(|d| d.span.clone());
+        let local_reads_only = match &span {
+            Some(span) => st.reads.iter().all(|(s, _)| span.contains_span(s)),
+            None => false,
+        };
+        let meta = st.meta();
+        let anchor = meta.anchor.clone();
+        let req = Request::CommitInline {
+            txn: meta,
+            writes: st.buffered.clone(),
+            refresh_spans: if local_reads_only {
+                st.reads.clone()
+            } else {
+                Vec::new()
+            },
+            local_reads_only,
+            resolve_inline: !self.cfg.commit_wait_holds_locks,
+        };
+        self.dist_send(
+            gateway,
+            anchor,
+            RouteMode::Leaseholder,
+            req,
+            MAX_ATTEMPTS,
+            tspan,
+            Box::new(move |c, res| match res {
+                Ok(Response::CommitInline { commit_ts }) => {
+                    // Spanner-style ablation: locks were kept; the
+                    // coordinator resolves them after commit wait.
+                    if c.cfg.commit_wait_holds_locks {
+                        if let Some(st) = c.txns.get_mut(&id) {
+                            st.intents = st.buffered.iter().map(|(k, _)| k.clone()).collect();
+                        }
+                    }
+                    c.txn_committed(id, CommitKind::Explicit, commit_ts, tspan, cont);
+                }
+                Ok(_) => unreachable!("commit-inline returned unexpected response"),
+                Err(KvError::WriteTooOld { .. }) => {
+                    // Timestamp must move but remote reads need a real
+                    // refresh: fall back to the two-phase path.
+                    c.txn_commit_slow(id, tspan, cont);
+                }
+                Err(e) => c.abort_after_failure(id, e, cont),
+            }),
+        );
     }
 
     /// Abort, resolving any intents.
     pub fn txn_rollback(&mut self, h: TxnHandle, cont: Cont<KvResult<()>>) {
-        let parent = self.txn_span(h.id);
-        let (_, cont) = self.instrument_op("kv.rollback", "none", h.gateway, parent, cont);
-        let Some(st) = self.txns.get_mut(&h.id) else {
-            cont(self, Ok(()));
-            return;
-        };
-        if st.finished {
-            cont(self, Ok(()));
-            return;
+        let (_, cont) = self.instrument_op("kv.rollback", "none", h.gateway, h.span, cont);
+        match self.txn_open(h.id) {
+            Ok(st) => st.rolled_back = true,
+            // Already finished (or never begun): nothing to undo.
+            Err(_) => return cont(self, Ok(())),
         }
-        st.finished = true;
         self.m.txn_aborts.inc();
         let id = h.id;
-        // Join any in-flight pipelined writes before resolving: resolving a
-        // key whose Put is still in flight would race and orphan the intent.
         self.join_pipeline(
             id,
             Box::new(move |c| {
-                c.finalize_intents(id, TxnStatus::Aborted, Timestamp::ZERO);
-                c.finish_txn_span(id);
+                if let Some(mut st) = c.txns.remove(&id) {
+                    c.resolve_intents(st.tail(), TxnStatus::Aborted, Timestamp::ZERO);
+                    c.finish_txn_span(st, false);
+                }
                 cont(c, Ok(()));
             }),
         );
@@ -310,60 +552,7 @@ impl Cluster {
         opts: ReadOptions,
         cont: Cont<KvResult<Option<Value>>>,
     ) {
-        match opts.staleness {
-            Staleness::Fresh => {
-                let h = self.txn_begin(gateway);
-                self.txn_get(
-                    h,
-                    key,
-                    Box::new(move |c, res| match res {
-                        Ok(v) => c.txn_commit(
-                            h,
-                            Box::new(move |c2, cres| match cres {
-                                Ok(_) => cont(c2, Ok(v)),
-                                Err(e) => cont(c2, Err(e)),
-                            }),
-                        ),
-                        Err(e) => {
-                            c.txn_rollback(h, Box::new(move |c2, _| cont(c2, Err(e))));
-                        }
-                    }),
-                );
-            }
-            Staleness::ExactAt(ts) => {
-                let (span, cont) = self.instrument_read(gateway, "kv.read.stale", &key, cont);
-                self.stale_read_at(gateway, key, ts, span, cont);
-            }
-            Staleness::ExactAgo(ago) => {
-                let now = self.hlc_now(gateway);
-                let ts = Timestamp::new(now.wall.saturating_sub(ago.nanos()), 0);
-                let (span, cont) = self.instrument_read(gateway, "kv.read.stale", &key, cont);
-                self.stale_read_at(gateway, key, ts, span, cont);
-            }
-            Staleness::BoundedMaxStaleness(bound) => {
-                let now = self.hlc_now(gateway);
-                let min_ts = Timestamp::new(now.wall.saturating_sub(bound.nanos()), 0);
-                let (span, cont) = self.instrument_read(gateway, "kv.read.bounded", &key, cont);
-                self.bounded_staleness_read(gateway, key, min_ts, opts, span, cont);
-            }
-            Staleness::BoundedMinTimestamp(min_ts) => {
-                let (span, cont) = self.instrument_read(gateway, "kv.read.bounded", &key, cont);
-                self.bounded_staleness_read(gateway, key, min_ts, opts, span, cont);
-            }
-        }
-    }
-
-    /// Instrument a standalone stale read/scan under the ambient parent.
-    fn instrument_read<T: 'static>(
-        &mut self,
-        gateway: NodeId,
-        op: &'static str,
-        key: &Key,
-        cont: Cont<KvResult<T>>,
-    ) -> (Option<SpanId>, Cont<KvResult<T>>) {
-        let policy = self.policy_of(key);
-        let parent = self.trace_parent;
-        self.instrument_op(op, policy, gateway, parent, cont)
+        self.standalone_read(gateway, ReadTarget::Point(key), opts, cont);
     }
 
     /// A standalone scan, with the same staleness options as [`Cluster::read`].
@@ -375,81 +564,127 @@ impl Cluster {
         opts: ReadOptions,
         cont: Cont<KvResult<Vec<(Key, Value)>>>,
     ) {
-        match opts.staleness {
+        self.standalone_read(gateway, ReadTarget::Span(span, max_keys), opts, cont);
+    }
+
+    // ------------------------------------------------------------------
+    // Internals: the read path
+    // ------------------------------------------------------------------
+
+    fn standalone_read<T: ReadOut>(
+        &mut self,
+        gateway: NodeId,
+        target: ReadTarget,
+        opts: ReadOptions,
+        cont: Cont<KvResult<T>>,
+    ) {
+        let stale_op = target.pick("kv.read.stale", "kv.scan.stale");
+        let bounded_op = target.pick("kv.read.bounded", "kv.scan.bounded");
+        // The exact timestamp to read at, or the oldest acceptable one.
+        let (op, exact, ts) = match opts.staleness {
             Staleness::Fresh => {
                 let h = self.txn_begin(gateway);
-                self.txn_scan(
+                return self.txn_read(
                     h,
-                    span,
-                    max_keys,
-                    Box::new(move |c, res| match res {
-                        Ok(rows) => c.txn_commit(
-                            h,
-                            Box::new(move |c2, cres| match cres {
-                                Ok(_) => cont(c2, Ok(rows)),
-                                Err(e) => cont(c2, Err(e)),
-                            }),
-                        ),
-                        Err(e) => {
-                            c.txn_rollback(h, Box::new(move |c2, _| cont(c2, Err(e))));
-                        }
+                    target,
+                    Box::new(move |c, res: KvResult<T>| match res {
+                        Ok(v) => c.txn_commit(h, Box::new(move |c2, r| cont(c2, r.map(|_| v)))),
+                        Err(e) => c.txn_rollback(h, Box::new(move |c2, _| cont(c2, Err(e)))),
                     }),
                 );
             }
-            Staleness::ExactAt(ts) => {
-                let (tspan, cont) =
-                    self.instrument_read(gateway, "kv.scan.stale", &span.start, cont);
-                self.stale_scan_at(gateway, span, ts, max_keys, tspan, cont);
-            }
-            Staleness::ExactAgo(ago) => {
-                let now = self.hlc_now(gateway);
-                let ts = Timestamp::new(now.wall.saturating_sub(ago.nanos()), 0);
-                let (tspan, cont) =
-                    self.instrument_read(gateway, "kv.scan.stale", &span.start, cont);
-                self.stale_scan_at(gateway, span, ts, max_keys, tspan, cont);
-            }
+            Staleness::ExactAt(ts) => (stale_op, true, ts),
+            Staleness::ExactAgo(ago) => (stale_op, true, self.hlc_ago(gateway, ago)),
             Staleness::BoundedMaxStaleness(bound) => {
-                let now_ts = self.hlc_now(gateway);
-                let min_ts = Timestamp::new(now_ts.wall.saturating_sub(bound.nanos()), 0);
-                let (tspan, cont) =
-                    self.instrument_read(gateway, "kv.scan.bounded", &span.start, cont);
-                self.bounded_scan(gateway, span, min_ts, now_ts, max_keys, tspan, cont);
+                (bounded_op, false, self.hlc_ago(gateway, bound))
             }
-            Staleness::BoundedMinTimestamp(min_ts) => {
-                let now_ts = self.hlc_now(gateway);
-                let (tspan, cont) =
-                    self.instrument_read(gateway, "kv.scan.bounded", &span.start, cont);
-                self.bounded_scan(gateway, span, min_ts, now_ts, max_keys, tspan, cont);
-            }
+            Staleness::BoundedMinTimestamp(min_ts) => (bounded_op, false, min_ts),
+        };
+        let policy = self.policy_of(target.start());
+        let parent = self.trace_parent;
+        let (span, cont) = self.instrument_op(op, policy, gateway, parent, cont);
+        if exact {
+            self.read_at(gateway, target, ts, RouteMode::Nearest, span, cont);
+        } else {
+            self.bounded_read(
+                gateway,
+                target,
+                ts,
+                opts.fallback_to_leaseholder,
+                span,
+                cont,
+            );
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn bounded_scan(
+    /// The gateway's HLC reading, `ago` in the past.
+    fn hlc_ago(&mut self, gateway: NodeId, ago: SimDuration) -> Timestamp {
+        let now = self.hlc_now(gateway);
+        Timestamp::new(now.wall.saturating_sub(ago.nanos()), 0)
+    }
+
+    /// A lock-free read at the fixed timestamp `ts`.
+    fn read_at<T: ReadOut>(
         &mut self,
         gateway: NodeId,
-        span: Span,
-        min_ts: Timestamp,
-        now_ts: Timestamp,
-        max_keys: usize,
+        target: ReadTarget,
+        ts: Timestamp,
+        mode: RouteMode,
         tspan: Option<SpanId>,
-        cont: Cont<KvResult<Vec<(Key, Value)>>>,
+        cont: Cont<KvResult<T>>,
     ) {
-        let negotiate = Request::Negotiate {
-            spans: vec![span.clone()],
-        };
-        let start = span.start.clone();
         self.dist_send(
             gateway,
-            start,
+            target.start().clone(),
+            mode,
+            target.request(ReadCtx::stale(ts)),
+            MAX_ATTEMPTS,
+            tspan,
+            Box::new(move |c, res| cont(c, res.map(T::from_response))),
+        );
+    }
+
+    /// Bounded-staleness read (§5.3.2): negotiate the freshest timestamp the
+    /// nearest replica can serve, and read there if it is no older than
+    /// `min_ts`.
+    fn bounded_read<T: ReadOut>(
+        &mut self,
+        gateway: NodeId,
+        target: ReadTarget,
+        min_ts: Timestamp,
+        fallback_to_leaseholder: bool,
+        tspan: Option<SpanId>,
+        cont: Cont<KvResult<T>>,
+    ) {
+        let now_ts = self.hlc_now(gateway);
+        let negotiate = Request::Negotiate {
+            spans: vec![target.span()],
+        };
+        self.dist_send(
+            gateway,
+            target.start().clone(),
             RouteMode::Nearest,
             negotiate,
             MAX_ATTEMPTS,
             tspan,
             Box::new(move |c, res| match res {
                 Ok(Response::Negotiate { max_safe_ts }) => {
-                    let chosen = max_safe_ts.min(now_ts).forward(min_ts);
-                    c.stale_scan_at(gateway, span, chosen, max_keys, tspan, cont);
+                    // Freshest locally-servable timestamp, capped at now.
+                    let chosen = max_safe_ts.min(now_ts);
+                    if chosen >= min_ts {
+                        c.read_at(gateway, target, chosen, RouteMode::Nearest, tspan, cont);
+                    } else if fallback_to_leaseholder {
+                        // Serve from the leaseholder at the staleness bound.
+                        c.read_at(gateway, target, min_ts, RouteMode::Leaseholder, tspan, cont);
+                    } else {
+                        cont(
+                            c,
+                            Err(KvError::StalenessBoundExceeded {
+                                min_ts,
+                                max_safe_ts,
+                            }),
+                        );
+                    }
                 }
                 Ok(_) => unreachable!("negotiate returned unexpected response"),
                 Err(e) => cont(c, Err(e)),
@@ -457,34 +692,180 @@ impl Cluster {
         );
     }
 
-    fn stale_scan_at(
+    /// A read inside transaction `h`, as one instrumented client operation.
+    fn txn_read<T: ReadOut>(&mut self, h: TxnHandle, target: ReadTarget, cont: Cont<KvResult<T>>) {
+        let policy = self.policy_of(target.start());
+        let op = target.pick("kv.get", "kv.scan");
+        let (span, cont) = self.instrument_op(op, policy, h.gateway, h.span, cont);
+        self.txn_read_inner(h.id, target, span, cont);
+    }
+
+    fn txn_read_inner<T: ReadOut>(
         &mut self,
-        gateway: NodeId,
-        span: Span,
-        ts: Timestamp,
-        max_keys: usize,
+        id: TxnId,
+        target: ReadTarget,
         tspan: Option<SpanId>,
-        cont: Cont<KvResult<Vec<(Key, Value)>>>,
+        cont: Cont<KvResult<T>>,
     ) {
-        let rctx = ReadCtx::stale(ts);
-        let start = span.start.clone();
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
+        };
+        let own_intent = match &target {
+            ReadTarget::Point(key) => {
+                // Read-your-writes: buffered writes win over replicated state.
+                if let Some((_, v)) = st.buffered.iter().rev().find(|(k, _)| k == key) {
+                    let resp = Response::Get {
+                        value: v.clone(),
+                        value_ts: Timestamp::ZERO,
+                    };
+                    return cont(self, Ok(T::from_response(resp)));
+                }
+                st.intents.contains(key)
+            }
+            ReadTarget::Span(..) => false,
+        };
+        let rctx = ReadCtx {
+            read_ts: st.read_ts,
+            uncertainty_limit: st.uncertainty_limit,
+            txn: Some(st.meta()),
+        };
+        let gateway = st.gateway;
+        let mode = match (&target, self.registry().lookup(target.start())) {
+            // GLOBAL tables serve consistent present-time point reads from
+            // any replica (§6) — except one of our own (unreplicated-yet)
+            // intent. REGIONAL fresh reads need the leaseholder, and so do
+            // scans (they may span in-flight writes; simulation-scale
+            // tables keep one range per partition, so a scan never crosses
+            // ranges within a partition).
+            (ReadTarget::Point(_), Some(d))
+                if !own_intent && d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead =>
+            {
+                RouteMode::Nearest
+            }
+            _ => RouteMode::Leaseholder,
+        };
         self.dist_send(
             gateway,
-            start,
-            RouteMode::Nearest,
-            Request::Scan {
-                ctx: rctx,
-                span,
-                max_keys,
-            },
+            target.start().clone(),
+            mode,
+            target.request(rctx),
             MAX_ATTEMPTS,
             tspan,
             Box::new(move |c, res| match res {
-                Ok(Response::Scan { rows }) => cont(c, Ok(rows)),
-                Ok(_) => unreachable!("scan returned non-scan response"),
+                Ok(mut resp) => {
+                    if let Some(st) = c.txns.get_mut(&id) {
+                        let span = target.span();
+                        if let Response::Scan { rows } = &mut resp {
+                            *rows = overlay_buffer(std::mem::take(rows), &st.buffered, &span);
+                        }
+                        st.reads.push((span, st.read_ts));
+                    }
+                    cont(c, Ok(T::from_response(resp)));
+                }
+                Err(KvError::Uncertainty { value_ts, .. }) => {
+                    c.txn_uncertainty_restart(
+                        id,
+                        value_ts,
+                        Box::new(move |c2, r| match r {
+                            Ok(()) => c2.txn_read_inner(id, target, tspan, cont),
+                            Err(e) => cont(c2, Err(e)),
+                        }),
+                    );
+                }
                 Err(e) => cont(c, Err(e)),
             }),
         );
+    }
+
+    /// Handle a read that observed a value in its uncertainty interval:
+    /// bump the read timestamp to the value's, refresh prior reads, and let
+    /// the caller retry (§6.1, §6.2).
+    fn txn_uncertainty_restart(
+        &mut self,
+        id: TxnId,
+        value_ts: Timestamp,
+        cont: Cont<KvResult<()>>,
+    ) {
+        self.m.uncertainty_restarts.inc();
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
+        };
+        let new_ts = st.read_ts.forward(value_ts);
+        st.write_ts = st.write_ts.forward(new_ts);
+        let (span, now) = (st.span, self.now());
+        self.obs.tracer.event(
+            span,
+            now,
+            format!("uncertainty restart: value at {value_ts}"),
+        );
+        self.txn_refresh_reads(id, new_ts, cont);
+    }
+
+    /// Refresh all read spans to `to_ts`; on success the transaction's read
+    /// timestamp moves there. A failed refresh aborts the transaction: it
+    /// must restart from scratch.
+    fn txn_refresh_reads(&mut self, id: TxnId, to_ts: Timestamp, cont: Cont<KvResult<()>>) {
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
+        };
+        let (gateway, tspan) = (st.gateway, st.span);
+        let spans: Vec<(Span, Timestamp)> = st
+            .reads
+            .iter()
+            .filter(|(_, at)| *at < to_ts)
+            .cloned()
+            .collect();
+        if spans.is_empty() {
+            st.read_ts = st.read_ts.forward(to_ts);
+            return cont(self, Ok(()));
+        }
+        self.m.refreshes.inc();
+        let now = self.now();
+        self.obs.tracer.event(
+            tspan,
+            now,
+            format!("refreshing {} read span(s) to {to_ts}", spans.len()),
+        );
+        let join = Join::new(
+            spans.len(),
+            Box::new(move |c, res: KvResult<Vec<()>>| match res {
+                Ok(_) => {
+                    if let Some(st) = c.txns.get_mut(&id) {
+                        st.read_ts = st.read_ts.forward(to_ts);
+                        for (_, at) in st.reads.iter_mut() {
+                            *at = (*at).forward(to_ts);
+                        }
+                    }
+                    cont(c, Ok(()));
+                }
+                Err(e) => {
+                    c.m.refresh_failures.inc();
+                    c.abort_after_failure(id, e, cont);
+                }
+            }),
+        );
+        for (i, (span, from_ts)) in spans.into_iter().enumerate() {
+            let join = join.clone();
+            let start = span.start.clone();
+            let req = Request::Refresh {
+                txn_id: id,
+                span,
+                from_ts,
+                to_ts,
+            };
+            self.dist_send(
+                gateway,
+                start,
+                RouteMode::Leaseholder,
+                req,
+                MAX_ATTEMPTS,
+                tspan,
+                Box::new(move |c, res| join.arrive(c, i, res.map(|_| ()))),
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -551,35 +932,15 @@ impl Cluster {
         }
     }
 
-    /// The trace span of an open transaction, if any.
-    pub(crate) fn txn_span(&self, id: TxnId) -> Option<SpanId> {
-        self.txns.get(&id).and_then(|st| st.span)
-    }
-
-    /// Close a transaction's span once it reaches a terminal state, and
-    /// roll its latency attribution up into histograms, span attributes,
-    /// and the slow-transaction log.
-    fn finish_txn_span(&mut self, id: TxnId) {
-        let span = self.txn_span(id);
+    /// A transaction reached its terminal state: roll its latency
+    /// attribution up into histograms, span attributes and the
+    /// slow-transaction log, and close its span. Consumes the state, so
+    /// straggler RPCs completing after this charge nothing.
+    fn finish_txn_span(&mut self, st: TxnState, committed: bool) {
         let now = self.now();
-        self.finalize_txn_attr(id, now);
-        self.obs.tracer.finish(span, now);
-    }
-
-    /// One-shot attribution rollup for a finished transaction. Straggler
-    /// RPCs completing after this (an aborted pipeline's in-flight writes)
-    /// no longer charge the accumulator.
-    fn finalize_txn_attr(&mut self, id: TxnId, now: SimTime) {
-        let Some(st) = self.txns.get_mut(&id) else {
-            return;
-        };
-        if st.attr.is_done() {
-            return;
-        }
+        let span = st.span;
         let start = st.attr.start();
         let breakdown = st.attr.finalize(now);
-        let (gateway, span, committed) = (st.gateway, st.span, st.committed);
-        let ranges = st.ranges.clone();
         for (c, n) in COMPONENTS.iter().zip(breakdown.comp_nanos.iter()) {
             self.obs
                 .registry
@@ -599,14 +960,15 @@ impl Cluster {
             .tracer
             .attr(span, "attr.other", breakdown.other_nanos.to_string());
         self.attr_log.record(TxnAttrRecord {
-            txn_id: id.0,
-            gateway: gateway.0 as u64,
+            txn_id: st.id.0,
+            gateway: st.gateway.0 as u64,
             start,
             breakdown,
             committed,
             root_span: span.map(|s| s.raw()),
-            ranges,
+            ranges: st.ranges,
         });
+        self.obs.tracer.finish(span, now);
     }
 
     // ------------------------------------------------------------------
@@ -695,516 +1057,82 @@ impl Cluster {
         );
     }
 
-    /// Routing mode for a transactional read of `key`.
-    fn read_route_mode(&self, id: TxnId, key: &Key) -> RouteMode {
-        let Some(st) = self.txns.get(&id) else {
-            return RouteMode::Leaseholder;
-        };
-        // Read-your-writes must see our own (unreplicated-yet) intent.
-        if st.intents.contains(key) {
-            return RouteMode::Leaseholder;
-        }
-        match self.registry().lookup(key) {
-            // GLOBAL tables serve consistent present-time reads from any
-            // replica (§6); REGIONAL fresh reads need the leaseholder.
-            Some(d) if d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead => RouteMode::Nearest,
-            _ => RouteMode::Leaseholder,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Internals: transactional reads
-    // ------------------------------------------------------------------
-
-    fn txn_get_inner(
-        &mut self,
-        id: TxnId,
-        key: Key,
-        tspan: Option<SpanId>,
-        cont: Cont<KvResult<Option<Value>>>,
-    ) {
-        let Some(st) = self.txns.get(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
-        };
-        if st.finished {
-            cont(self, Err(KvError::TxnAborted { id }));
-            return;
-        }
-        // Read-your-writes: buffered writes win over replicated state.
-        if let Some((_, v)) = st.buffered.iter().rev().find(|(k, _)| *k == key) {
-            let v = v.clone();
-            cont(self, Ok(v));
-            return;
-        }
-        let rctx = ReadCtx {
-            read_ts: st.read_ts,
-            uncertainty_limit: st.uncertainty_limit,
-            txn: Some(st.meta()),
-        };
-        let gateway = st.gateway;
-        let mode = self.read_route_mode(id, &key);
-        let retry_key = key.clone();
-        self.dist_send(
-            gateway,
-            key.clone(),
-            mode,
-            Request::Get { ctx: rctx, key },
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| match res {
-                Ok(Response::Get { value, .. }) => {
-                    if let Some(st) = c.txns.get_mut(&id) {
-                        let at = st.read_ts;
-                        st.reads.push((Span::point(retry_key), at));
-                    }
-                    cont(c, Ok(value));
-                }
-                Ok(_) => unreachable!("get returned non-get response"),
-                Err(KvError::Uncertainty { value_ts, .. }) => {
-                    c.txn_uncertainty_restart(
-                        id,
-                        value_ts,
-                        Box::new(move |c2, r| match r {
-                            Ok(()) => c2.txn_get_inner(id, retry_key, tspan, cont),
-                            Err(e) => cont(c2, Err(e)),
-                        }),
-                    );
-                }
-                Err(e) => cont(c, Err(e)),
-            }),
-        );
-    }
-
-    fn txn_scan_inner(
-        &mut self,
-        id: TxnId,
-        span: Span,
-        max_keys: usize,
-        tspan: Option<SpanId>,
-        cont: Cont<KvResult<Vec<(Key, Value)>>>,
-    ) {
-        let Some(st) = self.txns.get(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
-        };
-        if st.finished {
-            cont(self, Err(KvError::TxnAborted { id }));
-            return;
-        }
-        let rctx = ReadCtx {
-            read_ts: st.read_ts,
-            uncertainty_limit: st.uncertainty_limit,
-            txn: Some(st.meta()),
-        };
-        let gateway = st.gateway;
-        // Scans always go to the leaseholder (they may span in-flight
-        // writes; simulation-scale tables keep one range per partition, so
-        // a scan never crosses ranges within a partition).
-        let retry_span = span.clone();
-        self.dist_send(
-            gateway,
-            span.start.clone(),
-            RouteMode::Leaseholder,
-            Request::Scan {
-                ctx: rctx,
-                span,
-                max_keys,
-            },
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| match res {
-                Ok(Response::Scan { rows }) => {
-                    let rows = match c.txns.get_mut(&id) {
-                        Some(st) => {
-                            let at = st.read_ts;
-                            st.reads.push((retry_span.clone(), at));
-                            overlay_buffer(rows, &st.buffered, &retry_span)
-                        }
-                        None => rows,
-                    };
-                    cont(c, Ok(rows));
-                }
-                Ok(_) => unreachable!("scan returned non-scan response"),
-                Err(KvError::Uncertainty { value_ts, .. }) => {
-                    c.txn_uncertainty_restart(
-                        id,
-                        value_ts,
-                        Box::new(move |c2, r| match r {
-                            Ok(()) => c2.txn_scan_inner(id, retry_span, max_keys, tspan, cont),
-                            Err(e) => cont(c2, Err(e)),
-                        }),
-                    );
-                }
-                Err(e) => cont(c, Err(e)),
-            }),
-        );
-    }
-
-    /// Handle a read that observed a value in its uncertainty interval:
-    /// bump the read timestamp to the value's, refresh prior reads, and let
-    /// the caller retry (§6.1, §6.2).
-    fn txn_uncertainty_restart(
-        &mut self,
-        id: TxnId,
-        value_ts: Timestamp,
-        cont: Cont<KvResult<()>>,
-    ) {
-        self.m.uncertainty_restarts.inc();
-        let span = self.txn_span(id);
-        let now = self.now();
-        self.obs.tracer.event(
-            span,
-            now,
-            format!("uncertainty restart: value at {value_ts}"),
-        );
-        let Some(st) = self.txns.get_mut(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
-        };
-        let new_ts = st.read_ts.forward(value_ts);
-        st.write_ts = st.write_ts.forward(new_ts);
-        self.txn_refresh_reads(id, new_ts, cont);
-    }
-
-    /// Refresh all read spans to `to_ts`; on success the transaction's read
-    /// timestamp moves there.
-    fn txn_refresh_reads(&mut self, id: TxnId, to_ts: Timestamp, cont: Cont<KvResult<()>>) {
-        let Some(st) = self.txns.get_mut(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
-        };
-        let gateway = st.gateway;
-        let spans: Vec<(Span, Timestamp)> = st
-            .reads
-            .iter()
-            .filter(|(_, at)| *at < to_ts)
-            .cloned()
-            .collect();
-        if spans.is_empty() {
-            st.read_ts = st.read_ts.forward(to_ts);
-            cont(self, Ok(()));
-            return;
-        }
-        self.m.refreshes.inc();
-        let tspan = self.txn_span(id);
-        let now = self.now();
-        self.obs.tracer.event(
-            tspan,
-            now,
-            format!("refreshing {} read span(s) to {to_ts}", spans.len()),
-        );
-        let remaining = Rc::new(RefCell::new((spans.len(), Some(cont), false)));
-        for (span, from_ts) in spans {
-            let state = Rc::clone(&remaining);
-            let req = Request::Refresh {
-                txn_id: id,
-                span: span.clone(),
-                from_ts,
-                to_ts,
-            };
-            self.dist_send(
-                gateway,
-                span.start.clone(),
-                RouteMode::Leaseholder,
-                req,
-                MAX_ATTEMPTS,
-                tspan,
-                Box::new(move |c, res| {
-                    let mut s = state.borrow_mut();
-                    if s.2 {
-                        return; // already failed
-                    }
-                    match res {
-                        Ok(_) => {
-                            s.0 -= 1;
-                            if s.0 == 0 {
-                                let cont = s.1.take().expect("refresh cont");
-                                drop(s);
-                                if let Some(st) = c.txns.get_mut(&id) {
-                                    st.read_ts = st.read_ts.forward(to_ts);
-                                    for (_, at) in st.reads.iter_mut() {
-                                        *at = (*at).forward(to_ts);
-                                    }
-                                }
-                                cont(c, Ok(()));
-                            }
-                        }
-                        Err(e) => {
-                            s.2 = true;
-                            let cont = s.1.take().expect("refresh cont");
-                            drop(s);
-                            c.m.refresh_failures.inc();
-                            // The transaction must restart from scratch.
-                            c.abort_after_failure(id);
-                            cont(c, Err(e));
-                        }
-                    }
-                }),
-            );
-        }
-    }
-
-    /// Mark the transaction dead and clean up its intents.
-    fn abort_after_failure(&mut self, id: TxnId) {
-        if let Some(st) = self.txns.get_mut(&id) {
-            if !st.finished {
-                st.finished = true;
-                self.m.txn_restarts.inc();
-                let span = self.txn_span(id);
-                let now = self.now();
-                self.obs.tracer.event(span, now, "aborted for client retry");
-                self.finalize_intents(id, TxnStatus::Aborted, Timestamp::ZERO);
-                self.finish_txn_span(id);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Internals: writes and commit
     // ------------------------------------------------------------------
 
-    fn txn_put_inner(
-        &mut self,
-        id: TxnId,
-        key: Key,
-        value: Option<Value>,
-        cont: Cont<KvResult<()>>,
-    ) {
-        let Some(st) = self.txns.get_mut(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
-        };
-        if st.finished {
-            cont(self, Err(KvError::TxnAborted { id }));
-            return;
+    /// A failure the client must retry from scratch: abort the transaction
+    /// (if it is still open), clean up its intents, and answer with `e`.
+    fn abort_after_failure<T>(&mut self, id: TxnId, e: KvError, cont: Cont<KvResult<T>>) {
+        if let Ok(mut st) = self.txn_take(id) {
+            self.m.txn_restarts.inc();
+            let now = self.now();
+            self.obs
+                .tracer
+                .event(st.span, now, "aborted for client retry");
+            self.resolve_intents(st.tail(), TxnStatus::Aborted, Timestamp::ZERO);
+            self.finish_txn_span(st, false);
         }
-        if st.anchor.is_none() {
-            st.anchor = Some(key.clone());
-        }
-        // Buffer the write: read-your-writes always serves from the buffer.
-        match st.buffered.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = value.clone(),
-            None => st.buffered.push((key.clone(), value.clone())),
-        }
-        if !self.cfg.pipelined_writes {
-            // Legacy: writes flush at commit (1PC when single-range).
-            cont(self, Ok(()));
-            return;
-        }
-        // Write pipelining: propose the intent now and return before it
-        // replicates; the commit joins the in-flight set.
-        let st = self.txns.get_mut(&id).unwrap();
-        if st.sent.contains(&key) {
-            // The issued intent now holds a stale value; commit falls back
-            // to the re-putting slow path.
-            st.rewrote_sent = true;
-            cont(self, Ok(()));
-            return;
-        }
-        st.sent.push(key.clone());
-        let meta = st.meta();
-        let gateway = st.gateway;
-        let pl = Rc::clone(&st.pipeline);
-        pl.borrow_mut().outstanding += 1;
-        self.m.pipelined_writes.inc();
-        let tspan = self.txn_span(id);
-        let record_key = key.clone();
-        self.dist_send(
-            gateway,
-            key.clone(),
-            RouteMode::Leaseholder,
-            Request::Put {
-                txn: meta,
-                key,
-                value,
-            },
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| {
-                match res {
-                    Ok(Response::Put { written_ts }) => {
-                        {
-                            let mut p = pl.borrow_mut();
-                            p.max_written_ts = p.max_written_ts.forward(written_ts);
-                        }
-                        if let Some(txn) = c.txns.get_mut(&id) {
-                            txn.write_ts = txn.write_ts.forward(written_ts);
-                            txn.intents.push(record_key);
-                        }
-                    }
-                    Ok(_) => unreachable!("put returned non-put response"),
-                    Err(e) => {
-                        {
-                            let mut p = pl.borrow_mut();
-                            if p.failed.is_none() {
-                                p.failed = Some(e);
-                            }
-                        }
-                        // The intent may have landed anyway; remember the
-                        // key so an abort resolves it.
-                        if let Some(txn) = c.txns.get_mut(&id) {
-                            txn.intents.push(record_key);
-                        }
-                    }
-                }
-                let waiter = {
-                    let mut p = pl.borrow_mut();
-                    p.outstanding -= 1;
-                    if p.outstanding == 0 {
-                        p.waiter.take()
-                    } else {
-                        None
-                    }
-                };
-                if let Some(w) = waiter {
-                    w(c);
-                }
-            }),
-        );
-        cont(self, Ok(()));
+        cont(self, Err(e));
     }
 
-    fn txn_commit_inner(
+    /// The one commit epilogue. The outcome is decided, so the transaction
+    /// leaves the map here; what follows — commit wait (§6.2), intent
+    /// resolution, making a parallel commit explicit, the attribution
+    /// rollup — runs on the state by value, and the client is acked last.
+    fn txn_committed(
         &mut self,
         id: TxnId,
+        kind: CommitKind,
+        commit_ts: Timestamp,
         tspan: Option<SpanId>,
         cont: Cont<KvResult<Timestamp>>,
     ) {
-        let Some(st) = self.txns.get(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
+        let mut st = match self.txn_take(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
-        if st.finished {
-            cont(self, Err(KvError::TxnAborted { id }));
-            return;
+        if kind != CommitKind::ReadOnly {
+            self.m.txn_commits.inc();
         }
-        let gateway = st.gateway;
-        if st.buffered.is_empty() && st.intents.is_empty() {
-            // Read-only: complete locally. Commit-wait if the read
-            // timestamp became future-time by observing a future value
-            // (§6.2: reader-side commit wait, capped at max_clock_offset).
-            let commit_ts = st.read_ts;
-            let finish: Box<dyn FnOnce(&mut Cluster)> = Box::new(move |c: &mut Cluster| {
-                if let Some(st) = c.txns.get_mut(&id) {
-                    st.finished = true;
-                    st.committed = true;
+        // CRDB resolves intents concurrently with commit wait (§6.2) — locks
+        // release while the gateway waits. The Spanner-style ablation
+        // (`commit_wait_holds_locks`) releases them only once it is over.
+        let hold = self.cfg.commit_wait_holds_locks;
+        if kind == CommitKind::Explicit && !hold {
+            self.resolve_intents(st.tail(), TxnStatus::Committed, commit_ts);
+        }
+        self.commit_wait(
+            st,
+            commit_ts,
+            tspan,
+            Box::new(move |c, mut st| {
+                match kind {
+                    CommitKind::ReadOnly => c.m.txn_commits.inc(),
+                    CommitKind::Explicit if hold => {
+                        c.resolve_intents(st.tail(), TxnStatus::Committed, commit_ts)
+                    }
+                    CommitKind::Explicit => {}
+                    CommitKind::Implicit => {
+                        c.end_record(st.tail(), TxnStatus::Committed, commit_ts)
+                    }
                 }
-                c.m.txn_commits.inc();
-                c.finish_txn_span(id);
+                c.finish_txn_span(st, true);
                 cont(c, Ok(commit_ts));
-            });
-            self.commit_wait(gateway, commit_ts, Some(id), tspan, finish);
-            return;
-        }
-        // Pipelined writes are already in flight as intents: join them and
-        // commit via the parallel-commits (or explicit two-phase) path.
-        if !st.sent.is_empty() {
-            self.txn_commit_pipelined(id, tspan, cont);
-            return;
-        }
-        // 1PC fast path: every buffered write lands in one range.
-        let single_range = {
-            let mut range = None;
-            let mut ok = true;
-            for (key, _) in &st.buffered {
-                match self.registry().lookup(key) {
-                    Some(d) if range.is_none() => range = Some(d.id),
-                    Some(d) if range == Some(d.id) => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                range
-            } else {
-                None
-            }
-        };
-        if let Some(range) = single_range {
-            let span = self.registry().get(range).map(|d| d.span.clone());
-            let st = self.txns.get(&id).unwrap();
-            let local_reads_only = match &span {
-                Some(span) => st.reads.iter().all(|(s, _)| span.contains_span(s)),
-                None => false,
-            };
-            let resolve_inline = !self.cfg.commit_wait_holds_locks;
-            let req = Request::CommitInline {
-                txn: st.meta(),
-                writes: st.buffered.clone(),
-                refresh_spans: if local_reads_only {
-                    st.reads.clone()
-                } else {
-                    Vec::new()
-                },
-                local_reads_only,
-                resolve_inline,
-            };
-            let anchor = st.meta().anchor;
-            self.dist_send(
-                gateway,
-                anchor,
-                RouteMode::Leaseholder,
-                req,
-                MAX_ATTEMPTS,
-                tspan,
-                Box::new(move |c, res| match res {
-                    Ok(Response::CommitInline { commit_ts }) => {
-                        if let Some(st) = c.txns.get_mut(&id) {
-                            st.finished = true;
-                            st.committed = true;
-                            // Spanner-style ablation: locks were kept; the
-                            // coordinator resolves them after commit wait.
-                            if c.cfg.commit_wait_holds_locks {
-                                st.intents = st.buffered.iter().map(|(k, _)| k.clone()).collect();
-                            }
-                        }
-                        c.m.txn_commits.inc();
-                        let finish: Box<dyn FnOnce(&mut Cluster)> =
-                            Box::new(move |c2: &mut Cluster| {
-                                if c2.cfg.commit_wait_holds_locks {
-                                    c2.finalize_intents(id, TxnStatus::Committed, commit_ts);
-                                }
-                                c2.finish_txn_span(id);
-                                cont(c2, Ok(commit_ts))
-                            });
-                        c.commit_wait(gateway, commit_ts, Some(id), tspan, finish);
-                    }
-                    Ok(_) => unreachable!("commit-inline returned unexpected response"),
-                    Err(KvError::WriteTooOld { .. }) => {
-                        // Timestamp must move but remote reads need a real
-                        // refresh: fall back to the two-phase path.
-                        c.txn_commit_slow(id, tspan, cont);
-                    }
-                    Err(e) => {
-                        c.abort_after_failure(id);
-                        cont(c, Err(e));
-                    }
-                }),
-            );
-            return;
-        }
-        self.txn_commit_slow(id, tspan, cont);
+            }),
+        );
     }
 
     /// Run `f` once every pipelined write has been acknowledged. The
     /// non-parallel commit paths and rollback join the pipeline before
     /// touching the write set.
     fn join_pipeline(&mut self, id: TxnId, f: Box<dyn FnOnce(&mut Cluster)>) {
-        let Some(st) = self.txns.get(&id) else {
-            f(self);
-            return;
-        };
-        let pl = Rc::clone(&st.pipeline);
-        let mut p = pl.borrow_mut();
-        if p.outstanding == 0 {
-            drop(p);
-            f(self);
-        } else {
-            debug_assert!(p.waiter.is_none(), "one pipeline joiner at a time");
-            p.waiter = Some(f);
+        match self.txns.get_mut(&id) {
+            Some(st) if st.outstanding > 0 => {
+                debug_assert!(st.waiter.is_none(), "one pipeline joiner at a time");
+                st.waiter = Some(f);
+            }
+            _ => f(self),
         }
     }
 
@@ -1215,69 +1143,33 @@ impl Cluster {
         tspan: Option<SpanId>,
         cont: Cont<KvResult<Timestamp>>,
     ) {
-        let st = self.txns.get(&id).expect("checked by caller");
-        if st.rewrote_sent {
-            // A pipelined intent holds a stale value. Join the in-flight
-            // set (so a late old-value Put cannot overwrite a fresh one),
-            // then re-put every buffered write and finish two-phase.
-            self.join_pipeline(
-                id,
-                Box::new(move |c| {
-                    let failed = c
-                        .txns
-                        .get(&id)
-                        .and_then(|st| st.pipeline.borrow_mut().failed.take());
-                    if let Some(e) = failed {
-                        c.abort_after_failure(id);
-                        cont(c, Err(e));
-                        return;
-                    }
-                    c.txn_commit_slow(id, tspan, cont);
-                }),
-            );
-            return;
+        let reput = self.txns[&id].rewrote_sent;
+        if !reput && self.cfg.parallel_commits {
+            // Parallel commit. The staged timestamp must be one the
+            // transaction's reads are valid at: if the write timestamp
+            // already moved above the read snapshot (tscache bump,
+            // closed-timestamp target), refresh before staging.
+            return self.txn_refresh_then(id, tspan, cont, Cluster::txn_stage);
         }
-        if !self.cfg.parallel_commits {
-            // Pipelining without parallel commits (ablation): join, then
-            // the ordinary refresh + EndTxn round — two consensus rounds.
-            self.join_pipeline(
-                id,
-                Box::new(move |c| {
-                    let failed = c
-                        .txns
-                        .get(&id)
-                        .and_then(|st| st.pipeline.borrow_mut().failed.take());
-                    if let Some(e) = failed {
-                        c.abort_after_failure(id);
-                        cont(c, Err(e));
-                        return;
+        // Join the in-flight set, then finish two-phase — two consensus
+        // rounds. Either a pipelined intent holds a stale value (`reput`: a
+        // late old-value Put must not overwrite the fresh one, so every
+        // buffered write is re-put after the join), or parallel commits are
+        // off (ablation: the intents are in place, nothing left to flush).
+        self.join_pipeline(
+            id,
+            Box::new(move |c| {
+                if let Some(st) = c.txns.get_mut(&id) {
+                    if let Some(e) = st.failed.take() {
+                        return c.abort_after_failure(id, e, cont);
                     }
-                    if let Some(st) = c.txns.get_mut(&id) {
+                    if !reput {
                         st.buffered.clear();
                     }
-                    c.txn_finish_two_phase(id, tspan, cont);
-                }),
-            );
-            return;
-        }
-        // Parallel commit. If the write timestamp already moved above the
-        // read snapshot (tscache bump, closed-timestamp target), refresh
-        // before staging: the staged timestamp must be one the transaction's
-        // reads are valid at.
-        let (read_ts, write_ts) = (st.read_ts, st.write_ts);
-        if write_ts > read_ts {
-            self.txn_refresh_reads(
-                id,
-                write_ts,
-                Box::new(move |c, r| match r {
-                    Ok(()) => c.txn_stage(id, tspan, cont),
-                    // Refresh failure already aborted the transaction.
-                    Err(e) => cont(c, Err(e)),
-                }),
-            );
-        } else {
-            self.txn_stage(id, tspan, cont);
-        }
+                }
+                c.txn_commit_slow(id, tspan, cont);
+            }),
+        );
     }
 
     /// The parallel-commit hinge: write the STAGING record (carrying the
@@ -1288,17 +1180,17 @@ impl Cluster {
     /// contenders that find the STAGING record first run status recovery
     /// (`staging_recover`) instead of waiting.
     fn txn_stage(&mut self, id: TxnId, tspan: Option<SpanId>, cont: Cont<KvResult<Timestamp>>) {
-        let Some(st) = self.txns.get_mut(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
         let gateway = st.gateway;
         let meta = st.meta();
         let staged_ts = meta.write_ts;
         let in_flight = st.sent.clone();
+        let outstanding = st.outstanding;
         // Every write is in flight as an intent; nothing left to flush.
         st.buffered.clear();
-        let pl = Rc::clone(&st.pipeline);
         let now = self.now();
         let pspan = self.obs.tracer.start("txn.pipeline", tspan, now);
         if pspan.is_some() {
@@ -1311,31 +1203,8 @@ impl Cluster {
                 .attr(pspan, "in_flight", in_flight.len().to_string());
             self.obs
                 .tracer
-                .attr(pspan, "outstanding", pl.borrow().outstanding.to_string());
+                .attr(pspan, "outstanding", outstanding.to_string());
         }
-        let join = Rc::new(RefCell::new(StageJoin {
-            stage: None,
-            puts_done: false,
-            cont: Some(cont),
-        }));
-        {
-            let mut p = pl.borrow_mut();
-            if p.outstanding == 0 || self.injected_bug == Some(InjectedBug::PrematureAck) {
-                // No writes outstanding — or (injected bug) don't wait for
-                // them: the ack then races replication and a crash can lose
-                // acknowledged writes. The chaos checker must catch this.
-                join.borrow_mut().puts_done = true;
-            } else {
-                let join2 = Rc::clone(&join);
-                let pl2 = Rc::clone(&pl);
-                p.waiter = Some(Box::new(move |c| {
-                    join2.borrow_mut().puts_done = true;
-                    Cluster::stage_try_complete(c, id, staged_ts, tspan, pspan, &join2, &pl2);
-                }));
-            }
-        }
-        let join2 = Rc::clone(&join);
-        let pl2 = Rc::clone(&pl);
         let anchor = meta.anchor.clone();
         self.dist_send(
             gateway,
@@ -1348,160 +1217,116 @@ impl Cluster {
             MAX_ATTEMPTS,
             pspan,
             Box::new(move |c, res| {
-                join2.borrow_mut().stage = Some(match res {
-                    Ok(Response::StageTxn { commit_ts }) => Ok(commit_ts),
+                let staged = match res {
+                    Ok(Response::StageTxn { .. }) => Ok(()),
                     Ok(_) => unreachable!("stage returned unexpected response"),
                     Err(e) => Err(e),
+                };
+                let complete: Box<dyn FnOnce(&mut Cluster)> = Box::new(move |c| {
+                    c.stage_complete(id, staged_ts, tspan, pspan, staged, cont);
                 });
-                Cluster::stage_try_complete(c, id, staged_ts, tspan, pspan, &join2, &pl2);
+                if c.injected_bug == Some(InjectedBug::PrematureAck) {
+                    // (Injected bug) don't wait for the in-flight writes:
+                    // the ack then races replication and a crash can lose
+                    // acknowledged writes. The chaos checker must catch this.
+                    complete(c);
+                } else {
+                    c.join_pipeline(id, complete);
+                }
             }),
         );
     }
 
-    /// Complete a parallel commit once both arms of the join have reported.
-    fn stage_try_complete(
-        c: &mut Cluster,
+    /// Complete a parallel commit: the STAGING write has reported and the
+    /// pipeline has drained.
+    fn stage_complete(
+        &mut self,
         id: TxnId,
         staged_ts: Timestamp,
         tspan: Option<SpanId>,
         pspan: Option<SpanId>,
-        join: &Rc<RefCell<StageJoin>>,
-        pl: &Rc<RefCell<PipelineState>>,
+        staged: KvResult<()>,
+        cont: Cont<KvResult<Timestamp>>,
     ) {
-        let (stage_res, cont) = {
-            let mut j = join.borrow_mut();
-            if j.stage.is_none() || !j.puts_done || j.cont.is_none() {
-                return;
-            }
-            (j.stage.take().unwrap(), j.cont.take().unwrap())
+        let now = self.now();
+        self.obs.tracer.finish(pspan, now);
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
-        let now = c.now();
-        c.obs.tracer.finish(pspan, now);
-        let (failed, max_written) = {
-            let mut p = pl.borrow_mut();
-            (p.failed.take(), p.max_written_ts)
-        };
-        let gateway = c.txns.get(&id).map(|st| st.gateway).expect("txn state");
-        if let Err(e) = stage_res {
-            // The record's fate is unknown (timeout, failover): write an
-            // explicit ABORT — it beats zombie stage retries and pins
-            // any concurrent recovery to one outcome.
-            c.txn_abort_staged(id);
-            cont(c, Err(e));
-            return;
-        }
-        if let Some(e) = failed {
-            // A pipelined write failed terminally: the STAGING record must
-            // not stay recoverable-as-committed.
-            c.txn_abort_staged(id);
-            cont(c, Err(e));
-            return;
+        let (failed, max_written) = (st.failed.take(), st.max_written_ts);
+        if let Some(e) = staged.err().or(failed) {
+            // The record's fate is unknown (stage timeout, failover), or a
+            // pipelined write failed terminally and the STAGING record must
+            // not stay recoverable-as-committed: write an explicit ABORT —
+            // it beats zombie stage retries and pins any concurrent
+            // recovery to one outcome.
+            self.txn_abort_staged(id);
+            return cont(self, Err(e));
         }
         if max_written > staged_ts {
             // A pipelined write landed above the staged timestamp, so the
             // commit is not implicit. Refresh reads to the higher timestamp
             // and commit explicitly (the restage path — one extra round).
-            c.m.parallel_commit_restages.inc();
-            c.obs.tracer.event(
+            self.m.parallel_commit_restages.inc();
+            self.obs.tracer.event(
                 tspan,
                 now,
                 format!("restage: write at {max_written} above staged {staged_ts}"),
             );
-            c.txn_finish_two_phase(id, tspan, cont);
-            return;
+            return self.txn_refresh_then(id, tspan, cont, Cluster::txn_send_end);
         }
         // Implicitly committed: STAGING record written and every in-flight
         // write at or below the staged timestamp. Ack after commit wait;
         // make the commit explicit asynchronously.
-        c.m.parallel_commit_acks.inc();
-        c.m.txn_commits.inc();
-        if let Some(st) = c.txns.get_mut(&id) {
-            st.finished = true;
-            st.committed = true;
-        }
-        let finish: Box<dyn FnOnce(&mut Cluster)> = Box::new(move |c2: &mut Cluster| {
-            c2.txn_make_explicit(id, staged_ts);
-            c2.finish_txn_span(id);
-            cont(c2, Ok(staged_ts));
-        });
-        c.commit_wait(gateway, staged_ts, Some(id), tspan, finish);
+        self.m.parallel_commit_acks.inc();
+        self.txn_committed(id, CommitKind::Implicit, staged_ts, tspan, cont);
     }
 
-    /// Asynchronously convert an implicit commit (STAGING record + all
-    /// writes landed) into an explicit one, then resolve the intents. The
-    /// record must finalize *before* any intent resolves: a recovery that
-    /// finds the record STAGING probes for the in-flight intents, and
-    /// resolving one early would read as "write lost" and abort a committed
-    /// transaction.
-    fn txn_make_explicit(&mut self, id: TxnId, commit_ts: Timestamp) {
-        let Some(st) = self.txns.get(&id) else { return };
-        let gateway = st.gateway;
-        let meta = st.meta();
-        let anchor = meta.anchor.clone();
-        let tspan = self.txn_span(id);
+    /// Fire-and-forget: finalize a finished transaction's record, then
+    /// resolve its intents. The record must finalize *before* any intent
+    /// resolves: a recovery that finds the record STAGING probes for the
+    /// in-flight intents, and resolving one early would read as "write
+    /// lost" and abort a committed transaction. On error — or an abort that
+    /// finds the record COMMITTED because a recovery raced it — the intents
+    /// stay for the contenders' pushers.
+    fn end_record(&mut self, tail: TxnTail, status: TxnStatus, commit_ts: Timestamp) {
         // Track as an op so `run_until_quiescent` covers finalization.
         self.op_started();
+        let req = Request::EndTxn {
+            txn: tail.meta.clone(),
+            commit: status == TxnStatus::Committed,
+        };
         self.dist_send(
-            gateway,
-            anchor,
+            tail.gateway,
+            tail.meta.anchor.clone(),
             RouteMode::Leaseholder,
-            Request::EndTxn {
-                txn: meta,
-                commit: true,
-            },
+            req,
             8,
-            tspan,
+            tail.span,
             Box::new(move |c, res| {
                 if let Ok(Response::EndTxn { .. }) = res {
-                    c.finalize_intents(id, TxnStatus::Committed, commit_ts);
+                    c.resolve_intents(tail, status, commit_ts);
                 }
-                // On error the intents stay; contenders' pushers recover.
                 c.op_finished();
             }),
         );
     }
 
     /// Abort a transaction whose STAGING record may exist: write an
-    /// explicit ABORT record first, then resolve the intents. If the record
-    /// turns out COMMITTED — a recovery raced us and found every write —
-    /// the intents are left to the contenders' pushers; the client already
-    /// received an ambiguous error.
+    /// explicit ABORT record first, then resolve the intents. The client
+    /// receives the (possibly ambiguous) error that brought us here.
     fn txn_abort_staged(&mut self, id: TxnId) {
-        let Some(st) = self.txns.get_mut(&id) else {
+        let Ok(mut st) = self.txn_take(id) else {
             return;
         };
-        if st.finished {
-            return;
-        }
-        st.finished = true;
         self.m.txn_restarts.inc();
-        let gateway = st.gateway;
-        let meta = st.meta();
-        let anchor = meta.anchor.clone();
-        let tspan = self.txn_span(id);
         let now = self.now();
         self.obs
             .tracer
-            .event(tspan, now, "parallel commit failed: aborting");
-        self.op_started();
-        self.dist_send(
-            gateway,
-            anchor,
-            RouteMode::Leaseholder,
-            Request::EndTxn {
-                txn: meta,
-                commit: false,
-            },
-            8,
-            tspan,
-            Box::new(move |c, res| {
-                if let Ok(Response::EndTxn { .. }) = res {
-                    c.finalize_intents(id, TxnStatus::Aborted, Timestamp::ZERO);
-                }
-                c.op_finished();
-            }),
-        );
-        self.finish_txn_span(id);
+            .event(st.span, now, "parallel commit failed: aborting");
+        self.end_record(st.tail(), TxnStatus::Aborted, Timestamp::ZERO);
+        self.finish_txn_span(st, false);
     }
 
     /// Two-phase commit: flush buffered writes as intents (in parallel),
@@ -1513,22 +1338,26 @@ impl Cluster {
         tspan: Option<SpanId>,
         cont: Cont<KvResult<Timestamp>>,
     ) {
-        let Some(st) = self.txns.get_mut(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
         let gateway = st.gateway;
         let writes: Vec<(Key, Option<Value>)> = std::mem::take(&mut st.buffered);
         let meta = st.meta();
         if writes.is_empty() {
             // Buffer already flushed (retried fallback): go straight on.
-            self.txn_finish_two_phase(id, tspan, cont);
-            return;
+            return self.txn_refresh_then(id, tspan, cont, Cluster::txn_send_end);
         }
-        let total = writes.len();
-        let state = Rc::new(RefCell::new((total, Some(cont), false)));
-        for (key, value) in writes {
-            let st = Rc::clone(&state);
+        let join = Join::new(
+            writes.len(),
+            Box::new(move |c, res: KvResult<Vec<()>>| match res {
+                Ok(_) => c.txn_refresh_then(id, tspan, cont, Cluster::txn_send_end),
+                Err(e) => c.abort_after_failure(id, e, cont),
+            }),
+        );
+        for (i, (key, value)) in writes.into_iter().enumerate() {
+            let join = join.clone();
             let record_key = key.clone();
             self.dist_send(
                 gateway,
@@ -1542,47 +1371,37 @@ impl Cluster {
                 MAX_ATTEMPTS,
                 tspan,
                 Box::new(move |c, res| {
-                    let mut s = st.borrow_mut();
-                    if s.2 {
-                        return;
-                    }
-                    match res {
-                        Ok(Response::Put { written_ts }) => {
-                            if let Some(txn) = c.txns.get_mut(&id) {
-                                txn.write_ts = txn.write_ts.forward(written_ts);
-                                txn.intents.push(record_key);
-                            }
-                            s.0 -= 1;
-                            if s.0 == 0 {
-                                let cont = s.1.take().expect("commit cont");
-                                drop(s);
-                                c.txn_finish_two_phase(id, tspan, cont);
-                            }
+                    let res = res.map(|resp| {
+                        let Response::Put { written_ts } = resp else {
+                            unreachable!("put returned non-put response")
+                        };
+                        // Gone once a sibling write failed: acks after the
+                        // first failure tell nobody.
+                        if let Some(st) = c.txns.get_mut(&id) {
+                            st.write_ts = st.write_ts.forward(written_ts);
+                            st.intents.push(record_key);
                         }
-                        Ok(_) => unreachable!("put returned non-put response"),
-                        Err(e) => {
-                            s.2 = true;
-                            let cont = s.1.take().expect("commit cont");
-                            drop(s);
-                            c.abort_after_failure(id);
-                            cont(c, Err(e));
-                        }
-                    }
+                    });
+                    join.arrive(c, i, res);
                 }),
             );
         }
     }
 
-    /// After intents are in place: refresh reads if needed, then EndTxn.
-    fn txn_finish_two_phase(
+    /// Run `then` once the transaction's reads are valid at its write
+    /// timestamp: at once if the timestamp never moved above the read
+    /// snapshot, else after a refresh (whose failure aborts the
+    /// transaction and answers `cont`).
+    fn txn_refresh_then(
         &mut self,
         id: TxnId,
         tspan: Option<SpanId>,
         cont: Cont<KvResult<Timestamp>>,
+        then: fn(&mut Cluster, TxnId, Option<SpanId>, Cont<KvResult<Timestamp>>),
     ) {
-        let Some(st) = self.txns.get(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
         let (read_ts, write_ts) = (st.read_ts, st.write_ts);
         if write_ts > read_ts {
@@ -1590,19 +1409,21 @@ impl Cluster {
                 id,
                 write_ts,
                 Box::new(move |c, r| match r {
-                    Ok(()) => c.txn_send_end(id, tspan, cont),
+                    Ok(()) => then(c, id, tspan, cont),
                     Err(e) => cont(c, Err(e)),
                 }),
             );
         } else {
-            self.txn_send_end(id, tspan, cont);
+            then(self, id, tspan, cont);
         }
     }
 
+    /// With every intent in place and the reads valid at the write
+    /// timestamp: write the COMMITTED record.
     fn txn_send_end(&mut self, id: TxnId, tspan: Option<SpanId>, cont: Cont<KvResult<Timestamp>>) {
-        let Some(st) = self.txns.get(&id) else {
-            cont(self, Err(KvError::TxnNotFound { id }));
-            return;
+        let st = match self.txn_open(id) {
+            Ok(st) => st,
+            Err(e) => return cont(self, Err(e)),
         };
         let gateway = st.gateway;
         let meta = st.meta();
@@ -1619,124 +1440,88 @@ impl Cluster {
             tspan,
             Box::new(move |c, res| match res {
                 Ok(Response::EndTxn { commit_ts }) => {
-                    if let Some(st) = c.txns.get_mut(&id) {
-                        st.finished = true;
-                        st.committed = true;
-                    }
-                    c.m.txn_commits.inc();
-                    if c.cfg.commit_wait_holds_locks {
-                        // Spanner-style ablation: resolve intents (release
-                        // locks) only after commit wait completes.
-                        let finish: Box<dyn FnOnce(&mut Cluster)> =
-                            Box::new(move |c2: &mut Cluster| {
-                                c2.finalize_intents(id, TxnStatus::Committed, commit_ts);
-                                c2.finish_txn_span(id);
-                                cont(c2, Ok(commit_ts));
-                            });
-                        c.commit_wait(gateway, commit_ts, Some(id), tspan, finish);
-                    } else {
-                        // CRDB: intent resolution proceeds concurrently with
-                        // commit wait (§6.2) — locks release while we wait.
-                        c.finalize_intents(id, TxnStatus::Committed, commit_ts);
-                        let finish: Box<dyn FnOnce(&mut Cluster)> =
-                            Box::new(move |c2: &mut Cluster| {
-                                c2.finish_txn_span(id);
-                                cont(c2, Ok(commit_ts))
-                            });
-                        c.commit_wait(gateway, commit_ts, Some(id), tspan, finish);
-                    }
+                    c.txn_committed(id, CommitKind::Explicit, commit_ts, tspan, cont);
                 }
                 Ok(_) => unreachable!("end txn returned unexpected response"),
-                Err(e) => {
-                    c.abort_after_failure(id);
-                    cont(c, Err(e));
-                }
+                Err(e) => c.abort_after_failure(id, e, cont),
             }),
         );
     }
 
-    /// Fire-and-forget intent resolution for every write of `id`.
-    fn finalize_intents(&mut self, id: TxnId, status: TxnStatus, commit_ts: Timestamp) {
-        let Some(st) = self.txns.get(&id) else { return };
-        let gateway = st.gateway;
-        let intents = st.intents.clone();
-        for key in intents {
+    /// Fire-and-forget intent resolution for every write of a finished
+    /// transaction.
+    fn resolve_intents(&mut self, tail: TxnTail, status: TxnStatus, commit_ts: Timestamp) {
+        for key in tail.intents {
             let req = Request::ResolveIntent {
                 key: key.clone(),
-                txn_id: id,
+                txn_id: tail.meta.id,
                 status,
                 commit_ts,
             };
-            let tspan = self.txn_span(id);
             self.dist_send(
-                gateway,
+                tail.gateway,
                 key,
                 RouteMode::Leaseholder,
                 req,
                 8,
-                tspan,
+                tail.span,
                 Box::new(|_, _| {}),
             );
         }
     }
 
-    /// Delay `f` until the gateway's HLC exceeds `ts` (no-op when already
-    /// past). This is the §6.2 commit wait: local-clock-only, unlike
-    /// Spanner's wait for global clock consensus.
+    /// Delay `f` until the transaction's gateway HLC exceeds `ts` (no-op
+    /// when already past), charging the wait to its attribution. This is
+    /// the §6.2 commit wait: local-clock-only, unlike Spanner's wait for
+    /// global clock consensus.
     fn commit_wait(
         &mut self,
-        gateway: NodeId,
+        mut st: TxnState,
         ts: Timestamp,
-        txn: Option<TxnId>,
         parent: Option<SpanId>,
-        f: Box<dyn FnOnce(&mut Cluster)>,
+        f: Box<dyn FnOnce(&mut Cluster, TxnState)>,
     ) {
-        let now = self.now();
-        let wait = self.node(gateway).hlc.time_until_passed(ts, now);
+        let gateway = st.gateway;
+        let wait_start = self.now();
+        let wait = self.node(gateway).hlc.time_until_passed(ts, wait_start);
         if wait == SimDuration::ZERO {
-            f(self);
-        } else {
-            let wait_start = now;
-            self.m.commit_waits.inc();
-            self.m.commit_wait_nanos.add(wait.nanos());
-            self.m.commit_wait_latency.record(wait.nanos());
-            let span = self.obs.tracer.start("txn.commit_wait", parent, now);
-            self.obs.tracer.attr(span, "commit_ts", format!("{ts}"));
-            self.obs
-                .tracer
-                .attr(span, "wait_nanos", wait.nanos().to_string());
-            self.schedule(
-                wait,
-                Box::new(move |c| {
-                    let now = c.now();
-                    c.obs.tracer.finish(span, now);
-                    if let Some(id) = txn {
-                        if let Some(st) = c.txns.get_mut(&id) {
-                            st.attr.charge(Component::CommitWait, wait_start, now);
-                        }
-                    }
-                    // §6.2 correctness hinges on the wait being long enough:
-                    // once it elapses, the gateway clock must have passed the
-                    // (future-time) commit timestamp, so no later reader can
-                    // see the value before real time reaches it.
-                    let remaining = c.node(gateway).hlc.time_until_passed(ts, now);
-                    c.obs.monitors.check(
-                        &c.obs.registry,
-                        "commit_wait",
-                        now,
-                        remaining == SimDuration::ZERO,
-                        || {
-                            format!(
-                                "commit wait at n{} ended {} ns before clock passed commit ts {ts}",
-                                gateway.0,
-                                remaining.nanos()
-                            )
-                        },
-                    );
-                    f(c)
-                }),
-            );
+            return f(self, st);
         }
+        self.m.commit_waits.inc();
+        self.m.commit_wait_nanos.add(wait.nanos());
+        self.m.commit_wait_latency.record(wait.nanos());
+        let span = self.obs.tracer.start("txn.commit_wait", parent, wait_start);
+        self.obs.tracer.attr(span, "commit_ts", format!("{ts}"));
+        self.obs
+            .tracer
+            .attr(span, "wait_nanos", wait.nanos().to_string());
+        self.schedule(
+            wait,
+            Box::new(move |c| {
+                let now = c.now();
+                c.obs.tracer.finish(span, now);
+                st.attr.charge(Component::CommitWait, wait_start, now);
+                // §6.2 correctness hinges on the wait being long enough:
+                // once it elapses, the gateway clock must have passed the
+                // (future-time) commit timestamp, so no later reader can
+                // see the value before real time reaches it.
+                let remaining = c.node(gateway).hlc.time_until_passed(ts, now);
+                c.obs.monitors.check(
+                    &c.obs.registry,
+                    "commit_wait",
+                    now,
+                    remaining == SimDuration::ZERO,
+                    || {
+                        format!(
+                            "commit wait at n{} ended {} ns before clock passed commit ts {ts}",
+                            gateway.0,
+                            remaining.nanos()
+                        )
+                    },
+                );
+                f(c, st)
+            }),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1903,21 +1688,44 @@ impl Cluster {
                 .tracer
                 .attr(rspan, "in_flight", in_flight.len().to_string());
         }
+        let txn_id = holder.id;
         if in_flight.is_empty() {
             // Nothing was in flight when the record staged: implicit commit.
             self.recover_finalize(node, range, key, holder, staged_ts, true, in_flight, rspan);
             return;
         }
-        // (remaining probes, all found so far, any probe errored)
-        let state = Rc::new(RefCell::new((in_flight.len(), true, false)));
-        for qkey in in_flight.clone() {
-            let state2 = Rc::clone(&state);
-            let key2 = key.clone();
-            let holder2 = holder.clone();
-            let in_flight2 = in_flight.clone();
+        let probe_keys = in_flight.clone();
+        let join = Join::new(
+            in_flight.len(),
+            Box::new(move |c, Ok(found): Result<Vec<Option<bool>>, Infallible>| {
+                if found.contains(&Some(false)) {
+                    // A definitive miss trumps probe errors: the
+                    // QueryIntent miss bumped the timestamp cache, so
+                    // the write can never land below the staged ts.
+                    c.recover_finalize(
+                        node, range, key, holder, staged_ts, false, in_flight, rspan,
+                    );
+                } else if found.contains(&None) {
+                    // Inconclusive: retry the push later.
+                    let now = c.now();
+                    c.obs.tracer.event(rspan, now, "probe inconclusive; retry");
+                    c.obs.tracer.finish(rspan, now);
+                    c.schedule(
+                        SimDuration::from_millis(1_000),
+                        Box::new(move |c2| c2.pusher_tick(node, range, key, holder, 0)),
+                    );
+                } else {
+                    c.recover_finalize(node, range, key, holder, staged_ts, true, in_flight, rspan);
+                }
+            }),
+        );
+        // Every probe reports — `Some(found)`, or `None` if it errored — so
+        // the join waits for all of them.
+        for (i, qkey) in probe_keys.into_iter().enumerate() {
+            let join = join.clone();
             let probe = Request::QueryIntent {
                 key: qkey.clone(),
-                txn_id: holder.id,
+                txn_id,
                 ts: staged_ts,
             };
             self.dist_send(
@@ -1928,41 +1736,12 @@ impl Cluster {
                 4,
                 rspan,
                 Box::new(move |c, res| {
-                    let done = {
-                        let mut s = state2.borrow_mut();
-                        match res {
-                            Ok(Response::QueryIntent { found }) => s.1 &= found,
-                            Ok(_) => unreachable!("query intent returned wrong response"),
-                            Err(_) => s.2 = true,
-                        }
-                        s.0 -= 1;
-                        s.0 == 0
+                    let found = match res {
+                        Ok(Response::QueryIntent { found }) => Some(found),
+                        Ok(_) => unreachable!("query intent returned wrong response"),
+                        Err(_) => None,
                     };
-                    if !done {
-                        return;
-                    }
-                    let (_, all_found, any_err) = *state2.borrow();
-                    if !all_found {
-                        // A definitive miss trumps probe errors: the
-                        // QueryIntent miss bumped the timestamp cache, so
-                        // the write can never land below the staged ts.
-                        c.recover_finalize(
-                            node, range, key2, holder2, staged_ts, false, in_flight2, rspan,
-                        );
-                    } else if any_err {
-                        // Inconclusive: retry the push later.
-                        let now = c.now();
-                        c.obs.tracer.event(rspan, now, "probe inconclusive; retry");
-                        c.obs.tracer.finish(rspan, now);
-                        c.schedule(
-                            SimDuration::from_millis(1_000),
-                            Box::new(move |c2| c2.pusher_tick(node, range, key2, holder2, 0)),
-                        );
-                    } else {
-                        c.recover_finalize(
-                            node, range, key2, holder2, staged_ts, true, in_flight2, rspan,
-                        );
-                    }
+                    join.arrive(c, i, Ok(found));
                 }),
             );
         }
@@ -2058,98 +1837,18 @@ impl Cluster {
             }),
         );
     }
-
-    // ------------------------------------------------------------------
-    // Internals: stale reads
-    // ------------------------------------------------------------------
-
-    fn stale_read_at(
-        &mut self,
-        gateway: NodeId,
-        key: Key,
-        ts: Timestamp,
-        tspan: Option<SpanId>,
-        cont: Cont<KvResult<Option<Value>>>,
-    ) {
-        let rctx = ReadCtx::stale(ts);
-        self.dist_send(
-            gateway,
-            key.clone(),
-            RouteMode::Nearest,
-            Request::Get { ctx: rctx, key },
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| match res {
-                Ok(Response::Get { value, .. }) => cont(c, Ok(value)),
-                Ok(_) => unreachable!("get returned non-get response"),
-                Err(e) => cont(c, Err(e)),
-            }),
-        );
-    }
-
-    fn bounded_staleness_read(
-        &mut self,
-        gateway: NodeId,
-        key: Key,
-        min_ts: Timestamp,
-        opts: ReadOptions,
-        tspan: Option<SpanId>,
-        cont: Cont<KvResult<Option<Value>>>,
-    ) {
-        let now_ts = self.hlc_now(gateway);
-        let negotiate = Request::Negotiate {
-            spans: vec![Span::point(key.clone())],
-        };
-        let nkey = key.clone();
-        self.dist_send(
-            gateway,
-            nkey,
-            RouteMode::Nearest,
-            negotiate,
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| match res {
-                Ok(Response::Negotiate { max_safe_ts }) => {
-                    // Freshest locally-servable timestamp, capped at now.
-                    let chosen = max_safe_ts.min(now_ts);
-                    if chosen >= min_ts {
-                        c.stale_read_at(gateway, key, chosen, tspan, cont);
-                    } else if opts.fallback_to_leaseholder {
-                        // Serve from the leaseholder at the staleness bound.
-                        let rctx = ReadCtx::stale(min_ts);
-                        c.dist_send(
-                            gateway,
-                            key.clone(),
-                            RouteMode::Leaseholder,
-                            Request::Get { ctx: rctx, key },
-                            MAX_ATTEMPTS,
-                            tspan,
-                            Box::new(move |c2, res| match res {
-                                Ok(Response::Get { value, .. }) => cont(c2, Ok(value)),
-                                Ok(_) => unreachable!(),
-                                Err(e) => cont(c2, Err(e)),
-                            }),
-                        );
-                    } else {
-                        cont(
-                            c,
-                            Err(KvError::StalenessBoundExceeded {
-                                min_ts,
-                                max_safe_ts,
-                            }),
-                        );
-                    }
-                }
-                Ok(_) => unreachable!("negotiate returned unexpected response"),
-                Err(e) => cont(c, Err(e)),
-            }),
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use mr_sim::{RegionId, RttMatrix, SimTime, Topology};
+
     use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::zone::ZoneConfig;
 
     fn kv(k: &str, v: &str) -> (Key, Value) {
         (Key::from(k), Value::from(v))
@@ -2180,5 +1879,195 @@ mod tests {
         let buffered = vec![(Key::from("q"), Some(Value::from("y")))];
         let out = overlay_buffer(rows.clone(), &buffered, &span);
         assert_eq!(out, rows);
+    }
+
+    /// 3 regions × 3 nodes at 60ms RTT with two ranges: keys below "m" homed
+    /// in region 0, the rest in region 1 — so a transaction writing "a" and
+    /// "n" is multi-range.
+    fn two_range_cluster() -> Cluster {
+        let topo = Topology::build(
+            &RttMatrix::paper_table1_regions()[..3],
+            3,
+            RttMatrix::uniform(3, SimDuration::from_millis(60)),
+        );
+        let mut c = Cluster::new(topo, ClusterConfig::default());
+        let split = Key::from("m");
+        c.create_range(
+            Span::new(Key::MIN, split.clone()),
+            ZoneConfig::single_region(RegionId(0)),
+        )
+        .unwrap();
+        c.create_range(
+            Span::new(split, Key::default()),
+            ZoneConfig::single_region(RegionId(1)),
+        )
+        .unwrap();
+        c
+    }
+
+    const GATEWAY: NodeId = NodeId(0);
+
+    fn quiesce(c: &mut Cluster) {
+        c.run_until_quiescent(SimTime(SimDuration::from_secs(600).nanos()));
+    }
+
+    type Slot<T> = Rc<RefCell<Option<T>>>;
+
+    /// A slot a continuation fills and the test reads back.
+    fn slot<T: 'static>() -> (Slot<T>, Cont<T>) {
+        let out = Rc::new(RefCell::new(None));
+        let o2 = Rc::clone(&out);
+        (out, Box::new(move |_, v| *o2.borrow_mut() = Some(v)))
+    }
+
+    fn taken<T>(slot: &Slot<T>) -> T {
+        slot.borrow_mut().take().expect("continuation fired")
+    }
+
+    fn is_aborted<T>(res: KvResult<T>, h: TxnHandle) -> bool {
+        matches!(res, Err(KvError::TxnAborted { id }) if id == h.id)
+    }
+
+    fn put(c: &mut Cluster, h: TxnHandle, key: &str) {
+        let (res, cont) = slot();
+        c.txn_put(h, Key::from(key), Some(Value::from("v")), cont);
+        assert!(taken(&res).is_ok(), "puts return before they replicate");
+    }
+
+    fn commit(c: &mut Cluster, h: TxnHandle) -> KvResult<Timestamp> {
+        let (res, cont) = slot();
+        c.txn_commit(h, cont);
+        quiesce(c);
+        taken(&res)
+    }
+
+    /// A fresh standalone read: bumps `key`'s timestamp cache to now.
+    fn read_now(c: &mut Cluster, key: &str) {
+        let (res, cont) = slot();
+        c.read(NodeId(3), Key::from(key), ReadOptions::default(), cont);
+        quiesce(c);
+        assert!(taken(&res).is_ok());
+    }
+
+    #[test]
+    fn finished_transactions_leave_the_map() {
+        let mut c = two_range_cluster();
+
+        // Read-only commit.
+        let h = c.txn_begin(GATEWAY);
+        let (got, cont) = slot();
+        c.txn_get(h, Key::from("a"), cont);
+        quiesce(&mut c);
+        assert!(matches!(taken(&got), Ok(None)));
+        assert_eq!(c.txns.len(), 1, "open while the client holds it");
+        commit(&mut c, h).unwrap();
+        assert!(c.txns.is_empty(), "read-only commit");
+
+        // One-phase commit (writes buffered until commit, one range).
+        c.cfg.pipelined_writes = false;
+        let h = c.txn_begin(GATEWAY);
+        put(&mut c, h, "a");
+        commit(&mut c, h).unwrap();
+        assert!(c.txns.is_empty(), "1PC commit");
+        c.cfg.pipelined_writes = true;
+
+        // Parallel commit: the state is gone when the client is acked,
+        // while the make-explicit EndTxn is still to be sent and answered.
+        let h = c.txn_begin(GATEWAY);
+        put(&mut c, h, "a");
+        put(&mut c, h, "n");
+        let (acked, cont) = slot();
+        c.txn_commit(
+            h,
+            Box::new(move |c, res| {
+                let at_ack = (c.txns.is_empty(), c.outstanding_ops());
+                cont(c, res.map(|_| at_ack));
+            }),
+        );
+        quiesce(&mut c);
+        // (The one operation outstanding at the ack was that tail.)
+        assert!(matches!(taken(&acked), Ok((true, 1))));
+        assert_eq!(c.metrics().parallel_commit_acks, 1);
+        assert!(c.txns.is_empty(), "parallel commit and its async tail");
+
+        // Restage: a read bumps "n"'s timestamp cache above the open
+        // transaction's snapshot, so its pipelined write lands above the
+        // staged timestamp and the commit finishes explicitly.
+        let h = c.txn_begin(GATEWAY);
+        read_now(&mut c, "n");
+        put(&mut c, h, "a");
+        put(&mut c, h, "n");
+        commit(&mut c, h).unwrap();
+        assert_eq!(c.metrics().parallel_commit_restages, 1);
+        assert!(c.txns.is_empty(), "restaged commit");
+
+        // Rollback with pipelined writes outstanding: the entry stays while
+        // it waits for them (accepting nothing), then goes.
+        let h = c.txn_begin(GATEWAY);
+        put(&mut c, h, "a");
+        put(&mut c, h, "n");
+        let (rolled, cont) = slot();
+        c.txn_rollback(h, cont);
+        assert!(rolled.borrow().is_none(), "waits for the in-flight Puts");
+        assert_eq!(c.txns.len(), 1);
+        let (res, cont) = slot();
+        c.txn_get(h, Key::from("b"), cont);
+        assert!(is_aborted(taken(&res), h));
+        quiesce(&mut c);
+        assert!(taken(&rolled).is_ok());
+        assert!(c.txns.is_empty(), "rollback");
+
+        // Refresh failure: the transaction read "a", another one overwrote
+        // it, and its own write to "n" was pushed above its snapshot.
+        let h = c.txn_begin(GATEWAY);
+        let (got, cont) = slot();
+        c.txn_get(h, Key::from("a"), cont);
+        quiesce(&mut c);
+        assert!(matches!(taken(&got), Ok(Some(_))));
+        let other = c.txn_begin(NodeId(3));
+        put(&mut c, other, "a");
+        commit(&mut c, other).unwrap();
+        read_now(&mut c, "n");
+        put(&mut c, h, "n");
+        let failures = c.metrics().refresh_failures;
+        assert!(commit(&mut c, h).is_err());
+        assert_eq!(c.metrics().refresh_failures, failures + 1);
+        assert!(c.txns.is_empty(), "refresh-failure abort");
+    }
+
+    #[test]
+    fn use_after_finish_is_txn_aborted_and_unknown_id_is_not_found() {
+        let mut c = two_range_cluster();
+        let h = c.txn_begin(GATEWAY);
+        put(&mut c, h, "a");
+        commit(&mut c, h).unwrap();
+
+        let (res, cont) = slot();
+        c.txn_get(h, Key::from("a"), cont);
+        assert!(is_aborted(taken(&res), h));
+        let (res, cont) = slot();
+        c.txn_scan(h, Span::all(), 10, cont);
+        assert!(is_aborted(taken(&res), h));
+        let (res, cont) = slot();
+        c.txn_put(h, Key::from("a"), None, cont);
+        assert!(is_aborted(taken(&res), h));
+        let (res, cont) = slot();
+        c.txn_commit(h, cont);
+        assert!(is_aborted(taken(&res), h));
+        // Rolling back what is already over has nothing to undo.
+        let (res, cont) = slot();
+        c.txn_rollback(h, cont);
+        assert!(taken(&res).is_ok());
+
+        // An id that was never issued is a different error.
+        let never = TxnHandle {
+            id: TxnId(c.next_txn),
+            ..h
+        };
+        let (res, cont) = slot();
+        c.txn_get(never, Key::from("a"), cont);
+        assert!(matches!(taken(&res), Err(KvError::TxnNotFound { id }) if id == never.id));
+        assert!(c.txns.is_empty(), "errors leave no residue");
+        assert_eq!(c.outstanding_ops(), 0);
     }
 }

@@ -203,6 +203,72 @@ fn bounded_staleness_negotiates_local_timestamp() {
     );
 }
 
+/// A bounded-staleness scan follows the point-read rule when the nearest
+/// replica is further behind than the bound: without leaseholder fallback it
+/// is refused, with it the leaseholder serves it at the bound — and nothing
+/// is first attempted at the follower that just said it cannot serve.
+#[test]
+fn bounded_scan_behind_the_bound_errors_or_falls_back_like_a_point_read() {
+    let mut c = cluster(ClusterConfig::default());
+    let zc = derive_zone_config(
+        US_EAST,
+        &all_regions(),
+        SurvivalGoal::Zone,
+        PlacementPolicy::Default,
+        ClosedTsPolicy::Lag,
+    );
+    c.create_range(Span::all(), zc).unwrap();
+    write_key(&mut c, gw(0), "k1", "v1");
+    write_key(&mut c, gw(0), "k2", "v2");
+    c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
+
+    // 1ms of staleness is far inside the closed-timestamp lag of a
+    // lag-policy follower.
+    let mut scan = |fallback_to_leaseholder: bool| {
+        let opts = ReadOptions {
+            staleness: Staleness::BoundedMaxStaleness(SimDuration::from_millis(1)),
+            fallback_to_leaseholder,
+        };
+        let out = Rc::new(RefCell::new(None));
+        let o2 = Rc::clone(&out);
+        let (start, rpcs) = (c.now(), c.metrics().rpcs_sent);
+        c.scan(
+            gw(4),
+            Span::new(Key::from("k"), Key::from("l")),
+            10,
+            opts,
+            Box::new(move |_, res| *o2.borrow_mut() = Some(res)),
+        );
+        c.run_until_quiescent(deadline());
+        let res = out.borrow_mut().take().expect("scan did not complete");
+        (res, c.now() - start, c.metrics().rpcs_sent - rpcs)
+    };
+
+    let (res, lat, rpcs) = scan(false);
+    match res {
+        Err(KvError::StalenessBoundExceeded {
+            min_ts,
+            max_safe_ts,
+        }) => assert!(max_safe_ts < min_ts),
+        other => panic!("expected StalenessBoundExceeded, got {other:?}"),
+    }
+    assert_eq!(rpcs, 1, "only the negotiation was sent");
+    assert!(lat < SimDuration::from_millis(5), "refused locally: {lat}");
+
+    let (res, lat, rpcs) = scan(true);
+    let rows = res.unwrap();
+    assert_eq!(
+        rows,
+        vec![
+            (Key::from("k1"), Value::from("v1")),
+            (Key::from("k2"), Value::from("v2"))
+        ]
+    );
+    assert_eq!(rpcs, 2, "negotiation, then straight to the leaseholder");
+    // One WAN round trip to us-east1 (198ms from australia-southeast1).
+    assert!(lat > SimDuration::from_millis(150) && lat < SimDuration::from_millis(250));
+}
+
 #[test]
 fn global_table_reads_fast_everywhere_writes_pay_commit_wait() {
     let mut c = cluster(ClusterConfig::default());

@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::registry::Registry;
+use crate::registry::{Counter, Registry};
 use mr_sim::SimTime;
 
 /// One recorded invariant violation.
@@ -35,6 +35,10 @@ pub struct Violation {
 struct Inner {
     strict: bool,
     violations: Vec<Violation>,
+    /// `obs.monitor.checks{invariant}` handles, bound on each invariant's
+    /// first check (so registration order is that of first use). A handful
+    /// of entries: a linear scan beats building a key per check.
+    checks: Vec<(&'static str, Counter)>,
 }
 
 /// Shared set of online invariant monitors.
@@ -59,7 +63,8 @@ impl MonitorSet {
 
     /// Evaluate one invariant check: `ok == true` records a pass, `ok ==
     /// false` records a violation (and panics in strict mode). `detail` is
-    /// only rendered on failure.
+    /// only rendered on failure. A monitor set reports into one registry:
+    /// the one its first check of each invariant was handed.
     pub fn check(
         &self,
         registry: &Registry,
@@ -68,9 +73,16 @@ impl MonitorSet {
         ok: bool,
         detail: impl FnOnce() -> String,
     ) {
-        registry
-            .counter("obs.monitor.checks", &[("invariant", invariant)])
-            .inc();
+        {
+            let checks = &mut self.inner.borrow_mut().checks;
+            let bound = checks.iter().position(|(name, _)| *name == invariant);
+            let i = bound.unwrap_or_else(|| {
+                let counter = registry.counter("obs.monitor.checks", &[("invariant", invariant)]);
+                checks.push((invariant, counter));
+                checks.len() - 1
+            });
+            checks[i].1.inc();
+        }
         if !ok {
             self.violation(registry, invariant, at, detail());
         }

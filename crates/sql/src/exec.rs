@@ -20,6 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness};
+use mr_kv::join::join_all;
 use mr_kv::TxnHandle;
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, Topology};
@@ -775,58 +776,6 @@ fn exec_select_virtual(
 // ---------------------------------------------------------------------
 // CPS combinators
 // ---------------------------------------------------------------------
-
-/// Run all tasks concurrently; deliver all results (or the first error).
-fn join_all<T: 'static>(
-    cluster: &mut Cluster,
-    tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<T>)>>,
-    done: SqlCont<Vec<T>>,
-) {
-    if tasks.is_empty() {
-        done(cluster, Ok(Vec::new()));
-        return;
-    }
-    struct St<T> {
-        slots: Vec<Option<T>>,
-        remaining: usize,
-        done: Option<SqlCont<Vec<T>>>,
-    }
-    let n = tasks.len();
-    let st = Rc::new(RefCell::new(St {
-        slots: (0..n).map(|_| None).collect(),
-        remaining: n,
-        done: Some(done),
-    }));
-    for (i, t) in tasks.into_iter().enumerate() {
-        let st = Rc::clone(&st);
-        t(
-            cluster,
-            Box::new(move |c, res| {
-                let mut s = st.borrow_mut();
-                if s.done.is_none() {
-                    return; // already failed
-                }
-                match res {
-                    Ok(v) => {
-                        s.slots[i] = Some(v);
-                        s.remaining -= 1;
-                        if s.remaining == 0 {
-                            let done = s.done.take().unwrap();
-                            let vals: Vec<T> = s.slots.drain(..).map(|x| x.unwrap()).collect();
-                            drop(s);
-                            done(c, Ok(vals));
-                        }
-                    }
-                    Err(e) => {
-                        let done = s.done.take().unwrap();
-                        drop(s);
-                        done(c, Err(e));
-                    }
-                }
-            }),
-        );
-    }
-}
 
 /// Run all probe tasks concurrently, delivering as soon as `want` rows have
 /// accumulated (or all tasks finished). Late results are discarded — the
@@ -2328,74 +2277,6 @@ mod tests {
     fn tiny_db() -> SqlDb {
         let topo = Topology::build(&["r0"], 3, RttMatrix::uniform(1, SimDuration::ZERO));
         SqlDb::new(topo, ClusterConfig::default())
-    }
-
-    #[test]
-    fn join_all_collects_in_order() {
-        let mut db = tiny_db();
-        let out: Rc<RefCell<Option<Vec<u32>>>> = Rc::new(RefCell::new(None));
-        let o2 = Rc::clone(&out);
-        let tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<u32>)>> = (0..4u32)
-            .map(|i| {
-                let f: Box<dyn FnOnce(&mut Cluster, SqlCont<u32>)> =
-                    Box::new(move |c: &mut Cluster, cont: SqlCont<u32>| {
-                        // Complete in reverse order via scheduled wakeups.
-                        c.schedule(
-                            SimDuration::from_millis((10 - i as u64) * 10),
-                            Box::new(move |c2| cont(c2, Ok(i))),
-                        );
-                    });
-                f
-            })
-            .collect();
-        join_all(
-            &mut db.cluster,
-            tasks,
-            Box::new(move |_c, res| {
-                *o2.borrow_mut() = Some(res.unwrap());
-            }),
-        );
-        db.cluster
-            .run_until(SimTime(SimDuration::from_secs(1).nanos()));
-        // Results are slot-ordered regardless of completion order.
-        assert_eq!(out.borrow().clone().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn join_all_first_error_wins() {
-        let mut db = tiny_db();
-        let out: Rc<RefCell<Option<Result<Vec<u32>, SqlError>>>> = Rc::new(RefCell::new(None));
-        let o2 = Rc::clone(&out);
-        let tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<u32>)>> = vec![
-            Box::new(|c, cont| {
-                c.schedule(
-                    SimDuration::from_millis(50),
-                    Box::new(move |c2| cont(c2, Ok(1))),
-                );
-            }),
-            Box::new(|c, cont| {
-                c.schedule(
-                    SimDuration::from_millis(10),
-                    Box::new(move |c2| cont(c2, Err(SqlError::Eval("boom".into())))),
-                );
-            }),
-        ];
-        join_all(
-            &mut db.cluster,
-            tasks,
-            Box::new(move |_c, res| {
-                *o2.borrow_mut() = Some(res);
-            }),
-        );
-        db.cluster
-            .run_until(SimTime(SimDuration::from_millis(20).nanos()));
-        // Error delivered as soon as it happens; the slow Ok is discarded.
-        assert!(matches!(
-            out.borrow().as_ref(),
-            Some(Err(SqlError::Eval(_)))
-        ));
-        db.cluster
-            .run_until(SimTime(SimDuration::from_secs(1).nanos()));
     }
 
     #[test]

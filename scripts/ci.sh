@@ -5,8 +5,9 @@
 #
 #   scripts/ci.sh [parent-rev]
 #
-# With a parent revision, also runs scripts/digest_parity.sh against it: the
-# gate for a change that claims to move host time only.
+# With a parent revision, also runs scripts/digest_parity.sh against it (the
+# gate for a change that claims to move host time only) and prints
+# scripts/loc_delta.sh, the non-test line delta against it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,8 @@ cargo test -q -p mr-ledger
 if [ -n "${1:-}" ]; then
     echo "==> digest_parity: simulated behaviour identical to $1"
     scripts/digest_parity.sh "$1"
+    echo "==> loc_delta: non-test lines against $1"
+    scripts/loc_delta.sh "$1"
 fi
 
 echo "==> strict-monitor perf_probe smoke"

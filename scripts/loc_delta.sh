@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Non-test line delta of this tree against a parent revision: the measure
+# every "less code" claim in CHANGES.md / EXPERIMENTS.md uses.
+#
+#   scripts/loc_delta.sh <parent-rev>
+#
+# Counts `crates/*/src/**/*.rs` outside `crates/ledger` (the benchmark is
+# not the product), each file cut at its first `#[cfg(test)]` line, so unit
+# tests, integration tests, benches, examples and docs never count. Prints
+# `git diff --no-index --shortstat` between the two cut trees and a per-file
+# table of the files whose non-test line count changed.
+set -euo pipefail
+
+REV="${1:?usage: scripts/loc_delta.sh <parent-rev>}"
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+mkdir "$TMP/src" "$TMP/parent" "$TMP/change"
+git -C "$ROOT" archive "$REV" crates | tar -x -C "$TMP/src"
+
+# cut <tree> <out>: copy every counted file, truncated before its tests.
+cut_tree() {
+    (cd "$1" && find crates -path 'crates/*/src/*' -name '*.rs' \
+        -not -path 'crates/ledger/*' | sort) | while read -r f; do
+        mkdir -p "$2/$(dirname "$f")"
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$1/$f" >"$2/$f"
+    done
+}
+cut_tree "$TMP/src" "$TMP/parent"
+cut_tree "$ROOT" "$TMP/change"
+
+printf '%-40s %8s %8s %7s\n' file parent change delta
+(cd "$TMP" && { cd parent && find . -name '*.rs'; cd ../change && find . -name '*.rs'; } \
+    | sort -u) | while read -r f; do
+    p=0; c=0
+    [ -f "$TMP/parent/$f" ] && p=$(wc -l <"$TMP/parent/$f")
+    [ -f "$TMP/change/$f" ] && c=$(wc -l <"$TMP/change/$f")
+    [ "$p" -ne "$c" ] && printf '%-40s %8d %8d %+7d\n' "${f#./}" "$p" "$c" $((c - p))
+done || true
+
+echo
+echo "non-test lines, crates/*/src outside crates/ledger, vs $REV:"
+(cd "$TMP" && git diff --no-index --shortstat parent change) || true
