@@ -1,13 +1,17 @@
 //! Durable-storage probe: drives the WAL + LSM + MVCC-GC engine directly
 //! through a cold-key bloom workload, an overwrite-heavy GC workload
-//! under an active protected timestamp, and a closing crash-recovery
-//! smoke. Writes `BENCH_storage.json`.
+//! under an active protected timestamp, a steady-overwrite workload under
+//! tiered compaction, and a closing crash-recovery smoke. Writes
+//! `BENCH_storage.json`.
 //!
 //! Exits non-zero if the bloom filters stop pruning cold-run probes
 //! (skip rate < 90%), GC stops reclaiming shadowed history (< 50% of
 //! versions on the overwrite workload), a protected AOST read breaks, a
-//! below-threshold read stops erroring, or WAL replay loses versions —
-//! CI uses this binary as the storage regression guard.
+//! below-threshold read stops erroring, WAL replay loses versions, or
+//! compaction stops being incremental (write amplification > 3, more than
+//! 9 runs, or more than 1.85 versions kept per live one; DESIGN.md §14 derives
+//! the three constants) — CI uses this binary as the storage regression
+//! guard.
 
 use mr_bench::{storage_probe, storage_probe_json};
 
@@ -62,6 +66,26 @@ fn main() {
         ));
     }
 
+    // Tiered compaction: a pass rewrites what piled up, not what exists.
+    if r.write_amp_milli > 3000 {
+        failures.push(format!(
+            "write amplification {}/1000 over 3000 ({} flushed, {} rewritten in {} passes)",
+            r.write_amp_milli, r.compaction_flushed, r.compaction_rewritten, r.compaction_passes
+        ));
+    }
+    if r.compaction_max_runs > 9 {
+        failures.push(format!(
+            "{} runs standing after a pass, over the 9 three size classes allow",
+            r.compaction_max_runs
+        ));
+    }
+    if r.space_amp_milli > 1850 {
+        failures.push(format!(
+            "{}/1000 versions retained per live version, over 1850",
+            r.space_amp_milli
+        ));
+    }
+
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("REGRESSION: {f}");
@@ -71,7 +95,8 @@ fn main() {
     eprintln!(
         "storage_probe: bloom skipped {}/1000 of {} probes across {} runs; gc reclaimed \
          {}/1000 of {} versions under an active protection (then {} -> {} on release); \
-         recovery replayed {} wal records — all guards passed",
+         compaction wrote each version {}/1000 times over {} passes, at most {} runs and \
+         {}/1000 versions per live one; recovery replayed {} wal records — all guards passed",
         r.bloom_skip_milli,
         r.bloom_probes,
         r.bloom_runs,
@@ -79,6 +104,10 @@ fn main() {
         r.gc_versions_before,
         r.gc_versions_protected,
         r.gc_versions_after,
+        r.write_amp_milli,
+        r.compaction_passes,
+        r.compaction_max_runs,
+        r.space_amp_milli,
         r.wal_replayed
     );
 }

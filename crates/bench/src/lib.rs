@@ -1365,6 +1365,19 @@ pub struct StorageProbeReport {
     pub wal_replayed: u64,
     /// Versions visible after recovery (must equal `gc_versions_after`).
     pub recovered_versions: usize,
+    /// Maintenance passes the compaction phase ran after its base load.
+    pub compaction_passes: usize,
+    /// Versions the compaction phase flushed out of the memtable.
+    pub compaction_flushed: usize,
+    /// Versions compaction wrote back into runs.
+    pub compaction_rewritten: usize,
+    /// `(flushed + rewritten) / flushed` in milli (gate: <= 3000).
+    pub write_amp_milli: u64,
+    /// Most sorted runs standing after any pass (gate: <= 8).
+    pub compaction_max_runs: usize,
+    /// Most versions retained after any pass, over one live version per
+    /// key, in milli (gate: <= 1850).
+    pub space_amp_milli: u64,
 }
 
 /// Drive the storage engine the way a replica does — put intent, commit
@@ -1509,6 +1522,36 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
     eng.maintain(th2, now);
     let gc_versions_after = eng.version_count();
 
+    // ---- Workload C: steady overwrites under tiered compaction --------
+    //
+    // A 10k-key base, then 20 maintenance passes that each overwrite 5 % of
+    // the keys with the threshold right behind the writes. A pass may
+    // rewrite only what piled up: the write amplification, the number of
+    // runs and the versions kept beyond the one live version per key are
+    // all bounded by the fan-in, not by the size of the base.
+    let mut ceng = Engine::new();
+    let ckeys = 10_000u64;
+    let compaction_passes = 20usize;
+    let ckey = |k: u64| Key::from(format!("tier/{k:05}").as_str());
+    let mut crng = SimRng::seed_from_u64(0x7_1e4ed);
+    let (mut flushed, mut rewritten, mut max_runs, mut max_versions) = (0, 0, 0, 0);
+    for pass in 0..=compaction_passes as u64 {
+        let mut ts = Timestamp::new((1_000 + pass) * ns, 0);
+        // Pass 0 loads the base; the others overwrite a uniform 5 % (the
+        // draw is fixed: the probe's seed never shapes data).
+        for i in 0..if pass == 0 { ckeys } else { ckeys / 20 } {
+            ts = ts.next();
+            let k = if pass == 0 { i } else { crng.next_below(ckeys) };
+            storage_commit(&mut ceng, &ckey(k), "v", ts, &mut idx);
+        }
+        let rep = ceng.maintain(ts, ts.wall);
+        flushed += rep.flushed_versions;
+        rewritten += rep.rewritten_versions;
+        max_runs = max_runs.max(ceng.sst_count());
+        max_versions = max_versions.max(ceng.version_count());
+    }
+    assert_eq!(ceng.key_count() as u64, ckeys, "overwrites add no keys");
+
     // ---- Crash-recovery smoke over the GC'd engine -------------------
     let info = eng.crash_and_recover();
     let recovered_versions = eng.version_count();
@@ -1528,13 +1571,19 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
         below_threshold_read_errors,
         wal_replayed: info.replayed_records,
         recovered_versions,
+        compaction_passes,
+        compaction_flushed: flushed,
+        compaction_rewritten: rewritten,
+        write_amp_milli: (flushed + rewritten) as u64 * 1000 / flushed.max(1) as u64,
+        compaction_max_runs: max_runs,
+        space_amp_milli: max_versions as u64 * 1000 / ckeys,
     }
 }
 
 /// Render the probe as the deterministic `BENCH_storage.json` document.
 pub fn storage_probe_json(r: &StorageProbeReport) -> String {
     format!(
-        "{{\n  \"bloom\": {{\"runs\": {}, \"lookups\": {}, \"probes\": {}, \"skips\": {}, \"skip_milli\": {}}},\n  \"gc\": {{\"versions_written\": {}, \"versions_before\": {}, \"versions_protected\": {}, \"versions_after\": {}, \"reclaim_milli\": {}, \"protected_read_ok\": {}, \"below_threshold_read_errors\": {}}},\n  \"recovery\": {{\"wal_replayed\": {}, \"recovered_versions\": {}}}\n}}\n",
+        "{{\n  \"bloom\": {{\"runs\": {}, \"lookups\": {}, \"probes\": {}, \"skips\": {}, \"skip_milli\": {}}},\n  \"gc\": {{\"versions_written\": {}, \"versions_before\": {}, \"versions_protected\": {}, \"versions_after\": {}, \"reclaim_milli\": {}, \"protected_read_ok\": {}, \"below_threshold_read_errors\": {}}},\n  \"recovery\": {{\"wal_replayed\": {}, \"recovered_versions\": {}}},\n  \"compaction\": {{\"passes\": {}, \"flushed\": {}, \"rewritten\": {}, \"write_amp_milli\": {}, \"max_runs\": {}, \"space_amp_milli\": {}}}\n}}\n",
         r.bloom_runs,
         r.bloom_lookups,
         r.bloom_probes,
@@ -1548,6 +1597,12 @@ pub fn storage_probe_json(r: &StorageProbeReport) -> String {
         r.protected_read_ok,
         r.below_threshold_read_errors,
         r.wal_replayed,
-        r.recovered_versions
+        r.recovered_versions,
+        r.compaction_passes,
+        r.compaction_flushed,
+        r.compaction_rewritten,
+        r.write_amp_milli,
+        r.compaction_max_runs,
+        r.space_amp_milli
     )
 }

@@ -668,6 +668,7 @@ impl Cluster {
                     node: n,
                     replayed: info.replayed_records,
                     applied_index: info.applied_index,
+                    error: info.error,
                 },
             );
         }

@@ -75,12 +75,14 @@ pub enum EventKind {
     },
     /// A replica recovered from its write-ahead log after a volatile
     /// crash: `replayed` durable records rebuilt the memtable, resuming at
-    /// Raft `applied_index`.
+    /// Raft `applied_index`. `error` is set when the log itself was
+    /// unusable and the memtable restarted empty.
     WalRecovered {
         range: RangeId,
         node: NodeId,
         replayed: u64,
         applied_index: u64,
+        error: Option<mr_storage::RecoveryError>,
     },
 }
 
@@ -166,11 +168,15 @@ impl EventKind {
                 node,
                 replayed,
                 applied_index,
+                error,
                 ..
-            } => format!(
-                "n{} replayed {replayed} wal records to applied index {applied_index}",
-                node.0
-            ),
+            } => {
+                let failed = error.map_or(String::new(), |e| format!(" ({e:?})"));
+                format!(
+                    "n{} replayed {replayed} wal records to applied index {applied_index}{failed}",
+                    node.0
+                )
+            }
         }
     }
 }

@@ -22,15 +22,24 @@ pub struct BloomFilter {
 const BITS_PER_KEY: usize = 10;
 const NUM_PROBES: u32 = 7;
 
-/// FNV-1a with a caller-chosen offset basis, so two independent hash
-/// functions come from one loop.
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The two hashes a filter derives its probe positions from. Taken once per
+/// key and shown to every run's filter: with several runs per replica a
+/// point lookup hashes its key once, not once per run.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyHash(u64, u64);
+
+impl KeyHash {
+    /// FNV-1a from two offset bases, both in one pass over the key.
+    pub fn of(key: &[u8]) -> KeyHash {
+        let (mut h1, mut h2) = (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
+        for &b in key {
+            h1 = (h1 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            h2 = (h2 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        // A distinct basis yields an independent second hash; force it odd
+        // so double hashing walks every residue even for power-of-two sizes.
+        KeyHash(h1, h2 | 1)
     }
-    h
 }
 
 impl BloomFilter {
@@ -44,25 +53,21 @@ impl BloomFilter {
         }
     }
 
-    fn probe_bits(&self, key: &[u8]) -> impl Iterator<Item = u64> + '_ {
-        let h1 = fnv1a(0xcbf2_9ce4_8422_2325, key);
-        // A distinct basis yields an independent second hash; force it odd
-        // so double hashing walks every residue even for power-of-two sizes.
-        let h2 = fnv1a(0x6c62_272e_07bb_0142, key) | 1;
-        (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits)
+    fn probe_bits(&self, KeyHash(h1, h2): KeyHash) -> impl Iterator<Item = u64> {
+        let nbits = self.nbits;
+        (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % nbits)
     }
 
-    /// Record `key` in the filter.
-    pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<u64> = self.probe_bits(key).collect();
-        for pos in positions {
+    /// Record a key in the filter.
+    pub fn insert(&mut self, key: KeyHash) {
+        for pos in self.probe_bits(key) {
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
     }
 
     /// False means the key is certainly absent; true means it may be
     /// present (subject to the false-positive rate).
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    pub fn may_contain(&self, key: KeyHash) -> bool {
         self.probe_bits(key)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
@@ -72,14 +77,18 @@ impl BloomFilter {
 mod tests {
     use super::*;
 
+    fn h(key: impl AsRef<[u8]>) -> KeyHash {
+        KeyHash::of(key.as_ref())
+    }
+
     #[test]
     fn inserted_keys_always_hit() {
         let mut f = BloomFilter::with_capacity(500);
         for i in 0..500u32 {
-            f.insert(format!("key-{i}").as_bytes());
+            f.insert(h(format!("key-{i}")));
         }
         for i in 0..500u32 {
-            assert!(f.may_contain(format!("key-{i}").as_bytes()));
+            assert!(f.may_contain(h(format!("key-{i}"))));
         }
     }
 
@@ -87,10 +96,10 @@ mod tests {
     fn absent_keys_mostly_miss() {
         let mut f = BloomFilter::with_capacity(1000);
         for i in 0..1000u32 {
-            f.insert(format!("present-{i}").as_bytes());
+            f.insert(h(format!("present-{i}")));
         }
         let fp = (0..1000u32)
-            .filter(|i| f.may_contain(format!("absent-{i}").as_bytes()))
+            .filter(|i| f.may_contain(h(format!("absent-{i}"))))
             .count();
         // ~10 bits/key, 7 probes => <1% expected; allow generous slack.
         assert!(fp < 50, "false positive rate too high: {fp}/1000");
@@ -99,7 +108,7 @@ mod tests {
     #[test]
     fn empty_filter_rejects_everything() {
         let f = BloomFilter::with_capacity(16);
-        assert!(!f.may_contain(b"anything"));
+        assert!(!f.may_contain(h("anything")));
     }
 
     #[test]
@@ -107,7 +116,7 @@ mod tests {
         let build = || {
             let mut f = BloomFilter::with_capacity(64);
             for i in 0..64u32 {
-                f.insert(format!("k{i}").as_bytes());
+                f.insert(h(format!("k{i}")));
             }
             f
         };

@@ -29,7 +29,7 @@ pub mod wal;
 
 pub use bloom::BloomFilter;
 pub use gc::{gc_threshold, ProtectedTimestamps};
-pub use lsm::{Engine, EngineStats, MaintainReport, RecoveryInfo, SortedRun};
+pub use lsm::{Engine, EngineStats, MaintainReport, RecoveryError, RecoveryInfo, SortedRun};
 pub use mvcc::{Intent, MvccError, PutOutcome, ReadOutcome, Version, VersionChain};
 pub use tscache::TsCache;
 pub use wal::{TxnRecData, Wal, WalOp, WalRecord};

@@ -8,10 +8,11 @@
 //! * **Memtable** — the crate-private mutable tier holding open intents and
 //!   recently-committed versions.
 //! * **Sorted runs ("SSTs")** — immutable key-ordered version arrays
-//!   produced by flushes, each with a bloom filter so point lookups skip
-//!   runs that certainly lack the key. Reads merge the memtable chain with
-//!   run versions and apply the exact MVCC read rules via
-//!   [`VersionChain::read`].
+//!   produced by flushes, oldest first in `Engine::runs`, each with a bloom
+//!   filter so point lookups skip runs that certainly lack the key. Reads
+//!   borrow: a point read probes each run, a span read drives the
+//!   `MergeCursor` over memtable ∪ runs, and both hand the key's version
+//!   lists to the one MVCC read rule, `mvcc::read_merged`.
 //! * **WAL** — every mutation is encoded as a [`WalOp`] as it happens;
 //!   applying a Raft entry seals the encoded ops into one framed record
 //!   ([`Engine::seal_entry`]), and [`Engine::sync`] advances the fsync
@@ -23,42 +24,90 @@
 //!   per-record checksums.
 //! * **GC** — [`Engine::maintain`] ratchets the GC threshold (computed by
 //!   [`crate::gc::gc_threshold`] from closed timestamps, `gc.ttl`, and
-//!   protected timestamps), flushes a full memtable, and compacts runs,
-//!   dropping versions below the threshold (keeping the newest at-or-below
-//!   one per key unless it is a tombstone). Reads below the threshold fail
-//!   with [`MvccError::BelowGcThreshold`].
+//!   protected timestamps), flushes a full memtable, and compacts
+//!   incrementally: [`TIER_FAN_IN`] age-contiguous runs of one size class
+//!   merge into one, and a run is otherwise rewritten only if the threshold
+//!   can reclaim enough from it on its own (judged from a summary taken
+//!   when the run was built, without reading it). A merge drops every
+//!   version shadowed at the threshold — the newest at-or-below one per key
+//!   stays. Reads below the threshold fail with
+//!   [`MvccError::BelowGcThreshold`].
 //!
-//! Invariant the tombstone-elision and write paths rely on: *memtable
-//! versions are always newer than run versions for the same key*. Flush
-//! moves every committed version out of the memtable, and
-//! [`Engine::put`] forwards write timestamps above the newest run version.
+//! Invariant compaction relies on: *for one key, a newer source holds only
+//! newer versions* — memtable above every run, a run above every run before
+//! it in `Engine::runs`. Flush moves every committed version out of the
+//! memtable into a new last run, [`Engine::put`] forwards write timestamps
+//! above the newest run version, and a merge replaces age-contiguous runs
+//! in place. It is what lets a merge that includes the oldest run elide a
+//! tombstone at or below the threshold (nothing older can hide beneath it),
+//! and why any other merge must keep it (an older run may hold the value
+//! it deletes).
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
+use std::ops::Range;
 
 use mr_clock::Timestamp;
 use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, Value};
 
-use crate::bloom::BloomFilter;
-use crate::mvcc::{Intent, MvccError, MvccStore, PutOutcome, ReadOutcome, Version, VersionChain};
+use crate::bloom::{BloomFilter, KeyHash};
+use crate::mvcc::{
+    committed_in, read_merged, Intent, MvccError, MvccStore, PutOutcome, ReadOutcome, Version,
+    VersionChain,
+};
 use crate::wal::{codec, replay, TxnRecData, Wal, WalOp, WalRecord};
 
+/// Runs merged at once, and the base of the size classes: a run of `n`
+/// versions is in class `⌊log_FAN_IN n⌋`. A merge fires when this many
+/// age-contiguous runs, none of a larger class than the newest of them, have
+/// piled up, so a version is rewritten about once per class it climbs and at
+/// most `(FAN_IN − 1) × classes` runs survive a maintenance pass.
+pub const TIER_FAN_IN: usize = 4;
+
+type RunEntry = (Key, Vec<Version>);
+
 /// One immutable sorted run: key-ordered committed versions (newest-first
-/// per key) plus a bloom filter over the key set.
+/// per key), a bloom filter over the key set, and what compaction needs to
+/// know about the run without reading it.
 #[derive(Clone, Debug)]
 pub struct SortedRun {
-    entries: Vec<(Key, Vec<Version>)>,
+    entries: Vec<RunEntry>,
     bloom: BloomFilter,
+    versions: usize,
+    tombstones: usize,
+    /// The lowest GC threshold that reclaims a version from this run on its
+    /// own: the second-oldest timestamp of some key (everything older than a
+    /// version at or below the threshold is shadowed).
+    shadow_from: Option<Timestamp>,
+    /// The oldest tombstone. A threshold at or above it elides a key — but
+    /// only while this is the oldest run.
+    tombstone_from: Option<Timestamp>,
 }
 
 impl SortedRun {
-    fn from_entries(entries: Vec<(Key, Vec<Version>)>) -> SortedRun {
+    fn from_entries(entries: Vec<RunEntry>) -> SortedRun {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut bloom = BloomFilter::with_capacity(entries.len());
-        for (k, _) in &entries {
-            bloom.insert(k.as_slice());
+        let mut run = SortedRun {
+            bloom: BloomFilter::with_capacity(entries.len()),
+            versions: 0,
+            tombstones: 0,
+            shadow_from: None,
+            tombstone_from: None,
+            entries,
+        };
+        let lower = |slot: &mut Option<Timestamp>, ts| *slot = Some(slot.map_or(ts, |s| s.min(ts)));
+        for (k, versions) in &run.entries {
+            run.bloom.insert(KeyHash::of(k.as_slice()));
+            run.versions += versions.len();
+            if let [.., second_oldest, _] = versions.as_slice() {
+                lower(&mut run.shadow_from, second_oldest.ts);
+            }
+            for v in versions.iter().filter(|v| v.value.is_none()) {
+                run.tombstones += 1;
+                lower(&mut run.tombstone_from, v.ts);
+            }
         }
-        SortedRun { entries, bloom }
+        run
     }
 
     pub fn key_count(&self) -> usize {
@@ -66,7 +115,131 @@ impl SortedRun {
     }
 
     pub fn version_count(&self) -> usize {
-        self.entries.iter().map(|(_, v)| v.len()).sum()
+        self.versions
+    }
+
+    fn size_class(&self) -> u32 {
+        self.versions.max(1).ilog(TIER_FAN_IN)
+    }
+
+    /// Is rewriting this run alone at `threshold` worth it? It must drop
+    /// something, and what it could ever drop — all but the oldest version
+    /// of each key, and from the oldest run its tombstones — must be a
+    /// [`TIER_FAN_IN`]th of the run: a big run is not rewritten for a few
+    /// shadowed versions, they wait for its tier to merge.
+    fn reclaimable_at(&self, threshold: Timestamp, oldest: bool) -> bool {
+        let reached = |from: Option<Timestamp>| from.is_some_and(|ts| ts <= threshold);
+        let mut ready = reached(self.shadow_from);
+        let mut spare = self.versions - self.entries.len();
+        if oldest {
+            ready |= reached(self.tombstone_from);
+            spare += self.tombstones;
+        }
+        ready && spare * TIER_FAN_IN >= self.versions
+    }
+
+    /// The entries whose keys fall in `span`.
+    fn entries_in(&self, span: &Span) -> &[RunEntry] {
+        let start = self.entries.partition_point(|e| e.0 < span.start);
+        let len = match span.end.is_empty() {
+            true => self.entries.len() - start,
+            false => self.entries[start..].partition_point(|e| e.0 < span.end),
+        };
+        &self.entries[start..start + len]
+    }
+}
+
+/// One source's state for one key, as [`MergeCursor`] hands it out: a
+/// borrowed [`Row`] to reads, the owned run entry to compaction.
+trait Keyed {
+    fn key(&self) -> &Key;
+}
+
+impl Keyed for RunEntry {
+    fn key(&self) -> &Key {
+        &self.0
+    }
+}
+
+/// What one source (memtable or run) holds for one key, borrowed.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    key: &'a Key,
+    intent: Option<&'a Intent>,
+    versions: &'a [Version],
+}
+
+impl Keyed for Row<'_> {
+    fn key(&self) -> &Key {
+        self.key
+    }
+}
+
+/// A key-ordered walk over the memtable or one run, as [`Row`]s.
+enum Source<'a> {
+    Mem(btree_map::Range<'a, Key, VersionChain>),
+    Run(std::slice::Iter<'a, RunEntry>),
+}
+
+impl<'a> Iterator for Source<'a> {
+    type Item = Row<'a>;
+    fn next(&mut self) -> Option<Row<'a>> {
+        match self {
+            Source::Mem(it) => it.next().map(|(key, chain)| Row {
+                key,
+                intent: chain.intent.as_ref(),
+                versions: &chain.versions,
+            }),
+            Source::Run(it) => it.next().map(|(key, versions)| Row {
+                key,
+                intent: None,
+                versions,
+            }),
+        }
+    }
+}
+
+/// K-way merge of key-ordered sources, listed newest first: each step
+/// yields the next key once, with the item of every source that holds it,
+/// still newest first. Nothing is copied, and nothing past the key the
+/// caller stops at is touched. Sources are few (a memtable and a handful of
+/// runs), so the smallest head is found by a linear pass, not a heap.
+struct MergeCursor<I: Iterator> {
+    sources: Vec<I>,
+    heads: Vec<Option<I::Item>>,
+    group: Vec<I::Item>,
+}
+
+impl<I: Iterator<Item: Keyed>> MergeCursor<I> {
+    fn new(sources: impl IntoIterator<Item = I>) -> MergeCursor<I> {
+        let mut sources: Vec<I> = sources.into_iter().collect();
+        let heads = sources.iter_mut().map(Iterator::next).collect();
+        MergeCursor {
+            sources,
+            heads,
+            group: Vec::new(),
+        }
+    }
+
+    fn next_key(&mut self) -> Option<&mut Vec<I::Item>> {
+        self.group.clear();
+        let mut first: Option<(usize, &Key)> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some(head) = head {
+                if first.is_none_or(|(_, k)| head.key() < k) {
+                    first = Some((i, head.key()));
+                }
+            }
+        }
+        let (first, _) = first?;
+        for i in first..self.heads.len() {
+            let same = |h: &I::Item| self.group.first().is_none_or(|g| g.key() == h.key());
+            if self.heads[i].as_ref().is_some_and(same) {
+                self.group.extend(self.heads[i].take());
+                self.heads[i] = self.sources[i].next();
+            }
+        }
+        Some(&mut self.group)
     }
 }
 
@@ -90,8 +263,20 @@ pub struct MaintainReport {
     pub mem_gc_removed: usize,
     pub flushed_versions: usize,
     pub compact_removed: usize,
+    /// Versions compaction wrote back into runs (beside `flushed_versions`,
+    /// the write amplification of the pass).
+    pub rewritten_versions: usize,
     pub flushed: bool,
     pub compacted: bool,
+}
+
+/// Why a recovery could not rebuild the memtable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// A checkpoint record passed its CRC but its image does not decode.
+    /// Nothing of it, and no record after it, is trusted: the memtable
+    /// restarts empty (sorted runs survive).
+    CorruptCheckpoint,
 }
 
 /// State returned by crash recovery, for the replica to re-seed its
@@ -104,6 +289,7 @@ pub struct RecoveryInfo {
     pub txn_records: Vec<(u64, TxnRecData)>,
     pub replayed_records: u64,
     pub torn_tail: bool,
+    pub error: Option<RecoveryError>,
 }
 
 /// The per-replica LSM storage engine.
@@ -176,9 +362,12 @@ impl Engine {
     /// consulted first — the one place runs are probed.
     fn run_chains<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = &'a [Version]> + 'a {
         let stats = &self.stats;
+        // Hashed at the first run, for all of them.
+        let mut hash = None;
         self.runs.iter().filter_map(move |run| {
             stats.bloom_probes.set(stats.bloom_probes.get() + 1);
-            if !run.bloom.may_contain(key.as_slice()) {
+            let hash = *hash.get_or_insert_with(|| KeyHash::of(key.as_slice()));
+            if !run.bloom.may_contain(hash) {
                 stats.bloom_skips.set(stats.bloom_skips.get() + 1);
                 return None;
             }
@@ -187,45 +376,28 @@ impl Engine {
         })
     }
 
-    /// The merged per-key view: memtable chain (intent + versions) plus
-    /// run versions, deduplicated by timestamp.
-    fn merged_chain(&self, key: &Key) -> Option<VersionChain> {
-        let mut chain = self.mem.chain(key).cloned();
-        for versions in self.run_chains(key) {
-            let c = chain.get_or_insert_with(VersionChain::default);
-            for v in versions {
-                c.insert_version(v.ts, v.value.clone());
-            }
-        }
-        chain
-    }
-
-    /// Distinct keys (memtable ∪ runs) in `span`, sorted.
-    fn keys_in(&self, span: &Span) -> Vec<Key> {
-        let mut set: BTreeSet<Key> = self.mem.range(span).map(|(k, _)| k.clone()).collect();
-        for run in &self.runs {
-            let start = run.entries.partition_point(|e| e.0 < span.start);
-            for (k, _) in &run.entries[start..] {
-                if !span.end.is_empty() && *k >= span.end {
-                    break;
-                }
-                set.insert(k.clone());
-            }
-        }
-        set.into_iter().collect()
+    /// Every key with state in `span`, in order, each with what the memtable
+    /// and every run hold for it.
+    fn cursor<'a>(&'a self, span: &Span) -> MergeCursor<Source<'a>> {
+        let mem = Source::Mem(self.mem.range(span));
+        let runs = self.runs.iter().rev();
+        MergeCursor::new(
+            std::iter::once(mem).chain(runs.map(|r| Source::Run(r.entries_in(span).iter()))),
+        )
     }
 
     /// Point read at `ctx.read_ts` with uncertainty detection, merged
     /// across memtable and runs. Fails below the GC threshold.
     pub fn get(&self, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
         self.check_gc(ctx.read_ts)?;
-        match self.merged_chain(key) {
-            Some(chain) => chain.read(key, ctx),
-            None => Ok(ReadOutcome {
-                value: None,
-                value_ts: Timestamp::ZERO,
-            }),
-        }
+        let chain = self.mem.chain(key);
+        let mem = chain.map(|c| c.versions.as_slice());
+        read_merged(
+            key,
+            ctx,
+            chain.and_then(|c| c.intent.as_ref()),
+            mem.into_iter().chain(self.run_chains(key)),
+        )
     }
 
     /// Scan `[span.start, span.end)` at `ctx.read_ts`, up to `max_keys`
@@ -238,16 +410,16 @@ impl Engine {
     ) -> Result<Vec<(Key, Value, Timestamp)>, MvccError> {
         self.check_gc(ctx.read_ts)?;
         let mut out = Vec::new();
-        for key in self.keys_in(span) {
-            let Some(chain) = self.merged_chain(&key) else {
-                continue;
+        let mut cursor = self.cursor(span);
+        while out.len() < max_keys {
+            let Some(rows) = cursor.next_key() else {
+                break;
             };
-            let r = chain.read(&key, ctx)?;
+            let key = rows[0].key;
+            let intent = rows.iter().find_map(|r| r.intent);
+            let r = read_merged(key, ctx, intent, rows.iter().map(|r| r.versions))?;
             if let Some(v) = r.value {
-                out.push((key, v, r.value_ts));
-                if out.len() >= max_keys {
-                    break;
-                }
+                out.push((key.clone(), v, r.value_ts));
             }
         }
         Ok(out)
@@ -268,14 +440,17 @@ impl Engine {
         to_ts: Timestamp,
         txn_id: TxnId,
     ) -> Result<(), Timestamp> {
-        for key in self.keys_in(span) {
-            let Some(chain) = self.merged_chain(&key) else {
-                continue;
-            };
-            if let Some(v) = chain.committed_in(from_ts, to_ts) {
-                return Err(v.ts);
+        let mut cursor = self.cursor(span);
+        while let Some(rows) = cursor.next_key() {
+            let landed = rows
+                .iter()
+                .filter_map(|r| committed_in(r.versions, from_ts, to_ts))
+                .map(|v| v.ts)
+                .min();
+            if let Some(ts) = landed {
+                return Err(ts);
             }
-            if let Some(intent) = &chain.intent {
+            if let Some(intent) = rows.iter().find_map(|r| r.intent) {
                 if intent.txn.id != txn_id && intent.txn.write_ts <= to_ts {
                     return Err(intent.txn.write_ts);
                 }
@@ -307,16 +482,18 @@ impl Engine {
     /// (newest state wins).
     pub fn scan_latest_including_intents(&self, span: &Span) -> Vec<(Key, Value)> {
         let mut out = Vec::new();
-        for key in self.keys_in(span) {
-            let Some(chain) = self.merged_chain(&key) else {
-                continue;
-            };
-            let candidate = match &chain.intent {
-                Some(intent) => intent.value.clone(),
-                None => chain.versions.first().and_then(|v| v.value.clone()),
+        let mut cursor = self.cursor(span);
+        while let Some(rows) = cursor.next_key() {
+            let candidate = match rows.iter().find_map(|r| r.intent) {
+                Some(intent) => intent.value.as_ref(),
+                None => rows
+                    .iter()
+                    .filter_map(|r| r.versions.first())
+                    .max_by_key(|v| v.ts)
+                    .and_then(|v| v.value.as_ref()),
             };
             if let Some(v) = candidate {
-                out.push((key, v));
+                out.push((rows[0].key.clone(), v.clone()));
             }
         }
         out
@@ -324,16 +501,17 @@ impl Engine {
 
     /// Number of distinct keys with any state, across memtable and runs.
     pub fn key_count(&self) -> usize {
-        let mut set: BTreeSet<&Key> = self.mem.chains().map(|(k, _)| k).collect();
-        for run in &self.runs {
-            set.extend(run.entries.iter().map(|(k, _)| k));
+        let mut cursor = self.cursor(&Span::all());
+        let mut n = 0;
+        while cursor.next_key().is_some() {
+            n += 1;
         }
-        set.len()
+        n
     }
 
     /// Total committed versions across memtable and runs.
     pub fn version_count(&self) -> usize {
-        self.mem.version_count() + self.runs.iter().map(|r| r.version_count()).sum::<usize>()
+        self.mem.version_count() + self.sst_version_count()
     }
 
     // ------------------------------------------------------------------
@@ -533,22 +711,22 @@ impl Engine {
     pub fn crash_and_recover(&mut self) -> RecoveryInfo {
         self.wal.crash();
         self.drop_pending();
-        self.mem = MvccStore::new();
-        self.txn_records.clear();
-        self.applied_index = 0;
-        self.closed_ts = Timestamp::ZERO;
-        self.gc_threshold = Timestamp::ZERO;
+        self.reset_volatile();
 
         let outcome = replay(self.wal.bytes());
         let mut replayed = 0u64;
+        let mut error = None;
         for rec in outcome.records {
             match rec {
                 WalRecord::Checkpoint(image) => {
                     // A checkpoint is always the first record of its log
                     // generation; decode failure means a bug, not a torn
-                    // tail (the CRC already passed), so fail loudly.
-                    self.restore_checkpoint(&image)
-                        .expect("checkpoint image decode failed after CRC pass");
+                    // tail (the CRC already passed), so say so.
+                    if self.restore_checkpoint(&image).is_err() {
+                        self.reset_volatile();
+                        error = Some(RecoveryError::CorruptCheckpoint);
+                        break;
+                    }
                 }
                 WalRecord::Entry {
                     apply_index,
@@ -580,10 +758,19 @@ impl Engine {
                 .collect(),
             replayed_records: replayed,
             torn_tail: outcome.torn_tail,
+            error,
         };
         let sync_mark = self.wal.last_sync_nanos;
         self.checkpoint_now(sync_mark);
         info
+    }
+
+    fn reset_volatile(&mut self) {
+        self.mem = MvccStore::new();
+        self.txn_records.clear();
+        self.applied_index = 0;
+        self.closed_ts = Timestamp::ZERO;
+        self.gc_threshold = Timestamp::ZERO;
     }
 
     fn replay_op(&mut self, op: WalOp) {
@@ -633,72 +820,99 @@ impl Engine {
         n
     }
 
-    fn compact_internal(&mut self) -> usize {
+    /// The next runs to rewrite, as an index range of `runs`: a tier —
+    /// [`TIER_FAN_IN`] or more runs, from some run back through the older
+    /// neighbours that are of no larger size class than it — or else one run
+    /// the threshold can reclaim enough from on its own.
+    fn next_rewrite(&self) -> Option<Range<usize>> {
+        let tier = (0..self.runs.len()).rev().find_map(|newest| {
+            let class = self.runs[newest].size_class();
+            let older = self.runs[..newest].iter().rev();
+            let len = 1 + older.take_while(|r| r.size_class() <= class).count();
+            (len >= TIER_FAN_IN).then(|| newest + 1 - len..newest + 1)
+        });
+        tier.or_else(|| {
+            let at = (0..self.runs.len())
+                .find(|&i| self.runs[i].reclaimable_at(self.gc_threshold, i == 0))?;
+            Some(at..at + 1)
+        })
+    }
+
+    /// Merge the age-contiguous runs `window` into one, in place, moving
+    /// their entries and dropping what the GC threshold shadows. Returns
+    /// versions (dropped, written).
+    fn merge_runs(&mut self, window: Range<usize>) -> (usize, usize) {
         let thr = self.gc_threshold;
-        let mut merged: BTreeMap<Key, VersionChain> = BTreeMap::new();
-        for run in self.runs.drain(..) {
-            for (k, versions) in run.entries {
-                let chain = merged.entry(k).or_default();
-                for v in versions {
-                    chain.insert_version(v.ts, v.value);
-                }
-            }
-        }
-        let mut removed = 0usize;
+        // Unless the window starts at the oldest run, older versions of its
+        // keys may sit before it.
+        let oldest = window.start == 0;
+        let at = window.start;
+        let inputs: Vec<SortedRun> = self.runs.drain(window).collect();
+        let read: usize = inputs.iter().map(|r| r.versions).sum();
+        let newest_first = inputs.into_iter().rev().map(|r| r.entries.into_iter());
+        let mut cursor = MergeCursor::new(newest_first);
         let mut entries = Vec::new();
-        for (k, chain) in merged {
-            let versions = chain.versions;
-            let keep_from = versions.partition_point(|v| v.ts > thr);
-            let mut kept: Vec<Version> = versions[..keep_from].to_vec();
-            // Newest at-or-below the threshold stays — reads at exactly the
-            // threshold must see it — unless it is a tombstone: with every
-            // older version dropped too, "nothing" reads identically to
-            // "deleted" (memtable versions are strictly newer, so nothing
-            // can resurrect underneath).
-            if let Some(v) = versions.get(keep_from) {
-                if v.value.is_some() {
-                    kept.push(v.clone());
-                }
+        while let Some(group) = cursor.next_key() {
+            let mut parts = group.drain(..);
+            let Some((key, mut versions)) = parts.next() else {
+                continue;
+            };
+            for (_, older) in parts {
+                versions.extend(older);
             }
-            removed += versions.len() - kept.len();
-            if !kept.is_empty() {
-                entries.push((k, kept));
+            if !versions.is_sorted_by(|a, b| a.ts > b.ts) {
+                // Sources out of age order for this key (only a preload
+                // below flushed history does that): restore the order.
+                versions.sort_by_key(|v| std::cmp::Reverse(v.ts));
+                versions.dedup_by_key(|v| v.ts);
             }
-        }
-        if !entries.is_empty() {
-            self.runs.push(SortedRun::from_entries(entries));
+            // Everything above the threshold stays, and the newest version
+            // at or below it — reads at exactly the threshold must see it.
+            // Unless that is a tombstone with nothing older left anywhere:
+            // then "nothing" reads identically to "deleted".
+            let above = versions.partition_point(|v| v.ts > thr);
+            let keep_floor = versions
+                .get(above)
+                .is_some_and(|v| v.value.is_some() || !oldest);
+            versions.truncate(above + usize::from(keep_floor));
+            if !versions.is_empty() {
+                entries.push((key, versions));
+            }
         }
         self.stats.compactions += 1;
-        removed
+        let mut written = 0;
+        if !entries.is_empty() {
+            let run = SortedRun::from_entries(entries);
+            written = run.versions;
+            self.runs.insert(at, run);
+        }
+        (read - written, written)
     }
 
     /// One maintenance pass: ratchet the GC threshold, GC the memtable,
-    /// flush if it is full, compact the runs (merging them and dropping
-    /// shadowed/expired versions), and checkpoint. Thresholds only ever
-    /// rise; passing an older threshold is harmless.
+    /// flush if it is full, rewrite the runs that have a tier to merge or
+    /// something to reclaim (see [`Engine::next_rewrite`]; every other run is
+    /// left untouched), and checkpoint. Thresholds only ever rise; passing
+    /// an older threshold is harmless.
     pub fn maintain(&mut self, threshold: Timestamp, now_nanos: u64) -> MaintainReport {
         self.gc_threshold = self.gc_threshold.max(threshold);
-        let mem_gc_removed = self.mem.gc_with(self.gc_threshold, self.runs.is_empty());
-        let mut flushed_versions = 0;
-        let flushed = self.mem.version_count() >= self.flush_min_versions;
-        if flushed {
-            flushed_versions = self.flush_internal();
-        }
-        let compacted = !self.runs.is_empty();
-        let compact_removed = if compacted {
-            self.compact_internal()
-        } else {
-            0
+        let mut report = MaintainReport {
+            mem_gc_removed: self.mem.gc_with(self.gc_threshold, self.runs.is_empty()),
+            flushed: self.mem.version_count() >= self.flush_min_versions,
+            ..MaintainReport::default()
         };
-        self.stats.gc_reclaimed += (mem_gc_removed + compact_removed) as u64;
-        self.checkpoint_now(now_nanos);
-        MaintainReport {
-            mem_gc_removed,
-            flushed_versions,
-            compact_removed,
-            flushed,
-            compacted,
+        if report.flushed {
+            report.flushed_versions = self.flush_internal();
         }
+        while let Some(window) = self.next_rewrite() {
+            let (removed, written) = self.merge_runs(window);
+            report.compacted = true;
+            report.compact_removed += removed;
+            report.rewritten_versions += written;
+        }
+        self.stats.gc_reclaimed += (report.mem_gc_removed + report.compact_removed) as u64;
+        self.checkpoint_now(now_nanos);
+        report
     }
 
     // ------------------------------------------------------------------
@@ -711,16 +925,17 @@ impl Engine {
     pub fn split_off(&mut self, split_key: &Key) -> Engine {
         let mem_rhs = self.mem.split_off(split_key);
         let mut rhs_runs = Vec::new();
-        for run in &mut self.runs {
+        for mut run in std::mem::take(&mut self.runs) {
             let idx = run.entries.partition_point(|e| e.0 < *split_key);
-            if idx < run.entries.len() {
+            if idx == 0 {
+                rhs_runs.push(run);
+            } else if idx == run.entries.len() {
+                self.runs.push(run);
+            } else {
                 rhs_runs.push(SortedRun::from_entries(run.entries.split_off(idx)));
+                self.runs.push(SortedRun::from_entries(run.entries));
             }
         }
-        self.runs.retain(|r| !r.entries.is_empty());
-        // Shrunk left-hand runs keep their (now slightly over-full) bloom
-        // filters: false positives are a perf cost, never a correctness
-        // one, and the next compaction rebuilds them tight.
         let mut rhs = Engine::new();
         rhs.mem = mem_rhs;
         rhs.runs = rhs_runs;
@@ -765,7 +980,7 @@ impl Engine {
         self.runs.len()
     }
     pub fn sst_version_count(&self) -> usize {
-        self.runs.iter().map(|r| r.version_count()).sum()
+        self.runs.iter().map(|r| r.versions).sum()
     }
     pub fn mem_version_count(&self) -> usize {
         self.mem.version_count()
@@ -1127,6 +1342,152 @@ mod tests {
         e.crash_and_recover();
         assert_eq!(e.state_image(), before);
         assert_eq!(e.version_count(), 1);
+    }
+
+    /// Commit `n` fresh keys `{prefix}-000…` at `ts` and flush them as one run.
+    fn flush_keys(e: &mut Engine, prefix: &str, n: u64, ts: u64) {
+        for i in 0..n {
+            commit_put(e, &format!("{prefix}-{i:03}"), "v", 1_000 * ts + i, ts);
+        }
+        e.flush(0);
+    }
+
+    fn delete(e: &mut Engine, key: &str, id: u64, ts: u64) {
+        let t = txn(id, ts);
+        let out = e.put(&Key::from(key), None, &t).unwrap();
+        assert!(e.commit_intent(&Key::from(key), t.id, out.written_ts));
+    }
+
+    #[test]
+    fn partial_merge_keeps_a_tombstone_over_an_older_value() {
+        let mut e = Engine::new();
+        // Oldest run: the value, among enough keys to sit in a larger size
+        // class than the single-key runs that follow.
+        commit_put(&mut e, "k", "v1", 1, 10);
+        flush_keys(&mut e, "base", 64, 10);
+        // The tombstone lands in a newer run; three more small runs fill
+        // its tier.
+        delete(&mut e, "k", 2, 20);
+        e.flush(0);
+        for (i, key) in ["x1", "x2", "x3"].iter().enumerate() {
+            commit_put(&mut e, key, "v", 3 + i as u64, 30);
+            e.flush(0);
+        }
+        assert_eq!(e.sst_count(), 5);
+        // Threshold above value and tombstone: the four small runs merge,
+        // the oldest run is not part of it, so the tombstone must survive.
+        let rep = e.maintain(Timestamp::new(100, 0), 0);
+        assert!(rep.compacted);
+        assert_eq!(e.sst_count(), 2);
+        assert_eq!((rep.compact_removed, rep.rewritten_versions), (0, 4));
+        for ts in [100, 101, 1_000] {
+            assert_eq!(read(&e, "k", ts), None, "deleted key resurrected at {ts}");
+        }
+        let span = Span::new(Key::from("k"), Key::from("l"));
+        assert!(e.scan_latest_including_intents(&span).is_empty());
+        // Three runs of the oldest run's class make a tier that includes it:
+        // now nothing older can hide beneath the tombstone, and it goes —
+        // with the value it shadowed.
+        for (i, prefix) in ["g", "h", "i"].iter().enumerate() {
+            flush_keys(&mut e, prefix, 64, 200 + i as u64);
+        }
+        let rep = e.maintain(Timestamp::new(100, 0), 0);
+        assert_eq!(e.sst_count(), 1);
+        assert_eq!(rep.compact_removed, 2);
+        assert_eq!(read(&e, "k", 100), None);
+        assert_eq!(e.key_count(), 64 * 4 + 3);
+        assert_eq!(e.version_count(), 64 * 4 + 3);
+    }
+
+    #[test]
+    fn partial_merge_leaves_the_floor_version_in_an_older_run() {
+        for (thr, dropped) in [(30, 0), (55, 0), (60, 1)] {
+            let mut e = Engine::new();
+            commit_put(&mut e, "k", "v1", 1, 10);
+            flush_keys(&mut e, "base", 64, 10);
+            for (i, ts) in [50, 60].iter().enumerate() {
+                commit_put(&mut e, "k", &format!("v{}", i + 2), 2 + i as u64, *ts);
+                e.flush(0);
+            }
+            for (i, key) in ["x1", "x2"].iter().enumerate() {
+                commit_put(&mut e, key, "v", 4 + i as u64, 70);
+                e.flush(0);
+            }
+            // The four small runs merge; v1 — the newest version at or below
+            // a threshold of 30 — sits in the oldest run, outside the merge.
+            let rep = e.maintain(Timestamp::new(thr, 0), 0);
+            assert_eq!(e.sst_count(), 2);
+            assert_eq!(rep.compact_removed, dropped, "threshold {thr}");
+            for (ts, want) in [(30, "v1"), (55, "v2"), (60, "v3"), (1_000, "v3")] {
+                if ts >= thr {
+                    assert_eq!(
+                        read(&e, "k", ts),
+                        Some(Value::from(want)),
+                        "thr {thr} ts {ts}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_runs_are_left_alone() {
+        let mut e = Engine::new();
+        flush_keys(&mut e, "base", 64, 10);
+        let before = e.stats().compactions;
+        for pass in 1..=5 {
+            let rep = e.maintain(Timestamp::new(100 * pass, 0), 0);
+            assert!(!rep.compacted && !rep.flushed);
+        }
+        assert_eq!(e.stats().compactions, before);
+        // A few shadowed versions do not buy a rewrite of a big run either:
+        // they wait for its tier.
+        commit_put(&mut e, "base-000", "v2", 9_000, 600);
+        commit_put(&mut e, "solo", "v", 9_001, 600);
+        e.flush_min_versions = 1;
+        let rep = e.maintain(Timestamp::new(700, 0), 0);
+        assert!(rep.flushed && !rep.compacted);
+        assert_eq!(e.sst_count(), 2);
+        assert_eq!(read(&e, "base-000", 700), Some(Value::from("v2")));
+    }
+
+    #[test]
+    fn scan_stops_at_the_limit() {
+        let mut e = Engine::new();
+        flush_keys(&mut e, "a", 50, 10);
+        flush_keys(&mut e, "b", 50, 20);
+        delete(&mut e, "a-000", 7_000, 30);
+        commit_put(&mut e, "a-001", "new", 7_001, 30);
+        let span = Span::new(Key::from("a"), Key::from("z"));
+        let ctx = ReadCtx::stale(Timestamp::new(100, 0));
+        assert!(e.scan(&span, &ctx, 0).unwrap().is_empty());
+        let rows = e.scan(&span, &ctx, 2).unwrap();
+        let keys: Vec<_> = rows.iter().map(|r| r.0.clone()).collect();
+        assert_eq!(keys, [Key::from("a-001"), Key::from("a-002")]);
+        assert_eq!(rows[0].1, Value::from("new"));
+        assert_eq!(e.scan(&span, &ctx, usize::MAX).unwrap().len(), 99);
+        assert_eq!(e.key_count(), 100);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_is_a_typed_recovery_error() {
+        let mut e = Engine::new();
+        commit_put(&mut e, "a", "v1", 1, 10);
+        e.flush(0);
+        commit_put(&mut e, "b", "v2", 2, 20);
+        e.seal_entry(1, Timestamp::ZERO);
+        e.sync(1);
+        // A checkpoint record whose frame is intact but whose image is not.
+        e.wal_mut().reset_to_checkpoint(&[0xff; 9], 2);
+        let info = e.crash_and_recover();
+        assert_eq!(info.error, Some(RecoveryError::CorruptCheckpoint));
+        assert_eq!((info.applied_index, info.replayed_records), (0, 0));
+        // The memtable restarted empty; the run survived.
+        assert_eq!(e.mem_version_count(), 0);
+        assert_eq!(read(&e, "a", 100), Some(Value::from("v1")));
+        assert_eq!(read(&e, "b", 100), None);
+        // The log was rewritten clean.
+        assert_eq!(e.crash_and_recover().error, None);
     }
 
     #[test]

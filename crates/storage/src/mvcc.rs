@@ -1,7 +1,7 @@
 //! MVCC building blocks: per-key version chains with the read rules, and
 //! the crate-private memtable the LSM [`crate::lsm::Engine`] mutates.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 use mr_clock::Timestamp;
@@ -23,10 +23,96 @@ pub struct Version {
     pub value: Option<Value>,
 }
 
-/// Per-key state: an optional intent plus committed versions, newest first.
-/// Public so the LSM engine ([`crate::lsm`]) can build merged per-key views
-/// spanning the memtable and immutable sorted runs with the exact same
-/// read semantics.
+/// Latest version at or below `ts` in a newest-first version list. Binary
+/// search keeps hot keys (long lists) cheap.
+pub(crate) fn visible_at(versions: &[Version], ts: Timestamp) -> Option<&Version> {
+    versions.get(versions.partition_point(|v| v.ts > ts))
+}
+
+/// Earliest version strictly above `lo` and at or below `hi` in a
+/// newest-first version list.
+pub(crate) fn committed_in(versions: &[Version], lo: Timestamp, hi: Timestamp) -> Option<&Version> {
+    // Everything before `start` is above `hi`, everything from `end` on is
+    // at or below `lo`.
+    let start = versions.partition_point(|v| v.ts > hi);
+    let end = versions.partition_point(|v| v.ts > lo);
+    if start < end {
+        versions.get(end - 1)
+    } else {
+        None
+    }
+}
+
+/// The MVCC point-read over one key's merged state — the memtable's intent
+/// plus the newest-first version list of every source holding the key (in
+/// any order; nothing is copied): own-intent read-your-writes,
+/// foreign-intent conflicts, uncertainty-interval restarts, then snapshot
+/// visibility. The single source of truth for every read the LSM engine
+/// serves.
+pub(crate) fn read_merged<'a>(
+    key: &Key,
+    ctx: &ReadCtx,
+    intent: Option<&Intent>,
+    sources: impl IntoIterator<Item = &'a [Version]>,
+) -> Result<ReadOutcome, MvccError> {
+    if let Some(intent) = intent {
+        let own = ctx
+            .txn
+            .as_ref()
+            .is_some_and(|t| t.id == intent.txn.id && t.epoch == intent.txn.epoch);
+        if own {
+            // Read-your-writes: the provisional value, at its write ts.
+            return Ok(ReadOutcome {
+                value: intent.value.clone(),
+                value_ts: intent.txn.write_ts,
+            });
+        }
+        // An intent at or below the uncertainty limit cannot be skipped:
+        // it may commit at a timestamp the reader must observe.
+        if intent.txn.write_ts <= ctx.uncertainty_limit {
+            return Err(MvccError::WriteIntent {
+                key: key.clone(),
+                intent_txn: intent.txn.clone(),
+            });
+        }
+    }
+    let uncertain = ctx.uncertainty_limit > ctx.read_ts;
+    let mut earliest_uncertain: Option<Timestamp> = None;
+    let mut visible: Option<&Version> = None;
+    for versions in sources {
+        if uncertain {
+            if let Some(v) = committed_in(versions, ctx.read_ts, ctx.uncertainty_limit) {
+                earliest_uncertain = Some(earliest_uncertain.map_or(v.ts, |e| e.min(v.ts)));
+            }
+        }
+        if let Some(v) = visible_at(versions, ctx.read_ts) {
+            if visible.is_none_or(|best| v.ts > best.ts) {
+                visible = Some(v);
+            }
+        }
+    }
+    // Committed value inside the uncertainty interval forces a restart.
+    if let Some(value_ts) = earliest_uncertain {
+        return Err(MvccError::Uncertainty {
+            key: key.clone(),
+            read_ts: ctx.read_ts,
+            value_ts,
+        });
+    }
+    Ok(match visible {
+        Some(v) => ReadOutcome {
+            value: v.value.clone(),
+            value_ts: v.ts,
+        },
+        None => ReadOutcome {
+            value: None,
+            value_ts: Timestamp::ZERO,
+        },
+    })
+}
+
+/// One key's state in the memtable: an optional intent plus committed
+/// versions, newest first.
 #[derive(Clone, Debug, Default)]
 pub struct VersionChain {
     pub intent: Option<Intent>,
@@ -34,92 +120,26 @@ pub struct VersionChain {
 }
 
 impl VersionChain {
-    /// Latest committed version at or below `ts`. Versions are sorted
-    /// newest-first, so binary search keeps hot keys (long chains) cheap.
-    pub fn visible_at(&self, ts: Timestamp) -> Option<&Version> {
-        let idx = self.versions.partition_point(|v| v.ts > ts);
-        self.versions.get(idx)
-    }
-
-    /// Earliest committed version strictly above `lo` and at or below `hi`.
-    pub fn committed_in(&self, lo: Timestamp, hi: Timestamp) -> Option<&Version> {
-        // Newest-first order: everything before `start` is above `hi`,
-        // everything from `end` on is at or below `lo`.
-        let start = self.versions.partition_point(|v| v.ts > hi);
-        let end = self.versions.partition_point(|v| v.ts > lo);
-        if start < end {
-            self.versions.get(end - 1)
-        } else {
-            None
-        }
-    }
-
     pub fn latest_ts(&self) -> Option<Timestamp> {
         self.versions.first().map(|v| v.ts)
     }
 
     /// Insert keeping newest-first order. An exact-timestamp duplicate is
     /// dropped: the same `(key, ts)` can only ever carry the same value
-    /// (MVCC forbids two commits at one timestamp on one key), and merged
-    /// chains are assembled from sources that may overlap.
-    pub fn insert_version(&mut self, ts: Timestamp, value: Option<Value>) {
+    /// (MVCC forbids two commits at one timestamp on one key), so a replayed
+    /// op that is already in the checkpoint image changes nothing. Returns
+    /// whether a version was added.
+    pub fn insert_version(&mut self, ts: Timestamp, value: Option<Value>) -> bool {
         let pos = self.versions.partition_point(|v| v.ts > ts);
         if self.versions.get(pos).is_some_and(|v| v.ts == ts) {
-            return;
+            return false;
         }
         self.versions.insert(pos, Version { ts, value });
+        true
     }
 
     pub fn is_empty(&self) -> bool {
         self.intent.is_none() && self.versions.is_empty()
-    }
-
-    /// The MVCC point-read over this (possibly merged) chain: own-intent
-    /// read-your-writes, foreign-intent conflicts, uncertainty-interval
-    /// restarts, then snapshot visibility. The single source of truth for
-    /// every read the LSM engine serves.
-    pub fn read(&self, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
-        if let Some(intent) = &self.intent {
-            let own = ctx
-                .txn
-                .as_ref()
-                .is_some_and(|t| t.id == intent.txn.id && t.epoch == intent.txn.epoch);
-            if own {
-                // Read-your-writes: the provisional value, at its write ts.
-                return Ok(ReadOutcome {
-                    value: intent.value.clone(),
-                    value_ts: intent.txn.write_ts,
-                });
-            }
-            // An intent at or below the uncertainty limit cannot be skipped:
-            // it may commit at a timestamp the reader must observe.
-            if intent.txn.write_ts <= ctx.uncertainty_limit {
-                return Err(MvccError::WriteIntent {
-                    key: key.clone(),
-                    intent_txn: intent.txn.clone(),
-                });
-            }
-        }
-        // Committed value inside the uncertainty interval forces a restart.
-        if ctx.uncertainty_limit > ctx.read_ts {
-            if let Some(v) = self.committed_in(ctx.read_ts, ctx.uncertainty_limit) {
-                return Err(MvccError::Uncertainty {
-                    key: key.clone(),
-                    read_ts: ctx.read_ts,
-                    value_ts: v.ts,
-                });
-            }
-        }
-        match self.visible_at(ctx.read_ts) {
-            Some(v) => Ok(ReadOutcome {
-                value: v.value.clone(),
-                value_ts: v.ts,
-            }),
-            None => Ok(ReadOutcome {
-                value: None,
-                value_ts: Timestamp::ZERO,
-            }),
-        }
     }
 }
 
@@ -172,6 +192,9 @@ pub struct PutOutcome {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MvccStore {
     data: BTreeMap<Key, VersionChain>,
+    /// Committed versions across all chains, kept as they come and go: the
+    /// flush rule and every scrape ask, and a walk costs what exists.
+    versions: usize,
 }
 
 impl MvccStore {
@@ -180,7 +203,7 @@ impl MvccStore {
     }
 
     /// Iterate the chains whose keys fall in `span`.
-    pub fn range<'a>(&'a self, span: &Span) -> impl Iterator<Item = (&'a Key, &'a VersionChain)> {
+    pub fn range(&self, span: &Span) -> btree_map::Range<'_, Key, VersionChain> {
         let start = Bound::Included(span.start.clone());
         let end = if span.end.is_empty() {
             Bound::Unbounded
@@ -235,13 +258,15 @@ impl MvccStore {
         let Some(chain) = self.data.get_mut(key) else {
             return false;
         };
-        match &chain.intent {
+        match chain.intent.take() {
             Some(intent) if intent.txn.id == txn_id => {
-                let value = chain.intent.take().unwrap().value;
-                chain.insert_version(commit_ts, value);
+                self.versions += usize::from(chain.insert_version(commit_ts, intent.value));
                 true
             }
-            _ => false,
+            other => {
+                chain.intent = other;
+                false
+            }
         }
     }
 
@@ -287,15 +312,17 @@ impl MvccStore {
     /// replicated MVCC state into two halves without disturbing any
     /// in-flight transaction's provisional writes.
     pub fn split_off(&mut self, split_key: &Key) -> MvccStore {
-        MvccStore {
-            data: self.data.split_off(split_key),
-        }
+        let data = self.data.split_off(split_key);
+        let versions = data.values().map(|c| c.versions.len()).sum();
+        self.versions -= versions;
+        MvccStore { data, versions }
     }
 
     /// Merge `other`'s chains into this store (range merge). The two
     /// keyspaces are disjoint by construction (adjacent ranges), so no
     /// chain can collide; debug builds assert it.
     pub fn absorb(&mut self, other: MvccStore) {
+        self.versions += other.versions;
         for (k, chain) in other.data {
             let prev = self.data.insert(k, chain);
             debug_assert!(prev.is_none(), "absorb collided on a key");
@@ -306,10 +333,7 @@ impl MvccStore {
     /// Used only for bulk preloading of experiment datasets (the paper's
     /// "initial import"); never during simulated execution.
     pub fn preload(&mut self, key: Key, value: Value, ts: Timestamp) {
-        self.data
-            .entry(key)
-            .or_default()
-            .insert_version(ts, Some(value));
+        self.force_version(key, ts, Some(value));
     }
 
     /// The full chain for `key`, if any state exists.
@@ -331,7 +355,8 @@ impl MvccStore {
     /// Install a committed version verbatim (possibly a tombstone) — WAL
     /// replay and checkpoint restore.
     pub fn force_version(&mut self, key: Key, ts: Timestamp, value: Option<Value>) {
-        self.data.entry(key).or_default().insert_version(ts, value);
+        let chain = self.data.entry(key).or_default();
+        self.versions += usize::from(chain.insert_version(ts, value));
     }
 
     /// Move every committed version out of the memtable (flush to an
@@ -339,19 +364,23 @@ impl MvccStore {
     /// state, not yet part of durable MVCC history. Chains left with
     /// neither intent nor versions are dropped. Returns key-ordered chains.
     pub fn drain_committed(&mut self) -> Vec<(Key, Vec<Version>)> {
-        let mut out = Vec::new();
-        self.data.retain(|key, chain| {
-            if !chain.versions.is_empty() {
-                out.push((key.clone(), std::mem::take(&mut chain.versions)));
+        let mut out = Vec::with_capacity(self.data.len());
+        self.versions = 0;
+        for (key, mut chain) in std::mem::take(&mut self.data) {
+            let versions = std::mem::take(&mut chain.versions);
+            if chain.intent.is_some() {
+                self.data.insert(key.clone(), chain);
             }
-            !chain.is_empty()
-        });
+            if !versions.is_empty() {
+                out.push((key, versions));
+            }
+        }
         out
     }
 
     /// Total committed versions across all keys.
     pub fn version_count(&self) -> usize {
-        self.data.values().map(|c| c.versions.len()).sum()
+        self.versions
     }
 
     /// GC with explicit control over tombstone elision. `drop_tombstones`
@@ -378,6 +407,11 @@ impl MvccStore {
             }
             !chain.is_empty()
         });
+        self.versions -= removed;
+        debug_assert_eq!(
+            self.versions,
+            self.data.values().map(|c| c.versions.len()).sum::<usize>()
+        );
         removed
     }
 }
@@ -401,13 +435,13 @@ mod tests {
     /// Point read straight off the memtable chain (what `Engine::get` does
     /// when no run holds the key).
     fn get(store: &MvccStore, key: &Key, ctx: &ReadCtx) -> Result<ReadOutcome, MvccError> {
-        match store.chain(key) {
-            Some(chain) => chain.read(key, ctx),
-            None => Ok(ReadOutcome {
-                value: None,
-                value_ts: Timestamp::ZERO,
-            }),
-        }
+        let chain = store.chain(key);
+        read_merged(
+            key,
+            ctx,
+            chain.and_then(|c| c.intent.as_ref()),
+            chain.map(|c| c.versions.as_slice()),
+        )
     }
 
     fn read(store: &MvccStore, key: &str, ts: u64) -> Option<Value> {

@@ -182,14 +182,17 @@ pub mod codec {
             self.pos = end;
             Ok(s)
         }
+        fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+            self.take(N)?.first_chunk().copied().ok_or(DecodeError)
+        }
         pub fn u8(&mut self) -> Result<u8, DecodeError> {
-            Ok(self.take(1)?[0])
+            Ok(u8::from_le_bytes(self.array()?))
         }
         pub fn u32(&mut self) -> Result<u32, DecodeError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+            Ok(u32::from_le_bytes(self.array()?))
         }
         pub fn u64(&mut self) -> Result<u64, DecodeError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+            Ok(u64::from_le_bytes(self.array()?))
         }
         pub fn ts(&mut self) -> Result<Timestamp, DecodeError> {
             let wall = self.u64()?;
@@ -365,6 +368,24 @@ pub struct ReplayOutcome {
     pub valid_len: usize,
 }
 
+/// The little-endian `u32` at the head of `bytes`, if four bytes are there.
+fn le_u32(bytes: &[u8]) -> Option<u32> {
+    bytes.first_chunk().map(|b| u32::from_le_bytes(*b))
+}
+
+/// The intact frame at `pos`: its decoded record and the offset it ends at.
+/// `None` for a short frame, a CRC mismatch or an undecodable payload.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
+    let header = bytes.get(pos..)?;
+    let (len, crc) = (le_u32(header)? as usize, le_u32(header.get(4..)?)?);
+    let end = (pos + 8).checked_add(len)?;
+    let payload = bytes.get(pos + 8..end)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    Some((codec::decode_record(payload).ok()?, end))
+}
+
 /// Walk `bytes` frame by frame. A short frame, a CRC mismatch, or an
 /// undecodable payload ends the scan (torn tail): everything before it is
 /// returned, nothing after it is trusted.
@@ -372,48 +393,14 @@ pub fn replay(bytes: &[u8]) -> ReplayOutcome {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        if pos + 8 > bytes.len() {
-            return ReplayOutcome {
-                records,
-                torn_tail: true,
-                valid_len: pos,
-            };
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let start = pos + 8;
-        let Some(end) = start.checked_add(len) else {
+        let Some((rec, end)) = frame_at(bytes, pos) else {
             return ReplayOutcome {
                 records,
                 torn_tail: true,
                 valid_len: pos,
             };
         };
-        if end > bytes.len() {
-            return ReplayOutcome {
-                records,
-                torn_tail: true,
-                valid_len: pos,
-            };
-        }
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return ReplayOutcome {
-                records,
-                torn_tail: true,
-                valid_len: pos,
-            };
-        }
-        match codec::decode_record(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => {
-                return ReplayOutcome {
-                    records,
-                    torn_tail: true,
-                    valid_len: pos,
-                }
-            }
-        }
+        records.push(rec);
         pos = end;
     }
     ReplayOutcome {
@@ -501,14 +488,18 @@ impl Wal {
         self.durable_len = self.buf.len();
     }
 
+    /// Test hook: flip one bit of the log in place (media corruption).
+    pub fn flip_bit(&mut self, offset: usize, bit: u8) {
+        self.buf[offset] ^= 1 << (bit % 8);
+    }
+
     /// Byte offsets of every frame boundary in the current log, including
     /// 0 and the final length — the crash points the recovery test sweeps.
     pub fn frame_boundaries(&self) -> Vec<usize> {
         let mut out = vec![0];
         let mut pos = 0usize;
-        while pos + 8 <= self.buf.len() {
-            let len = u32::from_le_bytes(self.buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let end = pos + 8 + len;
+        while let Some(len) = self.buf.get(pos..pos + 8).and_then(le_u32) {
+            let end = pos + 8 + len as usize;
             if end > self.buf.len() {
                 break;
             }

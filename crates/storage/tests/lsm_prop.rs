@@ -1,8 +1,11 @@
 //! Property tier: random interleavings of writes, deletes, flushes,
 //! GC/compaction passes, and crash-replays preserve the merged-iterator
 //! view — the engine (memtable ∪ sorted runs) reads identically to a
-//! reference `BTreeMap` of version history at every visible timestamp —
-//! and bloom filters never produce false negatives.
+//! reference `BTreeMap` of version history at every visible timestamp,
+//! scans stop at their limit on the right row, tiered compaction keeps the
+//! engine within a stated multiple of what the reference retains, and bloom
+//! filters never produce false negatives. Sequences are long, flushes small
+//! and maintenance frequent, so most cases see partial (non-oldest) merges.
 
 use std::collections::BTreeMap;
 
@@ -10,7 +13,7 @@ use proptest::prelude::*;
 
 use mr_clock::Timestamp;
 use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, Value};
-use mr_storage::lsm::Engine;
+use mr_storage::lsm::{Engine, TIER_FAN_IN};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -28,8 +31,18 @@ enum Op {
     WriteAbort { key_idx: usize },
 }
 
+const KEYS: usize = 10;
+
+/// Space-amplification bound after a maintenance pass, as a multiple of
+/// what a single fully merged chain per key would retain at the same
+/// threshold. Runs of one size class number under `F = TIER_FAN_IN`; no run
+/// is left more than a quarter reclaimable, so none exceeds 4/3 of the
+/// reference; classes below the largest sum to under `F` times it: in all
+/// `(F − 1 + F) × 4/3` for the runs plus 1 for the memtable, under `3 F`.
+const SPACE_AMP: usize = 3 * TIER_FAN_IN;
+
 fn write_strategy() -> impl Strategy<Value = Op> {
-    (0usize..6, prop::option::of(any::<u8>()))
+    (0usize..KEYS, prop::option::of(any::<u8>()))
         .prop_map(|(key_idx, value)| Op::Write { key_idx, value })
 }
 
@@ -44,8 +57,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         write_strategy(),
         Just(Op::Flush),
         (0u64..40).prop_map(|lag| Op::Maintain { lag }),
+        (0u64..40).prop_map(|lag| Op::Maintain { lag }),
         Just(Op::CrashRecover),
-        (0usize..6).prop_map(|key_idx| Op::WriteAbort { key_idx }),
+        (0usize..KEYS).prop_map(|key_idx| Op::WriteAbort { key_idx }),
     ]
 }
 
@@ -59,6 +73,9 @@ fn key(i: usize) -> Key {
 struct Model {
     history: BTreeMap<Key, Vec<(Timestamp, Option<Value>)>>,
     gc_floor: Timestamp,
+    /// The worst `(engine versions, reference retained)` seen right after a
+    /// maintenance pass.
+    worst_space: (usize, usize),
 }
 
 impl Model {
@@ -70,11 +87,27 @@ impl Model {
             .find(|(ts, _)| *ts <= at)
             .and_then(|(_, v)| v.clone())
     }
+
+    /// The first `n` live rows at `at`, in key order.
+    fn live_rows(&self, at: Timestamp, n: usize) -> Vec<(Key, Value)> {
+        let live = |k: &Key| self.visible(k, at).map(|v| (k.clone(), v));
+        self.history.keys().filter_map(live).take(n).collect()
+    }
+
+    /// Versions one merged chain per key retains at the GC floor: all above
+    /// it plus the newest at or below.
+    fn retained(&self) -> usize {
+        let kept = |h: &Vec<(Timestamp, Option<Value>)>| {
+            let above = h.iter().filter(|(ts, _)| *ts > self.gc_floor).count();
+            above + usize::from(above < h.len())
+        };
+        self.history.values().map(kept).sum()
+    }
 }
 
 fn run_ops(ops: &[Op]) -> (Engine, Model, u64) {
     let mut e = Engine::new();
-    e.flush_min_versions = 8; // small, so maintenance flushes often
+    e.flush_min_versions = 4; // small, so maintenance flushes often
     let mut model = Model::default();
     let mut tick = 0u64; // strictly increasing logical time
     let mut idx = 0u64; // raft apply index
@@ -106,6 +139,11 @@ fn run_ops(ops: &[Op]) -> (Engine, Model, u64) {
                 let thr = Timestamp::new(tick.saturating_sub(lag * 10), 0);
                 e.maintain(thr, tick);
                 model.gc_floor = model.gc_floor.max(e.gc_threshold());
+                let (have, want) = (e.version_count(), model.retained());
+                let (worst_have, worst_want) = model.worst_space;
+                if have * worst_want.max(1) > worst_have * want.max(1) {
+                    model.worst_space = (have, want);
+                }
             }
             Op::CrashRecover => {
                 let info = e.crash_and_recover();
@@ -134,7 +172,7 @@ proptest! {
     /// The merged engine view equals the reference at every timestamp that
     /// is at or above the GC floor.
     #[test]
-    fn merged_view_matches_reference(ops in prop::collection::vec(op_strategy(), 1..80)) {
+    fn merged_view_matches_reference(ops in prop::collection::vec(op_strategy(), 1..200)) {
         let (e, model, last_tick) = run_ops(&ops);
 
         // Probe at every version timestamp, just after it, and far future.
@@ -153,7 +191,7 @@ proptest! {
             }
             prop_assert!(at >= model.gc_floor);
             let ctx = ReadCtx::stale(at);
-            for i in 0..6 {
+            for i in 0..KEYS {
                 let k = key(i);
                 let got = e.get(&k, &ctx).expect("read at/above floor").value;
                 let want = model.visible(&k, at);
@@ -168,11 +206,36 @@ proptest! {
         let at = Timestamp::new(last_tick + 1_000, 0);
         let span = Span::new(Key::from("pk-"), Key::from("pk-~"));
         let rows = e.scan(&span, &ReadCtx::stale(at), 100).unwrap();
-        let want: Vec<(Key, Value)> = (0..6)
-            .filter_map(|i| model.visible(&key(i), at).map(|v| (key(i), v)))
-            .collect();
         let got: Vec<(Key, Value)> = rows.into_iter().map(|(k, v, _)| (k, v)).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, model.live_rows(at, 100));
+    }
+
+    /// A limited scan returns exactly the first `n` live rows of the
+    /// reference, at the newest timestamp and at the GC floor.
+    #[test]
+    fn scan_stops_at_the_nth_live_row(
+        ops in prop::collection::vec(op_strategy(), 1..200),
+        n in 0usize..KEYS + 2,
+    ) {
+        let (e, model, last_tick) = run_ops(&ops);
+        let span = Span::new(Key::from("pk-"), Key::from("pk-~"));
+        for at in [Timestamp::new(last_tick + 1_000, 0), e.gc_threshold()] {
+            let rows = e.scan(&span, &ReadCtx::stale(at), n).unwrap();
+            let got: Vec<(Key, Value)> = rows.into_iter().map(|(k, v, _)| (k, v)).collect();
+            prop_assert_eq!(got, model.live_rows(at, n), "limit {} at {:?}", n, at);
+        }
+    }
+
+    /// After every maintenance pass the engine holds at most `SPACE_AMP`
+    /// times the versions the reference retains at the same threshold.
+    #[test]
+    fn space_amplification_is_bounded(ops in prop::collection::vec(op_strategy(), 1..200)) {
+        let (_, model, _) = run_ops(&ops);
+        let (have, want) = model.worst_space;
+        prop_assert!(
+            have <= SPACE_AMP * want.max(1),
+            "engine holds {} versions, the reference retains {}", have, want
+        );
     }
 
     /// Reads below the GC threshold always fail loudly, never return

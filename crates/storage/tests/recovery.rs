@@ -9,11 +9,18 @@
 //! * **Torn tail** — the log ends mid-frame (a mid-batch torn write). The
 //!   per-record CRC detects the tear; the partial record is truncated and
 //!   **none** of its ops are applied (records are all-or-nothing).
+//! * **Damage** (proptest) — a flipped bit or a cut anywhere in the log
+//!   recovers the frames before the damaged one; a checkpoint whose frame is
+//!   intact but whose image is not is the typed
+//!   [`RecoveryError::CorruptCheckpoint`]. Nothing panics.
+
+use proptest::prelude::*;
 
 use mr_clock::Timestamp;
 use mr_proto::{Key, ReadCtx, TxnId, TxnMeta, Value};
 use mr_storage::lsm::Engine;
-use mr_storage::wal::replay;
+use mr_storage::wal::{replay, WalRecord};
+use mr_storage::RecoveryError;
 
 /// Apply one committed write as a sealed + synced WAL entry.
 fn apply_write(e: &mut Engine, idx: u64, key: &str, val: &str, ts: u64) {
@@ -220,4 +227,91 @@ fn unsynced_entries_never_survive_even_at_clean_boundaries() {
         e.get(&Key::from("alpha"), &ctx).unwrap().value,
         Some(Value::from("v1"))
     );
+}
+
+/// An engine whose checkpoint image has something of everything: a run on
+/// disk, committed versions and an open intent in the memtable.
+fn engine_with_rich_checkpoint() -> (Engine, Vec<u8>) {
+    let mut e = Engine::new();
+    apply_write(&mut e, 1, "alpha", "v1", 10);
+    e.flush(15);
+    apply_write(&mut e, 2, "beta", "v1", 20);
+    apply_batch(&mut e, 3, 30);
+    e.checkpoint_now(35);
+    let records = replay(e.wal().bytes()).records;
+    let [WalRecord::Checkpoint(image)] = records.as_slice() else {
+        panic!("a fresh checkpoint is the log's only record");
+    };
+    let image = image.clone();
+    (e, image)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// One flipped bit, or a cut, anywhere in the log: the CRC stops replay
+    /// at the damaged frame, and the recovered state is the reference image
+    /// of the entries before it.
+    #[test]
+    fn damaged_log_recovers_the_surviving_prefix(
+        at in any::<u32>(),
+        bit in 0u8..8,
+        cut in any::<bool>(),
+    ) {
+        let mut e = Engine::new();
+        let images = build_workload(&mut e);
+        let boundaries = e.wal().frame_boundaries();
+        let at = at as usize % e.wal().len();
+        // The frame `at` falls in; a cut exactly on its first byte tears
+        // nothing.
+        let frame = boundaries.iter().rposition(|&b| b <= at).unwrap();
+        let clean_cut = cut && boundaries[frame] == at;
+        if cut {
+            e.wal_mut().crash_at(at);
+        } else {
+            e.wal_mut().flip_bit(at, bit);
+        }
+        let info = e.crash_and_recover();
+        prop_assert_eq!(info.error, None);
+        prop_assert_eq!(info.torn_tail, !clean_cut);
+        prop_assert_eq!(info.applied_index, entries_at(frame) as u64);
+        prop_assert_eq!(&e.state_image(), &images[entries_at(frame)]);
+        prop_assert!(!replay(e.wal().bytes()).torn_tail);
+    }
+
+    /// A checkpoint record that passes its CRC but carries a cut or
+    /// bit-flipped image: the typed error with the memtable restarted
+    /// empty, or an image that still decodes — never a panic, and the run
+    /// survives either way.
+    #[test]
+    fn damaged_checkpoint_image_is_a_typed_error(
+        at in any::<u32>(),
+        bit in 0u8..8,
+        cut in any::<bool>(),
+    ) {
+        let (mut e, mut image) = engine_with_rich_checkpoint();
+        let at = at as usize % image.len();
+        if cut {
+            image.truncate(at);
+        } else {
+            image[at] ^= 1 << bit;
+        }
+        e.wal_mut().reset_to_checkpoint(&image, 40);
+        let info = e.crash_and_recover();
+        if cut {
+            prop_assert_eq!(info.error, Some(RecoveryError::CorruptCheckpoint));
+        }
+        prop_assert_eq!(e.sst_count(), 1);
+        if info.error.is_some() {
+            prop_assert_eq!(info.applied_index, 0);
+            prop_assert_eq!(e.mem_version_count(), 0);
+            prop_assert!(e.intent(&Key::from("batch-open")).is_none());
+            let ctx = ReadCtx::stale(Timestamp::new(1_000, 0));
+            prop_assert_eq!(
+                e.get(&Key::from("alpha"), &ctx).unwrap().value,
+                Some(Value::from("v1"))
+            );
+        }
+        prop_assert_eq!(e.crash_and_recover().error, None);
+    }
 }

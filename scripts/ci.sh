@@ -3,11 +3,12 @@
 # suite. Run from anywhere; operates on the repository root. Offline-safe:
 # all external deps are vendored under third_party/.
 #
-#   scripts/ci.sh [parent-rev]
+#   scripts/ci.sh [parent-rev [allowed-metrics]]
 #
 # With a parent revision, also runs scripts/digest_parity.sh against it (the
-# gate for a change that claims to move host time only) and prints
-# scripts/loc_delta.sh, the non-test line delta against it.
+# gate for a change that claims to move host time only; a change that means
+# to move exact counts lists them, comma-separated, as the second argument)
+# and prints scripts/loc_delta.sh, the non-test line delta against it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +35,7 @@ cargo test -q -p mr-ledger
 
 if [ -n "${1:-}" ]; then
     echo "==> digest_parity: simulated behaviour identical to $1"
-    scripts/digest_parity.sh "$1"
+    scripts/digest_parity.sh "$1" ${2:+"$2"}
     echo "==> loc_delta: non-test lines against $1"
     scripts/loc_delta.sh "$1"
 fi
@@ -123,11 +124,13 @@ assert_bench split_probe BENCH_split.json
 
 echo "==> storage_probe: WAL/LSM/GC durability regression guard"
 # Drives the storage engine through a cold-key bloom workload, an
-# overwrite-heavy GC workload under an active protected timestamp, and a
-# crash-recovery smoke. Fails if the bloom skip rate drops under 90%, if
-# GC reclaims under 50% of the overwritten history, if a protected AOST
-# read breaks, if below-threshold reads stop erroring, or if WAL replay
-# loses versions.
+# overwrite-heavy GC workload under an active protected timestamp, a
+# steady-overwrite workload under tiered compaction, and a crash-recovery
+# smoke. Fails if the bloom skip rate drops under 90%, if GC reclaims under
+# 50% of the overwritten history, if a protected AOST read breaks, if
+# below-threshold reads stop erroring, if WAL replay loses versions, or if
+# compaction stops being incremental (write amplification over 3, more
+# than 9 runs standing, or over 1.85 versions retained per live one).
 (cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin storage_probe >/dev/null)
 assert_bench storage_probe BENCH_storage.json
