@@ -29,6 +29,7 @@ mod maintenance;
 mod transport;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 
 use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
 use mr_obs::{Obs, SpanId};
@@ -445,7 +446,7 @@ impl Cluster {
             obs.tracer.set_enabled(true);
         }
         obs.monitors.set_strict(cfg.strict_monitors);
-        let m = KvMetrics::bind(&obs.registry);
+        let m = KvMetrics::bind(&obs.registry, &topo);
         let mut c = Cluster {
             cfg,
             obs,
@@ -1101,20 +1102,21 @@ impl Cluster {
         // Server-side causality: annotate the in-flight RPC's span with
         // where and how the request evaluated.
         let rpc_span = self.rpc.span_of(path.req_id);
-        if rpc_span.is_some() {
-            let kind = match &outcome {
-                EvalOutcome::Reply(Ok(_)) => "reply-ok".to_string(),
-                EvalOutcome::Reply(Err(e)) => format!("reply-err: {e}"),
-                EvalOutcome::Parked { holder, .. } => format!("parked behind {}", holder.id),
-                EvalOutcome::Proposed { .. } => "proposed to raft".to_string(),
-            };
-            let msg = format!(
+        let kind = fmt::from_fn(|f| match &outcome {
+            EvalOutcome::Reply(Ok(_)) => f.write_str("reply-ok"),
+            EvalOutcome::Reply(Err(e)) => write!(f, "reply-err: {e}"),
+            EvalOutcome::Parked { holder, .. } => write!(f, "parked behind {}", holder.id),
+            EvalOutcome::Proposed { .. } => f.write_str("proposed to raft"),
+        });
+        self.obs.tracer.event(
+            rpc_span,
+            now,
+            format_args!(
                 "eval at n{} ({}) lh={is_leaseholder}: {kind}",
                 node.0,
                 self.region_name_of(node)
-            );
-            self.obs.tracer.event(rpc_span, now, msg);
-        }
+            ),
+        );
         match outcome {
             EvalOutcome::Reply(result) => {
                 if is_follower_read {
@@ -1278,16 +1280,15 @@ impl Cluster {
         for eff in effects {
             match eff {
                 Effect::Reply { path, result } => {
-                    let rpc_span = self.rpc.span_of(path.req_id);
-                    if rpc_span.is_some() {
-                        let now = self.queue.now();
-                        let msg = format!(
+                    self.obs.tracer.event(
+                        self.rpc.span_of(path.req_id),
+                        self.queue.now(),
+                        format_args!(
                             "raft applied at n{} ({}), replying",
                             node.0,
                             self.region_name_of(node)
-                        );
-                        self.obs.tracer.event(rpc_span, now, msg);
-                    }
+                        ),
+                    );
                     self.send_response(node, path, result);
                 }
                 Effect::ReEval { waiter } => {

@@ -335,7 +335,7 @@ impl Cluster {
             let Some(raw) = self.obs.load.split_key_suggestion(id.0) else {
                 continue;
             };
-            let split_key = Key::from_vec(raw);
+            let split_key = Key(raw);
             if split_key == desc.span.start || !desc.span.contains(&split_key) {
                 continue;
             }

@@ -110,28 +110,16 @@ impl Cluster {
         let now = self.queue.now();
         // Lifecycle signals: which gateway region drives this range (lease
         // rebalancing) and which keys it is asked for (split-point median).
-        self.obs
-            .load
-            .record_gateway(now, range.0, self.topo.region_of(gateway).0);
-        self.obs
-            .load
-            .sample_key(range.0, req.routing_key().as_slice().to_vec());
-        let span = self.obs.tracer.start(rpc_span_name(&req), parent, now);
-        if span.is_some() {
-            self.obs
-                .tracer
-                .attr(span, "from", format!("n{}", gateway.0));
-            self.obs.tracer.attr(
-                span,
-                "from_region",
-                self.region_name_of(gateway).to_string(),
-            );
-            self.obs.tracer.attr(span, "to", format!("n{}", target.0));
-            self.obs
-                .tracer
-                .attr(span, "to_region", self.region_name_of(target).to_string());
-            self.obs.tracer.attr(span, "range", format!("{range}"));
-        }
+        let region = self.topo.region_of(gateway).0;
+        let key = req.routing_key().0.clone();
+        self.obs.load.record_request(now, range.0, region, key);
+        let tracer = &self.obs.tracer;
+        let span = tracer.start(rpc_span_name(&req), parent, now);
+        tracer.attr(span, "from", format_args!("n{}", gateway.0));
+        tracer.attr(span, "from_region", self.region_name_of(gateway));
+        tracer.attr(span, "to", format_args!("n{}", target.0));
+        tracer.attr(span, "to_region", self.region_name_of(target));
+        tracer.attr(span, "range", range);
         let hlc_ts = self.nodes[gateway.0 as usize].hlc.now(now);
         match self.topo.link(gateway, target, &mut self.rng) {
             Link::Deliver(d) => {
@@ -182,13 +170,13 @@ impl Cluster {
             return;
         };
         let now = self.queue.now();
-        if rpc.span.is_some() {
-            let outcome = match &response {
-                Some(Ok(_)) => "ok".to_string(),
-                Some(Err(e)) => format!("err: {e}"),
-                None => "timeout".to_string(),
-            };
-            self.obs.tracer.attr(rpc.span, "result", outcome);
+        match &response {
+            Some(Ok(_)) => self.obs.tracer.attr(rpc.span, "result", "ok"),
+            Some(Err(e)) => self
+                .obs
+                .tracer
+                .attr(rpc.span, "result", format_args!("err: {e}")),
+            None => self.obs.tracer.attr(rpc.span, "result", "timeout"),
         }
         self.obs.tracer.finish(rpc.span, now);
         rpc.close_park(now);

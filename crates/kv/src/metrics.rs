@@ -9,7 +9,12 @@
 //! Naming scheme: `kv.<component>.<what>`, labels sorted. See DESIGN.md
 //! ("Observability") for the full metric table.
 
+use std::cell::OnceCell;
+
 use mr_obs::{Counter, Gauge, HistogramHandle, Registry};
+use mr_sim::{RegionId, Topology};
+
+use crate::attribution::{AttrBreakdown, COMPONENTS};
 
 /// Request kinds, used as the `kind` label on `kv.rpc.sent_by_kind` and as
 /// RPC span names (`rpc.<kind>`).
@@ -65,6 +70,68 @@ pub(crate) fn rpc_span_name(req: &mr_proto::Request) -> &'static str {
     ];
     NAMES[req_kind_index(req)]
 }
+
+/// A client operation class: its trace-span name and the `op` label of
+/// `kv.op.latency`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Op {
+    Get,
+    Scan,
+    Put,
+    Commit,
+    Rollback,
+    ReadStale,
+    ScanStale,
+    ReadBounded,
+    ScanBounded,
+}
+
+impl Op {
+    const COUNT: usize = Op::ScanBounded as usize + 1;
+
+    pub fn label(self) -> &'static str {
+        match self {
+            Op::Get => "kv.get",
+            Op::Scan => "kv.scan",
+            Op::Put => "kv.put",
+            Op::Commit => "kv.commit",
+            Op::Rollback => "kv.rollback",
+            Op::ReadStale => "kv.read.stale",
+            Op::ScanStale => "kv.scan.stale",
+            Op::ReadBounded => "kv.read.bounded",
+            Op::ScanBounded => "kv.scan.bounded",
+        }
+    }
+}
+
+/// The `policy` label of `kv.op.latency`: the closed-timestamp policy of the
+/// range an operation addresses, or why it has none.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum OpPolicy {
+    Lead,
+    Lag,
+    /// No range covers the key, or the operation addresses no key.
+    None,
+    /// A commit that wrote nothing.
+    ReadOnly,
+}
+
+impl OpPolicy {
+    const COUNT: usize = OpPolicy::ReadOnly as usize + 1;
+
+    pub fn label(self) -> &'static str {
+        match self {
+            OpPolicy::Lead => "lead",
+            OpPolicy::Lag => "lag",
+            OpPolicy::None => "none",
+            OpPolicy::ReadOnly => "ro",
+        }
+    }
+}
+
+/// The `comp` labels of `kv.txn.attr.latency`: every named component, then
+/// what they leave unexplained, then the whole.
+const TXN_ATTR_COMPS: usize = COMPONENTS.len() + 2;
 
 /// What one observability scrape measures: sums over every replica plus a
 /// few cluster-level sizes. Each field feeds the [`SCRAPE_GAUGES`] row that
@@ -191,11 +258,23 @@ pub(crate) struct KvMetrics {
     pub batch_occupancy: HistogramHandle,
     /// One handle per [`SCRAPE_GAUGES`] row, with the row's reader.
     scrape_gauges: Vec<(Gauge, fn(&ScrapeStats) -> i64)>,
+    /// `kv.op.latency{op, policy, region}`, indexed `[op][policy][region]`,
+    /// and `kv.txn.attr.latency{comp}`. Unlike the instruments above these
+    /// are bound the first time they record — a series exists in the
+    /// registry only once its class of operation has happened — and never
+    /// looked up again.
+    op_latency: Vec<OnceCell<HistogramHandle>>,
+    txn_attr_latency: [OnceCell<HistogramHandle>; TXN_ATTR_COMPS],
+    registry: Registry,
+    regions: Vec<String>,
 }
 
 impl KvMetrics {
-    pub fn bind(r: &Registry) -> KvMetrics {
+    pub fn bind(r: &Registry, topo: &Topology) -> KvMetrics {
         let ev = |kind: &str| r.counter("kv.events.by_kind", &[("kind", kind)]);
+        let regions: Vec<String> = (0..topo.num_regions() as u32)
+            .map(|i| topo.region_name(RegionId(i)).to_string())
+            .collect();
         KvMetrics {
             rpcs_sent: r.counter("kv.rpc.sent", &[]),
             rpcs_by_kind: REQ_KINDS.map(|kind| r.counter("kv.rpc.sent_by_kind", &[("kind", kind)])),
@@ -234,6 +313,41 @@ impl KvMetrics {
                 .iter()
                 .map(|&(name, labels, read)| (r.gauge(name, labels), read))
                 .collect(),
+            op_latency: vec![OnceCell::new(); Op::COUNT * OpPolicy::COUNT * regions.len()],
+            txn_attr_latency: Default::default(),
+            registry: r.clone(),
+            regions,
+        }
+    }
+
+    /// The latency histogram of successful `op`s under `policy` issued
+    /// through a gateway in `region`.
+    pub fn op_latency(&self, op: Op, policy: OpPolicy, region: RegionId) -> &HistogramHandle {
+        let class = op as usize * OpPolicy::COUNT + policy as usize;
+        self.op_latency[class * self.regions.len() + region.0 as usize].get_or_init(|| {
+            let labels = [
+                ("op", op.label()),
+                ("policy", policy.label()),
+                ("region", self.regions[region.0 as usize].as_str()),
+            ];
+            self.registry.histogram("kv.op.latency", &labels)
+        })
+    }
+
+    /// Roll one finished transaction's latency attribution into
+    /// `kv.txn.attr.latency{comp}`.
+    pub fn record_txn_attr(&self, b: &AttrBreakdown) {
+        let labels = COMPONENTS
+            .iter()
+            .map(|c| c.label())
+            .chain(["other", "total"]);
+        let nanos = b.comp_nanos.iter().chain([&b.other_nanos, &b.total_nanos]);
+        for ((cell, comp), n) in self.txn_attr_latency.iter().zip(labels).zip(nanos) {
+            let bind = || {
+                self.registry
+                    .histogram("kv.txn.attr.latency", &[("comp", comp)])
+            };
+            cell.get_or_init(bind).record(*n);
         }
     }
 
@@ -326,7 +440,8 @@ mod tests {
     #[test]
     fn bound_handles_share_the_registry() {
         let r = Registry::new();
-        let m = KvMetrics::bind(&r);
+        let topo = Topology::build(&["r0", "r1"], 1, mr_sim::RttMatrix::synthetic(2));
+        let m = KvMetrics::bind(&r, &topo);
         m.txn_commits.inc();
         m.rpcs_by_kind[req_kind_index(&mr_proto::Request::PushTxn {
             pushee: mr_proto::TxnId(1),
@@ -336,9 +451,41 @@ mod tests {
         assert_eq!(r.counter_total("kv.txn.commits"), 1);
         assert_eq!(r.counter_total("kv.rpc.sent_by_kind"), 1);
         // A second bind sees the same instruments (single source of truth).
-        let m2 = KvMetrics::bind(&r);
+        let m2 = KvMetrics::bind(&r, &topo);
         assert_eq!(m2.txn_commits.get(), 1);
         assert_eq!(m.view().txn_commits, 1);
+    }
+
+    #[test]
+    fn lazy_histograms_register_on_first_record_and_are_the_registrys() {
+        let r = Registry::new();
+        let topo = Topology::build(&["r0", "r1"], 1, mr_sim::RttMatrix::synthetic(2));
+        let m = KvMetrics::bind(&r, &topo);
+        let series = r.instrument_count();
+        assert_eq!(r.histogram_merged("kv.op.latency").count(), 0);
+        m.op_latency(Op::Get, OpPolicy::Lead, RegionId(1)).record(7);
+        m.op_latency(Op::Get, OpPolicy::Lead, RegionId(1)).record(9);
+        m.op_latency(Op::ScanBounded, OpPolicy::ReadOnly, RegionId(0))
+            .record(1);
+        assert_eq!(
+            r.instrument_count(),
+            series + 2,
+            "one series per class used"
+        );
+        let labels = [("op", "kv.get"), ("policy", "lead"), ("region", "r1")];
+        assert_eq!(r.histogram("kv.op.latency", &labels).count(), 2);
+        let b = AttrBreakdown {
+            total_nanos: 10,
+            comp_nanos: [1, 2, 3, 0, 0],
+            other_nanos: 4,
+        };
+        m.record_txn_attr(&b);
+        m.record_txn_attr(&b);
+        assert_eq!(r.instrument_count(), series + 2 + TXN_ATTR_COMPS);
+        let attr = |comp| r.histogram("kv.txn.attr.latency", &[("comp", comp)]);
+        assert_eq!(attr("total").snapshot().sum, 20);
+        assert_eq!(attr("lock_wait").snapshot().sum, 6);
+        assert_eq!(attr("other").count(), 2);
     }
 
     #[test]

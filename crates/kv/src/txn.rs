@@ -31,6 +31,7 @@ use mr_sim::{NodeId, SimDuration};
 use crate::attribution::{AttrAcc, Component, TxnAttrRecord, COMPONENTS};
 use crate::cluster::{Cluster, Cont, InjectedBug, KvResult, ReadOptions, Staleness};
 use crate::join::Join;
+use crate::metrics::{Op, OpPolicy};
 use crate::zone::ClosedTsPolicy;
 
 /// Maximum transparent re-routes before an error surfaces to the caller.
@@ -182,7 +183,7 @@ impl ReadTarget {
 
     /// `point` for a point read, `span` for a scan: picks an operation's
     /// name (trace span and `kv.op.latency{op}`) by the read's shape.
-    fn pick(&self, point: &'static str, span: &'static str) -> &'static str {
+    fn pick(&self, point: Op, span: Op) -> Op {
         match self {
             ReadTarget::Point(_) => point,
             ReadTarget::Span(..) => span,
@@ -258,17 +259,10 @@ impl Cluster {
         let read_ts = self.hlc_now(gateway);
         let limit = read_ts.add_duration(self.cfg.clock.max_offset);
         let span = self.obs.tracer.start("txn", self.trace_parent, self.now());
-        if span.is_some() {
-            self.obs.tracer.attr(span, "txn", format!("{id}"));
-            self.obs
-                .tracer
-                .attr(span, "gateway", format!("n{}", gateway.0));
-            self.obs.tracer.attr(
-                span,
-                "gateway_region",
-                self.region_name_of(gateway).to_string(),
-            );
-        }
+        let tracer = &self.obs.tracer;
+        tracer.attr(span, "txn", id);
+        tracer.attr(span, "gateway", format_args!("n{}", gateway.0));
+        tracer.attr(span, "gateway_region", self.region_name_of(gateway));
         self.txns.insert(
             id,
             TxnState {
@@ -343,7 +337,7 @@ impl Cluster {
         cont: Cont<KvResult<()>>,
     ) {
         let policy = self.policy_of(&key);
-        let (_, cont) = self.instrument_op("kv.put", policy, h.gateway, h.span, cont);
+        let (_, cont) = self.instrument_op(Op::Put, policy, h.gateway, h.span, cont);
         let id = h.id;
         let pipelined = self.cfg.pipelined_writes;
         let st = match self.txn_open(id) {
@@ -424,9 +418,9 @@ impl Cluster {
         let first_write = self.txns.get(&h.id).and_then(|st| st.buffered.first());
         let policy = match first_write {
             Some((key, _)) => self.policy_of(key),
-            None => "ro",
+            None => OpPolicy::ReadOnly,
         };
-        let (tspan, cont) = self.instrument_op("kv.commit", policy, h.gateway, h.span, cont);
+        let (tspan, cont) = self.instrument_op(Op::Commit, policy, h.gateway, h.span, cont);
         let id = h.id;
         if let Err(e) = self.txn_open(id) {
             return cont(self, Err(e));
@@ -517,7 +511,7 @@ impl Cluster {
 
     /// Abort, resolving any intents.
     pub fn txn_rollback(&mut self, h: TxnHandle, cont: Cont<KvResult<()>>) {
-        let (_, cont) = self.instrument_op("kv.rollback", "none", h.gateway, h.span, cont);
+        let (_, cont) = self.instrument_op(Op::Rollback, OpPolicy::None, h.gateway, h.span, cont);
         match self.txn_open(h.id) {
             Ok(st) => st.rolled_back = true,
             // Already finished (or never begun): nothing to undo.
@@ -578,8 +572,8 @@ impl Cluster {
         opts: ReadOptions,
         cont: Cont<KvResult<T>>,
     ) {
-        let stale_op = target.pick("kv.read.stale", "kv.scan.stale");
-        let bounded_op = target.pick("kv.read.bounded", "kv.scan.bounded");
+        let stale_op = target.pick(Op::ReadStale, Op::ScanStale);
+        let bounded_op = target.pick(Op::ReadBounded, Op::ScanBounded);
         // The exact timestamp to read at, or the oldest acceptable one.
         let (op, exact, ts) = match opts.staleness {
             Staleness::Fresh => {
@@ -695,7 +689,7 @@ impl Cluster {
     /// A read inside transaction `h`, as one instrumented client operation.
     fn txn_read<T: ReadOut>(&mut self, h: TxnHandle, target: ReadTarget, cont: Cont<KvResult<T>>) {
         let policy = self.policy_of(target.start());
-        let op = target.pick("kv.get", "kv.scan");
+        let op = target.pick(Op::Get, Op::Scan);
         let (span, cont) = self.instrument_op(op, policy, h.gateway, h.span, cont);
         self.txn_read_inner(h.id, target, span, cont);
     }
@@ -798,7 +792,7 @@ impl Cluster {
         self.obs.tracer.event(
             span,
             now,
-            format!("uncertainty restart: value at {value_ts}"),
+            format_args!("uncertainty restart: value at {value_ts}"),
         );
         self.txn_refresh_reads(id, new_ts, cont);
     }
@@ -827,7 +821,7 @@ impl Cluster {
         self.obs.tracer.event(
             tspan,
             now,
-            format!("refreshing {} read span(s) to {to_ts}", spans.len()),
+            format_args!("refreshing {} read span(s) to {to_ts}", spans.len()),
         );
         let join = Join::new(
             spans.len(),
@@ -878,42 +872,30 @@ impl Cluster {
     /// (the parent for the operation's RPCs) and the wrapped continuation.
     fn instrument_op<T: 'static>(
         &mut self,
-        op: &'static str,
-        policy: &'static str,
+        op: Op,
+        policy: OpPolicy,
         gateway: NodeId,
         parent: Option<SpanId>,
         cont: Cont<KvResult<T>>,
     ) -> (Option<SpanId>, Cont<KvResult<T>>) {
         self.op_started();
         let start = self.now();
-        let span = self.obs.tracer.start(op, parent, start);
-        if span.is_some() {
-            self.obs
-                .tracer
-                .attr(span, "gateway", format!("n{}", gateway.0));
-            self.obs.tracer.attr(
-                span,
-                "gateway_region",
-                self.region_name_of(gateway).to_string(),
-            );
-            self.obs.tracer.attr(span, "policy", policy);
-        }
+        let tracer = &self.obs.tracer;
+        let span = tracer.start(op.label(), parent, start);
+        tracer.attr(span, "gateway", format_args!("n{}", gateway.0));
+        tracer.attr(span, "gateway_region", self.region_name_of(gateway));
+        tracer.attr(span, "policy", policy.label());
         let wrapped: Cont<KvResult<T>> = Box::new(move |c, v| {
             c.op_finished();
             let now = c.now();
             match &v {
                 Ok(_) => {
-                    let region = c.region_name_of(gateway).to_string();
-                    c.obs
-                        .registry
-                        .histogram(
-                            "kv.op.latency",
-                            &[("op", op), ("policy", policy), ("region", &region)],
-                        )
-                        .record((now - start).nanos());
+                    let region = c.topology().region_of(gateway);
+                    let latency = c.m.op_latency(op, policy, region);
+                    latency.record((now - start).nanos());
                     c.obs.tracer.attr(span, "result", "ok");
                 }
-                Err(e) => c.obs.tracer.attr(span, "result", format!("err: {e}")),
+                Err(e) => c.obs.tracer.attr(span, "result", format_args!("err: {e}")),
             }
             c.obs.tracer.finish(span, now);
             cont(c, v);
@@ -922,13 +904,13 @@ impl Cluster {
     }
 
     /// The closed-timestamp policy label for the range covering `key`.
-    fn policy_of(&self, key: &Key) -> &'static str {
+    fn policy_of(&self, key: &Key) -> OpPolicy {
         match self.registry().lookup(key) {
             Some(d) => match d.zone_config.closed_ts_policy {
-                ClosedTsPolicy::Lead => "lead",
-                ClosedTsPolicy::Lag => "lag",
+                ClosedTsPolicy::Lead => OpPolicy::Lead,
+                ClosedTsPolicy::Lag => OpPolicy::Lag,
             },
-            None => "none",
+            None => OpPolicy::None,
         }
     }
 
@@ -941,24 +923,13 @@ impl Cluster {
         let span = st.span;
         let start = st.attr.start();
         let breakdown = st.attr.finalize(now);
+        self.m.record_txn_attr(&breakdown);
         for (c, n) in COMPONENTS.iter().zip(breakdown.comp_nanos.iter()) {
-            self.obs
-                .registry
-                .histogram("kv.txn.attr.latency", &[("comp", c.label())])
-                .record(*n);
-            self.obs.tracer.attr(span, c.attr_key(), n.to_string());
+            self.obs.tracer.attr(span, c.attr_key(), n);
         }
         self.obs
-            .registry
-            .histogram("kv.txn.attr.latency", &[("comp", "other")])
-            .record(breakdown.other_nanos);
-        self.obs
-            .registry
-            .histogram("kv.txn.attr.latency", &[("comp", "total")])
-            .record(breakdown.total_nanos);
-        self.obs
             .tracer
-            .attr(span, "attr.other", breakdown.other_nanos.to_string());
+            .attr(span, "attr.other", breakdown.other_nanos);
         self.attr_log.record(TxnAttrRecord {
             txn_id: st.id.0,
             gateway: st.gateway.0 as u64,
@@ -1030,7 +1001,7 @@ impl Cluster {
                     let now = c.now();
                     c.obs
                         .tracer
-                        .event(parent, now, format!("redirect to leaseholder: {e}"));
+                        .event(parent, now, format_args!("redirect to leaseholder: {e}"));
                     c.dist_send(
                         gateway,
                         key,
@@ -1192,19 +1163,12 @@ impl Cluster {
         // Every write is in flight as an intent; nothing left to flush.
         st.buffered.clear();
         let now = self.now();
-        let pspan = self.obs.tracer.start("txn.pipeline", tspan, now);
-        if pspan.is_some() {
-            self.obs.tracer.attr(pspan, "txn", format!("{id}"));
-            self.obs
-                .tracer
-                .attr(pspan, "staged_ts", format!("{staged_ts}"));
-            self.obs
-                .tracer
-                .attr(pspan, "in_flight", in_flight.len().to_string());
-            self.obs
-                .tracer
-                .attr(pspan, "outstanding", outstanding.to_string());
-        }
+        let tracer = &self.obs.tracer;
+        let pspan = tracer.start("txn.pipeline", tspan, now);
+        tracer.attr(pspan, "txn", id);
+        tracer.attr(pspan, "staged_ts", staged_ts);
+        tracer.attr(pspan, "in_flight", in_flight.len());
+        tracer.attr(pspan, "outstanding", outstanding);
         let anchor = meta.anchor.clone();
         self.dist_send(
             gateway,
@@ -1272,7 +1236,7 @@ impl Cluster {
             self.obs.tracer.event(
                 tspan,
                 now,
-                format!("restage: write at {max_written} above staged {staged_ts}"),
+                format_args!("restage: write at {max_written} above staged {staged_ts}"),
             );
             return self.txn_refresh_then(id, tspan, cont, Cluster::txn_send_end);
         }
@@ -1491,10 +1455,8 @@ impl Cluster {
         self.m.commit_wait_nanos.add(wait.nanos());
         self.m.commit_wait_latency.record(wait.nanos());
         let span = self.obs.tracer.start("txn.commit_wait", parent, wait_start);
-        self.obs.tracer.attr(span, "commit_ts", format!("{ts}"));
-        self.obs
-            .tracer
-            .attr(span, "wait_nanos", wait.nanos().to_string());
+        self.obs.tracer.attr(span, "commit_ts", ts);
+        self.obs.tracer.attr(span, "wait_nanos", wait.nanos());
         self.schedule(
             wait,
             Box::new(move |c| {
@@ -1678,16 +1640,11 @@ impl Cluster {
     ) {
         self.m.staging_recoveries.inc();
         let now = self.now();
-        let rspan = self.obs.tracer.start("txn.staging_recovery", None, now);
-        if rspan.is_some() {
-            self.obs.tracer.attr(rspan, "txn", format!("{}", holder.id));
-            self.obs
-                .tracer
-                .attr(rspan, "staged_ts", format!("{staged_ts}"));
-            self.obs
-                .tracer
-                .attr(rspan, "in_flight", in_flight.len().to_string());
-        }
+        let tracer = &self.obs.tracer;
+        let rspan = tracer.start("txn.staging_recovery", None, now);
+        tracer.attr(rspan, "txn", holder.id);
+        tracer.attr(rspan, "staged_ts", staged_ts);
+        tracer.attr(rspan, "in_flight", in_flight.len());
         let txn_id = holder.id;
         if in_flight.is_empty() {
             // Nothing was in flight when the record staged: implicit commit.
@@ -1785,7 +1742,9 @@ impl Cluster {
                         } else {
                             c.m.staging_recovery_aborts.inc();
                         }
-                        c.obs.tracer.attr(rspan, "outcome", format!("{status:?}"));
+                        c.obs
+                            .tracer
+                            .attr(rspan, "outcome", format_args!("{status:?}"));
                         c.obs.tracer.finish(rspan, now);
                         c.active_pushers.remove(&(range, key.clone()));
                         // Resolve the blocked key and every in-flight write

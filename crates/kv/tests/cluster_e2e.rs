@@ -992,3 +992,109 @@ fn volatile_crash_recovers_from_wal_and_serves_all_acked_writes() {
         assert_eq!(val.unwrap(), Some(Value::from(v)), "lost {k} across crash");
     }
 }
+
+/// The latency instruments the coordinator records through are the
+/// registry's own series, one per class of operation that has succeeded:
+/// after a mixed run each `kv.op.latency{op, policy, region}` holds exactly
+/// the successful operations of its class, and `kv.txn.attr.latency` one
+/// sample per finished transaction.
+#[test]
+fn op_latency_series_count_the_successful_ops_of_their_class() {
+    let mut c = cluster(ClusterConfig::default());
+    let zone = |policy| {
+        derive_zone_config(
+            US_EAST,
+            &all_regions(),
+            SurvivalGoal::Zone,
+            PlacementPolicy::Default,
+            policy,
+        )
+    };
+    let lag = Span::new(Key::MIN, Key::from("m"));
+    let lead = Span::new(Key::from("m"), Key::MIN);
+    c.create_range(lag, zone(ClosedTsPolicy::Lag)).unwrap();
+    c.create_range(lead, zone(ClosedTsPolicy::Lead)).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
+
+    for i in 0..3 {
+        write_key(&mut c, gw(0), &format!("a{i}"), "v");
+    }
+    for i in 0..2 {
+        write_key(&mut c, gw(2), &format!("x{i}"), "v");
+    }
+    for _ in 0..4 {
+        // A fresh read is a one-statement read-only transaction.
+        assert!(read_key(&mut c, gw(1), "a1", fresh()).0.unwrap().is_some());
+    }
+    let stale = ReadOptions {
+        staleness: Staleness::ExactAgo(SimDuration::from_secs(5)),
+        fallback_to_leaseholder: true,
+    };
+    for _ in 0..2 {
+        read_key(&mut c, gw(1), "a1", stale).0.unwrap();
+    }
+    // One transaction that writes and rolls back, and one operation that
+    // fails (a read through the finished handle): failures are not recorded.
+    let h = c.txn_begin(gw(0));
+    c.txn_put(
+        h,
+        Key::from("b"),
+        Some(Value::from("v")),
+        Box::new(|_, r| r.unwrap()),
+    );
+    c.run_until_quiescent(deadline());
+    c.txn_rollback(h, Box::new(|_, r| r.unwrap()));
+    c.run_until_quiescent(deadline());
+    c.txn_get(h, Key::from("b"), Box::new(|_, r| assert!(r.is_err())));
+    c.run_until_quiescent(deadline());
+
+    let expected: Vec<(&str, &str, &str, u64)> = vec![
+        ("kv.commit", "lag", "us-east1", 3),
+        ("kv.commit", "lead", "europe-west2", 2),
+        ("kv.commit", "ro", "us-west1", 4),
+        ("kv.get", "lag", "us-west1", 4),
+        ("kv.put", "lag", "us-east1", 4),
+        ("kv.put", "lead", "europe-west2", 2),
+        ("kv.read.stale", "lag", "us-west1", 2),
+        ("kv.rollback", "none", "us-east1", 1),
+    ];
+    let snap = c.obs.registry.snapshot();
+    let label = |k: &mr_obs::MetricKey, name: &str| {
+        let found = k.labels.iter().find(|(n, _)| *n == name);
+        found.map(|(_, v)| v.clone()).unwrap_or_default()
+    };
+    let got: Vec<(String, String, String, u64)> = snap
+        .histograms
+        .iter()
+        .filter(|(k, _)| k.name == "kv.op.latency")
+        .map(|(k, h)| {
+            (
+                label(k, "op"),
+                label(k, "policy"),
+                label(k, "region"),
+                h.count,
+            )
+        })
+        .collect();
+    let expected: Vec<_> = expected
+        .into_iter()
+        .map(|(o, p, r, n)| (o.to_string(), p.to_string(), r.to_string(), n))
+        .collect();
+    assert_eq!(got, expected);
+
+    let finished = 3 + 2 + 4 + 1;
+    let m = c.metrics();
+    assert_eq!(m.txn_commits + m.txn_aborts, finished);
+    for (k, h) in snap
+        .histograms
+        .iter()
+        .filter(|(k, _)| k.name == "kv.txn.attr.latency")
+    {
+        assert_eq!(h.count, finished, "{k}");
+    }
+    let total = c
+        .obs
+        .registry
+        .histogram("kv.txn.attr.latency", &[("comp", "total")]);
+    assert_eq!(total.count(), finished);
+}

@@ -22,6 +22,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use mr_sim::{SimDuration, SimTime};
 
 /// ln(2): converts a decayed sum into a rate (see [`DecayedCounter::rate`]).
@@ -113,9 +114,10 @@ struct RangeLoad {
     /// a decayed mean request latency.
     latency_nanos: DecayedCounter,
     latency_count: DecayedCounter,
-    /// Ring of recently-requested keys (raw bytes), newest last. Feeds
+    /// Ring of recently-requested keys (raw bytes, shared with the request
+    /// that carried them), newest last. Feeds
     /// [`LoadRecorder::split_key_suggestion`].
-    key_samples: std::collections::VecDeque<Vec<u8>>,
+    key_samples: std::collections::VecDeque<Bytes>,
     /// Decayed request rate per gateway region, keyed by region index.
     /// Feeds [`LoadRecorder::dominant_region`] (lease rebalancing).
     gateway: BTreeMap<u32, DecayedCounter>,
@@ -219,11 +221,17 @@ impl LoadRecorder {
         });
     }
 
-    /// Record the raw key a request against `range` addressed. Kept in a
-    /// bounded ring ([`KEY_SAMPLE_CAP`]) so the split trigger can estimate
-    /// the load median without unbounded memory.
-    pub fn sample_key(&self, range: u64, key: Vec<u8>) {
+    /// One request against `range`, addressed at `key`, sent through a
+    /// gateway in `region`: the gateway region's demand (lease rebalancing)
+    /// and the key, kept in a bounded ring ([`KEY_SAMPLE_CAP`]) so the split
+    /// trigger can estimate the load median without unbounded memory.
+    pub fn record_request(&self, now: SimTime, range: u64, region: u32, key: Bytes) {
         self.with_range(range, |r| {
+            let hl = r.reads.half_life;
+            r.gateway
+                .entry(region)
+                .or_insert_with(|| DecayedCounter::new(hl))
+                .add(now, 1);
             if r.key_samples.len() == KEY_SAMPLE_CAP {
                 r.key_samples.pop_front();
             }
@@ -236,27 +244,16 @@ impl LoadRecorder {
     /// always strictly above the lowest sampled key — the caller still
     /// validates it against the range's actual span). `None` until at least
     /// two distinct keys have been sampled.
-    pub fn split_key_suggestion(&self, range: u64) -> Option<Vec<u8>> {
+    pub fn split_key_suggestion(&self, range: u64) -> Option<Bytes> {
         let inner = self.inner.borrow();
         let r = inner.ranges.get(&range)?;
-        let mut distinct: Vec<&Vec<u8>> = r.key_samples.iter().collect();
+        let mut distinct: Vec<&Bytes> = r.key_samples.iter().collect();
         distinct.sort_unstable();
         distinct.dedup();
         if distinct.len() < 2 {
             return None;
         }
         Some(distinct[(distinct.len() / 2).max(1)].clone())
-    }
-
-    /// One request against `range` arrived through a gateway in `region`.
-    pub fn record_gateway(&self, now: SimTime, range: u64, region: u32) {
-        self.with_range(range, |r| {
-            let hl = r.reads.half_life;
-            r.gateway
-                .entry(region)
-                .or_insert_with(|| DecayedCounter::new(hl))
-                .add(now, 1);
-        });
     }
 
     /// Decayed request rate per gateway region (milli-QPS), ascending by
@@ -432,24 +429,26 @@ mod tests {
     #[test]
     fn split_suggestion_is_median_never_lowest() {
         let lr = LoadRecorder::new(SimDuration::from_secs(10));
-        assert!(lr.split_key_suggestion(1).is_none());
-        lr.sample_key(1, b"a".to_vec());
-        lr.sample_key(1, b"a".to_vec());
+        let sample =
+            |k: &str| lr.record_request(secs(1), 1, 0, Bytes::copy_from_slice(k.as_bytes()));
+        let suggestion = || lr.split_key_suggestion(1).map(|k| k.to_vec());
+        assert!(suggestion().is_none());
+        sample("a");
+        sample("a");
         // One distinct key: no usable split point yet.
-        assert!(lr.split_key_suggestion(1).is_none());
-        lr.sample_key(1, b"b".to_vec());
-        assert_eq!(lr.split_key_suggestion(1), Some(b"b".to_vec()));
+        assert!(suggestion().is_none());
+        sample("b");
+        assert_eq!(suggestion(), Some(b"b".to_vec()));
         for k in ["c", "d", "e"] {
-            lr.sample_key(1, k.as_bytes().to_vec());
+            sample(k);
         }
         // Distinct sorted keys a..e: the median is c.
-        assert_eq!(lr.split_key_suggestion(1), Some(b"c".to_vec()));
+        assert_eq!(suggestion(), Some(b"c".to_vec()));
         // The ring is bounded: ancient samples eventually fall out.
         for i in 0..KEY_SAMPLE_CAP {
-            lr.sample_key(1, format!("z{i:03}").into_bytes());
+            sample(&format!("z{i:03}"));
         }
-        let s = lr.split_key_suggestion(1).unwrap();
-        assert!(s.starts_with(b"z"));
+        assert!(suggestion().unwrap().starts_with(b"z"));
     }
 
     #[test]
@@ -457,9 +456,9 @@ mod tests {
         let lr = LoadRecorder::new(SimDuration::from_secs(10));
         assert!(lr.dominant_region(secs(1), 1).is_none());
         for _ in 0..9 {
-            lr.record_gateway(secs(1), 1, 2);
+            lr.record_request(secs(1), 1, 2, Bytes::new());
         }
-        lr.record_gateway(secs(1), 1, 0);
+        lr.record_request(secs(1), 1, 0, Bytes::new());
         let (reg, share) = lr.dominant_region(secs(1), 1).unwrap();
         assert_eq!(reg, 2);
         assert_eq!(share, 900);
@@ -468,8 +467,8 @@ mod tests {
         assert_eq!(rates[0].0, 0);
         // Ties break toward the lower region index.
         let lr2 = LoadRecorder::new(SimDuration::from_secs(10));
-        lr2.record_gateway(secs(1), 7, 1);
-        lr2.record_gateway(secs(1), 7, 3);
+        lr2.record_request(secs(1), 7, 1, Bytes::new());
+        lr2.record_request(secs(1), 7, 3, Bytes::new());
         assert_eq!(lr2.dominant_region(secs(1), 7).unwrap().0, 1);
     }
 

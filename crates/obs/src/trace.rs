@@ -8,7 +8,10 @@
 //! cross-region RPC hops") instead of only end-state counters.
 //!
 //! The tracer is disabled by default (every call is a cheap no-op returning
-//! `None`) so instrumented hot paths cost one branch when tracing is off.
+//! `None`) so instrumented hot paths cost one branch when tracing is off:
+//! attribute and event values are taken as `impl Display` and rendered only
+//! into a live span, so call sites pass `format_args!(..)` or the value
+//! itself and never build a `String` for a span that is not there.
 //! Exports: Chrome-trace JSON (load in `chrome://tracing` or Perfetto) and an
 //! indented human-readable tree.
 //!
@@ -21,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::rc::Rc;
 
 use crate::export::json_escape;
@@ -183,18 +187,18 @@ impl Tracer {
         Some(id)
     }
 
-    pub fn attr(&self, span: Option<SpanId>, key: &'static str, value: impl Into<String>) {
+    pub fn attr(&self, span: Option<SpanId>, key: &'static str, value: impl Display) {
         if let Some(id) = span {
             if let Some(s) = self.inner.borrow_mut().get_mut(id) {
-                s.attrs.push((key, value.into()));
+                s.attrs.push((key, value.to_string()));
             }
         }
     }
 
-    pub fn event(&self, span: Option<SpanId>, now: SimTime, message: impl Into<String>) {
+    pub fn event(&self, span: Option<SpanId>, now: SimTime, message: impl Display) {
         if let Some(id) = span {
             if let Some(s) = self.inner.borrow_mut().get_mut(id) {
-                s.events.push((now, message.into()));
+                s.events.push((now, message.to_string()));
             }
         }
     }

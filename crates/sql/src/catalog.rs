@@ -1,7 +1,8 @@
 //! The schema catalog: databases, regions, tables, columns, indexes, and
 //! their mapping onto KV ranges.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use mr_kv::zone::{PlacementPolicy, SurvivalGoal};
 use mr_proto::RangeId;
@@ -54,7 +55,7 @@ pub struct Column {
 }
 
 /// How an index's key space is partitioned into ranges.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum PartitionKey {
     /// Unpartitioned: one range for the whole index.
     Whole,
@@ -81,7 +82,7 @@ pub struct Index {
     /// pinning).
     pub zone_override: Option<ZoneOverrides>,
     /// Backing ranges per partition.
-    pub ranges: HashMap<PartitionKey, RangeId>,
+    pub ranges: BTreeMap<PartitionKey, RangeId>,
 }
 
 impl Index {
@@ -98,7 +99,7 @@ pub struct ManualPartitioning {
     /// Partition name → list values.
     pub partitions: Vec<(String, Vec<Datum>)>,
     /// Per-partition zone overrides.
-    pub zones: HashMap<String, ZoneOverrides>,
+    pub zones: BTreeMap<String, ZoneOverrides>,
 }
 
 /// A table.
@@ -146,7 +147,8 @@ impl Table {
     }
 }
 
-/// A multi-region database (§2.1).
+/// A multi-region database (§2.1). Cloning one copies the table map, not
+/// the tables: see [`Catalog`].
 #[derive(Clone, Debug)]
 pub struct Database {
     pub name: String,
@@ -154,7 +156,7 @@ pub struct Database {
     pub regions: Vec<RegionState>,
     pub survival: SurvivalGoal,
     pub placement: PlacementPolicy,
-    pub tables: HashMap<String, Table>,
+    pub tables: BTreeMap<String, Rc<Table>>,
 }
 
 impl Database {
@@ -188,17 +190,23 @@ impl Database {
     }
 }
 
-/// The whole catalog.
+/// The whole catalog. Descriptors are shared by reference: a statement's
+/// snapshot is a clone of the `Rc`s it resolved when it started, and DDL
+/// writes through [`Catalog::db_mut`] / [`Catalog::table_mut`], which copy a
+/// descriptor only while some statement still holds the old one
+/// (`Rc::make_mut`). A running statement therefore keeps the version it
+/// started with and the next one sees the new version. Every map is ordered:
+/// DDL walks them into the simulation (range ids, allocator draws, events).
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    pub databases: HashMap<String, Database>,
+    pub databases: BTreeMap<String, Rc<Database>>,
     next_table_id: TableId,
 }
 
 impl Catalog {
     pub fn new() -> Catalog {
         Catalog {
-            databases: HashMap::new(),
+            databases: BTreeMap::new(),
             next_table_id: 1,
         }
     }
@@ -210,20 +218,20 @@ impl Catalog {
     }
 
     pub fn db(&self, name: &str) -> Option<&Database> {
-        self.databases.get(name)
+        self.databases.get(name).map(|d| &**d)
     }
 
     pub fn db_mut(&mut self, name: &str) -> Option<&mut Database> {
-        self.databases.get_mut(name)
+        self.databases.get_mut(name).map(Rc::make_mut)
     }
 
     /// Find `table` in `db`.
     pub fn table(&self, db: &str, table: &str) -> Option<&Table> {
-        self.databases.get(db)?.tables.get(table)
+        self.db(db)?.tables.get(table).map(|t| &**t)
     }
 
     pub fn table_mut(&mut self, db: &str, table: &str) -> Option<&mut Table> {
-        self.databases.get_mut(db)?.tables.get_mut(table)
+        self.db_mut(db)?.tables.get_mut(table).map(Rc::make_mut)
     }
 }
 
@@ -247,7 +255,7 @@ mod tests {
             ],
             survival: SurvivalGoal::Zone,
             placement: PlacementPolicy::Default,
-            tables: HashMap::new(),
+            tables: BTreeMap::new(),
         }
     }
 
@@ -300,7 +308,7 @@ mod tests {
                 storing: vec![],
                 region_partitioned: true,
                 zone_override: None,
-                ranges: HashMap::new(),
+                ranges: BTreeMap::new(),
             }],
             manual_partitioning: None,
             zone_override: None,

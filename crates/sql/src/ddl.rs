@@ -17,11 +17,11 @@
 //! schemas between workload phases, so the latency of the change itself is
 //! out of scope.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use mr_kv::cluster::Cluster;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal, ZoneConfig};
-use mr_proto::RangeId;
 use mr_sim::RegionId;
 
 use crate::ast::{
@@ -207,7 +207,7 @@ fn create_database(
     }
     catalog.databases.insert(
         name.to_string(),
-        Database {
+        Rc::new(Database {
             name: name.to_string(),
             primary_region: primary.to_string(),
             regions: all
@@ -219,8 +219,8 @@ fn create_database(
                 .collect(),
             survival: SurvivalGoal::Zone,
             placement: PlacementPolicy::Default,
-            tables: HashMap::new(),
-        },
+            tables: BTreeMap::new(),
+        }),
     );
     Ok(DdlOutcome::Ok)
 }
@@ -311,24 +311,21 @@ fn add_region(
     }
     // New partitions for every RBR table; re-derived configs everywhere
     // (non-voters in the new region).
-    let tables: Vec<String> = catalog
-        .db(db_name)
-        .unwrap()
-        .tables
-        .keys()
-        .cloned()
-        .collect();
-    for t in &tables {
-        let is_rbr = matches!(
-            catalog.table(db_name, t).unwrap().locality,
-            TableLocality::RegionalByRow
-        );
-        if is_rbr {
-            create_rbr_partition_ranges(cluster, catalog, db_name, t, region)?;
-        }
+    for t in rbr_tables(catalog, db_name) {
+        create_rbr_partition_ranges(cluster, catalog, db_name, &t, region)?;
     }
     reconfigure_database(cluster, catalog, db_name)?;
     Ok(DdlOutcome::Ok)
+}
+
+/// Names of the database's REGIONAL BY ROW tables, in catalog order.
+fn rbr_tables(catalog: &Catalog, db_name: &str) -> Vec<String> {
+    let db = catalog.db(db_name).unwrap();
+    let rbr = db
+        .tables
+        .values()
+        .filter(|t| t.locality == TableLocality::RegionalByRow);
+    rbr.map(|t| t.name.clone()).collect()
 }
 
 fn drop_region(
@@ -357,34 +354,17 @@ fn drop_region(
     // the region value partitions every RBR index, this only inspects the
     // region's partitions, not whole tables), and no REGIONAL BY TABLE
     // table may have its home there.
-    let mut violation = None;
-    let tables: Vec<String> = catalog
-        .db(db_name)
-        .unwrap()
-        .tables
-        .keys()
-        .cloned()
-        .collect();
-    'outer: for t in &tables {
-        let table = catalog.table(db_name, t).unwrap();
-        if let TableLocality::RegionalByTable(home) = &table.locality {
-            if home == region {
-                violation = Some(t.clone());
-                break 'outer;
-            }
+    let pk = PartitionKey::Region(region.to_string());
+    let mut tables = catalog.db(db_name).unwrap().tables.values();
+    let violation = tables.find(|table| match &table.locality {
+        TableLocality::RegionalByTable(home) => home == region,
+        TableLocality::RegionalByRow => {
+            let rid = table.primary_index().ranges.get(&pk);
+            rid.is_some_and(|&rid| !cluster.admin_scan_range(rid).is_empty())
         }
-        if table.locality != TableLocality::RegionalByRow {
-            continue;
-        }
-        let pk = PartitionKey::Region(region.to_string());
-        if let Some(&rid) = table.primary_index().ranges.get(&pk) {
-            if !cluster.admin_scan_range(rid).is_empty() {
-                violation = Some(t.clone());
-                break 'outer;
-            }
-        }
-    }
-    if let Some(t) = violation {
+        TableLocality::Global => false,
+    });
+    if let Some(t) = violation.map(|t| t.name.clone()) {
         // Roll back: all-or-nothing semantics.
         catalog
             .db_mut(db_name)
@@ -400,20 +380,12 @@ fn drop_region(
         ));
     }
     // Commit the drop: remove partition ranges and the enum value.
-    for t in &tables {
-        let table = catalog.table_mut(db_name, t).unwrap();
-        if table.locality != TableLocality::RegionalByRow {
-            continue;
-        }
-        let pk = PartitionKey::Region(region.to_string());
-        let mut dropped = Vec::new();
+    for t in rbr_tables(catalog, db_name) {
+        let table = catalog.table_mut(db_name, &t).unwrap();
         for idx in table.indexes.iter_mut() {
             if let Some(rid) = idx.ranges.remove(&pk) {
-                dropped.push(rid);
+                cluster.drop_range(rid);
             }
-        }
-        for rid in dropped {
-            cluster.drop_range(rid);
         }
     }
     catalog
@@ -525,14 +497,14 @@ fn override_zone_config(
 /// database (region/survivability/placement changes).
 fn reconfigure_database(
     cluster: &mut Cluster,
-    catalog: &mut Catalog,
+    catalog: &Catalog,
     db_name: &str,
 ) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
     for table in db.tables.values() {
         for index in &table.indexes {
             for (pk, &rid) in &index.ranges {
-                let cfg = zone_config_for_partition(cluster, &db, table, index, pk)?;
+                let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
                 cluster
                     .reconfigure_range(rid, cfg)
                     .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
@@ -588,12 +560,11 @@ fn create_table(
 ) -> Result<DdlOutcome, DdlError> {
     let db = catalog
         .db(db_name)
-        .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?
-        .clone();
+        .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?;
     if db.tables.contains_key(name) {
         return err(format!("table {name:?} already exists"));
     }
-    let locality = resolve_locality(&db, locality)?;
+    let locality = resolve_locality(db, locality)?;
 
     // Columns.
     let mut columns: Vec<Column> = Vec::new();
@@ -659,6 +630,7 @@ fn create_table(
     }
 
     let id = catalog.next_table_id();
+    let db = catalog.db(db_name).unwrap();
     let mut table = Table {
         id,
         name: name.to_string(),
@@ -711,10 +683,10 @@ fn create_table(
     }
 
     // Ranges for every index × partition.
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for i in 0..table.indexes.len() {
         for pk in &partitions {
-            create_partition_range(cluster, &db, &mut table, i, pk)?;
+            create_partition_range(cluster, db, &mut table, i, pk)?;
         }
     }
 
@@ -722,7 +694,7 @@ fn create_table(
         .db_mut(db_name)
         .unwrap()
         .tables
-        .insert(name.to_string(), table);
+        .insert(name.to_string(), Rc::new(table));
     Ok(DdlOutcome::Ok)
 }
 
@@ -770,7 +742,7 @@ fn push_index(
         storing,
         region_partitioned,
         zone_override: None,
-        ranges: HashMap::new(),
+        ranges: BTreeMap::new(),
     });
 }
 
@@ -819,11 +791,11 @@ fn create_rbr_partition_ranges(
     table_name: &str,
     region: &str,
 ) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, table_name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
+    let mut table = db.tables[table_name].as_ref().clone();
     let pk = PartitionKey::Region(region.to_string());
     for i in 0..table.indexes.len() {
-        create_partition_range(cluster, &db, &mut table, i, &pk)?;
+        create_partition_range(cluster, db, &mut table, i, &pk)?;
     }
     *catalog.table_mut(db_name, table_name).unwrap() = table;
     Ok(())
@@ -876,15 +848,15 @@ fn alter_table(
 
 fn reconfigure_table(
     cluster: &mut Cluster,
-    catalog: &mut Catalog,
+    catalog: &Catalog,
     db_name: &str,
     name: &str,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let table = db.tables.get(name).unwrap();
+    let db = catalog.db(db_name).unwrap();
+    let table = &db.tables[name];
     for index in &table.indexes {
         for (pk, &rid) in &index.ranges {
-            let cfg = zone_config_for_partition(cluster, &db, table, index, pk)?;
+            let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
             cluster
                 .reconfigure_range(rid, cfg)
                 .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
@@ -903,9 +875,9 @@ fn set_locality(
     name: &str,
     locality: &Locality,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let new_locality = resolve_locality(&db, Some(locality))?;
-    let old = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
+    let new_locality = resolve_locality(db, Some(locality))?;
+    let old = &db.tables[name];
     if old.locality == new_locality {
         return Ok(DdlOutcome::Ok);
     }
@@ -920,8 +892,8 @@ fn set_locality(
 
     // Partitioning changes: offline rewrite. Extract all rows via the
     // primary index, drop all ranges, rebuild layout, re-insert.
-    let rows = read_all_rows(cluster, &old);
-    let mut table = old.clone();
+    let rows = read_all_rows(cluster, old);
+    let mut table = old.as_ref().clone();
     for index in &table.indexes {
         for &rid in index.ranges.values() {
             cluster.drop_range(rid);
@@ -968,10 +940,10 @@ fn set_locality(
         }
     }
 
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for i in 0..table.indexes.len() {
         for pk in &partitions {
-            create_partition_range(cluster, &db, &mut table, i, pk)?;
+            create_partition_range(cluster, db, &mut table, i, pk)?;
         }
     }
     write_all_rows(cluster, &table, &rows)?;
@@ -986,8 +958,8 @@ fn add_column(
     name: &str,
     def: &ColumnDef,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
+    let mut table = db.tables[name].as_ref().clone();
     if table.column_ordinal(&def.name).is_some() {
         return err(format!("column {:?} already exists", def.name));
     }
@@ -1010,7 +982,7 @@ fn add_column(
     });
     let mut rows = rows;
     for row in rows.iter_mut() {
-        let value = backfill_value(&table, row, def, &db)?;
+        let value = backfill_value(&table, row, def, db)?;
         row.push(value);
     }
     // Rewrite stored rows (values embed the full row).
@@ -1055,8 +1027,8 @@ fn partition_by_list(
     column: &str,
     partitions: &[(String, Vec<Datum>)],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
+    let mut table = db.tables[name].as_ref().clone();
     let ord = table
         .column_ordinal(column)
         .ok_or_else(|| DdlError(format!("unknown column {column:?}")))?;
@@ -1079,13 +1051,13 @@ fn partition_by_list(
     table.manual_partitioning = Some(ManualPartitioning {
         column: ord,
         partitions: partitions.to_vec(),
-        zones: HashMap::new(),
+        zones: BTreeMap::new(),
     });
     // One range per partition per index, spanning the listed values'
     // prefixes; plus catch-all ranges over the gaps so unlisted values
     // still route somewhere.
     for i in 0..table.indexes.len() {
-        create_manual_partition_ranges(cluster, &db, &mut table, i, partitions)?;
+        create_manual_partition_ranges(cluster, db, &mut table, i, partitions)?;
     }
     write_all_rows(cluster, &table, &rows)?;
     *catalog.table_mut(db_name, name).unwrap() = table;
@@ -1210,7 +1182,7 @@ fn create_index(
     unique: bool,
     storing: &[String],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
+    let db = catalog.db(db_name).unwrap();
     let mut table = catalog
         .table(db_name, table_name)
         .ok_or_else(|| DdlError(format!("unknown table {table_name:?}")))?
@@ -1230,9 +1202,9 @@ fn create_index(
         region_partitioned,
     );
     let pos = table.indexes.len() - 1;
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for pk in &partitions {
-        create_partition_range(cluster, &db, &mut table, pos, pk)?;
+        create_partition_range(cluster, db, &mut table, pos, pk)?;
     }
     // Backfill from existing rows.
     let rows = read_all_rows(cluster, &table);
@@ -1248,8 +1220,7 @@ fn create_index(
 /// Decode every live row of `table` from its primary index ranges.
 fn read_all_rows(cluster: &mut Cluster, table: &Table) -> Vec<Vec<Datum>> {
     let mut rows = Vec::new();
-    let ranges: Vec<RangeId> = table.primary_index().ranges.values().copied().collect();
-    for rid in ranges {
+    for &rid in table.primary_index().ranges.values() {
         for (_, v) in cluster.admin_scan_range(rid) {
             if let Some(row) = decode_row(&v) {
                 rows.push(row);

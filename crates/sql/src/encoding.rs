@@ -175,7 +175,9 @@ pub fn index_prefix(table: TableId, index: IndexId) -> Vec<u8> {
 pub fn partition_prefix(table: TableId, index: IndexId, region: Option<&str>) -> Vec<u8> {
     let mut v = index_prefix(table, index);
     if let Some(r) = region {
-        encode_datum(&mut v, &Datum::Region(r.to_string()));
+        // As `Datum::Region(r)` encodes.
+        v.push(TAG_STRING);
+        escape_bytes(&mut v, r.as_bytes());
     }
     v
 }
@@ -198,10 +200,12 @@ pub fn partition_span(table: TableId, index: IndexId, region: Option<&str>) -> S
 pub fn encode_row(row: &[Datum]) -> Value {
     let mut v = Vec::with_capacity(row.len() * 8);
     for d in row {
-        let mut one = Vec::new();
-        encode_datum(&mut one, d);
-        v.extend_from_slice(&(one.len() as u32).to_be_bytes());
-        v.extend_from_slice(&one);
+        // Length prefix, patched once the datum is encoded behind it.
+        let at = v.len();
+        v.extend_from_slice(&[0; 4]);
+        encode_datum(&mut v, d);
+        let len = (v.len() - at - 4) as u32;
+        v[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
     Value::from_vec(v)
 }
@@ -311,6 +315,10 @@ mod tests {
         let idx = Key::from_vec(index_prefix(1, 1));
         let part = Key::from_vec(partition_prefix(1, 1, Some("us-east1")));
         assert!(part.starts_with(&idx));
+        // The region component is the region datum's own encoding.
+        let mut by_datum = index_prefix(1, 1);
+        encode_datum(&mut by_datum, &Datum::Region("us-east1".into()));
+        assert_eq!(part.as_slice(), by_datum);
         let key = index_key(1, 1, Some("us-east1"), &[Datum::Int(5)]);
         assert!(key.starts_with(&part));
         assert!(partition_span(1, 1, Some("us-east1")).contains(&key));

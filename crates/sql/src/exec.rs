@@ -19,8 +19,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness};
-use mr_kv::join::join_all;
+use mr_kv::cluster::{Cluster, ClusterConfig, Cont, ReadOptions, Staleness};
+use mr_kv::join::{join_all, Task};
 use mr_kv::TxnHandle;
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, Topology};
@@ -28,10 +28,12 @@ use mr_sim::{NodeId, Topology};
 use crate::ast::{Aost, Expr, Stmt};
 use crate::catalog::{Catalog, Database, Index, Table};
 use crate::ddl::{self, entry_key, DdlError, DdlOutcome};
-use crate::encoding::{decode_row, encode_row, partition_prefix};
+use crate::encoding::{decode_row, encode_row, index_key};
 use crate::expr::{eval, EvalEnv};
 use crate::parser::parse;
-use crate::plan::{plan_read, plan_uniqueness_checks, PartitionStrategy, ReadPlan};
+use crate::plan::{
+    plan_read, plan_uniqueness_checks, PartitionStrategy, ReadPlan, UniquenessCheck,
+};
 use crate::types::{ColumnType, Datum};
 
 /// Continuation for SQL results.
@@ -147,7 +149,9 @@ impl SqlResult {
 
 struct SessState {
     gateway: NodeId,
-    db: Option<String>,
+    /// Region name of `gateway`, shared with every statement's [`ExecCtx`].
+    gateway_region: Rc<str>,
+    db: Option<Rc<str>>,
     txn: Option<TxnHandle>,
 }
 
@@ -163,7 +167,7 @@ impl Session {
     }
 
     pub fn database(&self) -> Option<String> {
-        self.inner.borrow().db.clone()
+        self.inner.borrow().db.as_deref().map(str::to_string)
     }
 
     pub fn in_txn(&self) -> bool {
@@ -221,7 +225,8 @@ impl SqlDb {
         Session {
             inner: Rc::new(RefCell::new(SessState {
                 gateway: node,
-                db: db.map(|s| s.to_string()),
+                gateway_region: self.cluster.region_name_of(node).into(),
+                db: db.map(Rc::from),
                 txn: None,
             })),
         }
@@ -264,7 +269,7 @@ impl SqlDb {
         let cont: SqlCont<SqlResult> = Box::new(move |c, res| {
             let now = c.now();
             if let Err(e) = &res {
-                c.obs.tracer.event(span, now, format!("err: {e}"));
+                c.obs.tracer.event(span, now, format_args!("err: {e}"));
             }
             c.obs.tracer.finish(span, now);
             // The finished statement becomes "the last statement" that
@@ -321,7 +326,7 @@ impl SqlDb {
     fn exec_stmt(&mut self, sess: &Session, stmt: Stmt, cont: SqlCont<SqlResult>) {
         match stmt {
             Stmt::Use { db } => {
-                sess.inner.borrow_mut().db = Some(db);
+                sess.inner.borrow_mut().db = Some(db.into());
                 cont(&mut self.cluster, Ok(SqlResult::Ok));
             }
             Stmt::Begin => {
@@ -376,7 +381,7 @@ impl SqlDb {
                 let db = sess.inner.borrow().db.clone();
                 // CREATE DATABASE implicitly selects the database.
                 if let Stmt::CreateDatabase { name, .. } = &stmt {
-                    sess.inner.borrow_mut().db = Some(name.clone());
+                    sess.inner.borrow_mut().db = Some(name.as_str().into());
                 }
                 let mut catalog = self.catalog.borrow_mut();
                 let res = ddl::exec_ddl(&mut self.cluster, &mut catalog, db.as_deref(), &stmt);
@@ -411,24 +416,9 @@ impl SqlDb {
             // Virtual tables: materialized synchronously from live cluster
             // and catalog state — no KV reads, no transaction.
             Stmt::Select { ref table, .. } if crate::vtable::is_virtual(table) => {
-                let (gateway, db) = {
-                    let st = sess.inner.borrow();
-                    (st.gateway, st.db.clone().unwrap_or_default())
-                };
-                let topo = self.cluster.topology();
-                let gateway_region = topo.region_name(topo.region_of(gateway)).to_string();
-                // Virtual tables work without a selected database, so build
-                // the context directly instead of going through `ctx`.
-                let ctx = ExecCtx {
-                    catalog: Rc::clone(&self.catalog),
-                    uuid: Rc::clone(&self.uuid_counter),
-                    gateway,
-                    gateway_region,
-                    db,
-                    fk_checks: self.fk_checks,
-                    unique_checks: self.unique_checks,
-                    los_enabled: self.los_enabled,
-                };
+                // Virtual tables work without a selected database.
+                let db = sess.inner.borrow().db.clone().unwrap_or_else(|| "".into());
+                let ctx = self.ctx_in(sess, db);
                 let res = exec_select_virtual(&mut self.cluster, &ctx, &stmt);
                 cont(&mut self.cluster, res);
             }
@@ -443,7 +433,13 @@ impl SqlDb {
                         return;
                     }
                 };
-                exec_select_stale(&mut self.cluster, ctx, Rc::new(stmt), aost, cont);
+                exec_select(
+                    &mut self.cluster,
+                    ctx,
+                    Rc::new(stmt),
+                    stale_mode(aost),
+                    cont,
+                );
             }
             // DML.
             Stmt::Insert { .. }
@@ -470,24 +466,23 @@ impl SqlDb {
     }
 
     fn ctx(&self, sess: &Session) -> Result<ExecCtx, SqlError> {
+        let db = sess.inner.borrow().db.clone();
+        let db = db.ok_or_else(|| SqlError::Catalog("no database selected (USE <db>)".into()))?;
+        Ok(self.ctx_in(sess, db))
+    }
+
+    fn ctx_in(&self, sess: &Session, db: Rc<str>) -> ExecCtx {
         let st = sess.inner.borrow();
-        let db = st
-            .db
-            .clone()
-            .ok_or_else(|| SqlError::Catalog("no database selected (USE <db>)".into()))?;
-        let gateway = st.gateway;
-        let topo = self.cluster.topology();
-        let gateway_region = topo.region_name(topo.region_of(gateway)).to_string();
-        Ok(ExecCtx {
+        ExecCtx {
             catalog: Rc::clone(&self.catalog),
             uuid: Rc::clone(&self.uuid_counter),
-            gateway,
-            gateway_region,
+            gateway: st.gateway,
+            gateway_region: Rc::clone(&st.gateway_region),
             db,
             fk_checks: self.fk_checks,
             unique_checks: self.unique_checks,
             los_enabled: self.los_enabled,
-        })
+        }
     }
 
     /// `EXPLAIN ANALYZE <stmt>`: execute the statement for real under a
@@ -666,30 +661,34 @@ fn render_analyze(
     rows
 }
 
-/// Per-statement execution context, cloneable into continuations.
+/// Per-statement execution context, cloneable into continuations (every
+/// clone is refcount bumps: the names are shared with the session).
 #[derive(Clone)]
 struct ExecCtx {
     catalog: Rc<RefCell<Catalog>>,
     uuid: Rc<Cell<u64>>,
     gateway: NodeId,
-    gateway_region: String,
-    db: String,
+    gateway_region: Rc<str>,
+    db: Rc<str>,
     fk_checks: bool,
     unique_checks: bool,
     los_enabled: bool,
 }
 
 impl ExecCtx {
+    /// The descriptors this statement runs against: the versions current
+    /// when it starts, kept until it ends whatever DDL lands meanwhile.
     fn snapshot(&self, table_name: &str) -> Result<(Rc<Database>, Rc<Table>), SqlError> {
         let cat = self.catalog.borrow();
         let db = cat
-            .db(&self.db)
+            .databases
+            .get(&*self.db)
             .ok_or_else(|| SqlError::Catalog(format!("unknown database {:?}", self.db)))?;
         let table = db
             .tables
             .get(table_name)
             .ok_or_else(|| SqlError::Catalog(format!("unknown table {table_name:?}")))?;
-        Ok((Rc::new(db.clone()), Rc::new(table.clone())))
+        Ok((Rc::clone(db), Rc::clone(table)))
     }
 
     fn eval(&self, table: &Table, row: &[Datum], e: &Expr) -> Result<Datum, SqlError> {
@@ -884,7 +883,7 @@ fn run_implicit(
     let stmt2 = Rc::clone(&stmt);
     exec_dml_in_txn(
         cluster,
-        ctx.clone(),
+        ctx,
         stmt,
         txn,
         Box::new(move |c, res| match res {
@@ -929,7 +928,7 @@ fn exec_dml_in_txn(
 ) {
     match &*stmt {
         Stmt::Insert { .. } => exec_insert(cluster, ctx, stmt, txn, cont),
-        Stmt::Select { .. } => exec_select(cluster, ctx, stmt, txn, cont),
+        Stmt::Select { .. } => exec_select(cluster, ctx, stmt, FetchMode::Txn(txn), cont),
         Stmt::Update { .. } => exec_update(cluster, ctx, stmt, txn, cont),
         Stmt::Delete { .. } => exec_delete(cluster, ctx, stmt, txn, cont),
         other => cont(
@@ -1038,7 +1037,7 @@ fn explain(cluster: &mut Cluster, ctx: &ExecCtx, stmt: &Stmt) -> Result<SqlResul
                     line(format!("  partitions: fan out to all ({})", rs.join(", ")))
                 }
             }
-            if plan.residual.is_some() {
+            if plan.residual {
                 line("  filter: residual predicate re-applied".into());
             }
         }
@@ -1085,167 +1084,117 @@ fn explain(cluster: &mut Cluster, ctx: &ExecCtx, stmt: &Stmt) -> Result<SqlResul
 }
 
 /// One probe task: returns decoded full rows.
-#[allow(clippy::too_many_arguments)]
-fn probe_task(
-    table: &Rc<Table>,
-    index_id: u32,
-    unique: bool,
-    region: Option<String>,
-    key: Vec<Datum>,
-    mode: FetchMode,
-    gateway: NodeId,
-    limit: usize,
-) -> Box<dyn FnOnce(&mut Cluster, SqlCont<Vec<Vec<Datum>>>)> {
-    let table = Rc::clone(table);
-    Box::new(move |cluster, cont| {
-        let decode_all = move |values: Vec<Value>| -> Result<Vec<Vec<Datum>>, SqlError> {
-            values
-                .iter()
-                .map(|v| decode_row(v).ok_or_else(|| SqlError::Eval("corrupt row encoding".into())))
-                .collect()
-        };
+type RowsTask = Task<Vec<Vec<Datum>>, SqlError>;
+/// One constraint check: `Some(violation)` or `None`.
+type CheckTask = Task<Option<SqlError>, SqlError>;
+
+/// What one probe reads: one unique-index entry, or every entry under a key
+/// prefix (non-unique index, partial key, or — with no key at all — the
+/// whole partition).
+enum Probe {
+    Point(Key),
+    Prefix(Span),
+}
+
+impl Probe {
+    fn new(
+        table: &Table,
+        index_id: u32,
+        unique: bool,
+        region: Option<&str>,
+        key: &[Datum],
+    ) -> Probe {
+        let k = index_key(table.id, index_id, region, key);
         if unique && !key.is_empty() {
-            let k = crate::encoding::index_key(table.id, index_id, region.as_deref(), &key);
-            let handle = move |c: &mut Cluster,
-                               res: Result<Option<Value>, KvError>,
-                               cont: SqlCont<Vec<Vec<Datum>>>| {
-                match res {
-                    Ok(Some(v)) => cont(c, decode_all(vec![v])),
-                    Ok(None) => cont(c, Ok(Vec::new())),
-                    Err(e) => cont(c, Err(SqlError::Kv(e))),
-                }
-            };
-            match mode {
-                FetchMode::Txn(txn) => {
-                    cluster.txn_get(txn, k, Box::new(move |c, res| handle(c, res, cont)));
-                }
-                FetchMode::Stale(staleness) => {
-                    let opts = ReadOptions {
-                        staleness,
-                        fallback_to_leaseholder: true,
-                    };
-                    cluster.read(
-                        gateway,
-                        k,
-                        opts,
-                        Box::new(move |c, res| handle(c, res, cont)),
-                    );
-                }
-            }
+            Probe::Point(k)
         } else {
-            // Prefix scan (non-unique index, partial key, or full scan).
-            let mut prefix = partition_prefix(table.id, index_id, region.as_deref());
-            for d in &key {
-                crate::encoding::encode_datum(&mut prefix, d);
-            }
-            let span = Span::prefix(Key::from_vec(prefix));
-            let handle = move |c: &mut Cluster,
-                               res: Result<Vec<(Key, Value)>, KvError>,
-                               cont: SqlCont<Vec<Vec<Datum>>>| {
-                match res {
-                    Ok(rows) => cont(c, decode_all(rows.into_iter().map(|(_, v)| v).collect())),
-                    Err(e) => cont(c, Err(SqlError::Kv(e))),
-                }
-            };
+            Probe::Prefix(Span::prefix(k))
+        }
+    }
+}
+
+fn probe_task(probe: Probe, mode: FetchMode, gateway: NodeId, limit: usize) -> RowsTask {
+    fn decode(v: &Value) -> Result<Vec<Datum>, SqlError> {
+        decode_row(v).ok_or_else(|| SqlError::Eval("corrupt row encoding".into()))
+    }
+    let opts = |staleness| ReadOptions {
+        staleness,
+        fallback_to_leaseholder: true,
+    };
+    Box::new(move |cluster, cont| match probe {
+        Probe::Point(key) => {
+            let done: Cont<Result<Option<Value>, KvError>> = Box::new(move |c, res| {
+                let found = res.map_err(SqlError::Kv);
+                cont(c, found.and_then(|v| v.iter().map(decode).collect()));
+            });
             match mode {
-                FetchMode::Txn(txn) => {
-                    cluster.txn_scan(
-                        txn,
-                        span,
-                        limit,
-                        Box::new(move |c, res| handle(c, res, cont)),
-                    );
-                }
-                FetchMode::Stale(staleness) => {
-                    let opts = ReadOptions {
-                        staleness,
-                        fallback_to_leaseholder: true,
-                    };
-                    cluster.scan(
-                        gateway,
-                        span,
-                        limit,
-                        opts,
-                        Box::new(move |c, res| handle(c, res, cont)),
-                    );
-                }
+                FetchMode::Txn(txn) => cluster.txn_get(txn, key, done),
+                FetchMode::Stale(s) => cluster.read(gateway, key, opts(s), done),
+            }
+        }
+        Probe::Prefix(span) => {
+            let done: Cont<Result<Vec<(Key, Value)>, KvError>> = Box::new(move |c, res| {
+                let found = res.map_err(SqlError::Kv);
+                cont(
+                    c,
+                    found.and_then(|kvs| kvs.iter().map(|(_, v)| decode(v)).collect()),
+                );
+            });
+            match mode {
+                FetchMode::Txn(txn) => cluster.txn_scan(txn, span, limit, done),
+                FetchMode::Stale(s) => cluster.scan(gateway, span, limit, opts(s), done),
             }
         }
     })
 }
 
-/// Fetch all rows matching `plan`, applying locality-optimized search.
+/// The WHERE clause and LIMIT of a row-fetching statement.
+fn filter_of(stmt: &Stmt) -> (Option<&Expr>, usize) {
+    match stmt {
+        Stmt::Select {
+            predicate, limit, ..
+        } => (predicate.as_ref(), limit.map_or(usize::MAX, |l| l as usize)),
+        Stmt::Update { predicate, .. } | Stmt::Delete { predicate, .. } => {
+            (predicate.as_ref(), usize::MAX)
+        }
+        _ => (None, usize::MAX),
+    }
+}
+
+/// Fetch all rows of `stmt`'s table matching `plan`, applying
+/// locality-optimized search.
 fn fetch_rows(
     cluster: &mut Cluster,
     ctx: ExecCtx,
     table: Rc<Table>,
+    stmt: Rc<Stmt>,
     plan: ReadPlan,
     mode: FetchMode,
-    limit: usize,
     cont: SqlCont<Vec<Vec<Datum>>>,
 ) {
-    let keys: Vec<Vec<Datum>> = if plan.keys.is_empty() {
-        vec![Vec::new()] // full scan probe (empty key prefix)
-    } else {
-        plan.keys.clone()
+    let limit = filter_of(&stmt).1;
+    let task = |region: Option<&str>, key: &[Datum]| {
+        let probe = Probe::new(&table, plan.index_id, plan.unique, region, key);
+        probe_task(probe, mode, ctx.gateway, limit)
     };
-    // One fetch unit per key; results concatenated.
-    let mut tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Vec<Vec<Datum>>>)>> = Vec::new();
+    // One fetch unit per key (a full scan is one probe with an empty key
+    // prefix); results concatenated.
+    let full_scan = [Vec::new()];
+    let keys = match plan.keys.is_empty() {
+        true => &full_scan[..],
+        false => &plan.keys[..],
+    };
+    let mut tasks: Vec<RowsTask> = Vec::new();
     for key in keys {
         match &plan.strategy {
-            PartitionStrategy::Single(region) => {
-                tasks.push(probe_task(
-                    &table,
-                    plan.index_id,
-                    plan.unique,
-                    region.clone(),
-                    key,
-                    mode,
-                    ctx.gateway,
-                    limit,
-                ));
-            }
+            PartitionStrategy::Single(region) => tasks.push(task(region.as_deref(), key)),
             PartitionStrategy::AllPartitions(regions) => {
-                for r in regions {
-                    tasks.push(probe_task(
-                        &table,
-                        plan.index_id,
-                        plan.unique,
-                        Some(r.clone()),
-                        key.clone(),
-                        mode,
-                        ctx.gateway,
-                        limit,
-                    ));
-                }
+                tasks.extend(regions.iter().map(|r| task(Some(r), key)));
             }
             PartitionStrategy::LocalityOptimized { local, remote } => {
                 // §4.2: probe the local partition; fan out only on a miss.
-                let local_task = probe_task(
-                    &table,
-                    plan.index_id,
-                    plan.unique,
-                    Some(local.clone()),
-                    key.clone(),
-                    mode,
-                    ctx.gateway,
-                    limit,
-                );
-                let remote_tasks: Vec<_> = remote
-                    .iter()
-                    .map(|r| {
-                        probe_task(
-                            &table,
-                            plan.index_id,
-                            plan.unique,
-                            Some(r.clone()),
-                            key.clone(),
-                            mode,
-                            ctx.gateway,
-                            limit,
-                        )
-                    })
-                    .collect();
+                let local_task = task(Some(local), key);
+                let remote_tasks: Vec<_> = remote.iter().map(|r| task(Some(r), key)).collect();
                 let want = if plan.unique { 1 } else { limit };
                 tasks.push(Box::new(move |cluster, cont| {
                     local_task(
@@ -1265,19 +1214,17 @@ fn fetch_rows(
             }
         }
     }
-    let ctx2 = ctx.clone();
-    let table2 = Rc::clone(&table);
-    let residual = plan.residual.clone();
+    let residual = plan.residual;
     join_all(
         cluster,
         tasks,
         Box::new(move |c, res| match res {
             Ok(groups) => {
                 let mut rows: Vec<Vec<Datum>> = groups.into_iter().flatten().collect();
-                if let Some(pred) = &residual {
+                if let (true, Some(pred)) = (residual, filter_of(&stmt).0) {
                     let mut filtered = Vec::with_capacity(rows.len());
                     for row in rows {
-                        match ctx2.eval_pred(&table2, &row, pred) {
+                        match ctx.eval_pred(&table, &row, pred) {
                             Ok(true) => filtered.push(row),
                             Ok(false) => {}
                             Err(e) => {
@@ -1326,66 +1273,10 @@ fn project(
         .collect())
 }
 
-fn exec_select(
-    cluster: &mut Cluster,
-    ctx: ExecCtx,
-    stmt: Rc<Stmt>,
-    txn: TxnHandle,
-    cont: SqlCont<SqlResult>,
-) {
-    let Stmt::Select {
-        table: tname,
-        columns,
-        predicate,
-        limit,
-        ..
-    } = &*stmt
-    else {
-        unreachable!()
-    };
-    let (db, table) = match ctx.snapshot(tname) {
-        Ok(x) => x,
-        Err(e) => return cont(cluster, Err(e)),
-    };
-    let plan = match plan_for(&ctx, cluster, &db, &table, predicate.as_ref(), *limit) {
-        Ok(p) => p,
-        Err(e) => return cont(cluster, Err(e)),
-    };
-    let lim = limit.map(|l| l as usize).unwrap_or(usize::MAX);
-    let columns = columns.clone();
-    let table2 = Rc::clone(&table);
-    fetch_rows(
-        cluster,
-        ctx,
-        table,
-        plan,
-        FetchMode::Txn(txn),
-        lim,
-        Box::new(move |c, res| match res {
-            Ok(rows) => cont(c, project(&table2, &columns, rows).map(SqlResult::Rows)),
-            Err(e) => cont(c, Err(e)),
-        }),
-    );
-}
-
-fn exec_select_stale(
-    cluster: &mut Cluster,
-    ctx: ExecCtx,
-    stmt: Rc<Stmt>,
-    aost: Aost,
-    cont: SqlCont<SqlResult>,
-) {
-    let Stmt::Select {
-        table: tname,
-        columns,
-        predicate,
-        limit,
-        ..
-    } = &*stmt
-    else {
-        unreachable!()
-    };
-    let staleness = match aost {
+/// How `AS OF SYSTEM TIME` reads: stale SELECTs bypass the transaction
+/// machinery (§5.3).
+fn stale_mode(aost: Aost) -> FetchMode {
+    FetchMode::Stale(match aost {
         Aost::ExactAgo(d) => Staleness::ExactAgo(d),
         Aost::MaxStaleness(d) => Staleness::BoundedMaxStaleness(d),
         // with_min_timestamp is *bounded* staleness: negotiate the freshest
@@ -1397,6 +1288,24 @@ fn exec_select_stale(
         Aost::FollowerReadTimestamp => Staleness::ExactAgo(mr_sim::SimDuration::from_millis(
             mr_kv::ClosedTsParams::DEFAULT_LAG_SECS * 1000 + 500,
         )),
+    })
+}
+
+fn exec_select(
+    cluster: &mut Cluster,
+    ctx: ExecCtx,
+    stmt: Rc<Stmt>,
+    mode: FetchMode,
+    cont: SqlCont<SqlResult>,
+) {
+    let Stmt::Select {
+        table: tname,
+        predicate,
+        limit,
+        ..
+    } = &*stmt
+    else {
+        unreachable!()
     };
     let (db, table) = match ctx.snapshot(tname) {
         Ok(x) => x,
@@ -1406,19 +1315,20 @@ fn exec_select_stale(
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };
-    let lim = limit.map(|l| l as usize).unwrap_or(usize::MAX);
-    let columns = columns.clone();
-    let table2 = Rc::clone(&table);
+    let (table2, stmt2) = (Rc::clone(&table), Rc::clone(&stmt));
     fetch_rows(
         cluster,
         ctx,
         table,
+        stmt,
         plan,
-        FetchMode::Stale(staleness),
-        lim,
-        Box::new(move |c, res| match res {
-            Ok(rows) => cont(c, project(&table2, &columns, rows).map(SqlResult::Rows)),
-            Err(e) => cont(c, Err(e)),
+        mode,
+        Box::new(move |c, res| {
+            let Stmt::Select { columns, .. } = &*stmt2 else {
+                unreachable!()
+            };
+            let rows = res.and_then(|rows| project(&table2, columns, rows));
+            cont(c, rows.map(SqlResult::Rows));
         }),
     );
 }
@@ -1464,34 +1374,15 @@ fn exec_insert(
     // insert.
     let blind_upsert =
         upsert && table.indexes.len() == 1 && !table.primary_index().region_partitioned;
-    let ctx2 = ctx.clone();
-    let table2 = Rc::clone(&table);
-    let db2 = Rc::clone(&db);
     let per_row: Rc<dyn Fn(&mut Cluster, (Vec<Datum>, Vec<bool>), SqlCont<()>)> =
         Rc::new(move |cluster, (row, generated), done| {
             if blind_upsert {
-                write_row_entries(cluster, &table2, &row, None, txn, done);
+                write_row_entries(cluster, &table, &row, None, txn, done);
             } else if upsert {
-                upsert_one_row(
-                    cluster,
-                    ctx2.clone(),
-                    Rc::clone(&db2),
-                    Rc::clone(&table2),
-                    row,
-                    txn,
-                    done,
-                );
+                let (ctx, db, table) = (ctx.clone(), Rc::clone(&db), Rc::clone(&table));
+                upsert_one_row(cluster, ctx, db, table, row, txn, done);
             } else {
-                insert_one_row(
-                    cluster,
-                    ctx2.clone(),
-                    Rc::clone(&db2),
-                    Rc::clone(&table2),
-                    row,
-                    generated,
-                    txn,
-                    done,
-                );
+                insert_one_row(cluster, &ctx, &db, &table, row, &generated, txn, done);
             }
         });
     for_each_seq(
@@ -1574,87 +1465,104 @@ fn build_insert_row(
             )));
         }
         if col.ty == ColumnType::Region && !row[i].is_null() {
-            let r = row[i].as_str().unwrap_or_default().to_string();
-            if !db.has_region(&r) {
+            let r = row[i].as_str().unwrap_or_default();
+            if !db.has_region(r) {
                 return Err(SqlError::Eval(format!(
                     "{r:?} is not a region of database {:?}",
                     db.name
                 )));
             }
-            if !db.region_writable(&r) {
-                return Err(SqlError::ReadOnlyRegion(r));
+            if !db.region_writable(r) {
+                return Err(SqlError::ReadOnlyRegion(r.to_string()));
             }
         }
     }
     Ok((row, generated))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn insert_one_row(
+/// One existence probe per partition `check` names: a hit violates the
+/// index's UNIQUE constraint (§4.1).
+fn uniqueness_probes(
+    table: &Rc<Table>,
+    check: &UniquenessCheck,
+    txn: TxnHandle,
+    probes: &mut Vec<CheckTask>,
+) {
+    for partition in &check.partitions {
+        let key = index_key(table.id, check.index_id, partition.as_deref(), &check.key);
+        let (table, index_id) = (Rc::clone(table), check.index_id);
+        probes.push(Box::new(move |cluster, cont| {
+            cluster.txn_get(
+                txn,
+                key,
+                Box::new(move |c, res| match res {
+                    Ok(Some(_)) => cont(
+                        c,
+                        Ok(Some(SqlError::UniqueViolation {
+                            table: table.name.clone(),
+                            index: ddl::index_by_id(&table, index_id)
+                                .map(|i| i.name.clone())
+                                .unwrap_or_default(),
+                        })),
+                    ),
+                    Ok(None) => cont(c, Ok(None)),
+                    Err(e) => cont(c, Err(SqlError::Kv(e))),
+                }),
+            );
+        }));
+    }
+}
+
+/// Run the constraint checks; unless one reports a violation, write (or,
+/// over `old_row`, rewrite) every index entry of `row`.
+fn check_then_write(
     cluster: &mut Cluster,
-    ctx: ExecCtx,
-    db: Rc<Database>,
-    table: Rc<Table>,
+    probes: Vec<CheckTask>,
+    table: &Rc<Table>,
     row: Vec<Datum>,
-    generated: Vec<bool>,
+    old_row: Option<Vec<Datum>>,
     txn: TxnHandle,
     done: SqlCont<()>,
 ) {
-    // Probe tasks: uniqueness checks (§4.1) + FK parent checks.
-    let mut probes: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Option<SqlError>>)>> = Vec::new();
-    if ctx.unique_checks {
-        for check in plan_uniqueness_checks(&db, &table, &row, &generated) {
-            for partition in &check.partitions {
-                let key = crate::encoding::index_key(
-                    table.id,
-                    check.index_id,
-                    partition.as_deref(),
-                    &check.key,
-                );
-                let tname = table.name.clone();
-                let iname = ddl::index_by_id(&table, check.index_id)
-                    .map(|i| i.name.clone())
-                    .unwrap_or_default();
-                probes.push(Box::new(move |cluster, cont| {
-                    cluster.txn_get(
-                        txn,
-                        key,
-                        Box::new(move |c, res| match res {
-                            Ok(Some(_)) => cont(
-                                c,
-                                Ok(Some(SqlError::UniqueViolation {
-                                    table: tname,
-                                    index: iname,
-                                })),
-                            ),
-                            Ok(None) => cont(c, Ok(None)),
-                            Err(e) => cont(c, Err(SqlError::Kv(e))),
-                        }),
-                    );
-                }));
-            }
-        }
-    }
-    if ctx.fk_checks {
-        match fk_probe_tasks(&ctx, &db, &table, &row, txn) {
-            Ok(mut tasks) => probes.append(&mut tasks),
-            Err(e) => return done(cluster, Err(e)),
-        }
-    }
-    let table2 = Rc::clone(&table);
+    let table = Rc::clone(table);
     join_all(
         cluster,
         probes,
         Box::new(move |c, res| match res {
-            Ok(outcomes) => {
-                if let Some(err) = outcomes.into_iter().flatten().next() {
-                    return done(c, Err(err));
-                }
-                write_row_entries(c, &table2, &row, None, txn, done);
-            }
+            Ok(outcomes) => match outcomes.into_iter().flatten().next() {
+                Some(violation) => done(c, Err(violation)),
+                None => write_row_entries(c, &table, &row, old_row.as_deref(), txn, done),
+            },
             Err(e) => done(c, Err(e)),
         }),
     );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn insert_one_row(
+    cluster: &mut Cluster,
+    ctx: &ExecCtx,
+    db: &Database,
+    table: &Rc<Table>,
+    row: Vec<Datum>,
+    generated: &[bool],
+    txn: TxnHandle,
+    done: SqlCont<()>,
+) {
+    // Probe tasks: uniqueness checks (§4.1) + FK parent checks.
+    let mut probes: Vec<CheckTask> = Vec::new();
+    if ctx.unique_checks {
+        for check in plan_uniqueness_checks(db, table, &row, generated) {
+            uniqueness_probes(table, &check, txn, &mut probes);
+        }
+    }
+    if ctx.fk_checks {
+        match fk_probe_tasks(ctx, db, table, &row, txn) {
+            Ok(mut tasks) => probes.append(&mut tasks),
+            Err(e) => return done(cluster, Err(e)),
+        }
+    }
+    check_then_write(cluster, probes, table, row, None, txn, done);
 }
 
 /// Read-modify-write UPSERT: fetch the existing row by primary key; if
@@ -1671,12 +1579,8 @@ fn upsert_one_row(
     txn: TxnHandle,
     done: SqlCont<()>,
 ) {
-    let pk_key: Vec<Datum> = table
-        .primary_index()
-        .key_columns
-        .iter()
-        .map(|&o| row[o].clone())
-        .collect();
+    let pk = table.primary_index();
+    let pk_key: Vec<Datum> = pk.key_columns.iter().map(|&o| row[o].clone()).collect();
     if pk_key.iter().any(|d| d.is_null()) {
         return done(
             cluster,
@@ -1685,34 +1589,23 @@ fn upsert_one_row(
             )),
         );
     }
-    // Fetch the current row: direct partition when the region is known,
-    // else probe all partitions.
-    let region = row_region(&table, &row);
-    let probe_regions: Vec<Option<String>> = if !table.primary_index().region_partitioned {
-        vec![None]
-    } else if let Some(r) = &region {
-        let mut v = vec![Some(r.clone())];
-        v.extend(db.all_regions().into_iter().filter(|x| x != r).map(Some));
-        v
-    } else {
-        db.all_regions().into_iter().map(Some).collect()
+    // Fetch the current row: the row's own partition first when its region
+    // is known, then every other one.
+    let probe = |region: Option<&str>| {
+        let probe = Probe::new(&table, pk.id, true, region, &pk_key);
+        probe_task(probe, FetchMode::Txn(txn), ctx.gateway, 1)
     };
-    let tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Vec<Vec<Datum>>>)>> = probe_regions
-        .into_iter()
-        .map(|r| {
-            probe_task(
-                &table,
-                table.primary_index().id,
-                true,
-                r,
-                pk_key.clone(),
-                FetchMode::Txn(txn),
-                ctx.gateway,
-                1,
-            )
-        })
-        .collect();
-    let ctx2 = ctx.clone();
+    let tasks: Vec<RowsTask> = if pk.region_partitioned {
+        let own = row_region(&table, &row);
+        let regions = db.regions.iter().map(|r| r.name.as_str());
+        let others = regions.filter(|r| Some(*r) != own);
+        own.into_iter()
+            .chain(others)
+            .map(|r| probe(Some(r)))
+            .collect()
+    } else {
+        vec![probe(None)]
+    };
     join_all(
         cluster,
         tasks,
@@ -1724,80 +1617,28 @@ fn upsert_one_row(
             match existing {
                 Some(old_row) => {
                     // Overwrite: probe unique secondaries whose keys changed.
-                    let changed: Vec<usize> = (0..table.columns.len())
-                        .filter(|&i| row.get(i) != old_row.get(i))
-                        .collect();
-                    let mut probes: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Option<SqlError>>)>> =
-                        Vec::new();
-                    if ctx2.unique_checks {
+                    let changed = |o: &usize| row.get(*o) != old_row.get(*o);
+                    let mut probes: Vec<CheckTask> = Vec::new();
+                    if ctx.unique_checks {
                         let generated = vec![false; table.columns.len()];
                         for check in plan_uniqueness_checks(&db, &table, &row, &generated) {
-                            let idx = ddl::index_by_id(&table, check.index_id);
-                            let relevant = idx.is_some_and(|i| {
-                                !i.is_primary()
-                                    && i.key_columns.iter().any(|kc| changed.contains(kc))
-                            });
-                            if !relevant {
-                                continue;
-                            }
-                            for partition in &check.partitions {
-                                let key = crate::encoding::index_key(
-                                    table.id,
-                                    check.index_id,
-                                    partition.as_deref(),
-                                    &check.key,
-                                );
-                                let tname = table.name.clone();
-                                let iname = idx.map(|i| i.name.clone()).unwrap_or_default();
-                                probes.push(Box::new(move |cluster, cont| {
-                                    cluster.txn_get(
-                                        txn,
-                                        key,
-                                        Box::new(move |c, res| match res {
-                                            Ok(Some(_)) => cont(
-                                                c,
-                                                Ok(Some(SqlError::UniqueViolation {
-                                                    table: tname,
-                                                    index: iname,
-                                                })),
-                                            ),
-                                            Ok(None) => cont(c, Ok(None)),
-                                            Err(e) => cont(c, Err(SqlError::Kv(e))),
-                                        }),
-                                    );
-                                }));
+                            let relevant =
+                                ddl::index_by_id(&table, check.index_id).is_some_and(|i| {
+                                    !i.is_primary() && i.key_columns.iter().any(changed)
+                                });
+                            if relevant {
+                                uniqueness_probes(&table, &check, txn, &mut probes);
                             }
                         }
                     }
-                    let table2 = Rc::clone(&table);
-                    join_all(
-                        c,
-                        probes,
-                        Box::new(move |c2, res| match res {
-                            Ok(outcomes) => {
-                                if let Some(err) = outcomes.into_iter().flatten().next() {
-                                    return done(c2, Err(err));
-                                }
-                                write_row_entries(c2, &table2, &row, Some(&old_row), txn, done);
-                            }
-                            Err(e) => done(c2, Err(e)),
-                        }),
-                    );
+                    check_then_write(c, probes, &table, row, Some(old_row), txn, done);
                 }
                 None => {
                     // No existing row: regular insert (its pk probe will
                     // re-read the key we just saw absent — cheap, and the
                     // refresh at commit keeps it correct under races).
-                    insert_one_row(
-                        c,
-                        ctx2,
-                        db,
-                        table,
-                        row.clone(),
-                        vec![false; row.len()],
-                        txn,
-                        done,
-                    );
+                    let generated = vec![false; row.len()];
+                    insert_one_row(c, &ctx, &db, &table, row, &generated, txn, done);
                 }
             }
         }),
@@ -1808,11 +1649,11 @@ fn upsert_one_row(
 fn fk_probe_tasks(
     ctx: &ExecCtx,
     db: &Database,
-    table: &Table,
+    table: &Rc<Table>,
     row: &[Datum],
     txn: TxnHandle,
-) -> Result<Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Option<SqlError>>)>>, SqlError> {
-    let mut tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Option<SqlError>>)>> = Vec::new();
+) -> Result<Vec<CheckTask>, SqlError> {
+    let mut tasks: Vec<CheckTask> = Vec::new();
     for (i, col) in table.columns.iter().enumerate() {
         let Some((parent_name, parent_col)) = &col.references else {
             continue;
@@ -1835,99 +1676,48 @@ fn fk_probe_tasks(
         let index = parent
             .indexes
             .iter()
-            .find(|idx| idx.unique && idx.key_columns == vec![ref_col])
+            .find(|idx| idx.unique && idx.key_columns == [ref_col])
             .ok_or_else(|| {
                 SqlError::Catalog(format!(
                     "foreign key requires a unique index on {parent_name}.{parent_col}"
                 ))
             })?;
-        let value = row[i].clone();
-        let tname = table.name.clone();
-        let pname = parent_name.clone();
         // Partition strategy for the parent probe: unpartitioned parent
         // (e.g. a GLOBAL dimension table) is a single local read — the §2.3.3
-        // pattern. Partitioned parents use LOS.
-        let parent_rc = Rc::new(parent.clone());
-        let mode = FetchMode::Txn(txn);
-        let probe_regions: Vec<Option<String>> = if index.region_partitioned {
-            let mut order: Vec<Option<String>> = Vec::new();
-            order.push(Some(ctx.gateway_region.clone()));
-            for r in db.all_regions() {
-                if r != ctx.gateway_region {
-                    order.push(Some(r));
-                }
-            }
-            order
-        } else {
-            vec![None]
+        // pattern. Partitioned parents use LOS: local first, then the rest
+        // in parallel.
+        let probe = |region: Option<&str>| {
+            let probe = Probe::new(parent, index.id, true, region, &row[i..=i]);
+            probe_task(probe, FetchMode::Txn(txn), ctx.gateway, 1)
         };
-        let index_id = index.id;
-        let gw = ctx.gateway;
+        let (local, remote): (RowsTask, Vec<RowsTask>) = if index.region_partitioned {
+            let local = &*ctx.gateway_region;
+            let regions = db.regions.iter().map(|r| r.name.as_str());
+            let remote = regions.filter(|r| *r != local);
+            (probe(Some(local)), remote.map(|r| probe(Some(r))).collect())
+        } else {
+            (probe(None), Vec::new())
+        };
+        let (table, parent) = (Rc::clone(table), Rc::clone(parent));
+        let found = move |found: bool| {
+            (!found).then(|| SqlError::FkViolation {
+                table: table.name.clone(),
+                parent: parent.name.clone(),
+            })
+        };
         tasks.push(Box::new(move |cluster, cont| {
-            // LOS over the parent: local first, then the rest in parallel.
-            let mut iter = probe_regions.into_iter();
-            let local = iter.next().unwrap();
-            let remote: Vec<Option<String>> = iter.collect();
-            let t1 = probe_task(
-                &parent_rc,
-                index_id,
-                true,
-                local,
-                vec![value.clone()],
-                mode,
-                gw,
-                1,
-            );
-            let parent_rc2 = Rc::clone(&parent_rc);
-            let value2 = value.clone();
-            t1(
+            local(
                 cluster,
                 Box::new(move |c, res| match res {
                     Ok(rows) if !rows.is_empty() => cont(c, Ok(None)),
-                    Ok(_) if remote.is_empty() => cont(
+                    Ok(_) => join_all(
                         c,
-                        Ok(Some(SqlError::FkViolation {
-                            table: tname,
-                            parent: pname,
-                        })),
+                        remote,
+                        Box::new(move |c2, res| {
+                            let any = res.map(|groups| groups.iter().any(|g| !g.is_empty()));
+                            cont(c2, any.map(found));
+                        }),
                     ),
-                    Ok(_) => {
-                        let tasks: Vec<_> = remote
-                            .into_iter()
-                            .map(|r| {
-                                probe_task(
-                                    &parent_rc2,
-                                    index_id,
-                                    true,
-                                    r,
-                                    vec![value2.clone()],
-                                    mode,
-                                    gw,
-                                    1,
-                                )
-                            })
-                            .collect();
-                        join_all(
-                            c,
-                            tasks,
-                            Box::new(move |c2, rres| match rres {
-                                Ok(groups) => {
-                                    if groups.iter().any(|g| !g.is_empty()) {
-                                        cont(c2, Ok(None))
-                                    } else {
-                                        cont(
-                                            c2,
-                                            Ok(Some(SqlError::FkViolation {
-                                                table: tname,
-                                                parent: pname,
-                                            })),
-                                        )
-                                    }
-                                }
-                                Err(e) => cont(c2, Err(e)),
-                            }),
-                        );
-                    }
                     Err(e) => cont(c, Err(e)),
                 }),
             );
@@ -1940,39 +1730,33 @@ fn fk_probe_tasks(
 /// entries whose keys changed are deleted from their old locations first.
 fn write_row_entries(
     cluster: &mut Cluster,
-    table: &Rc<Table>,
+    table: &Table,
     row: &[Datum],
     old_row: Option<&[Datum]>,
     txn: TxnHandle,
     done: SqlCont<()>,
 ) {
     let value = encode_row(row);
-    let mut tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<()>)>> = Vec::new();
-    for index in &table.indexes {
-        let new_key = entry_key(table, index, row_region(table, row).as_deref(), row);
-        if let Some(old) = old_row {
-            let old_key = entry_key(table, index, row_region(table, old).as_deref(), old);
-            if old_key != new_key {
-                let k = old_key;
-                tasks.push(Box::new(move |cluster, cont| {
-                    cluster.txn_put(
-                        txn,
-                        k,
-                        None,
-                        Box::new(move |c, res| cont(c, res.map_err(SqlError::Kv))),
-                    );
-                }));
-            }
-        }
-        let v = value.clone();
+    let mut tasks: Vec<Task<(), SqlError>> = Vec::new();
+    let mut put = |key: Key, value: Option<Value>| {
         tasks.push(Box::new(move |cluster, cont| {
             cluster.txn_put(
                 txn,
-                new_key,
-                Some(v),
+                key,
+                value,
                 Box::new(move |c, res| cont(c, res.map_err(SqlError::Kv))),
             );
         }));
+    };
+    for index in &table.indexes {
+        let new_key = entry_key(table, index, row_region(table, row), row);
+        if let Some(old) = old_row {
+            let old_key = entry_key(table, index, row_region(table, old), old);
+            if old_key != new_key {
+                put(old_key, None);
+            }
+        }
+        put(new_key, Some(value.clone()));
     }
     join_all(
         cluster,
@@ -1981,7 +1765,7 @@ fn write_row_entries(
     );
 }
 
-fn row_region(table: &Table, row: &[Datum]) -> Option<String> {
+fn row_region<'r>(table: &Table, row: &'r [Datum]) -> Option<&'r str> {
     if !table.primary_index().region_partitioned {
         return None;
     }
@@ -1989,7 +1773,6 @@ fn row_region(table: &Table, row: &[Datum]) -> Option<String> {
         .region_column()
         .and_then(|o| row.get(o))
         .and_then(|d| d.as_str())
-        .map(|s| s.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -2005,8 +1788,8 @@ fn exec_update(
 ) {
     let Stmt::Update {
         table: tname,
-        sets,
         predicate,
+        ..
     } = &*stmt
     else {
         unreachable!()
@@ -2019,41 +1802,27 @@ fn exec_update(
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };
-    let sets = sets.clone();
-    let ctx2 = ctx.clone();
-    let table2 = Rc::clone(&table);
-    let db2 = Rc::clone(&db);
+    let (ctx2, table2, stmt2) = (ctx.clone(), Rc::clone(&table), Rc::clone(&stmt));
     fetch_rows(
         cluster,
-        ctx.clone(),
-        Rc::clone(&table),
+        ctx,
+        table,
+        stmt,
         plan,
         FetchMode::Txn(txn),
-        usize::MAX,
         Box::new(move |c, res| {
             let rows = match res {
                 Ok(r) => r,
                 Err(e) => return cont(c, Err(e)),
             };
             let count = rows.len() as u64;
-            let per_row: Rc<dyn Fn(&mut Cluster, Vec<Datum>, SqlCont<()>)> = {
-                let ctx3 = ctx2.clone();
-                let table3 = Rc::clone(&table2);
-                let db3 = Rc::clone(&db2);
-                let sets = sets.clone();
+            let per_row: Rc<dyn Fn(&mut Cluster, Vec<Datum>, SqlCont<()>)> =
                 Rc::new(move |cluster, old_row, done| {
-                    update_one_row(
-                        cluster,
-                        ctx3.clone(),
-                        Rc::clone(&db3),
-                        Rc::clone(&table3),
-                        &sets,
-                        old_row,
-                        txn,
-                        done,
-                    );
-                })
-            };
+                    let Stmt::Update { sets, .. } = &*stmt2 else {
+                        unreachable!()
+                    };
+                    update_one_row(cluster, &ctx2, &db, &table2, sets, old_row, txn, done);
+                });
             for_each_seq(
                 c,
                 rows.into_iter(),
@@ -2070,9 +1839,9 @@ fn exec_update(
 #[allow(clippy::too_many_arguments)]
 fn update_one_row(
     cluster: &mut Cluster,
-    ctx: ExecCtx,
-    db: Rc<Database>,
-    table: Rc<Table>,
+    ctx: &ExecCtx,
+    db: &Database,
+    table: &Rc<Table>,
     sets: &[(String, Expr)],
     old_row: Vec<Datum>,
     txn: TxnHandle,
@@ -2096,7 +1865,7 @@ fn update_one_row(
             );
         }
         // SET expressions see the OLD row.
-        match ctx.eval(&table, &old_row, e) {
+        match ctx.eval(table, &old_row, e) {
             Ok(v) => new_row[ord] = v.coerce(table.columns[ord].ty),
             Err(e) => return done(cluster, Err(e)),
         }
@@ -2108,7 +1877,7 @@ fn update_one_row(
             continue;
         }
         if let Some(e) = &col.on_update {
-            match ctx.eval(&table, &old_row, e) {
+            match ctx.eval(table, &old_row, e) {
                 Ok(v) => new_row[i] = v.coerce(col.ty),
                 Err(e) => return done(cluster, Err(e)),
             }
@@ -2117,7 +1886,7 @@ fn update_one_row(
     // Recompute computed columns.
     for (i, col) in table.columns.iter().enumerate() {
         if let Some(e) = &col.computed {
-            match ctx.eval(&table, &new_row, e) {
+            match ctx.eval(table, &new_row, e) {
                 Ok(v) => new_row[i] = v.coerce(col.ty),
                 Err(e) => return done(cluster, Err(e)),
             }
@@ -2148,63 +1917,19 @@ fn update_one_row(
         }
     }
     // Uniqueness checks for unique indexes whose keys changed.
-    let changed: Vec<usize> = (0..table.columns.len())
-        .filter(|&i| new_row[i] != old_row[i])
-        .collect();
-    let mut probes: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<Option<SqlError>>)>> = Vec::new();
-    if ctx.unique_checks && !changed.is_empty() {
+    let changed = |o: &usize| new_row[*o] != old_row[*o];
+    let mut probes: Vec<CheckTask> = Vec::new();
+    if ctx.unique_checks && (0..table.columns.len()).any(|o| changed(&o)) {
         let generated = vec![false; table.columns.len()];
-        for check in plan_uniqueness_checks(&db, &table, &new_row, &generated) {
-            let index_changed = ddl::index_by_id(&table, check.index_id)
-                .is_some_and(|idx| idx.key_columns.iter().any(|kc| changed.contains(kc)));
-            if !index_changed {
-                continue;
-            }
-            for partition in &check.partitions {
-                let key = crate::encoding::index_key(
-                    table.id,
-                    check.index_id,
-                    partition.as_deref(),
-                    &check.key,
-                );
-                let tname = table.name.clone();
-                let iname = ddl::index_by_id(&table, check.index_id)
-                    .map(|i| i.name.clone())
-                    .unwrap_or_default();
-                probes.push(Box::new(move |cluster, cont| {
-                    cluster.txn_get(
-                        txn,
-                        key,
-                        Box::new(move |c, res| match res {
-                            Ok(Some(_)) => cont(
-                                c,
-                                Ok(Some(SqlError::UniqueViolation {
-                                    table: tname,
-                                    index: iname,
-                                })),
-                            ),
-                            Ok(None) => cont(c, Ok(None)),
-                            Err(e) => cont(c, Err(SqlError::Kv(e))),
-                        }),
-                    );
-                }));
+        for check in plan_uniqueness_checks(db, table, &new_row, &generated) {
+            let index_changed = ddl::index_by_id(table, check.index_id)
+                .is_some_and(|idx| idx.key_columns.iter().any(changed));
+            if index_changed {
+                uniqueness_probes(table, &check, txn, &mut probes);
             }
         }
     }
-    let table2 = Rc::clone(&table);
-    join_all(
-        cluster,
-        probes,
-        Box::new(move |c, res| match res {
-            Ok(outcomes) => {
-                if let Some(err) = outcomes.into_iter().flatten().next() {
-                    return done(c, Err(err));
-                }
-                write_row_entries(c, &table2, &new_row, Some(&old_row), txn, done);
-            }
-            Err(e) => done(c, Err(e)),
-        }),
-    );
+    check_then_write(cluster, probes, table, new_row, Some(old_row), txn, done);
 }
 
 fn exec_delete(
@@ -2233,20 +1958,20 @@ fn exec_delete(
     fetch_rows(
         cluster,
         ctx,
-        Rc::clone(&table),
+        table,
+        stmt,
         plan,
         FetchMode::Txn(txn),
-        usize::MAX,
         Box::new(move |c, res| {
             let rows = match res {
                 Ok(r) => r,
                 Err(e) => return cont(c, Err(e)),
             };
             let count = rows.len() as u64;
-            let mut tasks: Vec<Box<dyn FnOnce(&mut Cluster, SqlCont<()>)>> = Vec::new();
+            let mut tasks: Vec<Task<(), SqlError>> = Vec::new();
             for row in rows {
                 for index in &table2.indexes {
-                    let key = entry_key(&table2, index, row_region(&table2, &row).as_deref(), &row);
+                    let key = entry_key(&table2, index, row_region(&table2, &row), &row);
                     tasks.push(Box::new(move |cluster, cont| {
                         cluster.txn_put(
                             txn,

@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use crate::catalog::{Column, Index, TableLocality};
     use crate::types::ColumnType;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn table() -> Table {
         let col = |name: &str, ty| Column {
@@ -315,7 +315,7 @@ mod tests {
                 storing: vec![],
                 region_partitioned: false,
                 zone_override: None,
-                ranges: HashMap::new(),
+                ranges: BTreeMap::new(),
             }],
             manual_partitioning: None,
             zone_override: None,

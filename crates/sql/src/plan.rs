@@ -43,8 +43,8 @@ pub struct ReadPlan {
     /// Whether the chosen index key is fully bound and unique (≤1 row per
     /// probed key).
     pub unique: bool,
-    /// Residual predicate must be re-applied to fetched rows.
-    pub residual: Option<Expr>,
+    /// The predicate must be re-applied to fetched rows.
+    pub residual: bool,
 }
 
 /// A planned uniqueness check for one index (§4.1).
@@ -182,13 +182,9 @@ pub fn plan_read(
         Some(p) => extract_equalities(p, table),
         None => (Vec::new(), false),
     };
-    let residual_expr = if residual || bound.len() > 1 {
-        // Conservatively re-apply the whole predicate (cheap; rows are
-        // already in hand).
-        predicate.cloned()
-    } else {
-        None
-    };
+    // Conservatively re-apply the whole predicate (cheap; rows are already
+    // in hand).
+    let residual = residual || bound.len() > 1;
 
     let candidates = fully_bound_indexes(table, &bound);
     let Some(&first) = candidates.first() else {
@@ -217,7 +213,7 @@ pub fn plan_read(
             keys: vec![],
             strategy,
             unique: false,
-            residual: predicate.cloned(),
+            residual: predicate.is_some(),
         });
     };
 
@@ -270,7 +266,7 @@ pub fn plan_read(
         keys,
         strategy,
         unique,
-        residual: residual_expr,
+        residual,
     })
 }
 
@@ -408,7 +404,7 @@ mod tests {
     use crate::parser::parse;
     use crate::types::ColumnType;
     use mr_kv::zone::{PlacementPolicy, SurvivalGoal};
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn col(name: &str, ty: ColumnType) -> Column {
         Column {
@@ -432,7 +428,7 @@ mod tests {
             storing: vec![],
             region_partitioned: partitioned,
             zone_override: None,
-            ranges: HashMap::new(),
+            ranges: BTreeMap::new(),
         }
     }
 
@@ -486,7 +482,7 @@ mod tests {
                 .collect(),
             survival: SurvivalGoal::Zone,
             placement: PlacementPolicy::Default,
-            tables: HashMap::new(),
+            tables: BTreeMap::new(),
         }
     }
 
@@ -555,7 +551,7 @@ mod tests {
         let t = rbr_table(None);
         let p = plan(&t, "name = 'x'", None, "r0");
         assert!(matches!(p.strategy, PartitionStrategy::AllPartitions(_)));
-        assert!(p.residual.is_some());
+        assert!(p.residual);
         // A LIMIT bounds the row count: LOS applies (§4.2).
         let p = plan(&t, "name = 'x'", Some(3), "r0");
         assert!(matches!(

@@ -38,7 +38,7 @@ use mr_obs::Resolution;
 use mr_proto::RangeId;
 use mr_sim::{NodeId, SimTime};
 
-use crate::catalog::{Catalog, Column, Database, PartitionKey, Table, TableLocality};
+use crate::catalog::{Catalog, Column, PartitionKey, Table, TableLocality};
 use crate::types::{ColumnType, Datum};
 
 /// Namespace prefix routing a `SELECT` to the virtual-table executor.
@@ -92,16 +92,11 @@ fn partition_label(key: &PartitionKey) -> String {
     }
 }
 
-/// Reverse map range id → (database, table, index, partition), iterating
-/// the catalog in sorted order.
+/// Reverse map range id → (database, table, index, partition).
 fn range_names(catalog: &Catalog) -> BTreeMap<RangeId, RangeNames> {
     let mut out = BTreeMap::new();
-    let mut dbs: Vec<(&String, &Database)> = catalog.databases.iter().collect();
-    dbs.sort_by_key(|&(n, _)| n.clone());
-    for (db_name, db) in dbs {
-        let mut tables: Vec<(&String, &Table)> = db.tables.iter().collect();
-        tables.sort_by_key(|&(n, _)| n.clone());
-        for (table_name, table) in tables {
+    for (db_name, db) in &catalog.databases {
+        for (table_name, table) in &db.tables {
             for index in &table.indexes {
                 for (key, rid) in &index.ranges {
                     out.insert(

@@ -505,3 +505,57 @@ fn hot_ranges_slow_txns_and_metrics_history_are_queryable() {
         assert_eq!(prev.map(|(_, v)| v), Some(21), "21 committed txns");
     }
 }
+
+/// DDL walks the catalog in a structural order: one script that creates six
+/// tables (one REGIONAL BY ROW over five regions), then adds a region, raises
+/// the survival goal and changes a locality — every step re-derives zone
+/// configs table by table, index by index, partition by partition — leaves
+/// byte-identical exports when run twice in one process, i.e. under two
+/// different `RandomState`s.
+#[test]
+fn ddl_walk_order_is_independent_of_hash_state() {
+    let run = || {
+        let topo = mr_sim::Topology::build(
+            &mr_sim::RttMatrix::paper_table1_regions(),
+            3,
+            mr_sim::RttMatrix::paper_table1(),
+        );
+        let mut d = mr_sql::exec::SqlDb::new(topo, ClusterConfig::default());
+        let sess = d.session(mr_sim::NodeId(0), None);
+        d.exec_script(
+            &sess,
+            r#"
+            CREATE DATABASE shop PRIMARY REGION "us-east1"
+                REGIONS "us-west1", "europe-west2", "asia-northeast1";
+            CREATE TABLE customers (id INT PRIMARY KEY, email STRING UNIQUE NOT NULL)
+                LOCALITY REGIONAL BY ROW;
+            CREATE TABLE orders (id INT PRIMARY KEY, customer INT, total INT);
+            CREATE TABLE items (id INT PRIMARY KEY, name STRING) LOCALITY GLOBAL;
+            CREATE TABLE carts (id INT PRIMARY KEY, customer INT)
+                LOCALITY REGIONAL BY TABLE IN "us-west1";
+            CREATE TABLE reviews (id INT PRIMARY KEY, item INT, stars INT)
+                LOCALITY REGIONAL BY TABLE IN "europe-west2";
+            CREATE TABLE coupons (code STRING PRIMARY KEY, pct INT) LOCALITY GLOBAL;
+            CREATE INDEX orders_by_customer ON orders (customer);
+            INSERT INTO customers (id, email) VALUES (1, 'a@x.com'), (2, 'b@x.com');
+            INSERT INTO orders (id, customer, total) VALUES (1, 1, 10), (2, 2, 20), (3, 1, 30);
+            ALTER DATABASE shop ADD REGION "australia-southeast1";
+            ALTER DATABASE shop SURVIVE REGION FAILURE;
+            ALTER TABLE orders SET LOCALITY REGIONAL BY ROW;
+            ALTER TABLE carts SET LOCALITY GLOBAL;
+            "#,
+        )
+        .unwrap();
+        settle(&mut d, secs(10));
+        (
+            d.cluster.events.export_json(),
+            d.cluster.replication_report().export_json(),
+            d.cluster.obs.registry.dump_json(),
+        )
+    };
+    let (e1, r1, m1) = run();
+    let (e2, r2, m2) = run();
+    assert_eq!(e1, e2, "event log diverged");
+    assert_eq!(r1, r2, "replication report diverged");
+    assert_eq!(m1, m2, "registry dump diverged");
+}

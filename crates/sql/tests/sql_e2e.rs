@@ -2,22 +2,33 @@
 //! locality-optimized search, uniqueness checks, computed partitioning,
 //! rehoming, stale reads, and region lifecycle.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use mr_kv::cluster::ClusterConfig;
 use mr_sim::{RttMatrix, SimDuration, SimTime, Topology};
 use mr_sql::exec::{SqlDb, SqlError, SqlResult};
 use mr_sql::types::Datum;
 
 fn db() -> SqlDb {
+    db_with(ClusterConfig::default())
+}
+
+fn db_with(cfg: ClusterConfig) -> SqlDb {
     let topo = Topology::build(
         &RttMatrix::paper_table1_regions(),
         3,
         RttMatrix::paper_table1(),
     );
-    SqlDb::new(topo, ClusterConfig::default())
+    SqlDb::new(topo, cfg)
 }
 
 fn movr_db() -> SqlDb {
-    let mut d = db();
+    movr_db_with(ClusterConfig::default())
+}
+
+fn movr_db_with(cfg: ClusterConfig) -> SqlDb {
+    let mut d = db_with(cfg);
     let sess = d.session(mr_sim::NodeId(0), None);
     d.exec_script(
         &sess,
@@ -39,6 +50,11 @@ fn movr_db() -> SqlDb {
     d.cluster
         .run_until(SimTime(SimDuration::from_secs(5).nanos()));
     d
+}
+
+fn settle_secs(d: &mut SqlDb, secs: u64) {
+    let until = d.cluster.now().nanos() + SimDuration::from_secs(secs).nanos();
+    d.cluster.run_until(SimTime(until));
 }
 
 fn row_strings(r: &SqlResult) -> Vec<Vec<String>> {
@@ -1004,4 +1020,149 @@ fn write_pipelining_toggle_changes_commit_path_not_results() {
     assert_eq!(metric(&mut legacy, "kv.txn.parallel_commit.acks"), 0);
 
     assert_eq!(got_pipelined, got_legacy);
+}
+
+/// Addresses and reference counts of the catalog's `movr` database and one
+/// of its tables, read through a borrow (taking no reference of our own).
+fn descriptor(
+    d: &SqlDb,
+    table: &str,
+) -> (
+    (*const mr_sql::catalog::Database, usize),
+    (*const mr_sql::catalog::Table, usize),
+) {
+    let cat = d.catalog.borrow();
+    let db = &cat.databases["movr"];
+    let t = &db.tables[table];
+    (
+        (Rc::as_ptr(db), Rc::strong_count(db)),
+        (Rc::as_ptr(t), Rc::strong_count(t)),
+    )
+}
+
+/// Descriptors are shared by reference and DDL is copy-on-write: statements
+/// hold the catalog's own allocation (no copy per statement); DDL landing
+/// while a statement is parked on a lock copies the descriptor, the parked
+/// statement finishes against the version it started with and the next one
+/// sees the new version; DDL with nothing in flight mutates in place.
+#[test]
+fn descriptors_are_shared_and_ddl_copies_on_write() {
+    // Re-deriving a range's zone config reinstalls its replicas, which drops
+    // requests parked there: the timeout is what re-sends them.
+    let mut d = movr_db_with(ClusterConfig {
+        rpc_timeout: Some(SimDuration::from_secs(3)),
+        ..ClusterConfig::default()
+    });
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_sync(
+        &sess,
+        "INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'a')",
+    )
+    .unwrap();
+    d.exec_script(
+        &sess,
+        "CREATE TABLE rides (id INT PRIMARY KEY, city STRING);
+         INSERT INTO rides (id, city) VALUES (1, 'nyc');",
+    )
+    .unwrap();
+    settle_secs(&mut d, 2);
+
+    let cases = [
+        (
+            "users",
+            "UPDATE users SET name = 'locked' WHERE id = 1",
+            "UPDATE users SET name = 'parked' WHERE id = 1",
+            "CREATE INDEX users_name ON users (name)",
+        ),
+        (
+            "rides",
+            "UPDATE rides SET city = 'locked' WHERE id = 1",
+            "UPDATE rides SET city = 'parked' WHERE id = 1",
+            r#"ALTER TABLE rides SET LOCALITY REGIONAL BY TABLE IN "europe-west2""#,
+        ),
+    ];
+    for (table, lock, parked, ddl) in cases {
+        // Nothing in flight: the catalog holds the only reference.
+        let ((db0, db_refs), (t0, t_refs)) = descriptor(&d, table);
+        assert_eq!((db_refs, t_refs), (1, 1), "{table}: idle descriptors");
+        let old = Rc::downgrade(&d.catalog.borrow().databases["movr"].tables[table]);
+
+        // A transaction takes the row's lock; two more statements park
+        // behind it.
+        let holder = d.session_in_region("us-east1", Some("movr"));
+        d.exec_sync(&holder, "BEGIN").unwrap();
+        d.exec_sync(&holder, lock).unwrap();
+        let done: Rc<RefCell<Vec<Result<SqlResult, SqlError>>>> = Rc::default();
+        for _ in 0..2 {
+            let waiter = d.session_in_region("us-east1", Some("movr"));
+            let log = Rc::clone(&done);
+            d.exec(
+                &waiter,
+                parked,
+                Box::new(move |_, res| log.borrow_mut().push(res)),
+            );
+        }
+        settle_secs(&mut d, 1);
+        assert!(done.borrow().is_empty(), "{table}: statements must park");
+        // Both hold the catalog's allocation: nothing was copied for them.
+        let ((db1, db_refs), (t1, t_refs)) = descriptor(&d, table);
+        assert_eq!((db1, t1), (db0, t0));
+        assert!(db_refs >= 3 && t_refs >= 3, "{table}: {db_refs} {t_refs}");
+
+        // DDL lands while they are parked: the catalog moves to a copy, the
+        // parked statements keep the old version alive.
+        let other = d.session_in_region("us-east1", Some("movr"));
+        d.exec_sync(&other, ddl).unwrap();
+        let ((db2, db_refs), (t2, t_refs)) = descriptor(&d, table);
+        assert_ne!(
+            t2, t0,
+            "{table}: DDL must not write under a running statement"
+        );
+        assert_ne!(db2, db0);
+        assert_eq!(
+            (db_refs, t_refs),
+            (1, 1),
+            "{table}: the copy is the catalog's alone"
+        );
+        let kept = old
+            .upgrade()
+            .expect("parked statements hold the old version");
+        let now = Rc::clone(&d.catalog.borrow().databases["movr"].tables[table]);
+        assert!(
+            kept.indexes.len() != now.indexes.len() || kept.locality != now.locality,
+            "{table}: the old version is the one from before the DDL"
+        );
+        drop((kept, now));
+
+        // The lock goes; the parked statements finish against the version
+        // they started with, and let go of it.
+        d.exec_sync(&holder, "COMMIT").unwrap();
+        settle_secs(&mut d, 10);
+        let results = done.borrow();
+        assert_eq!(results.len(), 2, "{table}");
+        for r in results.iter() {
+            assert_eq!(r.as_ref().unwrap().count(), 1, "{table}");
+        }
+        assert!(old.upgrade().is_none(), "{table}: old version released");
+
+        // The next statement sees the new version, and DDL with nothing in
+        // flight mutates it in place.
+        d.exec_sync(&other, parked).unwrap();
+        assert_eq!(descriptor(&d, table), ((db2, 1), (t2, 1)));
+    }
+    let plan = d
+        .exec_sync(&sess, "EXPLAIN SELECT id FROM users WHERE name = 'parked'")
+        .unwrap();
+    assert!(row_strings(&plan)[0][0].contains("users@users_name"));
+    let ((db, _), (users, _)) = descriptor(&d, "users");
+    d.exec_sync(&sess, "CREATE INDEX users_email2 ON users (email)")
+        .unwrap();
+    d.exec_sync(
+        &sess,
+        "ALTER TABLE users CONFIGURE ZONE USING num_replicas = 5",
+    )
+    .unwrap();
+    d.exec_sync(&sess, "ALTER DATABASE movr SURVIVE REGION FAILURE")
+        .unwrap();
+    assert_eq!(descriptor(&d, "users"), ((db, 1), (users, 1)));
 }

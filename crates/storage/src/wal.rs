@@ -72,10 +72,12 @@ pub enum WalRecord {
     },
 }
 
-/// Per-byte remainders of the reflected IEEE 802.3 polynomial, evaluated at
-/// compile time: hermetic, no runtime set-up.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Remainders of the reflected IEEE 802.3 polynomial, evaluated at compile
+/// time (hermetic, no runtime set-up): `CRC_TABLES[0]` is the per-byte table,
+/// `CRC_TABLES[k][b]` the remainder of byte `b` followed by `k` zero bytes —
+/// what lets eight input bytes fold in one step (slicing-by-8).
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -84,16 +86,42 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE 802.3, reflected), one table lookup per byte.
+/// CRC32 (IEEE 802.3, reflected), eight bytes per step: the eight lookups of
+/// a step are independent of each other, where a byte-at-a-time loop chains
+/// every lookup on the one before.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0, |crc, &b| {
-        (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize]
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut crc = !0u32;
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    !chunks.remainder().iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize]
     })
 }
 
@@ -585,17 +613,31 @@ pub(crate) mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for len in 0..300 {
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 56) as u8
-                })
-                .collect();
-            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
+        let mut random = |len: usize| -> Vec<u8> {
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            };
+            (0..len).map(|_| next()).collect()
+        };
+        // Every length that ends before, on and after an eight-byte step,
+        // from every alignment of the slice's start.
+        let buf = random(8 + 64);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
         }
+        let big = random(1 << 20);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+        assert_eq!(crc32(&big[3..]), crc32_bitwise(&big[3..]));
     }
 
     #[test]
