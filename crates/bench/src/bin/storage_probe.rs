@@ -1,11 +1,12 @@
 //! Durable-storage probe: drives the WAL + LSM + MVCC-GC engine directly
-//! through a cold-key bloom workload, an overwrite-heavy GC workload
+//! through a cold-key point-lookup workload, an overwrite-heavy GC workload
 //! under an active protected timestamp, a steady-overwrite workload under
 //! tiered compaction, and a closing crash-recovery smoke. Writes
 //! `BENCH_storage.json`.
 //!
-//! Exits non-zero if the bloom filters stop pruning cold-run probes
-//! (skip rate < 90%), GC stops reclaiming shadowed history (< 50% of
+//! Exits non-zero if the runs' hash indexes stop answering cold-run probes
+//! without the run being read (skip rate < 90%; an exact index reads 100%
+//! short of a fingerprint collision), GC stops reclaiming shadowed history (< 50% of
 //! versions on the overwrite workload), a protected AOST read breaks, a
 //! below-threshold read stops erroring, WAL replay loses versions, or
 //! compaction stops being incremental (write amplification > 3, more than
@@ -28,11 +29,11 @@ fn main() {
     print!("{json}");
 
     let mut failures = Vec::new();
-    // The acceptance bar: cold-key lookups are answered by the bloom
-    // filters for (nearly) every run that does not hold the key.
+    // The acceptance bar: cold-key lookups are answered by the run indexes
+    // alone for (nearly) every run that does not hold the key.
     if r.bloom_skip_milli < 900 {
         failures.push(format!(
-            "bloom skip rate {}/1000 under the 900 floor ({} skips / {} probes over {} runs)",
+            "index skip rate {}/1000 under the 900 floor ({} skips / {} probes over {} runs)",
             r.bloom_skip_milli, r.bloom_skips, r.bloom_probes, r.bloom_runs
         ));
     }
@@ -93,7 +94,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "storage_probe: bloom skipped {}/1000 of {} probes across {} runs; gc reclaimed \
+        "storage_probe: run indexes answered {}/1000 of {} probes across {} runs unread; gc reclaimed \
          {}/1000 of {} versions under an active protection (then {} -> {} on release); \
          compaction wrote each version {}/1000 times over {} passes, at most {} runs and \
          {}/1000 versions per live one; recovery replayed {} wal records — all guards passed",

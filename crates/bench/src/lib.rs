@@ -1328,8 +1328,10 @@ pub fn obs_probe_json(r: &ObsProbeReport) -> String {
 // Storage probe (WAL / LSM / GC durability engine)
 // ---------------------------------------------------------------------------
 
-/// Everything the storage probe measures against the durable engine: bloom
-/// effectiveness on a cold-key read workload, GC reclamation on an
+/// Everything the storage probe measures against the durable engine: how
+/// often a run's hash index answers a cold-key lookup without the run being
+/// read (the `bloom_*` fields keep the names `BENCH_storage.json` has always
+/// used), GC reclamation on an
 /// overwrite-heavy workload under an active protected timestamp, and a
 /// crash-recovery smoke over the resulting state.
 pub struct StorageProbeReport {
@@ -1339,7 +1341,7 @@ pub struct StorageProbeReport {
     pub bloom_lookups: u64,
     /// Per-run probes those lookups triggered.
     pub bloom_probes: u64,
-    /// Probes answered by the bloom filter without touching run entries.
+    /// Probes answered by the run's index without touching run entries.
     pub bloom_skips: u64,
     /// `bloom_skips / bloom_probes` in milli (gate: >= 900).
     pub bloom_skip_milli: u64,
@@ -1411,8 +1413,8 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
     // ---- Workload A: cold keys spread over many sorted runs ----------
     //
     // 12 flushes of 64 disjoint keys each: every point lookup must
-    // consult all 12 runs, and the bloom filters should answer all but
-    // the (at most one) run actually holding the key.
+    // consult all 12 runs, and their hash indexes should answer for all
+    // but the (at most one) run actually holding the key.
     let mut eng = Engine::new();
     let mut idx = 1u64;
     let runs = 12usize;

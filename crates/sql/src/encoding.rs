@@ -54,10 +54,7 @@ pub fn encode_datum(out: &mut Vec<u8>, d: &Datum) {
             };
             out.extend_from_slice(&ordered.to_be_bytes());
         }
-        Datum::String(s) | Datum::Region(s) => {
-            out.push(TAG_STRING);
-            escape_bytes(out, s.as_bytes());
-        }
+        Datum::String(s) | Datum::Region(s) => encode_str(out, s),
         Datum::Bytes(b) => {
             out.push(TAG_BYTES);
             escape_bytes(out, b);
@@ -69,6 +66,11 @@ pub fn encode_datum(out: &mut Vec<u8>, d: &Datum) {
             out.extend_from_slice(&u.to_be_bytes());
         }
     }
+}
+
+fn encode_str(out: &mut Vec<u8>, s: &str) {
+    out.push(TAG_STRING);
+    escape_bytes(out, s.as_bytes());
 }
 
 /// `0x00`-terminated byte encoding with `0x00 -> 0x00 0xff` escaping, so no
@@ -175,9 +177,7 @@ pub fn index_prefix(table: TableId, index: IndexId) -> Vec<u8> {
 pub fn partition_prefix(table: TableId, index: IndexId, region: Option<&str>) -> Vec<u8> {
     let mut v = index_prefix(table, index);
     if let Some(r) = region {
-        // As `Datum::Region(r)` encodes.
-        v.push(TAG_STRING);
-        escape_bytes(&mut v, r.as_bytes());
+        encode_str(&mut v, r); // as `Datum::Region(r)` encodes
     }
     v
 }

@@ -1172,7 +1172,7 @@ fn fetch_rows(
     mode: FetchMode,
     cont: SqlCont<Vec<Vec<Datum>>>,
 ) {
-    let limit = filter_of(&stmt).1;
+    let (_, limit) = filter_of(&stmt);
     let task = |region: Option<&str>, key: &[Datum]| {
         let probe = Probe::new(&table, plan.index_id, plan.unique, region, key);
         probe_task(probe, mode, ctx.gateway, limit)
@@ -1221,7 +1221,8 @@ fn fetch_rows(
         Box::new(move |c, res| match res {
             Ok(groups) => {
                 let mut rows: Vec<Vec<Datum>> = groups.into_iter().flatten().collect();
-                if let (true, Some(pred)) = (residual, filter_of(&stmt).0) {
+                let (predicate, _) = filter_of(&stmt);
+                if let (true, Some(pred)) = (residual, predicate) {
                     let mut filtered = Vec::with_capacity(rows.len());
                     for row in rows {
                         match ctx.eval_pred(&table, &row, pred) {

@@ -20,14 +20,12 @@
 //! read, so leaseholders can forward writes above prior reads and preserve
 //! serializability.
 
-pub mod bloom;
 pub mod gc;
 pub mod lsm;
 pub mod mvcc;
 pub mod tscache;
 pub mod wal;
 
-pub use bloom::BloomFilter;
 pub use gc::{gc_threshold, ProtectedTimestamps};
 pub use lsm::{Engine, EngineStats, MaintainReport, RecoveryError, RecoveryInfo, SortedRun};
 pub use mvcc::{Intent, MvccError, PutOutcome, ReadOutcome, Version, VersionChain};

@@ -1,5 +1,5 @@
 //! The LSM storage engine: mutable memtable, immutable sorted runs with
-//! bloom filters, WAL durability, and GC-aware compaction.
+//! hash indexes, WAL durability, and GC-aware compaction.
 //!
 //! [`Engine`] is the per-replica storage stack and the crate's one MVCC
 //! API: the MVCC read/write rules plus the durability machinery the paper's
@@ -8,11 +8,12 @@
 //! * **Memtable** — the crate-private mutable tier holding open intents and
 //!   recently-committed versions.
 //! * **Sorted runs ("SSTs")** — immutable key-ordered version arrays
-//!   produced by flushes, oldest first in `Engine::runs`, each with a bloom
-//!   filter so point lookups skip runs that certainly lack the key. Reads
-//!   borrow: a point read probes each run, a span read drives the
-//!   `MergeCursor` over memtable ∪ runs, and both hand the key's version
-//!   lists to the one MVCC read rule, `mvcc::read_merged`.
+//!   produced by flushes, oldest first in `Engine::runs`, each with an
+//!   open-addressed hash index ([`RunIndex`]) so a point lookup costs one
+//!   hashed probe per run and a run that lacks the key says so without its
+//!   entries being read. Reads borrow: a point read probes each run, a span
+//!   read drives the `MergeCursor` over memtable ∪ runs, and both hand the
+//!   key's version lists to the one MVCC read rule, `mvcc::read_merged`.
 //! * **WAL** — every mutation is encoded as a [`WalOp`] as it happens;
 //!   applying a Raft entry seals the encoded ops into one framed record
 //!   ([`Engine::seal_entry`]), and [`Engine::sync`] advances the fsync
@@ -50,7 +51,6 @@ use std::ops::Range;
 use mr_clock::Timestamp;
 use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, Value};
 
-use crate::bloom::{BloomFilter, KeyHash};
 use crate::mvcc::{
     committed_in, read_merged, Intent, MvccError, MvccStore, PutOutcome, ReadOutcome, Version,
     VersionChain,
@@ -66,13 +66,124 @@ pub const TIER_FAN_IN: usize = 4;
 
 type RunEntry = (Key, Vec<Version>);
 
+/// A key's 64-bit hash. Taken once per point lookup and shown to every
+/// run's index: the high bits choose the slot, the low bits are the
+/// fingerprint. Deterministic (no seed), so same-seed simulations agree.
+#[derive(Clone, Copy, Debug)]
+struct KeyHash(u64);
+
+impl KeyHash {
+    /// Eight bytes a step (multiply, fold the high half down), then a
+    /// splitmix64 finish so every input bit reaches both ends of the word.
+    fn of(key: &[u8]) -> KeyHash {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(K);
+            h ^ (h >> 32)
+        };
+        let mut h = key.len() as u64;
+        let mut rest = key;
+        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+            h = step(h, u64::from_le_bytes(*word));
+            rest = tail;
+        }
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        let mut h = step(h, u64::from_le_bytes(last));
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        KeyHash(h ^ (h >> 31))
+    }
+}
+
+/// Index slots per key: the table is never more than half full, so a probe
+/// sequence is short and always ends at an empty slot.
+const SLOTS_PER_KEY: usize = 2;
+/// An unoccupied slot. Occupied ones hold `ordinal + 1` in their low bits.
+const EMPTY_SLOT: u32 = 0;
+
+/// An open-addressed hash index over a run's keys (the shape of RocksDB's
+/// data-block hash index, over the whole run). One `u32` slot per entry in a
+/// table of `SLOTS_PER_KEY` slots per key — 8 bytes a key — resolved by
+/// linear probing. A slot packs the entry's ordinal (plus one) below a
+/// fingerprint of the key's hash; the ordinal takes the bits the run's size
+/// needs and the fingerprint the rest (16 bits in a run of 65k keys), so a
+/// probe reads an entry's key only when hash and fingerprint both point at
+/// it. Because every key of the run is in the table and a probe sequence
+/// stops only at an empty slot, "absent" is exact: no false positives.
+#[derive(Clone, Debug)]
+struct RunIndex {
+    slots: Vec<u32>,
+    ordinal_bits: u32,
+}
+
+impl RunIndex {
+    fn build(entries: &[RunEntry]) -> RunIndex {
+        assert!(entries.len() < 1 << 31, "run too large for u32 ordinals");
+        let mut index = RunIndex {
+            slots: vec![EMPTY_SLOT; (entries.len() * SLOTS_PER_KEY).max(1)],
+            ordinal_bits: usize::BITS - entries.len().leading_zeros(),
+        };
+        for (ordinal, (key, _)) in entries.iter().enumerate() {
+            let hash = KeyHash::of(key.as_slice());
+            let mut at = index.home(hash);
+            while index.slots[at] != EMPTY_SLOT {
+                at = index.next(at);
+            }
+            index.slots[at] = index.fingerprint(hash) | (ordinal as u32 + 1);
+        }
+        index
+    }
+
+    /// Where `hash`'s probe sequence starts: its high bits scaled to the
+    /// table (no division, any table size).
+    fn home(&self, hash: KeyHash) -> usize {
+        ((hash.0 as u128 * self.slots.len() as u128) >> 64) as usize
+    }
+
+    fn next(&self, at: usize) -> usize {
+        if at + 1 == self.slots.len() {
+            0
+        } else {
+            at + 1
+        }
+    }
+
+    /// The hash's low bits, moved above the ordinal.
+    fn fingerprint(&self, hash: KeyHash) -> u32 {
+        (hash.0 as u32) << self.ordinal_bits
+    }
+
+    /// The ordinal of the entry `is_key` accepts, asked only about the
+    /// entries `hash` may be: those on its probe sequence, up to the first
+    /// empty slot, whose fingerprint matches.
+    fn find(&self, hash: KeyHash, mut is_key: impl FnMut(usize) -> bool) -> Option<usize> {
+        let fingerprint = self.fingerprint(hash);
+        let ordinal_mask = (1u32 << self.ordinal_bits) - 1;
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY_SLOT {
+                return None;
+            }
+            if slot & !ordinal_mask == fingerprint {
+                let ordinal = (slot & ordinal_mask) as usize - 1;
+                if is_key(ordinal) {
+                    return Some(ordinal);
+                }
+            }
+            at = self.next(at);
+        }
+    }
+}
+
 /// One immutable sorted run: key-ordered committed versions (newest-first
-/// per key), a bloom filter over the key set, and what compaction needs to
+/// per key), a hash index over the key set, and what compaction needs to
 /// know about the run without reading it.
 #[derive(Clone, Debug)]
 pub struct SortedRun {
     entries: Vec<RunEntry>,
-    bloom: BloomFilter,
+    index: RunIndex,
     versions: usize,
     tombstones: usize,
     /// The lowest GC threshold that reclaims a version from this run on its
@@ -88,7 +199,7 @@ impl SortedRun {
     fn from_entries(entries: Vec<RunEntry>) -> SortedRun {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         let mut run = SortedRun {
-            bloom: BloomFilter::with_capacity(entries.len()),
+            index: RunIndex::build(&entries),
             versions: 0,
             tombstones: 0,
             shadow_from: None,
@@ -96,8 +207,7 @@ impl SortedRun {
             entries,
         };
         let lower = |slot: &mut Option<Timestamp>, ts| *slot = Some(slot.map_or(ts, |s| s.min(ts)));
-        for (k, versions) in &run.entries {
-            run.bloom.insert(KeyHash::of(k.as_slice()));
+        for (_, versions) in &run.entries {
             run.versions += versions.len();
             if let [.., second_oldest, _] = versions.as_slice() {
                 lower(&mut run.shadow_from, second_oldest.ts);
@@ -136,6 +246,20 @@ impl SortedRun {
             spare += self.tombstones;
         }
         ready && spare * TIER_FAN_IN >= self.versions
+    }
+
+    /// The versions of `key` (whose hash is `hash`), if the run holds it,
+    /// and how many entries were read to tell.
+    fn find(&self, hash: KeyHash, key: &Key) -> (Option<&[Version]>, usize) {
+        let mut read = 0;
+        let found = self.index.find(hash, |ordinal| {
+            read += 1;
+            self.entries[ordinal].0 == *key
+        });
+        (
+            found.map(|ordinal| self.entries[ordinal].1.as_slice()),
+            read,
+        )
     }
 
     /// The entries whose keys fall in `span`.
@@ -243,11 +367,14 @@ impl<I: Iterator<Item: Keyed>> MergeCursor<I> {
     }
 }
 
-/// Monotone operation counters. Bloom counters use `Cell` so read paths
-/// stay `&self`.
+/// Monotone operation counters. The two point-lookup counters keep the
+/// names they had when runs carried bloom filters (the registry series are
+/// read by name) and use `Cell` so read paths stay `&self`.
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
+    /// Runs consulted by point lookups.
     pub bloom_probes: Cell<u64>,
+    /// Of those, runs whose index answered without an entry being read.
     pub bloom_skips: Cell<u64>,
     pub flushes: u64,
     pub compactions: u64,
@@ -358,8 +485,8 @@ impl Engine {
         Ok(())
     }
 
-    /// The version lists of `key` in every run that holds it, bloom filters
-    /// consulted first — the one place runs are probed.
+    /// The version lists of `key` in every run that holds it, one index
+    /// probe each — the one place runs are probed.
     fn run_chains<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = &'a [Version]> + 'a {
         let stats = &self.stats;
         // Hashed at the first run, for all of them.
@@ -367,12 +494,11 @@ impl Engine {
         self.runs.iter().filter_map(move |run| {
             stats.bloom_probes.set(stats.bloom_probes.get() + 1);
             let hash = *hash.get_or_insert_with(|| KeyHash::of(key.as_slice()));
-            if !run.bloom.may_contain(hash) {
+            let (versions, entries_read) = run.find(hash, key);
+            if entries_read == 0 {
                 stats.bloom_skips.set(stats.bloom_skips.get() + 1);
-                return None;
             }
-            let i = run.entries.binary_search_by(|e| e.0.cmp(key)).ok()?;
-            Some(run.entries[i].1.as_slice())
+            versions
         })
     }
 
@@ -1502,15 +1628,109 @@ mod tests {
         }
         e.flush(0);
         assert_eq!(e.sst_count(), 2);
-        let before_probes = e.stats().bloom_probes.get();
+        let before = (e.stats().bloom_probes.get(), e.stats().bloom_skips.get());
         for i in 0..100u64 {
             assert!(read(&e, &format!("right-{i:03}"), 1000).is_some());
         }
-        let probes = e.stats().bloom_probes.get() - before_probes;
-        let skips = e.stats().bloom_skips.get();
-        // Every lookup probes both runs; the "left" run should be skipped
-        // nearly always.
+        let probes = e.stats().bloom_probes.get() - before.0;
+        let skips = e.stats().bloom_skips.get() - before.1;
+        // Every lookup consults both runs; the "left" run's index says
+        // "absent" without an entry being read (a 16-bit fingerprint would
+        // have to collide for it not to), the "right" run's never does.
         assert_eq!(probes, 200);
-        assert!(skips >= 90, "bloom skips too low: {skips}");
+        assert_eq!(skips, 100);
+    }
+
+    fn run_of(keys: impl IntoIterator<Item = String>) -> SortedRun {
+        let keys: std::collections::BTreeSet<String> = keys.into_iter().collect();
+        let version = |k: &str| Version {
+            ts: Timestamp::new(k.len() as u64, 0),
+            value: Some(Value::from(k)),
+        };
+        let entry = |k: String| (Key::from(k.as_str()), vec![version(&k)]);
+        SortedRun::from_entries(keys.into_iter().map(entry).collect())
+    }
+
+    fn lookup<'r>(run: &'r SortedRun, key: &str) -> (Option<&'r [Version]>, usize) {
+        let key = Key::from(key);
+        run.find(KeyHash::of(key.as_slice()), &key)
+    }
+
+    #[test]
+    fn index_finds_exactly_the_keys_of_the_run() {
+        for n in [1usize, 2, 3, 64, 1_000] {
+            let run = run_of((0..n).map(|i| format!("key-{i:05}")));
+            assert_eq!(run.index.slots.len(), n * SLOTS_PER_KEY);
+            let occupied = run.index.slots.iter().filter(|s| **s != EMPTY_SLOT);
+            assert_eq!(occupied.count(), n);
+            for i in 0..n {
+                let key = format!("key-{i:05}");
+                let (found, read) = lookup(&run, &key);
+                let versions = found.unwrap_or_else(|| panic!("{key} of {n} not found"));
+                assert_eq!(versions[0].value, Some(Value::from(key.as_str())));
+                assert!(read >= 1);
+            }
+            for i in 0..2 * n {
+                for absent in [format!("key-{i:05}x"), format!("kez-{i:05}")] {
+                    assert!(lookup(&run, &absent).0.is_none(), "{absent} of {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_sharing_a_probe_sequence_are_all_found() {
+        // 48 keys that all start probing at one slot of the table a run of
+        // 48 gets, and 48 more that share it but are left out.
+        let shape = run_of((0..48).map(|i| format!("shape-{i}")));
+        let home = |k: &str| shape.index.home(KeyHash::of(k.as_bytes()));
+        let target = home("anchor");
+        let mut colliding = (0..).map(|i| format!("c{i}")).filter(|k| home(k) == target);
+        let present: Vec<String> = colliding.by_ref().take(48).collect();
+        let absent: Vec<String> = colliding.take(48).collect();
+        let run = run_of(present.iter().cloned());
+        assert_eq!(run.index.slots.len(), shape.index.slots.len());
+        // One chain: the occupied slots are contiguous (modulo wrap-around)
+        // from the shared home slot.
+        for step in 0..48 {
+            let at = (target + step) % run.index.slots.len();
+            assert_ne!(run.index.slots[at], EMPTY_SLOT, "slot {at}");
+        }
+        for key in &present {
+            let (found, _) = lookup(&run, key);
+            assert_eq!(
+                found.expect("present")[0].value,
+                Some(Value::from(key.as_str()))
+            );
+        }
+        for key in &absent {
+            // Walks the whole chain, and reads an entry only where the
+            // fingerprint (26 bits here) collides too.
+            let (found, read) = lookup(&run, key);
+            assert!(found.is_none(), "{key}");
+            assert_eq!(read, 0, "{key}");
+        }
+    }
+
+    #[test]
+    fn key_hash_spreads_keys_that_differ_in_one_byte() {
+        // Sequential big-endian integers differ only in their last bytes —
+        // the shape of every encoded primary key. Their home slots must
+        // still spread: the longest probe sequence stays short.
+        let keys: Vec<Vec<u8>> = (0u64..4_096)
+            .map(|i| [b"t\0\0\0\x01\0\0\0\x01\x02".as_slice(), &i.to_be_bytes()].concat())
+            .collect();
+        let entries: Vec<RunEntry> = keys
+            .iter()
+            .map(|k| (Key::from_slice(k), Vec::new()))
+            .collect();
+        let index = RunIndex::build(&entries);
+        let mut longest = 0;
+        let mut run = 0;
+        for slot in index.slots.iter().chain(index.slots.iter()) {
+            run = if *slot == EMPTY_SLOT { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        assert!(longest <= 24, "occupied slots cluster: {longest} in a row");
     }
 }

@@ -3,9 +3,13 @@
 //! view — the engine (memtable ∪ sorted runs) reads identically to a
 //! reference `BTreeMap` of version history at every visible timestamp,
 //! scans stop at their limit on the right row, tiered compaction keeps the
-//! engine within a stated multiple of what the reference retains, and bloom
-//! filters never produce false negatives. Sequences are long, flushes small
-//! and maintenance frequent, so most cases see partial (non-oldest) merges.
+//! engine within a stated multiple of what the reference retains, and the
+//! runs' hash indexes find exactly the keys their runs hold — through
+//! flushes, tiered merges and a split. Sequences are long, flushes small and
+//! maintenance frequent, so most cases see partial (non-oldest) merges.
+//! (The index's own unit tests — a run of one entry, keys forced into one
+//! probe sequence — sit beside it in `lsm.rs`: `SortedRun::from_entries` is
+//! private.)
 
 use std::collections::BTreeMap;
 
@@ -253,21 +257,46 @@ proptest! {
         }
     }
 
-    /// Bloom filters never produce false negatives: every key with live
-    /// engine state is found, regardless of flush/compaction shape.
+    /// The runs' indexes find exactly the keys the runs hold, whatever
+    /// flushes and merges shaped them and on both sides of a split: every
+    /// key is read back with the reference's value at every version (an index
+    /// that missed a run would lose the versions only that run holds), and
+    /// a key the engine never saw is absent from every run — answered by
+    /// the indexes alone, each run consulted once.
     #[test]
-    fn bloom_never_false_negative(ops in prop::collection::vec(op_strategy(), 1..80)) {
-        let (e, model, last_tick) = run_ops(&ops);
-        let at = Timestamp::new(last_tick + 1_000, 0);
-        for (k, _) in model.history.iter() {
-            let want = model.visible(k, at);
-            let got = e.get(k, &ReadCtx::stale(at)).unwrap().value;
-            // A bloom false negative would skip the run holding the only
-            // copy and read as absent.
-            prop_assert_eq!(got, want);
-            if want.is_some() {
-                prop_assert!(e.latest_committed_ts(k).is_some());
+    fn index_finds_exactly_the_runs_keys(
+        ops in prop::collection::vec(op_strategy(), 1..80),
+        split_at in 0usize..KEYS,
+    ) {
+        let (mut lhs, model, last_tick) = run_ops(&ops);
+        let rhs = lhs.split_off(&key(split_at));
+        let mut probes: Vec<Timestamp> =
+            model.history.values().flatten().map(|(ts, _)| *ts).collect();
+        probes.push(Timestamp::new(last_tick + 1_000, 0));
+        probes.retain(|at| *at >= lhs.gc_threshold());
+        for i in 0..KEYS {
+            let k = key(i);
+            // `pk-3` sorts before `pk-5`: single digits, so key order is
+            // index order.
+            let (home, other) = if i < split_at { (&lhs, &rhs) } else { (&rhs, &lhs) };
+            for at in &probes {
+                let got = home.get(&k, &ReadCtx::stale(*at)).unwrap().value;
+                prop_assert_eq!(got, model.visible(&k, *at), "key {:?} at {:?}", k, at);
             }
+            // (A key whose newest version is an old tombstone may be gone.)
+            if model.visible(&k, probes[probes.len() - 1]).is_some() {
+                prop_assert!(home.latest_committed_ts(&k).is_some());
+            }
+            prop_assert_eq!(other.latest_committed_ts(&k), None, "{:?} crossed the split", k);
+        }
+        for e in [&lhs, &rhs] {
+            let stats = e.stats();
+            let before = (stats.bloom_probes.get(), stats.bloom_skips.get());
+            let never_written = Key::from(format!("pk-{}-absent", split_at).into_bytes());
+            prop_assert_eq!(e.latest_committed_ts(&never_written), None);
+            let runs = e.sst_count() as u64;
+            prop_assert_eq!(stats.bloom_probes.get() - before.0, runs);
+            prop_assert_eq!(stats.bloom_skips.get() - before.1, runs);
         }
     }
 }

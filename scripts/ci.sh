@@ -40,6 +40,31 @@ if [ -n "${1:-}" ]; then
     scripts/loc_delta.sh "$1"
 fi
 
+echo "==> allocation ratchet: host.allocs_per_op under its ceilings"
+# Heap allocations per operation repeat for a seed (to the fifth digit), so
+# they gate where host time cannot: a clone per statement, a label lookup per
+# KV op or a `format!` for a span that is off shows up here as a count. The
+# ceilings are the values measured when they were last lowered (68.03 and
+# 2,258.2 at PR 18; 140.7 and 9,426.8 before it) plus 10 % — a ratchet: a PR
+# that removes allocations lowers them, one that adds them back fails.
+alloc_ceiling() {
+    local workload="$1" ceiling="$2" got
+    got="$(cargo run -q --release --offline -p mr-ledger -- \
+        bench --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+        | grep -o '"host.allocs_per_op": {"value": [0-9.]*' | grep -o '[0-9.]*$')"
+    if [ -z "$got" ]; then
+        echo "FAIL: $workload printed no host.allocs_per_op" >&2
+        exit 1
+    fi
+    if ! awk -v got="$got" -v max="$ceiling" 'BEGIN { exit !(got <= max) }'; then
+        echo "FAIL: $workload makes $got allocations per op, over its ceiling of $ceiling" >&2
+        exit 1
+    fi
+    echo "$workload: $got allocations per op (ceiling $ceiling)"
+}
+alloc_ceiling global_ycsb_b 75
+alloc_ceiling tpcc_nothink 2485
+
 echo "==> strict-monitor perf_probe smoke"
 # Short probe run with every online invariant monitor escalated to a panic:
 # a closed-timestamp regression, an over-fresh follower read, a short commit
@@ -123,10 +148,11 @@ echo "==> split_probe: range-lifecycle regression guard"
 assert_bench split_probe BENCH_split.json
 
 echo "==> storage_probe: WAL/LSM/GC durability regression guard"
-# Drives the storage engine through a cold-key bloom workload, an
+# Drives the storage engine through a cold-key point-lookup workload, an
 # overwrite-heavy GC workload under an active protected timestamp, a
 # steady-overwrite workload under tiered compaction, and a crash-recovery
-# smoke. Fails if the bloom skip rate drops under 90%, if GC reclaims under
+# smoke. Fails if the run indexes answer under 90% of cold-run probes without
+# the run being read, if GC reclaims under
 # 50% of the overwritten history, if a protected AOST read breaks, if
 # below-threshold reads stop erroring, if WAL replay loses versions, or if
 # compaction stops being incremental (write amplification over 3, more
