@@ -16,8 +16,9 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-# crates/kv/clippy.toml makes walking a HashMap/HashSet in mr-kv an error
-# here (disallowed-methods): iteration order there must be structural.
+# crates/kv/clippy.toml and crates/sql/clippy.toml make walking a
+# HashMap/HashSet in mr-kv or mr-sql an error here (disallowed-methods):
+# iteration order there must be structural.
 cargo clippy --workspace --all-targets -- -D warnings
 # The canary switch (`Cluster::arm_bug`, one `injected-bug` feature on
 # mr-kv, forwarded by mr-chaos) only compiles with the feature: lint it too.
