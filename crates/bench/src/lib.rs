@@ -250,84 +250,188 @@ fn quantile_ms(sorted_nanos: &[u64], q: f64) -> f64 {
     sorted_nanos[idx] as f64 / 1e6
 }
 
-/// Drive `shapes.len()` transactions sequentially from `gateway`, each
-/// writing the keys of its shape in order, and return the per-transaction
-/// begin→commit-ack latencies (nanoseconds of simulated time).
-fn drive_commit_txns(
+/// What a driven transaction does when one of its steps fails.
+#[derive(Clone, Copy)]
+enum OnAbort {
+    /// The probe's traffic cannot legitimately abort: fail loudly.
+    Panic,
+    /// Roll back and run the same transaction again — descriptor surgery or
+    /// a lease move aborted it mid-flight. Fifty aborts in a row is a hang.
+    Retry,
+}
+
+/// What [`drive_kv_txns`] saw.
+struct KvTxnStats {
+    /// Begin→commit-ack latency of every committed attempt, in commit order
+    /// (nanoseconds of simulated time).
+    latencies: Vec<u64>,
+    committed: u64,
+    retries: u64,
+}
+
+/// Drive closed-loop KV transactions to quiescence: each client runs its
+/// transaction shapes in order from its gateway — optionally read the first
+/// key (leaseholder fast path), write every key, commit — and starts the
+/// next one when the commit acks.
+fn drive_kv_txns(
     c: &mut mr_kv::Cluster,
-    gateway: mr_sim::NodeId,
-    shapes: Vec<Vec<mr_proto::Key>>,
-) -> Vec<u64> {
+    clients: Vec<(mr_sim::NodeId, Vec<Vec<mr_proto::Key>>)>,
+    read_first: bool,
+    on_abort: OnAbort,
+) -> KvTxnStats {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    struct Drive {
+    struct Client {
         gateway: mr_sim::NodeId,
-        remaining: Vec<Vec<mr_proto::Key>>,
-        samples: Vec<u64>,
+        shapes: std::vec::IntoIter<Vec<mr_proto::Key>>,
+        /// The shape in flight (kept for a retry) and its aborts so far.
+        current: Vec<mr_proto::Key>,
+        attempts: u32,
+    }
+    struct Drive {
+        clients: Vec<Client>,
+        read_first: bool,
+        on_abort: OnAbort,
+        stats: KvTxnStats,
+    }
+    /// One attempt of one client's transaction.
+    struct Attempt {
+        st: Rc<RefCell<Drive>>,
+        client: usize,
+        h: mr_kv::TxnHandle,
+        started: mr_sim::SimTime,
     }
 
-    fn put_chain(
-        c: &mut mr_kv::Cluster,
-        h: mr_kv::TxnHandle,
-        mut keys: std::vec::IntoIter<mr_proto::Key>,
-        started: mr_sim::SimTime,
-        st: Rc<RefCell<Drive>>,
-    ) {
-        match keys.next() {
-            Some(key) => {
-                let val = mr_proto::Value::from("probe");
-                c.txn_put(
-                    h,
-                    key,
-                    Some(val),
-                    Box::new(move |c, res| {
-                        res.unwrap_or_else(|e| panic!("probe put failed: {e}"));
-                        put_chain(c, h, keys, started, st);
-                    }),
-                );
+    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Drive>>, client: usize, again: bool) {
+        let (gateway, shape, read_first) = {
+            let mut d = st.borrow_mut();
+            let read_first = d.read_first;
+            let cl = &mut d.clients[client];
+            if !again {
+                match cl.shapes.next() {
+                    Some(shape) => cl.current = shape,
+                    None => return,
+                }
             }
-            None => c.txn_commit(
+            (cl.gateway, cl.current.clone(), read_first)
+        };
+        let started = c.now();
+        let h = c.txn_begin(gateway);
+        let at = Attempt {
+            st,
+            client,
+            h,
+            started,
+        };
+        if read_first {
+            let first = shape[0].clone();
+            c.txn_get(
                 h,
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe commit failed: {e}"));
-                    let dt = c.now().nanos() - started.nanos();
-                    st.borrow_mut().samples.push(dt);
-                    next_txn(c, st);
+                first,
+                Box::new(move |c, res| match res {
+                    Ok(_) => put_chain(c, at, shape.into_iter()),
+                    Err(e) => aborted(c, at, "get", e),
+                }),
+            );
+        } else {
+            put_chain(c, at, shape.into_iter());
+        }
+    }
+
+    fn put_chain(c: &mut mr_kv::Cluster, at: Attempt, mut keys: std::vec::IntoIter<mr_proto::Key>) {
+        match keys.next() {
+            Some(key) => c.txn_put(
+                at.h,
+                key,
+                Some(mr_proto::Value::from("probe")),
+                Box::new(move |c, res| match res {
+                    Ok(()) => put_chain(c, at, keys),
+                    Err(e) => aborted(c, at, "put", e),
+                }),
+            ),
+            None => c.txn_commit(
+                at.h,
+                Box::new(move |c, res| match res {
+                    Ok(_) => {
+                        {
+                            let mut d = at.st.borrow_mut();
+                            d.clients[at.client].attempts = 0;
+                            d.stats.committed += 1;
+                            let dt = c.now().nanos() - at.started.nanos();
+                            d.stats.latencies.push(dt);
+                        }
+                        next_txn(c, at.st, at.client, false);
+                    }
+                    Err(e) => aborted(c, at, "commit", e),
                 }),
             ),
         }
     }
 
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Drive>>) {
-        let (gateway, shape) = {
-            let mut s = st.borrow_mut();
-            if s.remaining.is_empty() {
-                return;
+    fn aborted(c: &mut mr_kv::Cluster, at: Attempt, step: &str, e: mr_proto::KvError) {
+        {
+            let mut d = at.st.borrow_mut();
+            if let OnAbort::Panic = d.on_abort {
+                panic!("probe {step} failed: {e}");
             }
-            (s.gateway, s.remaining.remove(0))
-        };
-        let started = c.now();
-        let h = c.txn_begin(gateway);
-        put_chain(c, h, shape.into_iter(), started, st);
+            d.stats.retries += 1;
+            let cl = &mut d.clients[at.client];
+            cl.attempts += 1;
+            assert!(
+                cl.attempts < 50,
+                "probe txn stuck: 50 aborts in a row at gateway {}",
+                cl.gateway
+            );
+        }
+        let (st, client) = (at.st, at.client);
+        c.txn_rollback(at.h, Box::new(move |c, _| next_txn(c, st, client, true)));
     }
 
+    let n = clients.len();
     let st = Rc::new(RefCell::new(Drive {
-        gateway,
-        remaining: shapes,
-        samples: Vec::new(),
+        clients: clients
+            .into_iter()
+            .map(|(gateway, shapes)| Client {
+                gateway,
+                shapes: shapes.into_iter(),
+                current: Vec::new(),
+                attempts: 0,
+            })
+            .collect(),
+        read_first,
+        on_abort,
+        stats: KvTxnStats {
+            latencies: Vec::new(),
+            committed: 0,
+            retries: 0,
+        },
     }));
-    next_txn(c, st.clone());
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(600).nanos());
+    for client in 0..n {
+        next_txn(c, st.clone(), client, false);
+    }
+    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(1_200).nanos());
     c.run_until_quiescent(deadline);
-    // Drain any straggling async intent resolutions before the next cell.
-    let settle = SimTime(c.now().nanos() + SimDuration::from_secs(2).nanos());
-    c.run_until(settle);
     Rc::try_unwrap(st)
         .ok()
         .expect("probe continuations still pending")
         .into_inner()
-        .samples
+        .stats
+}
+
+/// Drive `shapes.len()` write transactions sequentially from `gateway` and
+/// return their begin→commit-ack latencies, with the cluster settled
+/// afterwards (straggling async intent resolutions drained before the next
+/// cell).
+fn drive_commit_txns(
+    c: &mut mr_kv::Cluster,
+    gateway: mr_sim::NodeId,
+    shapes: Vec<Vec<mr_proto::Key>>,
+) -> Vec<u64> {
+    let stats = drive_kv_txns(c, vec![(gateway, shapes)], false, OnAbort::Panic);
+    let settle = SimTime(c.now().nanos() + SimDuration::from_secs(2).nanos());
+    c.run_until(settle);
+    stats.latencies
 }
 
 /// Measure client-observed transaction latency (begin → commit ack) for
@@ -557,87 +661,6 @@ fn raft_probe_cluster(
     c
 }
 
-/// Drive `clients` concurrent closed-loop writers, each running its txn
-/// shapes sequentially: read the first key (leaseholder fast path), write
-/// every key, commit. Returns the committed-transaction count.
-fn drive_concurrent_txns(
-    c: &mut mr_kv::Cluster,
-    clients: Vec<(mr_sim::NodeId, Vec<Vec<mr_proto::Key>>)>,
-) -> u64 {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Probe {
-        gateway: mr_sim::NodeId,
-        remaining: Vec<Vec<mr_proto::Key>>,
-        committed: Rc<RefCell<u64>>,
-    }
-
-    fn put_chain(
-        c: &mut mr_kv::Cluster,
-        h: mr_kv::TxnHandle,
-        mut keys: std::vec::IntoIter<mr_proto::Key>,
-        st: Rc<RefCell<Probe>>,
-    ) {
-        match keys.next() {
-            Some(key) => {
-                let val = mr_proto::Value::from("raft-probe");
-                c.txn_put(
-                    h,
-                    key,
-                    Some(val),
-                    Box::new(move |c, res| {
-                        res.unwrap_or_else(|e| panic!("probe put failed: {e}"));
-                        put_chain(c, h, keys, st);
-                    }),
-                );
-            }
-            None => c.txn_commit(
-                h,
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe commit failed: {e}"));
-                    *st.borrow_mut().committed.borrow_mut() += 1;
-                    next_txn(c, st);
-                }),
-            ),
-        }
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Probe>>) {
-        let (gateway, shape) = {
-            let mut s = st.borrow_mut();
-            if s.remaining.is_empty() {
-                return;
-            }
-            (s.gateway, s.remaining.remove(0))
-        };
-        let h = c.txn_begin(gateway);
-        let first = shape[0].clone();
-        c.txn_get(
-            h,
-            first,
-            Box::new(move |c, res| {
-                res.unwrap_or_else(|e| panic!("probe get failed: {e}"));
-                put_chain(c, h, shape.into_iter(), st);
-            }),
-        );
-    }
-
-    let committed = Rc::new(RefCell::new(0u64));
-    for (gateway, shapes) in clients {
-        let st = Rc::new(RefCell::new(Probe {
-            gateway,
-            remaining: shapes,
-            committed: committed.clone(),
-        }));
-        next_txn(c, st);
-    }
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(600).nanos());
-    c.run_until_quiescent(deadline);
-    let n = *committed.borrow();
-    n
-}
-
 /// One batching phase: 4 clients on each region-0 gateway, every txn
 /// reading then writing one `zs/` and one `za/` key (multi-range, so the
 /// STAGING record and second intent live in different Raft logs).
@@ -662,7 +685,7 @@ fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) ->
         }
     }
     let expected = clients.len() * txns_per_client;
-    let txns = drive_concurrent_txns(&mut c, clients);
+    let txns = drive_kv_txns(&mut c, clients, true, OnAbort::Panic).committed;
     assert_eq!(txns as usize, expected, "probe txns went missing");
     let dt_secs = (c.now().nanos() - t0.nanos()) as f64 / 1e9;
     c.scrape_now();
@@ -830,107 +853,6 @@ fn split_probe_cluster(seed: u64, lifecycle_on: bool) -> mr_kv::Cluster {
     c
 }
 
-/// Drive closed-loop single-key read-write transactions, one txn per key
-/// in each client's list, retrying a txn from scratch when descriptor
-/// surgery or a lease move aborts it mid-flight. Returns `(committed,
-/// retries)`.
-fn drive_retry_txns(
-    c: &mut mr_kv::Cluster,
-    clients: Vec<(mr_sim::NodeId, Vec<mr_proto::Key>)>,
-) -> (u64, u64) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Probe {
-        gateway: mr_sim::NodeId,
-        remaining: Vec<mr_proto::Key>,
-        attempts: u32,
-        committed: Rc<RefCell<u64>>,
-        retries: Rc<RefCell<u64>>,
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Probe>>) {
-        let (gateway, key) = {
-            let s = st.borrow();
-            match s.remaining.last() {
-                Some(k) => (s.gateway, k.clone()),
-                None => return,
-            }
-        };
-        let h = c.txn_begin(gateway);
-        let st2 = Rc::clone(&st);
-        let key2 = key.clone();
-        c.txn_get(
-            h,
-            key.clone(),
-            Box::new(move |c, res| match res {
-                Err(_) => retry(c, h, st2),
-                Ok(_) => {
-                    let st3 = Rc::clone(&st2);
-                    c.txn_put(
-                        h,
-                        key2,
-                        Some(mr_proto::Value::from("split-probe")),
-                        Box::new(move |c, res| match res {
-                            Err(_) => retry(c, h, st3),
-                            Ok(()) => {
-                                let st4 = Rc::clone(&st3);
-                                c.txn_commit(
-                                    h,
-                                    Box::new(move |c, res| match res {
-                                        Err(_) => retry(c, h, st4),
-                                        Ok(_) => {
-                                            {
-                                                let mut s = st4.borrow_mut();
-                                                s.remaining.pop();
-                                                s.attempts = 0;
-                                                *s.committed.borrow_mut() += 1;
-                                            }
-                                            next_txn(c, st4);
-                                        }
-                                    }),
-                                );
-                            }
-                        }),
-                    );
-                }
-            }),
-        );
-    }
-
-    fn retry(c: &mut mr_kv::Cluster, h: mr_kv::TxnHandle, st: Rc<RefCell<Probe>>) {
-        {
-            let mut s = st.borrow_mut();
-            s.attempts += 1;
-            *s.retries.borrow_mut() += 1;
-            assert!(
-                s.attempts < 50,
-                "split probe txn stuck: 50 aborts in a row at gateway {}",
-                s.gateway
-            );
-        }
-        c.txn_rollback(h, Box::new(move |c, _| next_txn(c, st)));
-    }
-
-    let committed = Rc::new(RefCell::new(0u64));
-    let retries = Rc::new(RefCell::new(0u64));
-    for (gateway, keys) in clients {
-        let st = Rc::new(RefCell::new(Probe {
-            gateway,
-            remaining: keys,
-            attempts: 0,
-            committed: committed.clone(),
-            retries: retries.clone(),
-        }));
-        next_txn(c, st);
-    }
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(1_200).nanos());
-    c.run_until_quiescent(deadline);
-    let n = *committed.borrow();
-    let r = *retries.borrow();
-    (n, r)
-}
-
 /// Run one phase: 2 clients on each node of regions 1 and 2, each
 /// committing `txns_per_client` single-key read-write transactions on its
 /// own small key set (`u1/...` sorts wholly before `u2/...`, so the load
@@ -942,18 +864,25 @@ fn split_phase(seed: u64, lifecycle_on: bool, txns_per_client: usize) -> SplitPh
     for region in 1..3u32 {
         for node in (region * 3)..(region * 3 + 3) {
             for ci in 0..2u32 {
-                let keys: Vec<mr_proto::Key> = (0..txns_per_client)
+                // One single-key transaction each, highest `i` first.
+                let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_client)
+                    .rev()
                     .map(|i| {
-                        mr_proto::Key::from(format!("u{region}/n{node}c{ci}k{}", i % 4).as_str())
+                        let key = format!("u{region}/n{node}c{ci}k{}", i % 4);
+                        vec![mr_proto::Key::from(key.as_str())]
                     })
                     .collect();
-                clients.push((mr_sim::NodeId(node), keys));
+                clients.push((mr_sim::NodeId(node), shapes));
             }
         }
     }
     let expected = clients.len() * txns_per_client;
     let t0 = c.now();
-    let (txns, retries) = drive_retry_txns(&mut c, clients);
+    let KvTxnStats {
+        committed: txns,
+        retries,
+        ..
+    } = drive_kv_txns(&mut c, clients, true, OnAbort::Retry);
     assert_eq!(txns as usize, expected, "split probe txns went missing");
     let drained = c.now();
     let dt_secs = (drained.nanos() - t0.nanos()) as f64 / 1e9;

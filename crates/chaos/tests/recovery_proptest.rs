@@ -218,7 +218,7 @@ fn run_case(
             c.node(n)
                 .replicas
                 .get(&anchor_range)
-                .and_then(|rep| rep.txn_records.get(&victim))
+                .and_then(|rep| rep.store.txn_record(victim))
                 .map(|rec| rec.status)
         })
         .collect();

@@ -28,7 +28,7 @@ mod lifecycle;
 mod maintenance;
 mod transport;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
@@ -776,9 +776,17 @@ impl Cluster {
         zone_config: ZoneConfig,
         replicas: &[crate::allocator::Placement],
         leaseholder: NodeId,
-        seed_state: Option<SeedState>,
+        mut seed_state: Option<SeedState>,
     ) {
         let now = self.queue.now();
+        if let Some(seed) = &mut seed_state {
+            // The seed engine still carries the previous incarnation's WAL
+            // identity (old apply indices); this Raft group restarts log
+            // indices from scratch, so re-anchor it on a fresh durable
+            // checkpoint at applied index 0. Once, here: every replica gets a
+            // clone of this one image.
+            seed.store.rebaseline(0, seed.tracker.closed(), now.nanos());
+        }
         let peer_nodes: Vec<NodeId> = replicas.iter().map(|p| p.node).collect();
         let voters: Vec<Peer> = replicas
             .iter()
@@ -809,22 +817,7 @@ impl Cluster {
             let mut rep = Replica::new(id, p.node, i as Peer, peer_nodes.clone(), raft, policy);
             if let Some(seed) = &seed_state {
                 rep.store = seed.store.clone();
-                rep.txn_records = seed.txn_records.clone();
                 rep.tracker = seed.tracker.clone();
-                // The cloned engine still carries the previous incarnation's
-                // WAL identity (old apply indices); this Raft group restarts
-                // log indices from scratch, so re-anchor the engine on a
-                // fresh durable checkpoint at applied index 0. (Hash order
-                // is harmless here: `rebaseline` collects into an ordered map.)
-                #[allow(clippy::disallowed_methods)]
-                rep.store.rebaseline(
-                    seed.txn_records
-                        .iter()
-                        .map(|(id, r)| (id.0, r.to_storage())),
-                    0,
-                    seed.tracker.closed(),
-                    now.nanos(),
-                );
                 if p.node == leaseholder {
                     rep.lease.inherit(seed.promised);
                     rep.tscache.raise_low_water(seed.tscache_low_water);
@@ -867,7 +860,6 @@ impl Cluster {
         let rep = self.nodes[node.0 as usize].replicas.get(&id)?;
         Some(SeedState {
             store: rep.store.clone(),
-            txn_records: rep.txn_records.clone(),
             tracker: rep.tracker.clone(),
             promised: rep.lease.promised(),
             tscache_low_water: rep.tscache.low_water(),
@@ -1319,7 +1311,6 @@ impl Cluster {
 /// State copied into new replicas during reconfiguration.
 struct SeedState {
     store: mr_storage::lsm::Engine,
-    txn_records: HashMap<TxnId, crate::replica::TxnRecord>,
     tracker: crate::closedts::ClosedTsTracker,
     promised: Timestamp,
     tscache_low_water: Timestamp,

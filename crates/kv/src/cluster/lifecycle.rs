@@ -171,7 +171,6 @@ impl Cluster {
             .max(hlc_now.add_duration(self.cfg.clock.max_offset));
         let rhs_seed = SeedState {
             store: lhs_seed.store.split_off(&split_key),
-            txn_records: lhs_seed.txn_records.clone(),
             tracker: lhs_seed.tracker.clone(),
             promised: lhs_seed.promised,
             tscache_low_water: if self.injected_bug == Some(InjectedBug::SplitTscache) {
@@ -256,11 +255,6 @@ impl Cluster {
             return;
         };
         seed.store.absorb(rseed.store);
-        // Txn records are anchored at one key, which lives in exactly one
-        // of the two spans — collisions cannot happen; keep both sides.
-        for (id, rec) in rseed.txn_records {
-            seed.txn_records.entry(id).or_insert(rec);
-        }
         // The merged closed frontier may take the further-ahead side: no
         // write below either side's lease promise can commit afterwards
         // (the merged lease inherits the max), so the stronger promise

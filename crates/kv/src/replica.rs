@@ -1,8 +1,9 @@
 //! Per-node replica state and request evaluation.
 //!
-//! A [`Replica`] is one copy of a Range living on a node: its MVCC store,
+//! A [`Replica`] is one copy of a Range living on a node: its storage
+//! engine (MVCC data and the transaction records anchored on the range),
 //! its Raft instance, and — when it holds the lease — the timestamp cache,
-//! lock table, closed-timestamp promises, and transaction-record map.
+//! lock table and closed-timestamp promises.
 //!
 //! Evaluation happens in two phases, mirroring CockroachDB:
 //!
@@ -24,11 +25,11 @@ use std::rc::Rc;
 
 use mr_clock::{Hlc, Timestamp};
 use mr_proto::{
-    Key, KvError, RangeId, ReadCtx, Request, Response, TxnId, TxnMeta, TxnStatus, Value,
+    Key, KvError, RangeId, ReadCtx, Request, Response, TxnId, TxnMeta, TxnRecord, TxnStatus, Value,
 };
 use mr_raft::{Peer, RaftMsg, RaftNode};
 use mr_sim::{NodeId, SimTime};
-use mr_storage::{lsm::Engine, wal::TxnRecData, MvccError, RecoveryInfo, TsCache};
+use mr_storage::{lsm::Engine, MvccError, RecoveryInfo, TsCache};
 
 use crate::closedts::{ClosedTsLeaseState, ClosedTsParams, ClosedTsTracker};
 use crate::locks::{LockTable, WaiterId};
@@ -62,14 +63,10 @@ pub enum CmdOp {
         value: Option<Value>,
         txn: TxnMeta,
     },
-    /// Write the transaction record (stage, commit, or abort). `in_flight`
-    /// is the parallel-commit write set and only meaningful for STAGING.
-    TxnRecord {
-        txn_id: TxnId,
-        status: TxnStatus,
-        commit_ts: Timestamp,
-        in_flight: Vec<Key>,
-    },
+    /// Write the transaction record (stage, commit, or abort).
+    /// `rec.in_flight` is the parallel-commit write set and only meaningful
+    /// for STAGING.
+    TxnRecord { txn_id: TxnId, rec: TxnRecord },
     /// Finalize an abandoned STAGING record: commit or abort, guarded at
     /// apply time on the record still being staged at `staged_ts` (log
     /// order at the anchor decides races against a coordinator re-stage).
@@ -181,45 +178,6 @@ struct PendingProp {
     term: u64,
 }
 
-/// A transaction record stored at the anchor range.
-#[derive(Clone, Debug)]
-pub struct TxnRecord {
-    pub status: TxnStatus,
-    pub commit_ts: Timestamp,
-    /// The in-flight write set carried by a STAGING record (empty once
-    /// finalized): the keys a status recovery must query to decide the
-    /// outcome.
-    pub in_flight: Vec<Key>,
-}
-
-impl TxnRecord {
-    pub fn finalized(status: TxnStatus, commit_ts: Timestamp) -> TxnRecord {
-        TxnRecord {
-            status,
-            commit_ts,
-            in_flight: Vec::new(),
-        }
-    }
-
-    /// The storage-engine image of this record (WAL/checkpoint durability).
-    pub fn to_storage(&self) -> TxnRecData {
-        TxnRecData {
-            status: self.status,
-            commit_ts: self.commit_ts,
-            in_flight: self.in_flight.clone(),
-        }
-    }
-
-    /// Rebuild from the storage-engine image after crash recovery.
-    pub fn from_storage(rec: &TxnRecData) -> TxnRecord {
-        TxnRecord {
-            status: rec.status,
-            commit_ts: rec.commit_ts,
-            in_flight: rec.in_flight.clone(),
-        }
-    }
-}
-
 /// A request parked in a lock wait-queue.
 pub struct ParkedReq {
     pub req: Request,
@@ -243,8 +201,6 @@ pub struct Replica {
     pub tracker: ClosedTsTracker,
     pub lease: ClosedTsLeaseState,
     pub policy: ClosedTsPolicy,
-    /// Replicated transaction records (applied via `CmdOp::TxnRecord`).
-    pub txn_records: HashMap<TxnId, TxnRecord>,
     /// In-flight proposals, keyed by `(log index, slot within the batch)`:
     /// apply fans each entry back out into per-slot responses.
     pending_props: HashMap<(u64, usize), PendingProp>,
@@ -295,7 +251,6 @@ impl Replica {
             tracker: ClosedTsTracker::new(),
             lease: ClosedTsLeaseState::default(),
             policy,
-            txn_records: HashMap::new(),
             pending_props: HashMap::new(),
             batch_buf: Vec::new(),
             prop_occupancy: Vec::new(),
@@ -340,7 +295,7 @@ impl Replica {
     /// truncates to its fsynced horizon (`drop_unsynced_log`), and every
     /// purely in-memory structure restarts cold:
     ///
-    /// * transaction records rebuild from the replayed WAL;
+    /// * transaction records live in the engine and come back with it;
     /// * the closed-timestamp tracker resumes from the recovered frontier
     ///   (durable, carried in WAL entry records);
     /// * the timestamp cache is gone — its low-water rises to
@@ -357,11 +312,6 @@ impl Replica {
         let info = self.store.crash_and_recover();
         self.raft
             .crash_volatile(info.applied_index, drop_unsynced_log);
-        self.txn_records = info
-            .txn_records
-            .iter()
-            .map(|(id, rec)| (TxnId(*id), TxnRecord::from_storage(rec)))
-            .collect();
         let mut tracker = ClosedTsTracker::new();
         tracker.on_entry_applied(info.closed_ts, info.applied_index);
         self.tracker = tracker;
@@ -571,7 +521,7 @@ impl Replica {
                 to_ts,
             } => self.lh_refresh(txn_id, span, from_ts, to_ts),
             Request::PushTxn { pushee, .. } => {
-                let (status, commit_ts, in_flight) = match self.txn_records.get(&pushee) {
+                let (status, commit_ts, in_flight) = match self.store.txn_record(pushee) {
                     Some(rec) => (rec.status, rec.commit_ts, rec.in_flight.clone()),
                     None => (TxnStatus::Pending, Timestamp::ZERO, Vec::new()),
                 };
@@ -791,7 +741,7 @@ impl Replica {
         // txn record is authoritative — a retry of an already-finalized
         // transaction must report the original outcome, never commit again
         // at a new timestamp.
-        match self.txn_records.get(&txn.id) {
+        match self.store.txn_record(txn.id) {
             Some(rec) if rec.status == TxnStatus::Committed => {
                 let cts = rec.commit_ts;
                 return EvalOutcome::Reply(Ok(Response::CommitInline { commit_ts: cts }));
@@ -881,7 +831,7 @@ impl Replica {
         // STAGING record is the normal precursor here — the explicit commit
         // (or abort) that finalizes a parallel commit falls through and
         // proposes.
-        match self.txn_records.get(&txn.id) {
+        match self.store.txn_record(txn.id) {
             Some(rec) if rec.status == TxnStatus::Staging => {}
             Some(rec) if rec.status == TxnStatus::Committed && commit => {
                 let cts = rec.commit_ts;
@@ -908,9 +858,7 @@ impl Replica {
             closed_ts: self.lease.promised(),
             op: CmdOp::TxnRecord {
                 txn_id: txn.id,
-                status,
-                commit_ts: txn.write_ts,
-                in_flight: Vec::new(),
+                rec: TxnRecord::finalized(status, txn.write_ts),
             },
         };
         self.propose(
@@ -938,7 +886,7 @@ impl Replica {
         // Replay / race protection: a recovery may have finalized the txn
         // before a (re-)stage arrives. Re-staging over an existing STAGING
         // record is allowed (timestamp moved after a refresh).
-        match self.txn_records.get(&txn.id) {
+        match self.store.txn_record(txn.id) {
             Some(rec) if rec.status == TxnStatus::Committed => {
                 let cts = rec.commit_ts;
                 return EvalOutcome::Reply(Ok(Response::StageTxn { commit_ts: cts }));
@@ -954,9 +902,11 @@ impl Replica {
             closed_ts: self.lease.promised(),
             op: CmdOp::TxnRecord {
                 txn_id: txn.id,
-                status: TxnStatus::Staging,
-                commit_ts: txn.write_ts,
-                in_flight,
+                rec: TxnRecord {
+                    status: TxnStatus::Staging,
+                    commit_ts: txn.write_ts,
+                    in_flight,
+                },
             },
         };
         self.propose(
@@ -982,7 +932,7 @@ impl Replica {
         hlc: &mut Hlc,
         ctx: &EvalCtx<'_>,
     ) -> EvalOutcome {
-        match self.txn_records.get(&txn_id) {
+        match self.store.txn_record(txn_id) {
             Some(rec) if rec.status.is_finalized() => {
                 return EvalOutcome::Reply(Ok(Response::RecoverTxn {
                     status: rec.status,
@@ -1294,20 +1244,6 @@ impl Replica {
         effects
     }
 
-    /// Install a transaction record, mirroring it into the storage engine's
-    /// durable shadow so crash recovery restores coordinator state.
-    fn put_txn_record(&mut self, txn_id: TxnId, rec: TxnRecord) {
-        self.store.note_txn_record(
-            txn_id.0,
-            TxnRecData {
-                status: rec.status,
-                commit_ts: rec.commit_ts,
-                in_flight: rec.in_flight.clone(),
-            },
-        );
-        self.txn_records.insert(txn_id, rec);
-    }
-
     /// Apply one command of a batch entry. `(index, slot)` addresses the
     /// pending proposal this command answers, so errors attribute to the
     /// exact command that failed, not the whole batch.
@@ -1370,20 +1306,15 @@ impl Replica {
                     }
                 }
             }
-            CmdOp::TxnRecord {
-                txn_id,
-                status,
-                commit_ts,
-                in_flight,
-            } => {
-                match self.txn_records.get(txn_id) {
+            CmdOp::TxnRecord { txn_id, rec: new } => {
+                match self.store.txn_record(*txn_id) {
                     Some(rec) if rec.status.is_finalized() => {
                         // Finalized records are immutable. A replayed entry
                         // agreeing with the recorded outcome reports the
                         // original commit timestamp; one that conflicts
                         // (e.g. a late stage after a recovery abort) fails.
                         let (rstatus, cts) = (rec.status, rec.commit_ts);
-                        let agrees = match status {
+                        let agrees = match new.status {
                             TxnStatus::Committed => rstatus == TxnStatus::Committed,
                             TxnStatus::Aborted => rstatus == TxnStatus::Aborted,
                             // A stage landing on a committed record means a
@@ -1408,16 +1339,7 @@ impl Replica {
                     }
                     // No record yet, or a STAGING record being re-staged or
                     // finalized: the new entry takes effect.
-                    _ => {
-                        self.put_txn_record(
-                            *txn_id,
-                            TxnRecord {
-                                status: *status,
-                                commit_ts: *commit_ts,
-                                in_flight: in_flight.clone(),
-                            },
-                        );
-                    }
+                    _ => self.store.note_txn_record(*txn_id, new.clone()),
                 }
             }
             CmdOp::RecoverTxn {
@@ -1425,7 +1347,7 @@ impl Replica {
                 staged_ts,
                 commit,
             } => {
-                let (status, cts) = match self.txn_records.get(txn_id) {
+                let (status, cts) = match self.store.txn_record(*txn_id) {
                     Some(rec)
                         if rec.status == TxnStatus::Staging && rec.commit_ts == *staged_ts =>
                     {
@@ -1436,7 +1358,8 @@ impl Replica {
                         } else {
                             (TxnStatus::Aborted, Timestamp::ZERO)
                         };
-                        self.put_txn_record(*txn_id, TxnRecord::finalized(s, c));
+                        self.store
+                            .note_txn_record(*txn_id, TxnRecord::finalized(s, c));
                         (s, c)
                     }
                     // Re-staged or already finalized: leave the record and
@@ -1445,7 +1368,7 @@ impl Replica {
                     None => {
                         // Never staged (the stage proposal was lost): write
                         // an abort so a late stage can no longer commit.
-                        self.put_txn_record(
+                        self.store.note_txn_record(
                             *txn_id,
                             TxnRecord::finalized(TxnStatus::Aborted, Timestamp::ZERO),
                         );
@@ -1470,8 +1393,8 @@ impl Replica {
                 resolve_inline,
             } => {
                 if let Some((status, cts)) = self
-                    .txn_records
-                    .get(txn_id)
+                    .store
+                    .txn_record(*txn_id)
                     .map(|r| (r.status, r.commit_ts))
                 {
                     // Replayed commit: a stalled first attempt and its retry
@@ -1583,7 +1506,7 @@ impl Replica {
             // else: the intent stays locked until the coordinator's
             // post-commit-wait resolve (Spanner-style ablation).
         }
-        self.put_txn_record(
+        self.store.note_txn_record(
             *txn_id,
             TxnRecord::finalized(TxnStatus::Committed, *commit_ts),
         );
@@ -2049,7 +1972,7 @@ mod tests {
             },
         );
         assert!(matches!(resp, Ok(Response::EndTxn { commit_ts }) if commit_ts == ts));
-        let rec = r.txn_records.get(&TxnId(1)).unwrap();
+        let rec = r.store.txn_record(TxnId(1)).unwrap();
         assert_eq!(rec.status, TxnStatus::Committed);
         assert!(rec.in_flight.is_empty());
     }
@@ -2195,7 +2118,7 @@ mod tests {
             r => panic!("{r:?}"),
         }
         assert_eq!(
-            r.txn_records.get(&TxnId(1)).unwrap().status,
+            r.store.txn_record(TxnId(1)).unwrap().status,
             TxnStatus::Staging
         );
     }

@@ -9,7 +9,7 @@ use mr_clock::Timestamp;
 use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig, ReadOptions};
 use mr_kv::report::RangeStatus;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-use mr_proto::{Key, KvError, RangeId, Span, Value};
+use mr_proto::{Key, KvError, RangeId, Span, TxnId, TxnStatus, Value};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
 
 const US_EAST: RegionId = RegionId(0);
@@ -429,4 +429,147 @@ fn split_then_merge_retires_the_rhs_and_keeps_monitor_baselines() {
         )
         .get();
     assert_eq!(checks, 147);
+}
+
+/// Step until `done`, failing rather than spinning if it never holds.
+fn step_until(c: &mut Cluster, what: &str, mut done: impl FnMut(&Cluster) -> bool) {
+    while !done(c) {
+        assert!(c.step() && c.now() < deadline(), "never reached: {what}");
+    }
+}
+
+/// The status of transaction `id`'s record on every replica of `range`.
+fn record_statuses(c: &Cluster, range: RangeId, id: TxnId) -> Vec<Option<TxnStatus>> {
+    let desc = c.registry().get(range).expect("range");
+    desc.replica_nodes()
+        .map(|n| {
+            let rep = &c.node(n).replicas[&range];
+            rep.store.txn_record(id).map(|r| r.status)
+        })
+        .collect()
+}
+
+/// A split hands every transaction record to both halves, and only the half
+/// holding the anchor key ever finalizes its copy. When the halves merge
+/// back, the record a push (`Request::PushTxn` answers from exactly this
+/// lookup) finds must be the finalized one — a `Staging` answer would send
+/// the pusher into status recovery against writes already resolved, and
+/// recovery would abort a committed transaction.
+#[test]
+fn merge_keeps_the_finalized_record_of_a_txn_anchored_on_the_right() {
+    let mut c = cluster(config());
+    let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+
+    // Anchored at its first write, right of the split key; coordinated from
+    // a remote gateway so a WAN round trip separates the STAGING record from
+    // the explicit commit that follows the ack.
+    let h = c.txn_begin(gw(3));
+    for k in ["z1", "a1"] {
+        c.txn_put(
+            h,
+            Key::from(k),
+            Some(Value::from("v")),
+            Box::new(|_c, res| res.unwrap()),
+        );
+    }
+    c.run_until(SimTime(SimDuration::from_secs(6).nanos()));
+    let committed: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
+    let c2 = Rc::clone(&committed);
+    c.txn_commit(
+        h,
+        Box::new(move |_c, res| *c2.borrow_mut() = Some(res.unwrap())),
+    );
+    let staged = Some(TxnStatus::Staging);
+    // The split seeds both halves from the leaseholder: its copy is the one
+    // that has to be STAGING when the split applies.
+    let lh = c.registry().get(lhs).unwrap().leaseholder;
+    step_until(&mut c, "record staged at the leaseholder", |c| {
+        let rep = &c.node(lh).replicas[&lhs];
+        rep.store.txn_record(h.id).map(|r| r.status) == staged
+    });
+
+    // Split inside that window: both halves inherit the STAGING record.
+    let rhs = c.admin_split_at(Key::from("m")).expect("split proposed");
+    step_until(&mut c, "split applied", |c| c.registry().len() == 2);
+    for half in [lhs, rhs] {
+        assert!(record_statuses(&c, half, h.id).iter().all(|s| *s == staged));
+    }
+
+    // The commit finalizes the anchor's copy only (a few more seconds let
+    // the followers learn the commit index).
+    c.run_until_quiescent(deadline());
+    assert!(committed.borrow().is_some(), "txn must commit");
+    c.run_until(SimTime(SimDuration::from_secs(12).nanos()));
+    let done = Some(TxnStatus::Committed);
+    assert!(record_statuses(&c, rhs, h.id).iter().all(|s| *s == done));
+    assert!(record_statuses(&c, lhs, h.id).iter().all(|s| *s == staged));
+
+    assert!(c.admin_merge_at(Key::from("a")), "merge proposed");
+    step_until(&mut c, "merge applied", |c| c.registry().len() == 1);
+    assert!(record_statuses(&c, lhs, h.id).iter().all(|s| *s == done));
+    for k in ["z1", "a1"] {
+        assert_eq!(read_key(&mut c, gw(0), k).unwrap(), Some(Value::from("v")));
+    }
+}
+
+/// Range surgery checkpoints the seed engine once and clones that image
+/// into every replica: straight after a split, a re-placement and a merge,
+/// all replicas of the range hold one engine state and one WAL, anchored at
+/// applied index 0 and the closed timestamp their tracker inherited.
+#[test]
+fn surgery_installs_one_image_on_every_replica() {
+    fn assert_one_image(c: &Cluster, range: RangeId, replicas: usize) {
+        let desc = c.registry().get(range).expect("range");
+        let reps: Vec<_> = desc
+            .replica_nodes()
+            .map(|n| &c.node(n).replicas[&range])
+            .collect();
+        assert_eq!(reps.len(), replicas);
+        for rep in &reps {
+            assert_eq!(rep.store.state_image(), reps[0].store.state_image());
+            assert_eq!(rep.store.wal().bytes(), reps[0].store.wal().bytes());
+            assert_eq!(rep.store.wal().durable_len(), rep.store.wal().len());
+            assert_eq!(rep.store.applied_index(), 0);
+            assert_eq!(rep.store.closed_ts(), rep.tracker.closed());
+            assert_eq!(rep.tracker.closed(), reps[0].tracker.closed());
+        }
+        assert!(reps[0].store.closed_ts() > Timestamp::ZERO);
+    }
+
+    let mut c = cluster(config());
+    let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    for k in ["a1", "m1", "z1"] {
+        write_key(&mut c, gw(0), k, &format!("v-{k}"));
+    }
+    let replicas = c.registry().get(lhs).unwrap().replicas.len();
+
+    let rhs = c.admin_split_at(Key::from("m")).expect("split proposed");
+    step_until(&mut c, "split applied", |c| c.registry().len() == 2);
+    assert_one_image(&c, lhs, replicas);
+    assert_one_image(&c, rhs, replicas);
+
+    c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
+    write_key(&mut c, gw(0), "a2", "v-a2");
+    let region_zc = derive_zone_config(
+        US_EAST,
+        &all_regions(),
+        SurvivalGoal::Region,
+        PlacementPolicy::Default,
+        ClosedTsPolicy::Lag,
+    );
+    c.reconfigure_range(lhs, region_zc.clone()).unwrap();
+    let desc = c.registry().get(lhs).unwrap();
+    let wide = desc.replicas.len();
+    assert_eq!(desc.replicas.iter().filter(|p| p.voting).count(), 5);
+    assert_one_image(&c, lhs, wide);
+    c.reconfigure_range(rhs, region_zc).unwrap();
+
+    c.run_until(SimTime(SimDuration::from_secs(20).nanos()));
+    write_key(&mut c, gw(0), "z2", "v-z2");
+    assert!(c.admin_merge_at(Key::from("a")), "merge proposed");
+    step_until(&mut c, "merge applied", |c| c.registry().len() == 1);
+    assert_one_image(&c, lhs, wide);
+    assert_eq!(c.admin_scan_range(lhs).len(), 5);
 }

@@ -76,8 +76,6 @@ pub enum KvError {
         min_ts: Timestamp,
         max_safe_ts: Timestamp,
     },
-    /// The request waited too long in a lock queue and was rejected.
-    LockWaitTimeout { key: Key, holder: TxnId },
     /// A recovery probe (QueryIntent) found the queried write evaluated but
     /// not yet applied (lock held, proposal in flight): the outcome cannot
     /// be decided yet — retry after the proposal lands or is lost.
@@ -112,7 +110,6 @@ impl KvError {
             KvError::TxnAborted { .. }
                 | KvError::RangeUnavailable { .. }
                 | KvError::NoSuchRange { .. }
-                | KvError::LockWaitTimeout { .. }
                 | KvError::BatchTimestampBeforeGC { .. }
         )
     }
@@ -166,9 +163,6 @@ impl fmt::Display for KvError {
                 f,
                 "staleness bound exceeded: min {min_ts}, max safe {max_safe_ts}"
             ),
-            KvError::LockWaitTimeout { key, holder } => {
-                write!(f, "lock wait timeout on {key:?} held by {holder}")
-            }
             KvError::WriteInFlight { key } => {
                 write!(f, "queried write on {key:?} still in flight")
             }

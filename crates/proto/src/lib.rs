@@ -13,7 +13,7 @@ pub mod txn;
 pub use error::KvError;
 pub use keys::{Key, Span, Value};
 pub use request::{ReadCtx, Request, Response, RoutingPolicy};
-pub use txn::{TxnId, TxnMeta, TxnStatus};
+pub use txn::{TxnId, TxnMeta, TxnRecord, TxnStatus};
 
 use std::fmt;
 

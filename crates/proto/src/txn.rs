@@ -43,6 +43,27 @@ impl TxnStatus {
     }
 }
 
+/// A transaction record, stored at the range holding the anchor key.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TxnRecord {
+    pub status: TxnStatus,
+    pub commit_ts: Timestamp,
+    /// The in-flight write set carried by a STAGING record (empty once
+    /// finalized): the keys a status recovery must query to decide the
+    /// outcome.
+    pub in_flight: Vec<Key>,
+}
+
+impl TxnRecord {
+    pub fn finalized(status: TxnStatus, commit_ts: Timestamp) -> TxnRecord {
+        TxnRecord {
+            status,
+            commit_ts,
+            in_flight: Vec::new(),
+        }
+    }
+}
+
 /// The subset of transaction state that rides along with requests and is
 /// stored in write intents. Mirrors CockroachDB's `TxnMeta`.
 #[derive(Clone, Debug, PartialEq)]

@@ -30,4 +30,4 @@ pub use gc::{gc_threshold, ProtectedTimestamps};
 pub use lsm::{Engine, EngineStats, MaintainReport, RecoveryError, RecoveryInfo, SortedRun};
 pub use mvcc::{Intent, MvccError, PutOutcome, ReadOutcome, Version, VersionChain};
 pub use tscache::TsCache;
-pub use wal::{TxnRecData, Wal, WalOp, WalRecord};
+pub use wal::{Wal, WalOp, WalRecord};

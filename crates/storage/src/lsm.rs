@@ -49,13 +49,13 @@ use std::collections::{btree_map, BTreeMap};
 use std::ops::Range;
 
 use mr_clock::Timestamp;
-use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, Value};
+use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, TxnRecord, Value};
 
 use crate::mvcc::{
     committed_in, read_merged, Intent, MvccError, MvccStore, PutOutcome, ReadOutcome, Version,
     VersionChain,
 };
-use crate::wal::{codec, replay, TxnRecData, Wal, WalOp, WalRecord};
+use crate::wal::{codec, replay, Wal, WalOp, WalRecord};
 
 /// Runs merged at once, and the base of the size classes: a run of `n`
 /// versions is in class `⌊log_FAN_IN n⌋`. A merge fires when this many
@@ -407,13 +407,13 @@ pub enum RecoveryError {
 }
 
 /// State returned by crash recovery, for the replica to re-seed its
-/// volatile mirrors (Raft applied index, closed-ts tracker, txn records).
+/// volatile mirrors (Raft applied index, closed-ts tracker). Transaction
+/// records need no re-seeding: the engine is their only store.
 #[derive(Clone, Debug)]
 pub struct RecoveryInfo {
     pub applied_index: u64,
     pub closed_ts: Timestamp,
     pub gc_threshold: Timestamp,
-    pub txn_records: Vec<(u64, TxnRecData)>,
     pub replayed_records: u64,
     pub torn_tail: bool,
     pub error: Option<RecoveryError>,
@@ -429,8 +429,9 @@ pub struct Engine {
     /// sealed into one WAL record by [`Engine::seal_entry`].
     pending: Vec<u8>,
     pending_ops: u32,
-    /// Durable shadow of the replica's transaction records.
-    txn_records: BTreeMap<u64, TxnRecData>,
+    /// The transaction records anchored on this range — the only copy a
+    /// replica has. Logged per upsert, carried whole in every checkpoint.
+    txn_records: BTreeMap<TxnId, TxnRecord>,
     gc_threshold: Timestamp,
     applied_index: u64,
     closed_ts: Timestamp,
@@ -692,14 +693,21 @@ impl Engine {
         done
     }
 
-    /// Record (upsert) a transaction record in the durable shadow.
-    pub fn note_txn_record(&mut self, txn_id: u64, rec: TxnRecData) {
-        codec::txn_record_op(self.log_op(), TxnId(txn_id), &rec);
+    /// Upsert a transaction record, logged with the entry being applied.
+    pub fn note_txn_record(&mut self, txn_id: TxnId, rec: TxnRecord) {
+        codec::txn_record_op(self.log_op(), txn_id, &rec);
         self.txn_records.insert(txn_id, rec);
     }
 
-    /// Directly install a committed version (bulk preload). The caller
-    /// should checkpoint after a bulk load (see [`Engine::rebaseline`]).
+    /// The record of `txn_id`, if this range ever anchored one.
+    pub fn txn_record(&self, txn_id: TxnId) -> Option<&TxnRecord> {
+        self.txn_records.get(&txn_id)
+    }
+
+    /// Directly install a committed version (bulk preload). Nothing
+    /// checkpoints after a load: the op waits with the pending ops of the
+    /// next applied entry, and becomes durable with that entry's record or
+    /// with the next checkpoint image, whichever comes first.
     pub fn preload(&mut self, key: Key, value: Value, ts: Timestamp) {
         codec::preload_op(self.log_op(), &key, &value, ts);
         self.mem.preload(key, value, ts);
@@ -767,7 +775,7 @@ impl Engine {
         }
         codec::put_u32(&mut out, self.txn_records.len() as u32);
         for (id, rec) in &self.txn_records {
-            codec::put_u64(&mut out, *id);
+            codec::put_u64(&mut out, id.0);
             codec::put_txn_rec(&mut out, rec);
         }
         out
@@ -795,7 +803,7 @@ impl Engine {
         }
         let nrecs = c.u32()? as usize;
         for _ in 0..nrecs {
-            let id = c.u64()?;
+            let id = TxnId(c.u64()?);
             let rec = c.txn_rec()?;
             self.txn_records.insert(id, rec);
         }
@@ -811,16 +819,9 @@ impl Engine {
     }
 
     /// Re-seed the engine's durable identity after range surgery (install,
-    /// split, merge, bulk preload): replace the txn-record shadow, pin the
-    /// applied index and closed timestamp, and checkpoint.
-    pub fn rebaseline(
-        &mut self,
-        txn_records: impl IntoIterator<Item = (u64, TxnRecData)>,
-        applied_index: u64,
-        closed_ts: Timestamp,
-        now_nanos: u64,
-    ) {
-        self.txn_records = txn_records.into_iter().collect();
+    /// split, merge): pin the applied index and closed timestamp, and
+    /// checkpoint.
+    pub fn rebaseline(&mut self, applied_index: u64, closed_ts: Timestamp, now_nanos: u64) {
         self.applied_index = applied_index;
         self.closed_ts = closed_ts;
         self.checkpoint_now(now_nanos);
@@ -877,11 +878,6 @@ impl Engine {
             applied_index: self.applied_index,
             closed_ts: self.closed_ts,
             gc_threshold: self.gc_threshold,
-            txn_records: self
-                .txn_records
-                .iter()
-                .map(|(id, r)| (*id, r.clone()))
-                .collect(),
             replayed_records: replayed,
             torn_tail: outcome.torn_tail,
             error,
@@ -913,7 +909,7 @@ impl Engine {
                 self.mem.abort_intent(&key, txn_id);
             }
             WalOp::TxnRecord { txn_id, rec } => {
-                self.txn_records.insert(txn_id.0, rec);
+                self.txn_records.insert(txn_id, rec);
             }
             WalOp::Preload { key, value, ts } => {
                 self.mem.force_version(key, ts, Some(value));
@@ -1046,8 +1042,11 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Split at `split_key`: chains and run entries at or above it move to
-    /// the returned engine. The caller must [`Engine::rebaseline`] both
-    /// halves afterwards (their WALs restart from fresh checkpoints).
+    /// the returned engine. Every transaction record goes to both halves (a
+    /// record does not say where its anchor key is; only the half holding
+    /// the anchor ever updates its copy). The caller must
+    /// [`Engine::rebaseline`] both halves afterwards (their WALs restart
+    /// from fresh checkpoints).
     pub fn split_off(&mut self, split_key: &Key) -> Engine {
         let mem_rhs = self.mem.split_off(split_key);
         let mut rhs_runs = Vec::new();
@@ -1065,6 +1064,7 @@ impl Engine {
         let mut rhs = Engine::new();
         rhs.mem = mem_rhs;
         rhs.runs = rhs_runs;
+        rhs.txn_records = self.txn_records.clone();
         rhs.gc_threshold = self.gc_threshold;
         rhs.defer_sync = self.defer_sync;
         rhs.flush_min_versions = self.flush_min_versions;
@@ -1072,10 +1072,33 @@ impl Engine {
     }
 
     /// Absorb an adjacent range's engine (range merge). Keyspaces are
-    /// disjoint. The caller must [`Engine::rebaseline`] afterwards.
+    /// disjoint; transaction records need not be — a split gave both halves
+    /// every record and only the anchor's half moved its copy on (re-staged
+    /// at a higher timestamp, then finalized), so where both sides hold one
+    /// the copy further along wins. The caller must [`Engine::rebaseline`]
+    /// afterwards.
     pub fn absorb(&mut self, other: Engine) {
         self.mem.absorb(other.mem);
         self.runs.extend(other.runs);
+        let progress = |r: &TxnRecord| (r.status.is_finalized(), r.commit_ts);
+        for (id, theirs) in other.txn_records {
+            match self.txn_records.entry(id) {
+                btree_map::Entry::Vacant(slot) => {
+                    slot.insert(theirs);
+                }
+                btree_map::Entry::Occupied(mut slot) => {
+                    let ours = slot.get();
+                    debug_assert!(
+                        !(ours.status.is_finalized() && theirs.status.is_finalized())
+                            || *ours == theirs,
+                        "{id} finalized twice: {ours:?} and {theirs:?}"
+                    );
+                    if progress(&theirs) > progress(ours) {
+                        slot.insert(theirs);
+                    }
+                }
+            }
+        }
         // The merged range must not read below either half's threshold.
         self.gc_threshold = self.gc_threshold.max(other.gc_threshold);
     }
@@ -1144,6 +1167,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mr_proto::TxnStatus;
 
     fn txn(id: u64, ts: u64) -> TxnMeta {
         TxnMeta::new(TxnId(id), Key::from("anchor"), Timestamp::new(ts, 0))
@@ -1209,12 +1233,12 @@ mod tests {
         e.put(&k("gone"), None, &meta).unwrap();
         e.commit_intent(&k("k"), meta.id, ts(20));
         e.abort_intent(&k("gone"), meta.id);
-        let rec = TxnRecData {
-            status: mr_proto::TxnStatus::Staging,
+        let rec = TxnRecord {
+            status: TxnStatus::Staging,
             commit_ts: ts(20),
             in_flight: vec![k("k"), k("gone")],
         };
-        e.note_txn_record(2, rec.clone());
+        e.note_txn_record(TxnId(2), rec.clone());
         e.preload(k("seed"), Value::from("s"), ts(1));
         let before = e.wal().len();
         e.seal_entry(2, ts(15));
@@ -1449,12 +1473,98 @@ mod tests {
         assert_eq!(read(&e, "m", 100), None);
         assert_eq!(read(&rhs, "m", 100), Some(Value::from("vm")));
         assert_eq!(read(&rhs, "z", 100), Some(Value::from("vz2")));
-        rhs.rebaseline(Vec::new(), 0, Timestamp::ZERO, 0);
-        e.rebaseline(Vec::new(), 0, Timestamp::ZERO, 0);
+        rhs.rebaseline(0, Timestamp::ZERO, 0);
+        e.rebaseline(0, Timestamp::ZERO, 0);
         e.absorb(rhs);
         assert_eq!(read(&e, "a", 100), Some(Value::from("va2")));
         assert_eq!(read(&e, "z", 100), Some(Value::from("vz2")));
         assert_eq!(e.key_count(), 3);
+    }
+
+    fn record(status: TxnStatus, ts: u64) -> TxnRecord {
+        TxnRecord {
+            status,
+            commit_ts: Timestamp::new(ts, 0),
+            in_flight: match status {
+                TxnStatus::Staging => vec![Key::from("a"), Key::from("z")],
+                _ => Vec::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn txn_record_is_as_durable_as_its_entry() {
+        let mut e = Engine::new();
+        e.note_txn_record(TxnId(1), record(TxnStatus::Staging, 10));
+        e.seal_entry(1, Timestamp::ZERO);
+        e.sync(100);
+        e.note_txn_record(TxnId(2), record(TxnStatus::Committed, 20));
+        e.seal_entry(2, Timestamp::ZERO);
+        // No sync: entry 2, and the record it wrote, is volatile.
+        assert!(e.txn_record(TxnId(2)).is_some());
+        let info = e.crash_and_recover();
+        assert_eq!(info.applied_index, 1);
+        assert_eq!(
+            e.txn_record(TxnId(1)),
+            Some(&record(TxnStatus::Staging, 10))
+        );
+        assert_eq!(e.txn_record(TxnId(2)), None);
+        // The recovery's own checkpoint carries the survivor on.
+        e.crash_and_recover();
+        assert_eq!(
+            e.txn_record(TxnId(1)),
+            Some(&record(TxnStatus::Staging, 10))
+        );
+    }
+
+    #[test]
+    fn split_gives_both_halves_every_record() {
+        let mut e = Engine::new();
+        e.note_txn_record(TxnId(1), record(TxnStatus::Staging, 10));
+        e.note_txn_record(TxnId(2), record(TxnStatus::Aborted, 0));
+        let rhs = e.split_off(&Key::from("m"));
+        for half in [&e, &rhs] {
+            assert_eq!(
+                half.txn_record(TxnId(1)),
+                Some(&record(TxnStatus::Staging, 10))
+            );
+            assert_eq!(
+                half.txn_record(TxnId(2)),
+                Some(&record(TxnStatus::Aborted, 0))
+            );
+            assert_eq!(half.txn_record(TxnId(3)), None);
+        }
+    }
+
+    #[test]
+    fn absorb_keeps_the_copy_further_along() {
+        // A split copied the record to both halves; the anchor's half moved
+        // on. Whichever side that was, the merge must not bring the stale
+        // copy back (keeping the left-hand one regardless did).
+        let staged = record(TxnStatus::Staging, 10);
+        let restaged = record(TxnStatus::Staging, 15);
+        let committed = record(TxnStatus::Committed, 15);
+        for (stale, current) in [
+            (&staged, &committed),
+            (&staged, &restaged),
+            (&restaged, &committed),
+        ] {
+            for anchor_on_the_right in [true, false] {
+                let mut lhs = Engine::new();
+                lhs.note_txn_record(TxnId(1), stale.clone());
+                let mut rhs = lhs.split_off(&Key::from("m"));
+                let anchor = if anchor_on_the_right {
+                    &mut rhs
+                } else {
+                    &mut lhs
+                };
+                anchor.note_txn_record(TxnId(1), current.clone());
+                rhs.note_txn_record(TxnId(2), staged.clone());
+                lhs.absorb(rhs);
+                assert_eq!(lhs.txn_record(TxnId(1)), Some(current));
+                assert_eq!(lhs.txn_record(TxnId(2)), Some(&staged));
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! and every chaos crash, not just in dedicated tests.
 
 use mr_clock::Timestamp;
-use mr_proto::{Key, TxnId, TxnMeta, TxnStatus, Value};
+use mr_proto::{Key, TxnId, TxnMeta, TxnRecord, TxnStatus, Value};
 
 /// One logical operation inside a WAL entry record. Mirrors every mutation
 /// the MVCC memtable can take, so replaying the ops of the durable records
@@ -38,24 +38,13 @@ pub enum WalOp {
     /// Discard an intent.
     AbortIntent { key: Key, txn_id: TxnId },
     /// Upsert a transaction record (coordinator state for recovery).
-    TxnRecord { txn_id: TxnId, rec: TxnRecData },
+    TxnRecord { txn_id: TxnId, rec: TxnRecord },
     /// Directly install a committed version (bulk preload path).
     Preload {
         key: Key,
         value: Value,
         ts: Timestamp,
     },
-}
-
-/// Storage-level image of a replica's transaction record. The kv layer
-/// converts to/from its own `TxnRecord`; keeping a local copy avoids a
-/// dependency cycle while still making records crash-durable.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TxnRecData {
-    pub status: TxnStatus,
-    pub commit_ts: Timestamp,
-    /// In-flight write set of a STAGING record.
-    pub in_flight: Vec<Key>,
 }
 
 /// One decoded WAL record.
@@ -174,7 +163,7 @@ pub mod codec {
             TxnStatus::Aborted => 3,
         }
     }
-    pub fn put_txn_rec(out: &mut Vec<u8>, r: &TxnRecData) {
+    pub fn put_txn_rec(out: &mut Vec<u8>, r: &TxnRecord) {
         out.push(status_byte(r.status));
         put_ts(out, r.commit_ts);
         put_u32(out, r.in_flight.len() as u32);
@@ -252,7 +241,7 @@ pub mod codec {
             m.epoch = epoch;
             Ok(m)
         }
-        pub fn txn_rec(&mut self) -> Result<TxnRecData, DecodeError> {
+        pub fn txn_rec(&mut self) -> Result<TxnRecord, DecodeError> {
             let status = match self.u8()? {
                 0 => TxnStatus::Pending,
                 1 => TxnStatus::Staging,
@@ -266,7 +255,7 @@ pub mod codec {
             for _ in 0..n {
                 in_flight.push(self.key()?);
             }
-            Ok(TxnRecData {
+            Ok(TxnRecord {
                 status,
                 commit_ts,
                 in_flight,
@@ -301,7 +290,7 @@ pub mod codec {
         put_key(out, key);
         put_u64(out, txn_id.0);
     }
-    pub fn txn_record_op(out: &mut Vec<u8>, txn_id: TxnId, rec: &TxnRecData) {
+    pub fn txn_record_op(out: &mut Vec<u8>, txn_id: TxnId, rec: &TxnRecord) {
         out.push(3);
         put_u64(out, txn_id.0);
         put_txn_rec(out, rec);
@@ -668,7 +657,7 @@ pub(crate) mod tests {
             },
             WalOp::TxnRecord {
                 txn_id: TxnId(7),
-                rec: TxnRecData {
+                rec: TxnRecord {
                     status: TxnStatus::Staging,
                     commit_ts: Timestamp::new(8, 0),
                     in_flight: vec![Key::from("k1"), Key::from("k2")],

@@ -41,30 +41,37 @@ if [ -n "${1:-}" ]; then
     scripts/loc_delta.sh "$1"
 fi
 
-echo "==> allocation ratchet: host.allocs_per_op under its ceilings"
+echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under their ceilings"
 # Heap allocations per operation repeat for a seed (to the fifth digit), so
 # they gate where host time cannot: a clone per statement, a label lookup per
 # KV op or a `format!` for a span that is off shows up here as a count. The
 # ceilings are the values measured when they were last lowered (68.03 and
 # 2,258.2 at PR 18; 140.7 and 9,426.8 before it) plus 10 % — a ratchet: a PR
 # that removes allocations lowers them, one that adds them back fails.
-alloc_ceiling() {
-    local workload="$1" ceiling="$2" got
+#
+# Peak RSS on `wide_idle` (260 ranges x 28 replicas, nearly no traffic) is
+# what one replica's copy of range state costs times 7,280: it read 630 MiB
+# while a transaction record lived in two maps per replica and every replica
+# re-encoded its own checkpoint at install, 390 MiB at PR 20 with one map and
+# one checkpointed image cloned. Same shape of ratchet: 390 + 10 %.
+ledger_ceiling() {
+    local workload="$1" metric="$2" ceiling="$3" what="$4" got
     got="$(cargo run -q --release --offline -p mr-ledger -- \
         bench --workload "$workload" --seed 1 --seconds 2 --trace 1 \
-        | grep -o '"host.allocs_per_op": {"value": [0-9.]*' | grep -o '[0-9.]*$')"
+        | grep -o "\"$metric\": {\"value\": [0-9.]*" | grep -o '[0-9.]*$')"
     if [ -z "$got" ]; then
-        echo "FAIL: $workload printed no host.allocs_per_op" >&2
+        echo "FAIL: $workload printed no $metric" >&2
         exit 1
     fi
     if ! awk -v got="$got" -v max="$ceiling" 'BEGIN { exit !(got <= max) }'; then
-        echo "FAIL: $workload makes $got allocations per op, over its ceiling of $ceiling" >&2
+        echo "FAIL: $workload reads $got $what, over its ceiling of $ceiling" >&2
         exit 1
     fi
-    echo "$workload: $got allocations per op (ceiling $ceiling)"
+    echo "$workload: $got $what (ceiling $ceiling)"
 }
-alloc_ceiling global_ycsb_b 75
-alloc_ceiling tpcc_nothink 2485
+ledger_ceiling global_ycsb_b host.allocs_per_op 75 "allocations per op"
+ledger_ceiling tpcc_nothink host.allocs_per_op 2485 "allocations per op"
+ledger_ceiling wide_idle peak_rss_mb 430 "MiB peak RSS"
 
 echo "==> strict-monitor perf_probe smoke"
 # Short probe run with every online invariant monitor escalated to a panic:
