@@ -44,10 +44,7 @@ fn run(nregions: usize, restricted: bool, warehouses: u32, lifecycle: bool, seed
     let mut builder = ClusterBuilder::new()
         .rtt_matrix(RttMatrix::synthetic(nregions))
         .seed(seed)
-        // Large clusters: skip the stale-read side transport for the many
-        // REGIONAL ranges (TPC-C uses none); GLOBAL ranges keep theirs.
         .config(|c| {
-            c.lag_side_transport = false;
             if lifecycle {
                 // Dynamic topology: the loaded warehouse rows push the
                 // per-region table ranges over the size trigger, so the

@@ -7,14 +7,27 @@
 //! it has (a) received a closed timestamp ≥ `T` and (b) applied the log
 //! prefix that the promise covers.
 //!
+//! The side transport is node-to-node: per tick a sender ships one shared
+//! [`SideBatch`] to every node that follows one of its ranges, and the
+//! receiver keeps it in its [`SideRx`] inbox. A delivery that repeats the
+//! log index the sender listed last time — an idle range, 50 ms later —
+//! touches no replica; the promise it carries reaches the replica's
+//! tracker when a reader asks ([`SideRx::standing`]) or when the next
+//! delivery for the range says something new.
+//!
 //! REGIONAL ranges close time in the past (`now - lag`, default 3s). GLOBAL
 //! ranges close time in the future at target
 //! `now + L_raft + L_replicate + max_clock_offset` so that present-time
 //! reads (plus their uncertainty intervals) are already closed on every
 //! replica by the time they happen (§6.2.1).
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
 use mr_clock::Timestamp;
-use mr_sim::{SimDuration, SimTime};
+use mr_proto::RangeId;
+use mr_sim::{NodeId, SimDuration, SimTime};
 
 use crate::zone::ClosedTsPolicy;
 
@@ -87,6 +100,10 @@ pub struct ClosedTsTracker {
     active: Timestamp,
     /// Side-transport promise awaiting log application: `(ts, index)`.
     pending: Option<(Timestamp, u64)>,
+    /// Side-transport tick of the newest inbox promise taken in through
+    /// [`ClosedTsTracker::settle`]; promises from that tick or earlier are
+    /// not taken in again.
+    settled_tick: u64,
 }
 
 impl ClosedTsTracker {
@@ -124,6 +141,27 @@ impl ClosedTsTracker {
                 _ => self.pending = Some((closed, index)),
             }
         }
+    }
+
+    /// Take in a promise from the node's side-transport inbox, once per
+    /// tick: [`ClosedTsTracker::on_side_transport`] for a promise newer
+    /// than any this tracker has seen, nothing for one it already holds
+    /// (so a read right after `fault_regress` does not undo the fault; the
+    /// next tick's promise does) or that predates it.
+    pub fn settle(&mut self, p: SidePromise, applied_index: u64) {
+        if p.tick > self.settled_tick {
+            self.settled_tick = p.tick;
+            self.on_side_transport(p.closed, p.index, applied_index);
+        }
+    }
+
+    /// Declare every promise sent through side-transport tick `tick` stale
+    /// for this tracker. A re-installed replica starts a new Raft log, so
+    /// the indices of promises still standing in its node's inbox, or still
+    /// on the wire, name positions in a log it does not have; the frontier
+    /// it was seeded with already covers what they promised.
+    pub fn settled_through(&mut self, tick: u64) {
+        self.settled_tick = self.settled_tick.max(tick);
     }
 
     /// Fault injection for the online invariant monitors: forcibly move the
@@ -183,9 +221,234 @@ impl ClosedTsLeaseState {
     }
 }
 
+/// One range's line in a side-transport batch: `closed` holds on a follower
+/// once it has applied log index `index`.
+pub type SideEntry = (RangeId, Timestamp, u64);
+
+/// What one node promises in one side-transport tick: a line for every range
+/// it leads and holds the lease of, ascending by range id. Built once per
+/// sender per tick and shared by all of its destinations.
+pub type SideBatch = Rc<[SideEntry]>;
+
+/// A side-transport promise as a tracker takes it in: one [`SideEntry`]
+/// stamped with the cluster-wide tick its batch was sent in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SidePromise {
+    pub tick: u64,
+    pub closed: Timestamp,
+    pub index: u64,
+}
+
+impl SidePromise {
+    fn of(tick: u64, e: &SideEntry) -> SidePromise {
+        SidePromise {
+            tick,
+            closed: e.1,
+            index: e.2,
+        }
+    }
+}
+
+/// What a node holds of one sender.
+#[derive(Clone, Debug, Default)]
+struct SenderSlot {
+    /// `(tick, batch)` of the newest batch received.
+    newest: Option<(u64, SideBatch)>,
+    /// Tick of the newest batch with which another sender took a range over
+    /// from this one. A batch this sender sent before that tick may still be
+    /// on the wire and list the range as if nothing had happened.
+    outranked_at: u64,
+}
+
+/// Where a range's newest promise is, of those that have arrived.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Holder {
+    /// In this sender's newest batch: that line *stands*.
+    Lists(u32),
+    /// Nowhere: the sender that listed the range stopped, the promise of
+    /// this tick was its last, and the tracker has been offered it.
+    Left(u64),
+}
+
+/// A node's side-transport inbox: the newest batch that has arrived from
+/// each sender, and for each range the sender whose batch holds its
+/// *standing* promise — the newest one sent, of those that have arrived.
+///
+/// What lets a delivery pass the replicas by: a tracker is behind its
+/// range's standing promise only by promises that repeat the log index of
+/// one it has already taken in. Everything else — a changed index, a range
+/// that left its sender's batch, a range another sender takes over, a line
+/// that crossed a newer one on the wire — is handed to the tracker as it
+/// arrives, so [`ClosedTsTracker::on_side_transport`] sees the deliveries a
+/// per-replica transport would have shown it, in their order, minus the
+/// repeats; and a repeat `(ts', i)` after `(ts, i)` leaves the tracker
+/// where `(ts', i)` alone does, whenever it is taken in.
+#[derive(Debug, Default)]
+pub struct SideRx {
+    /// By sender node id.
+    senders: Vec<SenderSlot>,
+    src: BTreeMap<RangeId, Holder>,
+}
+
+impl SideRx {
+    /// The promise a reader of `range`'s closed timestamp must hand to the
+    /// replica's tracker first ([`ClosedTsTracker::settle`]).
+    pub fn standing(&self, range: RangeId) -> Option<SidePromise> {
+        match *self.src.get(&range)? {
+            Holder::Lists(sender) => self.listed_by(sender, range),
+            Holder::Left(_) => None,
+        }
+    }
+
+    fn listed_by(&self, sender: u32, range: RangeId) -> Option<SidePromise> {
+        let (tick, batch) = self.senders.get(sender as usize)?.newest.as_ref()?;
+        let at = batch.binary_search_by_key(&range, |e| e.0).ok()?;
+        Some(SidePromise::of(*tick, &batch[at]))
+    }
+
+    /// `from`'s batch of tick `tick` arrived. Calls
+    /// `offer(range, promise, stands)` for every promise a tracker on this
+    /// node must take in now, in the order it must take them; the caller
+    /// routes each to the replica, if the node hosts one. `stands` is false
+    /// for a promise that arrives after a newer one for its range: that one
+    /// goes to [`ClosedTsTracker::on_side_transport`] as a plain late
+    /// delivery, the rest through [`ClosedTsTracker::settle`].
+    pub fn deliver(
+        &mut self,
+        from: NodeId,
+        tick: u64,
+        batch: SideBatch,
+        mut offer: impl FnMut(RangeId, SidePromise, bool),
+    ) {
+        let slot = from.0 as usize;
+        if self.senders.len() <= slot {
+            self.senders.resize(slot + 1, SenderSlot::default());
+        }
+        if self.senders[slot]
+            .newest
+            .as_ref()
+            .is_some_and(|(t, _)| *t > tick)
+        {
+            // Overtaken on the wire by a later batch of the same sender.
+            // Each line is news measured against what stands, this sender's
+            // newer line included; one that turns out to be the newest of
+            // its range is also the last, its sender having dropped it since.
+            for e in batch.iter() {
+                let ours = self.listed_by(from.0, e.0);
+                self.news(from.0, e.0, ours, SidePromise::of(tick, e), &mut offer);
+                if ours.is_none() && self.src.get(&e.0) == Some(&Holder::Lists(from.0)) {
+                    self.src.insert(e.0, Holder::Left(tick));
+                }
+            }
+            return;
+        }
+        // Sent before another sender's take-over but arriving after it: a
+        // line may repeat its index and still not be this sender's to repeat.
+        let sender = &mut self.senders[slot];
+        let crossed = tick < sender.outranked_at;
+        let prev = sender.newest.replace((tick, Rc::clone(&batch)));
+        let (old_tick, old): (u64, &[SideEntry]) = match &prev {
+            Some((t, b)) => (*t, b),
+            None => (0, &[]),
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < batch.len() {
+            let order = match (old.get(i), batch.get(j)) {
+                (Some(o), Some(n)) => o.0.cmp(&n.0),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                // Left the batch — the sender no longer leads and leases
+                // the range — but what it last promised still counts.
+                Ordering::Less => {
+                    let range = old[i].0;
+                    if self.src.get(&range) == Some(&Holder::Lists(from.0)) {
+                        self.src.insert(range, Holder::Left(old_tick));
+                        offer(range, SidePromise::of(old_tick, &old[i]), true);
+                    }
+                }
+                // Listed before and now, under the same index: the promise
+                // moved forward in time only, which can wait for a reader.
+                Ordering::Equal
+                    if old[i].2 == batch[j].2
+                        && !(crossed
+                            && self.src.get(&old[i].0) != Some(&Holder::Lists(from.0))) => {}
+                _ => {
+                    let ours =
+                        (order == Ordering::Equal).then(|| SidePromise::of(old_tick, &old[i]));
+                    let new = SidePromise::of(tick, &batch[j]);
+                    self.news(from.0, batch[j].0, ours, new, &mut offer);
+                }
+            }
+            i += usize::from(order != Ordering::Greater);
+            j += usize::from(order != Ordering::Less);
+        }
+    }
+
+    /// `from` lists `range` for the first time, or under a new index: the
+    /// tracker takes in what stood until now — `ours`, `from`'s previous
+    /// line, if `from` held the range, else the holder's — and then `new`,
+    /// which stands from here on. Unless a newer promise stands already
+    /// (two senders' batches crossed on the wire): then `new` is offered as
+    /// the late delivery it is and displaces nothing.
+    fn news(
+        &mut self,
+        from: u32,
+        range: RangeId,
+        ours: Option<SidePromise>,
+        new: SidePromise,
+        offer: &mut impl FnMut(RangeId, SidePromise, bool),
+    ) {
+        let holder = self.src.get(&range).copied();
+        // What stood until now, and the tick of the newest promise seen.
+        let (stood, newest) = match holder {
+            Some(Holder::Lists(h)) => {
+                let stood = if h == from {
+                    ours
+                } else {
+                    self.listed_by(h, range)
+                };
+                (stood, stood.map_or(0, |s| s.tick))
+            }
+            Some(Holder::Left(tick)) => (None, tick),
+            None => (None, 0),
+        };
+        // Whichever of two senders loses the range here may have older
+        // batches on the wire that still list it.
+        let outrank =
+            |slot: &mut SenderSlot, by: u64| slot.outranked_at = by.max(slot.outranked_at);
+        let late = newest > new.tick;
+        if let Some(s) = stood {
+            offer(range, s, true);
+        }
+        if late {
+            outrank(&mut self.senders[from as usize], newest);
+            offer(range, new, false);
+            return;
+        }
+        if holder != Some(Holder::Lists(from)) {
+            self.src.insert(range, Holder::Lists(from));
+            if let Some(Holder::Lists(h)) = holder {
+                outrank(&mut self.senders[h as usize], new.tick);
+            }
+        }
+        offer(range, new, true);
+    }
+
+    /// Forget every batch: a node that lost its volatile state rebuilds its
+    /// trackers from durable frontiers, below promises the old incarnation
+    /// held, and must not be handed those promises back.
+    pub fn clear(&mut self) {
+        self.senders.clear();
+        self.src.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lag_target_is_in_the_past() {
@@ -280,5 +543,295 @@ mod tests {
         let ta = a.advance(&p, ClosedTsPolicy::Lag, now, 1_000_000);
         let tb = b.advance(&p, ClosedTsPolicy::Lag, now, -1_000_000);
         assert_eq!(ta.wall - tb.wall, 2_000_000);
+    }
+
+    // ---------------------------------------------------------------
+    // The inbox against the per-replica delivery it replaced
+    // ---------------------------------------------------------------
+
+    fn r(id: u64) -> RangeId {
+        RangeId(id)
+    }
+
+    fn ts(wall: u64) -> Timestamp {
+        Timestamp::new(wall, 0)
+    }
+
+    fn batch(lines: &[(u64, u64, u64)]) -> SideBatch {
+        lines.iter().map(|&(id, t, i)| (r(id), ts(t), i)).collect()
+    }
+
+    /// Deliver and return what the inbox offered, in order.
+    fn offered(
+        rx: &mut SideRx,
+        from: u32,
+        tick: u64,
+        lines: &[(u64, u64, u64)],
+    ) -> Vec<(u64, u64, u64, bool)> {
+        let mut out = Vec::new();
+        rx.deliver(NodeId(from), tick, batch(lines), |range, p, stands| {
+            out.push((range.0, p.tick, p.closed.wall, stands))
+        });
+        out
+    }
+
+    #[test]
+    fn same_index_touches_no_tracker_and_moves_the_standing_promise() {
+        let mut rx = SideRx::default();
+        assert_eq!(
+            offered(&mut rx, 0, 1, &[(1, 100, 5), (2, 100, 9)]),
+            vec![(1, 1, 100, true), (2, 1, 100, true)],
+            "first sight of a range is news"
+        );
+        assert_eq!(offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 9)]), vec![]);
+        assert_eq!(
+            rx.standing(r(1)),
+            Some(SidePromise {
+                tick: 2,
+                closed: ts(150),
+                index: 5
+            })
+        );
+        assert_eq!(rx.standing(r(3)), None);
+    }
+
+    #[test]
+    fn changed_index_offers_the_old_promise_then_the_new() {
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5), (2, 100, 9)]);
+        offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 9)]);
+        assert_eq!(
+            offered(&mut rx, 0, 3, &[(1, 200, 6), (2, 200, 9)]),
+            vec![(1, 2, 150, true), (1, 3, 200, true)],
+            "range 2 repeated its index and is passed by"
+        );
+    }
+
+    #[test]
+    fn a_range_that_left_the_batch_keeps_its_last_promise() {
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5), (2, 100, 9)]);
+        offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 9)]);
+        assert_eq!(
+            offered(&mut rx, 0, 3, &[(2, 200, 9)]),
+            vec![(1, 2, 150, true)]
+        );
+        assert_eq!(rx.standing(r(1)), None);
+        assert_eq!(rx.standing(r(2)).map(|p| p.tick), Some(3));
+    }
+
+    #[test]
+    fn a_second_sender_takes_over_after_the_first_ones_promise_is_offered() {
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5)]);
+        offered(&mut rx, 0, 2, &[(1, 150, 5)]);
+        assert_eq!(
+            offered(&mut rx, 1, 3, &[(1, 200, 6)]),
+            vec![(1, 2, 150, true), (1, 3, 200, true)]
+        );
+        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        // The first sender's tick-3 batch no longer lists the range; it is
+        // not this sender's promise to retire any more.
+        assert_eq!(
+            offered(&mut rx, 0, 3, &[(7, 200, 1)]),
+            vec![(7, 3, 200, true)]
+        );
+        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+    }
+
+    #[test]
+    fn a_batch_overtaken_on_the_wire_is_late_where_a_newer_line_stands() {
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5)]);
+        offered(&mut rx, 0, 3, &[(1, 200, 5)]);
+        // Range 1: what stands goes first, then the late line. Range 2 was
+        // listed at tick 2 only: its newest promise, and its last.
+        assert_eq!(
+            offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 1)]),
+            vec![(1, 3, 200, true), (1, 2, 150, false), (2, 2, 150, true)]
+        );
+        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        assert_eq!(rx.standing(r(2)), None);
+    }
+
+    #[test]
+    fn a_line_that_crossed_a_take_over_is_late_even_under_its_old_index() {
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5)]);
+        // Sender 1's tick-3 batch beats sender 0's tick-2 batch to this node.
+        offered(&mut rx, 1, 3, &[(1, 200, 6)]);
+        assert_eq!(
+            offered(&mut rx, 0, 2, &[(1, 150, 5)]),
+            vec![(1, 3, 200, true), (1, 2, 150, false)]
+        );
+        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        // Under a new index it is no less late.
+        let mut rx = SideRx::default();
+        offered(&mut rx, 0, 1, &[(1, 100, 5)]);
+        offered(&mut rx, 1, 3, &[(1, 200, 7)]);
+        assert_eq!(
+            offered(&mut rx, 0, 2, &[(1, 150, 6)]),
+            vec![(1, 3, 200, true), (1, 2, 150, false)]
+        );
+        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+    }
+
+    #[test]
+    fn settle_takes_a_tick_once_and_nothing_older() {
+        let mut t = ClosedTsTracker::new();
+        let p = |tick, closed, index| SidePromise {
+            tick,
+            closed: ts(closed),
+            index,
+        };
+        t.settle(p(4, 400, 2), 2);
+        assert_eq!(t.closed(), ts(400));
+        t.fault_regress(100);
+        t.settle(p(4, 400, 2), 2);
+        assert_eq!(t.closed(), ts(300), "the same tick does not undo the fault");
+        t.settle(p(5, 450, 2), 2);
+        assert_eq!(t.closed(), ts(450), "the next one does");
+        // A re-installed replica: promises up to the install are stale.
+        let mut t = ClosedTsTracker::new();
+        t.settled_through(7);
+        t.settle(p(7, 700, 0), 0);
+        assert_eq!(t.closed(), Timestamp::ZERO);
+        t.settle(p(8, 800, 0), 0);
+        assert_eq!(t.closed(), ts(800));
+    }
+
+    /// One follower node hosting three ranges, two senders, and the two
+    /// ways of telling the node's trackers about side-transport promises:
+    /// `oracle` gets every line of every batch as it arrives (the
+    /// per-replica delivery this inbox replaced), `lazy` gets what the
+    /// inbox offers plus a settle before each read.
+    struct Model {
+        rx: SideRx,
+        oracle: [ClosedTsTracker; 3],
+        lazy: [ClosedTsTracker; 3],
+        /// Per range: who leads and leases it, whether that sender lists it
+        /// this tick, the leader's last index, the follower's applied index.
+        leader: [u32; 3],
+        listed: [bool; 3],
+        last: [u64; 3],
+        applied: [u64; 3],
+        tick: u64,
+        /// Batches on the wire, per sender, oldest first.
+        wire: [Vec<(u64, SideBatch)>; 2],
+    }
+
+    impl Model {
+        fn new() -> Model {
+            Model {
+                rx: SideRx::default(),
+                oracle: Default::default(),
+                lazy: Default::default(),
+                leader: [0, 0, 1],
+                listed: [true; 3],
+                last: [1; 3],
+                applied: [1; 3],
+                tick: 0,
+                wire: Default::default(),
+            }
+        }
+
+        /// One side-transport tick: every sender with something to say puts
+        /// a batch on the wire. Promises rise with the tick, as a clock does.
+        fn send(&mut self) {
+            self.tick += 1;
+            for s in 0..2u32 {
+                let lines: SideBatch = (0..3)
+                    .filter(|&k| self.leader[k] == s && self.listed[k])
+                    .map(|k| (r(k as u64), ts(1_000 + 50 * self.tick), self.last[k]))
+                    .collect();
+                if !lines.is_empty() {
+                    self.wire[s as usize].push((self.tick, lines));
+                }
+            }
+        }
+
+        /// The `nth` batch on `s`'s wire arrives (0 = in order; 1 = the one
+        /// behind it jumps the queue, and the overtaken one arrives later).
+        fn arrive(&mut self, s: u32, nth: usize) {
+            let wire = &mut self.wire[s as usize];
+            if wire.is_empty() {
+                return;
+            }
+            let (tick, lines) = wire.remove(nth.min(wire.len() - 1));
+            for &(range, closed, index) in lines.iter() {
+                let k = range.0 as usize;
+                self.oracle[k].on_side_transport(closed, index, self.applied[k]);
+            }
+            let (lazy, applied) = (&mut self.lazy, &self.applied);
+            self.rx.deliver(NodeId(s), tick, lines, |range, p, stands| {
+                let k = range.0 as usize;
+                if stands {
+                    lazy[k].settle(p, applied[k]);
+                } else {
+                    lazy[k].on_side_transport(p.closed, p.index, applied[k]);
+                }
+            });
+        }
+
+        fn apply(&mut self, k: usize) {
+            if self.applied[k] < self.last[k] {
+                self.applied[k] += 1;
+                self.oracle[k].on_entry_applied(Timestamp::ZERO, self.applied[k]);
+                self.lazy[k].on_entry_applied(Timestamp::ZERO, self.applied[k]);
+            }
+        }
+
+        fn read(&mut self, k: usize) -> (Timestamp, Timestamp) {
+            if let Some(p) = self.rx.standing(r(k as u64)) {
+                self.lazy[k].settle(p, self.applied[k]);
+            }
+            (self.oracle[k].closed(), self.lazy[k].closed())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8192, ..ProptestConfig::default() })]
+
+        /// Whatever the schedule, a read sees the closed timestamp the
+        /// per-replica delivery would have produced.
+        #[test]
+        fn inbox_and_settle_agree_with_per_replica_delivery(
+            steps in prop::collection::vec((0u8..10, 0usize..3), 1..120),
+        ) {
+            let mut m = Model::new();
+            for (n, (kind, k)) in steps.into_iter().enumerate() {
+                match kind {
+                    // Index same: just another tick.
+                    0 | 1 => m.send(),
+                    // Index advanced: the leader appended.
+                    2 => m.last[k] += 1,
+                    // Entry applied on the follower.
+                    3 | 4 => m.apply(k),
+                    // Range dropped: its sender stops listing it (lost
+                    // leadership) until someone takes it over.
+                    5 => m.listed[k] = false,
+                    // The other sender takes the range over; a new leader's
+                    // first act is a no-op entry.
+                    6 => {
+                        m.leader[k] ^= 1;
+                        m.listed[k] = true;
+                        m.last[k] += 1;
+                    }
+                    // A batch arrives, from either sender, in order or not.
+                    7 => m.arrive(0, k / 2),
+                    8 => m.arrive(1, k / 2),
+                    // Read: the only time `lazy` is settled, so promises
+                    // stand unseen across the steps in between.
+                    _ => {
+                        let (oracle, lazy) = m.read(k);
+                        prop_assert_eq!(oracle, lazy, "step {} range {}", n, k);
+                    }
+                }
+            }
+            for k in 0..3 {
+                let (oracle, lazy) = m.read(k);
+                prop_assert_eq!(oracle, lazy, "at the end, range {}", k);
+            }
+        }
     }
 }

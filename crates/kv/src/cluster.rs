@@ -40,7 +40,7 @@ use mr_storage::ProtectedTimestamps;
 
 use crate::allocator::{allocate, AllocError};
 use crate::attribution::{self, TxnAttrLog};
-use crate::closedts::ClosedTsParams;
+use crate::closedts::{ClosedTsParams, SideBatch, SideRx};
 use crate::events::{EventKind, EventLog};
 use crate::metrics::{KvMetrics, MetricsView};
 use crate::range::{RangeDescriptor, RangeLineage, RangeMeta, RangeRegistry};
@@ -72,10 +72,6 @@ pub struct ClusterConfig {
     pub raft_election_timeout: SimDuration,
     pub raft_tick_interval: SimDuration,
     pub side_transport_interval: SimDuration,
-    /// Also run the side transport for lag-policy (REGIONAL) ranges,
-    /// enabling stale follower reads of idle ranges. On by default; turn
-    /// off for very large clusters that don't use stale reads.
-    pub lag_side_transport: bool,
     /// If set, RPCs that receive no response within this duration fail with
     /// `RangeUnavailable` (the dist-sender then re-routes). `None` disables
     /// timeouts (fine when no failures are injected).
@@ -193,7 +189,6 @@ impl Default for ClusterConfig {
             raft_election_timeout: SimDuration::from_millis(2_000),
             raft_tick_interval: SimDuration::from_millis(250),
             side_transport_interval: SimDuration::from_millis(50),
-            lag_side_transport: true,
             rpc_timeout: None,
             commit_wait_holds_locks: false,
             pipelined_writes: true,
@@ -262,6 +257,19 @@ pub struct Node {
     /// Ordered by range id: every per-node walk (Raft tick, crash
     /// recovery) visits replicas in the order that fixes RNG draws.
     pub replicas: BTreeMap<RangeId, Replica>,
+    /// Side-transport inbox: promises that have arrived but that a replica
+    /// takes in only when its closed timestamp is read — through
+    /// [`Node::settle`], which every such reader calls first.
+    pub side_rx: SideRx,
+}
+
+impl Node {
+    /// Bring `range`'s tracker up to the promise standing in the inbox.
+    pub fn settle(&mut self, range: RangeId) -> Option<&mut Replica> {
+        let rep = self.replicas.get_mut(&range)?;
+        rep.settle(&self.side_rx);
+        Some(rep)
+    }
 }
 
 /// The deliberately injectable bugs (chaos canaries): each proves the
@@ -317,7 +325,10 @@ enum Event {
     WalSyncTick,
     SideTransportDeliver {
         to: NodeId,
-        updates: Vec<(RangeId, Timestamp, u64)>,
+        from: NodeId,
+        /// The sender's [`Cluster::side_tick`] when it built `updates`.
+        tick: u64,
+        updates: SideBatch,
     },
     /// A closure scheduled by [`Cluster::schedule`].
     Wake(Box<dyn FnOnce(&mut Cluster)>),
@@ -411,6 +422,10 @@ pub struct Cluster {
     /// Active protected timestamps (AOST/backup pins): per-range GC
     /// thresholds never advance past the oldest active protection.
     protected: ProtectedTimestamps,
+    /// Side-transport ticks run so far: stamps every batch, so a receiver
+    /// can tell a newer promise from an older one whatever order they
+    /// arrive in, and a tracker which ones it has already taken in.
+    side_tick: u64,
 }
 
 impl Cluster {
@@ -438,6 +453,7 @@ impl Cluster {
                     id,
                     hlc: Hlc::new(SkewedClock::new(skew)),
                     replicas: BTreeMap::new(),
+                    side_rx: SideRx::default(),
                 }
             })
             .collect();
@@ -469,6 +485,7 @@ impl Cluster {
             injected_bug: None,
             lifecycle: LifecycleStats::default(),
             protected: ProtectedTimestamps::new(),
+            side_tick: 0,
         };
         c.queue.schedule(cfg.raft_tick_interval, Event::RaftTick);
         c.queue
@@ -608,6 +625,13 @@ impl Cluster {
         &mut self.nodes[id.0 as usize]
     }
 
+    /// The closed timestamp a follower read of `range` at `node` would be
+    /// served under right now: the replica's tracker, settled. (Reading
+    /// `tracker.closed()` off [`Cluster::node`] skips the inbox.)
+    pub fn closed_ts_at(&mut self, node: NodeId, range: RangeId) -> Option<Timestamp> {
+        Some(self.node_mut(node).settle(range)?.tracker.closed())
+    }
+
     /// Override a node's clock skew (clock-misbehaviour tests, §6.2.3).
     pub fn set_node_skew(&mut self, node: NodeId, skew_nanos: i64) {
         self.nodes[node.0 as usize].hlc.set_skew_nanos(skew_nanos);
@@ -659,7 +683,9 @@ impl Cluster {
         // its own uncertainty bound, forwarded to the closed-timestamp
         // policy target (lead ranges promise future timestamps).
         let bound = hlc_now.add_duration(max_off);
-        for (&range, rep) in &mut self.nodes[n.0 as usize].replicas {
+        let node = &mut self.nodes[n.0 as usize];
+        node.side_rx.clear();
+        for (&range, rep) in &mut node.replicas {
             let conservative = bound.forward(params.target(rep.policy, bound));
             let info = rep.crash_volatile(conservative, drop_log);
             self.events.record(
@@ -818,6 +844,8 @@ impl Cluster {
             if let Some(seed) = &seed_state {
                 rep.store = seed.store.clone();
                 rep.tracker = seed.tracker.clone();
+                // Promises sent so far index the previous incarnation's log.
+                rep.tracker.settled_through(self.side_tick);
                 if p.node == leaseholder {
                     rep.lease.inherit(seed.promised);
                     rep.tscache.raise_low_water(seed.tscache_low_water);
@@ -856,8 +884,8 @@ impl Cluster {
 
     /// What a re-installed range inherits, snapshotted from `node`'s
     /// replica (the leaseholder's: its applied state is authoritative).
-    fn seed_from(&self, node: NodeId, id: RangeId) -> Option<SeedState> {
-        let rep = self.nodes[node.0 as usize].replicas.get(&id)?;
+    fn seed_from(&mut self, node: NodeId, id: RangeId) -> Option<SeedState> {
+        let rep = self.nodes[node.0 as usize].settle(id)?;
         Some(SeedState {
             store: rep.store.clone(),
             tracker: rep.tracker.clone(),
@@ -978,9 +1006,12 @@ impl Cluster {
             Event::SideTransport => self.handle_side_transport(),
             Event::GcTick => self.handle_gc_tick(),
             Event::WalSyncTick => self.handle_wal_sync_tick(),
-            Event::SideTransportDeliver { to, updates } => {
-                self.handle_side_transport_deliver(to, updates)
-            }
+            Event::SideTransportDeliver {
+                to,
+                from,
+                tick,
+                updates,
+            } => self.handle_side_transport_deliver(to, from, tick, updates),
             Event::Wake(f) => f(self),
             Event::RpcTimeout { req_id } => self.finish_rpc(req_id, None),
             Event::ObsScrape => self.handle_obs_scrape(),
@@ -1077,12 +1108,21 @@ impl Cluster {
         let req_is_write = req.is_write();
         let wbytes = attribution::write_bytes(&req);
         let stale_read_bug = self.injected_bug == Some(InjectedBug::StaleRead);
-        let Node { hlc, replicas, .. } = &mut self.nodes[node.0 as usize];
+        let Node {
+            hlc,
+            replicas,
+            side_rx,
+            ..
+        } = &mut self.nodes[node.0 as usize];
         let Some(rep) = replicas.get_mut(&range) else {
             let err = KvError::NotLeaseholder { range, leaseholder };
             self.send_response(node, path, Err(err));
             return;
         };
+        if is_follower_read {
+            // The follower gate and `Negotiate` read the closed timestamp.
+            rep.settle(side_rx);
+        }
         let ctx = EvalCtx {
             now,
             params: &params,
@@ -1229,11 +1269,14 @@ impl Cluster {
         }
         let now = self.queue.now();
         let (out, noop) = {
-            let Some(rep) = self.nodes[to_node.0 as usize].replicas.get_mut(&range) else {
+            let Node {
+                replicas, side_rx, ..
+            } = &mut self.nodes[to_node.0 as usize];
+            let Some(rep) = replicas.get_mut(&range) else {
                 return;
             };
             let out = rep.raft.step(from_peer, msg, now);
-            let noop = rep.maybe_propose_leader_noop(now);
+            let noop = rep.maybe_propose_leader_noop(now, side_rx);
             (out, noop)
         };
         self.dispatch_raft_msgs(to_node, range, out);

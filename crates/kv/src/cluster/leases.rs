@@ -123,11 +123,9 @@ impl Cluster {
         // applies (`apply_lease_claim`).
         let now = self.queue.now();
         let msgs = {
-            let rep = self.nodes[node.0 as usize]
-                .replicas
-                .get_mut(&range)
-                .unwrap();
-            rep.maybe_propose_lease_claim(now)
+            let n = &mut self.nodes[node.0 as usize];
+            let rep = n.replicas.get_mut(&range).unwrap();
+            rep.maybe_propose_lease_claim(now, &n.side_rx)
         };
         self.dispatch_raft_msgs(node, range, msgs);
         self.pump_replica(node, range);
@@ -154,10 +152,12 @@ impl Cluster {
         {
             let n = &mut self.nodes[to.0 as usize];
             let hlc_now = n.hlc.now(now);
-            let rep = n.replicas.get_mut(&range).unwrap();
             // Respect promises the old leaseholder may have made: the best
-            // lower bound we have is our own tracker, plus the uncertainty
+            // lower bound we have is our own tracker — settled, or the dead
+            // leaseholder's last batch, which other followers serve reads
+            // under, would sit in the inbox unseen — plus the uncertainty
             // window for reads the old leaseholder served near its demise.
+            let rep = n.settle(range).unwrap();
             let inherited = rep.tracker.closed();
             rep.lease.inherit(inherited);
             rep.tscache

@@ -97,10 +97,12 @@ impl Cluster {
         }
         let leader = self.raft_leader_of(desc)?;
         let rhs = self.registry.next_range_id();
-        let msgs = self.nodes[leader.0 as usize]
-            .replicas
-            .get_mut(&desc.id)?
-            .propose_lifecycle(CmdOp::Split { split_key, rhs }, now)?;
+        let node = &mut self.nodes[leader.0 as usize];
+        let msgs = node.replicas.get_mut(&desc.id)?.propose_lifecycle(
+            CmdOp::Split { split_key, rhs },
+            now,
+            &node.side_rx,
+        )?;
         let live = &mut self.meta_mut(desc.id).live;
         live.split_pending = Some(now);
         live.last_lifecycle = Some(now);
@@ -122,10 +124,11 @@ impl Cluster {
         let Some(leader) = self.raft_leader_of(ld) else {
             return false;
         };
-        let msgs = self.nodes[leader.0 as usize]
+        let node = &mut self.nodes[leader.0 as usize];
+        let msgs = node
             .replicas
             .get_mut(&ld.id)
-            .and_then(|rep| rep.propose_lifecycle(CmdOp::Merge { rhs }, now));
+            .and_then(|rep| rep.propose_lifecycle(CmdOp::Merge { rhs }, now, &node.side_rx));
         let Some(msgs) = msgs else {
             return false;
         };

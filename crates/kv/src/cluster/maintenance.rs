@@ -7,12 +7,14 @@
 //! order of RNG draws (link jitter) that same-seed determinism, and the
 //! chaos history replays built on it, depend on.
 
-use mr_clock::Timestamp;
+use std::rc::Rc;
+
 use mr_proto::RangeId;
 use mr_raft::{Peer, RaftMsg};
 use mr_sim::{Link, NodeId, SimDuration};
 
-use super::{Cluster, Event, InjectedBug};
+use super::{Cluster, Event, InjectedBug, Node};
+use crate::closedts::{SideBatch, SideEntry};
 use crate::metrics::ScrapeStats;
 use crate::replica::{Batch, Effect};
 use crate::zone::ClosedTsPolicy;
@@ -123,8 +125,7 @@ impl Cluster {
             // The frontier bound: no live replica may lose history it can
             // still serve follower reads from.
             let min_closed = live()
-                .filter_map(|n| nodes[n.0 as usize].replicas.get(&d.id))
-                .map(|rep| rep.tracker.closed())
+                .filter_map(|n| Some(nodes[n.0 as usize].settle(d.id)?.tracker.closed()))
                 .min();
             let Some(min_closed) = min_closed else {
                 continue;
@@ -203,7 +204,7 @@ impl Cluster {
                 &mut s.closedts_worst_lag
             };
             for n in d.replica_nodes() {
-                let Some(rep) = self.nodes[n.0 as usize].replicas.get_mut(&d.id) else {
+                let Some(rep) = self.nodes[n.0 as usize].settle(d.id) else {
                     continue;
                 };
                 let lag = rep.tracker.lag_nanos(now.nanos());
@@ -265,18 +266,16 @@ impl Cluster {
             .schedule(self.cfg.side_transport_interval, Event::SideTransport);
         let now = self.queue.now();
         let params = self.cfg.closed_ts;
-        // Batch updates per (source leaseholder, destination) pair — the
-        // CRDB side transport is node-to-node, not per-range. One slot per
-        // pair, `from * n + to`: walking the slots ships the batches in
-        // (from, to) order.
+        self.side_tick += 1;
+        // The CRDB side transport is node-to-node, not per-range: a sender
+        // builds one batch — every range it leads and holds the lease of,
+        // in registry order — and ships that same batch to each node that
+        // follows any of them.
         let n = self.nodes.len();
-        let mut batches: Vec<Vec<(RangeId, Timestamp, u64)>> = vec![Vec::new(); n * n];
+        let mut senders: Vec<(Vec<SideEntry>, Vec<bool>)> = vec![Default::default(); n];
         for d in self.registry.iter() {
             let (lh, policy) = (d.leaseholder, d.zone_config.closed_ts_policy);
             if !self.topo.is_node_alive(lh) {
-                continue;
-            }
-            if policy == ClosedTsPolicy::Lag && !self.cfg.lag_side_transport {
                 continue;
             }
             let node = &mut self.nodes[lh.0 as usize];
@@ -292,36 +291,61 @@ impl Cluster {
             // The leaseholder's own tracker advances immediately.
             let applied = rep.raft.applied_index();
             rep.tracker.on_side_transport(target, index, applied);
+            let (batch, follows) = &mut senders[lh.0 as usize];
+            batch.push((d.id, target, index));
+            follows.resize(n, false);
             for follower in d.replica_nodes().filter(|&f| f != lh) {
-                batches[lh.0 as usize * n + follower.0 as usize].push((d.id, target, index));
+                follows[follower.0 as usize] = true;
             }
         }
-        for (slot, updates) in batches.into_iter().enumerate() {
-            if updates.is_empty() {
+        // Shipped in (from, to) order: the order of the link-jitter draws.
+        for (from, (batch, follows)) in senders.into_iter().enumerate() {
+            if batch.is_empty() {
                 continue;
             }
-            let (from, to) = (NodeId((slot / n) as u32), NodeId((slot % n) as u32));
-            if let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) {
-                self.queue
-                    .schedule(d, Event::SideTransportDeliver { to, updates });
+            let (from, updates) = (NodeId(from as u32), SideBatch::from(batch));
+            for to in (0..n).filter(|&to| follows[to]) {
+                let to = NodeId(to as u32);
+                if let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) {
+                    self.queue.schedule(
+                        d,
+                        Event::SideTransportDeliver {
+                            to,
+                            from,
+                            tick: self.side_tick,
+                            updates: Rc::clone(&updates),
+                        },
+                    );
+                }
             }
         }
     }
 
+    /// A batch lands in `to`'s inbox. Only the replicas whose range the
+    /// batch says something new about are looked up (see [`SideRx`]).
     pub(super) fn handle_side_transport_deliver(
         &mut self,
         to: NodeId,
-        updates: Vec<(RangeId, Timestamp, u64)>,
+        from: NodeId,
+        tick: u64,
+        updates: SideBatch,
     ) {
         if !self.topo.is_node_alive(to) {
             return;
         }
-        let node = &mut self.nodes[to.0 as usize];
-        for (range, ts, index) in updates {
-            if let Some(rep) = node.replicas.get_mut(&range) {
+        let Node {
+            replicas, side_rx, ..
+        } = &mut self.nodes[to.0 as usize];
+        side_rx.deliver(from, tick, updates, |range, promise, stands| {
+            if let Some(rep) = replicas.get_mut(&range) {
                 let applied = rep.raft.applied_index();
-                rep.tracker.on_side_transport(ts, index, applied);
+                if stands {
+                    rep.tracker.settle(promise, applied);
+                } else {
+                    rep.tracker
+                        .on_side_transport(promise.closed, promise.index, applied);
+                }
             }
-        }
+        });
     }
 }

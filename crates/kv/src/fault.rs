@@ -158,10 +158,11 @@ impl Cluster {
                 self.set_node_skew(*node, *skew_nanos);
             }
             FaultKind::RegressClosedTs { range, node, delta } => {
+                // Settled first, so the frontier that regresses is the one a
+                // reader sees and the next read does not take it back.
                 let rep = self
                     .node_mut(*node)
-                    .replicas
-                    .get_mut(range)
+                    .settle(*range)
                     .unwrap_or_else(|| panic!("no replica of {range} on {node}"));
                 rep.tracker.fault_regress(delta.nanos());
             }

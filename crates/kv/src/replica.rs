@@ -31,7 +31,7 @@ use mr_raft::{Peer, RaftMsg, RaftNode};
 use mr_sim::{NodeId, SimTime};
 use mr_storage::{lsm::Engine, MvccError, RecoveryInfo, TsCache};
 
-use crate::closedts::{ClosedTsLeaseState, ClosedTsParams, ClosedTsTracker};
+use crate::closedts::{ClosedTsLeaseState, ClosedTsParams, ClosedTsTracker, SideRx};
 use crate::locks::{LockTable, WaiterId};
 use crate::zone::ClosedTsPolicy;
 
@@ -330,6 +330,17 @@ impl Replica {
         // incarnation observed — so the monitor's baseline restarts too.
         self.monitor_closed = None;
         info
+    }
+
+    /// Take in the promise standing for this range in the node's
+    /// side-transport inbox. Everything that reads `tracker.closed()` on a
+    /// replica that may follow — the follower-read gate, a leader stamping a
+    /// command it proposes, the cluster's GC, scrape, lease-claim and
+    /// re-install paths — calls this first.
+    pub fn settle(&mut self, side_rx: &SideRx) {
+        if let Some(p) = side_rx.standing(self.range) {
+            self.tracker.settle(p, self.raft.applied_index());
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1151,10 +1162,15 @@ impl Replica {
     /// ship the instant leadership is established — nothing else may be in
     /// flight yet, and batching it behind a flush would delay
     /// leader-completeness for every prior-term entry.
-    pub fn maybe_propose_leader_noop(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<Batch>)> {
+    pub fn maybe_propose_leader_noop(
+        &mut self,
+        now: SimTime,
+        side_rx: &SideRx,
+    ) -> Vec<(Peer, RaftMsg<Batch>)> {
         if !self.raft.is_leader() || self.raft.last_log_term() == self.raft.term() {
             return Vec::new();
         }
+        self.settle(side_rx);
         let cmd = Command {
             closed_ts: self.tracker.closed(),
             op: CmdOp::Noop,
@@ -1172,10 +1188,15 @@ impl Replica {
     /// a quorum, and lease movement is gated on that commit — parking it in
     /// a buffer behind a flush would stall every redirected client, and no
     /// concurrent traffic exists on a range whose leaseholder just died.
-    pub fn maybe_propose_lease_claim(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<Batch>)> {
+    pub fn maybe_propose_lease_claim(
+        &mut self,
+        now: SimTime,
+        side_rx: &SideRx,
+    ) -> Vec<(Peer, RaftMsg<Batch>)> {
         if !self.raft.is_leader() || self.lease_claim_term == Some(self.raft.term()) {
             return Vec::new();
         }
+        self.settle(side_rx);
         let cmd = Command {
             closed_ts: self.tracker.closed(),
             op: CmdOp::ClaimLease { node: self.node },
@@ -1201,11 +1222,13 @@ impl Replica {
         &mut self,
         op: CmdOp,
         now: SimTime,
+        side_rx: &SideRx,
     ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
         if !self.raft.is_leader() || self.lifecycle_term == Some(self.raft.term()) {
             return None;
         }
         self.flush_buf_into_log();
+        self.settle(side_rx);
         let cmd = Command {
             closed_ts: self.tracker.closed(),
             op,

@@ -72,6 +72,11 @@ ledger_ceiling() {
 ledger_ceiling global_ycsb_b host.allocs_per_op 75 "allocations per op"
 ledger_ceiling tpcc_nothink host.allocs_per_op 2485 "allocations per op"
 ledger_ceiling wide_idle peak_rss_mb 430 "MiB peak RSS"
+# The same idle run counted in allocations: 477.7 per op while every
+# side-transport tick built a `Vec` of updates per (sender, destination)
+# pair, 310.2 with one shared batch per sender (PR 21). A per-replica or
+# per-pair allocation on a periodic path shows up here as a count.
+ledger_ceiling wide_idle host.allocs_per_op 342 "allocations per op"
 
 echo "==> strict-monitor perf_probe smoke"
 # Short probe run with every online invariant monitor escalated to a panic:
