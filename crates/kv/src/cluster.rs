@@ -55,6 +55,23 @@ use transport::{Envelope, Transport};
 /// Result alias for KV operations.
 pub type KvResult<T> = Result<T, KvError>;
 
+/// Why [`Cluster::reconfigure_range`] left a range as it was.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReconfigureError {
+    NoSuchRange(RangeId),
+    Alloc(AllocError),
+}
+
+impl fmt::Display for ReconfigureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReconfigureError::NoSuchRange(id) => write!(f, "no such range {id}"),
+            ReconfigureError::Alloc(e) => e.fmt(f),
+        }
+    }
+}
+impl std::error::Error for ReconfigureError {}
+
 /// A continuation fired with an operation's outcome.
 pub type Cont<T> = Box<dyn FnOnce(&mut Cluster, T)>;
 
@@ -901,12 +918,12 @@ impl Cluster {
         &mut self,
         id: RangeId,
         zone_config: ZoneConfig,
-    ) -> Result<(), AllocError> {
-        let out = allocate(&self.topo, &zone_config)?;
+    ) -> Result<(), ReconfigureError> {
+        let out = allocate(&self.topo, &zone_config).map_err(ReconfigureError::Alloc)?;
         let lh = self
             .registry
             .get(id)
-            .unwrap_or_else(|| panic!("no such range {id}"))
+            .ok_or(ReconfigureError::NoSuchRange(id))?
             .leaseholder;
         let seed = self
             .seed_from(lh, id)

@@ -50,22 +50,28 @@ impl Cluster {
 
     /// Force the range containing `key` to merge with its right-hand
     /// neighbor. Same no-op semantics as [`Cluster::admin_split_at`] when
-    /// preconditions (adjacency, identical zone config, live leaseholders)
-    /// don't hold. Returns whether a merge was proposed.
+    /// preconditions (`mergeable`, live leaseholders) don't hold.
+    /// Returns whether a merge was proposed.
     pub fn admin_merge_at(&mut self, key: Key) -> bool {
         let Some(ld) = self.registry.lookup(&key).cloned() else {
             return false;
         };
-        if ld.span.end.is_empty() {
-            return false; // unbounded span: no right-hand neighbor
-        }
         let Some(rd) = self.registry.lookup(&ld.span.end).cloned() else {
             return false;
         };
-        if rd.span.start != ld.span.end || rd.zone_config != ld.zone_config {
-            return false;
-        }
-        self.propose_merge(&ld, rd.id)
+        self.mergeable(&ld, &rd) && self.propose_merge(&ld, rd.id)
+    }
+
+    /// Whether `ld` may absorb `rd`: `rd` is its right-hand neighbor (an
+    /// unbounded `ld` has none), under the same zone config, and came from a
+    /// split. A range the admin plane created is never absorbed, so the
+    /// boundaries it was created with — the edges of a table partition — stay
+    /// range boundaries, and whoever owns a span owns whole ranges.
+    fn mergeable(&self, ld: &RangeDescriptor, rd: &RangeDescriptor) -> bool {
+        !ld.span.end.is_empty()
+            && rd.span.start == ld.span.end
+            && rd.zone_config == ld.zone_config
+            && self.lineage_of(rd.id).is_some_and(|l| l.origin == "split")
     }
 
     /// The node whose replica currently leads `desc`'s Raft group, if any.
@@ -240,10 +246,7 @@ impl Cluster {
         let Some(rd) = self.registry.get(rhs).cloned() else {
             return;
         };
-        if ld.span.end.is_empty()
-            || rd.span.start != ld.span.end
-            || ld.zone_config != rd.zone_config
-        {
+        if !self.mergeable(&ld, &rd) {
             return;
         }
         let now = self.queue.now();
@@ -346,16 +349,13 @@ impl Cluster {
             let Some(ld) = self.registry.get(id).cloned() else {
                 continue;
             };
-            if ld.span.end.is_empty() || !self.cooldown_passed(id, now) {
+            if !self.cooldown_passed(id, now) {
                 continue;
             }
             let Some(rd) = self.registry.lookup(&ld.span.end).cloned() else {
                 continue;
             };
-            if rd.span.start != ld.span.end
-                || rd.zone_config != ld.zone_config
-                || !self.cooldown_passed(rd.id, now)
-            {
+            if !self.mergeable(&ld, &rd) || !self.cooldown_passed(rd.id, now) {
                 continue;
             }
             let cold = |rid: RangeId| {

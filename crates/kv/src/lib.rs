@@ -51,7 +51,9 @@ pub mod zone;
 pub use allocator::{allocate, AllocError, AllocationOutcome, Placement, ReplicaRole};
 pub use attribution::{AttrBreakdown, Component, TxnAttrLog, TxnAttrRecord, COMPONENTS};
 pub use closedts::{ClosedTsParams, ClosedTsTracker};
-pub use cluster::{Cluster, ClusterConfig, InjectedBug, KvResult, ReadOptions, Staleness};
+pub use cluster::{
+    Cluster, ClusterConfig, InjectedBug, KvResult, ReadOptions, ReconfigureError, Staleness,
+};
 pub use events::{ClusterEvent, EventKind, EventLog};
 pub use fault::FaultKind;
 pub use metrics::MetricsView;

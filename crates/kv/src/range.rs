@@ -61,7 +61,8 @@ impl RangeDescriptor {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeLineage {
     /// `"boot"` for ranges created by the admin plane, `"split"` for a
-    /// right-hand half carved out of `parent`.
+    /// right-hand half carved out of `parent`. Only a `"split"` range is
+    /// ever merged away (`Cluster::mergeable`).
     pub origin: &'static str,
     /// The LHS this range was split off from, if `origin == "split"`.
     pub parent: Option<RangeId>,
@@ -183,13 +184,8 @@ impl RangeRegistry {
     /// Register a descriptor. Panics if its span overlaps an existing range
     /// (ranges partition the keyspace).
     pub fn insert(&mut self, desc: RangeDescriptor) {
-        for other in self.ranges.values() {
-            assert!(
-                !desc.span.overlaps(&other.span),
-                "range {:?} overlaps {:?}",
-                desc.span,
-                other.span
-            );
+        if let Some(other) = self.lookup_span(&desc.span).next() {
+            panic!("range {:?} overlaps {:?}", desc.span, other.span);
         }
         self.by_start.insert(desc.span.start.clone(), desc.id);
         self.ranges.insert(desc.id, desc);
@@ -216,12 +212,20 @@ impl RangeRegistry {
         desc.span.contains(key).then_some(desc)
     }
 
-    /// All ranges overlapping `span`.
-    pub fn lookup_span(&self, span: &Span) -> Vec<&RangeDescriptor> {
-        self.ranges
-            .values()
+    /// The ranges overlapping `span`, in key order: a walk of `by_start`
+    /// from the range holding `span.start` (it may begin before the span) to
+    /// the first range starting at or past `span.end`.
+    pub fn lookup_span<'a>(
+        &'a self,
+        span: &'a Span,
+    ) -> impl Iterator<Item = &'a RangeDescriptor> + 'a {
+        let before = self.by_start.range(..=&span.start).next_back();
+        let from = before.map_or(&span.start, |(start, _)| start);
+        self.by_start
+            .range(from..)
+            .map(|(_, id)| &self.ranges[id])
+            .take_while(|d| span.end.is_empty() || d.span.start < span.end)
             .filter(|d| d.span.overlaps(span))
-            .collect()
     }
 
     pub fn len(&self) -> usize {
@@ -290,16 +294,32 @@ mod tests {
         reg.insert(desc(2, "l", "z", 1));
     }
 
+    /// Ids are handed out against key order, so an id-ordered answer would
+    /// show; `c`..`f` is a hole no range covers.
     #[test]
     fn lookup_span_finds_all_overlaps() {
         let mut reg = RangeRegistry::new();
-        reg.insert(desc(1, "a", "m", 0));
-        reg.insert(desc(2, "m", "z", 1));
-        let hits = reg.lookup_span(&Span::new(Key::from("k"), Key::from("n")));
-        assert_eq!(hits.len(), 2);
-        let hits = reg.lookup_span(&Span::new(Key::from("n"), Key::from("o")));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, RangeId(2));
+        reg.insert(desc(4, "a", "c", 0));
+        reg.insert(desc(3, "f", "m", 0));
+        reg.insert(desc(2, "m", "s", 1));
+        reg.insert(desc(1, "s", "z", 1));
+        let hit = |start: &str, end: &str| -> Vec<u64> {
+            let span = Span::new(Key::from(start), Key::from(end));
+            reg.lookup_span(&span).map(|d| d.id.0).collect()
+        };
+        assert_eq!(hit("f", "z"), [3, 2, 1]);
+        // The first range starts before the span; the last one ends after it.
+        assert_eq!(hit("k", "n"), [3, 2]);
+        assert_eq!(hit("n", "o"), [2]);
+        // A span's end is exclusive, and so is a range's.
+        assert_eq!(hit("g", "m"), [3]);
+        assert_eq!(hit("c", "f"), [] as [u64; 0]);
+        assert_eq!(hit("b", "g"), [4, 3]);
+        assert_eq!(hit("A", "b"), [4]);
+        assert_eq!(hit("z", "zz"), [] as [u64; 0]);
+        let all = Span::all();
+        let ids: Vec<u64> = reg.lookup_span(&all).map(|d| d.id.0).collect();
+        assert_eq!(ids, [4, 3, 2, 1]);
     }
 
     #[test]

@@ -1402,3 +1402,16 @@ fn a_regression_outlives_the_next_read_but_not_the_next_tick() {
     run_for(&mut c, SimDuration::from_millis(50));
     assert!(c.closed_ts_at(follower, id).unwrap() > promised);
 }
+
+/// Reconfiguring a range that is gone (dropped, or merged away since the
+/// caller looked it up) is the caller's error to handle, not a panic.
+#[test]
+fn reconfiguring_an_unknown_range_is_an_error() {
+    let (mut c, id) = quiet_cluster(SurvivalGoal::Zone);
+    let cfg = c.registry().get(id).unwrap().zone_config.clone();
+    c.drop_range(id);
+    assert_eq!(
+        c.reconfigure_range(id, cfg),
+        Err(mr_kv::ReconfigureError::NoSuchRange(id))
+    );
+}

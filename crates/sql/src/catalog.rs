@@ -1,14 +1,15 @@
-//! The schema catalog: databases, regions, tables, columns, indexes, and
-//! their mapping onto KV ranges.
+//! The schema catalog: databases, regions, tables, columns, indexes, and the
+//! key span each index partition owns. Which ranges hold a span is the range
+//! registry's to say (`RangeRegistry::lookup_span`), never the catalog's.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mr_kv::zone::{PlacementPolicy, SurvivalGoal};
-use mr_proto::RangeId;
+use mr_proto::{Key, Span};
 
 use crate::ast::{Expr, ZoneOverrides};
-use crate::encoding::{IndexId, TableId};
+use crate::encoding::{encode_datum, partition_prefix, partition_span, IndexId, TableId};
 use crate::types::{ColumnType, Datum};
 
 /// The hidden partitioning column of REGIONAL BY ROW tables (§2.3.2).
@@ -54,14 +55,15 @@ pub struct Column {
     pub references: Option<(String, String)>,
 }
 
-/// How an index's key space is partitioned into ranges.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// How an index's key space is partitioned.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PartitionKey {
-    /// Unpartitioned: one range for the whole index.
+    /// Unpartitioned: the whole index.
     Whole,
     /// Implicit region partition of an RBR table.
     Region(String),
-    /// Legacy manual `PARTITION BY LIST` partition, by name.
+    /// Legacy manual `PARTITION BY LIST` partition, by name (`__default_<n>`
+    /// for the catch-all spans between the listed values).
     Manual(String),
 }
 
@@ -81,8 +83,6 @@ pub struct Index {
     /// Legacy `ALTER INDEX ... CONFIGURE ZONE` override (duplicate-index
     /// pinning).
     pub zone_override: Option<ZoneOverrides>,
-    /// Backing ranges per partition.
-    pub ranges: BTreeMap<PartitionKey, RangeId>,
 }
 
 impl Index {
@@ -145,6 +145,59 @@ impl Table {
     pub fn index_by_name_mut(&mut self, name: &str) -> Option<&mut Index> {
         self.indexes.iter_mut().find(|i| i.name == name)
     }
+}
+
+/// The partitions of `index` with the key span each owns, in key order: one
+/// per database region for a region-partitioned index, one per listed value
+/// of a manual partition (so a partition listing two values owns two spans)
+/// plus catch-all spans over the gaps so unlisted values still route
+/// somewhere, else the whole index. Spans never overlap, and DDL creates a
+/// range per span, so a partition's edges are always range boundaries.
+pub fn partitions(db: &Database, table: &Table, index: &Index) -> Vec<(PartitionKey, Span)> {
+    let by_start = |a: &(PartitionKey, Span), b: &(PartitionKey, Span)| a.1.start.cmp(&b.1.start);
+    if index.region_partitioned {
+        let mut out: Vec<_> = db
+            .all_regions()
+            .into_iter()
+            .map(|r| {
+                let span = partition_span(table.id, index.id, Some(&r));
+                (PartitionKey::Region(r), span)
+            })
+            .collect();
+        out.sort_by(by_start);
+        return out;
+    }
+    let whole = partition_span(table.id, index.id, None);
+    let Some(mp) = &table.manual_partitioning else {
+        return vec![(PartitionKey::Whole, whole)];
+    };
+    let mut listed: Vec<(PartitionKey, Span)> = Vec::new();
+    for (name, values) in &mp.partitions {
+        for v in values {
+            let mut prefix = partition_prefix(table.id, index.id, None);
+            encode_datum(&mut prefix, v);
+            let span = Span::prefix(Key::from_vec(prefix));
+            listed.push((PartitionKey::Manual(name.clone()), span));
+        }
+    }
+    listed.sort_by(by_start);
+    let mut out = Vec::new();
+    let mut gaps = 0;
+    let mut gap = |from: &Key, to: &Key, out: &mut Vec<(PartitionKey, Span)>| {
+        if from < to {
+            let pk = PartitionKey::Manual(format!("__default_{gaps}"));
+            out.push((pk, Span::new(from.clone(), to.clone())));
+            gaps += 1;
+        }
+    };
+    let mut cursor = whole.start;
+    for (pk, span) in listed {
+        gap(&cursor, &span.start, &mut out);
+        cursor = span.end.clone();
+        out.push((pk, span));
+    }
+    gap(&cursor, &whole.end, &mut out);
+    out
 }
 
 /// A multi-region database (§2.1). Cloning one copies the table map, not
@@ -308,7 +361,6 @@ mod tests {
                 storing: vec![],
                 region_partitioned: true,
                 zone_override: None,
-                ranges: BTreeMap::new(),
             }],
             manual_partitioning: None,
             zone_override: None,

@@ -6,6 +6,11 @@
 //! BY ROW. Region add/drop, survivability and placement changes, and
 //! `SET LOCALITY` re-derive the layout.
 //!
+//! DDL creates one range per partition span ([`partitions`]) and afterwards
+//! names no range: the KV layer may split a partition's range (and merge the
+//! halves back), so whatever acts on a partition — reconfigure, drop, scan —
+//! asks the range registry which ranges cover its span at that moment.
+//!
 //! The legacy imperative surface (`PARTITION BY LIST`, `CONFIGURE ZONE`,
 //! duplicate indexes via `CREATE INDEX ... STORING` + `ALTER INDEX ...
 //! CONFIGURE ZONE`) is implemented with the same machinery and serves as
@@ -22,6 +27,7 @@ use std::rc::Rc;
 
 use mr_kv::cluster::Cluster;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal, ZoneConfig};
+use mr_proto::{RangeId, Span};
 use mr_sim::RegionId;
 
 use crate::ast::{
@@ -29,8 +35,8 @@ use crate::ast::{
     ZoneOverrides,
 };
 use crate::catalog::{
-    Catalog, Column, Database, Index, ManualPartitioning, PartitionKey, RegionState, RegionStatus,
-    Table, TableLocality, REGION_COLUMN,
+    partitions, Catalog, Column, Database, Index, ManualPartitioning, PartitionKey, RegionState,
+    RegionStatus, Table, TableLocality, REGION_COLUMN,
 };
 use crate::encoding::{decode_row, encode_row, index_key, partition_span, IndexId};
 use crate::types::{ColumnType, Datum};
@@ -48,6 +54,42 @@ impl std::error::Error for DdlError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, DdlError> {
     Err(DdlError(msg.into()))
+}
+
+fn unknown_db(name: &str) -> DdlError {
+    DdlError(format!("unknown database {name:?}"))
+}
+
+fn unknown_table(name: &str) -> DdlError {
+    DdlError(format!("unknown table {name:?}"))
+}
+
+fn db_of<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Database, DdlError> {
+    catalog.db(name).ok_or_else(|| unknown_db(name))
+}
+
+fn db_mut_of<'a>(catalog: &'a mut Catalog, name: &str) -> Result<&'a mut Database, DdlError> {
+    catalog.db_mut(name).ok_or_else(|| unknown_db(name))
+}
+
+fn table_of<'a>(
+    catalog: &'a Catalog,
+    db_name: &str,
+    name: &str,
+) -> Result<(&'a Database, &'a Table), DdlError> {
+    let db = db_of(catalog, db_name)?;
+    let table = db.tables.get(name).ok_or_else(|| unknown_table(name))?;
+    Ok((db, table))
+}
+
+fn table_mut_of<'a>(
+    catalog: &'a mut Catalog,
+    db_name: &str,
+    name: &str,
+) -> Result<&'a mut Table, DdlError> {
+    catalog
+        .table_mut(db_name, name)
+        .ok_or_else(|| unknown_table(name))
 }
 
 /// Result of a DDL statement.
@@ -77,9 +119,7 @@ pub fn exec_ddl(
                 .as_deref()
                 .or(current_db)
                 .ok_or_else(|| DdlError("no database selected".into()))?;
-            let db = catalog
-                .db(db_name)
-                .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?;
+            let db = db_of(catalog, db_name)?;
             let rows = db
                 .regions
                 .iter()
@@ -110,9 +150,7 @@ pub fn exec_ddl(
                 .as_deref()
                 .or(current_db)
                 .ok_or_else(|| DdlError("no database selected".into()))?;
-            let db = catalog
-                .db(db_name)
-                .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?;
+            let db = db_of(catalog, db_name)?;
             let goal = match db.survival {
                 SurvivalGoal::Zone => "zone",
                 SurvivalGoal::Region => "region",
@@ -231,63 +269,35 @@ fn alter_database(
     name: &str,
     action: &AlterDbAction,
 ) -> Result<DdlOutcome, DdlError> {
-    if catalog.db(name).is_none() {
-        return err(format!("unknown database {name:?}"));
-    }
+    let db = db_mut_of(catalog, name)?;
     match action {
-        AlterDbAction::AddRegion(region) => add_region(cluster, catalog, name, region),
-        AlterDbAction::DropRegion(region) => drop_region(cluster, catalog, name, region),
+        AlterDbAction::AddRegion(region) => return add_region(cluster, catalog, name, region),
+        AlterDbAction::DropRegion(region) => return drop_region(cluster, catalog, name, region),
         AlterDbAction::SetPrimaryRegion(region) => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if !db.has_region(region) {
-                    return err(format!("{region:?} is not a region of {name:?}"));
-                }
-                db.primary_region = region.clone();
+            if !db.has_region(region) {
+                return err(format!("{region:?} is not a region of {name:?}"));
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            db.primary_region = region.clone();
         }
-        AlterDbAction::SurviveZoneFailure => {
-            catalog.db_mut(name).unwrap().survival = SurvivalGoal::Zone;
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
-        }
+        AlterDbAction::SurviveZoneFailure => db.survival = SurvivalGoal::Zone,
         AlterDbAction::SurviveRegionFailure => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if db.regions.len() < 3 {
-                    return err("SURVIVE REGION FAILURE requires at least 3 regions");
-                }
-                if db.placement == PlacementPolicy::Restricted {
-                    return err(
-                        "PLACEMENT RESTRICTED cannot be combined with REGION survivability",
-                    );
-                }
-                db.survival = SurvivalGoal::Region;
+            if db.regions.len() < 3 {
+                return err("SURVIVE REGION FAILURE requires at least 3 regions");
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            if db.placement == PlacementPolicy::Restricted {
+                return err("PLACEMENT RESTRICTED cannot be combined with REGION survivability");
+            }
+            db.survival = SurvivalGoal::Region;
         }
         AlterDbAction::PlacementRestricted => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if db.survival == SurvivalGoal::Region {
-                    return err(
-                        "PLACEMENT RESTRICTED cannot be combined with REGION survivability",
-                    );
-                }
-                db.placement = PlacementPolicy::Restricted;
+            if db.survival == SurvivalGoal::Region {
+                return err("PLACEMENT RESTRICTED cannot be combined with REGION survivability");
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            db.placement = PlacementPolicy::Restricted;
         }
-        AlterDbAction::PlacementDefault => {
-            catalog.db_mut(name).unwrap().placement = PlacementPolicy::Default;
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
-        }
+        AlterDbAction::PlacementDefault => db.placement = PlacementPolicy::Default,
     }
+    reconfigure_database(cluster, catalog, name)
 }
 
 fn add_region(
@@ -299,33 +309,52 @@ fn add_region(
     if cluster.topology().region_by_name(region).is_none() {
         return err(format!("region {region:?} has no nodes in the cluster"));
     }
-    {
-        let db = catalog.db_mut(db_name).unwrap();
-        if db.has_region(region) {
-            return err(format!("region {region:?} already in database"));
-        }
-        db.regions.push(RegionState {
-            name: region.to_string(),
-            status: RegionStatus::Public,
-        });
+    let db = db_mut_of(catalog, db_name)?;
+    if db.has_region(region) {
+        return err(format!("region {region:?} already in database"));
     }
+    db.regions.push(RegionState {
+        name: region.to_string(),
+        status: RegionStatus::Public,
+    });
     // New partitions for every RBR table; re-derived configs everywhere
     // (non-voters in the new region).
-    for t in rbr_tables(catalog, db_name) {
-        create_rbr_partition_ranges(cluster, catalog, db_name, &t, region)?;
+    let pk = PartitionKey::Region(region.to_string());
+    for table in rbr_tables(db) {
+        for index in &table.indexes {
+            let span = partition_span(table.id, index.id, Some(region));
+            create_range(cluster, db, table, index, &pk, span)?;
+        }
     }
-    reconfigure_database(cluster, catalog, db_name)?;
-    Ok(DdlOutcome::Ok)
+    reconfigure_database(cluster, catalog, db_name)
 }
 
-/// Names of the database's REGIONAL BY ROW tables, in catalog order.
-fn rbr_tables(catalog: &Catalog, db_name: &str) -> Vec<String> {
-    let db = catalog.db(db_name).unwrap();
-    let rbr = db
-        .tables
-        .values()
-        .filter(|t| t.locality == TableLocality::RegionalByRow);
-    rbr.map(|t| t.name.clone()).collect()
+/// The database's REGIONAL BY ROW tables, in catalog order.
+fn rbr_tables(db: &Database) -> impl Iterator<Item = &Table> {
+    let all = db.tables.values().map(|t| &**t);
+    all.filter(|t| t.locality == TableLocality::RegionalByRow)
+}
+
+/// Ids of the ranges that cover `span` right now, in key order. A partition's
+/// edges are range boundaries (DDL creates a range per partition span and a
+/// merge never absorbs a range the admin plane created), so for a partition
+/// or a whole index these hold every row of the span and no neighbour's.
+fn covering(cluster: &Cluster, span: &Span) -> Vec<RangeId> {
+    cluster.registry().lookup_span(span).map(|d| d.id).collect()
+}
+
+/// Drop every range covering `span`.
+fn drop_span(cluster: &mut Cluster, span: &Span) {
+    for rid in covering(cluster, span) {
+        cluster.drop_range(rid);
+    }
+}
+
+/// Drop every range of every index of `table`, whatever its partitioning.
+fn drop_table_ranges(cluster: &mut Cluster, table: &Table) {
+    for index in &table.indexes {
+        drop_span(cluster, &partition_span(table.id, index.id, None));
+    }
 }
 
 fn drop_region(
@@ -334,67 +363,54 @@ fn drop_region(
     db_name: &str,
     region: &str,
 ) -> Result<DdlOutcome, DdlError> {
-    {
-        let db = catalog.db_mut(db_name).unwrap();
-        if db.primary_region == region {
-            return err("cannot drop the PRIMARY region");
+    let set_status = |catalog: &mut Catalog, status| -> Result<(), DdlError> {
+        let db = db_mut_of(catalog, db_name)?;
+        match db.regions.iter_mut().find(|r| r.name == region) {
+            Some(r) => r.status = status,
+            None => return err(format!("{region:?} is not a region of {db_name:?}")),
         }
-        if !db.has_region(region) {
-            return err(format!("{region:?} is not a region of {db_name:?}"));
-        }
-        // §2.4.1: mark READ ONLY so validation can run without blocking
-        // traffic; writes of this region value are rejected meanwhile.
-        db.regions
-            .iter_mut()
-            .find(|r| r.name == region)
-            .unwrap()
-            .status = RegionStatus::ReadOnly;
+        Ok(())
+    };
+    if db_of(catalog, db_name)?.primary_region == region {
+        return err("cannot drop the PRIMARY region");
     }
+    // §2.4.1: mark READ ONLY so validation can run without blocking
+    // traffic; writes of this region value are rejected meanwhile.
+    set_status(catalog, RegionStatus::ReadOnly)?;
     // Validation: no live row may be homed in the dropping region (because
     // the region value partitions every RBR index, this only inspects the
     // region's partitions, not whole tables), and no REGIONAL BY TABLE
     // table may have its home there.
-    let pk = PartitionKey::Region(region.to_string());
-    let mut tables = catalog.db(db_name).unwrap().tables.values();
-    let violation = tables.find(|table| match &table.locality {
+    let db = db_of(catalog, db_name)?;
+    let region_span =
+        |table: &Table, index: &Index| partition_span(table.id, index.id, Some(region));
+    let violation = db.tables.values().find(|table| match &table.locality {
         TableLocality::RegionalByTable(home) => home == region,
         TableLocality::RegionalByRow => {
-            let rid = table.primary_index().ranges.get(&pk);
-            rid.is_some_and(|&rid| !cluster.admin_scan_range(rid).is_empty())
+            covering(cluster, &region_span(table, table.primary_index()))
+                .into_iter()
+                .any(|rid| !cluster.admin_scan_range(rid).is_empty())
         }
         TableLocality::Global => false,
     });
     if let Some(t) = violation.map(|t| t.name.clone()) {
         // Roll back: all-or-nothing semantics.
-        catalog
-            .db_mut(db_name)
-            .unwrap()
-            .regions
-            .iter_mut()
-            .find(|r| r.name == region)
-            .unwrap()
-            .status = RegionStatus::Public;
+        set_status(catalog, RegionStatus::Public)?;
         return err(format!(
             "cannot drop region {region:?}: table {t:?} is homed there (move its rows \
              or ALTER its locality first)"
         ));
     }
     // Commit the drop: remove partition ranges and the enum value.
-    for t in rbr_tables(catalog, db_name) {
-        let table = catalog.table_mut(db_name, &t).unwrap();
-        for idx in table.indexes.iter_mut() {
-            if let Some(rid) = idx.ranges.remove(&pk) {
-                cluster.drop_range(rid);
-            }
+    for table in rbr_tables(db) {
+        for index in &table.indexes {
+            drop_span(cluster, &region_span(table, index));
         }
     }
-    catalog
-        .db_mut(db_name)
-        .unwrap()
+    db_mut_of(catalog, db_name)?
         .regions
         .retain(|r| r.name != region);
-    reconfigure_database(cluster, catalog, db_name)?;
-    Ok(DdlOutcome::Ok)
+    reconfigure_database(cluster, catalog, db_name)
 }
 
 // ---------------------------------------------------------------------
@@ -430,7 +446,7 @@ fn auto_zone_config(
         TableLocality::RegionalByTable(r) => (r.clone(), ClosedTsPolicy::Lag, db.placement),
         TableLocality::RegionalByRow => (
             partition_region
-                .expect("RBR ranges are per-region")
+                .ok_or_else(|| DdlError("a REGIONAL BY ROW partition has a region".into()))?
                 .to_string(),
             ClosedTsPolicy::Lag,
             db.placement,
@@ -499,19 +515,33 @@ fn reconfigure_database(
     cluster: &mut Cluster,
     catalog: &Catalog,
     db_name: &str,
-) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap();
+) -> Result<DdlOutcome, DdlError> {
+    let db = db_of(catalog, db_name)?;
     for table in db.tables.values() {
-        for index in &table.indexes {
-            for (pk, &rid) in &index.ranges {
-                let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
+        reconfigure_table(cluster, db, table)?;
+    }
+    Ok(DdlOutcome::Ok)
+}
+
+/// Re-derive each partition's zone config and apply it to every range that
+/// covers the partition: a split child answers to the same promise as the
+/// range DDL created.
+fn reconfigure_table(
+    cluster: &mut Cluster,
+    db: &Database,
+    table: &Table,
+) -> Result<DdlOutcome, DdlError> {
+    for index in &table.indexes {
+        for (pk, span) in partitions(db, table, index) {
+            let cfg = zone_config_for_partition(cluster, db, table, index, &pk)?;
+            for rid in covering(cluster, &span) {
                 cluster
-                    .reconfigure_range(rid, cfg)
+                    .reconfigure_range(rid, cfg.clone())
                     .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
             }
         }
     }
-    Ok(())
+    Ok(DdlOutcome::Ok)
 }
 
 /// The effective zone config for one partition, honoring legacy overrides
@@ -558,9 +588,7 @@ fn create_table(
     constraints: &[TableConstraint],
     locality: Option<&Locality>,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog
-        .db(db_name)
-        .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?;
+    let db = db_of(catalog, db_name)?;
     if db.tables.contains_key(name) {
         return err(format!("table {name:?} already exists"));
     }
@@ -630,7 +658,7 @@ fn create_table(
     }
 
     let id = catalog.next_table_id();
-    let db = catalog.db(db_name).unwrap();
+    let db = db_of(catalog, db_name)?;
     let mut table = Table {
         id,
         name: name.to_string(),
@@ -682,17 +710,8 @@ fn create_table(
         }
     }
 
-    // Ranges for every index × partition.
-    let partitions = table_partitions(db, &table);
-    for i in 0..table.indexes.len() {
-        for pk in &partitions {
-            create_partition_range(cluster, db, &mut table, i, pk)?;
-        }
-    }
-
-    catalog
-        .db_mut(db_name)
-        .unwrap()
+    create_table_ranges(cluster, db, &table)?;
+    db_mut_of(catalog, db_name)?
         .tables
         .insert(name.to_string(), Rc::new(table));
     Ok(DdlOutcome::Ok)
@@ -742,62 +761,45 @@ fn push_index(
         storing,
         region_partitioned,
         zone_override: None,
-        ranges: BTreeMap::new(),
     });
 }
 
-/// The partition keys a table's indexes are split into.
-fn table_partitions(db: &Database, table: &Table) -> Vec<PartitionKey> {
-    match table.locality {
-        TableLocality::RegionalByRow => db
-            .all_regions()
-            .into_iter()
-            .map(PartitionKey::Region)
-            .collect(),
-        _ => vec![PartitionKey::Whole],
-    }
-}
-
-/// Create the backing range of one partition of `table.indexes[index_pos]`.
-fn create_partition_range(
+/// Create the range backing one partition span of `index`.
+fn create_range(
     cluster: &mut Cluster,
     db: &Database,
-    table: &mut Table,
-    index_pos: usize,
+    table: &Table,
+    index: &Index,
     pk: &PartitionKey,
+    span: Span,
 ) -> Result<(), DdlError> {
-    let cfg = zone_config_for_partition(cluster, db, table, &table.indexes[index_pos], pk)?;
-    let index = &table.indexes[index_pos];
-    let span = match pk {
-        PartitionKey::Whole => partition_span(table.id, index.id, None),
-        PartitionKey::Region(r) => partition_span(table.id, index.id, Some(r)),
-        PartitionKey::Manual(_) => {
-            return err("manual partitions are created by PARTITION BY");
-        }
-    };
-    let rid = cluster
-        .create_range(span, cfg)
-        .map_err(|e| DdlError(format!("allocating range for {}: {e}", table.name)))?;
-    table.indexes[index_pos].ranges.insert(pk.clone(), rid);
+    let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
+    let created = cluster.create_range(span, cfg);
+    created.map_err(|e| DdlError(format!("allocating {pk:?} of {}: {e}", table.name)))?;
     Ok(())
 }
 
-/// Create the per-region ranges of all indexes of an RBR table for a newly
-/// added region.
-fn create_rbr_partition_ranges(
+/// Create one range per partition span of `index`, in key order.
+fn create_index_ranges(
     cluster: &mut Cluster,
-    catalog: &mut Catalog,
-    db_name: &str,
-    table_name: &str,
-    region: &str,
+    db: &Database,
+    table: &Table,
+    index: &Index,
 ) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap();
-    let mut table = db.tables[table_name].as_ref().clone();
-    let pk = PartitionKey::Region(region.to_string());
-    for i in 0..table.indexes.len() {
-        create_partition_range(cluster, db, &mut table, i, &pk)?;
+    for (pk, span) in partitions(db, table, index) {
+        create_range(cluster, db, table, index, &pk, span)?;
     }
-    *catalog.table_mut(db_name, table_name).unwrap() = table;
+    Ok(())
+}
+
+fn create_table_ranges(
+    cluster: &mut Cluster,
+    db: &Database,
+    table: &Table,
+) -> Result<(), DdlError> {
+    for index in &table.indexes {
+        create_index_ranges(cluster, db, table, index)?;
+    }
     Ok(())
 }
 
@@ -810,12 +812,8 @@ fn drop_table(
     let table = catalog
         .db_mut(db_name)
         .and_then(|d| d.tables.remove(name))
-        .ok_or_else(|| DdlError(format!("unknown table {name:?}")))?;
-    for index in &table.indexes {
-        for &rid in index.ranges.values() {
-            cluster.drop_range(rid);
-        }
-    }
+        .ok_or_else(|| unknown_table(name))?;
+    drop_table_ranges(cluster, &table);
     Ok(DdlOutcome::Ok)
 }
 
@@ -830,9 +828,6 @@ fn alter_table(
     name: &str,
     action: &AlterTableAction,
 ) -> Result<DdlOutcome, DdlError> {
-    if catalog.table(db_name, name).is_none() {
-        return err(format!("unknown table {name:?}"));
-    }
     match action {
         AlterTableAction::SetLocality(loc) => set_locality(cluster, catalog, db_name, name, loc),
         AlterTableAction::AddColumn(def) => add_column(cluster, catalog, db_name, name, def),
@@ -840,29 +835,20 @@ fn alter_table(
             partition_by_list(cluster, catalog, db_name, name, column, partitions)
         }
         AlterTableAction::ConfigureZone(z) => {
-            catalog.table_mut(db_name, name).unwrap().zone_override = Some(z.clone());
-            reconfigure_table(cluster, catalog, db_name, name)
+            table_mut_of(catalog, db_name, name)?.zone_override = Some(z.clone());
+            reconfigure_named_table(cluster, catalog, db_name, name)
         }
     }
 }
 
-fn reconfigure_table(
+fn reconfigure_named_table(
     cluster: &mut Cluster,
     catalog: &Catalog,
     db_name: &str,
     name: &str,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap();
-    let table = &db.tables[name];
-    for index in &table.indexes {
-        for (pk, &rid) in &index.ranges {
-            let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
-            cluster
-                .reconfigure_range(rid, cfg)
-                .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
-        }
-    }
-    Ok(DdlOutcome::Ok)
+    let (db, table) = table_of(catalog, db_name, name)?;
+    reconfigure_table(cluster, db, table)
 }
 
 /// `ALTER TABLE ... SET LOCALITY`: re-derive the range layout, rewriting
@@ -875,9 +861,8 @@ fn set_locality(
     name: &str,
     locality: &Locality,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap();
+    let (db, old) = table_of(catalog, db_name, name)?;
     let new_locality = resolve_locality(db, Some(locality))?;
-    let old = &db.tables[name];
     if old.locality == new_locality {
         return Ok(DdlOutcome::Ok);
     }
@@ -886,24 +871,21 @@ fn set_locality(
 
     if was_rbr == is_rbr {
         // Partitioning unchanged: a metadata + zone config change (§2.4.2).
-        catalog.table_mut(db_name, name).unwrap().locality = new_locality;
-        return reconfigure_table(cluster, catalog, db_name, name);
+        table_mut_of(catalog, db_name, name)?.locality = new_locality;
+        return reconfigure_named_table(cluster, catalog, db_name, name);
     }
 
     // Partitioning changes: offline rewrite. Extract all rows via the
     // primary index, drop all ranges, rebuild layout, re-insert.
     let rows = read_all_rows(cluster, old);
-    let mut table = old.as_ref().clone();
-    for index in &table.indexes {
-        for &rid in index.ranges.values() {
-            cluster.drop_range(rid);
-        }
-    }
+    drop_table_ranges(cluster, old);
+    let mut table = old.clone();
     for index in table.indexes.iter_mut() {
-        index.ranges.clear();
         index.region_partitioned = is_rbr;
     }
     table.locality = new_locality;
+    // The layout now follows the locality alone.
+    table.manual_partitioning = None;
 
     // Ensure the region column exists when becoming RBR; rows without one
     // are homed in the primary region.
@@ -940,14 +922,9 @@ fn set_locality(
         }
     }
 
-    let partitions = table_partitions(db, &table);
-    for i in 0..table.indexes.len() {
-        for pk in &partitions {
-            create_partition_range(cluster, db, &mut table, i, pk)?;
-        }
-    }
-    write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    create_table_ranges(cluster, db, &table)?;
+    write_all_rows(cluster, &table, &rows);
+    *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
 }
 
@@ -958,8 +935,8 @@ fn add_column(
     name: &str,
     def: &ColumnDef,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap();
-    let mut table = db.tables[name].as_ref().clone();
+    let (db, table) = table_of(catalog, db_name, name)?;
+    let mut table = table.clone();
     if table.column_ordinal(&def.name).is_some() {
         return err(format!("column {:?} already exists", def.name));
     }
@@ -986,8 +963,8 @@ fn add_column(
         row.push(value);
     }
     // Rewrite stored rows (values embed the full row).
-    write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    write_all_rows(cluster, &table, &rows);
+    *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
 }
 
@@ -1027,12 +1004,16 @@ fn partition_by_list(
     column: &str,
     partitions: &[(String, Vec<Datum>)],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap();
-    let mut table = db.tables[name].as_ref().clone();
-    let ord = table
+    let (db, old) = table_of(catalog, db_name, name)?;
+    if old.locality == TableLocality::RegionalByRow {
+        return err(format!(
+            "table {name:?} is REGIONAL BY ROW: its indexes are already partitioned by region"
+        ));
+    }
+    let ord = old
         .column_ordinal(column)
         .ok_or_else(|| DdlError(format!("unknown column {column:?}")))?;
-    for index in &table.indexes {
+    for index in &old.indexes {
         if index.key_columns.first() != Some(&ord) {
             return err(format!(
                 "partitioning column {column:?} must be the first key column of every index \
@@ -1041,90 +1022,18 @@ fn partition_by_list(
             ));
         }
     }
-    let rows = read_all_rows(cluster, &table);
-    for index in table.indexes.iter_mut() {
-        for &rid in index.ranges.values() {
-            cluster.drop_range(rid);
-        }
-        index.ranges.clear();
-    }
+    let rows = read_all_rows(cluster, old);
+    drop_table_ranges(cluster, old);
+    let mut table = old.clone();
     table.manual_partitioning = Some(ManualPartitioning {
         column: ord,
         partitions: partitions.to_vec(),
         zones: BTreeMap::new(),
     });
-    // One range per partition per index, spanning the listed values'
-    // prefixes; plus catch-all ranges over the gaps so unlisted values
-    // still route somewhere.
-    for i in 0..table.indexes.len() {
-        create_manual_partition_ranges(cluster, db, &mut table, i, partitions)?;
-    }
-    write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    create_table_ranges(cluster, db, &table)?;
+    write_all_rows(cluster, &table, &rows);
+    *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
-}
-
-fn create_manual_partition_ranges(
-    cluster: &mut Cluster,
-    db: &Database,
-    table: &mut Table,
-    index_pos: usize,
-    partitions: &[(String, Vec<Datum>)],
-) -> Result<(), DdlError> {
-    use mr_proto::{Key, Span};
-    let index_id = table.indexes[index_pos].id;
-    let whole = partition_span(table.id, index_id, None);
-
-    // Partition spans: for each listed value, the prefix span of that value.
-    // (One value per partition is the common case; multiple values get one
-    // range per value, registered under the same partition name.)
-    let mut value_spans: Vec<(String, Span)> = Vec::new();
-    for (pname, values) in partitions {
-        for v in values {
-            let mut prefix = crate::encoding::partition_prefix(table.id, index_id, None);
-            crate::encoding::encode_datum(&mut prefix, v);
-            value_spans.push((pname.clone(), Span::prefix(Key::from_vec(prefix))));
-        }
-    }
-    value_spans.sort_by(|a, b| a.1.start.cmp(&b.1.start));
-
-    // Catch-all gap spans.
-    let mut gaps: Vec<Span> = Vec::new();
-    let mut cursor = whole.start.clone();
-    for (_, s) in &value_spans {
-        if cursor < s.start {
-            gaps.push(Span::new(cursor.clone(), s.start.clone()));
-        }
-        cursor = s.end.clone();
-    }
-    if cursor < whole.end {
-        gaps.push(Span::new(cursor, whole.end.clone()));
-    }
-
-    for (pname, span) in value_spans {
-        let pk = PartitionKey::Manual(pname.clone());
-        let cfg = zone_config_for_partition(cluster, db, table, &table.indexes[index_pos], &pk)?;
-        let rid = cluster
-            .create_range(span, cfg)
-            .map_err(|e| DdlError(format!("allocating partition {pname:?}: {e}")))?;
-        // Multiple value-ranges under one partition: suffix the key.
-        let mut key = pk;
-        let mut n = 0;
-        while table.indexes[index_pos].ranges.contains_key(&key) {
-            n += 1;
-            key = PartitionKey::Manual(format!("{pname}#{n}"));
-        }
-        table.indexes[index_pos].ranges.insert(key, rid);
-    }
-    for (i, span) in gaps.into_iter().enumerate() {
-        let pk = PartitionKey::Manual(format!("__default_{i}"));
-        let cfg = zone_config_for_partition(cluster, db, table, &table.indexes[index_pos], &pk)?;
-        let rid = cluster
-            .create_range(span, cfg)
-            .map_err(|e| DdlError(format!("allocating default partition: {e}")))?;
-        table.indexes[index_pos].ranges.insert(pk, rid);
-    }
-    Ok(())
 }
 
 fn alter_partition_zone(
@@ -1135,20 +1044,16 @@ fn alter_partition_zone(
     partition: &str,
     zone: &ZoneOverrides,
 ) -> Result<DdlOutcome, DdlError> {
-    {
-        let t = catalog
-            .table_mut(db_name, table)
-            .ok_or_else(|| DdlError(format!("unknown table {table:?}")))?;
-        let mp = t
-            .manual_partitioning
-            .as_mut()
-            .ok_or_else(|| DdlError(format!("table {table:?} is not manually partitioned")))?;
-        if !mp.partitions.iter().any(|(n, _)| n == partition) {
-            return err(format!("unknown partition {partition:?}"));
-        }
-        mp.zones.insert(partition.to_string(), zone.clone());
+    let t = table_mut_of(catalog, db_name, table)?;
+    let mp = t
+        .manual_partitioning
+        .as_mut()
+        .ok_or_else(|| DdlError(format!("table {table:?} is not manually partitioned")))?;
+    if !mp.partitions.iter().any(|(n, _)| n == partition) {
+        return err(format!("unknown partition {partition:?}"));
     }
-    reconfigure_table(cluster, catalog, db_name, table)
+    mp.zones.insert(partition.to_string(), zone.clone());
+    reconfigure_named_table(cluster, catalog, db_name, table)
 }
 
 fn alter_index_zone(
@@ -1159,16 +1064,11 @@ fn alter_index_zone(
     index: &str,
     zone: &ZoneOverrides,
 ) -> Result<DdlOutcome, DdlError> {
-    {
-        let t = catalog
-            .table_mut(db_name, table)
-            .ok_or_else(|| DdlError(format!("unknown table {table:?}")))?;
-        let idx = t
-            .index_by_name_mut(index)
-            .ok_or_else(|| DdlError(format!("unknown index {index:?}")))?;
-        idx.zone_override = Some(zone.clone());
-    }
-    reconfigure_table(cluster, catalog, db_name, table)
+    let idx = table_mut_of(catalog, db_name, table)?
+        .index_by_name_mut(index)
+        .ok_or_else(|| DdlError(format!("unknown index {index:?}")))?;
+    idx.zone_override = Some(zone.clone());
+    reconfigure_named_table(cluster, catalog, db_name, table)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1182,11 +1082,8 @@ fn create_index(
     unique: bool,
     storing: &[String],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap();
-    let mut table = catalog
-        .table(db_name, table_name)
-        .ok_or_else(|| DdlError(format!("unknown table {table_name:?}")))?
-        .clone();
+    let (db, table) = table_of(catalog, db_name, table_name)?;
+    let mut table = table.clone();
     if table.index_by_name(index_name).is_some() {
         return err(format!("index {index_name:?} already exists"));
     }
@@ -1202,14 +1099,12 @@ fn create_index(
         region_partitioned,
     );
     let pos = table.indexes.len() - 1;
-    let partitions = table_partitions(db, &table);
-    for pk in &partitions {
-        create_partition_range(cluster, db, &mut table, pos, pk)?;
-    }
+    create_index_ranges(cluster, db, &table, &table.indexes[pos])?;
     // Backfill from existing rows.
-    let rows = read_all_rows(cluster, &table);
-    backfill_index(cluster, &table, pos, &rows);
-    *catalog.table_mut(db_name, table_name).unwrap() = table;
+    for row in read_all_rows(cluster, &table) {
+        write_index_entry(cluster, &table, pos, &row);
+    }
+    *table_mut_of(catalog, db_name, table_name)? = table;
     Ok(DdlOutcome::Ok)
 }
 
@@ -1217,36 +1112,24 @@ fn create_index(
 // Offline row movement
 // ---------------------------------------------------------------------
 
-/// Decode every live row of `table` from its primary index ranges.
+/// Decode every live row of `table` from the ranges covering its primary
+/// index, in key order.
 fn read_all_rows(cluster: &mut Cluster, table: &Table) -> Vec<Vec<Datum>> {
+    let primary = partition_span(table.id, table.primary_index().id, None);
     let mut rows = Vec::new();
-    for &rid in table.primary_index().ranges.values() {
-        for (_, v) in cluster.admin_scan_range(rid) {
-            if let Some(row) = decode_row(&v) {
-                rows.push(row);
-            }
-        }
+    for rid in covering(cluster, &primary) {
+        let kvs = cluster.admin_scan_range(rid);
+        rows.extend(kvs.iter().filter_map(|(_, v)| decode_row(v)));
     }
     rows
 }
 
 /// Preload every index entry for `rows` (offline rewrite path).
-fn write_all_rows(
-    cluster: &mut Cluster,
-    table: &Table,
-    rows: &[Vec<Datum>],
-) -> Result<(), DdlError> {
+fn write_all_rows(cluster: &mut Cluster, table: &Table, rows: &[Vec<Datum>]) {
     for row in rows {
-        for (pos, _) in table.indexes.iter().enumerate() {
+        for pos in 0..table.indexes.len() {
             write_index_entry(cluster, table, pos, row);
         }
-    }
-    Ok(())
-}
-
-fn backfill_index(cluster: &mut Cluster, table: &Table, index_pos: usize, rows: &[Vec<Datum>]) {
-    for row in rows {
-        write_index_entry(cluster, table, index_pos, row);
     }
 }
 
@@ -1282,11 +1165,11 @@ pub fn entry_key(
     index_key(table.id, index.id, region, &cols)
 }
 
-/// The home region of the range backing `index` (used by the planner to
-/// prefer local duplicate indexes).
-pub fn index_home_region(cluster: &Cluster, index: &Index) -> Option<String> {
-    let rid = index.ranges.values().next()?;
-    let desc = cluster.registry().get(*rid)?;
+/// The home region of the first range backing `index` (used by the planner
+/// to prefer local duplicate indexes).
+pub fn index_home_region(cluster: &Cluster, table: &Table, index: &Index) -> Option<String> {
+    let span = partition_span(table.id, index.id, None);
+    let desc = cluster.registry().lookup_span(&span).next()?;
     let region = cluster.topology().region_of(desc.leaseholder);
     Some(cluster.topology().region_name(region).to_string())
 }

@@ -970,7 +970,7 @@ fn plan_for(
     // Resolver for duplicate-index selection: the home region of an
     // index's backing range.
     let cl: &Cluster = cluster;
-    let mut resolver = |idx: &Index| ddl::index_home_region(cl, idx);
+    let mut resolver = |idx: &Index| ddl::index_home_region(cl, table, idx);
     plan_read(
         db,
         table,

@@ -285,7 +285,6 @@ mod tests {
     use super::*;
     use crate::catalog::{Column, Index, TableLocality};
     use crate::types::ColumnType;
-    use std::collections::BTreeMap;
 
     fn table() -> Table {
         let col = |name: &str, ty| Column {
@@ -315,7 +314,6 @@ mod tests {
                 storing: vec![],
                 region_partitioned: false,
                 zone_override: None,
-                ranges: BTreeMap::new(),
             }],
             manual_partitioning: None,
             zone_override: None,

@@ -428,7 +428,6 @@ mod tests {
             storing: vec![],
             region_partitioned: partitioned,
             zone_override: None,
-            ranges: BTreeMap::new(),
         }
     }
 

@@ -35,10 +35,10 @@ use std::collections::BTreeMap;
 use mr_kv::cluster::Cluster;
 use mr_kv::range::RangeDescriptor;
 use mr_obs::Resolution;
-use mr_proto::RangeId;
+use mr_proto::{Key, RangeId, Span};
 use mr_sim::{NodeId, SimTime};
 
-use crate::catalog::{Catalog, Column, PartitionKey, Table, TableLocality};
+use crate::catalog::{partitions, Catalog, Column, PartitionKey, Table, TableLocality};
 use crate::types::{ColumnType, Datum};
 
 /// Namespace prefix routing a `SELECT` to the virtual-table executor.
@@ -92,45 +92,39 @@ fn partition_label(key: &PartitionKey) -> String {
     }
 }
 
-/// Reverse map range id → (database, table, index, partition).
-fn range_names(catalog: &Catalog) -> BTreeMap<RangeId, RangeNames> {
-    let mut out = BTreeMap::new();
-    for (db_name, db) in &catalog.databases {
-        for (table_name, table) in &db.tables {
-            for index in &table.indexes {
-                for (key, rid) in &index.ranges {
-                    out.insert(
-                        *rid,
-                        RangeNames {
+/// The schema object owning each partition span of the catalog, keyed by
+/// where the span starts.
+struct SchemaSpans(BTreeMap<Key, (Span, RangeNames)>);
+
+impl SchemaSpans {
+    fn of(catalog: &Catalog) -> SchemaSpans {
+        let mut out = BTreeMap::new();
+        for (db_name, db) in &catalog.databases {
+            for (table_name, table) in &db.tables {
+                for index in &table.indexes {
+                    for (key, span) in partitions(db, table, index) {
+                        let names = RangeNames {
                             db: db_name.clone(),
                             table: table_name.clone(),
                             index: index.name.clone(),
-                            partition: partition_label(key),
-                        },
-                    );
+                            partition: partition_label(&key),
+                        };
+                        out.insert(span.start.clone(), (span, names));
+                    }
                 }
             }
         }
+        SchemaSpans(out)
     }
-    out
-}
 
-/// Resolve a range to its nearest catalog-known ancestor by walking the
-/// split lineage: a range carved out by a load-driven split is not in any
-/// index's range map, but its parent chain ends at one that is. The walk is
-/// bounded (lineage chains grow one link per split).
-fn catalog_ancestor(
-    cluster: &Cluster,
-    names: &BTreeMap<RangeId, RangeNames>,
-    mut id: RangeId,
-) -> Option<RangeId> {
-    for _ in 0..64 {
-        if names.contains_key(&id) {
-            return Some(id);
-        }
-        id = cluster.lineage_of(id)?.parent?;
+    /// The schema object `desc` belongs to. Partition edges are range
+    /// boundaries, so a range — created by DDL or carved out by a split —
+    /// lies inside the one partition span that holds its start key.
+    fn owner(&self, desc: &RangeDescriptor) -> Option<&RangeNames> {
+        let start = &desc.span.start;
+        let (_, (span, names)) = self.0.range(..=start).next_back()?;
+        span.contains(start).then_some(names)
     }
-    None
 }
 
 fn node_list(mut nodes: Vec<NodeId>) -> String {
@@ -194,14 +188,13 @@ fn ranges(cluster: &Cluster, catalog: &Catalog) -> (Table, Vec<Vec<Datum>>) {
             ("wal_bytes", ColumnType::Int),
         ],
     );
-    let names = range_names(catalog);
+    let spans = SchemaSpans::of(catalog);
     let rows = cluster
         .registry()
         .iter()
         .map(|desc| {
             let mut row = vec![Datum::Int(desc.id.0 as i64)];
-            // Split children resolve schema names through their ancestry.
-            match catalog_ancestor(cluster, &names, desc.id).and_then(|a| names.get(&a)) {
+            match spans.owner(desc) {
                 Some(n) => row.extend([
                     Datum::String(n.db.clone()),
                     Datum::String(n.table.clone()),
@@ -332,14 +325,15 @@ fn replication_report(cluster: &Cluster, catalog: &Catalog) -> (Table, Vec<Vec<D
             ("detail", ColumnType::String),
         ],
     );
-    let names = range_names(catalog);
+    let spans = SchemaSpans::of(catalog);
     let report = cluster.replication_report();
     let rows = report
         .ranges
         .iter()
         .map(|c| {
-            let (table, partition) = names
-                .get(&c.range)
+            let desc = cluster.registry().get(c.range);
+            let (table, partition) = desc
+                .and_then(|d| spans.owner(d))
                 .map(|n| {
                     (
                         Datum::String(n.table.clone()),
@@ -639,9 +633,9 @@ pub fn build(
 
 /// Rows for `SHOW RANGES FROM TABLE t`: (range_id, index, partition,
 /// home_region, leaseholder_node, leaseholder_region, voters, non_voters),
-/// sorted by range id. Live split descendants of the table's ranges are
-/// included (resolved through their lineage), so a table splitting under
-/// load shows every current range, not just the ones the catalog created.
+/// sorted by range id. Every range lying in one of the table's partition
+/// spans is listed, so a table splitting under load shows every current
+/// range, not just the ones DDL created.
 pub fn show_ranges(
     cluster: &Cluster,
     catalog: &Catalog,
@@ -655,13 +649,12 @@ pub fn show_ranges(
         .tables
         .get(table)
         .ok_or_else(|| format!("unknown table {table:?}"))?;
-    let names = range_names(catalog);
+    let spans = SchemaSpans::of(catalog);
     let rows = cluster
         .registry()
         .iter()
         .filter_map(|desc| {
-            let anc = catalog_ancestor(cluster, &names, desc.id)?;
-            let n = &names[&anc];
+            let n = spans.owner(desc)?;
             if n.db != db || n.table != table {
                 return None;
             }

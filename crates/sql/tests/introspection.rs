@@ -8,7 +8,7 @@ use mr_kv::FaultKind;
 use mr_proto::RangeId;
 use mr_sim::{SimDuration, SimTime};
 use mr_sql::types::Datum;
-use mr_testutil::{as_int, as_str, secs, settle, three_region_db};
+use mr_testutil::{as_int, as_str, secs, settle, split_at, three_region_db};
 
 /// `SHOW RANGES FROM TABLE` and `crdb_internal.ranges` must agree with the
 /// allocator's actual placement in the range registry.
@@ -151,7 +151,7 @@ fn replication_report_flags_mishomed_range() {
 }
 
 /// A range split is visible end-to-end through SQL: `SHOW RANGES` lists the
-/// new half under its table (resolved through the split lineage), and
+/// new half under its table (it lies in the table's partition span), and
 /// `crdb_internal.ranges` exposes the origin / parent / split-key columns
 /// alongside a `range_split` cluster event.
 #[test]
@@ -167,9 +167,7 @@ fn split_lineage_is_visible_through_sql() {
     let desc = d.cluster.registry().get(parent).unwrap().clone();
     let mut split_raw = desc.span.start.as_slice().to_vec();
     split_raw.extend_from_slice(b"split-here");
-    let split_key = mr_proto::Key::from_vec(split_raw);
-    let rhs = d.cluster.admin_split_at(split_key).expect("split proposed");
-    settle(&mut d, secs(5));
+    let rhs = split_at(&mut d, mr_proto::Key::from_vec(split_raw));
 
     // SHOW RANGES now lists the child under the same table + partition.
     let show = d.exec_sync(&sess, "SHOW RANGES FROM TABLE users").unwrap();

@@ -23,6 +23,16 @@ fn db_with(cfg: ClusterConfig) -> SqlDb {
     SqlDb::new(topo, cfg)
 }
 
+/// The first range (in key order) covering the primary index of a movr
+/// table, or its `region` partition: what the registry says backs the span.
+fn primary_range(d: &SqlDb, table: &str, region: Option<&str>) -> mr_kv::RangeDescriptor {
+    let cat = d.catalog.borrow();
+    let t = cat.table("movr", table).unwrap();
+    let span = mr_sql::encoding::partition_span(t.id, t.primary_index().id, region);
+    let first = d.cluster.registry().lookup_span(&span).next();
+    first.expect("a range covers the span").clone()
+}
+
 fn movr_db() -> SqlDb {
     movr_db_with(ClusterConfig::default())
 }
@@ -617,14 +627,7 @@ fn survivability_ddl() {
     d.exec_sync(&sess, "ALTER DATABASE movr SURVIVE REGION FAILURE")
         .unwrap();
     // Region-survivable ranges have 5 voters.
-    {
-        let cat = d.catalog.borrow();
-        let t = cat.table("movr", "users").unwrap();
-        let rid = *t.primary_index().ranges.values().next().unwrap();
-        drop(cat);
-        let desc = d.cluster.registry().get(rid).unwrap();
-        assert_eq!(desc.voters().count(), 5);
-    }
+    assert_eq!(primary_range(&d, "users", None).voters().count(), 5);
     // RESTRICTED is incompatible with REGION survivability.
     let err = d
         .exec_sync(&sess, "ALTER DATABASE movr PLACEMENT RESTRICTED")
@@ -635,28 +638,12 @@ fn survivability_ddl() {
     d.exec_sync(&sess, "ALTER DATABASE movr PLACEMENT RESTRICTED")
         .unwrap();
     // REGIONAL tables now have no replicas outside their home region.
-    {
-        let cat = d.catalog.borrow();
-        let t = cat.table("movr", "users").unwrap();
-        let rid = *t
-            .primary_index()
-            .ranges
-            .get(&mr_sql::catalog::PartitionKey::Region("us-east1".into()))
-            .unwrap();
-        drop(cat);
-        let desc = d.cluster.registry().get(rid).unwrap().clone();
-        for n in desc.replica_nodes() {
-            let region = d.cluster.topology().region_of(n);
-            assert_eq!(d.cluster.topology().region_name(region), "us-east1");
-        }
-        // GLOBAL tables are unaffected by RESTRICTED (§3.3.4).
-        let cat = d.catalog.borrow();
-        let t = cat.table("movr", "promo_codes").unwrap();
-        let rid = *t.primary_index().ranges.values().next().unwrap();
-        drop(cat);
-        let desc = d.cluster.registry().get(rid).unwrap();
-        assert!(desc.replicas.len() > 3);
+    for n in primary_range(&d, "users", Some("us-east1")).replica_nodes() {
+        let region = d.cluster.topology().region_of(n);
+        assert_eq!(d.cluster.topology().region_name(region), "us-east1");
     }
+    // GLOBAL tables are unaffected by RESTRICTED (§3.3.4).
+    assert!(primary_range(&d, "promo_codes", None).replicas.len() > 3);
 }
 
 #[test]
@@ -747,15 +734,9 @@ fn alter_database_set_primary_region_moves_leaseholders() {
         r#"ALTER DATABASE movr SET PRIMARY REGION "europe-west2""#,
     )
     .unwrap();
-    {
-        let cat = d.catalog.borrow();
-        let t = cat.table("movr", "promo_codes").unwrap();
-        let rid = *t.primary_index().ranges.values().next().unwrap();
-        drop(cat);
-        let desc = d.cluster.registry().get(rid).unwrap();
-        let region = d.cluster.topology().region_of(desc.leaseholder);
-        assert_eq!(d.cluster.topology().region_name(region), "europe-west2");
-    }
+    let lh = primary_range(&d, "promo_codes", None).leaseholder;
+    let region = d.cluster.topology().region_of(lh);
+    assert_eq!(d.cluster.topology().region_name(region), "europe-west2");
     // Data survived the move and writes still work.
     let res = d
         .exec_sync(

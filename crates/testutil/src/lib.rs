@@ -7,6 +7,7 @@
 //! file.
 
 use mr_kv::cluster::ClusterConfig;
+use mr_proto::{Key, RangeId};
 use mr_sim::{NodeId, RttMatrix, SimDuration, SimTime, Topology};
 use mr_sql::exec::{Session, SqlDb};
 use mr_sql::types::Datum;
@@ -58,6 +59,15 @@ pub fn as_str(d: &Datum) -> &str {
 pub fn settle(d: &mut SqlDb, dur: SimDuration) {
     d.cluster
         .run_until(SimTime(d.cluster.now().nanos() + dur.nanos()));
+}
+
+/// Split the range holding `key` at `key` and let the surgery apply. Returns
+/// the right-hand half's id.
+pub fn split_at(d: &mut SqlDb, key: Key) -> RangeId {
+    let rhs = d.cluster.admin_split_at(key).expect("split proposed");
+    settle(d, secs(5));
+    assert!(d.cluster.registry().get(rhs).is_some(), "split applied");
+    rhs
 }
 
 /// Scrape the served-follower-read counter through the SQL surface

@@ -41,6 +41,15 @@ if [ -n "${1:-}" ]; then
     scripts/loc_delta.sh "$1"
 fi
 
+echo "==> catalog ratchet: the SQL catalog names no range"
+# A partition is a key span (`catalog::partitions`) and the range registry is
+# the only key -> range map. A `RangeId` in catalog.rs is a second copy that a
+# split or merge would leave stale (DESIGN.md §15).
+if grep -n 'RangeId' crates/sql/src/catalog.rs; then
+    echo "FAIL: crates/sql/src/catalog.rs mentions RangeId" >&2
+    exit 1
+fi
+
 echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under their ceilings"
 # Heap allocations per operation repeat for a seed (to the fifth digit), so
 # they gate where host time cannot: a clone per statement, a label lookup per
