@@ -22,7 +22,6 @@
 //! replica by the time they happen (§6.2.1).
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mr_clock::Timestamp;
@@ -287,17 +286,30 @@ enum Holder {
 pub struct SideRx {
     /// By sender node id.
     senders: Vec<SenderSlot>,
-    src: BTreeMap<RangeId, Holder>,
+    /// By range id (ids are handed out in sequence, so this stays dense).
+    src: Vec<Option<Holder>>,
 }
 
 impl SideRx {
     /// The promise a reader of `range`'s closed timestamp must hand to the
     /// replica's tracker first ([`ClosedTsTracker::settle`]).
     pub fn standing(&self, range: RangeId) -> Option<SidePromise> {
-        match *self.src.get(&range)? {
+        match self.holder(range)? {
             Holder::Lists(sender) => self.listed_by(sender, range),
             Holder::Left(_) => None,
         }
+    }
+
+    fn holder(&self, range: RangeId) -> Option<Holder> {
+        *self.src.get(range.0 as usize)?
+    }
+
+    fn set_holder(&mut self, range: RangeId, holder: Holder) {
+        let at = range.0 as usize;
+        if self.src.len() <= at {
+            self.src.resize(at + 1, None);
+        }
+        self.src[at] = Some(holder);
     }
 
     fn listed_by(&self, sender: u32, range: RangeId) -> Option<SidePromise> {
@@ -336,8 +348,8 @@ impl SideRx {
             for e in batch.iter() {
                 let ours = self.listed_by(from.0, e.0);
                 self.news(from.0, e.0, ours, SidePromise::of(tick, e), &mut offer);
-                if ours.is_none() && self.src.get(&e.0) == Some(&Holder::Lists(from.0)) {
-                    self.src.insert(e.0, Holder::Left(tick));
+                if ours.is_none() && self.holder(e.0) == Some(Holder::Lists(from.0)) {
+                    self.set_holder(e.0, Holder::Left(tick));
                 }
             }
             return;
@@ -363,8 +375,8 @@ impl SideRx {
                 // the range — but what it last promised still counts.
                 Ordering::Less => {
                     let range = old[i].0;
-                    if self.src.get(&range) == Some(&Holder::Lists(from.0)) {
-                        self.src.insert(range, Holder::Left(old_tick));
+                    if self.holder(range) == Some(Holder::Lists(from.0)) {
+                        self.set_holder(range, Holder::Left(old_tick));
                         offer(range, SidePromise::of(old_tick, &old[i]), true);
                     }
                 }
@@ -372,8 +384,7 @@ impl SideRx {
                 // moved forward in time only, which can wait for a reader.
                 Ordering::Equal
                     if old[i].2 == batch[j].2
-                        && !(crossed
-                            && self.src.get(&old[i].0) != Some(&Holder::Lists(from.0))) => {}
+                        && !(crossed && self.holder(old[i].0) != Some(Holder::Lists(from.0))) => {}
                 _ => {
                     let ours =
                         (order == Ordering::Equal).then(|| SidePromise::of(old_tick, &old[i]));
@@ -400,7 +411,7 @@ impl SideRx {
         new: SidePromise,
         offer: &mut impl FnMut(RangeId, SidePromise, bool),
     ) {
-        let holder = self.src.get(&range).copied();
+        let holder = self.holder(range);
         // What stood until now, and the tick of the newest promise seen.
         let (stood, newest) = match holder {
             Some(Holder::Lists(h)) => {
@@ -428,7 +439,7 @@ impl SideRx {
             return;
         }
         if holder != Some(Holder::Lists(from)) {
-            self.src.insert(range, Holder::Lists(from));
+            self.set_holder(range, Holder::Lists(from));
             if let Some(Holder::Lists(h)) = holder {
                 outrank(&mut self.senders[h as usize], new.tick);
             }

@@ -28,7 +28,7 @@ mod lifecycle;
 mod maintenance;
 mod transport;
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
@@ -278,6 +278,10 @@ pub struct Node {
     /// takes in only when its closed timestamp is read — through
     /// [`Node::settle`], which every such reader calls first.
     pub side_rx: SideRx,
+    /// The replicas the Raft tick visits, in range order. A replica outside
+    /// it is *asleep*: its visit would do nothing, and stays so until
+    /// something marks it awake again (see `maintenance::asleep`).
+    awake: BTreeSet<RangeId>,
 }
 
 impl Node {
@@ -286,6 +290,19 @@ impl Node {
         let rep = self.replicas.get_mut(&range)?;
         rep.settle(&self.side_rx);
         Some(rep)
+    }
+
+    /// `range`'s replica, marked awake: Raft traffic, a proposal or a flush
+    /// may give its next tick visit work.
+    fn wake(&mut self, range: RangeId) -> Option<&mut Replica> {
+        let rep = self.replicas.get_mut(&range)?;
+        self.awake.insert(range);
+        Some(rep)
+    }
+
+    /// Mark every replica awake.
+    fn wake_all(&mut self) {
+        self.awake = self.replicas.keys().copied().collect();
     }
 }
 
@@ -471,6 +488,7 @@ impl Cluster {
                     hlc: Hlc::new(SkewedClock::new(skew)),
                     replicas: BTreeMap::new(),
                     side_rx: SideRx::default(),
+                    awake: BTreeSet::new(),
                 }
             })
             .collect();
@@ -530,8 +548,13 @@ impl Cluster {
         &self.topo
     }
 
-    /// Mutable topology access for the fault-injection API (`fault.rs`).
+    /// Mutable topology access, the one way liveness and reachability
+    /// change. Both feed every replica's Raft-tick visit (leadership doubt,
+    /// leadership follows the lease), so every replica wakes.
     pub(crate) fn topo_mut(&mut self) -> &mut Topology {
+        for node in &mut self.nodes {
+            node.wake_all();
+        }
         &mut self.topo
     }
 
@@ -659,12 +682,12 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     pub fn fail_node(&mut self, n: NodeId) {
-        self.topo.fail_node(n);
+        self.topo_mut().fail_node(n);
         self.mark_orphaned_leases();
     }
 
     pub fn revive_node(&mut self, n: NodeId) {
-        self.topo.revive_node(n);
+        self.topo_mut().revive_node(n);
     }
 
     /// Crash `n` AND drop its volatile state: each replica recovers right
@@ -679,7 +702,7 @@ impl Cluster {
     /// [`Cluster::crash_node_volatile`] for every node in a region.
     pub fn crash_region_volatile(&mut self, r: RegionId) {
         let nodes = self.topo.all_nodes_in_region(r);
-        self.topo.fail_region(r);
+        self.topo_mut().fail_region(r);
         self.mark_orphaned_leases();
         for n in nodes {
             self.recover_node_volatile(n);
@@ -689,7 +712,9 @@ impl Cluster {
     /// Replay every replica of `n` from durable state. The Raft log
     /// truncates to its fsynced horizon only under the armed fsync-skip
     /// bug — a correct node syncs its log at append time, so nothing is
-    /// ever above the horizon.
+    /// ever above the horizon. Recovery un-quiesces every replica; the
+    /// failure that precedes it went through [`Cluster::topo_mut`], so all of
+    /// them are awake already.
     fn recover_node_volatile(&mut self, n: NodeId) {
         let now = self.queue.now();
         let params = self.cfg.closed_ts;
@@ -754,7 +779,7 @@ impl Cluster {
             .topo
             .region_by_name(name)
             .unwrap_or_else(|| panic!("unknown region {name}"));
-        self.topo.fail_region(r);
+        self.topo_mut().fail_region(r);
         self.mark_orphaned_leases();
     }
 
@@ -763,12 +788,12 @@ impl Cluster {
             .topo
             .region_by_name(name)
             .unwrap_or_else(|| panic!("unknown region {name}"));
-        self.topo.revive_region(r);
+        self.topo_mut().revive_region(r);
     }
 
     pub fn fail_zone_of(&mut self, n: NodeId) {
         let z = self.topo.zone_of(n);
-        self.topo.fail_zone(z);
+        self.topo_mut().fail_zone(z);
         self.mark_orphaned_leases();
     }
 
@@ -872,7 +897,9 @@ impl Cluster {
                 rep.store.defer_sync = true;
                 rep.raft.set_defer_log_sync(true);
             }
-            self.nodes[p.node.0 as usize].replicas.insert(id, rep);
+            let node = &mut self.nodes[p.node.0 as usize];
+            node.replicas.insert(id, rep);
+            node.awake.insert(id);
         }
         self.registry.insert(RangeDescriptor {
             id,
@@ -894,7 +921,9 @@ impl Cluster {
     fn uninstall_range(&mut self, id: RangeId) -> Option<RangeDescriptor> {
         let desc = self.registry.remove(id)?;
         for n in desc.replica_nodes() {
-            self.nodes[n.0 as usize].replicas.remove(&id);
+            let node = &mut self.nodes[n.0 as usize];
+            node.replicas.remove(&id);
+            node.awake.remove(&id);
         }
         Some(desc)
     }
@@ -1241,7 +1270,7 @@ impl Cluster {
     /// the flush is lost to a crash.
     fn schedule_raft_flush(&mut self, node: NodeId, range: RangeId) {
         let delay = self.cfg.raft_flush_interval;
-        let Some(rep) = self.nodes[node.0 as usize].replicas.get_mut(&range) else {
+        let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
             return;
         };
         if !rep.has_pending_batch() || rep.flush_scheduled {
@@ -1254,7 +1283,7 @@ impl Cluster {
     fn handle_raft_flush(&mut self, node: NodeId, range: RangeId) {
         let now = self.queue.now();
         let (msgs, effects) = {
-            let Some(rep) = self.nodes[node.0 as usize].replicas.get_mut(&range) else {
+            let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
                 return;
             };
             rep.flush_scheduled = false;
@@ -1308,7 +1337,7 @@ impl Cluster {
         let now_nanos = self.queue.now().nanos();
         loop {
             let effects = {
-                let Some(rep) = self.nodes[node.0 as usize].replicas.get_mut(&range) else {
+                let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
                     return;
                 };
                 let effects = rep.apply_committed();

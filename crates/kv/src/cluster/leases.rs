@@ -48,6 +48,7 @@ impl Cluster {
                 .raise_low_water(old_hlc.add_duration(self.cfg.clock.max_offset));
         }
         self.registry.get_mut(range).unwrap().leaseholder = to;
+        self.wake_range(range);
         self.meta_mut(range).live.lease_orphaned = false;
         self.m.lease_transfers.inc();
         self.events.record(
@@ -59,6 +60,18 @@ impl Cluster {
                 cooperative: true,
             },
         );
+    }
+
+    /// Mark every replica of `range` awake: a new leaseholder in the
+    /// registry is work for whichever replica leads (leadership follows the
+    /// lease).
+    fn wake_range(&mut self, range: RangeId) {
+        let Some(desc) = self.registry.get(range) else {
+            return;
+        };
+        for n in desc.replica_nodes() {
+            self.nodes[n.0 as usize].wake(range);
+        }
     }
 
     /// Record every range whose current leaseholder is dead. Called after
@@ -164,6 +177,7 @@ impl Cluster {
                 .raise_low_water(hlc_now.add_duration(self.cfg.clock.max_offset));
         }
         self.registry.get_mut(range).unwrap().leaseholder = to;
+        self.wake_range(range);
         self.m.lease_transfers.inc();
         self.events.record(
             now,

@@ -5,25 +5,54 @@
 //! place*, in the containers' own order — range id, then replica slot or
 //! node id — which fixes the order of the messages a pass emits and so the
 //! order of RNG draws (link jitter) that same-seed determinism, and the
-//! chaos history replays built on it, depend on.
+//! chaos history replays built on it, depend on. The Raft tick walks only
+//! each node's awake replicas, in the same range order: the ones it skips
+//! would emit nothing.
 
 use std::rc::Rc;
 
 use mr_proto::RangeId;
 use mr_raft::{Peer, RaftMsg};
-use mr_sim::{Link, NodeId, SimDuration};
+use mr_sim::{Link, NodeId, SimDuration, Topology};
 
 use super::{Cluster, Event, InjectedBug, Node};
 use crate::closedts::{SideBatch, SideEntry};
 use crate::metrics::ScrapeStats;
-use crate::replica::{Batch, Effect};
+use crate::range::RangeRegistry;
+use crate::replica::{Batch, Effect, Replica};
 use crate::zone::ClosedTsPolicy;
 
 /// Period of the WAL fsync tick that is the only fsync point while
 /// [`InjectedBug::WalSkipFsync`] is armed.
 pub(super) const WAL_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(3);
 
+/// Whether `rep`'s Raft-tick visit would do nothing, and goes on doing
+/// nothing until something marks the replica awake: it is quiesced (its
+/// timers are parked), holds no buffered commands without a flush on the
+/// calendar, and neither leadership check can fire — a follower's last known
+/// leader is live and reachable, a leader is the registry's leaseholder.
+/// What can change that verdict marks the replica awake: its own Raft
+/// traffic, proposals and flushes (`Node::wake`), a re-install, a leaseholder
+/// write to the registry, and any topology mutation (`Cluster::topo_mut`).
+fn asleep(rep: &Replica, registry: &RangeRegistry, topo: &Topology) -> bool {
+    if !rep.raft.is_quiesced() || (rep.has_pending_batch() && !rep.flush_scheduled) {
+        return false;
+    }
+    if rep.raft.is_leader() {
+        return registry
+            .get(rep.range)
+            .is_some_and(|d| d.leaseholder == rep.node);
+    }
+    rep.raft.leader_hint().is_none_or(|lh| {
+        let lh_node = rep.node_for_peer(lh);
+        topo.is_node_alive(lh_node) && topo.reachable(rep.node, lh_node)
+    })
+}
+
 impl Cluster {
+    /// Visit every awake replica of every live node, in range order: the
+    /// leadership checks below, the flush safety net, and the Raft timers.
+    /// A replica whose visit leaves it [asleep](asleep) leaves the set.
     pub(super) fn handle_raft_tick(&mut self) {
         self.queue
             .schedule(self.cfg.raft_tick_interval, Event::RaftTick);
@@ -31,11 +60,36 @@ impl Cluster {
         let mut outbox: Vec<(NodeId, RangeId, Vec<(Peer, RaftMsg<Batch>)>)> = Vec::new();
         let mut flush_effects: Vec<(NodeId, RangeId, Vec<Effect>)> = Vec::new();
         let mut heartbeats = 0u64;
-        for node in &mut self.nodes {
-            if !self.topo.is_node_alive(node.id) {
+        let Cluster {
+            nodes,
+            topo,
+            registry,
+            ..
+        } = self;
+        for node in nodes.iter_mut() {
+            let Node {
+                id,
+                replicas,
+                awake,
+                ..
+            } = node;
+            let id = *id;
+            if !topo.is_node_alive(id) {
                 continue;
             }
-            for (&rid, rep) in &mut node.replicas {
+            debug_assert_eq!(
+                replicas
+                    .iter()
+                    .find(|&(rid, rep)| !awake.contains(rid) && !asleep(rep, registry, topo))
+                    .map(|(&rid, _)| rid),
+                None,
+                "n{}: a replica outside the awake set has tick work",
+                id.0
+            );
+            awake.retain(|&rid| {
+                let Some(rep) = replicas.get_mut(&rid) else {
+                    return false;
+                };
                 // Leadership doubt un-quiesces: a quiesced follower whose
                 // last known leader is dead or unreachable restarts its
                 // election clock — quiescence parks timers on the promise
@@ -44,9 +98,7 @@ impl Cluster {
                 if rep.raft.is_quiesced() && !rep.raft.is_leader() {
                     if let Some(lh) = rep.raft.leader_hint() {
                         let lh_node = rep.node_for_peer(lh);
-                        if !self.topo.is_node_alive(lh_node)
-                            || !self.topo.reachable(node.id, lh_node)
-                        {
+                        if !topo.is_node_alive(lh_node) || !topo.reachable(id, lh_node) {
                             rep.raft.unquiesce(now);
                         }
                     }
@@ -62,15 +114,15 @@ impl Cluster {
                 // reachable) leaseholder; if the leaseholder is dead, the
                 // orphaned-lease path reclaims the lease instead.
                 if rep.raft.is_leader() {
-                    if let Some(desc) = self.registry.get(rid) {
-                        if desc.leaseholder != node.id
-                            && self.topo.is_node_alive(desc.leaseholder)
-                            && self.topo.reachable(node.id, desc.leaseholder)
+                    if let Some(desc) = registry.get(rid) {
+                        if desc.leaseholder != id
+                            && topo.is_node_alive(desc.leaseholder)
+                            && topo.reachable(id, desc.leaseholder)
                         {
                             if let Some(peer) = rep.peer_for_node(desc.leaseholder) {
                                 let msgs = rep.raft.transfer_leadership(peer);
                                 if !msgs.is_empty() {
-                                    outbox.push((node.id, rid, msgs));
+                                    outbox.push((id, rid, msgs));
                                 }
                             }
                         }
@@ -82,10 +134,10 @@ impl Cluster {
                 if rep.has_pending_batch() && !rep.flush_scheduled {
                     let (msgs, effs) = rep.flush_batch(now);
                     if !msgs.is_empty() {
-                        outbox.push((node.id, rid, msgs));
+                        outbox.push((id, rid, msgs));
                     }
                     if !effs.is_empty() {
-                        flush_effects.push((node.id, rid, effs));
+                        flush_effects.push((id, rid, effs));
                     }
                 }
                 let msgs = rep.raft.tick(now);
@@ -94,9 +146,10 @@ impl Cluster {
                     .filter(|(_, m)| matches!(m, RaftMsg::AppendEntries { .. }))
                     .count() as u64;
                 if !msgs.is_empty() {
-                    outbox.push((node.id, rid, msgs));
+                    outbox.push((id, rid, msgs));
                 }
-            }
+                !asleep(rep, registry, topo)
+            });
         }
         self.m.heartbeats_sent.add(heartbeats);
         for (node, range, effs) in flush_effects {
@@ -347,5 +400,105 @@ impl Cluster {
                 }
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mr_proto::{Key, RangeId, Span, Value};
+    use mr_raft::RaftMsg;
+    use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
+
+    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::zone::ZoneConfig;
+
+    fn awake(c: &Cluster) -> Vec<(NodeId, u64)> {
+        c.nodes
+            .iter()
+            .flat_map(|n| n.awake.iter().map(move |r| (n.id, r.0)))
+            .collect()
+    }
+
+    fn run_for(c: &mut Cluster, d: SimDuration) {
+        c.run_until(SimTime(c.now().nanos() + d.nanos()));
+    }
+
+    /// Two ranges of three voters in region 0, split at "m", idle for 5 s.
+    fn idle_pair() -> (Cluster, RangeId, RangeId) {
+        let topo = Topology::build(
+            &RttMatrix::paper_table1_regions()[..3],
+            3,
+            RttMatrix::uniform(3, SimDuration::from_millis(60)),
+        );
+        let mut c = Cluster::new(topo, ClusterConfig::default());
+        let zc = ZoneConfig::single_region(RegionId(0));
+        let left = c
+            .create_range(Span::new(Key::from(""), Key::from("m")), zc.clone())
+            .unwrap();
+        let right = c
+            .create_range(Span::new(Key::from("m"), Key::default()), zc)
+            .unwrap();
+        assert_eq!(awake(&c).len(), 6, "a fresh install is awake");
+        run_for(&mut c, SimDuration::from_secs(5));
+        assert_eq!(awake(&c), vec![]);
+        (c, left, right)
+    }
+
+    /// Replicas of an idle range leave the tick; a write brings back those of
+    /// the range it lands on, and only those, until the range quiesces again.
+    #[test]
+    fn idle_replicas_leave_the_tick_until_a_write_wakes_their_range() {
+        let (mut c, _, right) = idle_pair();
+        let h = c.txn_begin(NodeId(0));
+        c.txn_put(
+            h,
+            Key::from("x"),
+            Some(Value::from("v")),
+            Box::new(move |c, res| {
+                res.unwrap();
+                c.txn_commit(
+                    h,
+                    Box::new(|_, res| {
+                        res.unwrap();
+                    }),
+                );
+            }),
+        );
+        c.run_until_quiescent(SimTime(SimDuration::from_secs(10).nanos()));
+        let replicas = c.registry().get(right).unwrap().replica_nodes();
+        let woken: Vec<_> = replicas.map(|n| (n, right.0)).collect();
+        assert_eq!(awake(&c), woken);
+        run_for(&mut c, SimDuration::from_secs(2));
+        assert_eq!(awake(&c), vec![]);
+    }
+
+    /// Whatever a replica receives wakes it, a message it answers with
+    /// nothing included: a stale vote reply un-quiesces a follower, and its
+    /// election clock, long expired, makes it campaign at the next tick.
+    #[test]
+    fn a_message_that_gets_no_answer_still_wakes_its_receiver() {
+        let (mut c, _, right) = idle_pair();
+        let lh = c.registry().get(right).unwrap().leaseholder;
+        let follower = c
+            .registry()
+            .get(right)
+            .unwrap()
+            .replica_nodes()
+            .find(|&n| n != lh)
+            .unwrap();
+        let term = c.nodes[follower.0 as usize].replicas[&right].raft.term();
+        let from = c.nodes[lh.0 as usize].replicas[&right].peer;
+        let gen = c.range_gen(right);
+        let vote = RaftMsg::VoteResp {
+            term,
+            granted: true,
+        };
+        c.handle_raft(follower, right, gen, from, vote);
+        assert!(!c.nodes[follower.0 as usize].replicas[&right]
+            .raft
+            .is_quiesced());
+        assert_eq!(awake(&c), vec![(follower, right.0)]);
+        run_for(&mut c, SimDuration::from_millis(250));
+        assert!(c.nodes[follower.0 as usize].replicas[&right].raft.term() > term);
     }
 }

@@ -233,7 +233,7 @@ impl Cluster {
             return;
         }
         let gen = self.range_gen(range);
-        let Some(rep) = self.nodes[from_node.0 as usize].replicas.get(&range) else {
+        let Some(rep) = self.nodes[from_node.0 as usize].wake(range) else {
             return;
         };
         let from_peer = rep.peer;

@@ -1415,3 +1415,148 @@ fn reconfiguring_an_unknown_range_is_an_error() {
         Err(mr_kv::ReconfigureError::NoSuchRange(id))
     );
 }
+
+// ---------------------------------------------------------------------
+// Quiesced ranges: the Raft tick visits only awake replicas. Each case below
+// wakes a quiesced range in one of the ways that must reach the tick, and
+// pins the instant things happen to what a tick that visits every replica
+// measured. In debug
+// builds every tick also asserts that the replicas it skipped had nothing
+// to do.
+// ---------------------------------------------------------------------
+
+/// Step until `done` holds, within `within` of simulated time; the instant
+/// it first held.
+fn step_until(c: &mut Cluster, within: SimDuration, done: impl Fn(&Cluster) -> bool) -> SimTime {
+    let deadline = c.now().nanos() + within.nanos();
+    while !done(c) {
+        assert!(
+            c.step() && c.now().nanos() <= deadline,
+            "not reached within {within}"
+        );
+    }
+    c.now()
+}
+
+fn all_quiesced(c: &Cluster, id: mr_proto::RangeId) -> bool {
+    let desc = c.registry().get(id).unwrap();
+    desc.replica_nodes()
+        .filter(|&n| c.topology().is_node_alive(n))
+        .all(|n| c.node(n).replicas[&id].raft.is_quiesced())
+}
+
+/// The node whose replica of `id` leads at the highest term.
+fn raft_leader(c: &Cluster, id: mr_proto::RangeId) -> Option<NodeId> {
+    let desc = c.registry().get(id).unwrap();
+    desc.replica_nodes()
+        .filter(|&n| c.node(n).replicas[&id].raft.is_leader())
+        .max_by_key(|&n| c.node(n).replicas[&id].raft.term())
+}
+
+#[test]
+fn followers_of_a_crashed_quiesced_leader_campaign_one_election_timeout_after_the_next_tick() {
+    let (mut c, id) = quiet_cluster(SurvivalGoal::Zone);
+    run_for(&mut c, SimDuration::from_secs(10));
+    assert!(all_quiesced(&c, id));
+    let desc = c.registry().get(id).unwrap().clone();
+    let lh = desc.leaseholder;
+    let term = c.node(lh).replicas[&id].raft.term();
+    // Between two ticks.
+    run_for(&mut c, SimDuration::from_millis(110));
+    c.fail_node(lh);
+    let campaigned = step_until(&mut c, SimDuration::from_secs(10), |c| {
+        desc.replica_nodes()
+            .any(|n| n != lh && c.node(n).replicas[&id].raft.term() > term)
+    });
+    // The tick after the crash (10.25 s) finds the leader dead and restarts
+    // the followers' election clocks; the first voter's staggered timeout
+    // (2 s + 250 ms) later, it campaigns.
+    assert_eq!(campaigned, SimTime(12_500_000_000));
+}
+
+#[test]
+fn a_partition_that_isolates_a_quiesced_leader_moves_the_lease_and_heals() {
+    let (mut c, id) = quiet_cluster(SurvivalGoal::Region);
+    run_for(&mut c, SimDuration::from_secs(10));
+    assert!(all_quiesced(&c, id));
+    let old = c.registry().get(id).unwrap().leaseholder;
+    assert_eq!(c.topology().region_of(old), US_EAST);
+    run_for(&mut c, SimDuration::from_millis(110));
+    c.inject_fault(&mr_kv::fault::FaultKind::IsolateRegion(US_EAST), None);
+    let moved = step_until(&mut c, SimDuration::from_secs(10), |c| {
+        c.registry().get(id).unwrap().leaseholder != old
+    });
+    let new = c.registry().get(id).unwrap().leaseholder;
+    assert_ne!(c.topology().region_of(new), US_EAST);
+    // The isolated replica still believes it leads, at a stale term.
+    assert!(c.node(old).replicas[&id].raft.is_leader());
+    run_for(&mut c, SimDuration::from_secs(5));
+    c.inject_fault(&mr_kv::fault::FaultKind::RejoinRegion(US_EAST), None);
+    let deposed = step_until(&mut c, SimDuration::from_secs(10), |c| {
+        !c.node(old).replicas[&id].raft.is_leader()
+    });
+    assert_eq!(
+        (moved, deposed),
+        (SimTime(13_029_941_090), SimTime(18_533_159_414))
+    );
+    // One leader again, the leaseholder, and the range serves and sleeps.
+    write_key(&mut c, gw(0), "k", "v");
+    let lh = c.registry().get(id).unwrap().leaseholder;
+    assert_eq!(raft_leader(&c, id), Some(lh));
+    step_until(&mut c, SimDuration::from_secs(10), |c| all_quiesced(c, id));
+    assert_eq!(
+        read_key(&mut c, gw(3), "k", fresh()).0.unwrap(),
+        Some(Value::from("v"))
+    );
+}
+
+#[test]
+fn a_lease_transfer_on_a_quiesced_range_hands_leadership_over_at_the_next_tick() {
+    let (mut c, id) = quiet_cluster(SurvivalGoal::Zone);
+    run_for(&mut c, SimDuration::from_secs(10));
+    assert!(all_quiesced(&c, id));
+    let desc = c.registry().get(id).unwrap().clone();
+    let a = desc.leaseholder;
+    let mut voters = desc.replicas.iter().filter(|p| p.voting && p.node != a);
+    let (b, to) = (voters.next().unwrap().node, voters.next().unwrap().node);
+    run_for(&mut c, SimDuration::from_millis(110));
+    // The second transfer finds `b` not leading yet, so no TimeoutNow goes
+    // to `to`: whichever replica leads hands over at its next tick.
+    c.transfer_lease(id, b);
+    c.transfer_lease(id, to);
+    let handed = step_until(&mut c, SimDuration::from_secs(5), |c| {
+        raft_leader(c, id) == Some(to)
+    });
+    assert_eq!(handed, SimTime(10_253_259_253));
+    step_until(&mut c, SimDuration::from_secs(10), |c| all_quiesced(c, id));
+    write_key(&mut c, gw(0), "k", "v");
+    assert_eq!(raft_leader(&c, id), Some(to));
+}
+
+#[test]
+fn a_split_of_a_quiesced_range_leaves_two_quiesced_halves_that_serve() {
+    let (mut c, id) = quiet_cluster(SurvivalGoal::Zone);
+    write_key(&mut c, gw(0), "a", "1");
+    write_key(&mut c, gw(0), "z", "2");
+    run_for(&mut c, SimDuration::from_secs(10));
+    assert!(all_quiesced(&c, id));
+    let rhs = c.admin_split_at(Key::from("m")).expect("split proposed");
+    let split = step_until(&mut c, SimDuration::from_secs(5), |c| {
+        c.registry().get(rhs).is_some()
+    });
+    assert_eq!(split, SimTime(10_056_504_994));
+    step_until(&mut c, SimDuration::from_secs(10), |c| {
+        all_quiesced(c, id) && all_quiesced(c, rhs)
+    });
+    for (range, key, val) in [(id, "a", "1"), (rhs, "z", "2")] {
+        let lh = c.registry().get(range).unwrap().leaseholder;
+        assert_eq!(raft_leader(&c, range), Some(lh));
+        assert_eq!(
+            read_key(&mut c, gw(0), key, fresh()).0.unwrap(),
+            Some(Value::from(val))
+        );
+    }
+    write_key(&mut c, gw(0), "y", "3");
+    assert!(!all_quiesced(&c, rhs), "a write wakes the half it lands on");
+    step_until(&mut c, SimDuration::from_secs(10), |c| all_quiesced(c, rhs));
+}

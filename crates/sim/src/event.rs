@@ -1,32 +1,42 @@
 //! The event calendar.
 //!
-//! A min-heap over `(fire_time, sequence)` pairs. The sequence number breaks
+//! A min-heap over `(fire_time, sequence)` keys. The sequence number breaks
 //! ties so that events scheduled earlier fire earlier, which keeps the whole
 //! simulation deterministic for a fixed seed and schedule order.
+//!
+//! Only the keys live in the heap. Payloads wait in a slab and move twice —
+//! in on `schedule`, out on `pop` — however deep the calendar is; a sift
+//! moves 24-byte keys, not whatever the simulation put on the calendar.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-struct Scheduled<M> {
+/// A heap entry: when an event fires, its tie-break, and the slab slot its
+/// payload waits in.
+struct Key {
     at: SimTime,
     seq: u64,
-    payload: M,
+    slot: usize,
 }
 
-impl<M> PartialEq for Scheduled<M> {
+// A payload that rode the heap would be moved through every level of each
+// sift; keep the key to three words.
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Scheduled<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
         other
@@ -44,7 +54,11 @@ impl<M> Ord for Scheduled<M> {
 pub struct EventQueue<M> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Scheduled<M>>,
+    heap: BinaryHeap<Key>,
+    /// Payloads by slot: `Some` exactly for the slots a heap key names.
+    slab: Vec<Option<M>>,
+    /// Empty slots of `slab`, reused before it grows.
+    free: Vec<usize>,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -59,6 +73,8 @@ impl<M> EventQueue<M> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -86,26 +102,41 @@ impl<M> EventQueue<M> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(payload);
+                slot
+            }
+            None => {
+                self.slab.push(Some(payload));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
     }
 
     /// Pop the earliest event, advancing virtual time to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, M)> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.at >= self.now, "event calendar went backwards");
-        self.now = ev.at;
-        Some((ev.at, ev.payload))
+        let Key { at, slot, .. } = self.heap.pop()?;
+        debug_assert!(at >= self.now, "event calendar went backwards");
+        self.now = at;
+        let payload = self.slab[slot]
+            .take()
+            .expect("a heap key names a filled slot");
+        self.free.push(slot);
+        Some((at, payload))
     }
 
     /// Fire time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|k| k.at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -149,6 +180,59 @@ mod tests {
             assert!(at >= last);
             last = at;
             assert_eq!(q.now(), at);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// Any interleaving of `schedule`, `schedule_at` (past, present and
+        /// equal instants included) and `pop` fires what a list sorted by
+        /// `(at, seq)` fires, each payload the one scheduled under its key
+        /// however often its slot was reused. Fire times span a few
+        /// nanoseconds so that ties and past instants are common.
+        #[test]
+        fn matches_a_list_sorted_by_time_then_schedule_order(
+            ops in prop::collection::vec((0u8..5, 0u64..8), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            // (at, seq, payload); the payload is the seq as a String, so a
+            // payload read from the wrong slot shows.
+            let mut model: Vec<(SimTime, u64, String)> = Vec::new();
+            let (mut now, mut seq) = (SimTime::ZERO, 0u64);
+            for (kind, t) in ops {
+                match kind {
+                    0 | 1 => {
+                        q.schedule(SimDuration(t), seq.to_string());
+                        model.push((SimTime(now.0 + t), seq, seq.to_string()));
+                        seq += 1;
+                    }
+                    2 => {
+                        // Absolute: lands before, at or after `now`.
+                        let at = SimTime((now.0 + t).saturating_sub(4));
+                        q.schedule_at(at, seq.to_string());
+                        model.push((at.max(now), seq, seq.to_string()));
+                        seq += 1;
+                    }
+                    _ => {
+                        model.sort();
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        prop_assert_eq!(q.peek_time(), want.as_ref().map(|w| w.0));
+                        let got = q.pop();
+                        prop_assert_eq!(got, want.map(|(at, _, p)| (at, p)));
+                        if let Some((at, _)) = got {
+                            now = at;
+                        }
+                    }
+                }
+                prop_assert_eq!(q.now(), now);
+                prop_assert_eq!(q.len(), model.len());
+            }
+            model.sort();
+            for (at, _, p) in model {
+                prop_assert_eq!(q.pop(), Some((at, p)));
+            }
+            prop_assert!(q.is_empty());
         }
     }
 }

@@ -5,18 +5,24 @@
 #   scripts/digest_parity.sh <parent-rev> [allowed-metrics]
 #
 # Exports <parent-rev> into a temporary tree, runs
-# `mr-ledger run --seed 1 --seconds 2` for the four ledger workloads on that
-# tree and on this one, and fails unless all four `sim_digest`s match. The
-# digest folds every simulated figure and exact count of a run, so equal
-# digests mean equal `sim_*` metrics, events, RPCs, Raft entries and WAL
-# bytes. Builds the parent from scratch (~2 min); both trees must be
-# committed or at least buildable as they stand.
+# `mr-ledger run --seed <s> --seconds 2` for the four ledger workloads and
+# seeds 1 and 2 on that tree and on this one, and fails unless all eight
+# `sim_digest`s match. The digest folds every simulated figure and exact count
+# of a run, so equal digests mean equal `sim_*` metrics, events, RPCs, Raft
+# entries and WAL bytes. It also runs `chaos_probe` on both trees and fails
+# unless their `BENCH_chaos.json` are byte-identical: the ledger workloads
+# never crash, partition or restart a node, so the probe's five fault
+# schedules are the only part of the gate that drives the failure paths.
+# Builds the parent from scratch (~3 min); both trees must be committed or at
+# least buildable as they stand.
 #
 # A change that means to move some exact counts (and with them the digest)
 # names them up front: with a comma-separated list of metric names as the
 # second argument, both runs are `--traced` (the per-layer counts are only in
 # a traced result) and `mr-ledger compare` decides instead of the digests —
-# every row it marks `changed` must be a metric on the list.
+# every row it marks `changed` must be a metric on the list, on both seeds —
+# and the chaos output is not compared: such a change moves simulated
+# behaviour on purpose.
 set -euo pipefail
 
 REV="${1:?usage: scripts/digest_parity.sh <parent-rev> [allowed-metrics]}"
@@ -28,11 +34,25 @@ trap 'rm -rf "$TMP"' EXIT
 mkdir "$TMP/parent"
 git -C "$ROOT" archive "$REV" | tar -x -C "$TMP/parent"
 
-# digests <tree> <label>: "## <workload>   sim_digest <hex>", one line each.
+SEEDS="1 2"
+
+# digests <tree> <label>: "seed <s> ## <workload>   sim_digest <hex>", one
+# line per seed and workload.
 digests() {
-    (cd "$1" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
-        cargo run -q --release --offline -p mr-ledger -- \
-        run --seed 1 --seconds 2 ${ALLOWED:+--traced} --out "$TMP/$2-out") | grep '^## '
+    for seed in $SEEDS; do
+        (cd "$1" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
+            cargo run -q --release --offline -p mr-ledger -- \
+            run --seed "$seed" --seconds 2 ${ALLOWED:+--traced} --out "$TMP/$2-$seed-out") \
+            | grep '^## ' | sed "s/^/seed $seed /"
+    done
+}
+
+# chaos <tree> <label>: run chaos_probe from an empty directory of its own.
+chaos() {
+    mkdir "$TMP/$2-chaos"
+    (cd "$TMP/$2-chaos" && MR_STRICT_MONITORS=1 CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
+        cargo run -q --release --offline --manifest-path "$1/Cargo.toml" \
+        -p mr-bench --bin chaos_probe >/dev/null)
 }
 
 echo "==> parent ($REV)"
@@ -40,19 +60,21 @@ digests "$TMP/parent" parent | tee "$TMP/parent.txt"
 echo "==> this tree"
 digests "$ROOT" change | tee "$TMP/change.txt"
 
-if [ "$(wc -l <"$TMP/parent.txt")" -ne 4 ]; then
-    echo "FAIL: expected four workloads, parent printed $(wc -l <"$TMP/parent.txt")" >&2
+if [ "$(wc -l <"$TMP/parent.txt")" -ne 8 ]; then
+    echo "FAIL: expected four workloads x two seeds, parent printed $(wc -l <"$TMP/parent.txt")" >&2
     exit 1
 fi
 if [ -n "$ALLOWED" ]; then
     # compare's own exit status also covers host-time rows, which a 2 s run
     # cannot resolve; only the exact rows are judged here.
-    (cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/change" \
-        cargo run -q --release --offline -p mr-ledger -- \
-        compare "$TMP/parent-out" "$TMP/change-out") >"$TMP/compare.txt" || true
+    for seed in $SEEDS; do
+        (cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/change" \
+            cargo run -q --release --offline -p mr-ledger -- \
+            compare "$TMP/parent-$seed-out" "$TMP/change-$seed-out") || true
+    done >"$TMP/compare.txt"
     grep -q ' exact ' "$TMP/compare.txt" \
         || { echo "FAIL: compare printed no exact rows" >&2; exit 1; }
-    MOVED="$(awk '$1 != "#" && $NF == "changed" { print $1, $2 }' "$TMP/compare.txt")"
+    MOVED="$(awk '$1 != "#" && $NF == "changed" { print $1, $2 }' "$TMP/compare.txt" | sort -u)"
     STRAY="$(echo "$MOVED" | awk -v allowed="$ALLOWED" '
         BEGIN { n = split(allowed, a, ","); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
         NF && !($2 in ok)')"
@@ -71,4 +93,12 @@ if ! diff "$TMP/parent.txt" "$TMP/change.txt" >/dev/null; then
     diff "$TMP/parent.txt" "$TMP/change.txt" >&2 || true
     exit 1
 fi
-echo "digest parity OK: four workloads identical to $REV"
+echo "==> chaos_probe on both trees"
+chaos "$TMP/parent" parent
+chaos "$ROOT" change
+if ! cmp "$TMP/parent-chaos/BENCH_chaos.json" "$TMP/change-chaos/BENCH_chaos.json"; then
+    echo "FAIL: BENCH_chaos.json differs from $REV — a fault schedule ran differently" >&2
+    diff "$TMP/parent-chaos/BENCH_chaos.json" "$TMP/change-chaos/BENCH_chaos.json" >&2 || true
+    exit 1
+fi
+echo "digest parity OK: four workloads x seeds $SEEDS and chaos_probe identical to $REV"
