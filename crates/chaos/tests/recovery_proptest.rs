@@ -97,8 +97,11 @@ fn run_case(
         ..ChaosConfig::default()
     };
     let mut c = build_chaos_cluster(&cfg);
-    c.preload(Key::from(ZS_KEY), Value::from(INIT));
-    c.preload(Key::from(RS_KEY), Value::from(INIT));
+    c.ingest(vec![
+        (Key::from(ZS_KEY), Value::from(INIT)),
+        (Key::from(RS_KEY), Value::from(INIT)),
+    ])
+    .unwrap();
     c.run_until(secs(3));
 
     let anchor_desc = c.registry().lookup(&Key::from(ZS_KEY)).expect("zs range");

@@ -63,7 +63,7 @@ impl Timestamp {
         synthetic: false,
     };
 
-    pub fn new(wall: u64, logical: u32) -> Timestamp {
+    pub const fn new(wall: u64, logical: u32) -> Timestamp {
         Timestamp {
             wall,
             logical,

@@ -30,13 +30,14 @@ mod transport;
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
 use mr_obs::{Obs, SpanId};
 use mr_proto::{Key, KvError, RangeId, Request, Span, TxnId, Value};
 use mr_raft::{Peer, RaftConfig, RaftMsg, RaftNode};
 use mr_sim::{EventQueue, NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
-use mr_storage::ProtectedTimestamps;
+use mr_storage::{ProtectedTimestamps, SortedRun};
 
 use crate::allocator::{allocate, AllocError};
 use crate::attribution::{self, TxnAttrLog};
@@ -71,6 +72,26 @@ impl fmt::Display for ReconfigureError {
     }
 }
 impl std::error::Error for ReconfigureError {}
+
+/// Why [`Cluster::ingest`] loaded nothing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum IngestError {
+    /// No range covers this row's key.
+    Uncovered(Key),
+}
+
+impl fmt::Display for IngestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestError::Uncovered(key) => write!(f, "no range covers {key:?}"),
+        }
+    }
+}
+impl std::error::Error for IngestError {}
+
+/// The timestamp bulk-loaded rows are written at: below anything a
+/// transaction writes, so a load sits under all history.
+const BULK_LOAD_TS: Timestamp = Timestamp::new(1, 0);
 
 /// A continuation fired with an operation's outcome.
 pub type Cont<T> = Box<dyn FnOnce(&mut Cluster, T)>;
@@ -851,8 +872,10 @@ impl Cluster {
             // The seed engine still carries the previous incarnation's WAL
             // identity (old apply indices); this Raft group restarts log
             // indices from scratch, so re-anchor it on a fresh durable
-            // checkpoint at applied index 0. Once, here: every replica gets a
-            // clone of this one image.
+            // checkpoint at applied index 0. Once, here: the rebaseline
+            // flushes every committed version into a run, and every replica
+            // gets a clone of this one image — shared runs plus a checkpoint
+            // of intents and transaction records.
             seed.store.rebaseline(0, seed.tracker.closed(), now.nanos());
         }
         let peer_nodes: Vec<NodeId> = replicas.iter().map(|p| p.node).collect();
@@ -1000,20 +1023,36 @@ impl Cluster {
         rep.store.scan_latest_including_intents(&span)
     }
 
-    /// Bulk-load a committed value into every replica of the covering
-    /// range, bypassing the transaction protocol. For experiment setup only.
-    pub fn preload(&mut self, key: Key, value: Value) {
-        let ts = Timestamp::new(1, 0);
-        let desc = self
-            .registry
-            .lookup(&key)
-            .unwrap_or_else(|| panic!("no range covers {key:?}"))
-            .clone();
-        for n in desc.replica_nodes() {
-            if let Some(rep) = self.nodes[n.0 as usize].replicas.get_mut(&desc.id) {
-                rep.store.preload(key.clone(), value.clone(), ts);
+    /// Bulk-load committed rows, bypassing the transaction protocol and
+    /// costing no simulated time (experiment set-up and offline schema
+    /// changes): CockroachDB's IMPORT, an SST ingest. The rows are sorted
+    /// (of two with one key the first wins) and cut at range boundaries;
+    /// each covered range gets one run at the bulk-load timestamp that every
+    /// one of its replicas ingests. Nothing is loaded unless a range covers
+    /// every row.
+    pub fn ingest(&mut self, mut rows: Vec<(Key, Value)>) -> Result<(), IngestError> {
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.dedup_by(|later, first| later.0 == first.0);
+        let mut rows = rows.into_iter().peekable();
+        let mut runs = Vec::new();
+        while let Some((key, _)) = rows.peek() {
+            let desc = self
+                .registry
+                .lookup(key)
+                .ok_or_else(|| IngestError::Uncovered(key.clone()))?;
+            let end = &desc.span.end;
+            let within = |(k, _): &(Key, Value)| end.is_empty() || k < end;
+            let run = SortedRun::bulk(std::iter::from_fn(|| rows.next_if(within)), BULK_LOAD_TS);
+            runs.push((desc, Rc::new(run)));
+        }
+        for (desc, run) in runs {
+            for n in desc.replica_nodes() {
+                if let Some(rep) = self.nodes[n.0 as usize].replicas.get_mut(&desc.id) {
+                    rep.store.ingest(Rc::clone(&run));
+                }
             }
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

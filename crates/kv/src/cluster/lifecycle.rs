@@ -178,6 +178,10 @@ impl Cluster {
         lhs_seed.tscache_low_water = lhs_seed
             .tscache_low_water
             .max(hlc_now.add_duration(self.cfg.clock.max_offset));
+        // The old replicas go first: then the seed is the only holder of the
+        // runs it shares with them, and the split moves their entries
+        // instead of copying them.
+        self.uninstall_range(lhs);
         let rhs_seed = SeedState {
             store: lhs_seed.store.split_off(&split_key),
             tracker: lhs_seed.tracker.clone(),
@@ -189,7 +193,6 @@ impl Cluster {
                 lhs_seed.tscache_low_water
             },
         };
-        self.uninstall_range(lhs);
         let lhs_span = Span::new(desc.span.start.clone(), split_key.clone());
         let rhs_span = Span::new(split_key.clone(), desc.span.end.clone());
         self.install_range(

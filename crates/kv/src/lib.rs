@@ -52,7 +52,8 @@ pub use allocator::{allocate, AllocError, AllocationOutcome, Placement, ReplicaR
 pub use attribution::{AttrBreakdown, Component, TxnAttrLog, TxnAttrRecord, COMPONENTS};
 pub use closedts::{ClosedTsParams, ClosedTsTracker};
 pub use cluster::{
-    Cluster, ClusterConfig, InjectedBug, KvResult, ReadOptions, ReconfigureError, Staleness,
+    Cluster, ClusterConfig, IngestError, InjectedBug, KvResult, ReadOptions, ReconfigureError,
+    Staleness,
 };
 pub use events::{ClusterEvent, EventKind, EventLog};
 pub use fault::FaultKind;

@@ -1132,7 +1132,8 @@ fn wide_idle_cluster() -> (Cluster, Vec<mr_proto::RangeId>) {
 #[test]
 fn idle_followers_trail_their_leaseholders_by_one_interval_and_the_wire() {
     let (mut c, ranges) = wide_idle_cluster();
-    c.preload(Key::from("p07/k"), Value::from("v"));
+    c.ingest(vec![(Key::from("p07/k"), Value::from("v"))])
+        .unwrap();
     // Well past quiescence, and past the 3 s lag the promises start under.
     c.run_until(SimTime(SimDuration::from_secs(12).nanos()));
     // The inbox changes what a delivery costs, not how many there are: 240

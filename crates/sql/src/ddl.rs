@@ -17,10 +17,10 @@
 //! the paper's baseline (§7.2, §7.3.1) and the "before" column of Table 2.
 //!
 //! Schema changes run *offline* in simulation terms: rewrites read rows
-//! directly from leaseholder state and preload the new ranges. CockroachDB
-//! performs these online with backfills (§2.4); the experiments only change
-//! schemas between workload phases, so the latency of the change itself is
-//! out of scope.
+//! directly from leaseholder state and bulk-load them, one ingest per
+//! statement ([`Cluster::ingest`]). CockroachDB performs these online with
+//! backfills (§2.4); the experiments only change schemas between workload
+//! phases, so the latency of the change itself is out of scope.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -923,7 +923,7 @@ fn set_locality(
     }
 
     create_table_ranges(cluster, db, &table)?;
-    write_all_rows(cluster, &table, &rows);
+    write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
     *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
 }
@@ -963,7 +963,7 @@ fn add_column(
         row.push(value);
     }
     // Rewrite stored rows (values embed the full row).
-    write_all_rows(cluster, &table, &rows);
+    write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
     *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
 }
@@ -1031,7 +1031,7 @@ fn partition_by_list(
         zones: BTreeMap::new(),
     });
     create_table_ranges(cluster, db, &table)?;
-    write_all_rows(cluster, &table, &rows);
+    write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
     *table_mut_of(catalog, db_name, name)? = table;
     Ok(DdlOutcome::Ok)
 }
@@ -1101,9 +1101,8 @@ fn create_index(
     let pos = table.indexes.len() - 1;
     create_index_ranges(cluster, db, &table, &table.indexes[pos])?;
     // Backfill from existing rows.
-    for row in read_all_rows(cluster, &table) {
-        write_index_entry(cluster, &table, pos, &row);
-    }
+    let rows = read_all_rows(cluster, &table);
+    write_rows(cluster, &table, &rows, pos..pos + 1)?;
     *table_mut_of(catalog, db_name, table_name)? = table;
     Ok(DdlOutcome::Ok)
 }
@@ -1124,16 +1123,26 @@ fn read_all_rows(cluster: &mut Cluster, table: &Table) -> Vec<Vec<Datum>> {
     rows
 }
 
-/// Preload every index entry for `rows` (offline rewrite path).
-fn write_all_rows(cluster: &mut Cluster, table: &Table, rows: &[Vec<Datum>]) {
-    for row in rows {
-        for pos in 0..table.indexes.len() {
-            write_index_entry(cluster, table, pos, row);
-        }
-    }
+/// Bulk-load `rows`' entries in the indexes at `positions` (offline rewrite
+/// and backfill), in one ingest.
+fn write_rows(
+    cluster: &mut Cluster,
+    table: &Table,
+    rows: &[Vec<Datum>],
+    positions: std::ops::Range<usize>,
+) -> Result<(), DdlError> {
+    let entries = rows.iter().flat_map(|row| {
+        positions
+            .clone()
+            .map(move |pos| index_entry(table, pos, row))
+    });
+    cluster
+        .ingest(entries.collect())
+        .map_err(|e| DdlError(format!("rewrite: {e}")))
 }
 
-fn write_index_entry(cluster: &mut Cluster, table: &Table, index_pos: usize, row: &[Datum]) {
+/// `row`'s entry in the index at `index_pos`: its key and the encoded row.
+fn index_entry(table: &Table, index_pos: usize, row: &[Datum]) -> (mr_proto::Key, mr_proto::Value) {
     let index = &table.indexes[index_pos];
     let region = if index.region_partitioned {
         table
@@ -1144,8 +1153,10 @@ fn write_index_entry(cluster: &mut Cluster, table: &Table, index_pos: usize, row
     } else {
         None
     };
-    let key = entry_key(table, index, region.as_deref(), row);
-    cluster.preload(key, encode_row(row));
+    (
+        entry_key(table, index, region.as_deref(), row),
+        encode_row(row),
+    )
 }
 
 /// The KV key of `row`'s entry in `index`. Non-unique secondary indexes get

@@ -8,10 +8,14 @@
 //! * **Memtable** — the crate-private mutable tier holding open intents and
 //!   recently-committed versions.
 //! * **Sorted runs ("SSTs")** — immutable key-ordered version arrays
-//!   produced by flushes, oldest first in `Engine::runs`, each with an
-//!   open-addressed hash index ([`RunIndex`]) so a point lookup costs one
-//!   hashed probe per run and a run that lacks the key says so without its
-//!   entries being read. Reads borrow: a point read probes each run, a span
+//!   produced by flushes and ingested whole ([`Engine::ingest`]), oldest
+//!   first in `Engine::runs`, each with an open-addressed hash index
+//!   ([`RunIndex`]) so a point lookup costs one hashed probe per run and a
+//!   run that lacks the key says so without its entries being read. A run
+//!   sits behind an `Rc`: the replicas of a range that received the same
+//!   bytes (a bulk load, an installed image) share one copy, and nobody
+//!   mutates it — a merge or a split that consumes a shared run copies its
+//!   entries first. Reads borrow: a point read probes each run, a span
 //!   read drives the `MergeCursor` over memtable ∪ runs, and both hand the
 //!   key's version lists to the one MVCC read rule, `mvcc::read_merged`.
 //! * **WAL** — every mutation is encoded as a [`WalOp`] as it happens;
@@ -38,15 +42,21 @@
 //! newer versions* — memtable above every run, a run above every run before
 //! it in `Engine::runs`. Flush moves every committed version out of the
 //! memtable into a new last run, [`Engine::put`] forwards write timestamps
-//! above the newest run version, and a merge replaces age-contiguous runs
-//! in place. It is what lets a merge that includes the oldest run elide a
-//! tombstone at or below the threshold (nothing older can hide beneath it),
-//! and why any other merge must keep it (an older run may hold the value
-//! it deletes).
+//! above the newest run version, a merge replaces age-contiguous runs in
+//! place, and an ingested run — whose versions sit below all history —
+//! goes in at the oldest position. It is what lets a merge that includes
+//! the oldest run elide a tombstone at or below the threshold (nothing
+//! older can hide beneath it), and why any other merge must keep it (an
+//! older run may hold the value it deletes). Of two arrivals of one
+//! `(key, ts)` the first wins — `VersionChain::insert_version` in the
+//! memtable, [`Engine::ingest`] for a run. The one exception to both rules
+//! is a replayed resolve, which commits a copy of an already-flushed version
+//! into the memtable; a merge puts that key's versions back in order.
 
 use std::cell::Cell;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Range;
+use std::rc::Rc;
 
 use mr_clock::Timestamp;
 use mr_proto::{Key, ReadCtx, Span, TxnId, TxnMeta, TxnRecord, Value};
@@ -218,6 +228,21 @@ impl SortedRun {
             }
         }
         run
+    }
+
+    /// A bulk load's run (an SST built outside the engine, for
+    /// [`Engine::ingest`]): one version at `ts` per row. `rows` must be in
+    /// key order, without repeats.
+    pub fn bulk(rows: impl IntoIterator<Item = (Key, Value)>, ts: Timestamp) -> SortedRun {
+        let version = |value| vec![Version { ts, value }];
+        let entries = rows.into_iter().map(|(k, v)| (k, version(Some(v))));
+        SortedRun::from_entries(entries.collect())
+    }
+
+    /// The run's entries, moved out if nobody else holds the run and copied
+    /// if another engine shares it: a shared run is never mutated.
+    fn into_entries(run: Rc<SortedRun>) -> Vec<RunEntry> {
+        Rc::try_unwrap(run).map_or_else(|shared| shared.entries.clone(), |own| own.entries)
     }
 
     pub fn key_count(&self) -> usize {
@@ -419,11 +444,12 @@ pub struct RecoveryInfo {
     pub error: Option<RecoveryError>,
 }
 
-/// The per-replica LSM storage engine.
+/// The per-replica LSM storage engine. A clone shares the runs (a refcount
+/// each) and copies the memtable, WAL and transaction records.
 #[derive(Clone, Debug)]
 pub struct Engine {
     mem: MvccStore,
-    runs: Vec<SortedRun>,
+    runs: Vec<Rc<SortedRun>>,
     wal: Wal,
     /// Encoded ops of the Raft entry currently being applied (and how many),
     /// sealed into one WAL record by [`Engine::seal_entry`].
@@ -501,6 +527,13 @@ impl Engine {
             }
             versions
         })
+    }
+
+    /// The version lists of `key` in the memtable and every run that holds
+    /// it.
+    fn sources<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = &'a [Version]> + 'a {
+        let mem = self.mem.chain(key).map(|c| c.versions.as_slice());
+        mem.into_iter().chain(self.run_chains(key))
     }
 
     /// Every key with state in `span`, in order, each with what the memtable
@@ -704,13 +737,40 @@ impl Engine {
         self.txn_records.get(&txn_id)
     }
 
-    /// Directly install a committed version (bulk preload). Nothing
-    /// checkpoints after a load: the op waits with the pending ops of the
-    /// next applied entry, and becomes durable with that entry's record or
-    /// with the next checkpoint image, whichever comes first.
-    pub fn preload(&mut self, key: Key, value: Value, ts: Timestamp) {
-        codec::preload_op(self.log_op(), &key, &value, ts);
-        self.mem.preload(key, value, ts);
+    /// Ingest a run built outside the engine (a bulk load's SST; every
+    /// replica of the range is handed the same one). Its versions sit below
+    /// all history, so it goes in at the oldest position; like a flushed run
+    /// it is durable at once and logs nothing. A `(key, ts)` some source
+    /// already holds is not ingested again — the first one wins — and only
+    /// then does this engine keep a private copy of the rest.
+    pub fn ingest(&mut self, run: Rc<SortedRun>) {
+        let holds = |held: &[Version], v: &Version| held.iter().any(|h| h.ts == v.ts);
+        let mut duplicated = false;
+        for (key, versions) in &run.entries {
+            for held in self.sources(key) {
+                debug_assert!(
+                    held.last()
+                        .is_none_or(|o| versions.iter().all(|v| v.ts <= o.ts)),
+                    "ingested {key:?} is not below the history held"
+                );
+                duplicated |= versions.iter().any(|v| holds(held, v));
+            }
+        }
+        let run = if duplicated {
+            let fresh = |(key, versions): &RunEntry| {
+                let unheld = |v: &&Version| !self.sources(key).any(|held| holds(held, v));
+                let versions: Vec<Version> = versions.iter().filter(unheld).cloned().collect();
+                (!versions.is_empty()).then(|| (key.clone(), versions))
+            };
+            let entries: Vec<RunEntry> = run.entries.iter().filter_map(fresh).collect();
+            if entries.is_empty() {
+                return;
+            }
+            Rc::new(SortedRun::from_entries(entries))
+        } else {
+            run
+        };
+        self.runs.insert(0, run);
     }
 
     // ------------------------------------------------------------------
@@ -819,11 +879,15 @@ impl Engine {
     }
 
     /// Re-seed the engine's durable identity after range surgery (install,
-    /// split, merge): pin the applied index and closed timestamp, and
-    /// checkpoint.
+    /// split, merge): pin the applied index and closed timestamp, flush the
+    /// committed memtable into a run, and checkpoint. What is left for the
+    /// image is intents and transaction records, so the clones a range's
+    /// replicas are installed from share every version (a refcount per run)
+    /// and copy only that.
     pub fn rebaseline(&mut self, applied_index: u64, closed_ts: Timestamp, now_nanos: u64) {
         self.applied_index = applied_index;
         self.closed_ts = closed_ts;
+        self.flush_internal();
         self.checkpoint_now(now_nanos);
     }
 
@@ -911,9 +975,6 @@ impl Engine {
             WalOp::TxnRecord { txn_id, rec } => {
                 self.txn_records.insert(txn_id, rec);
             }
-            WalOp::Preload { key, value, ts } => {
-                self.mem.force_version(key, ts, Some(value));
-            }
         }
     }
 
@@ -928,7 +989,7 @@ impl Engine {
         }
         let run = SortedRun::from_entries(chains);
         let n = run.version_count();
-        self.runs.push(run);
+        self.runs.push(Rc::new(run));
         self.stats.flushes += 1;
         n
     }
@@ -960,18 +1021,21 @@ impl Engine {
         })
     }
 
-    /// Merge the age-contiguous runs `window` into one, in place, moving
-    /// their entries and dropping what the GC threshold shadows. Returns
-    /// versions (dropped, written).
+    /// Merge the age-contiguous runs `window` into one, in place, taking
+    /// their entries (copying those of a shared run) and dropping what the GC
+    /// threshold shadows. Returns versions (dropped, written).
     fn merge_runs(&mut self, window: Range<usize>) -> (usize, usize) {
         let thr = self.gc_threshold;
         // Unless the window starts at the oldest run, older versions of its
         // keys may sit before it.
         let oldest = window.start == 0;
         let at = window.start;
-        let inputs: Vec<SortedRun> = self.runs.drain(window).collect();
+        let inputs: Vec<Rc<SortedRun>> = self.runs.drain(window).collect();
         let read: usize = inputs.iter().map(|r| r.versions).sum();
-        let newest_first = inputs.into_iter().rev().map(|r| r.entries.into_iter());
+        let newest_first = inputs
+            .into_iter()
+            .rev()
+            .map(|r| SortedRun::into_entries(r).into_iter());
         let mut cursor = MergeCursor::new(newest_first);
         let mut entries = Vec::new();
         while let Some(group) = cursor.next_key() {
@@ -983,8 +1047,14 @@ impl Engine {
                 versions.extend(older);
             }
             if !versions.is_sorted_by(|a, b| a.ts > b.ts) {
-                // Sources out of age order for this key (only a preload
-                // below flushed history does that): restore the order.
+                // Sources out of age order for this key. An ingested run
+                // never does that (it lands below all history); a replayed
+                // resolve does: a retried write re-laid an intent above its
+                // transaction's own committed version, and the resolve
+                // commits it at the original timestamp — into the memtable,
+                // above a run that holds that version or newer ones.
+                // Restore the order; of two copies of one `(key, ts)` — they
+                // carry the same value — one stays.
                 versions.sort_by_key(|v| std::cmp::Reverse(v.ts));
                 versions.dedup_by_key(|v| v.ts);
             }
@@ -1006,7 +1076,7 @@ impl Engine {
         if !entries.is_empty() {
             let run = SortedRun::from_entries(entries);
             written = run.versions;
-            self.runs.insert(at, run);
+            self.runs.insert(at, Rc::new(run));
         }
         (read - written, written)
     }
@@ -1042,23 +1112,26 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Split at `split_key`: chains and run entries at or above it move to
-    /// the returned engine. Every transaction record goes to both halves (a
-    /// record does not say where its anchor key is; only the half holding
-    /// the anchor ever updates its copy). The caller must
-    /// [`Engine::rebaseline`] both halves afterwards (their WALs restart
-    /// from fresh checkpoints).
+    /// the returned engine — a run wholly on one side as it is, a straddling
+    /// one as two new runs (copying a shared run's entries first). Every
+    /// transaction record goes to both halves (a record does not say where
+    /// its anchor key is; only the half holding the anchor ever updates its
+    /// copy). The caller must [`Engine::rebaseline`] both halves afterwards
+    /// (their WALs restart from fresh checkpoints).
     pub fn split_off(&mut self, split_key: &Key) -> Engine {
         let mem_rhs = self.mem.split_off(split_key);
         let mut rhs_runs = Vec::new();
-        for mut run in std::mem::take(&mut self.runs) {
+        for run in std::mem::take(&mut self.runs) {
             let idx = run.entries.partition_point(|e| e.0 < *split_key);
             if idx == 0 {
                 rhs_runs.push(run);
             } else if idx == run.entries.len() {
                 self.runs.push(run);
             } else {
-                rhs_runs.push(SortedRun::from_entries(run.entries.split_off(idx)));
-                self.runs.push(SortedRun::from_entries(run.entries));
+                let mut entries = SortedRun::into_entries(run);
+                let rhs = SortedRun::from_entries(entries.split_off(idx));
+                rhs_runs.push(Rc::new(rhs));
+                self.runs.push(Rc::new(SortedRun::from_entries(entries)));
             }
         }
         let mut rhs = Engine::new();
@@ -1239,7 +1312,6 @@ mod tests {
             in_flight: vec![k("k"), k("gone")],
         };
         e.note_txn_record(TxnId(2), rec.clone());
-        e.preload(k("seed"), Value::from("s"), ts(1));
         let before = e.wal().len();
         e.seal_entry(2, ts(15));
         let mut forwarded = meta.clone();
@@ -1267,11 +1339,6 @@ mod tests {
             WalOp::TxnRecord {
                 txn_id: meta.id,
                 rec,
-            },
-            WalOp::Preload {
-                key: k("seed"),
-                value: Value::from("s"),
-                ts: ts(1),
             },
         ];
         let reference = crate::wal::tests::encode_record(&WalRecord::Entry {
@@ -1664,6 +1731,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bulk(keys: &[&str], ts: u64) -> Rc<SortedRun> {
+        let rows = keys.iter().map(|k| (Key::from(*k), Value::from(*k)));
+        Rc::new(SortedRun::bulk(rows, Timestamp::new(ts, 0)))
+    }
+
+    #[test]
+    fn an_ingested_run_is_shared_and_sits_below_history() {
+        let mut e = Engine::new();
+        commit_put(&mut e, "a", "new", 1, 10);
+        e.flush(0);
+        commit_put(&mut e, "b", "new", 2, 20);
+        e.seal_entry(1, Timestamp::ZERO);
+        e.sync(1);
+        let run = bulk(&["a", "b", "c"], 1);
+        e.ingest(Rc::clone(&run));
+        assert_eq!(e.sst_count(), 2);
+        assert!(
+            Rc::ptr_eq(&e.runs[0], &run),
+            "ingested at the oldest position"
+        );
+        for (key, at_5, at_50) in [("a", "a", "new"), ("b", "b", "new"), ("c", "c", "c")] {
+            assert_eq!(read(&e, key, 5), Some(Value::from(at_5)));
+            assert_eq!(read(&e, key, 50), Some(Value::from(at_50)));
+        }
+        // Nothing was logged: the run is durable as it stands.
+        let before = e.state_image();
+        e.crash_and_recover();
+        assert_eq!(e.state_image(), before);
+        // A clone holds the same run, not a copy of it.
+        let twin = e.clone();
+        assert!(Rc::ptr_eq(&twin.runs[0], &run));
+        assert_eq!(Rc::strong_count(&run), 3);
+    }
+
+    #[test]
+    fn ingesting_a_held_version_adds_nothing() {
+        let mut e = Engine::new();
+        // The memtable holds m@1, a run holds k@1: both came first.
+        commit_put(&mut e, "k", "first", 1, 1);
+        e.flush(0);
+        commit_put(&mut e, "m", "first", 2, 1);
+        let run = bulk(&["k", "m"], 1);
+        e.ingest(Rc::clone(&run));
+        assert_eq!((e.sst_count(), e.version_count()), (1, 2));
+        assert_eq!(Rc::strong_count(&run), 1, "nothing of it was kept");
+        // Partly held: only the rest goes in, as a private run.
+        e.ingest(bulk(&["j", "k", "z"], 1));
+        assert_eq!((e.sst_count(), e.version_count()), (2, 4));
+        for (key, want) in [("j", "j"), ("k", "first"), ("m", "first"), ("z", "z")] {
+            assert_eq!(read(&e, key, 100), Some(Value::from(want)), "{key}");
+        }
+        // The second of two loads of one row is a no-op.
+        e.ingest(bulk(&["j"], 1));
+        assert_eq!(e.version_count(), 4);
+    }
+
+    #[test]
+    fn partial_merge_keeps_a_tombstone_over_an_ingested_value() {
+        let mut e = Engine::new();
+        let base: Vec<String> = (0..64).map(|i| format!("base-{i:03}")).collect();
+        let mut keys: Vec<&str> = base.iter().map(String::as_str).collect();
+        keys.push("k");
+        e.ingest(bulk(&keys, 1));
+        // The tombstone first waits in the memtable: a GC pass must not
+        // drop it there while the ingested run below holds the value.
+        delete(&mut e, "k", 2, 20);
+        e.maintain(Timestamp::new(100, 0), 0);
+        assert_eq!(read(&e, "k", 100), None);
+        // Then in a run of its own, in a tier of four small runs that merge
+        // without the ingested one.
+        e.flush(0);
+        for (i, key) in ["x1", "x2", "x3"].iter().enumerate() {
+            commit_put(&mut e, key, "v", 3 + i as u64, 30);
+            e.flush(0);
+        }
+        let rep = e.maintain(Timestamp::new(100, 0), 0);
+        assert!(rep.compacted);
+        assert_eq!(e.sst_count(), 2);
+        for ts in [100, 1_000] {
+            assert_eq!(read(&e, "k", ts), None, "deleted key resurrected at {ts}");
+        }
+        let span = Span::new(Key::from("k"), Key::from("l"));
+        assert!(e.scan_latest_including_intents(&span).is_empty());
+    }
+
+    #[test]
+    fn rebaseline_leaves_the_image_intents_and_records() {
+        let mut e = Engine::new();
+        commit_put(&mut e, "a", "v", 1, 10);
+        commit_put(&mut e, "b", "v", 2, 10);
+        let open = txn(3, 20);
+        e.put(&Key::from("c"), Some(Value::from("open")), &open)
+            .unwrap();
+        e.note_txn_record(open.id, record(TxnStatus::Pending, 20));
+        e.rebaseline(0, Timestamp::ZERO, 0);
+        assert_eq!((e.mem_version_count(), e.sst_count()), (0, 1));
+        let replicas: Vec<Engine> = (0..3).map(|_| e.clone()).collect();
+        for mut r in replicas {
+            assert!(Rc::ptr_eq(&r.runs[0], &e.runs[0]));
+            r.crash_and_recover();
+            assert_eq!(read(&r, "a", 100), Some(Value::from("v")));
+            assert!(r.intent(&Key::from("c")).is_some());
+            assert_eq!(r.txn_record(open.id), Some(&record(TxnStatus::Pending, 20)));
+        }
+    }
+
+    #[test]
+    fn merging_or_splitting_a_shared_run_leaves_it_as_it_was() {
+        let mut e = Engine::new();
+        e.ingest(bulk(&["a", "b", "m", "y", "z"], 1));
+        let witness = e.clone();
+        let image = witness.state_image();
+        // A split straddling the run, and a merge folding it into one tier
+        // with three flushed runs.
+        let rhs = e.split_off(&Key::from("m"));
+        e.absorb(rhs);
+        for (i, key) in ["a", "m", "z"].iter().enumerate() {
+            commit_put(&mut e, key, "new", 2 + i as u64, 10 + i as u64);
+            e.flush(0);
+        }
+        let rep = e.maintain(Timestamp::new(100, 0), 0);
+        assert!(rep.compacted);
+        assert_eq!(e.sst_count(), 1);
+        assert_eq!(read(&e, "a", 100), Some(Value::from("new")));
+        assert_eq!(read(&e, "b", 100), Some(Value::from("b")));
+        assert_eq!(witness.state_image(), image);
+        assert_eq!(Rc::strong_count(&witness.runs[0]), 1);
     }
 
     #[test]

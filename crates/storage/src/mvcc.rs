@@ -329,13 +329,6 @@ impl MvccStore {
         }
     }
 
-    /// Directly install a committed version, bypassing the intent protocol.
-    /// Used only for bulk preloading of experiment datasets (the paper's
-    /// "initial import"); never during simulated execution.
-    pub fn preload(&mut self, key: Key, value: Value, ts: Timestamp) {
-        self.force_version(key, ts, Some(value));
-    }
-
     /// The full chain for `key`, if any state exists.
     pub fn chain(&self, key: &Key) -> Option<&VersionChain> {
         self.data.get(key)

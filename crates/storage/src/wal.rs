@@ -39,12 +39,6 @@ pub enum WalOp {
     AbortIntent { key: Key, txn_id: TxnId },
     /// Upsert a transaction record (coordinator state for recovery).
     TxnRecord { txn_id: TxnId, rec: TxnRecord },
-    /// Directly install a committed version (bulk preload path).
-    Preload {
-        key: Key,
-        value: Value,
-        ts: Timestamp,
-    },
 }
 
 /// One decoded WAL record.
@@ -295,12 +289,6 @@ pub mod codec {
         put_u64(out, txn_id.0);
         put_txn_rec(out, rec);
     }
-    pub fn preload_op(out: &mut Vec<u8>, key: &Key, value: &Value, ts: Timestamp) {
-        out.push(4);
-        put_key(out, key);
-        put_bytes(out, &value.0);
-        put_ts(out, ts);
-    }
 
     pub fn decode_op(c: &mut Cursor<'_>) -> Result<WalOp, DecodeError> {
         Ok(match c.u8()? {
@@ -321,11 +309,6 @@ pub mod codec {
             3 => WalOp::TxnRecord {
                 txn_id: TxnId(c.u64()?),
                 rec: c.txn_rec()?,
-            },
-            4 => WalOp::Preload {
-                key: c.key()?,
-                value: Value(bytes::Bytes::copy_from_slice(c.bytes()?)),
-                ts: c.ts()?,
             },
             _ => return Err(DecodeError),
         })
@@ -544,7 +527,6 @@ pub(crate) mod tests {
             } => commit_intent_op(out, key, *txn_id, *commit_ts),
             WalOp::AbortIntent { key, txn_id } => abort_intent_op(out, key, *txn_id),
             WalOp::TxnRecord { txn_id, rec } => txn_record_op(out, *txn_id, rec),
-            WalOp::Preload { key, value, ts } => preload_op(out, key, value, *ts),
         }
     }
 
@@ -662,11 +644,6 @@ pub(crate) mod tests {
                     commit_ts: Timestamp::new(8, 0),
                     in_flight: vec![Key::from("k1"), Key::from("k2")],
                 },
-            },
-            WalOp::Preload {
-                key: Key::from("k3"),
-                value: Value::from("seed"),
-                ts: Timestamp::new(1, 0),
             },
         ];
         let rec = WalRecord::Entry {

@@ -2,8 +2,9 @@
 //!
 //! The paper populates tables before each experiment ("each table is
 //! populated with 100k keys", §7.1.1). Loading through transactions would
-//! dominate simulation time, so this module materializes rows directly in
-//! every replica's store — the moral equivalent of the paper's bulk IMPORT.
+//! dominate simulation time, so this module hands every row to
+//! [`Cluster::ingest`](mr_kv::Cluster::ingest) in one batch — the paper's
+//! bulk IMPORT: one sorted run per range, shared by all of its replicas.
 
 use mr_sql::catalog::Table;
 use mr_sql::ddl::entry_key;
@@ -21,6 +22,7 @@ pub fn load_rows(db: &mut SqlDb, db_name: &str, table: &str, rows: &[Vec<Datum>]
             .unwrap_or_else(|| panic!("unknown table {table:?}"))
             .clone()
     };
+    let mut entries = Vec::with_capacity(rows.len() * table.indexes.len());
     for row in rows {
         assert_eq!(
             row.len(),
@@ -40,8 +42,11 @@ pub fn load_rows(db: &mut SqlDb, db_name: &str, table: &str, rows: &[Vec<Datum>]
         let value = encode_row(row);
         for index in &table.indexes {
             let key = entry_key(&table, index, region.as_deref(), row);
-            db.cluster.preload(key, value.clone());
+            entries.push((key, value.clone()));
         }
+    }
+    if let Err(e) = db.cluster.ingest(entries) {
+        panic!("loading {}: {e}", table.name);
     }
 }
 

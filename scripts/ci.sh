@@ -59,10 +59,16 @@ echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under the
 # that removes allocations lowers them, one that adds them back fails.
 #
 # Peak RSS on `wide_idle` (260 ranges x 28 replicas, nearly no traffic) is
-# what one replica's copy of range state costs times 7,280: it read 630 MiB
-# while a transaction record lived in two maps per replica and every replica
-# re-encoded its own checkpoint at install, 390 MiB at PR 20 with one map and
-# one checkpointed image cloned. Same shape of ratchet: 390 + 10 %.
+# what range state costs once per range plus what each of the 7,280 replicas
+# keeps of its own. It read 630 MiB while a transaction record lived in two
+# maps per replica and every replica re-encoded its own checkpoint at
+# install, and 390 MiB with one map and one checkpointed image deep-copied
+# into every replica. Since bulk loads and installed images reach a range's
+# replicas as shared sorted runs (a refcount per replica; the per-replica
+# part is the memtable, WAL and Raft state), it reads 43.7 MiB. On
+# `regional_ycsb_a` (50k rows x 7 replicas) the same change took it from
+# 207 to 27.5 MiB: a second ceiling, so a per-replica copy of the loaded
+# table shows up where the table is big. Same shape of ratchet: + 10 %.
 ledger_ceiling() {
     local workload="$1" metric="$2" ceiling="$3" what="$4" got
     got="$(cargo run -q --release --offline -p mr-ledger -- \
@@ -80,7 +86,8 @@ ledger_ceiling() {
 }
 ledger_ceiling global_ycsb_b host.allocs_per_op 75 "allocations per op"
 ledger_ceiling tpcc_nothink host.allocs_per_op 2485 "allocations per op"
-ledger_ceiling wide_idle peak_rss_mb 430 "MiB peak RSS"
+ledger_ceiling wide_idle peak_rss_mb 48 "MiB peak RSS"
+ledger_ceiling regional_ycsb_a peak_rss_mb 30 "MiB peak RSS"
 # The same idle run counted in allocations: 477.7 per op while every
 # side-transport tick built a `Vec` of updates per (sender, destination)
 # pair, 310.2 with one shared batch per sender (PR 21). A per-replica or
