@@ -6,6 +6,7 @@
 // seed and schedule rendered — and its incident bundle written to
 // `incident_seed<N>/` with the path printed — so CI catches consistency
 // regressions that only appear under faults, with the forensics attached.
+use mr_bench::write_bench;
 use mr_chaos::{run_chaos, ChaosConfig, CheckerConfig, FaultSchedule, ScheduleBounds};
 use mr_sim::SimDuration;
 
@@ -26,7 +27,8 @@ fn main() {
     let strict = std::env::var("MR_STRICT_MONITORS").map_or(true, |v| v != "0");
 
     let bounds = ScheduleBounds::default();
-    let mut rows = Vec::new();
+    let mut w = mr_obs::export::JsonWriter::default();
+    w.obj().key("scenarios").arr();
     let mut failed = false;
     for seed in SEEDS {
         let schedule = FaultSchedule::random(seed, &bounds);
@@ -57,21 +59,17 @@ fn main() {
             }
             failed = true;
         }
-        rows.push(format!(
-            "    {{\n      \"seed\": {seed},\n      \"ops_ok\": {},\n      \"ops_failed\": {},\n      \"ops_per_sec\": {:.2},\n      \"recovery_p99_ms\": {:.3},\n      \"steady_p99_ms\": {:.3},\n      \"checker_violations\": {}\n    }}",
-            outcome.ops_ok,
-            outcome.ops_failed,
-            outcome.ops_per_sec,
-            ms(outcome.recovery_p99),
-            ms(outcome.steady_p99),
-            outcome.report.violations.len()
-        ));
+        w.obj().field("seed", seed).field("ops_ok", outcome.ops_ok);
+        w.field("ops_failed", outcome.ops_failed);
+        w.key("ops_per_sec").fixed(outcome.ops_per_sec, 2);
+        w.key("recovery_p99_ms").fixed(ms(outcome.recovery_p99), 3);
+        w.key("steady_p99_ms").fixed(ms(outcome.steady_p99), 3);
+        w.field("checker_violations", outcome.report.violations.len());
+        w.end();
     }
-
-    let json = format!("{{\n  \"scenarios\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
-    std::fs::write("BENCH_chaos.json", &json).unwrap();
+    w.end().end();
+    write_bench("chaos", &w.finish());
     eprintln!("total: {:?}", t0.elapsed());
-    print!("{json}");
     if failed {
         std::process::exit(1);
     }

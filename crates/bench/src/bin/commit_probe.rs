@@ -15,7 +15,7 @@
 //! Exits non-zero if the measured medians violate the expected round-trip
 //! structure, so CI can use this binary as a bench-regression guard.
 
-use mr_bench::{commit_probe, commit_probe_json, CommitRow};
+use mr_bench::{commit_probe, commit_probe_json, write_bench, CommitRow};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -29,9 +29,7 @@ fn main() {
 
     eprintln!("commit_probe: seed {seed}, {txns} txns per cell");
     let rows = commit_probe(seed, txns);
-    let json = commit_probe_json(&rows);
-    std::fs::write("BENCH_commit.json", &json).expect("write BENCH_commit.json");
-    print!("{json}");
+    write_bench("commit", &commit_probe_json(&rows));
 
     let mut failures = Vec::new();
     for r in &rows {

@@ -17,7 +17,7 @@
 //! Exits non-zero on any violated gate, so CI uses this binary as the
 //! telemetry regression guard.
 
-use mr_bench::{obs_probe, obs_probe_json};
+use mr_bench::{obs_probe, obs_probe_json, write_bench};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -39,9 +39,7 @@ fn main() {
 
     eprintln!("obs_probe: seed {seed}, {skew_secs}s skew, {txns} attribution txns");
     let r = obs_probe(seed, skew_secs, txns);
-    let json = obs_probe_json(&r);
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    print!("{json}");
+    write_bench("obs", &obs_probe_json(&r));
 
     let mut failures = Vec::new();
     // The deliberately skewed range must rank first, with a decayed QPS

@@ -6,7 +6,7 @@
 // counters (replication_violations, monitor_violations).
 use mr_bench::{
     add_clients, five_region_db, obs_hist_json, paper_regions, run_to_completion, setup_ycsb,
-    write_obs_exports,
+    write_bench, write_obs_exports,
 };
 use mr_sim::SimRng;
 use mr_workload::driver::ClosedLoop;
@@ -131,19 +131,18 @@ fn main() {
         reg.histogram_merged_where("kv.op.latency", &[("op", "kv.get"), ("policy", "lag")]);
     let global_reads =
         reg.histogram_merged_where("kv.op.latency", &[("op", "kv.get"), ("policy", "lead")]);
-    let global_commits =
+    let commits =
         reg.histogram_merged_where("kv.op.latency", &[("op", "kv.commit"), ("policy", "lead")]);
+    let mut w = mr_obs::export::JsonWriter::default();
+    w.obj();
+    w.key("regional_reads").raw(obs_hist_json(&regional_reads));
+    w.key("global_reads").raw(obs_hist_json(&global_reads));
+    w.key("global_txn_commits").raw(obs_hist_json(&commits));
     let report = db.cluster.replication_report();
-    let json = format!(
-        "{{\n  \"regional_reads\": {},\n  \"global_reads\": {},\n  \"global_txn_commits\": {},\n  \"replication_violations\": {},\n  \"monitor_violations\": {}\n}}\n",
-        obs_hist_json(&regional_reads),
-        obs_hist_json(&global_reads),
-        obs_hist_json(&global_commits),
-        report.violations(),
-        db.cluster.obs.monitors.violation_count()
-    );
-    std::fs::write("BENCH_perf.json", &json).unwrap();
+    w.field("replication_violations", report.violations());
+    let monitors = db.cluster.obs.monitors.violation_count();
+    w.field("monitor_violations", monitors).end();
+    write_bench("perf", &w.finish());
     write_obs_exports(&db, "perf_probe");
     eprintln!("metrics: {:?}", db.cluster.metrics());
-    print!("{json}");
 }

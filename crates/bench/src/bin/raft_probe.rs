@@ -14,7 +14,7 @@
 //! suppressing idle heartbeats — so CI can use this binary as a
 //! bench-regression guard.
 
-use mr_bench::{raft_probe, raft_probe_json};
+use mr_bench::{raft_probe, raft_probe_json, write_bench};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -32,9 +32,7 @@ fn main() {
 
     eprintln!("raft_probe: seed {seed}, {txns} txns per client, {cold} cold ranges");
     let r = raft_probe(seed, txns, cold);
-    let json = raft_probe_json(&r);
-    std::fs::write("BENCH_raft.json", &json).expect("write BENCH_raft.json");
-    print!("{json}");
+    write_bench("raft", &raft_probe_json(&r));
 
     let mut failures = Vec::new();
     // Group commit must actually fill entries: mean occupancy well above

@@ -16,7 +16,7 @@
 //! idle, or cold merges stop folding the keyspace — CI uses this binary
 //! as the lifecycle regression guard.
 
-use mr_bench::{split_probe, split_probe_json};
+use mr_bench::{split_probe, split_probe_json, write_bench};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -30,9 +30,7 @@ fn main() {
 
     eprintln!("split_probe: seed {seed}, {txns} txns per client");
     let r = split_probe(seed, txns);
-    let json = split_probe_json(&r);
-    std::fs::write("BENCH_split.json", &json).expect("write BENCH_split.json");
-    print!("{json}");
+    write_bench("split", &split_probe_json(&r));
 
     let mut failures = Vec::new();
     if r.baseline.splits != 0 || r.baseline.ranges != 1 {

@@ -14,7 +14,7 @@
 //! the three constants) — CI uses this binary as the storage regression
 //! guard.
 
-use mr_bench::{storage_probe, storage_probe_json};
+use mr_bench::{storage_probe, storage_probe_json, write_bench};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -24,9 +24,7 @@ fn main() {
 
     eprintln!("storage_probe: seed {seed}");
     let r = storage_probe(seed);
-    let json = storage_probe_json(&r);
-    std::fs::write("BENCH_storage.json", &json).expect("write BENCH_storage.json");
-    print!("{json}");
+    write_bench("storage", &storage_probe_json(&r));
 
     let mut failures = Vec::new();
     // The acceptance bar: cold-key lookups are answered by the run indexes

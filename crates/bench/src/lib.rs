@@ -10,6 +10,7 @@
 //! single-digit-minute wall time. Set `MR_OPS_PER_CLIENT` (and
 //! `MR_TPCC_SECS`) to raise the sample counts toward paper scale.
 
+use mr_obs::export::JsonWriter;
 use mr_sim::SimRng;
 use mr_workload::bulk;
 use mr_workload::driver::{ClosedLoop, DriverStats, OpSource};
@@ -163,13 +164,25 @@ pub fn print_cdf(name: &str, rec: &mut mr_sim::LatencyRecorder) {
 
 /// JSON object for one merged latency histogram (nanosecond values).
 pub fn obs_hist_json(h: &mr_obs::Histogram) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-        h.count(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-        h.max()
-    )
+    let mut w = JsonWriter::default();
+    w.obj_inline().field("count", h.count());
+    w.field("p50_ns", h.quantile(0.5));
+    w.field("p99_ns", h.quantile(0.99));
+    w.field("max_ns", h.max()).end();
+    w.finish().trim_end().to_owned()
+}
+
+/// Write one export file, naming the path if the write fails.
+fn write_export(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        panic!("cannot write {path}: {e}");
+    }
+}
+
+/// Write a probe's document to `BENCH_<name>.json` and echo it to stdout.
+pub fn write_bench(name: &str, json: &str) {
+    write_export(&format!("BENCH_{name}.json"), json);
+    print!("{json}");
 }
 
 /// Write a finished run's observability exports next to the bench output:
@@ -180,25 +193,19 @@ pub fn obs_hist_json(h: &mr_obs::Histogram) -> String {
 /// All are deterministic for a fixed seed.
 pub fn write_obs_exports(db: &SqlDb, prefix: &str) {
     let obs = &db.cluster.obs;
-    std::fs::write(format!("{prefix}_metrics.json"), obs.registry.dump_json()).unwrap();
-    std::fs::write(format!("{prefix}_metrics.csv"), obs.registry.dump_csv()).unwrap();
-    std::fs::write(format!("{prefix}_scrapes.csv"), obs.scraper.export_csv()).unwrap();
-    std::fs::write(
-        format!("{prefix}_events.json"),
-        db.cluster.events.export_json(),
-    )
-    .unwrap();
-    std::fs::write(
-        format!("{prefix}_replication_report.json"),
-        db.cluster.replication_report().export_json(),
-    )
-    .unwrap();
+    let report = db.cluster.replication_report().export_json();
+    let mut files = vec![
+        ("metrics.json", obs.registry.dump_json()),
+        ("metrics.csv", obs.registry.dump_csv()),
+        ("scrapes.csv", obs.scraper.export_csv()),
+        ("events.json", db.cluster.events.export_json()),
+        ("replication_report.json", report),
+    ];
     if !obs.tracer.is_empty() {
-        std::fs::write(
-            format!("{prefix}_trace.json"),
-            obs.tracer.export_chrome_json(),
-        )
-        .unwrap();
+        files.push(("trace.json", obs.tracer.export_chrome_json()));
+    }
+    for (suffix, contents) in files {
+        write_export(&format!("{prefix}_{suffix}"), &contents);
     }
 }
 
@@ -740,22 +747,24 @@ pub fn raft_probe(seed: u64, txns_per_client: usize, cold_ranges: u32) -> RaftPr
 
 /// Render the probe as the deterministic `BENCH_raft.json` document.
 pub fn raft_probe_json(r: &RaftProbeReport) -> String {
-    let phase = |p: &RaftPhase| {
-        format!(
-            "{{\"commands\": {}, \"entries\": {}, \"mean_occupancy\": {:.3}, \"proposals_per_sec\": {:.1}, \"txns\": {}, \"read_fast_path\": {}}}",
-            p.commands, p.entries, p.mean_occupancy, p.proposals_per_sec, p.txns, p.read_fast_path
-        )
-    };
-    format!(
-        "{{\n  \"batched\": {},\n  \"unbatched\": {},\n  \"read_fast_path\": {},\n  \"quiescence\": {{\"cold_ranges\": {}, \"hb_per_sec_off\": {:.1}, \"hb_per_sec_on\": {:.1}, \"suppression\": {:.1}}}\n}}\n",
-        phase(&r.batched),
-        phase(&r.unbatched),
-        r.read_fast_path,
-        r.cold_ranges,
-        r.hb_per_sec_off,
-        r.hb_per_sec_on,
-        r.heartbeat_suppression
-    )
+    let mut w = JsonWriter::default();
+    w.obj();
+    for (name, p) in [("batched", &r.batched), ("unbatched", &r.unbatched)] {
+        w.key(name).obj_inline().field("commands", p.commands);
+        w.field("entries", p.entries);
+        w.key("mean_occupancy").fixed(p.mean_occupancy, 3);
+        w.key("proposals_per_sec").fixed(p.proposals_per_sec, 1);
+        w.field("txns", p.txns);
+        w.field("read_fast_path", p.read_fast_path).end();
+    }
+    w.field("read_fast_path", r.read_fast_path);
+    w.key("quiescence").obj_inline();
+    w.field("cold_ranges", r.cold_ranges);
+    w.key("hb_per_sec_off").fixed(r.hb_per_sec_off, 1);
+    w.key("hb_per_sec_on").fixed(r.hb_per_sec_on, 1);
+    w.key("suppression").fixed(r.heartbeat_suppression, 1);
+    w.end().end();
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -941,52 +950,41 @@ pub fn split_probe(seed: u64, txns_per_client: usize) -> SplitProbeReport {
 
 /// Render the probe as the deterministic `BENCH_split.json` document.
 pub fn split_probe_json(r: &SplitProbeReport) -> String {
-    let phase = |p: &SplitPhase| {
-        format!(
-            "{{\"txns\": {}, \"retries\": {}, \"ops_per_sec\": {:.1}, \"ranges\": {}, \"splits\": {}, \
-             \"merges\": {}, \"lease_rebalances\": {}, \"split_p99_ms\": {:.3}, \
-             \"hottest_share_milli\": {}, \"convergence_ticks\": {}, \"ranges_after_idle\": {}}}",
-            p.txns,
-            p.retries,
-            p.ops_per_sec,
-            p.ranges,
-            p.splits,
-            p.merges,
-            p.lease_rebalances,
-            p.split_p99_ms,
-            p.hottest_share_milli,
-            p.convergence_ticks,
-            p.ranges_after_idle
-        )
-    };
-    format!(
-        "{{\n  \"baseline\": {},\n  \"lifecycle\": {},\n  \"speedup\": {:.3}\n}}\n",
-        phase(&r.baseline),
-        phase(&r.lifecycle),
-        r.lifecycle.ops_per_sec / r.baseline.ops_per_sec.max(1e-9)
-    )
+    let mut w = JsonWriter::default();
+    w.obj();
+    for (name, p) in [("baseline", &r.baseline), ("lifecycle", &r.lifecycle)] {
+        w.key(name).obj_inline().field("txns", p.txns);
+        w.field("retries", p.retries);
+        w.key("ops_per_sec").fixed(p.ops_per_sec, 1);
+        w.field("ranges", p.ranges).field("splits", p.splits);
+        w.field("merges", p.merges);
+        w.field("lease_rebalances", p.lease_rebalances);
+        w.key("split_p99_ms").fixed(p.split_p99_ms, 3);
+        w.field("hottest_share_milli", p.hottest_share_milli);
+        w.field("convergence_ticks", p.convergence_ticks);
+        w.field("ranges_after_idle", p.ranges_after_idle).end();
+    }
+    let speedup = r.lifecycle.ops_per_sec / r.baseline.ops_per_sec.max(1e-9);
+    w.key("speedup").fixed(speedup, 3).end();
+    w.finish()
 }
 
 /// Render probe rows as the deterministic `BENCH_commit.json` document.
 pub fn commit_probe_json(rows: &[CommitRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"gateway_region\": \"{}\",\n      \"scenario\": \"{}\",\n      \"rtt_ms\": {:.3},\n      \"legacy\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"n\": {}}},\n      \"pipelined\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"n\": {}}}\n    }}",
-                r.gateway_region,
-                r.scenario,
-                r.rtt_ms,
-                r.legacy.p50_ms,
-                r.legacy.p99_ms,
-                r.legacy.n,
-                r.pipelined.p50_ms,
-                r.pipelined.p99_ms,
-                r.pipelined.n
-            )
-        })
-        .collect();
-    format!("{{\n  \"rows\": [\n{}\n  ]\n}}\n", body.join(",\n"))
+    let mut w = JsonWriter::default();
+    w.obj().key("rows").arr();
+    for r in rows {
+        w.obj().field("gateway_region", &r.gateway_region);
+        w.field("scenario", r.scenario);
+        w.key("rtt_ms").fixed(r.rtt_ms, 3);
+        for (name, c) in [("legacy", &r.legacy), ("pipelined", &r.pipelined)] {
+            w.key(name).obj_inline().key("p50_ms").fixed(c.p50_ms, 3);
+            w.key("p99_ms").fixed(c.p99_ms, 3).field("n", c.n).end();
+        }
+        w.end();
+    }
+    w.end().end();
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,43 +1212,36 @@ pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport
 
 /// Render the probe as the deterministic `BENCH_obs.json` document.
 pub fn obs_probe_json(r: &ObsProbeReport) -> String {
-    let hot_rows: Vec<String> = r
-        .hot
-        .iter()
-        .take(5)
-        .map(|s| {
-            format!(
-                "{{\"range\": {}, \"qps_milli\": {}, \"read_qps_milli\": {}, \"write_qps_milli\": {}, \"write_bytes_per_sec\": {}, \"mean_latency_nanos\": {}}}",
-                s.range,
-                s.qps_milli,
-                s.read_qps_milli,
-                s.write_qps_milli,
-                s.write_bytes_per_sec,
-                s.mean_latency_nanos
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"skew\": {{\"hot_range\": {}, \"warm_range\": {}, \"driven_qps_milli\": {}, \"hot_ranges\": [{}]}},\n  \"rates\": {{\"expected_milli\": {}, \"fine_milli\": {}, \"coarse_milli\": {}, \"fine_samples\": {}, \"coarse_samples\": {}}},\n  \"attribution\": {{\"txns\": {}, \"total_nanos\": {}, \"named_nanos\": {}, \"other_nanos\": {}, \"named_fraction\": {:.4}}},\n  \"instrument_count\": {},\n  \"slow_txns\": {},\n  \"hot_ranges_export\": {},\n  \"metrics_history\": {}}}\n",
-        r.hot_range,
-        r.warm_range,
-        r.driven_qps_milli,
-        hot_rows.join(", "),
-        r.expected_commit_rate_milli,
-        r.commit_rate_fine_milli,
-        r.commit_rate_coarse_milli,
-        r.fine_samples,
-        r.coarse_samples,
-        r.attr_txns,
-        r.attr_total_nanos,
-        r.attr_named_nanos,
-        r.attr_other_nanos,
-        r.named_fraction(),
-        r.instrument_count,
-        r.slow_txns_json.trim_end(),
-        r.hot_ranges_json.trim_end(),
-        r.metrics_history_json.trim_end()
-    )
+    let mut w = JsonWriter::default();
+    w.obj().key("skew").obj_inline();
+    w.field("hot_range", r.hot_range);
+    w.field("warm_range", r.warm_range);
+    w.field("driven_qps_milli", r.driven_qps_milli);
+    w.key("hot_ranges").arr_inline();
+    for s in r.hot.iter().take(5) {
+        w.obj_inline();
+        s.write_fields(&mut w);
+        w.end();
+    }
+    w.end().end().key("rates").obj_inline();
+    w.field("expected_milli", r.expected_commit_rate_milli);
+    w.field("fine_milli", r.commit_rate_fine_milli);
+    w.field("coarse_milli", r.commit_rate_coarse_milli);
+    w.field("fine_samples", r.fine_samples);
+    w.field("coarse_samples", r.coarse_samples);
+    w.end().key("attribution").obj_inline();
+    w.field("txns", r.attr_txns);
+    w.field("total_nanos", r.attr_total_nanos);
+    w.field("named_nanos", r.attr_named_nanos);
+    w.field("other_nanos", r.attr_other_nanos);
+    w.key("named_fraction").fixed(r.named_fraction(), 4).end();
+    w.field("instrument_count", r.instrument_count);
+    w.key("slow_txns").raw(r.slow_txns_json.trim_end());
+    w.key("hot_ranges_export").raw(r.hot_ranges_json.trim_end());
+    let history = r.metrics_history_json.trim_end();
+    w.key("metrics_history").raw(history);
+    w.end();
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1513,27 +1504,31 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
 
 /// Render the probe as the deterministic `BENCH_storage.json` document.
 pub fn storage_probe_json(r: &StorageProbeReport) -> String {
-    format!(
-        "{{\n  \"bloom\": {{\"runs\": {}, \"lookups\": {}, \"probes\": {}, \"skips\": {}, \"skip_milli\": {}}},\n  \"gc\": {{\"versions_written\": {}, \"versions_before\": {}, \"versions_protected\": {}, \"versions_after\": {}, \"reclaim_milli\": {}, \"protected_read_ok\": {}, \"below_threshold_read_errors\": {}}},\n  \"recovery\": {{\"wal_replayed\": {}, \"recovered_versions\": {}}},\n  \"compaction\": {{\"passes\": {}, \"flushed\": {}, \"rewritten\": {}, \"write_amp_milli\": {}, \"max_runs\": {}, \"space_amp_milli\": {}}}\n}}\n",
-        r.bloom_runs,
-        r.bloom_lookups,
-        r.bloom_probes,
-        r.bloom_skips,
-        r.bloom_skip_milli,
-        r.gc_versions_written,
-        r.gc_versions_before,
-        r.gc_versions_protected,
-        r.gc_versions_after,
-        r.gc_reclaim_milli,
-        r.protected_read_ok,
-        r.below_threshold_read_errors,
-        r.wal_replayed,
-        r.recovered_versions,
-        r.compaction_passes,
-        r.compaction_flushed,
-        r.compaction_rewritten,
-        r.write_amp_milli,
-        r.compaction_max_runs,
-        r.space_amp_milli
-    )
+    let mut w = JsonWriter::default();
+    w.obj().key("bloom").obj_inline();
+    w.field("runs", r.bloom_runs);
+    w.field("lookups", r.bloom_lookups);
+    w.field("probes", r.bloom_probes);
+    w.field("skips", r.bloom_skips);
+    w.field("skip_milli", r.bloom_skip_milli);
+    w.end().key("gc").obj_inline();
+    w.field("versions_written", r.gc_versions_written);
+    w.field("versions_before", r.gc_versions_before);
+    w.field("versions_protected", r.gc_versions_protected);
+    w.field("versions_after", r.gc_versions_after);
+    w.field("reclaim_milli", r.gc_reclaim_milli);
+    w.field("protected_read_ok", r.protected_read_ok);
+    w.field("below_threshold_read_errors", r.below_threshold_read_errors);
+    w.end().key("recovery").obj_inline();
+    w.field("wal_replayed", r.wal_replayed);
+    w.field("recovered_versions", r.recovered_versions);
+    w.end().key("compaction").obj_inline();
+    w.field("passes", r.compaction_passes);
+    w.field("flushed", r.compaction_flushed);
+    w.field("rewritten", r.compaction_rewritten);
+    w.field("write_amp_milli", r.write_amp_milli);
+    w.field("max_runs", r.compaction_max_runs);
+    w.field("space_amp_milli", r.space_amp_milli);
+    w.end().end();
+    w.finish()
 }

@@ -16,7 +16,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use mr_kv::cluster::Cluster;
-use mr_obs::export::json_escape;
+use mr_obs::export::JsonWriter;
 use mr_obs::Resolution;
 use mr_sim::{SimDuration, SimTime};
 
@@ -118,101 +118,54 @@ fn manifest_json(
     let first = report
         .violations
         .first()
-        .map(|v| format!("\"{}\"", json_escape(v.kind)))
-        .or_else(|| {
-            monitor_violations
-                .first()
-                .map(|v| format!("\"{}\"", json_escape(v.invariant)))
-        })
-        .unwrap_or_else(|| "null".into());
-    let list = files
-        .iter()
-        .map(|(n, _)| format!("\"{n}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"seed\": {},\n  \"schedule\": \"{}\",\n  \"checker_violations\": {},\n  \
-         \"monitor_violations\": {},\n  \"first_violation\": {},\n  \"window_from_ns\": {},\n  \
-         \"window_to_ns\": {},\n  \"files\": [{}]\n}}\n",
-        report.seed,
-        json_escape(&report.schedule_name),
-        report.violations.len(),
-        monitor_violations.len(),
-        first,
-        from.0,
-        to.0,
-        list,
-    )
+        .map(|v| v.kind)
+        .or_else(|| monitor_violations.first().map(|v| v.invariant));
+    let mut w = JsonWriter::default();
+    w.obj().field("seed", report.seed);
+    w.field("schedule", &report.schedule_name);
+    w.field("checker_violations", report.violations.len());
+    w.field("monitor_violations", monitor_violations.len());
+    w.field("first_violation", first);
+    w.field("window_from_ns", from.0);
+    w.field("window_to_ns", to.0);
+    w.key("files").arr_inline();
+    w.vals(files.iter().map(|(n, _)| n)).end().end();
+    w.finish()
 }
 
 /// Checker violations (with the schedule step in effect) followed by
 /// online monitor violations.
 fn violations_json(report: &CheckReport, schedule: &FaultSchedule, cluster: &Cluster) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.arr();
     for v in &report.violations {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let (step_index, step_fault) = match schedule.step_before(v.at) {
-            Some((i, s)) => (
-                i.to_string(),
-                format!("\"{}\"", json_escape(&s.fault.to_string())),
-            ),
-            None => ("null".into(), "null".into()),
-        };
-        let ops = v
-            .ops
-            .iter()
-            .map(|o| o.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "  {{\"source\": \"checker\", \"kind\": \"{}\", \"at_ns\": {}, \"ops\": [{}], \
-             \"step\": {}, \"fault\": {}, \"detail\": \"{}\"}}",
-            json_escape(v.kind),
-            v.at.0,
-            ops,
-            step_index,
-            step_fault,
-            json_escape(&v.detail),
-        ));
+        let step = schedule.step_before(v.at);
+        w.obj_inline().field("source", "checker");
+        w.field("kind", v.kind).field("at_ns", v.at.0);
+        w.key("ops").arr_inline().vals(&v.ops).end();
+        w.field("step", step.map(|(i, _)| i));
+        w.field("fault", step.map(|(_, s)| s.fault.to_string()));
+        w.field("detail", &v.detail).end();
     }
     for v in cluster.obs.monitors.violations() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "  {{\"source\": \"monitor\", \"kind\": \"{}\", \"at_ns\": {}, \"detail\": \"{}\"}}",
-            json_escape(v.invariant),
-            v.at.0,
-            json_escape(&v.detail),
-        ));
+        w.obj_inline().field("source", "monitor");
+        w.field("kind", v.invariant).field("at_ns", v.at.0);
+        w.field("detail", &v.detail).end();
     }
-    out.push_str("\n]\n");
-    out
+    w.end();
+    w.finish()
 }
 
 fn schedule_json(schedule: &FaultSchedule) -> String {
-    let mut out = format!(
-        "{{\n  \"name\": \"{}\",\n  \"steps\": [\n",
-        json_escape(&schedule.name)
-    );
+    let mut w = JsonWriter::default();
+    w.obj().field("name", &schedule.name).key("steps").arr();
     for (i, s) in schedule.steps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"step\": {}, \"at_offset_ns\": {}, \"fault\": \"{}\"}}",
-            i,
-            s.at.nanos(),
-            json_escape(&s.fault.to_string()),
-        ));
+        w.obj_inline().field("step", i);
+        w.field("at_offset_ns", s.at.nanos());
+        w.field("fault", s.fault.to_string()).end();
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
 /// Ops implicated by a violation (always included, in full) plus every op
@@ -223,54 +176,29 @@ fn history_json(history: &History, report: &CheckReport, from: SimTime, to: SimT
         .iter()
         .flat_map(|v| v.ops.iter().copied())
         .collect();
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.arr();
     for op in history.ops() {
         let in_window = op.invoke_at >= from && op.invoke_at <= to;
         let flagged = implicated.contains(&op.id);
         if !in_window && !flagged {
             continue;
         }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let complete = op
-            .complete_at
-            .map(|t| t.0.to_string())
-            .unwrap_or_else(|| "null".into());
-        let value = op
-            .value
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "null".into());
-        let ts = op
-            .ts
-            .map(|t| format!("[{}, {}]", t.wall, t.logical))
-            .unwrap_or_else(|| "null".into());
-        let error = op
-            .error
-            .as_ref()
-            .map(|e| format!("\"{}\"", json_escape(e)))
-            .unwrap_or_else(|| "null".into());
-        out.push_str(&format!(
-            "  {{\"op\": {}, \"implicated\": {}, \"client\": {}, \"kind\": \"{}\", \
-             \"key\": \"{}\", \"outcome\": \"{}\", \"invoke_ns\": {}, \"complete_ns\": {}, \
-             \"value\": {}, \"ts\": {}, \"error\": {}}}",
-            op.id,
-            flagged,
-            op.client,
-            op.kind.label(),
-            json_escape(&op.key),
-            op.outcome.label(),
-            op.invoke_at.0,
-            complete,
-            value,
-            ts,
-            error,
-        ));
+        w.obj_inline().field("op", op.id);
+        w.field("implicated", flagged);
+        w.field("client", op.client).field("kind", op.kind.label());
+        w.field("key", &op.key).field("outcome", op.outcome.label());
+        w.field("invoke_ns", op.invoke_at.0);
+        w.field("complete_ns", op.complete_at.map(|t| t.0));
+        w.field("value", op.value).key("ts");
+        match op.ts {
+            Some(t) => w.arr_inline().val(t.wall).val(t.logical).end(),
+            None => w.val(None::<u64>),
+        };
+        w.field("error", &op.error).end();
     }
-    out.push_str("\n]\n");
-    out
+    w.end();
+    w.finish()
 }
 
 /// Span subtrees of transactions alive inside the window: every retained
@@ -278,8 +206,8 @@ fn history_json(history: &History, report: &CheckReport, from: SimTime, to: SimT
 /// descendants in creation order.
 fn spans_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
     let tr = &cluster.obs.tracer;
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.arr();
     for root in tr.roots() {
         let Some(r) = tr.try_get(root) else { continue };
         // An unfinished span is still alive: it overlaps any window that
@@ -292,134 +220,82 @@ fn spans_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
         ids.extend(tr.descendants(root));
         for id in ids {
             let Some(s) = tr.try_get(id) else { continue };
-            if !first {
-                out.push_str(",\n");
+            w.obj_inline().field("id", s.id.raw());
+            w.field("root", root.raw());
+            w.field("parent", s.parent.map(|p| p.raw()));
+            w.field("name", &s.name).field("start_ns", s.start.0);
+            w.field("end_ns", s.end.map(|t| t.0));
+            w.key("attrs").obj_inline();
+            for (k, v) in &s.attrs {
+                w.field(k, v);
             }
-            first = false;
-            let parent = s
-                .parent
-                .map(|p| p.raw().to_string())
-                .unwrap_or_else(|| "null".into());
-            let end = s
-                .end
-                .map(|t| t.0.to_string())
-                .unwrap_or_else(|| "null".into());
-            let attrs = s
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let events = s
-                .events
-                .iter()
-                .map(|(at, m)| format!("[{}, \"{}\"]", at.0, json_escape(m)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "  {{\"id\": {}, \"root\": {}, \"parent\": {}, \"name\": \"{}\", \
-                 \"start_ns\": {}, \"end_ns\": {}, \"attrs\": {{{}}}, \"events\": [{}]}}",
-                s.id.raw(),
-                root.raw(),
-                parent,
-                json_escape(&s.name),
-                s.start.0,
-                end,
-                attrs,
-                events,
-            ));
+            w.end().key("events").arr_inline();
+            for (at, m) in &s.events {
+                w.arr_inline().val(at.0).val(m).end();
+            }
+            w.end().end();
         }
     }
-    out.push_str("\n]\n");
-    out
+    w.end();
+    w.finish()
 }
 
 fn events_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.arr();
     for e in cluster.events.events() {
         if e.at < from || e.at > to {
             continue;
         }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let range = e
-            .kind
-            .range()
-            .map(|r| r.0.to_string())
-            .unwrap_or_else(|| "null".into());
-        out.push_str(&format!(
-            "  {{\"seq\": {}, \"at_ns\": {}, \"kind\": \"{}\", \"range\": {}, \"detail\": \"{}\"}}",
-            e.seq,
-            e.at.0,
-            e.kind.label(),
-            range,
-            json_escape(&e.kind.detail()),
-        ));
+        w.obj_inline().field("seq", e.seq).field("at_ns", e.at.0);
+        w.field("kind", e.kind.label());
+        w.field("range", e.kind.range().map(|r| r.0));
+        w.field("detail", e.kind.detail()).end();
     }
-    out.push_str("\n]\n");
-    out
+    w.end();
+    w.finish()
 }
 
 /// Every fine-resolution sample inside the window, per metric in store
 /// order.
 fn metrics_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
     let tsdb = &cluster.obs.tsdb;
-    let mut out = String::from("{\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.obj();
     for metric in tsdb.metrics() {
         let samples = tsdb.window(&metric, Resolution::Fine, from, to);
         if samples.is_empty() {
             continue;
         }
-        if !first {
-            out.push_str(",\n");
+        w.key(&metric).arr_inline();
+        for (at, v) in samples {
+            w.arr_inline().val(at.0).val(v).end();
         }
-        first = false;
-        let list = samples
-            .iter()
-            .map(|(at, v)| format!("[{}, {}]", at.0, v))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("  \"{}\": [{}]", json_escape(&metric), list));
+        w.end();
     }
-    out.push_str("\n}\n");
-    out
+    w.end();
+    w.finish()
 }
 
 /// Placement snapshot of every range at capture time.
 fn ranges_json(cluster: &Cluster) -> String {
     let topo = cluster.topology();
-    let mut out = String::from("[\n");
-    let mut first = true;
+    let mut w = JsonWriter::default();
+    w.arr();
     for desc in cluster.registry().iter() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
         let mut voters: Vec<u32> = desc.voters().map(|n| n.0).collect();
         voters.sort_unstable();
         let mut non_voters: Vec<u32> = desc.non_voters().map(|n| n.0).collect();
         non_voters.sort_unstable();
-        let fmt = |ns: &[u32]| {
-            ns.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        out.push_str(&format!(
-            "  {{\"range\": {}, \"span\": \"{}\", \"leaseholder\": {}, \
-             \"leaseholder_region\": \"{}\", \"voters\": [{}], \"non_voters\": [{}]}}",
-            desc.id.0,
-            json_escape(&format!("{:?}", desc.span)),
-            desc.leaseholder.0,
-            json_escape(topo.region_name(topo.region_of(desc.leaseholder))),
-            fmt(&voters),
-            fmt(&non_voters),
-        ));
+        let region = topo.region_name(topo.region_of(desc.leaseholder));
+        w.obj_inline().field("range", desc.id.0);
+        w.field("span", format!("{:?}", desc.span));
+        w.field("leaseholder", desc.leaseholder.0);
+        w.field("leaseholder_region", region);
+        w.key("voters").arr_inline().vals(voters).end();
+        w.key("non_voters").arr_inline().vals(non_voters);
+        w.end().end();
     }
-    out.push_str("\n]\n");
-    out
+    w.end();
+    w.finish()
 }

@@ -329,42 +329,19 @@ impl History {
     /// fixed seed two runs produce byte-identical output.
     pub fn export_json(&self) -> String {
         let h = self.inner.borrow();
-        let mut out = String::from("[\n");
-        for (i, e) in h.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let value = e
-                .value
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".into());
-            let (ts_wall, ts_logical) = match e.ts {
-                Some(t) => (t.wall.to_string(), t.logical.to_string()),
-                None => ("null".into(), "null".into()),
-            };
-            let error = match &e.error {
-                Some(err) => format!("\"{}\"", mr_obs::export::json_escape(err)),
-                None => "null".into(),
-            };
-            out.push_str(&format!(
-                "  {{\"seq\": {}, \"op\": {}, \"client\": {}, \"phase\": \"{}\", \"kind\": \"{}\", \
-                 \"key\": \"{}\", \"value\": {}, \"ts_wall\": {}, \"ts_logical\": {}, \
-                 \"at_ns\": {}, \"error\": {}}}",
-                e.seq,
-                e.op,
-                e.client,
-                e.phase.label(),
-                e.kind.label(),
-                mr_obs::export::json_escape(&e.key),
-                value,
-                ts_wall,
-                ts_logical,
-                e.at.0,
-                error,
-            ));
+        let mut w = mr_obs::export::JsonWriter::default();
+        w.arr();
+        for e in &h.events {
+            w.obj_inline().field("seq", e.seq).field("op", e.op);
+            w.field("client", e.client).field("phase", e.phase.label());
+            w.field("kind", e.kind.label()).field("key", &e.key);
+            w.field("value", e.value);
+            w.field("ts_wall", e.ts.map(|t| t.wall));
+            w.field("ts_logical", e.ts.map(|t| t.logical));
+            w.field("at_ns", e.at.0).field("error", &e.error).end();
         }
-        out.push_str("\n]\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 

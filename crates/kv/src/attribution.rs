@@ -265,33 +265,22 @@ impl TxnAttrLog {
 
     /// Deterministic JSON export of the `k` slowest transactions.
     pub fn export_json(&self, k: usize) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.slowest(k).iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
+        let mut w = mr_obs::export::JsonWriter::default();
+        w.arr();
+        for r in self.slowest(k) {
+            w.obj_inline().field("txn", r.txn_id);
+            w.field("gateway", r.gateway).field("start_ns", r.start.0);
+            w.field("total_nanos", r.breakdown.total_nanos);
+            for (c, n) in COMPONENTS.iter().zip(&r.breakdown.comp_nanos) {
+                w.field(c.label(), n);
             }
-            out.push_str(&format!(
-                "  {{\"txn\": {}, \"gateway\": {}, \"start_ns\": {}, \"total_nanos\": {}",
-                r.txn_id, r.gateway, r.start.0, r.breakdown.total_nanos
-            ));
-            for (c, n) in COMPONENTS.iter().zip(r.breakdown.comp_nanos.iter()) {
-                out.push_str(&format!(", \"{}\": {}", c.label(), n));
-            }
-            let root = r
-                .root_span
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "null".into());
-            let ranges: Vec<String> = r.ranges.iter().map(|r| r.to_string()).collect();
-            out.push_str(&format!(
-                ", \"other_nanos\": {}, \"committed\": {}, \"root_span\": {}, \"ranges\": [{}]}}",
-                r.breakdown.other_nanos,
-                if r.committed { "true" } else { "false" },
-                root,
-                ranges.join(", ")
-            ));
+            w.field("other_nanos", r.breakdown.other_nanos);
+            w.field("committed", r.committed);
+            w.field("root_span", r.root_span);
+            w.key("ranges").arr_inline().vals(&r.ranges).end().end();
         }
-        out.push_str("\n]\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 

@@ -277,27 +277,16 @@ impl EventLog {
 
     /// Deterministic JSON export: one object per event, append order.
     pub fn export_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, e) in self.inner.borrow().events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let range = e
-                .kind
-                .range()
-                .map(|r| r.0.to_string())
-                .unwrap_or_else(|| "null".into());
-            out.push_str(&format!(
-                "  {{\"seq\": {}, \"time_ns\": {}, \"kind\": \"{}\", \"range\": {}, \"detail\": \"{}\"}}",
-                e.seq,
-                e.at.0,
-                e.kind.label(),
-                range,
-                mr_obs::export::json_escape(&e.kind.detail())
-            ));
+        let mut w = mr_obs::export::JsonWriter::default();
+        w.arr();
+        for e in &self.inner.borrow().events {
+            w.obj_inline().field("seq", e.seq).field("time_ns", e.at.0);
+            w.field("kind", e.kind.label());
+            w.field("range", e.kind.range().map(|r| r.0));
+            w.field("detail", e.kind.detail()).end();
         }
-        out.push_str("\n]\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 

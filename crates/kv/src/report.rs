@@ -129,36 +129,26 @@ impl ReplicationReport {
     /// Deterministic JSON export: summary counts plus one object per range,
     /// sorted by range id.
     pub fn export_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"time_ns\": {},\n", self.at.0));
-        out.push_str(&format!("  \"num_ranges\": {},\n", self.ranges.len()));
-        out.push_str(&format!("  \"violations\": {},\n", self.violations()));
+        let mut w = mr_obs::export::JsonWriter::default();
+        w.obj().field("time_ns", self.at.0);
+        w.field("num_ranges", self.ranges.len());
+        w.field("violations", self.violations());
         for status in [
             RangeStatus::UnderReplicated,
             RangeStatus::ViolatingConstraints,
             RangeStatus::WrongLeaseholder,
             RangeStatus::Conforming,
         ] {
-            out.push_str(&format!(
-                "  \"{}\": {},\n",
-                status.label(),
-                self.count(status)
-            ));
+            w.field(status.label(), self.count(status));
         }
-        out.push_str("  \"ranges\": [\n");
-        for (i, c) in self.ranges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "    {{\"range\": {}, \"status\": \"{}\", \"detail\": \"{}\"}}",
-                c.range.0,
-                c.status().label(),
-                mr_obs::export::json_escape(&c.detail())
-            ));
+        w.key("ranges").arr();
+        for c in &self.ranges {
+            w.obj_inline().field("range", c.range.0);
+            w.field("status", c.status().label());
+            w.field("detail", c.detail()).end();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 }
 

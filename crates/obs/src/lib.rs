@@ -2,8 +2,9 @@
 //!
 //! Metrics and tracing for the simulated multi-region database. Everything
 //! here is keyed on **sim-time** ([`mr_sim::SimTime`]), never wall-clock, and
-//! every export iterates sorted maps and formats integers only — so two runs
-//! with the same seed produce **byte-identical** dumps. That determinism is
+//! every export iterates sorted maps and renders through one writer
+//! ([`export::JsonWriter`]) — so two runs with the same seed produce
+//! **byte-identical** dumps. That determinism is
 //! load-bearing: tests diff whole exports, and paper figures regenerate
 //! exactly.
 //!

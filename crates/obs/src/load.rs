@@ -22,6 +22,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::export::JsonWriter;
 use bytes::Bytes;
 use mr_sim::{SimDuration, SimTime};
 
@@ -150,6 +151,18 @@ pub struct RangeLoadSnapshot {
     pub write_bytes_per_sec: u64,
     /// Decayed mean request latency in nanoseconds (0 when no samples).
     pub mean_latency_nanos: u64,
+}
+
+impl RangeLoadSnapshot {
+    /// The snapshot's members, into an object the caller has open.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
+        w.field("range", self.range);
+        w.field("qps_milli", self.qps_milli);
+        w.field("read_qps_milli", self.read_qps_milli);
+        w.field("write_qps_milli", self.write_qps_milli);
+        w.field("write_bytes_per_sec", self.write_bytes_per_sec);
+        w.field("mean_latency_nanos", self.mean_latency_nanos);
+    }
 }
 
 #[derive(Debug)]
@@ -321,25 +334,15 @@ impl LoadRecorder {
 
     /// Deterministic JSON export of the hottest `limit` ranges at `now`.
     pub fn export_json(&self, now: SimTime, limit: usize) -> String {
-        let mut out = String::from("[\n");
-        for (i, s) in self.hot_ranges(now).into_iter().take(limit).enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "  {{\"rank\": {}, \"range\": {}, \"qps_milli\": {}, \"read_qps_milli\": {}, \
-                 \"write_qps_milli\": {}, \"write_bytes_per_sec\": {}, \"mean_latency_nanos\": {}}}",
-                i + 1,
-                s.range,
-                s.qps_milli,
-                s.read_qps_milli,
-                s.write_qps_milli,
-                s.write_bytes_per_sec,
-                s.mean_latency_nanos,
-            ));
+        let mut w = JsonWriter::default();
+        w.arr();
+        for (i, s) in self.hot_ranges(now).iter().take(limit).enumerate() {
+            w.obj_inline().field("rank", i + 1);
+            s.write_fields(&mut w);
+            w.end();
         }
-        out.push_str("\n]\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 

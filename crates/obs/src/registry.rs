@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::export::{csv_field, json_escape};
+use crate::export::{csv_field, JsonWriter};
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 
@@ -245,39 +245,25 @@ pub struct Snapshot {
 
 impl Snapshot {
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(&k.to_string()), v));
+        let mut w = JsonWriter::default();
+        w.obj().key("counters").obj();
+        for (k, v) in &self.counters {
+            w.field(&k.to_string(), v);
         }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(&k.to_string()), v));
+        w.end().key("gauges").obj();
+        for (k, v) in &self.gauges {
+            w.field(&k.to_string(), v);
         }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                json_escape(&k.to_string()),
-                h.count,
-                h.sum,
-                h.min,
-                h.p50,
-                h.p90,
-                h.p99,
-                h.max
-            ));
+        w.end().key("histograms").obj();
+        for (k, h) in &self.histograms {
+            w.key(&k.to_string()).obj_inline();
+            w.field("count", h.count).field("sum", h.sum);
+            w.field("min", h.min).field("p50", h.p50);
+            w.field("p90", h.p90).field("p99", h.p99);
+            w.field("max", h.max).end();
         }
-        out.push_str("\n  }\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 
     pub fn to_csv(&self) -> String {

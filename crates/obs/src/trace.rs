@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::fmt::Display;
 use std::rc::Rc;
 
-use crate::export::json_escape;
+use crate::export::JsonWriter;
 use mr_sim::{SimDuration, SimTime};
 
 /// Opaque span handle. Ids are assigned sequentially from 1 and never
@@ -307,32 +307,27 @@ impl Tracer {
     /// Deterministic: spans render in id order with integer-derived times.
     pub fn export_chrome_json(&self) -> String {
         let inner = self.inner.borrow();
-        let mut out = String::from("[\n");
-        for (i, s) in inner.spans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
+        let mut w = JsonWriter::default();
+        w.arr();
+        for s in &inner.spans {
             let start_ns = s.start.0;
             let dur_ns = s.end.map(|e| e.0 - s.start.0).unwrap_or(0);
-            let tid = self.root_of(s.id).0;
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"pid\": 0, \"tid\": {}, \"args\": {{\"span\": {}, \"parent\": {}",
-                json_escape(&s.name),
-                start_ns / 1000,
-                start_ns % 1000,
-                dur_ns / 1000,
-                dur_ns % 1000,
-                tid,
-                s.id.0,
-                s.parent.map(|p| p.0).unwrap_or(0),
-            ));
+            w.obj_inline().field("name", &s.name);
+            w.field("cat", "sim").field("ph", "X");
+            w.key("ts");
+            w.raw(format_args!("{}.{:03}", start_ns / 1000, start_ns % 1000));
+            w.key("dur");
+            w.raw(format_args!("{}.{:03}", dur_ns / 1000, dur_ns % 1000));
+            w.field("pid", 0u64).field("tid", self.root_of(s.id).0);
+            w.key("args").obj_inline().field("span", s.id.0);
+            w.field("parent", s.parent.map_or(0, |p| p.0));
             for (k, v) in &s.attrs {
-                out.push_str(&format!(", \"{}\": \"{}\"", json_escape(k), json_escape(v)));
+                w.field(k, v);
             }
-            out.push_str("}}");
+            w.end().end();
         }
-        out.push_str("\n]\n");
-        out
+        w.end();
+        w.finish()
     }
 
     /// Indented tree rendering of one span and its descendants.

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::export::json_escape;
+use crate::export::JsonWriter;
 use mr_sim::SimTime;
 
 /// Which ring a query reads from.
@@ -94,10 +94,10 @@ impl Default for TsDbConfig {
 struct Series {
     fine: VecDeque<Sample>,
     fine_dropped: u64,
-    /// Fine samples accumulated toward the next coarse bucket. This holds
-    /// samples regardless of fine-ring eviction, so coarse buckets never
-    /// skip data.
-    pending: Vec<Sample>,
+    /// The coarse bucket being filled, over the fine samples since the last
+    /// full one. It runs regardless of fine-ring eviction, so coarse buckets
+    /// never skip data.
+    pending: Option<Bucket>,
     coarse: VecDeque<Bucket>,
     coarse_dropped: u64,
 }
@@ -109,23 +109,29 @@ impl Series {
             self.fine_dropped += 1;
         }
         self.fine.push_back(s);
-        self.pending.push(s);
-        if self.pending.len() == cfg.coarse_factor {
-            let b = Bucket {
-                at: self.pending.last().unwrap().at,
-                last: self.pending.last().unwrap().value,
-                min: self.pending.iter().map(|p| p.value).min().unwrap(),
-                max: self.pending.iter().map(|p| p.value).max().unwrap(),
-                sum: self.pending.iter().map(|p| p.value).sum(),
-                count: self.pending.len() as u64,
-            };
-            self.pending.clear();
-            if self.coarse.len() == cfg.coarse_cap {
-                self.coarse.pop_front();
-                self.coarse_dropped += 1;
-            }
-            self.coarse.push_back(b);
+        let mut b = self.pending.take().unwrap_or(Bucket {
+            at: s.at,
+            last: s.value,
+            min: s.value,
+            max: s.value,
+            sum: 0,
+            count: 0,
+        });
+        b.at = s.at;
+        b.last = s.value;
+        b.min = b.min.min(s.value);
+        b.max = b.max.max(s.value);
+        b.sum += s.value;
+        b.count += 1;
+        if b.count < cfg.coarse_factor as u64 {
+            self.pending = Some(b);
+            return;
         }
+        if self.coarse.len() == cfg.coarse_cap {
+            self.coarse.pop_front();
+            self.coarse_dropped += 1;
+        }
+        self.coarse.push_back(b);
     }
 }
 
@@ -159,16 +165,20 @@ impl TsDb {
     }
 
     /// Ingest one scrape's values (already in deterministic sorted order).
+    /// Only a metric's first scrape allocates its name.
     pub fn ingest(&self, at: SimTime, values: &[(String, i64)]) {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         inner.scrapes += 1;
-        let cfg = inner.cfg;
         for (name, value) in values {
-            inner
-                .series
-                .entry(name.clone())
-                .or_default()
-                .ingest(Sample { at, value: *value }, &cfg);
+            let s = Sample { at, value: *value };
+            match inner.series.get_mut(name.as_str()) {
+                Some(known) => known.ingest(s, &inner.cfg),
+                None => {
+                    let mut new = Series::default();
+                    new.ingest(s, &inner.cfg);
+                    inner.series.insert(name.clone(), new);
+                }
+            }
         }
     }
 
@@ -290,38 +300,27 @@ impl TsDb {
     /// (fine samples + coarse buckets + dropped counters per metric).
     pub fn export_json(&self, metrics: &[&str]) -> String {
         let inner = self.inner.borrow();
-        let mut out = String::from("{\n");
-        for (i, name) in metrics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!("  \"{}\": {{", json_escape(name)));
-            let empty = Series::default();
+        let empty = Series::default();
+        let mut w = JsonWriter::default();
+        w.obj();
+        for name in metrics {
             let s = inner.series.get(*name).unwrap_or(&empty);
-            out.push_str(&format!(
-                "\"fine_dropped\": {}, \"coarse_dropped\": {}, \"fine\": [",
-                s.fine_dropped, s.coarse_dropped
-            ));
-            for (j, p) in s.fine.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{}, {}]", p.at.0, p.value));
+            w.key(name).obj_inline();
+            w.field("fine_dropped", s.fine_dropped);
+            w.field("coarse_dropped", s.coarse_dropped);
+            w.key("fine").arr_inline();
+            for p in &s.fine {
+                w.arr_inline().val(p.at.0).val(p.value).end();
             }
-            out.push_str("], \"coarse\": [");
-            for (j, b) in s.coarse.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "[{}, {}, {}, {}, {}, {}]",
-                    b.at.0, b.last, b.min, b.max, b.sum, b.count
-                ));
+            w.end().key("coarse").arr_inline();
+            for b in &s.coarse {
+                w.arr_inline().val(b.at.0).val(b.last).val(b.min);
+                w.vals([b.max, b.sum]).val(b.count).end();
             }
-            out.push_str("]}");
+            w.end().end();
         }
-        out.push_str("\n}\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 
@@ -375,6 +374,40 @@ mod tests {
         assert_eq!(buckets.len(), 3);
         assert_eq!(buckets[0].at, secs(5));
         assert_eq!(db.dropped("m", Resolution::Coarse), 1);
+    }
+
+    /// Every coarse bucket equals the aggregates of one complete run of
+    /// `coarse_factor` raw samples, the newest `coarse_cap` kept, however
+    /// much the fine ring evicted.
+    #[test]
+    fn coarse_buckets_match_a_reference_over_raw_samples() {
+        let raw: Vec<i64> = (0..40i64).map(|i| (i * 7919) % 23 - 11).collect();
+        for factor in 1..=5 {
+            let db = db(3, factor, 4);
+            for (i, v) in raw.iter().enumerate() {
+                db.ingest(secs(i as u64), &[("m".to_string(), *v)]);
+            }
+            let full: Vec<Bucket> = raw
+                .chunks_exact(factor)
+                .enumerate()
+                .map(|(c, vals)| Bucket {
+                    at: secs(((c + 1) * factor - 1) as u64),
+                    last: vals[factor - 1],
+                    min: *vals.iter().min().unwrap(),
+                    max: *vals.iter().max().unwrap(),
+                    sum: vals.iter().sum(),
+                    count: factor as u64,
+                })
+                .collect();
+            let kept = &full[full.len() - 4..];
+            let got = db.window_buckets("m", SimTime::ZERO, secs(100));
+            assert_eq!(got, kept, "coarse_factor {factor}");
+            assert_eq!(
+                db.dropped("m", Resolution::Coarse),
+                (full.len() - kept.len()) as u64
+            );
+            assert_eq!(db.dropped("m", Resolution::Fine), raw.len() as u64 - 3);
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Round-trip tests for the deterministic exports on adversarial metric
-//! names and label values: commas, quotes, backslashes, newlines, and
-//! control characters must survive `Scraper::export_csv` and the registry
-//! JSON dump such that a conforming CSV/JSON reader recovers the original
-//! rendered metric key byte-for-byte.
+//! Round-trip tests for the deterministic exports on adversarial strings:
+//! commas, quotes, backslashes, newlines, and control characters in metric
+//! names and label values must survive `Scraper::export_csv` and the
+//! registry JSON dump, and in span names and attribute values (Chrome
+//! trace), event details (`EventLog`) and history keys and errors
+//! (`History`), such that a conforming CSV/JSON reader recovers the
+//! original byte-for-byte.
 
-use mr_obs::{MetricKey, Registry, Scraper};
+use mr_chaos::{History, OpKind};
+use mr_kv::{EventKind, EventLog};
+use mr_obs::{MetricKey, Registry, Scraper, Tracer};
 use mr_sim::SimTime;
 
 /// Minimal RFC-4180 CSV line splitter (quoted fields, doubled quotes).
@@ -158,6 +162,84 @@ fn registry_json_roundtrips_adversarial_keys() {
     keys.sort();
     recovered.sort();
     assert_eq!(recovered, keys, "JSON dump keys must unescape to originals");
+}
+
+/// Strings carrying every character class `json_escape` rewrites.
+const ADVERSARIAL: [&str; 4] = [
+    "quote\"d",
+    "back\\slash",
+    "new\nline\r\ttab",
+    "bell\u{7}nul\u{0}",
+];
+
+fn adversarial() -> Vec<String> {
+    ADVERSARIAL.iter().map(|s| s.to_string()).collect()
+}
+
+/// Every string value of a `"key": "…"` member in `doc`, unescaped, in
+/// document order.
+fn string_values(doc: &str, key: &str) -> Vec<String> {
+    let pat = format!("\"{key}\": \"");
+    let mut out = Vec::new();
+    let mut rest = doc;
+    while let Some(i) = rest.find(&pat) {
+        rest = &rest[i + pat.len()..];
+        let bytes = rest.as_bytes();
+        let mut end = 0;
+        while bytes[end] != b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
+        }
+        out.push(json_unescape(&rest[..end]));
+        rest = &rest[end..];
+    }
+    out
+}
+
+#[test]
+fn chrome_trace_roundtrips_adversarial_names_and_attrs() {
+    let tr = Tracer::new();
+    tr.set_enabled(true);
+    for (i, s) in ADVERSARIAL.iter().enumerate() {
+        let span = tr.start(s, None, SimTime(i as u64));
+        tr.attr(span, "value", s);
+        tr.finish(span, SimTime(i as u64 + 1));
+    }
+    let doc = tr.export_chrome_json();
+    assert_eq!(string_values(&doc, "name"), adversarial(), "{doc}");
+    assert_eq!(string_values(&doc, "value"), adversarial(), "{doc}");
+}
+
+#[test]
+fn event_log_roundtrips_adversarial_details() {
+    let log = EventLog::new();
+    for (i, s) in ADVERSARIAL.iter().enumerate() {
+        let kind = EventKind::FaultInjected {
+            range: None,
+            step: None,
+            detail: s.to_string(),
+        };
+        log.record(SimTime(i as u64), kind);
+    }
+    let doc = log.export_json();
+    assert_eq!(string_values(&doc, "detail"), adversarial(), "{doc}");
+}
+
+#[test]
+fn history_roundtrips_adversarial_keys_and_errors() {
+    let h = History::new();
+    for (i, s) in ADVERSARIAL.iter().enumerate() {
+        let op = h.invoke(SimTime(i as u64), 0, OpKind::Write, s, Some(1), None);
+        h.fail(SimTime(i as u64 + 1), op, s);
+    }
+    let doc = h.export_json();
+    // Each op's key is on its invoke and on its failure; only the failure
+    // carries an error.
+    let keys: Vec<String> = ADVERSARIAL
+        .iter()
+        .flat_map(|s| [s.to_string(), s.to_string()])
+        .collect();
+    assert_eq!(string_values(&doc, "key"), keys, "{doc}");
+    assert_eq!(string_values(&doc, "error"), adversarial(), "{doc}");
 }
 
 #[test]

@@ -50,6 +50,23 @@ if grep -n 'RangeId' crates/sql/src/catalog.rs; then
     exit 1
 fi
 
+echo "==> export ratchet: product code renders JSON through one writer"
+# Every export renders through `mr_obs::export::JsonWriter` (DESIGN.md §6). A
+# string literal holding a JSON key (`\"name\": `) in product code is a
+# renderer of its own. Scope as scripts/loc_delta.sh: `crates/*/src` outside
+# `crates/ledger` (the benchmark's own writer), each file cut at its first
+# `#[cfg(test)]`.
+HAND_JSON="$(find crates -path 'crates/*/src/*' -name '*.rs' -not -path 'crates/ledger/*' \
+    | sort | while read -r f; do
+        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /\\"[A-Za-z_][A-Za-z0-9_]*\\": / { print f ":" FNR ": " $0 }' "$f"
+    done)"
+if [ -n "$HAND_JSON" ]; then
+    echo "$HAND_JSON" >&2
+    echo "FAIL: the lines above hand-build JSON keys; use mr_obs::export::JsonWriter" >&2
+    exit 1
+fi
+
 echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under their ceilings"
 # Heap allocations per operation repeat for a seed (to the fifth digit), so
 # they gate where host time cannot: a clone per statement, a label lookup per

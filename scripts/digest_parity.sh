@@ -9,19 +9,25 @@
 # seeds 1 and 2 on that tree and on this one, and fails unless all eight
 # `sim_digest`s match. The digest folds every simulated figure and exact count
 # of a run, so equal digests mean equal `sim_*` metrics, events, RPCs, Raft
-# entries and WAL bytes. It also runs `chaos_probe` on both trees and fails
-# unless their `BENCH_chaos.json` are byte-identical: the ledger workloads
-# never crash, partition or restart a node, so the probe's five fault
-# schedules are the only part of the gate that drives the failure paths.
-# Builds the parent from scratch (~3 min); both trees must be committed or at
-# least buildable as they stand.
+# entries and WAL bytes. It also runs the seven `mr-bench` probes on both
+# trees at `scripts/ci.sh`'s sizes, each tree's from an empty directory, and
+# `cmp`s every file they write (`BENCH_*.json`, `perf_probe_*.json` and
+# `perf_probe_*.csv`): the ledger workloads never crash, partition or restart
+# a node, so `chaos_probe`'s five fault schedules are the only part of the
+# gate that drives the failure paths, and the probe files are what every
+# export renders. The one layout difference allowed is `BENCH_obs.json`
+# against a parent that closed it `…}\n` rather than `…\n}\n` (before the
+# shared JSON writer): it passes when both parse to the same JSON value
+# (python3). The probes add ~4 min warm. Builds the parent from scratch
+# (~3 min); both trees must be committed or at least buildable as they
+# stand.
 #
 # A change that means to move some exact counts (and with them the digest)
 # names them up front: with a comma-separated list of metric names as the
 # second argument, both runs are `--traced` (the per-layer counts are only in
 # a traced result) and `mr-ledger compare` decides instead of the digests —
 # every row it marks `changed` must be a metric on the list, on both seeds —
-# and the chaos output is not compared: such a change moves simulated
+# and the probe files are not compared: such a change moves simulated
 # behaviour on purpose.
 set -euo pipefail
 
@@ -47,12 +53,35 @@ digests() {
     done
 }
 
-# chaos <tree> <label>: run chaos_probe from an empty directory of its own.
-chaos() {
-    mkdir "$TMP/$2-chaos"
-    (cd "$TMP/$2-chaos" && MR_STRICT_MONITORS=1 CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
-        cargo run -q --release --offline --manifest-path "$1/Cargo.toml" \
-        -p mr-bench --bin chaos_probe >/dev/null)
+# Each probe with the environment scripts/ci.sh runs it with.
+PROBES=(
+    "perf_probe OPS=50 MR_STRICT_MONITORS=1"
+    "chaos_probe MR_STRICT_MONITORS=1"
+    "commit_probe MR_COMMIT_TXNS=10"
+    "raft_probe MR_RAFT_TXNS=20"
+    "obs_probe MR_OBS_SKEW_SECS=40 MR_OBS_TXNS=10 MR_METRIC_BUDGET=128"
+    "split_probe"
+    "storage_probe"
+)
+# Files whose layout may differ from an older parent's (see the header).
+LAYOUT_ONLY="BENCH_obs.json"
+
+# probes <tree> <label>: run every probe from an empty directory of its own.
+probes() {
+    mkdir "$TMP/$2-probes"
+    local bin vars
+    for spec in "${PROBES[@]}"; do
+        read -r bin vars <<<"$spec"
+        # shellcheck disable=SC2086
+        (cd "$TMP/$2-probes" && env $vars CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
+            cargo run -q --release --offline --manifest-path "$1/Cargo.toml" \
+            -p mr-bench --bin "$bin" >/dev/null)
+    done
+}
+
+# same_json <a> <b>: both files parse to equal JSON values.
+same_json() {
+    python3 -c 'import json, sys; sys.exit(json.load(open(sys.argv[1])) != json.load(open(sys.argv[2])))' "$1" "$2"
 }
 
 echo "==> parent ($REV)"
@@ -93,12 +122,24 @@ if ! diff "$TMP/parent.txt" "$TMP/change.txt" >/dev/null; then
     diff "$TMP/parent.txt" "$TMP/change.txt" >&2 || true
     exit 1
 fi
-echo "==> chaos_probe on both trees"
-chaos "$TMP/parent" parent
-chaos "$ROOT" change
-if ! cmp "$TMP/parent-chaos/BENCH_chaos.json" "$TMP/change-chaos/BENCH_chaos.json"; then
-    echo "FAIL: BENCH_chaos.json differs from $REV — a fault schedule ran differently" >&2
-    diff "$TMP/parent-chaos/BENCH_chaos.json" "$TMP/change-chaos/BENCH_chaos.json" >&2 || true
-    exit 1
-fi
-echo "digest parity OK: four workloads x seeds $SEEDS and chaos_probe identical to $REV"
+echo "==> the seven probes on both trees"
+probes "$TMP/parent" parent
+probes "$ROOT" change
+FILES="$( (cd "$TMP/parent-probes" && ls; cd "$TMP/change-probes" && ls) | sort -u)"
+for f in $FILES; do
+    a="$TMP/parent-probes/$f" b="$TMP/change-probes/$f"
+    if [ ! -f "$a" ] || [ ! -f "$b" ]; then
+        echo "FAIL: $f is written by only one tree" >&2
+        exit 1
+    fi
+    if cmp -s "$a" "$b"; then
+        echo "identical  $f"
+    elif [[ " $LAYOUT_ONLY " == *" $f "* ]] && same_json "$a" "$b"; then
+        echo "same JSON  $f (layout differs)"
+    else
+        echo "FAIL: $f differs from $REV" >&2
+        diff "$a" "$b" | head -20 >&2 || true
+        exit 1
+    fi
+done
+echo "digest parity OK: four workloads x seeds $SEEDS and $(echo "$FILES" | wc -w) probe files identical to $REV"
