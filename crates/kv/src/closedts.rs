@@ -15,6 +15,23 @@
 //! tracker when a reader asks ([`SideRx::standing`]) or when the next
 //! delivery for the range says something new.
 //!
+//! A batch that repeats its sender's previous one line for line — every
+//! range under the same log index — is not even an event. Its only effect
+//! on arrival would be to become its sender's newest batch, so the
+//! receiver's inbox holds it *in flight* under the calendar key it was
+//! reserved ([`SideRx::send`]). A reader passes the key of the event being
+//! processed ([`SideRx::at`]) and sees every repeat at or below it as
+//! arrived; the next delivery, send on the link or recall folds those in
+//! for good. A repeat stays a pure replacement only while three things
+//! hold, and goes back on the calendar under its key, to be delivered like
+//! any other batch, as soon as one fails: no later batch on its link lands
+//! first (it would arrive overtaken), no other sender's promise outranks its
+//! sender at this node (it would arrive crossed), and the topology has not
+//! changed since it was sent (its receiver may die or be cut off before it
+//! lands; after a change, each link's next batch is an event too). A run up
+//! to an instant moves the clock to the last repeat that landed by then, so
+//! the clock reads what it would have had every repeat been an event.
+//!
 //! REGIONAL ranges close time in the past (`now - lag`, default 3s). GLOBAL
 //! ranges close time in the future at target
 //! `now + L_raft + L_replicate + max_clock_offset` so that present-time
@@ -22,11 +39,12 @@
 //! replica by the time they happen (§6.2.1).
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use mr_clock::Timestamp;
 use mr_proto::RangeId;
-use mr_sim::{NodeId, SimDuration, SimTime};
+use mr_sim::{EventKey, NodeId, SimDuration, SimTime};
 
 use crate::zone::ClosedTsPolicy;
 
@@ -229,6 +247,12 @@ pub type SideEntry = (RangeId, Timestamp, u64);
 /// sender per tick and shared by all of its destinations.
 pub type SideBatch = Rc<[SideEntry]>;
 
+/// Whether `next` lists the ranges `prev` lists, under the same log indices:
+/// all it says beyond `prev` is that time moved on.
+pub(crate) fn repeats(prev: &[SideEntry], next: &[SideEntry]) -> bool {
+    prev.len() == next.len() && prev.iter().zip(next).all(|(p, n)| (p.0, p.2) == (n.0, n.2))
+}
+
 /// A side-transport promise as a tracker takes it in: one [`SideEntry`]
 /// stamped with the cluster-wide tick its batch was sent in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -248,6 +272,16 @@ impl SidePromise {
     }
 }
 
+/// A side-transport batch on the wire: where it lands in the calendar's
+/// order, and what it says.
+#[derive(Clone, Debug)]
+pub(crate) struct InFlight {
+    pub(crate) key: EventKey,
+    pub(crate) from: NodeId,
+    pub(crate) tick: u64,
+    pub(crate) batch: SideBatch,
+}
+
 /// What a node holds of one sender.
 #[derive(Clone, Debug, Default)]
 struct SenderSlot {
@@ -257,6 +291,48 @@ struct SenderSlot {
     /// from this one. A batch this sender sent before that tick may still be
     /// on the wire and list the range as if nothing had happened.
     outranked_at: u64,
+    /// Tick and landing key of the last batch the sender put on the link to
+    /// this node since the topology last changed.
+    sent: Option<(u64, EventKey)>,
+    /// Repeats on the link, each landing after the one before: the first
+    /// lands on the batch in `newest`.
+    in_flight: VecDeque<InFlight>,
+}
+
+impl SenderSlot {
+    /// `(tick, batch)` of the newest batch that has arrived when the
+    /// calendar is at `now`: the last repeat that has landed, else the one
+    /// received.
+    fn newest_at(&self, now: EventKey) -> Option<(u64, &SideBatch)> {
+        match self.in_flight.iter().take_while(|e| e.key <= now).last() {
+            Some(e) => Some((e.tick, &e.batch)),
+            None => self.newest.as_ref().map(|(t, b)| (*t, b)),
+        }
+    }
+
+    /// The repeats that have landed by `now` replace, in turn, the batch
+    /// each repeats as the newest.
+    fn fold(&mut self, now: EventKey) {
+        while let Some(e) = self.in_flight.pop_front_if(|e| e.key <= now) {
+            debug_assert!(
+                self.newest
+                    .as_ref()
+                    .is_some_and(|(t, b)| *t + 1 == e.tick && repeats(b, &e.batch)),
+                "a repeat of tick {} lands on what it does not repeat",
+                e.tick
+            );
+            debug_assert!(e.tick >= self.outranked_at, "a repeat lands crossed");
+            self.newest = Some((e.tick, e.batch));
+        }
+    }
+}
+
+/// A promise that a line of `newest`, a sender's `(tick, batch)`, makes for
+/// `range`.
+fn listed_in(newest: Option<(u64, &SideBatch)>, range: RangeId) -> Option<SidePromise> {
+    let (tick, batch) = newest?;
+    let at = batch.binary_search_by_key(&range, |e| e.0).ok()?;
+    Some(SidePromise::of(tick, &batch[at]))
 }
 
 /// Where a range's newest promise is, of those that have arrived.
@@ -282,22 +358,134 @@ enum Holder {
 /// per-replica transport would have shown it, in their order, minus the
 /// repeats; and a repeat `(ts', i)` after `(ts, i)` leaves the tracker
 /// where `(ts', i)` alone does, whenever it is taken in.
+///
+/// Repeats in flight (see the module doc) wait in their sender's slot. A
+/// reader counts the ones the calendar has passed as arrived
+/// ([`SideRx::at`]); a delivery, a send on the link or a recall folds them
+/// in first.
 #[derive(Debug, Default)]
 pub struct SideRx {
     /// By sender node id.
     senders: Vec<SenderSlot>,
     /// By range id (ids are handed out in sequence, so this stays dense).
     src: Vec<Option<Holder>>,
+    /// Repeats that stopped being pure replacements, for the caller to put
+    /// back on the calendar ([`SideRx::take_evicted`]).
+    evicted: Vec<InFlight>,
 }
 
-impl SideRx {
+/// The inbox as a reader sees it while the calendar is at `now`: every
+/// repeat that has landed by then counts as arrived.
+#[derive(Clone, Copy)]
+pub struct SideRxAt<'a> {
+    rx: &'a SideRx,
+    now: EventKey,
+}
+
+impl SideRxAt<'_> {
     /// The promise a reader of `range`'s closed timestamp must hand to the
     /// replica's tracker first ([`ClosedTsTracker::settle`]).
     pub fn standing(&self, range: RangeId) -> Option<SidePromise> {
-        match self.holder(range)? {
-            Holder::Lists(sender) => self.listed_by(sender, range),
+        match self.rx.holder(range)? {
+            Holder::Lists(sender) => listed_in(
+                self.rx.senders.get(sender as usize)?.newest_at(self.now),
+                range,
+            ),
             Holder::Left(_) => None,
         }
+    }
+}
+
+impl SideRx {
+    /// The inbox as a reader sees it when the calendar is at `now`.
+    pub fn at(&self, now: EventKey) -> SideRxAt<'_> {
+        SideRxAt { rx: self, now }
+    }
+
+    /// Every slot's repeats that have landed by `now`, folded in: what a
+    /// delivery or a recall rewrites must be what a reader would see.
+    fn fold_all(&mut self, now: EventKey) {
+        for slot in &mut self.senders {
+            slot.fold(now);
+        }
+    }
+
+    /// `from` puts its batch of tick `tick` on the link to this node, to land
+    /// at `key` (reserved while the calendar is at `now`). `repeat`: the batch
+    /// lists the ranges and indices of the sender's batch of the tick before.
+    /// The inbox holds it in flight and returns true when it is a pure
+    /// replacement of that batch — the link carried the batch, this one
+    /// lands after it, and nothing outranks the sender here — and returns
+    /// false when the caller must schedule it under `key`. Repeats already
+    /// in flight that this batch overtakes are evicted.
+    pub(crate) fn send(
+        &mut self,
+        now: EventKey,
+        from: NodeId,
+        tick: u64,
+        key: EventKey,
+        batch: &SideBatch,
+        repeat: bool,
+    ) -> bool {
+        self.slot(from);
+        let SideRx {
+            senders, evicted, ..
+        } = self;
+        let slot = &mut senders[from.0 as usize];
+        slot.fold(now);
+        let prev = slot.sent.replace((tick, key));
+        while let Some(e) = slot.in_flight.pop_back_if(|e| e.key > key) {
+            evicted.push(e);
+        }
+        // Only batches that have arrived outrank a sender, and none of this
+        // tick has arrived anywhere yet.
+        debug_assert!(tick >= slot.outranked_at);
+        if !(repeat && prev.is_some_and(|(t, k)| t + 1 == tick && k < key)) {
+            return false;
+        }
+        slot.in_flight.push_back(InFlight {
+            key,
+            from,
+            tick,
+            batch: Rc::clone(batch),
+        });
+        true
+    }
+
+    /// The topology changed at `now`: every repeat in flight is evicted, and
+    /// each link's next batch travels as an event.
+    pub(crate) fn recall(&mut self, now: EventKey) {
+        self.fold_all(now);
+        let SideRx {
+            senders, evicted, ..
+        } = self;
+        for slot in senders {
+            slot.sent = None;
+            evicted.extend(slot.in_flight.drain(..));
+        }
+    }
+
+    /// The repeats evicted since the last call, to be scheduled under their
+    /// keys.
+    pub(crate) fn take_evicted(&mut self) -> std::vec::Drain<'_, InFlight> {
+        self.evicted.drain(..)
+    }
+
+    /// The latest key, at or before `t`, at which a repeat in flight lands.
+    pub(crate) fn latest_landed(&self, t: SimTime) -> Option<EventKey> {
+        self.senders
+            .iter()
+            .filter_map(|slot| slot.in_flight.iter().take_while(|e| e.key.at <= t).last())
+            .map(|e| e.key)
+            .max()
+    }
+
+    fn slot(&mut self, from: NodeId) -> &mut SenderSlot {
+        let at = from.0 as usize;
+        if self.senders.len() <= at {
+            self.senders.resize(at + 1, SenderSlot::default());
+        }
+        &mut self.senders[at]
     }
 
     fn holder(&self, range: RangeId) -> Option<Holder> {
@@ -312,13 +500,14 @@ impl SideRx {
         self.src[at] = Some(holder);
     }
 
+    /// What `sender`'s newest batch promises for `range`, once the repeats
+    /// that have landed are folded in.
     fn listed_by(&self, sender: u32, range: RangeId) -> Option<SidePromise> {
-        let (tick, batch) = self.senders.get(sender as usize)?.newest.as_ref()?;
-        let at = batch.binary_search_by_key(&range, |e| e.0).ok()?;
-        Some(SidePromise::of(*tick, &batch[at]))
+        let newest = self.senders.get(sender as usize)?.newest.as_ref();
+        listed_in(newest.map(|(t, b)| (*t, b)), range)
     }
 
-    /// `from`'s batch of tick `tick` arrived. Calls
+    /// `from`'s batch of tick `tick` arrived, the calendar at `now`. Calls
     /// `offer(range, promise, stands)` for every promise a tracker on this
     /// node must take in now, in the order it must take them; the caller
     /// routes each to the replica, if the node hosts one. `stands` is false
@@ -327,16 +516,16 @@ impl SideRx {
     /// delivery, the rest through [`ClosedTsTracker::settle`].
     pub fn deliver(
         &mut self,
+        now: EventKey,
         from: NodeId,
         tick: u64,
         batch: SideBatch,
         mut offer: impl FnMut(RangeId, SidePromise, bool),
     ) {
+        self.fold_all(now);
         let slot = from.0 as usize;
-        if self.senders.len() <= slot {
-            self.senders.resize(slot + 1, SenderSlot::default());
-        }
-        if self.senders[slot]
+        if self
+            .slot(from)
             .newest
             .as_ref()
             .is_some_and(|(t, _)| *t > tick)
@@ -425,32 +614,43 @@ impl SideRx {
             Some(Holder::Left(tick)) => (None, tick),
             None => (None, 0),
         };
-        // Whichever of two senders loses the range here may have older
-        // batches on the wire that still list it.
-        let outrank =
-            |slot: &mut SenderSlot, by: u64| slot.outranked_at = by.max(slot.outranked_at);
         let late = newest > new.tick;
         if let Some(s) = stood {
             offer(range, s, true);
         }
         if late {
-            outrank(&mut self.senders[from as usize], newest);
+            self.outrank(from, newest);
             offer(range, new, false);
             return;
         }
         if holder != Some(Holder::Lists(from)) {
             self.set_holder(range, Holder::Lists(from));
             if let Some(Holder::Lists(h)) = holder {
-                outrank(&mut self.senders[h as usize], new.tick);
+                self.outrank(h, new.tick);
             }
         }
         offer(range, new, true);
     }
 
+    /// Whichever of two senders loses a range here may have older batches
+    /// on the wire that still list it: those sent before tick `by` arrive
+    /// crossed, and the repeats among them are evicted.
+    fn outrank(&mut self, sender: u32, by: u64) {
+        let slot = &mut self.senders[sender as usize];
+        slot.outranked_at = by.max(slot.outranked_at);
+        while let Some(e) = slot.in_flight.pop_front_if(|e| e.tick < by) {
+            self.evicted.push(e);
+        }
+    }
+
     /// Forget every batch: a node that lost its volatile state rebuilds its
     /// trackers from durable frontiers, below promises the old incarnation
     /// held, and must not be handed those promises back.
+    ///
+    /// A crash clears the inbox only after [`SideRx::recall`] (it is a
+    /// topology change), so no repeat is in flight to lose.
     pub fn clear(&mut self) {
+        debug_assert!(self.senders.iter().all(|s| s.in_flight.is_empty()));
         self.senders.clear();
         self.src.clear();
     }
@@ -459,6 +659,7 @@ impl SideRx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mr_sim::EventQueue;
     use proptest::prelude::*;
 
     #[test]
@@ -580,9 +781,13 @@ mod tests {
         lines: &[(u64, u64, u64)],
     ) -> Vec<(u64, u64, u64, bool)> {
         let mut out = Vec::new();
-        rx.deliver(NodeId(from), tick, batch(lines), |range, p, stands| {
-            out.push((range.0, p.tick, p.closed.wall, stands))
-        });
+        rx.deliver(
+            EventKey::ZERO,
+            NodeId(from),
+            tick,
+            batch(lines),
+            |range, p, stands| out.push((range.0, p.tick, p.closed.wall, stands)),
+        );
         out
     }
 
@@ -596,14 +801,14 @@ mod tests {
         );
         assert_eq!(offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 9)]), vec![]);
         assert_eq!(
-            rx.standing(r(1)),
+            rx.at(EventKey::ZERO).standing(r(1)),
             Some(SidePromise {
                 tick: 2,
                 closed: ts(150),
                 index: 5
             })
         );
-        assert_eq!(rx.standing(r(3)), None);
+        assert_eq!(rx.at(EventKey::ZERO).standing(r(3)), None);
     }
 
     #[test]
@@ -627,8 +832,11 @@ mod tests {
             offered(&mut rx, 0, 3, &[(2, 200, 9)]),
             vec![(1, 2, 150, true)]
         );
-        assert_eq!(rx.standing(r(1)), None);
-        assert_eq!(rx.standing(r(2)).map(|p| p.tick), Some(3));
+        assert_eq!(rx.at(EventKey::ZERO).standing(r(1)), None);
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(2)).map(|p| p.tick),
+            Some(3)
+        );
     }
 
     #[test]
@@ -640,14 +848,20 @@ mod tests {
             offered(&mut rx, 1, 3, &[(1, 200, 6)]),
             vec![(1, 2, 150, true), (1, 3, 200, true)]
         );
-        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(1)).map(|p| p.tick),
+            Some(3)
+        );
         // The first sender's tick-3 batch no longer lists the range; it is
         // not this sender's promise to retire any more.
         assert_eq!(
             offered(&mut rx, 0, 3, &[(7, 200, 1)]),
             vec![(7, 3, 200, true)]
         );
-        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(1)).map(|p| p.tick),
+            Some(3)
+        );
     }
 
     #[test]
@@ -661,8 +875,11 @@ mod tests {
             offered(&mut rx, 0, 2, &[(1, 150, 5), (2, 150, 1)]),
             vec![(1, 3, 200, true), (1, 2, 150, false), (2, 2, 150, true)]
         );
-        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
-        assert_eq!(rx.standing(r(2)), None);
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(1)).map(|p| p.tick),
+            Some(3)
+        );
+        assert_eq!(rx.at(EventKey::ZERO).standing(r(2)), None);
     }
 
     #[test]
@@ -675,7 +892,10 @@ mod tests {
             offered(&mut rx, 0, 2, &[(1, 150, 5)]),
             vec![(1, 3, 200, true), (1, 2, 150, false)]
         );
-        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(1)).map(|p| p.tick),
+            Some(3)
+        );
         // Under a new index it is no less late.
         let mut rx = SideRx::default();
         offered(&mut rx, 0, 1, &[(1, 100, 5)]);
@@ -684,7 +904,10 @@ mod tests {
             offered(&mut rx, 0, 2, &[(1, 150, 6)]),
             vec![(1, 3, 200, true), (1, 2, 150, false)]
         );
-        assert_eq!(rx.standing(r(1)).map(|p| p.tick), Some(3));
+        assert_eq!(
+            rx.at(EventKey::ZERO).standing(r(1)).map(|p| p.tick),
+            Some(3)
+        );
     }
 
     #[test]
@@ -711,13 +934,39 @@ mod tests {
         assert_eq!(t.closed(), ts(800));
     }
 
+    #[test]
+    fn a_repeat_waits_in_flight_until_the_calendar_passes_its_key() {
+        let key = |at, seq| EventKey {
+            at: SimTime(at),
+            seq,
+        };
+        let mut rx = SideRx::default();
+        let first = batch(&[(1, 100, 5)]);
+        assert!(!rx.send(key(0, 1), NodeId(0), 1, key(10, 2), &first, false));
+        rx.deliver(key(10, 2), NodeId(0), 1, first, |_, _, _| {});
+        let again = batch(&[(1, 150, 5)]);
+        assert!(rx.send(key(50, 3), NodeId(0), 2, key(60, 4), &again, true));
+        assert_eq!(rx.at(key(60, 3)).standing(r(1)).map(|p| p.tick), Some(1));
+        assert_eq!(rx.at(key(60, 4)).standing(r(1)).map(|p| p.tick), Some(2));
+        // A third batch that lands before the second it repeats overtakes it:
+        // both travel as events.
+        assert!(rx.send(key(100, 5), NodeId(0), 3, key(120, 6), &again, true));
+        assert!(!rx.send(key(105, 7), NodeId(0), 4, key(110, 8), &again, true));
+        let evicted: Vec<u64> = rx.take_evicted().map(|e| e.tick).collect();
+        assert_eq!(evicted, vec![3]);
+        assert_eq!(rx.latest_landed(SimTime(200)), None);
+    }
+
     /// One follower node hosting three ranges, two senders, and the two
     /// ways of telling the node's trackers about side-transport promises:
     /// `oracle` gets every line of every batch as it arrives (the
     /// per-replica delivery this inbox replaced), `lazy` gets what the
-    /// inbox offers plus a settle before each read.
+    /// inbox offers plus a settle before each read. Batches travel through
+    /// a calendar the way the cluster ships them: each takes a key, and the
+    /// inbox holds the repeats it can in flight.
     struct Model {
         rx: SideRx,
+        q: EventQueue<(u32, u64, SideBatch)>,
         oracle: [ClosedTsTracker; 3],
         lazy: [ClosedTsTracker; 3],
         /// Per range: who leads and leases it, whether that sender lists it
@@ -727,14 +976,21 @@ mod tests {
         last: [u64; 3],
         applied: [u64; 3],
         tick: u64,
-        /// Batches on the wire, per sender, oldest first.
-        wire: [Vec<(u64, SideBatch)>; 2],
+        /// Each sender's batch of the last tick.
+        prev: [Option<SideBatch>; 2],
+        /// Every batch sent and not yet landed, event or not: the oracle's
+        /// wire.
+        wire: Vec<(EventKey, SideBatch)>,
+        /// The follower is down: nothing is sent to it, and what lands
+        /// meanwhile is lost.
+        down: bool,
     }
 
     impl Model {
         fn new() -> Model {
             Model {
                 rx: SideRx::default(),
+                q: EventQueue::new(),
                 oracle: Default::default(),
                 lazy: Default::default(),
                 leader: [0, 0, 1],
@@ -742,50 +998,106 @@ mod tests {
                 last: [1; 3],
                 applied: [1; 3],
                 tick: 0,
-                wire: Default::default(),
+                prev: Default::default(),
+                wire: Vec::new(),
+                down: false,
             }
         }
 
         /// One side-transport tick: every sender with something to say puts
-        /// a batch on the wire. Promises rise with the tick, as a clock does.
-        fn send(&mut self) {
+        /// a batch on the wire, sender `s` one that lands `delays[s]` later.
+        /// Promises rise with the tick, as a clock does.
+        fn send(&mut self, delays: [u64; 2]) {
             self.tick += 1;
             for s in 0..2u32 {
-                let lines: SideBatch = (0..3)
+                let lines: Vec<SideEntry> = (0..3)
                     .filter(|&k| self.leader[k] == s && self.listed[k])
                     .map(|k| (r(k as u64), ts(1_000 + 50 * self.tick), self.last[k]))
                     .collect();
-                if !lines.is_empty() {
-                    self.wire[s as usize].push((self.tick, lines));
+                let lines = (!lines.is_empty()).then(|| SideBatch::from(lines));
+                let prev = std::mem::replace(&mut self.prev[s as usize], lines.clone());
+                let Some(lines) = lines else {
+                    continue;
+                };
+                if self.down {
+                    continue;
+                }
+                let repeat = prev.is_some_and(|p| repeats(&p, &lines));
+                let key = self.q.reserve(SimDuration(delays[s as usize]));
+                self.wire.push((key, Rc::clone(&lines)));
+                let now = self.q.key();
+                if !self.rx.send(now, NodeId(s), self.tick, key, &lines, repeat) {
+                    self.q.schedule_keyed(key, (s, self.tick, lines));
+                }
+                self.resend();
+            }
+        }
+
+        fn resend(&mut self) {
+            for e in self.rx.take_evicted() {
+                self.q.schedule_keyed(e.key, (e.from.0, e.tick, e.batch));
+            }
+        }
+
+        /// The oracle takes in, in calendar order, every batch that has
+        /// landed by now.
+        fn oracle_catch_up(&mut self) {
+            let now = self.q.key();
+            self.wire.sort_by_key(|w| w.0);
+            let landed = self.wire.partition_point(|w| w.0 <= now);
+            for (_, lines) in self.wire.drain(..landed) {
+                for &(range, closed, index) in lines.iter().filter(|_| !self.down) {
+                    let k = range.0 as usize;
+                    self.oracle[k].on_side_transport(closed, index, self.applied[k]);
                 }
             }
         }
 
-        /// The `nth` batch on `s`'s wire arrives (0 = in order; 1 = the one
-        /// behind it jumps the queue, and the overtaken one arrives later).
-        fn arrive(&mut self, s: u32, nth: usize) {
-            let wire = &mut self.wire[s as usize];
-            if wire.is_empty() {
+        /// The next event on the calendar fires: a batch arrives.
+        fn arrive(&mut self) {
+            let Some((_, (s, tick, lines))) = self.q.pop() else {
+                return;
+            };
+            self.oracle_catch_up();
+            if self.down {
                 return;
             }
-            let (tick, lines) = wire.remove(nth.min(wire.len() - 1));
-            for &(range, closed, index) in lines.iter() {
-                let k = range.0 as usize;
-                self.oracle[k].on_side_transport(closed, index, self.applied[k]);
-            }
             let (lazy, applied) = (&mut self.lazy, &self.applied);
-            self.rx.deliver(NodeId(s), tick, lines, |range, p, stands| {
-                let k = range.0 as usize;
-                if stands {
-                    lazy[k].settle(p, applied[k]);
-                } else {
-                    lazy[k].on_side_transport(p.closed, p.index, applied[k]);
-                }
-            });
+            let now = self.q.key();
+            self.rx
+                .deliver(now, NodeId(s), tick, lines, |range, p, stands| {
+                    let k = range.0 as usize;
+                    if stands {
+                        lazy[k].settle(p, applied[k]);
+                    } else {
+                        lazy[k].on_side_transport(p.closed, p.index, applied[k]);
+                    }
+                });
+            self.resend();
+        }
+
+        /// Run the calendar `d` past now, as `Cluster::run_until` does.
+        fn run_for(&mut self, d: u64) {
+            let t = SimTime(self.q.now().0 + d);
+            while self.q.peek_time().is_some_and(|pt| pt <= t) {
+                self.arrive();
+            }
+            if let Some(key) = self.rx.latest_landed(t) {
+                self.q.advance_to(key);
+            }
+        }
+
+        /// The follower goes down or comes back: a topology change.
+        fn toggle_down(&mut self) {
+            self.oracle_catch_up();
+            self.rx.recall(self.q.key());
+            self.resend();
+            self.down = !self.down;
         }
 
         fn apply(&mut self, k: usize) {
             if self.applied[k] < self.last[k] {
+                self.oracle_catch_up();
                 self.applied[k] += 1;
                 self.oracle[k].on_entry_applied(Timestamp::ZERO, self.applied[k]);
                 self.lazy[k].on_entry_applied(Timestamp::ZERO, self.applied[k]);
@@ -793,7 +1105,8 @@ mod tests {
         }
 
         fn read(&mut self, k: usize) -> (Timestamp, Timestamp) {
-            if let Some(p) = self.rx.standing(r(k as u64)) {
+            self.oracle_catch_up();
+            if let Some(p) = self.rx.at(self.q.key()).standing(r(k as u64)) {
                 self.lazy[k].settle(p, self.applied[k]);
             }
             (self.oracle[k].closed(), self.lazy[k].closed())
@@ -807,38 +1120,43 @@ mod tests {
         /// per-replica delivery would have produced.
         #[test]
         fn inbox_and_settle_agree_with_per_replica_delivery(
-            steps in prop::collection::vec((0u8..10, 0usize..3), 1..120),
+            steps in prop::collection::vec((0u8..13, 0usize..3, 0u64..4), 1..160),
         ) {
             let mut m = Model::new();
-            for (n, (kind, k)) in steps.into_iter().enumerate() {
+            for (n, (kind, k, d)) in steps.into_iter().enumerate() {
                 match kind {
-                    // Index same: just another tick.
-                    0 | 1 => m.send(),
+                    // Index same: just another tick. Links take 1-4 units.
+                    0..=2 => m.send([1 + d, 1 + (d + k as u64) % 4]),
                     // Index advanced: the leader appended.
-                    2 => m.last[k] += 1,
+                    3 => m.last[k] += 1,
                     // Entry applied on the follower.
-                    3 | 4 => m.apply(k),
+                    4 | 5 => m.apply(k),
                     // Range dropped: its sender stops listing it (lost
                     // leadership) until someone takes it over.
-                    5 => m.listed[k] = false,
+                    6 if d == 0 => m.listed[k] = false,
                     // The other sender takes the range over; a new leader's
                     // first act is a no-op entry.
-                    6 => {
+                    7 if d < 2 => {
                         m.leader[k] ^= 1;
                         m.listed[k] = true;
                         m.last[k] += 1;
                     }
-                    // A batch arrives, from either sender, in order or not.
-                    7 => m.arrive(0, k / 2),
-                    8 => m.arrive(1, k / 2),
+                    // The next batch on the calendar arrives.
+                    8 | 9 => m.arrive(),
+                    // Time passes: whatever lands meanwhile, repeats held in
+                    // flight included.
+                    10 => m.run_for(d),
+                    11 if d == 0 => m.toggle_down(),
                     // Read: the only time `lazy` is settled, so promises
                     // stand unseen across the steps in between.
-                    _ => {
+                    12 => {
                         let (oracle, lazy) = m.read(k);
                         prop_assert_eq!(oracle, lazy, "step {} range {}", n, k);
                     }
+                    _ => {}
                 }
             }
+            m.run_for(8);
             for k in 0..3 {
                 let (oracle, lazy) = m.read(k);
                 prop_assert_eq!(oracle, lazy, "at the end, range {}", k);

@@ -36,7 +36,7 @@ use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
 use mr_obs::{Obs, SpanId};
 use mr_proto::{Key, KvError, RangeId, Request, Span, TxnId, Value};
 use mr_raft::{Peer, RaftConfig, RaftMsg, RaftNode};
-use mr_sim::{EventQueue, NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
+use mr_sim::{EventKey, EventQueue, NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
 use mr_storage::{ProtectedTimestamps, SortedRun};
 
 use crate::allocator::{allocate, AllocError};
@@ -295,10 +295,14 @@ pub struct Node {
     /// Ordered by range id: every per-node walk (Raft tick, crash
     /// recovery) visits replicas in the order that fixes RNG draws.
     pub replicas: BTreeMap<RangeId, Replica>,
-    /// Side-transport inbox: promises that have arrived but that a replica
-    /// takes in only when its closed timestamp is read — through
-    /// [`Node::settle`], which every such reader calls first.
-    pub side_rx: SideRx,
+    /// Side-transport inbox: promises that have arrived, or are in flight
+    /// without an event, but that a replica takes in only when its closed
+    /// timestamp is read — through [`Node::settle`] or [`SideRx::at`], which
+    /// every such reader calls first.
+    side_rx: SideRx,
+    /// The batch this node sent at the last side-transport tick, if any: a
+    /// batch that repeats it need not be an event.
+    side_sent: Option<SideBatch>,
     /// The replicas the Raft tick visits, in range order. A replica outside
     /// it is *asleep*: its visit would do nothing, and stays so until
     /// something marks it awake again (see `maintenance::asleep`).
@@ -306,10 +310,11 @@ pub struct Node {
 }
 
 impl Node {
-    /// Bring `range`'s tracker up to the promise standing in the inbox.
-    pub fn settle(&mut self, range: RangeId) -> Option<&mut Replica> {
+    /// Bring `range`'s tracker up to the promise standing in the inbox when
+    /// the calendar is at `now`.
+    pub fn settle(&mut self, range: RangeId, now: EventKey) -> Option<&mut Replica> {
         let rep = self.replicas.get_mut(&range)?;
-        rep.settle(&self.side_rx);
+        rep.settle(self.side_rx.at(now));
         Some(rep)
     }
 
@@ -509,6 +514,7 @@ impl Cluster {
                     hlc: Hlc::new(SkewedClock::new(skew)),
                     replicas: BTreeMap::new(),
                     side_rx: SideRx::default(),
+                    side_sent: None,
                     awake: BTreeSet::new(),
                 }
             })
@@ -571,11 +577,14 @@ impl Cluster {
 
     /// Mutable topology access, the one way liveness and reachability
     /// change. Both feed every replica's Raft-tick visit (leadership doubt,
-    /// leadership follows the lease), so every replica wakes.
+    /// leadership follows the lease), so every replica wakes; and whether a
+    /// side-transport batch on the wire still lands, so every repeat in
+    /// flight goes back on the calendar.
     pub(crate) fn topo_mut(&mut self) -> &mut Topology {
         for node in &mut self.nodes {
             node.wake_all();
         }
+        self.recall_side_transport();
         &mut self.topo
     }
 
@@ -681,16 +690,18 @@ impl Cluster {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable node access for the fault-injection API (`fault.rs`).
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
-    }
-
     /// The closed timestamp a follower read of `range` at `node` would be
     /// served under right now: the replica's tracker, settled. (Reading
     /// `tracker.closed()` off [`Cluster::node`] skips the inbox.)
     pub fn closed_ts_at(&mut self, node: NodeId, range: RangeId) -> Option<Timestamp> {
-        Some(self.node_mut(node).settle(range)?.tracker.closed())
+        Some(self.settled(node, range)?.tracker.closed())
+    }
+
+    /// `range`'s replica on `node`, its tracker brought up to the promise
+    /// standing in the node's inbox.
+    pub(crate) fn settled(&mut self, node: NodeId, range: RangeId) -> Option<&mut Replica> {
+        let now = self.queue.key();
+        self.nodes[node.0 as usize].settle(range, now)
     }
 
     /// Override a node's clock skew (clock-misbehaviour tests, §6.2.3).
@@ -954,7 +965,7 @@ impl Cluster {
     /// What a re-installed range inherits, snapshotted from `node`'s
     /// replica (the leaseholder's: its applied state is authoritative).
     fn seed_from(&mut self, node: NodeId, id: RangeId) -> Option<SeedState> {
-        let rep = self.nodes[node.0 as usize].settle(id)?;
+        let rep = self.settled(node, id)?;
         Some(SeedState {
             store: rep.store.clone(),
             tracker: rep.tracker.clone(),
@@ -1105,10 +1116,20 @@ impl Cluster {
         true
     }
 
-    /// Run until simulated time `t`.
+    /// Run until simulated time `t`. The clock stops where the last event
+    /// by `t` left it — a repeat side-transport batch that landed included,
+    /// though it is no event (see [`SideRx`]).
     pub fn run_until(&mut self, t: SimTime) {
         while self.queue.peek_time().is_some_and(|pt| pt <= t) {
             self.step();
+        }
+        let landed = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.side_rx.latest_landed(t))
+            .max();
+        if let Some(key) = landed {
+            self.queue.advance_to(key);
         }
     }
 
@@ -1206,7 +1227,7 @@ impl Cluster {
         };
         if is_follower_read {
             // The follower gate and `Negotiate` read the closed timestamp.
-            rep.settle(side_rx);
+            rep.settle(side_rx.at(self.queue.key()));
         }
         let ctx = EvalCtx {
             now,
@@ -1361,7 +1382,7 @@ impl Cluster {
                 return;
             };
             let out = rep.raft.step(from_peer, msg, now);
-            let noop = rep.maybe_propose_leader_noop(now, side_rx);
+            let noop = rep.maybe_propose_leader_noop(now, side_rx.at(self.queue.key()));
             (out, noop)
         };
         self.dispatch_raft_msgs(to_node, range, out);

@@ -138,7 +138,7 @@ impl Cluster {
         let msgs = {
             let n = &mut self.nodes[node.0 as usize];
             let rep = n.replicas.get_mut(&range).unwrap();
-            rep.maybe_propose_lease_claim(now, &n.side_rx)
+            rep.maybe_propose_lease_claim(now, n.side_rx.at(self.queue.key()))
         };
         self.dispatch_raft_msgs(node, range, msgs);
         self.pump_replica(node, range);
@@ -161,7 +161,7 @@ impl Cluster {
         if old == to {
             return;
         }
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         {
             let n = &mut self.nodes[to.0 as usize];
             let hlc_now = n.hlc.now(now);
@@ -170,7 +170,7 @@ impl Cluster {
             // leaseholder's last batch, which other followers serve reads
             // under, would sit in the inbox unseen — plus the uncertainty
             // window for reads the old leaseholder served near its demise.
-            let rep = n.settle(range).unwrap();
+            let rep = n.settle(range, key).unwrap();
             let inherited = rep.tracker.closed();
             rep.lease.inherit(inherited);
             rep.tscache

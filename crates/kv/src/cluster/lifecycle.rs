@@ -95,7 +95,7 @@ impl Cluster {
     /// before it — that log ordering is what makes a transaction straddling
     /// the split find its intents on the correct half.
     fn propose_split(&mut self, desc: &RangeDescriptor, split_key: Key) -> Option<RangeId> {
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         // The surgery snapshots the leaseholder replica's state at apply
         // time, so a dead leaseholder means the split cannot complete.
         if !self.topo.is_node_alive(desc.leaseholder) {
@@ -107,7 +107,7 @@ impl Cluster {
         let msgs = node.replicas.get_mut(&desc.id)?.propose_lifecycle(
             CmdOp::Split { split_key, rhs },
             now,
-            &node.side_rx,
+            node.side_rx.at(key),
         )?;
         let live = &mut self.meta_mut(desc.id).live;
         live.split_pending = Some(now);
@@ -120,7 +120,7 @@ impl Cluster {
     /// Propose a Raft-replicated `Merge` of `rhs` into `ld` through `ld`'s
     /// Raft leader.
     fn propose_merge(&mut self, ld: &RangeDescriptor, rhs: RangeId) -> bool {
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         let Some(rd) = self.registry.get(rhs) else {
             return false;
         };
@@ -134,7 +134,7 @@ impl Cluster {
         let msgs = node
             .replicas
             .get_mut(&ld.id)
-            .and_then(|rep| rep.propose_lifecycle(CmdOp::Merge { rhs }, now, &node.side_rx));
+            .and_then(|rep| rep.propose_lifecycle(CmdOp::Merge { rhs }, now, node.side_rx.at(key)));
         let Some(msgs) = msgs else {
             return false;
         };

@@ -16,7 +16,7 @@ use mr_raft::{Peer, RaftMsg};
 use mr_sim::{Link, NodeId, SimDuration, Topology};
 
 use super::{Cluster, Event, InjectedBug, Node};
-use crate::closedts::{SideBatch, SideEntry};
+use crate::closedts::{repeats, SideBatch, SideEntry};
 use crate::metrics::ScrapeStats;
 use crate::range::RangeRegistry;
 use crate::replica::{Batch, Effect, Replica};
@@ -169,7 +169,7 @@ impl Cluster {
     /// and reclaims shadowed history at its next flush/compaction.
     pub(super) fn handle_gc_tick(&mut self) {
         self.queue.schedule(self.cfg.gc_interval, Event::GcTick);
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         let protected_min = self.protected.min();
         let (nodes, topo) = (&mut self.nodes, &self.topo);
         let mut removed = 0usize;
@@ -178,7 +178,7 @@ impl Cluster {
             // The frontier bound: no live replica may lose history it can
             // still serve follower reads from.
             let min_closed = live()
-                .filter_map(|n| Some(nodes[n.0 as usize].settle(d.id)?.tracker.closed()))
+                .filter_map(|n| Some(nodes[n.0 as usize].settle(d.id, key)?.tracker.closed()))
                 .min();
             let Some(min_closed) = min_closed else {
                 continue;
@@ -237,7 +237,7 @@ impl Cluster {
     /// occupancy, quiesced-range counts — reflect activity since the last
     /// periodic scrape).
     pub fn scrape_now(&mut self) {
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         let mut s = ScrapeStats {
             protected_timestamps: self.protected.len() as i64,
             ops_outstanding: self.outstanding_ops as i64,
@@ -257,7 +257,7 @@ impl Cluster {
                 &mut s.closedts_worst_lag
             };
             for n in d.replica_nodes() {
-                let Some(rep) = self.nodes[n.0 as usize].settle(d.id) else {
+                let Some(rep) = self.nodes[n.0 as usize].settle(d.id, key) else {
                     continue;
                 };
                 let lag = rep.tracker.lag_nanos(now.nanos());
@@ -317,7 +317,7 @@ impl Cluster {
     pub(super) fn handle_side_transport(&mut self) {
         self.queue
             .schedule(self.cfg.side_transport_interval, Event::SideTransport);
-        let now = self.queue.now();
+        let (now, key) = (self.queue.now(), self.queue.key());
         let params = self.cfg.closed_ts;
         self.side_tick += 1;
         // The CRDB side transport is node-to-node, not per-range: a sender
@@ -351,25 +351,39 @@ impl Cluster {
                 follows[follower.0 as usize] = true;
             }
         }
+        let tick = self.side_tick;
         // Shipped in (from, to) order: the order of the link-jitter draws.
+        // Every delivery takes its calendar key here; a repeat of the
+        // sender's previous batch waits in the receiver's inbox instead of on
+        // the calendar when the inbox can hold it (`SideRx::send`).
         for (from, (batch, follows)) in senders.into_iter().enumerate() {
-            if batch.is_empty() {
+            let updates = (!batch.is_empty()).then(|| SideBatch::from(batch));
+            let prev = std::mem::replace(&mut self.nodes[from].side_sent, updates.clone());
+            let Some(updates) = updates else {
                 continue;
-            }
-            let (from, updates) = (NodeId(from as u32), SideBatch::from(batch));
+            };
+            let repeat = prev.is_some_and(|p| repeats(&p, &updates));
+            let from = NodeId(from as u32);
             for to in (0..n).filter(|&to| follows[to]) {
                 let to = NodeId(to as u32);
-                if let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) {
-                    self.queue.schedule(
-                        d,
+                let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) else {
+                    continue;
+                };
+                let at = self.queue.reserve(d);
+                let rx = &mut self.nodes[to.0 as usize].side_rx;
+                if !rx.send(key, from, tick, at, &updates, repeat) {
+                    let updates = Rc::clone(&updates);
+                    self.queue.schedule_keyed(
+                        at,
                         Event::SideTransportDeliver {
                             to,
                             from,
-                            tick: self.side_tick,
-                            updates: Rc::clone(&updates),
+                            tick,
+                            updates,
                         },
                     );
                 }
+                self.resend_evicted(to);
             }
         }
     }
@@ -386,10 +400,11 @@ impl Cluster {
         if !self.topo.is_node_alive(to) {
             return;
         }
+        let key = self.queue.key();
         let Node {
             replicas, side_rx, ..
         } = &mut self.nodes[to.0 as usize];
-        side_rx.deliver(from, tick, updates, |range, promise, stands| {
+        side_rx.deliver(key, from, tick, updates, |range, promise, stands| {
             if let Some(rep) = replicas.get_mut(&range) {
                 let applied = rep.raft.applied_index();
                 if stands {
@@ -400,6 +415,35 @@ impl Cluster {
                 }
             }
         });
+        self.resend_evicted(to);
+    }
+
+    /// The topology is about to change: every node's inbox gives back the
+    /// repeats it holds in flight.
+    pub(super) fn recall_side_transport(&mut self) {
+        let key = self.queue.key();
+        for to in 0..self.nodes.len() {
+            self.nodes[to].side_rx.recall(key);
+            self.resend_evicted(NodeId(to as u32));
+        }
+    }
+
+    /// Put the repeats `to`'s inbox evicted on the calendar, each under the
+    /// key it was sent with: from here on it is delivered like any batch.
+    fn resend_evicted(&mut self, to: NodeId) {
+        let Cluster { nodes, queue, .. } = self;
+        for e in nodes[to.0 as usize].side_rx.take_evicted() {
+            let (from, tick, updates) = (e.from, e.tick, e.batch);
+            queue.schedule_keyed(
+                e.key,
+                Event::SideTransportDeliver {
+                    to,
+                    from,
+                    tick,
+                    updates,
+                },
+            );
+        }
     }
 }
 

@@ -161,8 +161,7 @@ impl Cluster {
                 // Settled first, so the frontier that regresses is the one a
                 // reader sees and the next read does not take it back.
                 let rep = self
-                    .node_mut(*node)
-                    .settle(*range)
+                    .settled(*node, *range)
                     .unwrap_or_else(|| panic!("no replica of {range} on {node}"));
                 rep.tracker.fault_regress(delta.nanos());
             }

@@ -31,7 +31,7 @@ use mr_raft::{Peer, RaftMsg, RaftNode};
 use mr_sim::{NodeId, SimTime};
 use mr_storage::{lsm::Engine, MvccError, RecoveryInfo, TsCache};
 
-use crate::closedts::{ClosedTsLeaseState, ClosedTsParams, ClosedTsTracker, SideRx};
+use crate::closedts::{ClosedTsLeaseState, ClosedTsParams, ClosedTsTracker, SideRxAt};
 use crate::locks::{LockTable, WaiterId};
 use crate::zone::ClosedTsPolicy;
 
@@ -337,7 +337,7 @@ impl Replica {
     /// replica that may follow — the follower-read gate, a leader stamping a
     /// command it proposes, the cluster's GC, scrape, lease-claim and
     /// re-install paths — calls this first.
-    pub fn settle(&mut self, side_rx: &SideRx) {
+    pub fn settle(&mut self, side_rx: SideRxAt<'_>) {
         if let Some(p) = side_rx.standing(self.range) {
             self.tracker.settle(p, self.raft.applied_index());
         }
@@ -1165,7 +1165,7 @@ impl Replica {
     pub fn maybe_propose_leader_noop(
         &mut self,
         now: SimTime,
-        side_rx: &SideRx,
+        side_rx: SideRxAt<'_>,
     ) -> Vec<(Peer, RaftMsg<Batch>)> {
         if !self.raft.is_leader() || self.raft.last_log_term() == self.raft.term() {
             return Vec::new();
@@ -1191,7 +1191,7 @@ impl Replica {
     pub fn maybe_propose_lease_claim(
         &mut self,
         now: SimTime,
-        side_rx: &SideRx,
+        side_rx: SideRxAt<'_>,
     ) -> Vec<(Peer, RaftMsg<Batch>)> {
         if !self.raft.is_leader() || self.lease_claim_term == Some(self.raft.term()) {
             return Vec::new();
@@ -1222,7 +1222,7 @@ impl Replica {
         &mut self,
         op: CmdOp,
         now: SimTime,
-        side_rx: &SideRx,
+        side_rx: SideRxAt<'_>,
     ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
         if !self.raft.is_leader() || self.lifecycle_term == Some(self.raft.term()) {
             return None;

@@ -12,7 +12,8 @@
 //! * [`time`] — virtual time ([`time::SimTime`], [`time::SimDuration`]).
 //! * [`event`] — the event calendar ([`event::EventQueue`]): a priority
 //!   queue over `(time, sequence)` delivering opaque payloads in
-//!   deterministic order.
+//!   deterministic order; a key can be reserved without an event behind
+//!   it and scheduled later under the same place in that order.
 //! * [`topology`] — regions, zones, nodes and the inter-region RTT matrix
 //!   (seeded with the paper's Table 1), link jitter, and failure injection
 //!   (node, zone, region, and pairwise partitions).
@@ -27,7 +28,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use event::EventQueue;
+pub use event::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use stats::{Cdf, LatencyRecorder, Summary};
 pub use time::{SimDuration, SimTime};

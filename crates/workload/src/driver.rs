@@ -295,6 +295,12 @@ impl ClosedLoop {
                     }
                 }
             }
+            // Handling a signal can raise another — a `BEGIN` completes
+            // synchronously — and what it unblocks goes out now, not after
+            // whichever event the calendar holds next.
+            if !self.signals.borrow().is_empty() {
+                continue;
+            }
             if db.cluster.now() >= deadline || self.in_flight == 0 {
                 break;
             }

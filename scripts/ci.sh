@@ -110,6 +110,11 @@ ledger_ceiling regional_ycsb_a peak_rss_mb 30 "MiB peak RSS"
 # pair, 310.2 with one shared batch per sender (PR 21). A per-replica or
 # per-pair allocation on a periodic path shows up here as a count.
 ledger_ceiling wide_idle host.allocs_per_op 342 "allocations per op"
+# The same idle run counted in calendar events: 74.4 per op while every
+# side-transport delivery was an event, 16.4 since a batch that repeats its
+# sender's previous one waits in the receiver's inbox instead. A per-link
+# event per tick coming back shows up here.
+ledger_ceiling wide_idle sim.events_per_op 18 "calendar events per op"
 
 echo "==> strict-monitor perf_probe smoke"
 # Short probe run with every online invariant monitor escalated to a panic:

@@ -28,7 +28,9 @@
 # a traced result) and `mr-ledger compare` decides instead of the digests —
 # every row it marks `changed` must be a metric on the list, on both seeds —
 # and the probe files are not compared: such a change moves simulated
-# behaviour on purpose.
+# behaviour on purpose. An entry `workload:metric`
+# (`wide_idle:sim.events_per_op`) allows the metric to move on that workload
+# only; a bare metric name allows it on all four.
 set -euo pipefail
 
 REV="${1:?usage: scripts/digest_parity.sh <parent-rev> [allowed-metrics]}"
@@ -106,7 +108,7 @@ if [ -n "$ALLOWED" ]; then
     MOVED="$(awk '$1 != "#" && $NF == "changed" { print $1, $2 }' "$TMP/compare.txt" | sort -u)"
     STRAY="$(echo "$MOVED" | awk -v allowed="$ALLOWED" '
         BEGIN { n = split(allowed, a, ","); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
-        NF && !($2 in ok)')"
+        NF && !($2 in ok) && !(($1 ":" $2) in ok)')"
     echo "==> exact rows that moved (allowed: $ALLOWED)"
     echo "${MOVED:-none}"
     if [ -n "$STRAY" ]; then
