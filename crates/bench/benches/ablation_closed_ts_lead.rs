@@ -68,6 +68,7 @@ fn run(replicate_ms: u64, seed: u64) {
         },
     );
     run_to_completion(&mut db, &mut driver);
+    report_errors(&format!("L_replicate={replicate_ms}ms"), &driver.stats);
     let m = db.cluster.metrics();
     let served = m.follower_reads_served as f64;
     let redirected = m.follower_read_redirects as f64;

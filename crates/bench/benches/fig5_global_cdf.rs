@@ -58,7 +58,12 @@ fn drive(
             })
         },
     );
-    run_to_completion(db, &mut driver);
+    // The duplicate-index writes can meet in a lock cycle that nothing
+    // breaks (no deadlock detection yet). The driver's no-progress guard
+    // then panics, its message on stderr naming the open transactions, and
+    // the CDF is over the ops that ended before it.
+    let run = std::panic::AssertUnwindSafe(|| run_to_completion(db, &mut driver));
+    let _stalled = std::panic::catch_unwind(run);
     driver.stats
 }
 

@@ -34,7 +34,6 @@ struct Outcome {
     efficiency: f64,
     p50_by_region: (f64, f64),
     p90_by_region: (f64, f64),
-    errors: u64,
     ranges: usize,
     splits: usize,
 }
@@ -109,6 +108,9 @@ fn run(nregions: usize, restricted: bool, warehouses: u32, lifecycle: bool, seed
     driver.run(&mut db, deadline);
 
     let stats = &driver.stats;
+    let placement = if restricted { " RESTRICTED" } else { "" };
+    let section = if lifecycle { " lifecycle" } else { "" };
+    report_errors(&format!("{nregions} regions{placement}{section}"), stats);
     let tpmc = stats.per_minute(|l| l.contains("new-order"));
     let max_tpmc = cfg.max_tpmc_per_warehouse() * cfg.total_warehouses() as f64;
     // p50/p90 of all new-order latency per region; report the min/max
@@ -136,7 +138,6 @@ fn run(nregions: usize, restricted: bool, warehouses: u32, lifecycle: bool, seed
         efficiency: 100.0 * tpmc / max_tpmc,
         p50_by_region: span(&p50s),
         p90_by_region: span(&p90s),
-        errors: stats.failed,
         ranges: db.cluster.registry().len(),
         splits: db.cluster.events.count_kind("range_split"),
     }
@@ -166,9 +167,6 @@ fn main() {
             format!("{:.0}-{:.0}", out.p50_by_region.0, out.p50_by_region.1),
             format!("{:.0}-{:.0}", out.p90_by_region.0, out.p90_by_region.1),
         );
-        if out.errors > 0 {
-            eprintln!("  ({} errors)", out.errors);
-        }
         results.push(out);
     }
     // PLACEMENT RESTRICTED comparison at 10 regions (§7.4).
@@ -211,8 +209,5 @@ fn main() {
     );
     if dynamic.splits == 0 {
         eprintln!("  WARNING: warehouse count did not force any splits");
-    }
-    if dynamic.errors > 0 {
-        eprintln!("  ({} errors)", dynamic.errors);
     }
 }

@@ -209,14 +209,16 @@ pub fn write_obs_exports(db: &SqlDb, prefix: &str) {
     }
 }
 
-/// Errors-to-stderr summary for a finished run.
+/// Errors-to-stderr summary for a finished run: failed ops by error kind and
+/// re-runs by attempt number, each in key order.
 pub fn report_errors(name: &str, stats: &DriverStats) {
-    if stats.failed > 0 {
+    if stats.failed > 0 || !stats.retries.is_empty() {
         eprintln!(
-            "[{name}] {} / {} ops failed: {:?}",
+            "[{name}] {} / {} ops failed: {:?}; re-runs by attempt: {:?}",
             stats.failed,
             stats.failed + stats.completed,
-            stats.errors
+            stats.errors,
+            stats.retries
         );
     }
 }

@@ -116,6 +116,22 @@ impl std::fmt::Display for SqlError {
 }
 impl std::error::Error for SqlError {}
 
+impl SqlError {
+    /// Whether re-running the whole transaction can succeed where this
+    /// attempt failed: it lost a conflict (a failed refresh, an abort, a
+    /// write pushed past a newer value). Constraint violations, parse and
+    /// plan errors fail the same way every time. Implicit transactions are
+    /// retried on it here; clients re-run explicit ones on it.
+    pub fn is_retryable(&self) -> bool {
+        matches!(
+            self,
+            SqlError::Kv(KvError::RefreshFailed { .. })
+                | SqlError::Kv(KvError::TxnAborted { .. })
+                | SqlError::Kv(KvError::WriteTooOld { .. })
+        )
+    }
+}
+
 impl From<DdlError> for SqlError {
     fn from(e: DdlError) -> SqlError {
         SqlError::Catalog(e.0)
@@ -862,15 +878,6 @@ fn for_each_seq<I: 'static>(
 // Implicit transactions with retry
 // ---------------------------------------------------------------------
 
-fn retryable(e: &SqlError) -> bool {
-    matches!(
-        e,
-        SqlError::Kv(KvError::RefreshFailed { .. })
-            | SqlError::Kv(KvError::TxnAborted { .. })
-            | SqlError::Kv(KvError::WriteTooOld { .. })
-    )
-}
-
 fn run_implicit(
     cluster: &mut Cluster,
     ctx: ExecCtx,
@@ -894,7 +901,7 @@ fn run_implicit(
                         Ok(_) => cont(c, Ok(result)),
                         Err(e) => {
                             let e = SqlError::Kv(e);
-                            if retryable(&e) && attempt < MAX_IMPLICIT_RETRIES {
+                            if e.is_retryable() && attempt < MAX_IMPLICIT_RETRIES {
                                 run_implicit(c, ctx2, stmt2, attempt + 1, cont);
                             } else {
                                 cont(c, Err(e));
@@ -907,7 +914,7 @@ fn run_implicit(
                 c.txn_rollback(
                     txn,
                     Box::new(move |c, _| {
-                        if retryable(&e) && attempt < MAX_IMPLICIT_RETRIES {
+                        if e.is_retryable() && attempt < MAX_IMPLICIT_RETRIES {
                             run_implicit(c, ctx2, stmt2, attempt + 1, cont);
                         } else {
                             cont(c, Err(e));

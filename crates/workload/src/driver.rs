@@ -6,17 +6,29 @@
 //! (optionally after a think delay, used by TPC-C terminals).
 //!
 //! An operation is one SQL statement or a *script* (a `BEGIN ... COMMIT`
-//! transaction executed statement by statement); the recorded latency spans
-//! the whole script. Latencies are recorded per operation label so
-//! harnesses can split local/remote and read/write distributions exactly
-//! like the paper's figures.
+//! transaction executed statement by statement). A failed statement rolls
+//! back the transaction it left open. Like a CockroachDB client, the driver
+//! re-runs an op whose statement failed with a retryable error
+//! ([`SqlError::is_retryable`]) — the same statements, so a New-Order keeps
+//! its order id — up to `MAX_ATTEMPTS` (10) times; the recorded latency spans
+//! every attempt. Latencies are recorded per operation label so harnesses
+//! can split local/remote and read/write distributions exactly like the
+//! paper's figures.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mr_sim::{SimDuration, SimRng, SimTime};
-use mr_sql::exec::{Session, SqlDb};
+use mr_proto::KvError;
+use mr_sim::{LatencyRecorder, SimDuration, SimRng, SimTime};
+use mr_sql::exec::{Session, SqlDb, SqlError};
+
+/// Attempts per op before it counts as failed.
+const MAX_ATTEMPTS: u32 = 10;
+
+/// Simulated time with statements in flight and no attempt ending that
+/// counts as a hang.
+const STALL: SimDuration = SimDuration::from_secs(120);
 
 /// One operation to issue: a single statement or a transaction script.
 #[derive(Clone, Debug)]
@@ -55,8 +67,6 @@ impl Op {
 /// A per-client operation source. Returning `None` retires the client.
 pub trait OpSource {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op>;
-    /// Observe the result of the op just completed.
-    fn on_result(&mut self, _label: &str, _failed: bool) {}
 }
 
 impl<F> OpSource for F
@@ -71,10 +81,14 @@ where
 /// Aggregated driver statistics.
 #[derive(Default)]
 pub struct DriverStats {
-    /// Latencies per op label.
-    pub latency: HashMap<String, mr_sim::LatencyRecorder>,
-    /// Errors per op label (retries exhausted, unique violations, ...).
-    pub errors: HashMap<String, u64>,
+    /// Latencies of committed ops, per op label.
+    pub latency: BTreeMap<String, LatencyRecorder>,
+    /// Failed ops by the kind of their last attempt's error: the
+    /// `SqlError` variant, or the `KvError` variant inside `SqlError::Kv`
+    /// (`"RefreshFailed"`, `"UniqueViolation"`, ...).
+    pub errors: BTreeMap<&'static str, u64>,
+    /// Re-runs by attempt number: `retries[&2]` ops made a second attempt.
+    pub retries: BTreeMap<u32, u64>,
     pub completed: u64,
     pub failed: u64,
     /// Simulated time consumed by the run.
@@ -82,13 +96,9 @@ pub struct DriverStats {
 }
 
 impl DriverStats {
-    pub fn recorder(&mut self, label: &str) -> &mut mr_sim::LatencyRecorder {
-        self.latency.entry(label.to_string()).or_default()
-    }
-
     /// Merge all labels matching `pred` into one recorder.
-    pub fn merged(&self, pred: impl Fn(&str) -> bool) -> mr_sim::LatencyRecorder {
-        let mut out = mr_sim::LatencyRecorder::new();
+    pub fn merged(&self, pred: impl Fn(&str) -> bool) -> LatencyRecorder {
+        let mut out = LatencyRecorder::new();
         for (label, rec) in &self.latency {
             if pred(label) {
                 out.merge(rec);
@@ -120,32 +130,107 @@ impl DriverStats {
     }
 }
 
-struct ClientState {
+/// The variant name of `e`, or of the `KvError` inside `SqlError::Kv`.
+fn error_kind(e: &SqlError) -> &'static str {
+    match e {
+        SqlError::Parse(_) => "Parse",
+        SqlError::Catalog(_) => "Catalog",
+        SqlError::Plan(_) => "Plan",
+        SqlError::Eval(_) => "Eval",
+        SqlError::UniqueViolation { .. } => "UniqueViolation",
+        SqlError::NotNullViolation { .. } => "NotNullViolation",
+        SqlError::FkViolation { .. } => "FkViolation",
+        SqlError::ReadOnlyRegion(_) => "ReadOnlyRegion",
+        SqlError::TxnState(_) => "TxnState",
+        SqlError::Kv(k) => match k {
+            KvError::NotLeaseholder { .. } => "NotLeaseholder",
+            KvError::FollowerReadUnavailable { .. } => "FollowerReadUnavailable",
+            KvError::WriteIntent { .. } => "WriteIntent",
+            KvError::Uncertainty { .. } => "Uncertainty",
+            KvError::WriteTooOld { .. } => "WriteTooOld",
+            KvError::RefreshFailed { .. } => "RefreshFailed",
+            KvError::TxnAborted { .. } => "TxnAborted",
+            KvError::TxnNotFound { .. } => "TxnNotFound",
+            KvError::RangeUnavailable { .. } => "RangeUnavailable",
+            KvError::NoSuchRange { .. } => "NoSuchRange",
+            KvError::StalenessBoundExceeded { .. } => "StalenessBoundExceeded",
+            KvError::WriteInFlight { .. } => "WriteInFlight",
+            KvError::BatchTimestampBeforeGC { .. } => "BatchTimestampBeforeGC",
+        },
+    }
+}
+
+/// A call the driver makes into another layer, as a [`Hook`] sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Call {
+    /// `OpSource::next_op`, drawing the op that gets this id.
+    Gen(u64),
+    /// `SqlDb::exec` of one statement of this op.
+    Exec(u64),
+    /// One `Cluster::step`.
+    Step,
+}
+
+/// Watches a run from inside the loop. Every call the driver makes into a
+/// generator, the SQL layer or the cluster falls between an
+/// [`enter`](Hook::enter) and a [`leave`](Hook::leave), so a host-time
+/// recorder can tile the run; every op is seen when its first statement
+/// goes out and when it ends. `()` watches nothing.
+pub trait Hook {
+    /// The driver is about to make a call.
+    fn enter(&mut self) {}
+    /// The call just returned.
+    fn leave(&mut self, _call: Call) {}
+    /// Op `id` starts (its think delay, if any, is over).
+    fn start(&mut self, _id: u64, _op: &Op) {}
+    /// Op `id` ended after every attempt it made: committed when `err` is
+    /// `None`, else failed with its last attempt's error.
+    fn finish(&mut self, _id: u64, _latency: SimDuration, _err: Option<&SqlError>) {}
+}
+
+impl Hook for () {}
+
+struct Client {
     sess: Session,
     source: Box<dyn OpSource>,
     rng: SimRng,
-    retired: bool,
-    /// Remaining statements of the current script.
-    script: VecDeque<String>,
-    script_label: String,
-    script_start: SimTime,
-    /// Op stashed while its think delay elapses.
-    pending_after_think: Option<Op>,
+    /// The current op and the next of its statements to issue.
+    op: Op,
+    op_id: u64,
+    cursor: usize,
+    attempts: u32,
+    start: SimTime,
 }
 
-#[allow(clippy::enum_variant_names)]
+/// Completions the cluster's continuations hand back to the loop.
 enum Signal {
-    StmtDone { client: usize, failed: bool },
-    ThinkDone { client: usize },
-    RollbackDone { client: usize },
+    Stmt {
+        client: usize,
+        err: Option<SqlError>,
+    },
+    Think {
+        client: usize,
+    },
+    /// The `ROLLBACK` after a statement failed with `err` is done.
+    Rollback {
+        client: usize,
+        err: SqlError,
+    },
 }
 
 /// The closed-loop driver.
 pub struct ClosedLoop {
-    clients: Vec<ClientState>,
+    clients: Vec<Client>,
     signals: Rc<RefCell<Vec<Signal>>>,
     pub stats: DriverStats,
+    /// Statements and think delays in flight.
     in_flight: usize,
+    thinking: usize,
+    next_op_id: u64,
+    /// Clients ask for no op at or past this simulated time.
+    deadline: SimTime,
+    /// When an attempt last ended, or statements were last all done.
+    last_end: SimTime,
 }
 
 impl ClosedLoop {
@@ -155,143 +240,182 @@ impl ClosedLoop {
             signals: Rc::new(RefCell::new(Vec::new())),
             stats: DriverStats::default(),
             in_flight: 0,
+            thinking: 0,
+            next_op_id: 0,
+            deadline: SimTime::ZERO,
+            last_end: SimTime::ZERO,
         }
     }
 
     /// Register a client with its own session, RNG stream, and op source.
     pub fn add_client(&mut self, sess: Session, rng: SimRng, source: Box<dyn OpSource>) {
-        self.clients.push(ClientState {
+        self.clients.push(Client {
             sess,
             source,
             rng,
-            retired: false,
-            script: VecDeque::new(),
-            script_label: String::new(),
-            script_start: SimTime::ZERO,
-            pending_after_think: None,
+            op: Op::new(String::new(), String::new()),
+            op_id: 0,
+            cursor: 0,
+            attempts: 0,
+            start: SimTime::ZERO,
         });
     }
 
-    /// Pull the next op from the client's source and start it.
-    fn next_op(&mut self, db: &mut SqlDb, client: usize) {
-        let c = &mut self.clients[client];
-        if c.retired {
+    /// Pull the client's next op from its source and start it, or its
+    /// think delay.
+    fn next_op(&mut self, db: &mut SqlDb, hook: &mut impl Hook, client: usize) {
+        if db.cluster.now() >= self.deadline {
             return;
         }
-        let Some(op) = c.source.next_op(&mut c.rng) else {
-            c.retired = true;
+        let c = &mut self.clients[client];
+        hook.enter();
+        let op = c.source.next_op(&mut c.rng);
+        hook.leave(Call::Gen(self.next_op_id));
+        let Some(op) = op else {
             return;
         };
-        if op.think == SimDuration::ZERO {
-            self.begin_op(db, client, op);
+        c.op = op;
+        c.op_id = self.next_op_id;
+        self.next_op_id += 1;
+        if c.op.think == SimDuration::ZERO {
+            self.begin_op(db, hook, client);
         } else {
             self.in_flight += 1;
+            self.thinking += 1;
             let signals = Rc::clone(&self.signals);
             db.cluster.schedule(
-                op.think,
-                Box::new(move |_c| {
-                    signals.borrow_mut().push(Signal::ThinkDone { client });
-                }),
+                c.op.think,
+                Box::new(move |_c| signals.borrow_mut().push(Signal::Think { client })),
             );
-            self.clients[client].pending_after_think = Some(Op {
-                think: SimDuration::ZERO,
-                ..op
-            });
         }
     }
 
-    fn begin_op(&mut self, db: &mut SqlDb, client: usize, op: Op) {
+    fn begin_op(&mut self, db: &mut SqlDb, hook: &mut impl Hook, client: usize) {
         let c = &mut self.clients[client];
-        c.script = op.stmts.into();
-        c.script_label = op.label;
-        c.script_start = db.cluster.now();
-        self.advance_script(db, client);
+        c.cursor = 0;
+        c.attempts = 1;
+        c.start = db.cluster.now();
+        hook.start(c.op_id, &c.op);
+        self.issue(db, hook, client, None);
     }
 
-    /// Issue the next statement of the current script.
-    fn advance_script(&mut self, db: &mut SqlDb, client: usize) {
-        let c = &mut self.clients[client];
-        let Some(sql) = c.script.pop_front() else {
-            return;
-        };
-        let sess = c.sess.clone();
-        let signals = Rc::clone(&self.signals);
+    /// Issue one statement for `client`: the next of its script, or a
+    /// `ROLLBACK` of the transaction a statement failing with `rollback`
+    /// left open.
+    fn issue(
+        &mut self,
+        db: &mut SqlDb,
+        hook: &mut impl Hook,
+        client: usize,
+        rollback: Option<SqlError>,
+    ) {
         self.in_flight += 1;
+        let c = &mut self.clients[client];
+        let sql = if rollback.is_some() {
+            "ROLLBACK"
+        } else {
+            c.cursor += 1;
+            &c.op.stmts[c.cursor - 1]
+        };
+        let signals = Rc::clone(&self.signals);
+        hook.enter();
         db.exec(
-            &sess,
-            &sql,
+            &c.sess,
+            sql,
             Box::new(move |_cl, res| {
-                signals.borrow_mut().push(Signal::StmtDone {
-                    client,
-                    failed: res.is_err(),
+                signals.borrow_mut().push(match rollback {
+                    Some(err) => Signal::Rollback { client, err },
+                    None => Signal::Stmt {
+                        client,
+                        err: res.err(),
+                    },
                 });
             }),
         );
+        hook.leave(Call::Exec(c.op_id));
     }
 
-    fn finish_op(&mut self, db: &mut SqlDb, client: usize, failed: bool, deadline: SimTime) {
-        let label = std::mem::take(&mut self.clients[client].script_label);
-        let latency = db.cluster.now() - self.clients[client].script_start;
-        if failed {
-            self.stats.failed += 1;
-            *self.stats.errors.entry(label.clone()).or_default() += 1;
-        } else {
-            self.stats.completed += 1;
-            self.stats.recorder(&label).record(latency);
+    /// The client's attempt ended: committed, or failed with `err`. A
+    /// retryable failure re-runs the op; anything else ends it and the
+    /// client asks for its next one.
+    fn end_attempt(
+        &mut self,
+        db: &mut SqlDb,
+        hook: &mut impl Hook,
+        client: usize,
+        err: Option<SqlError>,
+    ) {
+        self.last_end = db.cluster.now();
+        let c = &mut self.clients[client];
+        if err.as_ref().is_some_and(SqlError::is_retryable) && c.attempts < MAX_ATTEMPTS {
+            c.attempts += 1;
+            c.cursor = 0;
+            *self.stats.retries.entry(c.attempts).or_default() += 1;
+            self.issue(db, hook, client, None);
+            return;
         }
-        self.clients[client].source.on_result(&label, failed);
-        self.clients[client].script.clear();
-        if db.cluster.now() < deadline {
-            self.next_op(db, client);
+        let latency = db.cluster.now() - c.start;
+        match &err {
+            None => {
+                self.stats.completed += 1;
+                let label = c.op.label.clone();
+                self.stats.latency.entry(label).or_default().record(latency);
+            }
+            Some(e) => {
+                self.stats.failed += 1;
+                *self.stats.errors.entry(error_kind(e)).or_default() += 1;
+            }
         }
+        hook.finish(c.op_id, latency, err.as_ref());
+        self.next_op(db, hook, client);
     }
 
-    /// Run until `deadline` or until every client retires.
+    /// Run until every client retires, or until `deadline` and then until
+    /// the ops in flight have ended.
     pub fn run(&mut self, db: &mut SqlDb, deadline: SimTime) {
+        self.run_with(db, deadline, &mut ());
+    }
+
+    /// [`run`](ClosedLoop::run), with `hook` watching. Panics when
+    /// statements are in flight and no attempt has ended for two simulated
+    /// minutes: periodic ticks keep the calendar busy forever, so a lost
+    /// wake-up or a lock cycle would otherwise spin here.
+    pub fn run_with(&mut self, db: &mut SqlDb, deadline: SimTime, hook: &mut impl Hook) {
         let started = db.cluster.now();
-        for i in 0..self.clients.len() {
-            self.next_op(db, i);
+        self.deadline = deadline;
+        self.last_end = started;
+        for client in 0..self.clients.len() {
+            self.next_op(db, hook, client);
         }
         loop {
             let batch: Vec<Signal> = self.signals.borrow_mut().drain(..).collect();
             for sig in batch {
+                self.in_flight -= 1;
                 match sig {
-                    Signal::ThinkDone { client } => {
-                        self.in_flight -= 1;
-                        if let Some(op) = self.clients[client].pending_after_think.take() {
-                            if db.cluster.now() < deadline {
-                                self.begin_op(db, client, op);
-                            }
-                        }
+                    Signal::Think { client } => {
+                        self.thinking -= 1;
+                        self.begin_op(db, hook, client);
                     }
-                    Signal::StmtDone { client, failed } => {
-                        self.in_flight -= 1;
-                        if failed {
-                            // Abort the rest of the script; roll back any
-                            // open transaction before recording the failure.
-                            if self.clients[client].sess.in_txn() {
-                                let sess = self.clients[client].sess.clone();
-                                let signals = Rc::clone(&self.signals);
-                                self.in_flight += 1;
-                                db.exec(
-                                    &sess,
-                                    "ROLLBACK",
-                                    Box::new(move |_c, _res| {
-                                        signals.borrow_mut().push(Signal::RollbackDone { client });
-                                    }),
-                                );
-                            } else {
-                                self.finish_op(db, client, true, deadline);
-                            }
-                        } else if self.clients[client].script.is_empty() {
-                            self.finish_op(db, client, false, deadline);
+                    Signal::Stmt { client, err: None } => {
+                        let c = &self.clients[client];
+                        if c.cursor == c.op.stmts.len() {
+                            self.end_attempt(db, hook, client, None);
                         } else {
-                            self.advance_script(db, client);
+                            self.issue(db, hook, client, None);
                         }
                     }
-                    Signal::RollbackDone { client } => {
-                        self.in_flight -= 1;
-                        self.finish_op(db, client, true, deadline);
+                    Signal::Stmt {
+                        client,
+                        err: Some(e),
+                    } => {
+                        if self.clients[client].sess.in_txn() {
+                            self.issue(db, hook, client, Some(e));
+                        } else {
+                            self.end_attempt(db, hook, client, Some(e));
+                        }
+                    }
+                    Signal::Rollback { client, err } => {
+                        self.end_attempt(db, hook, client, Some(err));
                     }
                 }
             }
@@ -301,14 +425,36 @@ impl ClosedLoop {
             if !self.signals.borrow().is_empty() {
                 continue;
             }
-            if db.cluster.now() >= deadline || self.in_flight == 0 {
+            if self.in_flight == 0 {
                 break;
             }
-            if !db.cluster.step() {
-                break;
-            }
+            hook.enter();
+            let more = db.cluster.step();
+            hook.leave(Call::Step);
+            assert!(more, "event calendar drained with ops in flight");
+            self.check_progress(db);
         }
         self.stats.elapsed = db.cluster.now() - started;
+    }
+
+    fn check_progress(&mut self, db: &SqlDb) {
+        let now = db.cluster.now();
+        if self.in_flight == self.thinking {
+            self.last_end = now;
+        } else if now - self.last_end > STALL {
+            let open: Vec<String> = db
+                .cluster
+                .active_txns()
+                .iter()
+                .map(|t| format!("txn{} since {} on ranges {:?}", t.id, t.start, t.ranges))
+                .collect();
+            panic!(
+                "no op finished for {STALL} of simulated time ({} statements in flight, \
+                 {} ops done); open transactions: {open:?}",
+                self.in_flight - self.thinking,
+                self.stats.completed + self.stats.failed,
+            );
+        }
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! * [`zipf`] — the standard YCSB Zipf(0.99) key sampler;
 //! * [`driver`] — a closed-loop driver: each simulated client keeps one
-//!   operation in flight (optionally with think time) and latencies are
-//!   recorded per operation label;
+//!   operation in flight (optionally with think time), re-runs one that
+//!   failed with a retryable error, and latencies are recorded per
+//!   operation label;
 //! * [`bulk`] — dataset preloading that bypasses the transaction protocol
 //!   (the paper's "initial import").
 

@@ -1,10 +1,12 @@
 //! Drive real workloads through the full stack: schema DDL, bulk load,
 //! closed-loop clients, latency collection.
 
+use std::collections::BTreeMap;
+
 use mr_kv::cluster::ClusterConfig;
 use mr_sim::{RttMatrix, SimDuration, SimRng, SimTime, Topology};
 use mr_sql::exec::SqlDb;
-use mr_workload::driver::ClosedLoop;
+use mr_workload::driver::{ClosedLoop, Op, OpSource};
 use mr_workload::tpcc::{TpccConfig, TpccTerminal};
 use mr_workload::ycsb::{self, KeyChooser, ReadMode, YcsbGen, YcsbTable};
 use mr_workload::{bulk, Zipf};
@@ -221,4 +223,171 @@ fn tpcc_terminals_drive_transactions() {
     // district choice is random — so accept either, just require the query
     // to execute).
     let _ = res;
+}
+
+/// Two regions 87 ms apart; database `app` homed in us-east1 with a table
+/// `t` holding rows 1 and 2 (one range, leaseholder in us-east1).
+fn db_with_rows() -> SqlDb {
+    let rtt = RttMatrix::from_upper_millis(2, &[&[87]]);
+    let topo = Topology::build(&["us-east1", "europe-west2"], 3, rtt);
+    let cfg = ClusterConfig {
+        seed: 42,
+        ..ClusterConfig::default()
+    };
+    let mut d = SqlDb::new(topo, cfg);
+    let s = d.session(mr_sim::NodeId(0), None);
+    d.exec_sync(
+        &s,
+        r#"CREATE DATABASE app PRIMARY REGION "us-east1" REGIONS "europe-west2""#,
+    )
+    .unwrap();
+    let s = d.session_in_region("us-east1", Some("app"));
+    d.exec_sync(&s, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+        .unwrap();
+    d.exec_sync(&s, "INSERT INTO t VALUES (1, 0)").unwrap();
+    d.exec_sync(&s, "INSERT INTO t VALUES (2, 0)").unwrap();
+    let t = d.cluster.now();
+    d.cluster
+        .run_until(SimTime(t.nanos() + SimDuration::from_secs(1).nanos()));
+    d
+}
+
+/// A source that issues `ops` in order, then retires.
+fn ops(ops: Vec<Op>) -> Box<dyn OpSource> {
+    let mut ops = ops.into_iter();
+    Box::new(move |_: &mut SimRng| ops.next())
+}
+
+fn txn(stmts: &[&str], label: &str) -> Op {
+    let mut script = vec!["BEGIN".to_string()];
+    script.extend(stmts.iter().map(|s| s.to_string()));
+    script.push("COMMIT".to_string());
+    Op::script(script, label)
+}
+
+fn far_future(d: &SqlDb) -> SimTime {
+    SimTime(d.cluster.now().nanos() + SimDuration::from_secs(3_600).nanos())
+}
+
+/// The far client reads row 1 and then writes it, one WAN round trip per
+/// statement; the near client overwrites row 1 between the two. The far
+/// transaction cannot commit at its read timestamp and fails its refresh —
+/// a retryable error — so the driver re-runs it from `BEGIN`, and the second
+/// attempt commits.
+#[test]
+fn retryable_failure_is_rerun_and_counted_once() {
+    let mut d = db_with_rows();
+    let mut driver = ClosedLoop::new();
+    let far = d.session_in_region("europe-west2", Some("app"));
+    driver.add_client(
+        far,
+        SimRng::seed_from_u64(1),
+        ops(vec![txn(
+            &[
+                "SELECT v FROM t WHERE k = 1",
+                "UPDATE t SET v = 1 WHERE k = 1",
+            ],
+            "read-modify-write",
+        )]),
+    );
+    let near = d.session_in_region("us-east1", Some("app"));
+    driver.add_client(
+        near,
+        SimRng::seed_from_u64(2),
+        ops(vec![Op::new("UPSERT INTO t VALUES (1, 2)", "blind-write")
+            .with_think(SimDuration::from_millis(60))]),
+    );
+    let deadline = far_future(&d);
+    driver.run(&mut d, deadline);
+    let stats = &driver.stats;
+    assert_eq!(
+        (stats.completed, stats.failed),
+        (2, 0),
+        "{:?}",
+        stats.errors
+    );
+    assert_eq!(stats.retries, BTreeMap::from([(2, 1)]));
+    let mut rmw = stats.merged(|l| l == "read-modify-write");
+    assert_eq!(rmw.len(), 1);
+    // Each attempt crosses the ocean at least twice (the SELECT, and the
+    // UPDATE's read); the recorded latency covers both attempts.
+    assert!(
+        rmw.quantile(1.0) > SimDuration::from_millis(4 * 87),
+        "latency {}",
+        rmw.quantile(1.0)
+    );
+}
+
+/// A constraint violation fails the same way on every attempt: the driver
+/// rolls the transaction back, counts the op under its error's kind, does
+/// not re-run it, and the client goes on to its next op.
+#[test]
+fn unique_violation_is_not_retried_and_counted_by_kind() {
+    let mut d = db_with_rows();
+    let mut driver = ClosedLoop::new();
+    let s = d.session_in_region("us-east1", Some("app"));
+    driver.add_client(
+        s,
+        SimRng::seed_from_u64(1),
+        ops(vec![
+            txn(&["INSERT INTO t VALUES (1, 5)"], "insert"),
+            txn(&["INSERT INTO t VALUES (3, 5)"], "insert"),
+        ]),
+    );
+    let deadline = far_future(&d);
+    driver.run(&mut d, deadline);
+    let stats = &driver.stats;
+    assert_eq!((stats.completed, stats.failed), (1, 1));
+    assert_eq!(stats.errors, BTreeMap::from([("UniqueViolation", 1)]));
+    assert!(stats.retries.is_empty(), "{:?}", stats.retries);
+}
+
+/// Two transactions write rows 1 and 2 in opposite orders, with a read of
+/// an unrelated row between the writes so that each holds its first lock
+/// before it asks for its second. Each then waits for the other's lock, and
+/// nothing breaks the cycle, so no op ever ends: the guard stops the run and
+/// names the two open transactions. (Once deadlocks are detected, one of the
+/// two is aborted and re-run, and both commit.)
+#[test]
+#[should_panic(expected = "no op finished for")]
+fn lock_cycle_trips_the_no_progress_guard() {
+    let mut d = db_with_rows();
+    let mut driver = ClosedLoop::new();
+    for (i, [first, second]) in [[1, 2], [2, 1]].into_iter().enumerate() {
+        let s = d.session_in_region("us-east1", Some("app"));
+        let op = txn(
+            &[
+                &format!("UPSERT INTO t VALUES ({first}, {i})"),
+                "SELECT v FROM t WHERE k = 3",
+                &format!("UPSERT INTO t VALUES ({second}, {i})"),
+            ],
+            "swap",
+        );
+        driver.add_client(s, SimRng::seed_from_u64(i as u64), ops(vec![op]));
+    }
+    let deadline = far_future(&d);
+    driver.run(&mut d, deadline);
+}
+
+/// The guard watches statements, not clients: a think delay longer than its
+/// two minutes is not a hang. The op was asked for before the deadline, so
+/// it runs although its think delay ends after it, and the run lasts until
+/// it has.
+#[test]
+fn long_think_does_not_trip_the_guard() {
+    let mut d = db_with_rows();
+    let mut driver = ClosedLoop::new();
+    let s = d.session_in_region("us-east1", Some("app"));
+    let think = SimDuration::from_secs(130);
+    driver.add_client(
+        s,
+        SimRng::seed_from_u64(1),
+        ops(vec![
+            Op::new("SELECT v FROM t WHERE k = 1", "read").with_think(think)
+        ]),
+    );
+    let deadline = SimTime(d.cluster.now().nanos() + SimDuration::from_secs(60).nanos());
+    driver.run(&mut d, deadline);
+    assert_eq!((driver.stats.completed, driver.stats.failed), (1, 0));
+    assert!(driver.stats.elapsed > think, "{}", driver.stats.elapsed);
 }
