@@ -96,6 +96,15 @@ const BULK_LOAD_TS: Timestamp = Timestamp::new(1, 0);
 /// A continuation fired with an operation's outcome.
 pub type Cont<T> = Box<dyn FnOnce(&mut Cluster, T)>;
 
+/// Raft heartbeat interval of every range leader.
+const RAFT_HEARTBEAT: SimDuration = SimDuration::from_millis(500);
+/// Raft election timeout of every range.
+const RAFT_ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
+/// Cadence of the Raft tick event (leadership checks, flush, timers).
+const RAFT_TICK_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// Cadence of the closed-timestamp side transport (§5.1.1).
+pub const SIDE_TRANSPORT_INTERVAL: SimDuration = SimDuration::from_millis(50);
+
 /// Cluster-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -106,10 +115,6 @@ pub struct ClusterConfig {
     /// `[-amplitude, +amplitude]`. Must be ≤ `max_offset / 2` for the
     /// cluster to be within spec.
     pub skew_amplitude: SimDuration,
-    pub raft_heartbeat: SimDuration,
-    pub raft_election_timeout: SimDuration,
-    pub raft_tick_interval: SimDuration,
-    pub side_transport_interval: SimDuration,
     /// If set, RPCs that receive no response within this duration fail with
     /// `RangeUnavailable` (the dist-sender then re-routes). `None` disables
     /// timeouts (fine when no failures are injected).
@@ -183,16 +188,10 @@ pub struct LifecycleConfig {
     /// Split when a range's decayed QPS (read + write) reaches this many
     /// milli-queries/sec.
     pub split_qps_milli: u64,
-    /// Merge a range into its left neighbor when *both* are below this
-    /// decayed QPS (and jointly under half the size threshold).
-    pub merge_qps_milli: u64,
     /// Hysteresis: a range touched by a split/merge (or an in-flight
     /// proposal) is left alone for this long, so fresh halves aren't
     /// immediately re-merged and vice versa.
     pub cooldown: SimDuration,
-    /// Rebalance the lease toward a gateway region only when it generates
-    /// at least this share (milli, 0..=1000) of the range's traffic.
-    pub rebalance_share_milli: u64,
     /// Ignore ranges below this decayed QPS when rebalancing (noise floor).
     pub rebalance_min_qps_milli: u64,
 }
@@ -204,9 +203,7 @@ impl Default for LifecycleConfig {
             interval: SimDuration::from_secs(2),
             split_size_keys: 512,
             split_qps_milli: 200_000,
-            merge_qps_milli: 2_000,
             cooldown: SimDuration::from_secs(10),
-            rebalance_share_milli: 600,
             rebalance_min_qps_milli: 10_000,
         }
     }
@@ -223,10 +220,6 @@ impl Default for ClusterConfig {
                 ..ClosedTsParams::default()
             },
             skew_amplitude: SimDuration(clock.max_offset.nanos() / 4),
-            raft_heartbeat: SimDuration::from_millis(500),
-            raft_election_timeout: SimDuration::from_millis(2_000),
-            raft_tick_interval: SimDuration::from_millis(250),
-            side_transport_interval: SimDuration::from_millis(50),
             rpc_timeout: None,
             commit_wait_holds_locks: false,
             pipelined_writes: true,
@@ -495,7 +488,7 @@ impl Cluster {
         // publication interval, twice the skew amplitude (gateway ahead,
         // leaseholder behind), and a fixed margin for delivery jitter.
         cfg.closed_ts.lead_slack = cfg.lead_slack_override.unwrap_or(
-            cfg.side_transport_interval
+            SIDE_TRANSPORT_INTERVAL
                 + SimDuration(2 * cfg.skew_amplitude.nanos())
                 + SimDuration::from_millis(25),
         );
@@ -549,9 +542,9 @@ impl Cluster {
             protected: ProtectedTimestamps::new(),
             side_tick: 0,
         };
-        c.queue.schedule(cfg.raft_tick_interval, Event::RaftTick);
+        c.queue.schedule(RAFT_TICK_INTERVAL, Event::RaftTick);
         c.queue
-            .schedule(cfg.side_transport_interval, Event::SideTransport);
+            .schedule(SIDE_TRANSPORT_INTERVAL, Event::SideTransport);
         c.queue.schedule(cfg.gc_interval, Event::GcTick);
         if let Some(interval) = cfg.obs_scrape_interval {
             c.queue.schedule(interval, Event::ObsScrape);
@@ -908,8 +901,8 @@ impl Cluster {
                 id: i as Peer,
                 voters: voters.clone(),
                 learners: learners.clone(),
-                election_timeout: self.cfg.raft_election_timeout,
-                heartbeat_interval: self.cfg.raft_heartbeat,
+                election_timeout: RAFT_ELECTION_TIMEOUT,
+                heartbeat_interval: RAFT_HEARTBEAT,
                 quiesce: self.cfg.raft_quiescence,
             };
             let mut raft = RaftNode::new(rcfg, now);

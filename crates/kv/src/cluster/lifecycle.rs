@@ -12,6 +12,14 @@ use crate::events::EventKind;
 use crate::range::{RangeDescriptor, RangeLineage};
 use crate::replica::CmdOp;
 
+/// Merge a range into its left neighbor when *both* are below this decayed
+/// QPS in milli-queries/sec (and jointly under half the size threshold).
+const MERGE_QPS_MILLI: u64 = 2_000;
+
+/// Rebalance the lease toward a gateway region only when it generates at
+/// least this share (milli, 0..=1000) of the range's traffic.
+const REBALANCE_SHARE_MILLI: u64 = 600;
+
 /// Cluster-wide lifecycle outcomes (the per-range state lives in
 /// [`crate::range::RangeMeta`]).
 #[derive(Default)]
@@ -366,7 +374,7 @@ impl Cluster {
                     .load
                     .snapshot_range(now, rid.0)
                     .map_or(0, |s| s.qps_milli)
-                    < lc.merge_qps_milli
+                    < MERGE_QPS_MILLI
             };
             if !cold(id) || !cold(rd.id) {
                 continue;
@@ -415,7 +423,7 @@ impl Cluster {
             let Some((reg, share)) = self.obs.load.dominant_region(now, id.0) else {
                 continue;
             };
-            if share < lc.rebalance_share_milli {
+            if share < REBALANCE_SHARE_MILLI {
                 continue;
             }
             let dom = RegionId(reg);
@@ -520,7 +528,7 @@ impl Cluster {
                 .map_or(0, |s| s.qps_milli);
             if qps >= lc.rebalance_min_qps_milli {
                 if let Some((reg, share)) = self.obs.load.dominant_region(now, id.0) {
-                    if RegionId(reg) == cur && share >= lc.rebalance_share_milli {
+                    if RegionId(reg) == cur && share >= REBALANCE_SHARE_MILLI {
                         self.meta_mut(id).live.lease_rebalanced = Some(now);
                         continue;
                     }

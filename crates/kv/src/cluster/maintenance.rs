@@ -15,7 +15,7 @@ use mr_proto::RangeId;
 use mr_raft::{Peer, RaftMsg};
 use mr_sim::{Link, NodeId, SimDuration, Topology};
 
-use super::{Cluster, Event, InjectedBug, Node};
+use super::{Cluster, Event, InjectedBug, Node, RAFT_TICK_INTERVAL, SIDE_TRANSPORT_INTERVAL};
 use crate::closedts::{repeats, SideBatch, SideEntry};
 use crate::metrics::ScrapeStats;
 use crate::range::RangeRegistry;
@@ -54,8 +54,7 @@ impl Cluster {
     /// leadership checks below, the flush safety net, and the Raft timers.
     /// A replica whose visit leaves it [asleep](asleep) leaves the set.
     pub(super) fn handle_raft_tick(&mut self) {
-        self.queue
-            .schedule(self.cfg.raft_tick_interval, Event::RaftTick);
+        self.queue.schedule(RAFT_TICK_INTERVAL, Event::RaftTick);
         let now = self.queue.now();
         let mut outbox: Vec<(NodeId, RangeId, Vec<(Peer, RaftMsg<Batch>)>)> = Vec::new();
         let mut flush_effects: Vec<(NodeId, RangeId, Vec<Effect>)> = Vec::new();
@@ -316,7 +315,7 @@ impl Cluster {
 
     pub(super) fn handle_side_transport(&mut self) {
         self.queue
-            .schedule(self.cfg.side_transport_interval, Event::SideTransport);
+            .schedule(SIDE_TRANSPORT_INTERVAL, Event::SideTransport);
         let (now, key) = (self.queue.now(), self.queue.key());
         let params = self.cfg.closed_ts;
         self.side_tick += 1;

@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn rpc_span_names_align_with_kinds() {
         let req = mr_proto::Request::Negotiate {
-            spans: vec![mr_proto::Span::point(mr_proto::Key::from("k"))],
+            span: mr_proto::Span::point(mr_proto::Key::from("k")),
         };
         assert_eq!(rpc_span_name(&req), "rpc.negotiate");
         assert_eq!(REQ_KINDS[req_kind_index(&req)], "negotiate");

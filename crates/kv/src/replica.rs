@@ -403,7 +403,7 @@ impl Replica {
                     Err(e) => EvalOutcome::Reply(Err(self.map_mvcc_err(e, ctx.leaseholder))),
                 }
             }
-            Request::Negotiate { spans } => EvalOutcome::Reply(Ok(self.negotiate(&spans))),
+            Request::Negotiate { span } => EvalOutcome::Reply(Ok(self.negotiate(&span))),
             _ => EvalOutcome::Reply(Err(KvError::NotLeaseholder {
                 range: self.range,
                 leaseholder: ctx.leaseholder,
@@ -411,15 +411,13 @@ impl Replica {
         }
     }
 
-    fn negotiate(&self, spans: &[mr_proto::Span]) -> Response {
+    fn negotiate(&self, span: &mr_proto::Span) -> Response {
         // §5.3.2: the highest timestamp servable locally without blocking is
         // the closed timestamp, capped below any conflicting intent.
         let mut max_safe = self.tracker.closed();
-        for span in spans {
-            if let Some(intent_ts) = self.store.min_intent_ts_in(span) {
-                if !intent_ts.is_zero() {
-                    max_safe = max_safe.min(intent_ts.prev());
-                }
+        if let Some(intent_ts) = self.store.min_intent_ts_in(span) {
+            if !intent_ts.is_zero() {
+                max_safe = max_safe.min(intent_ts.prev());
             }
         }
         Response::Negotiate {
@@ -542,7 +540,7 @@ impl Replica {
                     in_flight,
                 }))
             }
-            Request::Negotiate { spans } => EvalOutcome::Reply(Ok(self.negotiate(&spans))),
+            Request::Negotiate { span } => EvalOutcome::Reply(Ok(self.negotiate(&span))),
         }
     }
 
@@ -1851,7 +1849,7 @@ mod tests {
         r.tracker.on_entry_applied(Timestamp::new(10_000, 0), 0);
         let out = r.evaluate(
             Request::Negotiate {
-                spans: vec![Span::point(Key::from("k"))],
+                span: Span::point(Key::from("k")),
             },
             path(),
             &mut hlc,
@@ -1877,7 +1875,7 @@ mod tests {
         flush_apply(&mut r);
         let out = r.evaluate(
             Request::Negotiate {
-                spans: vec![Span::point(Key::from("k"))],
+                span: Span::point(Key::from("k")),
             },
             path(),
             &mut hlc,

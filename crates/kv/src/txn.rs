@@ -25,7 +25,10 @@ use std::convert::Infallible;
 
 use mr_clock::Timestamp;
 use mr_obs::SpanId;
-use mr_proto::{Key, KvError, ReadCtx, Request, Response, Span, TxnId, TxnMeta, TxnStatus, Value};
+use mr_proto::{
+    Key, KvError, RangeId, ReadCtx, Request, Response, RoutingPolicy, Span, TxnId, TxnMeta,
+    TxnStatus, Value,
+};
 use mr_sim::{NodeId, SimDuration};
 
 use crate::attribution::{AttrAcc, Component, TxnAttrRecord, COMPONENTS};
@@ -36,6 +39,11 @@ use crate::zone::ClosedTsPolicy;
 
 /// Maximum transparent re-routes before an error surfaces to the caller.
 const MAX_ATTEMPTS: u8 = 16;
+/// Re-routes for a finished transaction's tail (record finalization and
+/// intent resolution), which nobody waits on.
+const TAIL_ATTEMPTS: u8 = 8;
+/// Re-routes for a pusher's requests: a failed push is retried next round.
+const PUSH_ATTEMPTS: u8 = 4;
 
 /// A client's handle to an open transaction.
 #[derive(Clone, Copy, Debug)]
@@ -117,17 +125,32 @@ impl TxnState {
             gateway: self.gateway,
             span: self.span,
             intents: std::mem::take(&mut self.intents),
+            attempts: TAIL_ATTEMPTS,
         }
     }
 }
 
 /// The part of a transaction that outlives its [`TxnState`]: record
-/// finalization and intent resolution run after the client was answered.
+/// finalization and intent resolution run after the client was answered
+/// (or, for a holder found final, by its pusher).
 struct TxnTail {
     meta: TxnMeta,
+    /// The node that sends the tail's requests.
     gateway: NodeId,
+    /// Their trace parent.
     span: Option<SpanId>,
     intents: Vec<Key>,
+    /// Re-routes each of its requests gets.
+    attempts: u8,
+}
+
+/// What a pusher carries from round to round: `holder`'s lock on `key`
+/// blocks requests at `node`'s replica of `range`.
+struct Pusher {
+    node: NodeId,
+    range: RangeId,
+    key: Key,
+    holder: TxnMeta,
 }
 
 /// How a commit was decided, which fixes what its epilogue still owes.
@@ -151,14 +174,6 @@ enum ReadTarget {
 }
 
 impl ReadTarget {
-    /// The key the read routes by.
-    fn start(&self) -> &Key {
-        match self {
-            ReadTarget::Point(key) => key,
-            ReadTarget::Span(span, _) => &span.start,
-        }
-    }
-
     /// The span the read observes (read-set entry, negotiation subject).
     fn span(&self) -> Span {
         match self {
@@ -181,36 +196,76 @@ impl ReadTarget {
         }
     }
 
-    /// `point` for a point read, `span` for a scan: picks an operation's
-    /// name (trace span and `kv.op.latency{op}`) by the read's shape.
-    fn pick(&self, point: Op, span: Op) -> Op {
+    /// The read as a client operation: `point` for a point read, `span` for
+    /// a scan (trace span and `kv.op.latency{op}`), labelled with the
+    /// policy of the range the read starts in.
+    fn op(&self, c: &Cluster, point: Op, span: Op) -> (Op, OpPolicy) {
         match self {
-            ReadTarget::Point(_) => point,
-            ReadTarget::Span(..) => span,
+            ReadTarget::Point(key) => (point, c.policy_of(key)),
+            ReadTarget::Span(s, _) => (span, c.policy_of(&s.start)),
         }
     }
+}
+
+/// What a sender takes from its request's response. Every send goes
+/// through [`Reply::from_response`], the one place a `Response` is matched
+/// against the shape its request expects.
+trait Reply: Sized + 'static {
+    /// The reply `resp` carries, or `resp` back if it has another shape.
+    fn take(resp: Response) -> Result<Self, Response>;
+
+    /// A replica answers each request with the response variant of the
+    /// same name, so a reply of another shape is a bug.
+    fn from_response(resp: Response) -> Self {
+        Self::take(resp).unwrap_or_else(|resp| unreachable!("reply of the wrong shape: {resp:?}"))
+    }
+}
+
+/// `T: pattern => value;` implements [`Reply`] for `T`, taken from the
+/// responses that match `pattern`.
+macro_rules! reply {
+    ($($t:ty: $pat:pat => $out:expr;)*) => {$(
+        impl Reply for $t {
+            fn take(resp: Response) -> Result<Self, Response> {
+                match resp {
+                    $pat => Ok($out),
+                    other => Err(other),
+                }
+            }
+        }
+    )*};
+}
+reply! {
+    // Success alone.
+    (): Response::ResolveIntent | Response::Refresh => ();
+    // The one timestamp a write, commit, stage or negotiation answers with.
+    Timestamp: Response::Put { written_ts: ts }
+        | Response::EndTxn { commit_ts: ts }
+        | Response::CommitInline { commit_ts: ts }
+        | Response::StageTxn { commit_ts: ts }
+        | Response::Negotiate { max_safe_ts: ts } => ts;
+    Option<Value>: Response::Get { value, .. } => value;
+    Vec<(Key, Value)>: Response::Scan { rows } => rows;
+    bool: Response::QueryIntent { found } => found;
+    (TxnStatus, Timestamp): Response::RecoverTxn { status, commit_ts } => (status, commit_ts);
+    (TxnStatus, Timestamp, Vec<Key>): Response::PushTxn {
+        status,
+        commit_ts,
+        in_flight,
+    } => (status, commit_ts, in_flight);
 }
 
 /// The client-facing shape of a read's response.
-trait ReadOut: 'static {
-    fn from_response(resp: Response) -> Self;
+trait ReadOut: Reply {
+    /// Lay a transaction's buffered writes over what the read returned.
+    fn overlay(&mut self, _buffered: &[(Key, Option<Value>)], _span: &Span) {}
 }
 
-impl ReadOut for Option<Value> {
-    fn from_response(resp: Response) -> Self {
-        match resp {
-            Response::Get { value, .. } => value,
-            _ => unreachable!("get returned non-get response"),
-        }
-    }
-}
+impl ReadOut for Option<Value> {}
 
 impl ReadOut for Vec<(Key, Value)> {
-    fn from_response(resp: Response) -> Self {
-        match resp {
-            Response::Scan { rows } => rows,
-            _ => unreachable!("scan returned non-scan response"),
-        }
+    fn overlay(&mut self, buffered: &[(Key, Option<Value>)], span: &Span) {
+        *self = overlay_buffer(std::mem::take(self), buffered, span);
     }
 }
 
@@ -237,13 +292,6 @@ fn overlay_buffer(
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-/// How to pick the serving replica.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RouteMode {
-    Leaseholder,
-    Nearest,
 }
 
 impl Cluster {
@@ -371,8 +419,7 @@ impl Cluster {
         let record_key = key.clone();
         self.dist_send(
             gateway,
-            key.clone(),
-            RouteMode::Leaseholder,
+            RoutingPolicy::Leaseholder,
             Request::Put {
                 txn: meta,
                 key,
@@ -387,11 +434,10 @@ impl Cluster {
                     return;
                 };
                 match res {
-                    Ok(Response::Put { written_ts }) => {
+                    Ok(written_ts) => {
                         st.max_written_ts = st.max_written_ts.forward(written_ts);
                         st.write_ts = st.write_ts.forward(written_ts);
                     }
-                    Ok(_) => unreachable!("put returned non-put response"),
                     Err(e) => {
                         st.failed.get_or_insert(e);
                     }
@@ -467,10 +513,8 @@ impl Cluster {
             Some(span) => st.reads.iter().all(|(s, _)| span.contains_span(s)),
             None => false,
         };
-        let meta = st.meta();
-        let anchor = meta.anchor.clone();
         let req = Request::CommitInline {
-            txn: meta,
+            txn: st.meta(),
             writes: st.buffered.clone(),
             refresh_spans: if local_reads_only {
                 st.reads.clone()
@@ -482,13 +526,12 @@ impl Cluster {
         };
         self.dist_send(
             gateway,
-            anchor,
-            RouteMode::Leaseholder,
+            RoutingPolicy::Leaseholder,
             req,
             MAX_ATTEMPTS,
             tspan,
             Box::new(move |c, res| match res {
-                Ok(Response::CommitInline { commit_ts }) => {
+                Ok(commit_ts) => {
                     // Spanner-style ablation: locks were kept; the
                     // coordinator resolves them after commit wait.
                     if c.cfg.commit_wait_holds_locks {
@@ -498,7 +541,6 @@ impl Cluster {
                     }
                     c.txn_committed(id, CommitKind::Explicit, commit_ts, tspan, cont);
                 }
-                Ok(_) => unreachable!("commit-inline returned unexpected response"),
                 Err(KvError::WriteTooOld { .. }) => {
                     // Timestamp must move but remote reads need a real
                     // refresh: fall back to the two-phase path.
@@ -572,10 +614,8 @@ impl Cluster {
         opts: ReadOptions,
         cont: Cont<KvResult<T>>,
     ) {
-        let stale_op = target.pick(Op::ReadStale, Op::ScanStale);
-        let bounded_op = target.pick(Op::ReadBounded, Op::ScanBounded);
         // The exact timestamp to read at, or the oldest acceptable one.
-        let (op, exact, ts) = match opts.staleness {
+        let (exact, ts) = match opts.staleness {
             Staleness::Fresh => {
                 let h = self.txn_begin(gateway);
                 return self.txn_read(
@@ -587,18 +627,20 @@ impl Cluster {
                     }),
                 );
             }
-            Staleness::ExactAt(ts) => (stale_op, true, ts),
-            Staleness::ExactAgo(ago) => (stale_op, true, self.hlc_ago(gateway, ago)),
-            Staleness::BoundedMaxStaleness(bound) => {
-                (bounded_op, false, self.hlc_ago(gateway, bound))
-            }
-            Staleness::BoundedMinTimestamp(min_ts) => (bounded_op, false, min_ts),
+            Staleness::ExactAt(ts) => (true, ts),
+            Staleness::ExactAgo(ago) => (true, self.hlc_ago(gateway, ago)),
+            Staleness::BoundedMaxStaleness(bound) => (false, self.hlc_ago(gateway, bound)),
+            Staleness::BoundedMinTimestamp(min_ts) => (false, min_ts),
         };
-        let policy = self.policy_of(target.start());
+        let (op, policy) = if exact {
+            target.op(self, Op::ReadStale, Op::ScanStale)
+        } else {
+            target.op(self, Op::ReadBounded, Op::ScanBounded)
+        };
         let parent = self.trace_parent;
         let (span, cont) = self.instrument_op(op, policy, gateway, parent, cont);
         if exact {
-            self.read_at(gateway, target, ts, RouteMode::Nearest, span, cont);
+            self.read_at(gateway, target, ts, RoutingPolicy::Nearest, span, cont);
         } else {
             self.bounded_read(
                 gateway,
@@ -623,19 +665,12 @@ impl Cluster {
         gateway: NodeId,
         target: ReadTarget,
         ts: Timestamp,
-        mode: RouteMode,
+        mode: RoutingPolicy,
         tspan: Option<SpanId>,
         cont: Cont<KvResult<T>>,
     ) {
-        self.dist_send(
-            gateway,
-            target.start().clone(),
-            mode,
-            target.request(ReadCtx::stale(ts)),
-            MAX_ATTEMPTS,
-            tspan,
-            Box::new(move |c, res| cont(c, res.map(T::from_response))),
-        );
+        let req = target.request(ReadCtx::stale(ts));
+        self.dist_send(gateway, mode, req, MAX_ATTEMPTS, tspan, cont);
     }
 
     /// Bounded-staleness read (§5.3.2): negotiate the freshest timestamp the
@@ -652,24 +687,30 @@ impl Cluster {
     ) {
         let now_ts = self.hlc_now(gateway);
         let negotiate = Request::Negotiate {
-            spans: vec![target.span()],
+            span: target.span(),
         };
         self.dist_send(
             gateway,
-            target.start().clone(),
-            RouteMode::Nearest,
+            RoutingPolicy::Nearest,
             negotiate,
             MAX_ATTEMPTS,
             tspan,
-            Box::new(move |c, res| match res {
-                Ok(Response::Negotiate { max_safe_ts }) => {
+            Box::new(move |c, res: KvResult<Timestamp>| match res {
+                Ok(max_safe_ts) => {
                     // Freshest locally-servable timestamp, capped at now.
                     let chosen = max_safe_ts.min(now_ts);
                     if chosen >= min_ts {
-                        c.read_at(gateway, target, chosen, RouteMode::Nearest, tspan, cont);
+                        c.read_at(gateway, target, chosen, RoutingPolicy::Nearest, tspan, cont);
                     } else if fallback_to_leaseholder {
                         // Serve from the leaseholder at the staleness bound.
-                        c.read_at(gateway, target, min_ts, RouteMode::Leaseholder, tspan, cont);
+                        c.read_at(
+                            gateway,
+                            target,
+                            min_ts,
+                            RoutingPolicy::Leaseholder,
+                            tspan,
+                            cont,
+                        );
                     } else {
                         cont(
                             c,
@@ -680,7 +721,6 @@ impl Cluster {
                         );
                     }
                 }
-                Ok(_) => unreachable!("negotiate returned unexpected response"),
                 Err(e) => cont(c, Err(e)),
             }),
         );
@@ -688,8 +728,7 @@ impl Cluster {
 
     /// A read inside transaction `h`, as one instrumented client operation.
     fn txn_read<T: ReadOut>(&mut self, h: TxnHandle, target: ReadTarget, cont: Cont<KvResult<T>>) {
-        let policy = self.policy_of(target.start());
-        let op = target.pick(Op::Get, Op::Scan);
+        let (op, policy) = target.op(self, Op::Get, Op::Scan);
         let (span, cont) = self.instrument_op(op, policy, h.gateway, h.span, cont);
         self.txn_read_inner(h.id, target, span, cont);
     }
@@ -719,13 +758,13 @@ impl Cluster {
             }
             ReadTarget::Span(..) => false,
         };
-        let rctx = ReadCtx {
+        let req = target.request(ReadCtx {
             read_ts: st.read_ts,
             uncertainty_limit: st.uncertainty_limit,
             txn: Some(st.meta()),
-        };
+        });
         let gateway = st.gateway;
-        let mode = match (&target, self.registry().lookup(target.start())) {
+        let mode = match (&target, self.registry().lookup(req.routing_key())) {
             // GLOBAL tables serve consistent present-time point reads from
             // any replica (§6) — except one of our own (unreplicated-yet)
             // intent. REGIONAL fresh reads need the leaseholder, and so do
@@ -735,27 +774,24 @@ impl Cluster {
             (ReadTarget::Point(_), Some(d))
                 if !own_intent && d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead =>
             {
-                RouteMode::Nearest
+                RoutingPolicy::Nearest
             }
-            _ => RouteMode::Leaseholder,
+            _ => RoutingPolicy::Leaseholder,
         };
         self.dist_send(
             gateway,
-            target.start().clone(),
             mode,
-            target.request(rctx),
+            req,
             MAX_ATTEMPTS,
             tspan,
-            Box::new(move |c, res| match res {
-                Ok(mut resp) => {
+            Box::new(move |c, res: KvResult<T>| match res {
+                Ok(mut out) => {
                     if let Some(st) = c.txns.get_mut(&id) {
                         let span = target.span();
-                        if let Response::Scan { rows } = &mut resp {
-                            *rows = overlay_buffer(std::mem::take(rows), &st.buffered, &span);
-                        }
+                        out.overlay(&st.buffered, &span);
                         st.reads.push((span, st.read_ts));
                     }
-                    cont(c, Ok(T::from_response(resp)));
+                    cont(c, Ok(out));
                 }
                 Err(KvError::Uncertainty { value_ts, .. }) => {
                     c.txn_uncertainty_restart(
@@ -843,7 +879,6 @@ impl Cluster {
         );
         for (i, (span, from_ts)) in spans.into_iter().enumerate() {
             let join = join.clone();
-            let start = span.start.clone();
             let req = Request::Refresh {
                 txn_id: id,
                 span,
@@ -852,12 +887,11 @@ impl Cluster {
             };
             self.dist_send(
                 gateway,
-                start,
-                RouteMode::Leaseholder,
+                RoutingPolicy::Leaseholder,
                 req,
                 MAX_ATTEMPTS,
                 tspan,
-                Box::new(move |c, res| join.arrive(c, i, res.map(|_| ()))),
+                Box::new(move |c, res| join.arrive(c, i, res)),
             );
         }
     }
@@ -946,42 +980,45 @@ impl Cluster {
     // Internals: routing
     // ------------------------------------------------------------------
 
+    /// The range `req` addresses (by its routing key) and the replica of it
+    /// that `mode` picks.
     fn route(
         &mut self,
         gateway: NodeId,
-        key: &Key,
-        mode: RouteMode,
-    ) -> KvResult<(mr_proto::RangeId, NodeId)> {
+        req: &Request,
+        mode: RoutingPolicy,
+    ) -> KvResult<(RangeId, NodeId)> {
+        let key = req.routing_key();
         let desc = self
             .registry()
             .lookup(key)
             .ok_or_else(|| KvError::NoSuchRange { key: key.clone() })?;
         let target = match mode {
-            RouteMode::Leaseholder => desc.leaseholder,
-            RouteMode::Nearest => desc
+            RoutingPolicy::Leaseholder => desc.leaseholder,
+            RoutingPolicy::Nearest => desc
                 .nearest_replica(self.topology(), gateway)
                 .unwrap_or(desc.leaseholder),
         };
         Ok((desc.id, target))
     }
 
-    /// Send with transparent redirect handling: `NotLeaseholder`,
-    /// `FollowerReadUnavailable`, and follower `WriteIntent` errors re-route
-    /// to the leaseholder; timeouts re-resolve the route and retry. Every
-    /// attempt's RPC span nests under `parent` (usually the operation span),
-    /// so traces show the whole re-route history of one logical send.
-    #[allow(clippy::too_many_arguments)]
-    fn dist_send(
+    /// The one send path: route `req` by its routing key, with transparent
+    /// redirect handling — `NotLeaseholder`, `FollowerReadUnavailable`, and
+    /// follower `WriteIntent` errors re-route to the leaseholder; timeouts
+    /// re-resolve the route and retry — and answer `cont` with the reply
+    /// the request expects. Every attempt's RPC span nests under `parent`
+    /// (usually the operation span), so traces show the whole re-route
+    /// history of one logical send.
+    fn dist_send<T: Reply>(
         &mut self,
         gateway: NodeId,
-        key: Key,
-        mode: RouteMode,
+        mode: RoutingPolicy,
         req: Request,
         attempts: u8,
         parent: Option<SpanId>,
-        cont: Cont<KvResult<Response>>,
+        cont: Cont<KvResult<T>>,
     ) {
-        let (range, target) = match self.route(gateway, &key, mode) {
+        let (range, target) = match self.route(gateway, &req, mode) {
             Ok(rt) => rt,
             Err(e) => {
                 cont(self, Err(e));
@@ -996,7 +1033,7 @@ impl Cluster {
             req,
             parent,
             Box::new(move |c, res| match res {
-                Ok(resp) => cont(c, Ok(resp)),
+                Ok(resp) => cont(c, Ok(T::from_response(resp))),
                 Err(e) if e.is_redirect() && attempts > 0 => {
                     let now = c.now();
                     c.obs
@@ -1004,8 +1041,7 @@ impl Cluster {
                         .event(parent, now, format_args!("redirect to leaseholder: {e}"));
                     c.dist_send(
                         gateway,
-                        key,
-                        RouteMode::Leaseholder,
+                        RoutingPolicy::Leaseholder,
                         retry_req,
                         attempts - 1,
                         parent,
@@ -1019,7 +1055,7 @@ impl Cluster {
                     c.schedule(
                         SimDuration::from_millis(250),
                         Box::new(move |c2| {
-                            c2.dist_send(gateway, key, mode, retry_req, attempts - 1, parent, cont);
+                            c2.dist_send(gateway, mode, retry_req, attempts - 1, parent, cont);
                         }),
                     );
                 }
@@ -1169,23 +1205,17 @@ impl Cluster {
         tracer.attr(pspan, "staged_ts", staged_ts);
         tracer.attr(pspan, "in_flight", in_flight.len());
         tracer.attr(pspan, "outstanding", outstanding);
-        let anchor = meta.anchor.clone();
         self.dist_send(
             gateway,
-            anchor,
-            RouteMode::Leaseholder,
+            RoutingPolicy::Leaseholder,
             Request::StageTxn {
                 txn: meta,
                 in_flight,
             },
             MAX_ATTEMPTS,
             pspan,
-            Box::new(move |c, res| {
-                let staged = match res {
-                    Ok(Response::StageTxn { .. }) => Ok(()),
-                    Ok(_) => unreachable!("stage returned unexpected response"),
-                    Err(e) => Err(e),
-                };
+            Box::new(move |c, res: KvResult<Timestamp>| {
+                let staged = res.map(|_| ());
                 let complete: Box<dyn FnOnce(&mut Cluster)> = Box::new(move |c| {
                     c.stage_complete(id, staged_ts, tspan, pspan, staged, cont);
                 });
@@ -1263,13 +1293,12 @@ impl Cluster {
         };
         self.dist_send(
             tail.gateway,
-            tail.meta.anchor.clone(),
-            RouteMode::Leaseholder,
+            RoutingPolicy::Leaseholder,
             req,
-            8,
+            tail.attempts,
             tail.span,
-            Box::new(move |c, res| {
-                if let Ok(Response::EndTxn { .. }) = res {
+            Box::new(move |c, res: KvResult<Timestamp>| {
+                if res.is_ok() {
                     c.resolve_intents(tail, status, commit_ts);
                 }
                 c.op_finished();
@@ -1325,8 +1354,7 @@ impl Cluster {
             let record_key = key.clone();
             self.dist_send(
                 gateway,
-                key.clone(),
-                RouteMode::Leaseholder,
+                RoutingPolicy::Leaseholder,
                 Request::Put {
                     txn: meta.clone(),
                     key,
@@ -1335,10 +1363,7 @@ impl Cluster {
                 MAX_ATTEMPTS,
                 tspan,
                 Box::new(move |c, res| {
-                    let res = res.map(|resp| {
-                        let Response::Put { written_ts } = resp else {
-                            unreachable!("put returned non-put response")
-                        };
+                    let res = res.map(|written_ts| {
                         // Gone once a sibling write failed: acks after the
                         // first failure tell nobody.
                         if let Some(st) = c.txns.get_mut(&id) {
@@ -1390,46 +1415,43 @@ impl Cluster {
             Err(e) => return cont(self, Err(e)),
         };
         let gateway = st.gateway;
-        let meta = st.meta();
-        let anchor = meta.anchor.clone();
+        let req = Request::EndTxn {
+            txn: st.meta(),
+            commit: true,
+        };
         self.dist_send(
             gateway,
-            anchor,
-            RouteMode::Leaseholder,
-            Request::EndTxn {
-                txn: meta,
-                commit: true,
-            },
+            RoutingPolicy::Leaseholder,
+            req,
             MAX_ATTEMPTS,
             tspan,
             Box::new(move |c, res| match res {
-                Ok(Response::EndTxn { commit_ts }) => {
+                Ok(commit_ts) => {
                     c.txn_committed(id, CommitKind::Explicit, commit_ts, tspan, cont);
                 }
-                Ok(_) => unreachable!("end txn returned unexpected response"),
                 Err(e) => c.abort_after_failure(id, e, cont),
             }),
         );
     }
 
     /// Fire-and-forget intent resolution for every write of a finished
-    /// transaction.
+    /// transaction: the one resolve fan-out, for its coordinator and for a
+    /// pusher that found it final alike.
     fn resolve_intents(&mut self, tail: TxnTail, status: TxnStatus, commit_ts: Timestamp) {
         for key in tail.intents {
             let req = Request::ResolveIntent {
-                key: key.clone(),
+                key,
                 txn_id: tail.meta.id,
                 status,
                 commit_ts,
             };
             self.dist_send(
                 tail.gateway,
-                key,
-                RouteMode::Leaseholder,
+                RoutingPolicy::Leaseholder,
                 req,
-                8,
+                tail.attempts,
                 tail.span,
-                Box::new(|_, _| {}),
+                Box::new(|_, _: KvResult<()>| {}),
             );
         }
     }
@@ -1497,21 +1519,18 @@ impl Cluster {
     /// itself, unblocking the queue. While the holder is still `Pending`
     /// the waiters simply keep waiting (CRDB's behaviour without deadlock
     /// detection; our workloads are single-key or key-ordered).
-    pub(crate) fn start_pusher(
-        &mut self,
-        node: NodeId,
-        range: mr_proto::RangeId,
-        key: Key,
-        holder: TxnMeta,
-    ) {
+    pub(crate) fn start_pusher(&mut self, node: NodeId, range: RangeId, key: Key, holder: TxnMeta) {
         if !self.active_pushers.insert((range, key.clone())) {
             return;
         }
+        let p = Pusher {
+            node,
+            range,
+            key,
+            holder,
+        };
         let delay = SimDuration::from_millis(100);
-        self.schedule(
-            delay,
-            Box::new(move |c| c.pusher_tick(node, range, key, holder, 0)),
-        );
+        self.schedule(delay, Box::new(move |c| c.pusher_tick(p, 0)));
     }
 
     /// Pushes a holder found `Pending` this many times (at 1s apart) are
@@ -1521,77 +1540,74 @@ impl Cluster {
     /// its retries during a leadership change) blocks waiters forever.
     const PUSH_EXPIRY_ROUNDS: u32 = 5;
 
-    fn pusher_tick(
+    /// The holder's record is final: stop pushing, and resolve the blocked
+    /// key and the holder's `in_flight` writes with the record's status, on
+    /// the holder's behalf — from the blocked node, outside any trace.
+    fn pusher_resolve(
         &mut self,
-        node: NodeId,
-        range: mr_proto::RangeId,
-        key: Key,
-        holder: TxnMeta,
-        rounds: u32,
+        p: Pusher,
+        mut in_flight: Vec<Key>,
+        status: TxnStatus,
+        commit_ts: Timestamp,
     ) {
+        self.active_pushers.remove(&(p.range, p.key.clone()));
+        if !in_flight.contains(&p.key) {
+            in_flight.push(p.key);
+        }
+        let tail = TxnTail {
+            meta: p.holder,
+            gateway: p.node,
+            span: None,
+            intents: in_flight,
+            attempts: PUSH_ATTEMPTS,
+        };
+        self.resolve_intents(tail, status, commit_ts);
+    }
+
+    /// Push again in a second, starting a fresh round count.
+    fn repush(&mut self, p: Pusher) {
+        self.schedule(
+            SimDuration::from_millis(1_000),
+            Box::new(move |c| c.pusher_tick(p, 0)),
+        );
+    }
+
+    fn pusher_tick(&mut self, p: Pusher, rounds: u32) {
         // Stop when the block is gone, this replica lost the lease, or the
         // node died (waiters will time out / re-route).
         let still_leaseholder = self
             .registry()
-            .get(range)
-            .is_some_and(|d| d.leaseholder == node);
-        let still_blocked = self.node(node).replicas.get(&range).is_some_and(|r| {
-            r.locks.holder(&key).map(|h| h.id) == Some(holder.id)
-                || r.store.intent(&key).map(|i| i.txn.id) == Some(holder.id)
+            .get(p.range)
+            .is_some_and(|d| d.leaseholder == p.node);
+        let still_blocked = self.node(p.node).replicas.get(&p.range).is_some_and(|r| {
+            r.locks.holder(&p.key).map(|h| h.id) == Some(p.holder.id)
+                || r.store.intent(&p.key).map(|i| i.txn.id) == Some(p.holder.id)
         });
-        if !still_blocked || !still_leaseholder || !self.topology().is_node_alive(node) {
-            self.active_pushers.remove(&(range, key));
+        if !still_blocked || !still_leaseholder || !self.topology().is_node_alive(p.node) {
+            self.active_pushers.remove(&(p.range, p.key));
             return;
         }
         let push = Request::PushTxn {
-            pushee: holder.id,
-            anchor: holder.anchor.clone(),
+            pushee: p.holder.id,
+            anchor: p.holder.anchor.clone(),
         };
-        let anchor = holder.anchor.clone();
         self.dist_send(
-            node,
-            anchor,
-            RouteMode::Leaseholder,
+            p.node,
+            RoutingPolicy::Leaseholder,
             push,
-            4,
+            PUSH_ATTEMPTS,
             None,
             Box::new(move |c, res| match res {
-                Ok(Response::PushTxn {
-                    status: status @ (TxnStatus::Committed | TxnStatus::Aborted),
-                    commit_ts,
-                    ..
-                }) => {
+                Ok((status @ (TxnStatus::Committed | TxnStatus::Aborted), commit_ts, _)) => {
                     // The holder finalized: resolve its intent ourselves.
-                    c.active_pushers.remove(&(range, key.clone()));
-                    let resolve = Request::ResolveIntent {
-                        key: key.clone(),
-                        txn_id: holder.id,
-                        status,
-                        commit_ts,
-                    };
-                    c.dist_send(
-                        node,
-                        key,
-                        RouteMode::Leaseholder,
-                        resolve,
-                        4,
-                        None,
-                        Box::new(|_, _| {}),
-                    );
+                    c.pusher_resolve(p, Vec::new(), status, commit_ts);
                 }
-                Ok(Response::PushTxn {
-                    status: TxnStatus::Staging,
-                    commit_ts,
-                    in_flight,
-                }) => {
+                Ok((TxnStatus::Staging, staged_ts, in_flight)) => {
                     // The holder staged a parallel commit but its coordinator
                     // hasn't finalized (it may be dead): run status recovery.
-                    c.staging_recover(node, range, key, holder, commit_ts, in_flight);
+                    c.staging_recover(p, staged_ts, in_flight);
                 }
-                Ok(Response::PushTxn {
-                    status: TxnStatus::Pending,
-                    ..
-                }) if rounds + 1 >= Self::PUSH_EXPIRY_ROUNDS => {
+                Ok((TxnStatus::Pending, ..)) if rounds + 1 >= Self::PUSH_EXPIRY_ROUNDS => {
                     // No record after repeated pushes: the coordinator is
                     // presumed dead, its intents abandoned. Finalize the
                     // holder as aborted through the RecoverTxn apply-time
@@ -1600,22 +1616,13 @@ impl Cluster {
                     // readings), so a coordinator racing this abort with a
                     // stage or commit wins or loses by log order, and the
                     // record's authoritative disposition drives resolution.
-                    c.recover_finalize(
-                        node,
-                        range,
-                        key,
-                        holder,
-                        Timestamp::ZERO,
-                        false,
-                        Vec::new(),
-                        None,
-                    );
+                    c.recover_finalize(p, Timestamp::ZERO, false, Vec::new(), None);
                 }
                 _ => {
                     // Still pending (or push failed): try again later.
                     c.schedule(
                         SimDuration::from_millis(1_000),
-                        Box::new(move |c2| c2.pusher_tick(node, range, key, holder, rounds + 1)),
+                        Box::new(move |c2| c2.pusher_tick(p, rounds + 1)),
                     );
                 }
             }),
@@ -1629,26 +1636,18 @@ impl Cluster {
     /// -cache bump guarantees it can never land at or below the staged
     /// timestamp, so the transaction can be finalized as ABORTED. Exactly
     /// one outcome wins: RecoverTxn is an apply-time CAS on the record.
-    fn staging_recover(
-        &mut self,
-        node: NodeId,
-        range: mr_proto::RangeId,
-        key: Key,
-        holder: TxnMeta,
-        staged_ts: Timestamp,
-        in_flight: Vec<Key>,
-    ) {
+    fn staging_recover(&mut self, p: Pusher, staged_ts: Timestamp, in_flight: Vec<Key>) {
         self.m.staging_recoveries.inc();
         let now = self.now();
         let tracer = &self.obs.tracer;
         let rspan = tracer.start("txn.staging_recovery", None, now);
-        tracer.attr(rspan, "txn", holder.id);
+        tracer.attr(rspan, "txn", p.holder.id);
         tracer.attr(rspan, "staged_ts", staged_ts);
         tracer.attr(rspan, "in_flight", in_flight.len());
-        let txn_id = holder.id;
+        let (node, txn_id) = (p.node, p.holder.id);
         if in_flight.is_empty() {
             // Nothing was in flight when the record staged: implicit commit.
-            self.recover_finalize(node, range, key, holder, staged_ts, true, in_flight, rspan);
+            self.recover_finalize(p, staged_ts, true, in_flight, rspan);
             return;
         }
         let probe_keys = in_flight.clone();
@@ -1659,47 +1658,34 @@ impl Cluster {
                     // A definitive miss trumps probe errors: the
                     // QueryIntent miss bumped the timestamp cache, so
                     // the write can never land below the staged ts.
-                    c.recover_finalize(
-                        node, range, key, holder, staged_ts, false, in_flight, rspan,
-                    );
+                    c.recover_finalize(p, staged_ts, false, in_flight, rspan);
                 } else if found.contains(&None) {
                     // Inconclusive: retry the push later.
                     let now = c.now();
                     c.obs.tracer.event(rspan, now, "probe inconclusive; retry");
                     c.obs.tracer.finish(rspan, now);
-                    c.schedule(
-                        SimDuration::from_millis(1_000),
-                        Box::new(move |c2| c2.pusher_tick(node, range, key, holder, 0)),
-                    );
+                    c.repush(p);
                 } else {
-                    c.recover_finalize(node, range, key, holder, staged_ts, true, in_flight, rspan);
+                    c.recover_finalize(p, staged_ts, true, in_flight, rspan);
                 }
             }),
         );
         // Every probe reports — `Some(found)`, or `None` if it errored — so
         // the join waits for all of them.
-        for (i, qkey) in probe_keys.into_iter().enumerate() {
+        for (i, key) in probe_keys.into_iter().enumerate() {
             let join = join.clone();
             let probe = Request::QueryIntent {
-                key: qkey.clone(),
+                key,
                 txn_id,
                 ts: staged_ts,
             };
             self.dist_send(
                 node,
-                qkey,
-                RouteMode::Leaseholder,
+                RoutingPolicy::Leaseholder,
                 probe,
-                4,
+                PUSH_ATTEMPTS,
                 rspan,
-                Box::new(move |c, res| {
-                    let found = match res {
-                        Ok(Response::QueryIntent { found }) => Some(found),
-                        Ok(_) => unreachable!("query intent returned wrong response"),
-                        Err(_) => None,
-                    };
-                    join.arrive(c, i, Ok(found));
-                }),
+                Box::new(move |c, res: KvResult<bool>| join.arrive(c, i, Ok(res.ok()))),
             );
         }
     }
@@ -1707,36 +1693,30 @@ impl Cluster {
     /// Write the recovery verdict through RecoverTxn and resolve the
     /// holder's intents with whatever status the record actually finalized
     /// to (the coordinator may have won the race with a different verdict).
-    #[allow(clippy::too_many_arguments)]
     fn recover_finalize(
         &mut self,
-        node: NodeId,
-        range: mr_proto::RangeId,
-        key: Key,
-        holder: TxnMeta,
+        p: Pusher,
         staged_ts: Timestamp,
         commit: bool,
         in_flight: Vec<Key>,
         rspan: Option<SpanId>,
     ) {
         let recover = Request::RecoverTxn {
-            txn_id: holder.id,
-            anchor: holder.anchor.clone(),
+            txn_id: p.holder.id,
+            anchor: p.holder.anchor.clone(),
             staged_ts,
             commit,
         };
-        let anchor = holder.anchor.clone();
         self.dist_send(
-            node,
-            anchor,
-            RouteMode::Leaseholder,
+            p.node,
+            RoutingPolicy::Leaseholder,
             recover,
-            4,
+            PUSH_ATTEMPTS,
             rspan,
             Box::new(move |c, res| {
                 let now = c.now();
                 match res {
-                    Ok(Response::RecoverTxn { status, commit_ts }) if status.is_finalized() => {
+                    Ok((status, commit_ts)) if status.is_finalized() => {
                         if status == TxnStatus::Committed {
                             c.m.staging_recovery_commits.inc();
                         } else {
@@ -1746,51 +1726,22 @@ impl Cluster {
                             .tracer
                             .attr(rspan, "outcome", format_args!("{status:?}"));
                         c.obs.tracer.finish(rspan, now);
-                        c.active_pushers.remove(&(range, key.clone()));
-                        // Resolve the blocked key and every in-flight write
-                        // with the *record's* status — authoritative even if
-                        // it differs from our verdict.
-                        let mut keys = in_flight;
-                        if !keys.contains(&key) {
-                            keys.push(key);
-                        }
-                        for rkey in keys {
-                            let resolve = Request::ResolveIntent {
-                                key: rkey.clone(),
-                                txn_id: holder.id,
-                                status,
-                                commit_ts,
-                            };
-                            c.dist_send(
-                                node,
-                                rkey,
-                                RouteMode::Leaseholder,
-                                resolve,
-                                4,
-                                None,
-                                Box::new(|_, _| {}),
-                            );
-                        }
+                        // The *record's* status is authoritative even if it
+                        // differs from our verdict.
+                        c.pusher_resolve(p, in_flight, status, commit_ts);
                     }
-                    Ok(Response::RecoverTxn { .. }) => {
+                    Ok(_) => {
                         // The record re-staged at a new timestamp (the
                         // coordinator is alive and restarting the commit):
                         // back off and push again.
                         c.obs.tracer.event(rspan, now, "record re-staged; retry");
                         c.obs.tracer.finish(rspan, now);
-                        c.schedule(
-                            SimDuration::from_millis(1_000),
-                            Box::new(move |c2| c2.pusher_tick(node, range, key, holder, 0)),
-                        );
+                        c.repush(p);
                     }
-                    Ok(_) => unreachable!("recover returned wrong response"),
                     Err(_) => {
                         c.obs.tracer.event(rspan, now, "recover failed; retry");
                         c.obs.tracer.finish(rspan, now);
-                        c.schedule(
-                            SimDuration::from_millis(1_000),
-                            Box::new(move |c2| c2.pusher_tick(node, range, key, holder, 0)),
-                        );
+                        c.repush(p);
                     }
                 }
             }),

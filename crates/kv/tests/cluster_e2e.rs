@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mr_clock::Timestamp;
-use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness};
+use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness, SIDE_TRANSPORT_INTERVAL};
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
@@ -1144,7 +1144,7 @@ fn idle_followers_trail_their_leaseholders_by_one_interval_and_the_wire() {
     // ranges quiesce. (167,179 while every delivery was an event.)
     assert_eq!(c.metrics().ev_side, 942);
 
-    let interval = ClusterConfig::default().side_transport_interval;
+    let interval = SIDE_TRANSPORT_INTERVAL;
     let mut followers = 0;
     for &id in &ranges {
         let desc = c.registry().get(id).unwrap().clone();

@@ -146,15 +146,16 @@ pub enum Request {
         pushee: TxnId,
         anchor: Key,
     },
-    /// Bounded-staleness negotiation: the highest timestamp at which all
-    /// `spans` can be served locally without blocking (§5.3.2).
+    /// Bounded-staleness negotiation: the highest timestamp at which `span`
+    /// can be served locally without blocking (§5.3.2).
     Negotiate {
-        spans: Vec<Span>,
+        span: Span,
     },
 }
 
 impl Request {
-    /// The key used to route this request to a Range.
+    /// The key used to route this request to a Range: the one routing rule
+    /// the coordinator's send path follows.
     pub fn routing_key(&self) -> &Key {
         match self {
             Request::Get { key, .. } => key,
@@ -168,7 +169,7 @@ impl Request {
             Request::ResolveIntent { key, .. } => key,
             Request::Refresh { span, .. } => &span.start,
             Request::PushTxn { anchor, .. } => anchor,
-            Request::Negotiate { spans } => &spans[0].start,
+            Request::Negotiate { span } => &span.start,
         }
     }
 
@@ -268,11 +269,49 @@ mod tests {
         assert!(!get.is_write());
         assert!(end.is_write());
         let put = Request::Put {
-            txn,
+            txn: txn.clone(),
             key: k.clone(),
             value: Some(Value::from("v")),
         };
+        assert_eq!(put.routing_key(), &k);
         assert!(put.is_write());
+        let commit = Request::CommitInline {
+            txn,
+            writes: vec![(k.clone(), None)],
+            refresh_spans: Vec::new(),
+            local_reads_only: true,
+            resolve_inline: true,
+        };
+        assert_eq!(commit.routing_key(), &Key::from("anchor"), "not the write");
+        let resolve = Request::ResolveIntent {
+            key: k.clone(),
+            txn_id: TxnId(1),
+            status: TxnStatus::Committed,
+            commit_ts: Timestamp::new(2, 0),
+        };
+        assert_eq!(resolve.routing_key(), &k);
+        let push = Request::PushTxn {
+            pushee: TxnId(1),
+            anchor: Key::from("anchor"),
+        };
+        assert_eq!(push.routing_key(), &Key::from("anchor"));
+        // Span requests route by the span's start.
+        let span = Span::new(Key::from("s"), Key::from("t"));
+        let scan = Request::Scan {
+            ctx: ReadCtx::stale(Timestamp::new(1, 0)),
+            span: span.clone(),
+            max_keys: 10,
+        };
+        let refresh = Request::Refresh {
+            txn_id: TxnId(1),
+            span: span.clone(),
+            from_ts: Timestamp::new(1, 0),
+            to_ts: Timestamp::new(2, 0),
+        };
+        let negotiate = Request::Negotiate { span };
+        for req in [&scan, &refresh, &negotiate] {
+            assert_eq!(req.routing_key(), &Key::from("s"), "{req:?}");
+        }
     }
 
     #[test]

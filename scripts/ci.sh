@@ -67,6 +67,30 @@ if [ -n "$HAND_JSON" ]; then
     exit 1
 fi
 
+echo "==> panic-site ratchet: non-test unwrap/expect/panic!/unreachable! per crate"
+# A crash in product code should be a typed error, a documented
+# `debug_assert!`, or gone (ROADMAP aim 3). Every `unwrap()`, `expect(`,
+# `panic!` and `unreachable!` counts, in the scope of scripts/loc_delta.sh:
+# `crates/*/src` outside `crates/ledger`, each file cut at its first
+# `#[cfg(test)]`. The ceilings are the counts measured when the gate went in
+# (mr-kv read 32 before its send path checked replies in one place) — a
+# ratchet: a change that removes sites lowers its crate's ceiling, one that
+# adds them fails.
+panic_sites() {
+    find "crates/$1/src" -name '*.rs' | sort | while read -r f; do
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
+    done | { grep -o 'unwrap()\|expect(\|panic!\|unreachable!' || true; } | wc -l
+}
+for entry in kv:23 sql:17 chaos:17 obs:2 workload:3 sim:1 storage:0 raft:0; do
+    crate="${entry%%:*}" ceiling="${entry#*:}"
+    got="$(panic_sites "$crate")"
+    if [ "$got" -gt "$ceiling" ]; then
+        echo "FAIL: crates/$crate has $got non-test panic sites, over its ceiling of $ceiling" >&2
+        exit 1
+    fi
+    echo "$crate: $got non-test panic sites (ceiling $ceiling)"
+done
+
 echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under their ceilings"
 # Heap allocations per operation repeat for a seed (to the fifth digit), so
 # they gate where host time cannot: a clone per statement, a label lookup per
