@@ -1167,13 +1167,13 @@ pub fn entry_key(
     region: Option<&str>,
     row: &[Datum],
 ) -> mr_proto::Key {
-    let mut cols: Vec<Datum> = index.key_columns.iter().map(|&o| row[o].clone()).collect();
-    if !index.unique && !index.is_primary() {
-        for &o in &table.primary_index().key_columns {
-            cols.push(row[o].clone());
-        }
-    }
-    index_key(table.id, index.id, region, &cols)
+    let suffix: &[usize] = if !index.unique && !index.is_primary() {
+        &table.primary_index().key_columns
+    } else {
+        &[]
+    };
+    let cols = index.key_columns.iter().chain(suffix).map(|&o| &row[o]);
+    index_key(table.id, index.id, region, cols)
 }
 
 /// The home region of the first range backing `index` (used by the planner
@@ -1188,4 +1188,79 @@ pub fn index_home_region(cluster: &Cluster, table: &Table, index: &Index) -> Opt
 /// Expose index id lookup for the executor.
 pub fn index_by_id(table: &Table, id: IndexId) -> Option<&Index> {
     table.indexes.iter().find(|i| i.id == id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoding::index_key;
+    use crate::types::ColumnType;
+
+    fn index(id: IndexId, key_columns: Vec<usize>, unique: bool) -> Index {
+        Index {
+            id,
+            name: format!("i{id}"),
+            key_columns,
+            unique,
+            storing: vec![],
+            region_partitioned: true,
+            zone_override: None,
+        }
+    }
+
+    /// `entry_key` encodes the row's columns in place; the key must be the
+    /// one `index_key` gives for the same columns cloned out of the row.
+    #[test]
+    fn entry_key_matches_index_key_over_cloned_columns() {
+        let col = |name: &str, ty| Column {
+            name: name.into(),
+            ty,
+            not_null: false,
+            hidden: false,
+            default: None,
+            computed: None,
+            on_update: None,
+            references: None,
+        };
+        let table = Table {
+            id: 7,
+            name: "t".into(),
+            columns: vec![
+                col("id", ColumnType::Int),
+                col("email", ColumnType::String),
+                col("city", ColumnType::String),
+                col("blob", ColumnType::Bytes),
+            ],
+            locality: TableLocality::RegionalByRow,
+            indexes: vec![
+                index(1, vec![0], true),
+                index(2, vec![1], true),
+                index(3, vec![2, 3], false),
+            ],
+            manual_partitioning: None,
+            zone_override: None,
+            next_index_id: 4,
+        };
+        let row = [
+            Datum::Int(-42),
+            Datum::String("a\0b@x.com".into()),
+            Datum::String("paris".into()),
+            Datum::Bytes(vec![0, 9, 0]),
+        ];
+        let pk = &table.indexes[0].key_columns;
+        for idx in &table.indexes {
+            let mut cols: Vec<Datum> = idx.key_columns.iter().map(|&o| row[o].clone()).collect();
+            if !idx.unique {
+                cols.extend(pk.iter().map(|&o| row[o].clone()));
+            }
+            for region in [None, Some("us-east1")] {
+                assert_eq!(
+                    entry_key(&table, idx, region, &row),
+                    index_key(table.id, idx.id, region, &cols),
+                    "index {} region {region:?}",
+                    idx.id
+                );
+            }
+        }
+    }
 }

@@ -76,16 +76,25 @@ fn encode_str(out: &mut Vec<u8>, s: &str) {
 /// `0x00`-terminated byte encoding with `0x00 -> 0x00 0xff` escaping, so no
 /// encoded content contains the terminator and prefix order is preserved.
 fn escape_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    for &x in b {
-        if x == 0 {
-            out.push(0);
-            out.push(0xff);
-        } else {
-            out.push(x);
+    for (i, run) in b.split(|&x| x == 0).enumerate() {
+        if i > 0 {
+            out.extend_from_slice(&[0, 0xff]);
         }
+        out.extend_from_slice(run);
     }
-    out.push(0);
-    out.push(0); // double-0 terminator distinguishes from escaped zero
+    out.extend_from_slice(&[0, 0]); // double-0 terminator distinguishes from escaped zero
+}
+
+/// The length of `d`'s key encoding, not counting the escape byte each
+/// `0x00` inside a string or byte string adds.
+fn encoded_len(d: &Datum) -> usize {
+    match d {
+        Datum::Null | Datum::Bool(_) => 1,
+        Datum::Int(_) | Datum::Timestamp(_) | Datum::Float(_) => 9,
+        Datum::Uuid(_) => 17,
+        Datum::String(s) | Datum::Region(s) => s.len() + 3,
+        Datum::Bytes(b) => b.len() + 3,
+    }
 }
 
 /// Decode one datum from `buf`, returning the rest. Inverse of
@@ -165,26 +174,39 @@ pub type IndexId = u32;
 
 /// The key prefix of `(table, index)`.
 pub fn index_prefix(table: TableId, index: IndexId) -> Vec<u8> {
-    let mut v = Vec::with_capacity(10);
-    v.push(b't');
-    v.extend_from_slice(&table.to_be_bytes());
-    v.extend_from_slice(&index.to_be_bytes());
-    v
+    key_buf(table, index, None, 0)
 }
 
 /// The key prefix of one partition of an implicitly region-partitioned
 /// index (RBR tables). `region: None` means the index is unpartitioned.
 pub fn partition_prefix(table: TableId, index: IndexId, region: Option<&str>) -> Vec<u8> {
-    let mut v = index_prefix(table, index);
+    key_buf(table, index, region, 0)
+}
+
+/// [`partition_prefix`] in a buffer with room for `rest` more bytes.
+fn key_buf(table: TableId, index: IndexId, region: Option<&str>, rest: usize) -> Vec<u8> {
+    let region_len = region.map_or(0, |r| r.len() + 3);
+    let mut v = Vec::with_capacity(9 + region_len + rest);
+    v.push(b't');
+    v.extend_from_slice(&table.to_be_bytes());
+    v.extend_from_slice(&index.to_be_bytes());
     if let Some(r) = region {
         encode_str(&mut v, r); // as `Datum::Region(r)` encodes
     }
     v
 }
 
-/// Full index key: partition prefix plus the encoded key columns.
-pub fn index_key(table: TableId, index: IndexId, region: Option<&str>, key_cols: &[Datum]) -> Key {
-    let mut v = partition_prefix(table, index, region);
+/// Full index key: partition prefix plus the encoded key columns, in one
+/// buffer sized for the whole key.
+pub fn index_key<'a>(
+    table: TableId,
+    index: IndexId,
+    region: Option<&str>,
+    key_cols: impl IntoIterator<Item = &'a Datum, IntoIter: Clone>,
+) -> Key {
+    let key_cols = key_cols.into_iter();
+    let len = key_cols.clone().map(encoded_len).sum();
+    let mut v = key_buf(table, index, region, len);
     for d in key_cols {
         encode_datum(&mut v, d);
     }
@@ -262,6 +284,20 @@ mod tests {
         assert_eq!(d, with_nul);
         assert!(rest.is_empty());
         assert!(enc(&Datum::String("a\0".into())) < enc(&Datum::String("a\u{1}".into())));
+    }
+
+    #[test]
+    fn zero_bytes_escape_in_place() {
+        let escaped = enc(&Datum::Bytes(vec![0, 1, 0, 0, 2, 0]));
+        assert_eq!(
+            escaped,
+            [TAG_BYTES, 0, 0xff, 1, 0, 0xff, 0, 0xff, 2, 0, 0xff, 0, 0]
+        );
+        assert_eq!(enc(&Datum::Bytes(vec![])), [TAG_BYTES, 0, 0]);
+        assert_eq!(
+            enc(&Datum::String("ab".into())),
+            [TAG_STRING, b'a', b'b', 0, 0]
+        );
     }
 
     #[test]

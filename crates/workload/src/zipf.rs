@@ -3,6 +3,9 @@
 //! Implements the Gray et al. / Jain quick method used by the reference
 //! YCSB implementation, with exponent θ = 0.99 by default.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
 use mr_sim::SimRng;
 
 /// A Zipf(θ) sampler over `{0, .., n-1}` (rank 0 is the hottest key).
@@ -13,7 +16,8 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
+    /// `1 + 0.5^θ`: a draw whose `u · ζ(n)` falls below it is rank 1.
+    rank1_bound: f64,
 }
 
 impl Zipf {
@@ -30,7 +34,7 @@ impl Zipf {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-            zeta2,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -52,7 +56,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -63,15 +67,23 @@ impl Zipf {
     pub fn pmf(&self, k: u64) -> f64 {
         1.0 / ((k + 1) as f64).powf(self.theta) / self.zetan
     }
-
-    #[allow(dead_code)]
-    fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
+thread_local! {
+    /// ζ(n, θ) by `(n, θ's bits)`: every `Zipf` of one key space shares one
+    /// n-term sum. Bounded by the distinct `(n, θ)` pairs a thread builds.
+    static ZETA: RefCell<BTreeMap<(u64, u64), f64>> = const { RefCell::new(BTreeMap::new()) };
+}
+
+/// ζ(n, θ) = Σ_{i=1..n} i^-θ, summed left to right on a thread's first ask
+/// for `(n, θ)` and looked up after that, so the result never depends on
+/// whether it was cached.
 fn zeta(n: u64, theta: f64) -> f64 {
-    (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    ZETA.with_borrow_mut(|memo| {
+        *memo
+            .entry((n, theta.to_bits()))
+            .or_insert_with(|| (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum())
+    })
 }
 
 #[cfg(test)]
@@ -123,6 +135,45 @@ mod tests {
         let min = *hits.iter().min().unwrap() as f64;
         let max = *hits.iter().max().unwrap() as f64;
         assert!(max / min < 1.5, "min={min} max={max}");
+    }
+
+    /// ζ without the memo: one left fold over all n terms.
+    fn direct_zeta(n: u64, theta: f64) -> f64 {
+        (1..=n).fold(0.0, |s, i| s + 1.0 / (i as f64).powf(theta))
+    }
+
+    #[test]
+    fn memoised_zeta_has_the_direct_sums_bits() {
+        for n in [1, 2, 1_000, 50_000] {
+            for theta in [0.0, 0.5, 0.99] {
+                let want = direct_zeta(n, theta).to_bits();
+                // The first build fills the memo, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(
+                        Zipf::new(n, theta).zetan.to_bits(),
+                        want,
+                        "n={n} theta={theta}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generators_sharing_a_zeta_draw_the_same_ranks() {
+        let (a, b) = (Zipf::ycsb(5_000), Zipf::ycsb(5_000));
+        let (mut ra, mut rb) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
+        for _ in 0..10_000 {
+            assert_eq!(a.sample(&mut ra), b.sample(&mut rb));
+        }
+    }
+
+    #[test]
+    fn another_theta_gets_its_own_zeta() {
+        let ycsb = Zipf::ycsb(3_000);
+        let half = Zipf::new(3_000, 0.5);
+        assert_eq!(half.zetan.to_bits(), direct_zeta(3_000, 0.5).to_bits());
+        assert_ne!(half.zetan.to_bits(), ycsb.zetan.to_bits());
     }
 
     #[test]
