@@ -78,12 +78,15 @@ impl std::error::Error for ReconfigureError {}
 pub enum IngestError {
     /// No range covers this row's key.
     Uncovered(Key),
+    /// Two rows share this key.
+    Duplicate(Key),
 }
 
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IngestError::Uncovered(key) => write!(f, "no range covers {key:?}"),
+            IngestError::Duplicate(key) => write!(f, "two rows share the key {key:?}"),
         }
     }
 }
@@ -92,6 +95,19 @@ impl std::error::Error for IngestError {}
 /// The timestamp bulk-loaded rows are written at: below anything a
 /// transaction writes, so a load sits under all history.
 const BULK_LOAD_TS: Timestamp = Timestamp::new(1, 0);
+
+/// Are `rows` in key order? A key that repeats its neighbour's is an error,
+/// so after a sort this pass also finds every repeat.
+fn in_key_order(rows: &[(Key, Value)]) -> Result<bool, IngestError> {
+    for pair in rows.windows(2) {
+        match pair[0].0.cmp(&pair[1].0) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => return Err(IngestError::Duplicate(pair[0].0.clone())),
+            std::cmp::Ordering::Greater => return Ok(false),
+        }
+    }
+    Ok(true)
+}
 
 /// A continuation fired with an operation's outcome.
 pub type Cont<T> = Box<dyn FnOnce(&mut Cluster, T)>;
@@ -1029,24 +1045,29 @@ impl Cluster {
 
     /// Bulk-load committed rows, bypassing the transaction protocol and
     /// costing no simulated time (experiment set-up and offline schema
-    /// changes): CockroachDB's IMPORT, an SST ingest. The rows are sorted
-    /// (of two with one key the first wins) and cut at range boundaries;
-    /// each covered range gets one run at the bulk-load timestamp that every
-    /// one of its replicas ingests. Nothing is loaded unless a range covers
-    /// every row.
+    /// changes): CockroachDB's IMPORT, an SST ingest. The rows are sorted —
+    /// a pass that finds them in key order already skips the sort — and cut
+    /// at range boundaries; each covered range gets one run at the bulk-load
+    /// timestamp that every one of its replicas ingests. Nothing is loaded
+    /// unless a range covers every row and no two rows share a key.
     pub fn ingest(&mut self, mut rows: Vec<(Key, Value)>) -> Result<(), IngestError> {
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.dedup_by(|later, first| later.0 == first.0);
-        let mut rows = rows.into_iter().peekable();
+        if !in_key_order(&rows)? {
+            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            in_key_order(&rows)?;
+        }
+        let mut rows = rows.into_iter();
         let mut runs = Vec::new();
-        while let Some((key, _)) = rows.peek() {
+        while let Some((key, _)) = rows.as_slice().first() {
             let desc = self
                 .registry
                 .lookup(key)
                 .ok_or_else(|| IngestError::Uncovered(key.clone()))?;
             let end = &desc.span.end;
-            let within = |(k, _): &(Key, Value)| end.is_empty() || k < end;
-            let run = SortedRun::bulk(std::iter::from_fn(|| rows.next_if(within)), BULK_LOAD_TS);
+            let n = match end.is_empty() {
+                true => rows.len(),
+                false => rows.as_slice().partition_point(|(k, _)| k < end),
+            };
+            let run = SortedRun::bulk(rows.by_ref().take(n), BULK_LOAD_TS);
             runs.push((desc, Rc::new(run)));
         }
         for (desc, run) in runs {

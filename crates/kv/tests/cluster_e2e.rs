@@ -6,7 +6,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mr_clock::Timestamp;
-use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness, SIDE_TRANSPORT_INTERVAL};
+use mr_kv::cluster::{
+    Cluster, ClusterConfig, IngestError, ReadOptions, Staleness, SIDE_TRANSPORT_INTERVAL,
+};
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
@@ -1855,4 +1857,90 @@ fn a_split_of_a_quiesced_range_leaves_two_quiesced_halves_that_serve() {
     write_key(&mut c, gw(0), "y", "3");
     assert!(!all_quiesced(&c, rhs), "a write wakes the half it lands on");
     step_until(&mut c, SimDuration::from_secs(10), |c| all_quiesced(c, rhs));
+}
+
+// ---------------------------------------------------------------------
+// Bulk loads
+// ---------------------------------------------------------------------
+
+/// Two ranges side by side, homed in us-east1, as a REGIONAL BY ROW
+/// table's partitions `p0/` and `p1/`.
+fn two_partitions() -> (Cluster, [mr_proto::RangeId; 2]) {
+    let mut c = cluster(ClusterConfig::default());
+    let zc = derive_zone_config(
+        US_EAST,
+        &all_regions(),
+        SurvivalGoal::Zone,
+        PlacementPolicy::Default,
+        ClosedTsPolicy::Lag,
+    );
+    let mut range = |p: u32| {
+        let span = Span::new(
+            Key::from(format!("p{p}/").as_str()),
+            Key::from(format!("p{}/", p + 1).as_str()),
+        );
+        c.create_range(span, zc.clone()).unwrap()
+    };
+    let ids = [range(0), range(1)];
+    (c, ids)
+}
+
+#[test]
+fn ingest_sorts_rows_that_interleave_partitions() {
+    let (mut c, ids) = two_partitions();
+    // Rows in the order a loader meets them: by primary key, the partition
+    // alternating from row to row, so neither range's rows are contiguous.
+    let rows: Vec<(Key, Value)> = (0..40)
+        .map(|k| {
+            let key = format!("p{}/{k:03}", k % 2);
+            (
+                Key::from(key.as_str()),
+                Value::from(format!("v{k}").as_str()),
+            )
+        })
+        .collect();
+    c.ingest(rows).unwrap();
+    for (p, id) in ids.into_iter().enumerate() {
+        let got = c.admin_scan_range(id);
+        let want: Vec<(Key, Value)> = (0..40)
+            .filter(|k| k % 2 == p)
+            .map(|k| {
+                let key = format!("p{p}/{k:03}");
+                (
+                    Key::from(key.as_str()),
+                    Value::from(format!("v{k}").as_str()),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "partition p{p}");
+        // One run per range, shared by every replica.
+        let desc = c.registry().get(id).unwrap().clone();
+        for n in desc.replica_nodes() {
+            assert_eq!(c.node(n).replicas[&id].store.sst_count(), 1);
+        }
+    }
+}
+
+#[test]
+fn ingest_refuses_a_repeated_key_and_loads_nothing() {
+    let (mut c, ids) = two_partitions();
+    let row = |k: &str, v: &str| (Key::from(k), Value::from(v));
+    // In order but for the repeat, and out of order with the repeat apart:
+    // both are found, before anything is loaded.
+    for rows in [
+        vec![row("p0/a", "1"), row("p1/b", "2"), row("p1/b", "3")],
+        vec![row("p1/b", "2"), row("p0/a", "1"), row("p1/b", "3")],
+    ] {
+        assert_eq!(
+            c.ingest(rows),
+            Err(IngestError::Duplicate(Key::from("p1/b")))
+        );
+        for id in ids {
+            assert!(c.admin_scan_range(id).is_empty());
+        }
+    }
+    assert_eq!(
+        c.ingest(vec![row("q/a", "1")]),
+        Err(IngestError::Uncovered(Key::from("q/a")))
+    );
 }

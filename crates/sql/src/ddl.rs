@@ -25,9 +25,10 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use mr_kv::cluster::Cluster;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal, ZoneConfig};
-use mr_proto::{RangeId, Span};
+use mr_proto::{Key, RangeId, Span, Value};
 use mr_sim::RegionId;
 
 use crate::ast::{
@@ -38,7 +39,9 @@ use crate::catalog::{
     partitions, Catalog, Column, Database, Index, ManualPartitioning, PartitionKey, RegionState,
     RegionStatus, Table, TableLocality, REGION_COLUMN,
 };
-use crate::encoding::{decode_row, encode_row, index_key, partition_span, IndexId};
+use crate::encoding::{
+    decode_row, encode_row_into, index_key, index_key_into, partition_span, IndexId,
+};
 use crate::types::{ColumnType, Datum};
 
 /// DDL error.
@@ -1131,49 +1134,91 @@ fn write_rows(
     rows: &[Vec<Datum>],
     positions: std::ops::Range<usize>,
 ) -> Result<(), DdlError> {
-    let entries = rows.iter().flat_map(|row| {
-        positions
-            .clone()
-            .map(move |pos| index_entry(table, pos, row))
-    });
     cluster
-        .ingest(entries.collect())
+        .ingest(index_entries(table, rows, positions))
         .map_err(|e| DdlError(format!("rewrite: {e}")))
 }
 
-/// `row`'s entry in the index at `index_pos`: its key and the encoded row.
-fn index_entry(table: &Table, index_pos: usize, row: &[Datum]) -> (mr_proto::Key, mr_proto::Value) {
-    let index = &table.indexes[index_pos];
-    let region = if index.region_partitioned {
-        table
-            .region_column()
-            .and_then(|o| row.get(o))
-            .and_then(|d| d.as_str())
-            .map(|s| s.to_string())
-    } else {
-        None
-    };
-    (
-        entry_key(table, index, region.as_deref(), row),
-        encode_row(row),
-    )
+/// Every entry `rows` have in the indexes at `positions`, row by row: its
+/// key and the encoded row, for [`Cluster::ingest`]. The batch is encoded
+/// into two buffers, one of keys and one of values, and the entries are
+/// views into them: a bulk load allocates per batch, not per row.
+pub fn index_entries(
+    table: &Table,
+    rows: &[Vec<Datum>],
+    positions: std::ops::Range<usize>,
+) -> Vec<(Key, Value)> {
+    let indexes = &table.indexes[positions];
+    let (mut keys, mut key_ends) = (Vec::new(), Vec::with_capacity(rows.len() * indexes.len()));
+    let (mut values, mut value_ends) = (Vec::new(), Vec::with_capacity(rows.len()));
+    for row in rows {
+        let region = row_region(table, row);
+        for index in indexes {
+            entry_key_into(&mut keys, table, index, region, row);
+            key_ends.push(keys.len());
+        }
+        encode_row_into(&mut values, row);
+        value_ends.push(values.len());
+    }
+    let mut entries = Vec::with_capacity(key_ends.len());
+    let mut keys = Bytes::views(keys, key_ends).map(Key);
+    for value in Bytes::views(values, value_ends).map(Value) {
+        // Each of the row's entries holds its value; the last one takes it.
+        for _ in 1..indexes.len() {
+            entries.extend(keys.next().map(|k| (k, value.clone())));
+        }
+        entries.extend(keys.next().map(|k| (k, value)));
+    }
+    entries
+}
+
+/// The region `row`'s index keys are prefixed with: its `crdb_region` if
+/// the table is partitioned by region (REGIONAL BY ROW), else none.
+pub(crate) fn row_region<'r>(table: &Table, row: &'r [Datum]) -> Option<&'r str> {
+    if !table.primary_index().region_partitioned {
+        return None;
+    }
+    table
+        .region_column()
+        .and_then(|o| row.get(o))
+        .and_then(|d| d.as_str())
 }
 
 /// The KV key of `row`'s entry in `index`. Non-unique secondary indexes get
 /// the primary key appended to disambiguate duplicates.
-pub fn entry_key(
+pub fn entry_key(table: &Table, index: &Index, region: Option<&str>, row: &[Datum]) -> Key {
+    index_key(table.id, index.id, region, entry_columns(table, index, row))
+}
+
+/// Append the bytes of [`entry_key`] to `out`.
+pub(crate) fn entry_key_into(
+    out: &mut Vec<u8>,
     table: &Table,
     index: &Index,
     region: Option<&str>,
     row: &[Datum],
-) -> mr_proto::Key {
+) {
+    index_key_into(
+        out,
+        table.id,
+        index.id,
+        region,
+        entry_columns(table, index, row),
+    );
+}
+
+/// The columns of `row` an [`entry_key`] encodes after its prefix.
+fn entry_columns<'r>(
+    table: &'r Table,
+    index: &'r Index,
+    row: &'r [Datum],
+) -> impl Iterator<Item = &'r Datum> + Clone {
     let suffix: &[usize] = if !index.unique && !index.is_primary() {
         &table.primary_index().key_columns
     } else {
         &[]
     };
-    let cols = index.key_columns.iter().chain(suffix).map(|&o| &row[o]);
-    index_key(table.id, index.id, region, cols)
+    index.key_columns.iter().chain(suffix).map(|&o| &row[o])
 }
 
 /// The home region of the first range backing `index` (used by the planner
@@ -1193,7 +1238,7 @@ pub fn index_by_id(table: &Table, id: IndexId) -> Option<&Index> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::index_key;
+    use crate::encoding::{encode_row, index_key};
     use crate::types::ColumnType;
 
     fn index(id: IndexId, key_columns: Vec<usize>, unique: bool) -> Index {
@@ -1208,10 +1253,8 @@ mod tests {
         }
     }
 
-    /// `entry_key` encodes the row's columns in place; the key must be the
-    /// one `index_key` gives for the same columns cloned out of the row.
-    #[test]
-    fn entry_key_matches_index_key_over_cloned_columns() {
+    /// A table with a primary, a unique and a non-unique index.
+    fn table(locality: TableLocality) -> Table {
         let col = |name: &str, ty| Column {
             name: name.into(),
             ty,
@@ -1222,30 +1265,47 @@ mod tests {
             on_update: None,
             references: None,
         };
-        let table = Table {
+        let rbr = locality == TableLocality::RegionalByRow;
+        let mut columns = vec![
+            col("id", ColumnType::Int),
+            col("email", ColumnType::String),
+            col("city", ColumnType::String),
+            col("blob", ColumnType::Bytes),
+        ];
+        if rbr {
+            columns.push(col(REGION_COLUMN, ColumnType::Region));
+        }
+        let mut indexes = vec![
+            index(1, vec![0], true),
+            index(2, vec![1], true),
+            index(3, vec![2, 3], false),
+        ];
+        for i in &mut indexes {
+            i.region_partitioned = rbr;
+        }
+        Table {
             id: 7,
             name: "t".into(),
-            columns: vec![
-                col("id", ColumnType::Int),
-                col("email", ColumnType::String),
-                col("city", ColumnType::String),
-                col("blob", ColumnType::Bytes),
-            ],
-            locality: TableLocality::RegionalByRow,
-            indexes: vec![
-                index(1, vec![0], true),
-                index(2, vec![1], true),
-                index(3, vec![2, 3], false),
-            ],
+            columns,
+            locality,
+            indexes,
             manual_partitioning: None,
             zone_override: None,
             next_index_id: 4,
-        };
+        }
+    }
+
+    /// `entry_key` encodes the row's columns in place; the key must be the
+    /// one `index_key` gives for the same columns cloned out of the row.
+    #[test]
+    fn entry_key_matches_index_key_over_cloned_columns() {
+        let table = table(TableLocality::RegionalByRow);
         let row = [
             Datum::Int(-42),
             Datum::String("a\0b@x.com".into()),
             Datum::String("paris".into()),
             Datum::Bytes(vec![0, 9, 0]),
+            Datum::Region("us-east1".into()),
         ];
         let pk = &table.indexes[0].key_columns;
         for idx in &table.indexes {
@@ -1260,6 +1320,52 @@ mod tests {
                     "index {} region {region:?}",
                     idx.id
                 );
+            }
+        }
+    }
+
+    /// The batch encoder writes, entry for entry, the bytes `entry_key` and
+    /// `encode_row` give one row at a time.
+    #[test]
+    fn index_entries_match_entry_key_and_encode_row() {
+        let localities = [
+            TableLocality::RegionalByTable("us-east1".into()),
+            TableLocality::RegionalByRow,
+        ];
+        for locality in localities {
+            let rbr = locality == TableLocality::RegionalByRow;
+            let table = table(locality);
+            let rows: Vec<Vec<Datum>> = (0..6)
+                .map(|i| {
+                    let mut row = vec![
+                        Datum::Int(i - 3),
+                        Datum::String(format!("u{i}\0@x.com")),
+                        if i % 3 == 0 {
+                            Datum::Null
+                        } else {
+                            Datum::String("pa\0ris".into())
+                        },
+                        Datum::Bytes(vec![0, i as u8, 0]),
+                    ];
+                    if table.region_column().is_some() {
+                        row.push(Datum::Region(
+                            ["us-east1", "europe-west2"][i as usize % 2].into(),
+                        ));
+                    }
+                    row
+                })
+                .collect();
+            for positions in [0..3, 1..2, 2..3] {
+                let entries = index_entries(&table, &rows, positions.clone());
+                let mut want = Vec::new();
+                for row in &rows {
+                    let region = row_region(&table, row);
+                    assert_eq!(region.is_some(), rbr);
+                    for idx in &table.indexes[positions.clone()] {
+                        want.push((entry_key(&table, idx, region, row), encode_row(row)));
+                    }
+                }
+                assert_eq!(entries, want, "rbr {rbr} indexes {positions:?}");
             }
         }
     }

@@ -174,26 +174,29 @@ pub type IndexId = u32;
 
 /// The key prefix of `(table, index)`.
 pub fn index_prefix(table: TableId, index: IndexId) -> Vec<u8> {
-    key_buf(table, index, None, 0)
+    partition_prefix(table, index, None)
 }
 
 /// The key prefix of one partition of an implicitly region-partitioned
 /// index (RBR tables). `region: None` means the index is unpartitioned.
 pub fn partition_prefix(table: TableId, index: IndexId, region: Option<&str>) -> Vec<u8> {
-    key_buf(table, index, region, 0)
+    let mut v = Vec::with_capacity(prefix_len(region));
+    prefix_into(&mut v, table, index, region);
+    v
 }
 
-/// [`partition_prefix`] in a buffer with room for `rest` more bytes.
-fn key_buf(table: TableId, index: IndexId, region: Option<&str>, rest: usize) -> Vec<u8> {
-    let region_len = region.map_or(0, |r| r.len() + 3);
-    let mut v = Vec::with_capacity(9 + region_len + rest);
-    v.push(b't');
-    v.extend_from_slice(&table.to_be_bytes());
-    v.extend_from_slice(&index.to_be_bytes());
+fn prefix_len(region: Option<&str>) -> usize {
+    9 + region.map_or(0, |r| r.len() + 3)
+}
+
+/// Append [`partition_prefix`] to `out`.
+fn prefix_into(out: &mut Vec<u8>, table: TableId, index: IndexId, region: Option<&str>) {
+    out.push(b't');
+    out.extend_from_slice(&table.to_be_bytes());
+    out.extend_from_slice(&index.to_be_bytes());
     if let Some(r) = region {
-        encode_str(&mut v, r); // as `Datum::Region(r)` encodes
+        encode_str(out, r); // as `Datum::Region(r)` encodes
     }
-    v
 }
 
 /// Full index key: partition prefix plus the encoded key columns, in one
@@ -205,12 +208,24 @@ pub fn index_key<'a>(
     key_cols: impl IntoIterator<Item = &'a Datum, IntoIter: Clone>,
 ) -> Key {
     let key_cols = key_cols.into_iter();
-    let len = key_cols.clone().map(encoded_len).sum();
-    let mut v = key_buf(table, index, region, len);
-    for d in key_cols {
-        encode_datum(&mut v, d);
-    }
+    let len = prefix_len(region) + key_cols.clone().map(encoded_len).sum::<usize>();
+    let mut v = Vec::with_capacity(len);
+    index_key_into(&mut v, table, index, region, key_cols);
     Key::from_vec(v)
+}
+
+/// Append the bytes of [`index_key`] to `out`.
+pub(crate) fn index_key_into<'a>(
+    out: &mut Vec<u8>,
+    table: TableId,
+    index: IndexId,
+    region: Option<&str>,
+    key_cols: impl IntoIterator<Item = &'a Datum>,
+) {
+    prefix_into(out, table, index, region);
+    for d in key_cols {
+        encode_datum(out, d);
+    }
 }
 
 /// The span of an entire partition (or the whole index when unpartitioned).
@@ -221,15 +236,20 @@ pub fn partition_span(table: TableId, index: IndexId, region: Option<&str>) -> S
 /// Encode a full row as a stored value (length-prefixed datums).
 pub fn encode_row(row: &[Datum]) -> Value {
     let mut v = Vec::with_capacity(row.len() * 8);
+    encode_row_into(&mut v, row);
+    Value::from_vec(v)
+}
+
+/// Append the bytes of [`encode_row`] to `out`.
+pub(crate) fn encode_row_into(out: &mut Vec<u8>, row: &[Datum]) {
     for d in row {
         // Length prefix, patched once the datum is encoded behind it.
-        let at = v.len();
-        v.extend_from_slice(&[0; 4]);
-        encode_datum(&mut v, d);
-        let len = (v.len() - at - 4) as u32;
-        v[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        encode_datum(out, d);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
-    Value::from_vec(v)
 }
 
 /// Decode a row previously encoded with [`encode_row`].

@@ -27,7 +27,7 @@ use mr_sim::{NodeId, Topology};
 
 use crate::ast::{Aost, Expr, Stmt};
 use crate::catalog::{Catalog, Database, Index, Table};
-use crate::ddl::{self, entry_key, DdlError, DdlOutcome};
+use crate::ddl::{self, entry_key, row_region, DdlError, DdlOutcome};
 use crate::encoding::{decode_row, encode_row, index_key};
 use crate::expr::{eval, EvalEnv};
 use crate::parser::parse;
@@ -1771,16 +1771,6 @@ fn write_row_entries(
         tasks,
         Box::new(move |c, res| done(c, res.map(|_| ()))),
     );
-}
-
-fn row_region<'r>(table: &Table, row: &'r [Datum]) -> Option<&'r str> {
-    if !table.primary_index().region_partitioned {
-        return None;
-    }
-    table
-        .region_column()
-        .and_then(|o| row.get(o))
-        .and_then(|d| d.as_str())
 }
 
 // ---------------------------------------------------------------------

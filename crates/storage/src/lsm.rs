@@ -12,10 +12,12 @@
 //!   first in `Engine::runs`, each with an open-addressed hash index
 //!   ([`RunIndex`]) so a point lookup costs one hashed probe per run and a
 //!   run that lacks the key says so without its entries being read. A run
-//!   sits behind an `Rc`: the replicas of a range that received the same
-//!   bytes (a bulk load, an installed image) share one copy, and nobody
-//!   mutates it — a merge or a split that consumes a shared run copies its
-//!   entries first. Reads borrow: a point read probes each run, a span
+//!   is flat — one vector of keys, each with its versions' bounds, and one
+//!   of versions —
+//!   and sits behind an `Rc`: the replicas of a range that received the
+//!   same bytes (a bulk load, an installed image) share one copy, and nobody
+//!   mutates it — a merge or a split builds new runs out of the rows it
+//!   reads. Reads borrow: a point read probes each run, a span
 //!   read drives the `MergeCursor` over memtable ∪ runs, and both hand the
 //!   key's version lists to the one MVCC read rule, `mvcc::read_merged`.
 //! * **WAL** — every mutation is encoded as a [`WalOp`] as it happens;
@@ -74,8 +76,6 @@ use crate::wal::{codec, replay, Wal, WalOp, WalRecord};
 /// most `(FAN_IN − 1) × classes` runs survive a maintenance pass.
 pub const TIER_FAN_IN: usize = 4;
 
-type RunEntry = (Key, Vec<Version>);
-
 /// A key's 64-bit hash. Taken once per point lookup and shown to every
 /// run's index: the high bits choose the slot, the low bits are the
 /// fingerprint. Deterministic (no seed), so same-seed simulations agree.
@@ -121,20 +121,20 @@ const EMPTY_SLOT: u32 = 0;
 /// probe reads an entry's key only when hash and fingerprint both point at
 /// it. Because every key of the run is in the table and a probe sequence
 /// stops only at an empty slot, "absent" is exact: no false positives.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct RunIndex {
     slots: Vec<u32>,
     ordinal_bits: u32,
 }
 
 impl RunIndex {
-    fn build(entries: &[RunEntry]) -> RunIndex {
-        assert!(entries.len() < 1 << 31, "run too large for u32 ordinals");
+    fn build(keys: &[RunKey]) -> RunIndex {
+        assert!(keys.len() < 1 << 31, "run too large for u32 ordinals");
         let mut index = RunIndex {
-            slots: vec![EMPTY_SLOT; (entries.len() * SLOTS_PER_KEY).max(1)],
-            ordinal_bits: usize::BITS - entries.len().leading_zeros(),
+            slots: vec![EMPTY_SLOT; (keys.len() * SLOTS_PER_KEY).max(1)],
+            ordinal_bits: usize::BITS - keys.len().leading_zeros(),
         };
-        for (ordinal, (key, _)) in entries.iter().enumerate() {
+        for (ordinal, RunKey { key, .. }) in keys.iter().enumerate() {
             let hash = KeyHash::of(key.as_slice());
             let mut at = index.home(hash);
             while index.slots[at] != EMPTY_SLOT {
@@ -189,12 +189,14 @@ impl RunIndex {
 
 /// One immutable sorted run: key-ordered committed versions (newest-first
 /// per key), a hash index over the key set, and what compaction needs to
-/// know about the run without reading it.
-#[derive(Clone, Debug)]
+/// know about the run without reading it. The layout is flat — the keys in
+/// one vector, every version in another — so a run costs a few allocations
+/// whatever its size, not one per key.
+#[derive(Debug)]
 pub struct SortedRun {
-    entries: Vec<RunEntry>,
+    keys: Vec<RunKey>,
+    versions: Vec<Version>,
     index: RunIndex,
-    versions: usize,
     tombstones: usize,
     /// The lowest GC threshold that reclaims a version from this run on its
     /// own: the second-oldest timestamp of some key (everything older than a
@@ -205,56 +207,112 @@ pub struct SortedRun {
     tombstone_from: Option<Timestamp>,
 }
 
-impl SortedRun {
-    fn from_entries(entries: Vec<RunEntry>) -> SortedRun {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut run = SortedRun {
-            index: RunIndex::build(&entries),
-            versions: 0,
-            tombstones: 0,
-            shadow_from: None,
-            tombstone_from: None,
-            entries,
-        };
-        let lower = |slot: &mut Option<Timestamp>, ts| *slot = Some(slot.map_or(ts, |s| s.min(ts)));
-        for (_, versions) in &run.entries {
-            run.versions += versions.len();
-            if let [.., second_oldest, _] = versions.as_slice() {
-                lower(&mut run.shadow_from, second_oldest.ts);
-            }
-            for v in versions.iter().filter(|v| v.value.is_none()) {
-                run.tombstones += 1;
-                lower(&mut run.tombstone_from, v.ts);
-            }
+/// A run's key and where its versions sit in the run's version vector,
+/// side by side: the lookup that compares the key has read their bounds.
+#[derive(Debug)]
+struct RunKey {
+    key: Key,
+    start: u32,
+    len: u32,
+}
+
+/// A [`SortedRun`] under construction, a key at a time in key order: the
+/// one way every run is built — flush, merge, split, ingest and bulk load.
+struct RunBuilder {
+    keys: Vec<RunKey>,
+    versions: Vec<Version>,
+}
+
+impl RunBuilder {
+    fn with_capacity(keys: usize, versions: usize) -> RunBuilder {
+        RunBuilder {
+            keys: Vec::with_capacity(keys),
+            versions: Vec::with_capacity(versions),
         }
-        run
     }
 
+    /// Append `key`, above every key so far, with its versions newest first.
+    fn push(&mut self, key: Key, versions: impl IntoIterator<Item = Version>) {
+        self.versions.extend(versions);
+        self.end_key(key);
+    }
+
+    /// Close `key` over the versions appended since the last key closed — a
+    /// key left without any is dropped.
+    fn end_key(&mut self, key: Key) {
+        let start = self.start();
+        if self.versions.len() > start {
+            debug_assert!(self.keys.last().is_none_or(|last| last.key < key));
+            let len = (self.versions.len() - start) as u32;
+            let start = start as u32;
+            self.keys.push(RunKey { key, start, len });
+        }
+    }
+
+    /// Where the next key's versions start.
+    fn start(&self) -> usize {
+        self.keys.last().map_or(0, |k| (k.start + k.len) as usize)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    fn finish(self) -> SortedRun {
+        assert!(
+            self.versions.len() <= u32::MAX as usize,
+            "run too large for u32 bounds"
+        );
+        let RunBuilder { keys, versions } = self;
+        let lower = |slot: &mut Option<Timestamp>, ts| *slot = Some(slot.map_or(ts, |s| s.min(ts)));
+        let mut shadow_from = None;
+        for k in keys.iter().filter(|k| k.len >= 2) {
+            lower(
+                &mut shadow_from,
+                versions[(k.start + k.len - 2) as usize].ts,
+            );
+        }
+        let (mut tombstones, mut tombstone_from) = (0, None);
+        for v in versions.iter().filter(|v| v.value.is_none()) {
+            tombstones += 1;
+            lower(&mut tombstone_from, v.ts);
+        }
+        SortedRun {
+            index: RunIndex::build(&keys),
+            keys,
+            versions,
+            tombstones,
+            shadow_from,
+            tombstone_from,
+        }
+    }
+}
+
+impl SortedRun {
     /// A bulk load's run (an SST built outside the engine, for
     /// [`Engine::ingest`]): one version at `ts` per row. `rows` must be in
     /// key order, without repeats.
     pub fn bulk(rows: impl IntoIterator<Item = (Key, Value)>, ts: Timestamp) -> SortedRun {
-        let version = |value| vec![Version { ts, value }];
-        let entries = rows.into_iter().map(|(k, v)| (k, version(Some(v))));
-        SortedRun::from_entries(entries.collect())
-    }
-
-    /// The run's entries, moved out if nobody else holds the run and copied
-    /// if another engine shares it: a shared run is never mutated.
-    fn into_entries(run: Rc<SortedRun>) -> Vec<RunEntry> {
-        Rc::try_unwrap(run).map_or_else(|shared| shared.entries.clone(), |own| own.entries)
+        let rows = rows.into_iter();
+        let n = rows.size_hint().0;
+        let mut run = RunBuilder::with_capacity(n, n);
+        for (key, value) in rows {
+            let value = Some(value);
+            run.push(key, [Version { ts, value }]);
+        }
+        run.finish()
     }
 
     pub fn key_count(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     pub fn version_count(&self) -> usize {
-        self.versions
+        self.versions.len()
     }
 
     fn size_class(&self) -> u32 {
-        self.versions.max(1).ilog(TIER_FAN_IN)
+        self.versions.len().max(1).ilog(TIER_FAN_IN)
     }
 
     /// Is rewriting this run alone at `threshold` worth it? It must drop
@@ -265,48 +323,55 @@ impl SortedRun {
     fn reclaimable_at(&self, threshold: Timestamp, oldest: bool) -> bool {
         let reached = |from: Option<Timestamp>| from.is_some_and(|ts| ts <= threshold);
         let mut ready = reached(self.shadow_from);
-        let mut spare = self.versions - self.entries.len();
+        let mut spare = self.versions.len() - self.keys.len();
         if oldest {
             ready |= reached(self.tombstone_from);
             spare += self.tombstones;
         }
-        ready && spare * TIER_FAN_IN >= self.versions
+        ready && spare * TIER_FAN_IN >= self.versions.len()
+    }
+
+    /// The versions of the key at `ordinal`, newest first.
+    fn versions_of(&self, ordinal: usize) -> &[Version] {
+        let RunKey { start, len, .. } = self.keys[ordinal];
+        &self.versions[start as usize..(start + len) as usize]
     }
 
     /// The versions of `key` (whose hash is `hash`), if the run holds it,
-    /// and how many entries were read to tell.
+    /// and how many keys were read to tell.
     fn find(&self, hash: KeyHash, key: &Key) -> (Option<&[Version]>, usize) {
         let mut read = 0;
         let found = self.index.find(hash, |ordinal| {
             read += 1;
-            self.entries[ordinal].0 == *key
+            self.keys[ordinal].key == *key
         });
-        (
-            found.map(|ordinal| self.entries[ordinal].1.as_slice()),
-            read,
-        )
+        (found.map(|ordinal| self.versions_of(ordinal)), read)
     }
 
-    /// The entries whose keys fall in `span`.
-    fn entries_in(&self, span: &Span) -> &[RunEntry] {
-        let start = self.entries.partition_point(|e| e.0 < span.start);
+    /// The run's keys, in order, as [`Row`]s.
+    fn rows(&self) -> Source<'_> {
+        Source::Run(self, 0..self.keys.len())
+    }
+
+    /// The run's keys in `span`, in order, as [`Row`]s.
+    fn rows_in(&self, span: &Span) -> Source<'_> {
+        let start = self.keys.partition_point(|k| k.key < span.start);
         let len = match span.end.is_empty() {
-            true => self.entries.len() - start,
-            false => self.entries[start..].partition_point(|e| e.0 < span.end),
+            true => self.keys.len() - start,
+            false => self.keys[start..].partition_point(|k| k.key < span.end),
         };
-        &self.entries[start..start + len]
+        Source::Run(self, start..start + len)
     }
-}
 
-/// One source's state for one key, as [`MergeCursor`] hands it out: a
-/// borrowed [`Row`] to reads, the owned run entry to compaction.
-trait Keyed {
-    fn key(&self) -> &Key;
-}
-
-impl Keyed for RunEntry {
-    fn key(&self) -> &Key {
-        &self.0
+    /// The run's keys at the ordinals `at`, as a new run.
+    fn slice(&self, at: Range<usize>) -> SortedRun {
+        let versions = at.clone().map(|i| self.keys[i].len as usize).sum();
+        let mut out = RunBuilder::with_capacity(at.len(), versions);
+        for i in at {
+            let key = self.keys[i].key.clone();
+            out.push(key, self.versions_of(i).iter().cloned());
+        }
+        out.finish()
     }
 }
 
@@ -318,16 +383,10 @@ struct Row<'a> {
     versions: &'a [Version],
 }
 
-impl Keyed for Row<'_> {
-    fn key(&self) -> &Key {
-        self.key
-    }
-}
-
-/// A key-ordered walk over the memtable or one run, as [`Row`]s.
+/// A key-ordered walk over the memtable or one run's keys, as [`Row`]s.
 enum Source<'a> {
     Mem(btree_map::Range<'a, Key, VersionChain>),
-    Run(std::slice::Iter<'a, RunEntry>),
+    Run(&'a SortedRun, Range<usize>),
 }
 
 impl<'a> Iterator for Source<'a> {
@@ -339,29 +398,29 @@ impl<'a> Iterator for Source<'a> {
                 intent: chain.intent.as_ref(),
                 versions: &chain.versions,
             }),
-            Source::Run(it) => it.next().map(|(key, versions)| Row {
-                key,
+            Source::Run(run, at) => at.next().map(|i| Row {
+                key: &run.keys[i].key,
                 intent: None,
-                versions,
+                versions: run.versions_of(i),
             }),
         }
     }
 }
 
 /// K-way merge of key-ordered sources, listed newest first: each step
-/// yields the next key once, with the item of every source that holds it,
+/// yields the next key once, with the row of every source that holds it,
 /// still newest first. Nothing is copied, and nothing past the key the
 /// caller stops at is touched. Sources are few (a memtable and a handful of
 /// runs), so the smallest head is found by a linear pass, not a heap.
-struct MergeCursor<I: Iterator> {
-    sources: Vec<I>,
-    heads: Vec<Option<I::Item>>,
-    group: Vec<I::Item>,
+struct MergeCursor<'a> {
+    sources: Vec<Source<'a>>,
+    heads: Vec<Option<Row<'a>>>,
+    group: Vec<Row<'a>>,
 }
 
-impl<I: Iterator<Item: Keyed>> MergeCursor<I> {
-    fn new(sources: impl IntoIterator<Item = I>) -> MergeCursor<I> {
-        let mut sources: Vec<I> = sources.into_iter().collect();
+impl<'a> MergeCursor<'a> {
+    fn new(sources: impl IntoIterator<Item = Source<'a>>) -> MergeCursor<'a> {
+        let mut sources: Vec<Source<'a>> = sources.into_iter().collect();
         let heads = sources.iter_mut().map(Iterator::next).collect();
         MergeCursor {
             sources,
@@ -370,25 +429,25 @@ impl<I: Iterator<Item: Keyed>> MergeCursor<I> {
         }
     }
 
-    fn next_key(&mut self) -> Option<&mut Vec<I::Item>> {
+    fn next_key(&mut self) -> Option<&[Row<'a>]> {
         self.group.clear();
         let mut first: Option<(usize, &Key)> = None;
         for (i, head) in self.heads.iter().enumerate() {
             if let Some(head) = head {
-                if first.is_none_or(|(_, k)| head.key() < k) {
-                    first = Some((i, head.key()));
+                if first.is_none_or(|(_, k)| head.key < k) {
+                    first = Some((i, head.key));
                 }
             }
         }
         let (first, _) = first?;
         for i in first..self.heads.len() {
-            let same = |h: &I::Item| self.group.first().is_none_or(|g| g.key() == h.key());
+            let same = |h: &Row| self.group.first().is_none_or(|g| g.key == h.key);
             if self.heads[i].as_ref().is_some_and(same) {
                 self.group.extend(self.heads[i].take());
                 self.heads[i] = self.sources[i].next();
             }
         }
-        Some(&mut self.group)
+        Some(&self.group)
     }
 }
 
@@ -538,12 +597,10 @@ impl Engine {
 
     /// Every key with state in `span`, in order, each with what the memtable
     /// and every run hold for it.
-    fn cursor<'a>(&'a self, span: &Span) -> MergeCursor<Source<'a>> {
+    fn cursor<'a>(&'a self, span: &Span) -> MergeCursor<'a> {
         let mem = Source::Mem(self.mem.range(span));
         let runs = self.runs.iter().rev();
-        MergeCursor::new(
-            std::iter::once(mem).chain(runs.map(|r| Source::Run(r.entries_in(span).iter()))),
-        )
+        MergeCursor::new(std::iter::once(mem).chain(runs.map(|r| r.rows_in(span))))
     }
 
     /// Point read at `ctx.read_ts` with uncertainty detection, merged
@@ -742,35 +799,41 @@ impl Engine {
     /// all history, so it goes in at the oldest position; like a flushed run
     /// it is durable at once and logs nothing. A `(key, ts)` some source
     /// already holds is not ingested again — the first one wins — and only
-    /// then does this engine keep a private copy of the rest.
+    /// then does this engine keep a private copy of the rest. An engine that
+    /// holds nothing yet (a bulk load's fresh range) is not searched.
     pub fn ingest(&mut self, run: Rc<SortedRun>) {
+        let fresh = self.runs.is_empty() && self.mem.is_empty();
+        let run = if fresh { Some(run) } else { self.unheld(run) };
+        if let Some(run) = run {
+            self.runs.insert(0, run);
+        }
+    }
+
+    /// `run` without the `(key, ts)`s some source already holds: `run`
+    /// itself if it repeats none, else a copy of the rest, if any is left.
+    fn unheld(&self, run: Rc<SortedRun>) -> Option<Rc<SortedRun>> {
         let holds = |held: &[Version], v: &Version| held.iter().any(|h| h.ts == v.ts);
         let mut duplicated = false;
-        for (key, versions) in &run.entries {
-            for held in self.sources(key) {
+        for row in run.rows() {
+            for held in self.sources(row.key) {
                 debug_assert!(
                     held.last()
-                        .is_none_or(|o| versions.iter().all(|v| v.ts <= o.ts)),
-                    "ingested {key:?} is not below the history held"
+                        .is_none_or(|o| row.versions.iter().all(|v| v.ts <= o.ts)),
+                    "ingested {:?} is not below the history held",
+                    row.key
                 );
-                duplicated |= versions.iter().any(|v| holds(held, v));
+                duplicated |= row.versions.iter().any(|v| holds(held, v));
             }
         }
-        let run = if duplicated {
-            let fresh = |(key, versions): &RunEntry| {
-                let unheld = |v: &&Version| !self.sources(key).any(|held| holds(held, v));
-                let versions: Vec<Version> = versions.iter().filter(unheld).cloned().collect();
-                (!versions.is_empty()).then(|| (key.clone(), versions))
-            };
-            let entries: Vec<RunEntry> = run.entries.iter().filter_map(fresh).collect();
-            if entries.is_empty() {
-                return;
-            }
-            Rc::new(SortedRun::from_entries(entries))
-        } else {
-            run
-        };
-        self.runs.insert(0, run);
+        if !duplicated {
+            return Some(run);
+        }
+        let mut fresh = RunBuilder::with_capacity(run.key_count(), run.version_count());
+        for row in run.rows() {
+            let unheld = |v: &&Version| !self.sources(row.key).any(|held| holds(held, v));
+            fresh.push(row.key.clone(), row.versions.iter().filter(unheld).cloned());
+        }
+        (!fresh.is_empty()).then(|| Rc::new(fresh.finish()))
     }
 
     // ------------------------------------------------------------------
@@ -983,12 +1046,14 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn flush_internal(&mut self) -> usize {
-        let chains = self.mem.drain_committed();
-        if chains.is_empty() {
+        let n = self.mem.version_count();
+        let mut run = RunBuilder::with_capacity(n, n);
+        self.mem
+            .drain_committed(|key, versions| run.push(key, versions));
+        if run.is_empty() {
             return 0;
         }
-        let run = SortedRun::from_entries(chains);
-        let n = run.version_count();
+        let run = run.finish();
         self.runs.push(Rc::new(run));
         self.stats.flushes += 1;
         n
@@ -1021,9 +1086,9 @@ impl Engine {
         })
     }
 
-    /// Merge the age-contiguous runs `window` into one, in place, taking
-    /// their entries (copying those of a shared run) and dropping what the GC
-    /// threshold shadows. Returns versions (dropped, written).
+    /// Merge the age-contiguous runs `window` into one, in place, copying
+    /// what the GC threshold does not shadow out of their rows. Returns
+    /// versions (dropped, written).
     fn merge_runs(&mut self, window: Range<usize>) -> (usize, usize) {
         let thr = self.gc_threshold;
         // Unless the window starts at the oldest run, older versions of its
@@ -1031,22 +1096,16 @@ impl Engine {
         let oldest = window.start == 0;
         let at = window.start;
         let inputs: Vec<Rc<SortedRun>> = self.runs.drain(window).collect();
-        let read: usize = inputs.iter().map(|r| r.versions).sum();
-        let newest_first = inputs
-            .into_iter()
-            .rev()
-            .map(|r| SortedRun::into_entries(r).into_iter());
-        let mut cursor = MergeCursor::new(newest_first);
-        let mut entries = Vec::new();
+        let read: usize = inputs.iter().map(|r| r.version_count()).sum();
+        let keys = inputs.iter().map(|r| r.key_count()).sum();
+        let mut out = RunBuilder::with_capacity(keys, read);
+        let mut cursor = MergeCursor::new(inputs.iter().rev().map(|r| r.rows()));
         while let Some(group) = cursor.next_key() {
-            let mut parts = group.drain(..);
-            let Some((key, mut versions)) = parts.next() else {
-                continue;
-            };
-            for (_, older) in parts {
-                versions.extend(older);
+            let start = out.start();
+            for row in group {
+                out.versions.extend_from_slice(row.versions);
             }
-            if !versions.is_sorted_by(|a, b| a.ts > b.ts) {
+            if !out.versions[start..].is_sorted_by(|a, b| a.ts > b.ts) {
                 // Sources out of age order for this key. An ingested run
                 // never does that (it lands below all history); a replayed
                 // resolve does: a retried write re-laid an intent above its
@@ -1055,27 +1114,29 @@ impl Engine {
                 // above a run that holds that version or newer ones.
                 // Restore the order; of two copies of one `(key, ts)` — they
                 // carry the same value — one stays.
+                let mut versions = out.versions.split_off(start);
                 versions.sort_by_key(|v| std::cmp::Reverse(v.ts));
                 versions.dedup_by_key(|v| v.ts);
+                out.versions.append(&mut versions);
             }
             // Everything above the threshold stays, and the newest version
             // at or below it — reads at exactly the threshold must see it.
             // Unless that is a tombstone with nothing older left anywhere:
             // then "nothing" reads identically to "deleted".
+            let versions = &out.versions[start..];
             let above = versions.partition_point(|v| v.ts > thr);
             let keep_floor = versions
                 .get(above)
                 .is_some_and(|v| v.value.is_some() || !oldest);
-            versions.truncate(above + usize::from(keep_floor));
-            if !versions.is_empty() {
-                entries.push((key, versions));
-            }
+            out.versions
+                .truncate(start + above + usize::from(keep_floor));
+            out.end_key(group[0].key.clone());
         }
         self.stats.compactions += 1;
         let mut written = 0;
-        if !entries.is_empty() {
-            let run = SortedRun::from_entries(entries);
-            written = run.versions;
+        if !out.is_empty() {
+            let run = out.finish();
+            written = run.version_count();
             self.runs.insert(at, Rc::new(run));
         }
         (read - written, written)
@@ -1113,7 +1174,7 @@ impl Engine {
 
     /// Split at `split_key`: chains and run entries at or above it move to
     /// the returned engine — a run wholly on one side as it is, a straddling
-    /// one as two new runs (copying a shared run's entries first). Every
+    /// one as two new runs copied out of it. Every
     /// transaction record goes to both halves (a record does not say where
     /// its anchor key is; only the half holding the anchor ever updates its
     /// copy). The caller must [`Engine::rebaseline`] both halves afterwards
@@ -1122,16 +1183,14 @@ impl Engine {
         let mem_rhs = self.mem.split_off(split_key);
         let mut rhs_runs = Vec::new();
         for run in std::mem::take(&mut self.runs) {
-            let idx = run.entries.partition_point(|e| e.0 < *split_key);
+            let idx = run.keys.partition_point(|k| k.key < *split_key);
             if idx == 0 {
                 rhs_runs.push(run);
-            } else if idx == run.entries.len() {
+            } else if idx == run.key_count() {
                 self.runs.push(run);
             } else {
-                let mut entries = SortedRun::into_entries(run);
-                let rhs = SortedRun::from_entries(entries.split_off(idx));
-                rhs_runs.push(Rc::new(rhs));
-                self.runs.push(Rc::new(SortedRun::from_entries(entries)));
+                rhs_runs.push(Rc::new(run.slice(idx..run.key_count())));
+                self.runs.push(Rc::new(run.slice(0..idx)));
             }
         }
         let mut rhs = Engine::new();
@@ -1202,7 +1261,7 @@ impl Engine {
         self.runs.len()
     }
     pub fn sst_version_count(&self) -> usize {
-        self.runs.iter().map(|r| r.versions).sum()
+        self.runs.iter().map(|r| r.version_count()).sum()
     }
     pub fn mem_version_count(&self) -> usize {
         self.mem.version_count()
@@ -1215,11 +1274,11 @@ impl Engine {
         let mut out = self.encode_checkpoint();
         codec::put_u32(&mut out, self.runs.len() as u32);
         for run in &self.runs {
-            codec::put_u32(&mut out, run.entries.len() as u32);
-            for (k, versions) in &run.entries {
-                codec::put_key(&mut out, k);
-                codec::put_u32(&mut out, versions.len() as u32);
-                for v in versions {
+            codec::put_u32(&mut out, run.key_count() as u32);
+            for row in run.rows() {
+                codec::put_key(&mut out, row.key);
+                codec::put_u32(&mut out, row.versions.len() as u32);
+                for v in row.versions {
                     codec::put_ts(&mut out, v.ts);
                     codec::put_opt_value(&mut out, &v.value);
                 }
@@ -1733,6 +1792,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn multi_version_runs_survive_flush_merge_split_and_recovery() {
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        let mut e = Engine::new();
+        // Four flushed runs, each holding a new version of every key — the
+        // last one deletes "f" — merge into one run of four versions a key.
+        for round in 0..4u64 {
+            for (i, k) in keys.iter().enumerate() {
+                let (id, ts) = (10 * round + i as u64 + 1, 10 * (round + 1));
+                if round == 3 && *k == "f" {
+                    let t = txn(id, ts);
+                    e.put(&Key::from(*k), None, &t).unwrap();
+                    assert!(e.commit_intent(&Key::from(*k), t.id, t.write_ts));
+                } else {
+                    commit_put(&mut e, k, &format!("{k}{round}"), id, ts);
+                }
+            }
+            e.flush(0);
+        }
+        assert_eq!(e.sst_count(), 4);
+        assert!(e.maintain(Timestamp::ZERO, 0).compacted);
+        assert_eq!((e.sst_count(), e.sst_version_count()), (1, 24));
+        assert_eq!(e.runs[0].tombstones, 1);
+
+        let mut rhs = e.split_off(&Key::from("c"));
+        assert_eq!(e.sst_version_count(), 8);
+        assert_eq!(rhs.sst_version_count(), 16);
+        for (half, held) in [(&mut e, &keys[..2]), (&mut rhs, &keys[2..])] {
+            half.rebaseline(1, Timestamp::ZERO, 0);
+            let image = half.state_image();
+            half.crash_and_recover();
+            assert_eq!(half.state_image(), image);
+            for k in held {
+                for round in 0..4u64 {
+                    let want = (round < 3 || *k != "f")
+                        .then(|| Value::from(format!("{k}{round}").as_str()));
+                    assert_eq!(read(half, k, 10 * (round + 1)), want, "{k} round {round}");
+                }
+            }
+            assert_eq!(half.key_count(), held.len());
+        }
+    }
+
     fn bulk(keys: &[&str], ts: u64) -> Rc<SortedRun> {
         let rows = keys.iter().map(|k| (Key::from(*k), Value::from(*k)));
         Rc::new(SortedRun::bulk(rows, Timestamp::new(ts, 0)))
@@ -1953,8 +2055,11 @@ mod tests {
             ts: Timestamp::new(k.len() as u64, 0),
             value: Some(Value::from(k)),
         };
-        let entry = |k: String| (Key::from(k.as_str()), vec![version(&k)]);
-        SortedRun::from_entries(keys.into_iter().map(entry).collect())
+        let mut run = RunBuilder::with_capacity(keys.len(), keys.len());
+        for k in keys {
+            run.push(Key::from(k.as_str()), [version(&k)]);
+        }
+        run.finish()
     }
 
     fn lookup<'r>(run: &'r SortedRun, key: &str) -> (Option<&'r [Version]>, usize) {
@@ -2026,11 +2131,14 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0u64..4_096)
             .map(|i| [b"t\0\0\0\x01\0\0\0\x01\x02".as_slice(), &i.to_be_bytes()].concat())
             .collect();
-        let entries: Vec<RunEntry> = keys
-            .iter()
-            .map(|k| (Key::from_slice(k), Vec::new()))
+        let keys: Vec<RunKey> = (keys.iter())
+            .map(|k| RunKey {
+                key: Key::from_slice(k),
+                start: 0,
+                len: 0,
+            })
             .collect();
-        let index = RunIndex::build(&entries);
+        let index = RunIndex::build(&keys);
         let mut longest = 0;
         let mut run = 0;
         for slot in index.slots.iter().chain(index.slots.iter()) {

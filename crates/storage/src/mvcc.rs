@@ -355,9 +355,9 @@ impl MvccStore {
     /// Move every committed version out of the memtable (flush to an
     /// immutable sorted run). Intents stay put — they are provisional
     /// state, not yet part of durable MVCC history. Chains left with
-    /// neither intent nor versions are dropped. Returns key-ordered chains.
-    pub fn drain_committed(&mut self) -> Vec<(Key, Vec<Version>)> {
-        let mut out = Vec::with_capacity(self.data.len());
+    /// neither intent nor versions are dropped. Hands `sink` each key with
+    /// versions, in key order.
+    pub fn drain_committed(&mut self, mut sink: impl FnMut(Key, Vec<Version>)) {
         self.versions = 0;
         for (key, mut chain) in std::mem::take(&mut self.data) {
             let versions = std::mem::take(&mut chain.versions);
@@ -365,10 +365,14 @@ impl MvccStore {
                 self.data.insert(key.clone(), chain);
             }
             if !versions.is_empty() {
-                out.push((key, versions));
+                sink(key, versions);
             }
         }
-        out
+    }
+
+    /// Does the memtable hold nothing — no intent, no version?
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
     }
 
     /// Total committed versions across all keys.

@@ -8,7 +8,7 @@
 //! flushes, tiered merges and a split. Sequences are long, flushes small and
 //! maintenance frequent, so most cases see partial (non-oldest) merges.
 //! (The index's own unit tests — a run of one entry, keys forced into one
-//! probe sequence — sit beside it in `lsm.rs`: `SortedRun::from_entries` is
+//! probe sequence — sit beside it in `lsm.rs`: `RunBuilder` is
 //! private.)
 
 use std::collections::BTreeMap;

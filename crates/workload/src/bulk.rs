@@ -5,10 +5,12 @@
 //! dominate simulation time, so this module hands every row to
 //! [`Cluster::ingest`](mr_kv::Cluster::ingest) in one batch — the paper's
 //! bulk IMPORT: one sorted run per range, shared by all of its replicas.
+//! The rows are encoded into one buffer of keys and one of values
+//! ([`index_entries`]), so a load allocates per batch and per run, not per
+//! row.
 
 use mr_sql::catalog::Table;
-use mr_sql::ddl::entry_key;
-use mr_sql::encoding::encode_row;
+use mr_sql::ddl::index_entries;
 use mr_sql::exec::SqlDb;
 use mr_sql::types::Datum;
 
@@ -22,29 +24,13 @@ pub fn load_rows(db: &mut SqlDb, db_name: &str, table: &str, rows: &[Vec<Datum>]
             .unwrap_or_else(|| panic!("unknown table {table:?}"))
             .clone()
     };
-    let mut entries = Vec::with_capacity(rows.len() * table.indexes.len());
-    for row in rows {
-        assert_eq!(
-            row.len(),
-            table.columns.len(),
-            "row arity mismatch for {}",
-            table.name
-        );
-        let region = if table.primary_index().region_partitioned {
-            table
-                .region_column()
-                .and_then(|o| row.get(o))
-                .and_then(|d| d.as_str())
-                .map(|s| s.to_string())
-        } else {
-            None
-        };
-        let value = encode_row(row);
-        for index in &table.indexes {
-            let key = entry_key(&table, index, region.as_deref(), row);
-            entries.push((key, value.clone()));
-        }
-    }
+    let arity = table.columns.len();
+    assert!(
+        rows.iter().all(|row| row.len() == arity),
+        "row arity mismatch for {}",
+        table.name
+    );
+    let entries = index_entries(&table, rows, 0..table.indexes.len());
     if let Err(e) = db.cluster.ingest(entries) {
         panic!("loading {}: {e}", table.name);
     }
@@ -54,7 +40,42 @@ pub fn load_rows(db: &mut SqlDb, db_name: &str, table: &str, rows: &[Vec<Datum>]
 mod tests {
     use super::*;
     use mr_kv::cluster::ClusterConfig;
+    use mr_kv::IngestError;
     use mr_sim::{NodeId, RttMatrix, Topology};
+
+    #[test]
+    fn rows_sharing_a_unique_value_load_nothing() {
+        let topo = Topology::build(
+            &RttMatrix::paper_table1_regions(),
+            3,
+            RttMatrix::paper_table1(),
+        );
+        let mut d = SqlDb::new(topo, ClusterConfig::default());
+        let sess = d.session(NodeId(0), None);
+        d.exec_script(
+            &sess,
+            r#"
+            CREATE DATABASE test PRIMARY REGION "us-east1" REGIONS "europe-west2";
+            CREATE TABLE users (id INT PRIMARY KEY, email STRING UNIQUE);
+            "#,
+        )
+        .unwrap();
+        let row = |id, email: &str| vec![Datum::Int(id), Datum::String(email.into())];
+        let rows = [row(1, "a@x"), row(2, "b@x"), row(3, "a@x")];
+        let table = d.catalog.borrow().table("test", "users").unwrap().clone();
+        let email = table.index_by_name("users_email_key").unwrap();
+        let repeated = mr_sql::ddl::entry_key(&table, email, None, &rows[0]);
+        let entries = index_entries(&table, &rows, 0..table.indexes.len());
+        assert_eq!(
+            d.cluster.ingest(entries),
+            Err(IngestError::Duplicate(repeated))
+        );
+        // Neither the primary rows nor the index entries went in.
+        let res = d
+            .exec_sync(&sess, "SELECT id FROM users WHERE id = 1")
+            .unwrap();
+        assert!(res.rows().is_empty());
+    }
 
     #[test]
     fn preloaded_rows_are_readable() {

@@ -108,10 +108,13 @@ echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under the
 # install, and 390 MiB with one map and one checkpointed image deep-copied
 # into every replica. Since bulk loads and installed images reach a range's
 # replicas as shared sorted runs (a refcount per replica; the per-replica
-# part is the memtable, WAL and Raft state), it reads 43.7 MiB. On
-# `regional_ycsb_a` (50k rows x 7 replicas) the same change took it from
-# 207 to 27.5 MiB: a second ceiling, so a per-replica copy of the loaded
-# table shows up where the table is big. Same shape of ratchet: + 10 %.
+# part is the memtable, WAL and Raft state), it read 43.7 MiB, and 36.1 MiB
+# since a run keeps its versions in one flat vector instead of a `Vec` per
+# key and loaded keys and values are views into one buffer per load. On
+# `regional_ycsb_a` (50k rows x 7 replicas) the shared runs took it from
+# 207 to 27.5 MiB and the flat runs to 23.3 MiB: a second ceiling, so a
+# per-replica copy of the loaded table shows up where the table is big. Same
+# shape of ratchet: + 10 %.
 #
 # One traced run per workload; every ceiling of that workload is read from
 # its output. Arguments after the workload come in threes: metric, ceiling,
@@ -141,7 +144,7 @@ ledger_ceilings tpcc_nothink host.allocs_per_op 2348 "allocations per op"
 # `regional_ycsb_a` read 111.0 allocations per op while index keys cloned
 # their columns, 109.5 since.
 ledger_ceilings regional_ycsb_a \
-    peak_rss_mb 30 "MiB peak RSS" \
+    peak_rss_mb 26 "MiB peak RSS" \
     host.allocs_per_op 120 "allocations per op"
 # The idle run counted in allocations: 477.7 per op while every
 # side-transport tick built a `Vec` of updates per (sender, destination)
@@ -152,7 +155,7 @@ ledger_ceilings regional_ycsb_a \
 # batch that repeats its sender's previous one waits in the receiver's inbox
 # instead. A per-link event per tick coming back shows up here.
 ledger_ceilings wide_idle \
-    peak_rss_mb 48 "MiB peak RSS" \
+    peak_rss_mb 40 "MiB peak RSS" \
     host.allocs_per_op 285 "allocations per op" \
     sim.events_per_op 18 "calendar events per op"
 
