@@ -15,17 +15,13 @@
 //! Exits non-zero if the measured medians violate the expected round-trip
 //! structure, so CI can use this binary as a bench-regression guard.
 
-use mr_bench::{commit_probe, commit_probe_json, write_bench, CommitRow};
+use mr_bench::{
+    commit_probe, commit_probe_json, exit_on_regressions, probe_param, write_bench, CommitRow,
+};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(1);
-    let txns: usize = std::env::var("MR_COMMIT_TXNS")
-        .ok()
-        .map(|s| s.parse().expect("MR_COMMIT_TXNS must be a usize"))
-        .unwrap_or(30);
+    let seed: u64 = probe_param("seed", 1);
+    let txns: usize = probe_param("MR_COMMIT_TXNS", 30);
 
     eprintln!("commit_probe: seed {seed}, {txns} txns per cell");
     let rows = commit_probe(seed, txns);
@@ -40,12 +36,7 @@ fn main() {
         check(r, &mut failures);
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_regressions(&failures);
     eprintln!("commit_probe: all round-trip guards passed");
 }
 

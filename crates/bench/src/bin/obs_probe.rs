@@ -17,25 +17,13 @@
 //! Exits non-zero on any violated gate, so CI uses this binary as the
 //! telemetry regression guard.
 
-use mr_bench::{obs_probe, obs_probe_json, write_bench};
+use mr_bench::{exit_on_regressions, obs_probe, obs_probe_json, probe_param, write_bench};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(1);
-    let skew_secs: u64 = std::env::var("MR_OBS_SKEW_SECS")
-        .ok()
-        .map(|s| s.parse().expect("MR_OBS_SKEW_SECS must be a u64"))
-        .unwrap_or(60);
-    let txns: usize = std::env::var("MR_OBS_TXNS")
-        .ok()
-        .map(|s| s.parse().expect("MR_OBS_TXNS must be a usize"))
-        .unwrap_or(30);
-    let budget: usize = std::env::var("MR_METRIC_BUDGET")
-        .ok()
-        .map(|s| s.parse().expect("MR_METRIC_BUDGET must be a usize"))
-        .unwrap_or(256);
+    let seed: u64 = probe_param("seed", 1);
+    let skew_secs: u64 = probe_param("MR_OBS_SKEW_SECS", 60);
+    let txns: usize = probe_param("MR_OBS_TXNS", 30);
+    let budget: usize = probe_param("MR_METRIC_BUDGET", 256);
 
     eprintln!("obs_probe: seed {seed}, {skew_secs}s skew, {txns} attribution txns");
     let r = obs_probe(seed, skew_secs, txns);
@@ -99,12 +87,7 @@ fn main() {
         ));
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_regressions(&failures);
     eprintln!(
         "obs_probe: hot r{} at {}m qps (driven {}m), rates {}/{}m vs {}m, named attribution {:.1}%, {} instruments — all guards passed",
         r.hot_range,

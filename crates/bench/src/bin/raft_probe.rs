@@ -14,21 +14,12 @@
 //! suppressing idle heartbeats — so CI can use this binary as a
 //! bench-regression guard.
 
-use mr_bench::{raft_probe, raft_probe_json, write_bench};
+use mr_bench::{exit_on_regressions, probe_param, raft_probe, raft_probe_json, write_bench};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(1);
-    let txns: usize = std::env::var("MR_RAFT_TXNS")
-        .ok()
-        .map(|s| s.parse().expect("MR_RAFT_TXNS must be a usize"))
-        .unwrap_or(40);
-    let cold: u32 = std::env::var("MR_RAFT_COLD_RANGES")
-        .ok()
-        .map(|s| s.parse().expect("MR_RAFT_COLD_RANGES must be a u32"))
-        .unwrap_or(100);
+    let seed: u64 = probe_param("seed", 1);
+    let txns: usize = probe_param("MR_RAFT_TXNS", 40);
+    let cold: u32 = probe_param("MR_RAFT_COLD_RANGES", 100);
 
     eprintln!("raft_probe: seed {seed}, {txns} txns per client, {cold} cold ranges");
     let r = raft_probe(seed, txns, cold);
@@ -76,12 +67,7 @@ fn main() {
         ));
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_regressions(&failures);
     eprintln!(
         "raft_probe: occupancy {:.2} (baseline {:.2}), heartbeat suppression {:.1}x — all guards passed",
         r.batched.mean_occupancy, r.unbatched.mean_occupancy, r.heartbeat_suppression

@@ -16,17 +16,11 @@
 //! idle, or cold merges stop folding the keyspace — CI uses this binary
 //! as the lifecycle regression guard.
 
-use mr_bench::{split_probe, split_probe_json, write_bench};
+use mr_bench::{exit_on_regressions, probe_param, split_probe, split_probe_json, write_bench};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(1);
-    let txns: usize = std::env::var("MR_SPLIT_TXNS")
-        .ok()
-        .map(|s| s.parse().expect("MR_SPLIT_TXNS must be a usize"))
-        .unwrap_or(240);
+    let seed: u64 = probe_param("seed", 1);
+    let txns: usize = probe_param("MR_SPLIT_TXNS", 240);
 
     eprintln!("split_probe: seed {seed}, {txns} txns per client");
     let r = split_probe(seed, txns);
@@ -71,12 +65,7 @@ fn main() {
         ));
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_regressions(&failures);
     eprintln!(
         "split_probe: {:.1}/s -> {:.1}/s ({:.2}x) across {} splits, {} lease moves, \
          {} ranges folding to {} when idle — all guards passed",

@@ -14,13 +14,10 @@
 //! the three constants) — CI uses this binary as the storage regression
 //! guard.
 
-use mr_bench::{storage_probe, storage_probe_json, write_bench};
+use mr_bench::{exit_on_regressions, probe_param, storage_probe, storage_probe_json, write_bench};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(1);
+    let seed: u64 = probe_param("seed", 1);
 
     eprintln!("storage_probe: seed {seed}");
     let r = storage_probe(seed);
@@ -85,12 +82,7 @@ fn main() {
         ));
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_regressions(&failures);
     eprintln!(
         "storage_probe: run indexes answered {}/1000 of {} probes across {} runs unread; gc reclaimed \
          {}/1000 of {} versions under an active protection (then {} -> {} on release); \

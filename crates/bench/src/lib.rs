@@ -10,6 +10,9 @@
 //! single-digit-minute wall time. Set `MR_OPS_PER_CLIENT` (and
 //! `MR_TPCC_SECS`) to raise the sample counts toward paper scale.
 
+use mr_chaos::{corner_cluster, prefix_span, run_txn, TxnEnd};
+use mr_kv::cluster::{Cluster, ClusterConfig};
+use mr_kv::zone::SurvivalGoal::{Region, Zone};
 use mr_obs::export::JsonWriter;
 use mr_sim::SimRng;
 use mr_workload::bulk;
@@ -223,6 +226,37 @@ pub fn report_errors(name: &str, stats: &DriverStats) {
     }
 }
 
+/// A probe's parameter: the seed (`"seed"`) from the first command-line
+/// argument, any other name from that environment variable, `default` when
+/// it is not given. A value that does not parse is fatal.
+pub fn probe_param<T: std::str::FromStr>(name: &str, default: T) -> T
+where
+    T::Err: std::fmt::Debug,
+{
+    let given = if name == "seed" {
+        std::env::args().nth(1)
+    } else {
+        std::env::var(name).ok()
+    };
+    given.map_or(default, |s| {
+        let ty = std::any::type_name::<T>();
+        s.parse()
+            .unwrap_or_else(|e| panic!("{name} must be a {ty}: {e:?}"))
+    })
+}
+
+/// A gated probe's tail: print each failed gate as `REGRESSION: …` and exit
+/// with status 1; return when every gate passed.
+pub fn exit_on_regressions(failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    for f in failures {
+        eprintln!("REGRESSION: {f}");
+    }
+    std::process::exit(1);
+}
+
 // ---------------------------------------------------------------------------
 // Commit-latency probe (parallel commits ablation)
 // ---------------------------------------------------------------------------
@@ -253,10 +287,18 @@ pub struct CommitRow {
     pub pipelined: CommitCell,
 }
 
-fn quantile_ms(sorted_nanos: &[u64], q: f64) -> f64 {
-    assert!(!sorted_nanos.is_empty());
-    let idx = ((sorted_nanos.len() - 1) as f64 * q).round() as usize;
-    sorted_nanos[idx] as f64 / 1e6
+impl CommitCell {
+    /// The cell of one set of samples (nanoseconds), which it sorts.
+    fn of(nanos: &mut [u64]) -> CommitCell {
+        assert!(!nanos.is_empty());
+        nanos.sort_unstable();
+        let ms = |q: f64| nanos[((nanos.len() - 1) as f64 * q).round() as usize] as f64 / 1e6;
+        CommitCell {
+            p50_ms: ms(0.5),
+            p99_ms: ms(0.99),
+            n: nanos.len(),
+        }
+    }
 }
 
 /// What a driven transaction does when one of its steps fails.
@@ -270,6 +312,7 @@ enum OnAbort {
 }
 
 /// What [`drive_kv_txns`] saw.
+#[derive(Default)]
 struct KvTxnStats {
     /// Begin→commit-ack latency of every committed attempt, in commit order
     /// (nanoseconds of simulated time).
@@ -279,11 +322,11 @@ struct KvTxnStats {
 }
 
 /// Drive closed-loop KV transactions to quiescence: each client runs its
-/// transaction shapes in order from its gateway — optionally read the first
-/// key (leaseholder fast path), write every key, commit — and starts the
-/// next one when the commit acks.
+/// transaction shapes in order from its gateway through [`run_txn`] —
+/// optionally read the first key (leaseholder fast path), write every key,
+/// commit — and starts the next one when the commit acks.
 fn drive_kv_txns(
-    c: &mut mr_kv::Cluster,
+    c: &mut Cluster,
     clients: Vec<(mr_sim::NodeId, Vec<Vec<mr_proto::Key>>)>,
     read_first: bool,
     on_abort: OnAbort,
@@ -291,133 +334,81 @@ fn drive_kv_txns(
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    struct Client {
-        gateway: mr_sim::NodeId,
-        shapes: std::vec::IntoIter<Vec<mr_proto::Key>>,
-        /// The shape in flight (kept for a retry) and its aborts so far.
-        current: Vec<mr_proto::Key>,
-        attempts: u32,
-    }
     struct Drive {
-        clients: Vec<Client>,
+        /// Each client's gateway and the shapes it has yet to start.
+        clients: Vec<(mr_sim::NodeId, std::vec::IntoIter<Vec<mr_proto::Key>>)>,
         read_first: bool,
         on_abort: OnAbort,
         stats: KvTxnStats,
     }
-    /// One attempt of one client's transaction.
-    struct Attempt {
+
+    fn next_txn(c: &mut Cluster, st: Rc<RefCell<Drive>>, client: usize) {
+        let next = {
+            let (gateway, shapes) = &mut st.borrow_mut().clients[client];
+            shapes.next().map(|shape| (*gateway, shape))
+        };
+        if let Some((gateway, shape)) = next {
+            attempt(c, st, client, gateway, shape, 0);
+        }
+    }
+
+    /// Run `shape` once more, after `aborts` aborted attempts.
+    fn attempt(
+        c: &mut Cluster,
         st: Rc<RefCell<Drive>>,
         client: usize,
-        h: mr_kv::TxnHandle,
-        started: mr_sim::SimTime,
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Drive>>, client: usize, again: bool) {
-        let (gateway, shape, read_first) = {
-            let mut d = st.borrow_mut();
-            let read_first = d.read_first;
-            let cl = &mut d.clients[client];
-            if !again {
-                match cl.shapes.next() {
-                    Some(shape) => cl.current = shape,
-                    None => return,
-                }
-            }
-            (cl.gateway, cl.current.clone(), read_first)
-        };
+        gateway: mr_sim::NodeId,
+        shape: Vec<mr_proto::Key>,
+        aborts: u32,
+    ) {
         let started = c.now();
-        let h = c.txn_begin(gateway);
-        let at = Attempt {
-            st,
-            client,
-            h,
-            started,
-        };
-        if read_first {
-            let first = shape[0].clone();
-            c.txn_get(
-                h,
-                first,
-                Box::new(move |c, res| match res {
-                    Ok(_) => put_chain(c, at, shape.into_iter()),
-                    Err(e) => aborted(c, at, "get", e),
-                }),
-            );
-        } else {
-            put_chain(c, at, shape.into_iter());
-        }
-    }
-
-    fn put_chain(c: &mut mr_kv::Cluster, at: Attempt, mut keys: std::vec::IntoIter<mr_proto::Key>) {
-        match keys.next() {
-            Some(key) => c.txn_put(
-                at.h,
-                key,
-                Some(mr_proto::Value::from("probe")),
-                Box::new(move |c, res| match res {
-                    Ok(()) => put_chain(c, at, keys),
-                    Err(e) => aborted(c, at, "put", e),
-                }),
-            ),
-            None => c.txn_commit(
-                at.h,
-                Box::new(move |c, res| match res {
-                    Ok(_) => {
-                        {
-                            let mut d = at.st.borrow_mut();
-                            d.clients[at.client].attempts = 0;
-                            d.stats.committed += 1;
-                            let dt = c.now().nanos() - at.started.nanos();
-                            d.stats.latencies.push(dt);
-                        }
-                        next_txn(c, at.st, at.client, false);
+        let read = st.borrow().read_first.then(|| shape[0].clone());
+        let value = mr_proto::Value::from("probe");
+        let writes = shape.iter().map(|k| (k.clone(), Some(value.clone())));
+        run_txn(c, gateway, read, writes.collect(), move |c, end| {
+            let (h, e) = match end {
+                TxnEnd::Committed { .. } => {
+                    let dt = c.now().nanos() - started.nanos();
+                    {
+                        let stats = &mut st.borrow_mut().stats;
+                        stats.committed += 1;
+                        stats.latencies.push(dt);
                     }
-                    Err(e) => aborted(c, at, "commit", e),
-                }),
-            ),
-        }
-    }
-
-    fn aborted(c: &mut mr_kv::Cluster, at: Attempt, step: &str, e: mr_proto::KvError) {
-        {
-            let mut d = at.st.borrow_mut();
-            if let OnAbort::Panic = d.on_abort {
-                panic!("probe {step} failed: {e}");
+                    return next_txn(c, st, client);
+                }
+                TxnEnd::Aborted(e) => (None, e),
+                TxnEnd::CommitFailed(h, e) => (Some(h), e),
+            };
+            if let OnAbort::Panic = st.borrow().on_abort {
+                panic!("probe txn failed: {e}");
             }
-            d.stats.retries += 1;
-            let cl = &mut d.clients[at.client];
-            cl.attempts += 1;
+            st.borrow_mut().stats.retries += 1;
             assert!(
-                cl.attempts < 50,
-                "probe txn stuck: 50 aborts in a row at gateway {}",
-                cl.gateway
+                aborts + 1 < 50,
+                "probe txn stuck: 50 aborts in a row at gateway {gateway}"
             );
-        }
-        let (st, client) = (at.st, at.client);
-        c.txn_rollback(at.h, Box::new(move |c, _| next_txn(c, st, client, true)));
+            let again = move |c: &mut Cluster| attempt(c, st, client, gateway, shape, aborts + 1);
+            match h {
+                // A failed commit is rolled back here; any other failure
+                // already was.
+                Some(h) => c.txn_rollback(h, Box::new(move |c, _| again(c))),
+                None => again(c),
+            }
+        });
     }
 
     let n = clients.len();
     let st = Rc::new(RefCell::new(Drive {
         clients: clients
             .into_iter()
-            .map(|(gateway, shapes)| Client {
-                gateway,
-                shapes: shapes.into_iter(),
-                current: Vec::new(),
-                attempts: 0,
-            })
+            .map(|(gateway, shapes)| (gateway, shapes.into_iter()))
             .collect(),
         read_first,
         on_abort,
-        stats: KvTxnStats {
-            latencies: Vec::new(),
-            committed: 0,
-            retries: 0,
-        },
+        stats: KvTxnStats::default(),
     }));
     for client in 0..n {
-        next_txn(c, st.clone(), client, false);
+        next_txn(c, st.clone(), client);
     }
     let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(1_200).nanos());
     c.run_until_quiescent(deadline);
@@ -428,16 +419,24 @@ fn drive_kv_txns(
         .stats
 }
 
+/// One transaction shape: the key `<prefix>/<name>` under each prefix.
+fn keys(prefixes: &[impl std::fmt::Display], name: &str) -> Vec<mr_proto::Key> {
+    let key = |p| mr_proto::Key::from(format!("{p}/{name}").as_str());
+    prefixes.iter().map(key).collect()
+}
+
 /// Drive `shapes.len()` write transactions sequentially from `gateway` and
 /// return their begin→commit-ack latencies, with the cluster settled
 /// afterwards (straggling async intent resolutions drained before the next
 /// cell).
 fn drive_commit_txns(
-    c: &mut mr_kv::Cluster,
+    c: &mut Cluster,
     gateway: mr_sim::NodeId,
     shapes: Vec<Vec<mr_proto::Key>>,
 ) -> Vec<u64> {
+    let n = shapes.len();
     let stats = drive_kv_txns(c, vec![(gateway, shapes)], false, OnAbort::Panic);
+    assert_eq!(stats.latencies.len(), n, "probe txns went missing");
     let settle = SimTime(c.now().nanos() + SimDuration::from_secs(2).nanos());
     c.run_until(settle);
     stats.latencies
@@ -448,32 +447,16 @@ fn drive_commit_txns(
 /// region, once with legacy synchronous commits and once with pipelining +
 /// parallel commits. Deterministic for a fixed seed.
 pub fn commit_probe(seed: u64, txns_per_cell: usize) -> Vec<CommitRow> {
-    use mr_chaos::{build_chaos_cluster, ChaosConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
+    use mr_chaos::ChaosConfig;
 
-    let scenarios: [(&'static str, fn(u32, usize) -> Vec<mr_proto::Key>); 3] = [
-        ("single", |r, i| {
-            vec![mr_proto::Key::from(format!("zs/p{r}_{i}").as_str())]
-        }),
-        ("multi", |r, i| {
-            vec![
-                mr_proto::Key::from(format!("zs/p{r}_{i}").as_str()),
-                mr_proto::Key::from(format!("za/p{r}_{i}").as_str()),
-            ]
-        }),
-        ("cross", |r, i| {
-            vec![
-                mr_proto::Key::from(format!("zs/p{r}_{i}").as_str()),
-                mr_proto::Key::from(format!("rs/p{r}_{i}").as_str()),
-            ]
-        }),
+    // Each scenario writes one key under each of its prefixes.
+    let scenarios = [
+        ("single", &["zs"][..]),
+        ("multi", &["zs", "za"]),
+        ("cross", &["zs", "rs"]),
     ];
-
-    // cells[scenario][region] -> (legacy, pipelined) samples.
-    let mut cells: Vec<Vec<(Vec<u64>, Vec<u64>)>> = scenarios
-        .iter()
-        .map(|_| (0..3).map(|_| (Vec::new(), Vec::new())).collect())
-        .collect();
+    // samples[pipelined][scenario * 3 + region]: begin→commit-ack nanos.
+    let mut samples: [Vec<Vec<u64>>; 2] = Default::default();
     let mut rtts = [0.0f64; 3];
     let mut region_names = vec![String::new(); 3];
 
@@ -484,74 +467,44 @@ pub fn commit_probe(seed: u64, txns_per_cell: usize) -> Vec<CommitRow> {
             parallel_commits: pipelined,
             ..ChaosConfig::default()
         };
-        let mut c = build_chaos_cluster(&cfg);
-        // A second ZONE-survivable range homed alongside `zs/*`: the
-        // `multi` scenario spans the two so the transaction cannot take
-        // the 1PC fast path yet both intent quorums stay in-region.
-        let za = derive_zone_config(
-            mr_sim::RegionId(0),
-            &[
-                mr_sim::RegionId(0),
-                mr_sim::RegionId(1),
-                mr_sim::RegionId(2),
-            ],
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from("za/"), mr_proto::Key::from("za0")),
-            za,
-        )
-        .expect("allocate za range");
+        // The chaos cluster plus a second ZONE-survivable range homed
+        // alongside `zs/*`: the `multi` scenario spans the two so the
+        // transaction cannot take the 1PC fast path yet both intent quorums
+        // stay in-region.
+        let ranges = [
+            (prefix_span("rs"), Region),
+            (prefix_span("zs"), Zone),
+            (prefix_span("za"), Zone),
+        ];
+        let (mut c, _) = corner_cluster(cfg.cluster_config(), &ranges);
         c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
-        for (si, (_, mk)) in scenarios.iter().enumerate() {
+        for (_, prefixes) in &scenarios {
             for region in 0..3u32 {
                 let gateway = mr_sim::NodeId(region * 3);
-                if !pipelined {
-                    region_names[region as usize] = c
-                        .topology()
-                        .region_name(mr_sim::RegionId(region))
-                        .to_string();
-                    rtts[region as usize] =
-                        c.topology().nominal_rtt(gateway, mr_sim::NodeId(0)).nanos() as f64 / 1e6;
-                }
-                let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_cell)
-                    .map(|i| mk(region, i + if pipelined { txns_per_cell } else { 0 }))
+                let topo = c.topology();
+                region_names[region as usize] = topo.region_name(mr_sim::RegionId(region)).into();
+                rtts[region as usize] =
+                    topo.nominal_rtt(gateway, mr_sim::NodeId(0)).nanos() as f64 / 1e6;
+                let first = if pipelined { txns_per_cell } else { 0 };
+                let shapes = (first..first + txns_per_cell)
+                    .map(|i| keys(prefixes, &format!("p{region}_{i}")))
                     .collect();
-                let samples = drive_commit_txns(&mut c, gateway, shapes);
-                assert_eq!(samples.len(), txns_per_cell, "probe txns went missing");
-                let slot = &mut cells[si][region as usize];
-                if pipelined {
-                    slot.1 = samples;
-                } else {
-                    slot.0 = samples;
-                }
+                samples[pipelined as usize].push(drive_commit_txns(&mut c, gateway, shapes));
             }
         }
     }
 
+    let [mut legacy, mut piped] = samples;
     let mut rows = Vec::new();
     for (si, (name, _)) in scenarios.iter().enumerate() {
         for region in 0..3usize {
-            let (mut legacy, mut piped) =
-                (cells[si][region].0.clone(), cells[si][region].1.clone());
-            legacy.sort_unstable();
-            piped.sort_unstable();
+            let cell = si * 3 + region;
             rows.push(CommitRow {
                 gateway_region: region_names[region].clone(),
                 scenario: name,
                 rtt_ms: rtts[region],
-                legacy: CommitCell {
-                    p50_ms: quantile_ms(&legacy, 0.5),
-                    p99_ms: quantile_ms(&legacy, 0.99),
-                    n: legacy.len(),
-                },
-                pipelined: CommitCell {
-                    p50_ms: quantile_ms(&piped, 0.5),
-                    p99_ms: quantile_ms(&piped, 0.99),
-                    n: piped.len(),
-                },
+                legacy: CommitCell::of(&mut legacy[cell]),
+                pipelined: CommitCell::of(&mut piped[cell]),
             });
         }
     }
@@ -605,69 +558,23 @@ pub struct RaftProbeReport {
 /// Flush window used by the batched phase, in milliseconds.
 pub const RAFT_PROBE_FLUSH_MS: u64 = 2;
 
-/// The 3-region chaos topology with `zs/` + `za/` ZONE-survivable and
-/// `rs/` REGION-survivable ranges homed in region 0, plus `cold<i>/`
-/// ranges no workload ever touches.
-fn raft_probe_cluster(
-    seed: u64,
-    flush: SimDuration,
-    quiesce: bool,
-    cold_ranges: u32,
-) -> mr_kv::Cluster {
-    use mr_kv::cluster::{Cluster, ClusterConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            raft_flush_interval: flush,
-            raft_quiescence: quiesce,
-            ..ClusterConfig::default()
-        },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let home = mr_sim::RegionId(0);
-    let zone = |c: &mut Cluster, start: &str, end: &str| {
-        let zc = derive_zone_config(
-            home,
-            &db_regions,
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from(start), mr_proto::Key::from(end)),
-            zc,
-        )
-        .expect("allocate range");
+/// The corner cluster with `zs/` + `za/` ZONE-survivable and `rs/`
+/// REGION-survivable ranges, plus `cold<i>/` ranges no workload ever
+/// touches.
+fn raft_probe_cluster(seed: u64, flush: SimDuration, quiesce: bool, cold_ranges: u32) -> Cluster {
+    let mut ranges = vec![
+        (prefix_span("zs"), Zone),
+        (prefix_span("za"), Zone),
+        (prefix_span("rs"), Region),
+    ];
+    ranges.extend((0..cold_ranges).map(|i| (prefix_span(&format!("cold{i}")), Zone)));
+    let cfg = ClusterConfig {
+        seed,
+        raft_flush_interval: flush,
+        raft_quiescence: quiesce,
+        ..ClusterConfig::default()
     };
-    zone(&mut c, "zs/", "zs0");
-    zone(&mut c, "za/", "za0");
-    let rs = derive_zone_config(
-        home,
-        &db_regions,
-        SurvivalGoal::Region,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    c.create_range(
-        mr_proto::Span::new(mr_proto::Key::from("rs/"), mr_proto::Key::from("rs0")),
-        rs,
-    )
-    .expect("allocate rs range");
-    for i in 0..cold_ranges {
-        let start = format!("cold{i}/");
-        let end = format!("cold{i}0");
-        zone(&mut c, &start, &end);
-    }
-    c
+    corner_cluster(cfg, &ranges).0
 }
 
 /// One batching phase: 4 clients on each region-0 gateway, every txn
@@ -682,13 +589,8 @@ fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) ->
     let mut clients = Vec::new();
     for node in 0..3u32 {
         for ci in 0..4u32 {
-            let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_client)
-                .map(|i| {
-                    vec![
-                        mr_proto::Key::from(format!("zs/n{node}c{ci}_{i}").as_str()),
-                        mr_proto::Key::from(format!("za/n{node}c{ci}_{i}").as_str()),
-                    ]
-                })
+            let shapes = (0..txns_per_client)
+                .map(|i| keys(&["zs", "za"], &format!("n{node}c{ci}_{i}")))
                 .collect();
             clients.push((mr_sim::NodeId(node), shapes));
         }
@@ -720,7 +622,7 @@ fn raft_heartbeat_phase(seed: u64, quiesce: bool, cold: u32) -> (f64, u64) {
     let window = SimDuration::from_secs(20);
     c.run_until(SimTime(c.now().nanos() + window.nanos()));
     let total = c.metrics().heartbeats_sent - before;
-    (total as f64 / 20.0, total)
+    (total as f64 / (window.nanos() as f64 / 1e9), total)
 }
 
 /// Run the full raft probe: batched vs unbatched occupancy under
@@ -811,57 +713,34 @@ pub struct SplitProbeReport {
     pub lifecycle: SplitPhase,
 }
 
-/// The split-probe cluster: 3-region paper corner, one REGION-survivable
+/// The split-probe cluster: the corner cluster with one REGION-survivable
 /// range over the whole keyspace homed in region 0 — every client is in
 /// regions 1 and 2, so the static topology pays cross-region RTT on each
 /// op until the controller splits at the load median and moves each
 /// half's lease toward its demand.
-fn split_probe_cluster(seed: u64, lifecycle_on: bool) -> mr_kv::Cluster {
-    use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            // Descriptor surgery drops in-flight requests to the old
-            // incarnation; they must time out and retry, not hang — and the
-            // stall is pure dead time, so keep it just above the worst RTT.
-            rpc_timeout: Some(SimDuration::from_millis(400)),
-            lifecycle: LifecycleConfig {
-                enabled: lifecycle_on,
-                // ~12 remote closed-loop clients sustain 50-100 qps on the
-                // single range; split well below that, and keep the
-                // rebalance floor low enough that each post-split half
-                // (half the traffic) still clears it. Tick and cooldown are
-                // tightened so convergence is a prefix of the run, not the
-                // whole run.
-                split_qps_milli: 40_000,
-                rebalance_min_qps_milli: 500,
-                interval: SimDuration::from_secs(1),
-                cooldown: SimDuration::from_secs(3),
-                ..LifecycleConfig::default()
-            },
-            ..ClusterConfig::default()
+fn split_probe_cluster(seed: u64, lifecycle_on: bool) -> Cluster {
+    let cfg = ClusterConfig {
+        seed,
+        // Descriptor surgery drops in-flight requests to the old
+        // incarnation; they must time out and retry, not hang — and the
+        // stall is pure dead time, so keep it just above the worst RTT.
+        rpc_timeout: Some(SimDuration::from_millis(400)),
+        lifecycle: mr_kv::cluster::LifecycleConfig {
+            enabled: lifecycle_on,
+            // ~12 remote closed-loop clients sustain 50-100 qps on the
+            // single range; split well below that, and keep the rebalance
+            // floor low enough that each post-split half (half the traffic)
+            // still clears it. Tick and cooldown are tightened so
+            // convergence is a prefix of the run, not the whole run.
+            split_qps_milli: 40_000,
+            rebalance_min_qps_milli: 500,
+            interval: SimDuration::from_secs(1),
+            cooldown: SimDuration::from_secs(3),
+            ..Default::default()
         },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let zc = derive_zone_config(
-        mr_sim::RegionId(0),
-        &db_regions,
-        SurvivalGoal::Region,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    c.create_range(mr_proto::Span::all(), zc)
-        .expect("allocate range");
-    c
+        ..ClusterConfig::default()
+    };
+    corner_cluster(cfg, &[(mr_proto::Span::all(), Region)]).0
 }
 
 /// Run one phase: 2 clients on each node of regions 1 and 2, each
@@ -876,12 +755,10 @@ fn split_phase(seed: u64, lifecycle_on: bool, txns_per_client: usize) -> SplitPh
         for node in (region * 3)..(region * 3 + 3) {
             for ci in 0..2u32 {
                 // One single-key transaction each, highest `i` first.
-                let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_client)
+                let prefix = [format!("u{region}")];
+                let shapes = (0..txns_per_client)
                     .rev()
-                    .map(|i| {
-                        let key = format!("u{region}/n{node}c{ci}k{}", i % 4);
-                        vec![mr_proto::Key::from(key.as_str())]
-                    })
+                    .map(|i| keys(&prefix, &format!("n{node}c{ci}k{}", i % 4)))
                     .collect();
                 clients.push((mr_sim::NodeId(node), shapes));
             }
@@ -889,11 +766,8 @@ fn split_phase(seed: u64, lifecycle_on: bool, txns_per_client: usize) -> SplitPh
     }
     let expected = clients.len() * txns_per_client;
     let t0 = c.now();
-    let KvTxnStats {
-        committed: txns,
-        retries,
-        ..
-    } = drive_kv_txns(&mut c, clients, true, OnAbort::Retry);
+    let stats = drive_kv_txns(&mut c, clients, true, OnAbort::Retry);
+    let (txns, retries) = (stats.committed, stats.retries);
     assert_eq!(txns as usize, expected, "split probe txns went missing");
     let drained = c.now();
     let dt_secs = (drained.nanos() - t0.nanos()) as f64 / 1e9;
@@ -1043,46 +917,29 @@ impl ObsProbeReport {
     }
 }
 
+/// The end of a probe transaction that cannot legitimately fail.
+fn expect_commit(_: &mut Cluster, end: TxnEnd) {
+    assert!(
+        matches!(end, TxnEnd::Committed { .. }),
+        "probe txn failed: {end:?}"
+    );
+}
+
 /// Drive the load-telemetry pipeline end to end: an open-loop read skew
 /// at one range (plus a 10x-slower write trickle at a second), then a
 /// closed-loop batch of multi-range write transactions for attribution.
 /// Deterministic for a fixed seed.
 pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport {
-    use mr_kv::cluster::{Cluster, ClusterConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
     use mr_obs::Resolution;
 
     assert!(skew_secs >= 10, "skew phase too short to settle the EWMA");
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            ..ClusterConfig::default()
-        },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let alloc = |c: &mut Cluster, start: &str, end: &str| {
-        let zc = derive_zone_config(
-            mr_sim::RegionId(0),
-            &db_regions,
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from(start), mr_proto::Key::from(end)),
-            zc,
-        )
-        .expect("allocate range")
+    let cfg = ClusterConfig {
+        seed,
+        ..ClusterConfig::default()
     };
-    let hot_range = alloc(&mut c, "zs/", "zs0");
-    let warm_range = alloc(&mut c, "za/", "za0");
+    let ranges = [(prefix_span("zs"), Zone), (prefix_span("za"), Zone)];
+    let (mut c, ids) = corner_cluster(cfg, &ranges);
+    let (hot_range, warm_range) = (ids[0], ids[1]);
     c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
 
     // Skew phase: point reads at `zs/hot` every 1/OBS_READ_HZ seconds of
@@ -1095,37 +952,12 @@ pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport
     let ticks = skew_secs * OBS_READ_HZ;
     for i in 0..ticks {
         c.run_until(SimTime(t0.nanos() + i * 1_000_000_000 / OBS_READ_HZ));
-        let h = c.txn_begin(gw);
-        c.txn_get(
-            h,
-            mr_proto::Key::from("zs/hot"),
-            Box::new(move |c, res| {
-                res.unwrap_or_else(|e| panic!("probe read failed: {e}"));
-                c.txn_commit(
-                    h,
-                    Box::new(|_, res| {
-                        res.unwrap_or_else(|e| panic!("probe ro commit failed: {e}"));
-                    }),
-                );
-            }),
-        );
+        let hot = Some(mr_proto::Key::from("zs/hot"));
+        run_txn(&mut c, gw, hot, Vec::new(), expect_commit);
         if i % (OBS_READ_HZ / OBS_WRITE_HZ) == 0 {
-            let h = c.txn_begin(gw);
             let key = mr_proto::Key::from(format!("za/w{i}").as_str());
-            c.txn_put(
-                h,
-                key,
-                Some(mr_proto::Value::from("obs-probe")),
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe write failed: {e}"));
-                    c.txn_commit(
-                        h,
-                        Box::new(|_, res| {
-                            res.unwrap_or_else(|e| panic!("probe rw commit failed: {e}"));
-                        }),
-                    );
-                }),
-            );
+            let value = Some(mr_proto::Value::from("obs-probe"));
+            run_txn(&mut c, gw, None, vec![(key, value)], expect_commit);
         }
     }
     let t_skew_end = SimTime(t0.nanos() + skew_secs * 1_000_000_000);
@@ -1143,40 +975,20 @@ pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport
     // resolutions.
     let wfrom = SimTime(t0.nanos() + 2_000_000_000);
     let wto = SimTime(t_skew_end.nanos() - 2_000_000_000);
-    let commit_rate_fine_milli = c
-        .obs
-        .tsdb
-        .rate_milli("kv.txn.commits", Resolution::Fine, wfrom, wto)
-        .unwrap_or(0);
-    let commit_rate_coarse_milli = c
-        .obs
-        .tsdb
-        .rate_milli("kv.txn.commits", Resolution::Coarse, wfrom, wto)
-        .unwrap_or(0);
-    let fine_samples = c
-        .obs
-        .tsdb
-        .window("kv.txn.commits", Resolution::Fine, wfrom, wto)
-        .len();
-    let coarse_samples = c
-        .obs
-        .tsdb
-        .window("kv.txn.commits", Resolution::Coarse, wfrom, wto)
-        .len();
+    let tsdb = &c.obs.tsdb;
+    let rate = |res| tsdb.rate_milli("kv.txn.commits", res, wfrom, wto);
+    let samples = |res| tsdb.window("kv.txn.commits", res, wfrom, wto).len();
+    let commit_rate_fine_milli = rate(Resolution::Fine).unwrap_or(0);
+    let commit_rate_coarse_milli = rate(Resolution::Coarse).unwrap_or(0);
+    let (fine_samples, coarse_samples) = (samples(Resolution::Fine), samples(Resolution::Coarse));
 
     // Attribution phase: closed-loop multi-range write transactions (the
     // kind whose latency the paper dissects — intent replication plus the
     // parallel-commit record).
-    let shapes: Vec<Vec<mr_proto::Key>> = (0..write_txns)
-        .map(|i| {
-            vec![
-                mr_proto::Key::from(format!("zs/b{i}").as_str()),
-                mr_proto::Key::from(format!("za/b{i}").as_str()),
-            ]
-        })
+    let shapes = (0..write_txns)
+        .map(|i| keys(&["zs", "za"], &format!("b{i}")))
         .collect();
-    let samples = drive_commit_txns(&mut c, gw, shapes);
-    assert_eq!(samples.len(), write_txns, "probe txns went missing");
+    drive_commit_txns(&mut c, gw, shapes);
 
     let (mut total, mut named) = (0u64, 0u64);
     let records = c.attr_log.records();

@@ -13,6 +13,9 @@
 //!   follower-read, bounded-staleness, and survivability invariants. Every
 //!   violation names the seed, the active schedule step, and the offending
 //!   operations.
+//! * [`harness`] — the three-region KV harness the nemesis and the
+//!   `mr-bench` KV probes share: [`corner_cluster`] builds the cluster and
+//!   its ranges, [`run_txn`] runs one begin → get → put… → commit chain.
 //! * [`nemesis`] — [`run_chaos`]: cluster + schedule + closed-loop clients
 //!   + drain + check, in one call.
 //! * [`bundle`] — [`IncidentBundle`]: when a run fails, the forensics
@@ -27,12 +30,14 @@
 
 pub mod bundle;
 pub mod checker;
+pub mod harness;
 pub mod history;
 pub mod nemesis;
 pub mod schedule;
 
 pub use bundle::IncidentBundle;
 pub use checker::{check, AvailabilityExpectation, CheckReport, CheckerConfig, Expect, Violation};
+pub use harness::{corner_cluster, prefix_span, run_txn, TxnEnd};
 pub use history::{History, HistoryEvent, OpId, OpKind, OpRecord, Phase};
 pub use nemesis::{
     build_chaos_cluster, run_chaos, ChaosConfig, ChaosOutcome, REGION_SURVIVABLE_PREFIX,

@@ -17,15 +17,14 @@ use mr_clock::Timestamp;
 use mr_kv::cluster::{
     Cluster, ClusterConfig, InjectedBug, LifecycleConfig, ReadOptions, Staleness,
 };
-use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-use mr_proto::{Key, KvError, Span, Value};
-use mr_sim::{
-    LatencyRecorder, NodeId, RegionId, RttMatrix, SimDuration, SimRng, SimTime, Topology,
-};
+use mr_kv::zone::SurvivalGoal;
+use mr_proto::{Key, KvError, Value};
+use mr_sim::{LatencyRecorder, NodeId, SimDuration, SimRng, SimTime};
 
 use crate::bundle::IncidentBundle;
 use crate::checker::{check, CheckReport, CheckerConfig};
-use crate::history::{History, OpKind, Phase};
+use crate::harness::{corner_cluster, prefix_span, run_txn, TxnEnd};
+use crate::history::{History, OpId, OpKind, Phase};
 use crate::schedule::FaultSchedule;
 
 /// Key prefix of the REGION-survivable range.
@@ -143,28 +142,18 @@ impl ChaosOutcome {
     }
 }
 
-/// Build the standard chaos cluster: the first three Table-1 regions,
-/// three nodes each, `rs/*` REGION-survivable and `zs/*` ZONE-survivable
-/// ranges homed in region 0.
-pub fn build_chaos_cluster(cfg: &ChaosConfig) -> Cluster {
-    let regions = RttMatrix::paper_table1_regions();
-    let topo = Topology::build(
-        &regions[..3],
-        3,
-        // 3x3 corner of Table 1: us-east1, us-west1, europe-west2.
-        RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut cluster = Cluster::new(
-        topo,
+impl ChaosConfig {
+    /// The cluster knobs a chaos run sets; the rest are the defaults.
+    pub fn cluster_config(&self) -> ClusterConfig {
         ClusterConfig {
-            seed: cfg.seed,
-            rpc_timeout: Some(cfg.rpc_timeout),
-            strict_monitors: cfg.strict_monitors,
-            pipelined_writes: cfg.pipelined_writes,
-            parallel_commits: cfg.parallel_commits,
-            tracing: cfg.tracing,
+            seed: self.seed,
+            rpc_timeout: Some(self.rpc_timeout),
+            strict_monitors: self.strict_monitors,
+            pipelined_writes: self.pipelined_writes,
+            parallel_commits: self.parallel_commits,
+            tracing: self.tracing,
             lifecycle: LifecycleConfig {
-                enabled: cfg.range_lifecycle,
+                enabled: self.range_lifecycle,
                 // The workload only has 8 distinct keys, so splits and
                 // merges are forced by schedule faults rather than the
                 // size trigger; a short cooldown lets a forced split be
@@ -173,60 +162,42 @@ pub fn build_chaos_cluster(cfg: &ChaosConfig) -> Cluster {
                 ..LifecycleConfig::default()
             },
             ..ClusterConfig::default()
-        },
+        }
+    }
+}
+
+/// Build the standard chaos cluster: the [`corner_cluster`] with `rs/*`
+/// REGION-survivable and `zs/*` ZONE-survivable ranges, plus
+/// `cfg.cold_ranges` ZONE-survivable `cold<i>/*` ranges.
+pub fn build_chaos_cluster(cfg: &ChaosConfig) -> Cluster {
+    // Cold ranges are never addressed by the workload, so after the initial
+    // lease settles their leaders go quiet and quiesce. Crashing a region-0
+    // node then tests failover on a range whose leader hasn't heartbeat in
+    // a long time: followers must notice through the liveness check, not a
+    // missed heartbeat.
+    let mut ranges = vec![
+        (prefix_span("rs"), SurvivalGoal::Region),
+        (prefix_span("zs"), SurvivalGoal::Zone),
+    ];
+    ranges.extend(
+        (0..cfg.cold_ranges).map(|i| (prefix_span(&format!("cold{i}")), SurvivalGoal::Zone)),
     );
-    if let Some(bug) = cfg.arm_bug {
+    // Arming once the ranges exist is arming before: creating a range
+    // schedules no event, and `arm_bug` reaches every existing replica.
+    let (cluster, _) = corner_cluster(cfg.cluster_config(), &ranges);
+    match cfg.arm_bug {
+        None => cluster,
         #[cfg(feature = "injected-bug")]
-        cluster.arm_bug(bug);
+        Some(bug) => {
+            let mut cluster = cluster;
+            cluster.arm_bug(bug);
+            cluster
+        }
         #[cfg(not(feature = "injected-bug"))]
-        panic!("arming {bug:?} requires building mr-chaos with --features injected-bug");
+        Some(bug) => {
+            panic!("arming {bug:?} requires building mr-chaos with --features injected-bug")
+        }
     }
-    let db_regions: Vec<RegionId> = (0..3).map(RegionId).collect();
-    let home = RegionId(0);
-    let rs = derive_zone_config(
-        home,
-        &db_regions,
-        SurvivalGoal::Region,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    cluster
-        .create_range(Span::new(Key::from("rs/"), Key::from("rs0")), rs)
-        .expect("allocate rs range");
-    let zs = derive_zone_config(
-        home,
-        &db_regions,
-        SurvivalGoal::Zone,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    cluster
-        .create_range(Span::new(Key::from("zs/"), Key::from("zs0")), zs)
-        .expect("allocate zs range");
-    // Cold ranges: ZONE-survivable (all three voters on region 0's nodes)
-    // and never addressed by the workload, so after the initial lease
-    // settles their leaders go quiet and quiesce. Crashing a region-0
-    // node then tests failover on a range whose leader hasn't heartbeat
-    // in a long time: followers must notice through the liveness check,
-    // not a missed heartbeat.
-    for i in 0..cfg.cold_ranges {
-        let cold = derive_zone_config(
-            home,
-            &db_regions,
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        let start = format!("cold{i}/");
-        let end = format!("cold{i}0");
-        cluster
-            .create_range(
-                Span::new(Key::from(start.as_str()), Key::from(end.as_str())),
-                cold,
-            )
-            .expect("allocate cold range");
-    }
-    cluster
 }
 
 /// One closed-loop register client, moved through its continuation chain.
@@ -279,12 +250,28 @@ fn step(c: &mut Cluster, mut cl: Client) {
     // 12s mark fall back to fresh reads.
     let warmed_up = c.now() >= SimTime(SimDuration::from_secs(12).nanos());
     match cl.rng.next_below(100) {
-        0..=29 => write(c, cl, key),
-        // Multi-range transactions are the only ones whose parallel
-        // commit genuinely races the STAGING record against in-flight
-        // writes (a single-range put precedes the record in the same
-        // raft log, so the stage ack implies the put committed).
-        30..=39 => multi_write(c, cl),
+        0..=29 => write(c, cl, vec![key]),
+        // A two-key transaction spanning both key classes — and therefore
+        // two ranges, so the transaction record and the second write live
+        // in different raft logs. Multi-range transactions are the only
+        // ones whose parallel commit genuinely races the STAGING record
+        // against in-flight writes (a single-range put precedes the record
+        // in the same raft log, so the stage ack implies the put
+        // committed). The ZONE-survivable key comes first: the record
+        // anchors on the fast intra-region-quorum range while the
+        // REGION-survivable put crosses the WAN, which is the widest window
+        // between a STAGING ack and the last in-flight write landing.
+        30..=39 => {
+            let zone = format!(
+                "{ZONE_SURVIVABLE_PREFIX}k{}",
+                cl.rng.next_below(cl.keys_per_class)
+            );
+            let region = format!(
+                "{REGION_SURVIVABLE_PREFIX}k{}",
+                cl.rng.next_below(cl.keys_per_class)
+            );
+            write(c, cl, vec![zone, region])
+        }
         40..=64 => fresh_read(c, cl, key),
         65..=84 if warmed_up => stale_read(c, cl, key),
         // Bounded reads only touch the REGION-survivable range, which has
@@ -300,151 +287,59 @@ fn step(c: &mut Cluster, mut cl: Client) {
     }
 }
 
-fn write(c: &mut Cluster, cl: Client, key: String) {
-    let hist = cl.hist.clone();
-    let op = hist.invoke_write(c.now(), cl.id, &key);
-    let h = c.txn_begin(cl.gateway);
-    let value = Value::from(op.to_string().as_str());
-    c.txn_put(
-        h,
-        Key::from(key.as_str()),
-        Some(value),
-        Box::new(move |c, res| match res {
-            Ok(()) => c.txn_commit(
-                h,
-                Box::new(move |c, res| {
-                    let now = c.now();
-                    match res {
-                        Ok(ts) => hist.ok(now, op, Some(op), Some(ts)),
-                        // The commit RPC may have applied before the
-                        // response was lost — outcome unknown.
-                        Err(e) => hist.info(now, op, &fmt_err(&e)),
-                    }
-                    schedule_next(c, cl);
-                }),
-            ),
-            Err(e) => c.txn_rollback(
-                h,
-                Box::new(move |c, _| {
-                    let now = c.now();
-                    hist.fail(now, op, &fmt_err(&e));
-                    schedule_next(c, cl);
-                }),
-            ),
-        }),
-    );
-}
-
-/// A two-key transaction spanning both key classes — and therefore two
-/// ranges, so the transaction record and the second write live in
-/// different raft logs. The ZONE-survivable key comes first: the record
-/// anchors on the fast intra-region-quorum range while the
-/// REGION-survivable put crosses the WAN, which is the widest window
-/// between a STAGING ack and the last in-flight write landing.
-fn multi_write(c: &mut Cluster, mut cl: Client) {
-    let k1 = format!(
-        "{ZONE_SURVIVABLE_PREFIX}k{}",
-        cl.rng.next_below(cl.keys_per_class)
-    );
-    let k2 = format!(
-        "{REGION_SURVIVABLE_PREFIX}k{}",
-        cl.rng.next_below(cl.keys_per_class)
-    );
-    let hist = cl.hist.clone();
+/// Write every key in one transaction. Each write is its own history op,
+/// and all of them share the commit's verdict and timestamp.
+fn write(c: &mut Cluster, cl: Client, keys: Vec<String>) {
     let now = c.now();
-    let op1 = hist.invoke_write(now, cl.id, &k1);
-    let op2 = hist.invoke_write(now, cl.id, &k2);
-    let h = c.txn_begin(cl.gateway);
-    let v1 = Value::from(op1.to_string().as_str());
-    let v2 = Value::from(op2.to_string().as_str());
-    c.txn_put(
-        h,
-        Key::from(k1.as_str()),
-        Some(v1),
-        Box::new(move |c, res| match res {
-            Ok(()) => c.txn_put(
-                h,
-                Key::from(k2.as_str()),
-                Some(v2),
-                Box::new(move |c, res| match res {
-                    Ok(()) => c.txn_commit(
-                        h,
-                        Box::new(move |c, res| {
-                            let now = c.now();
-                            match res {
-                                Ok(ts) => {
-                                    // Atomicity: both writes share the
-                                    // commit verdict and timestamp.
-                                    hist.ok(now, op1, Some(op1), Some(ts));
-                                    hist.ok(now, op2, Some(op2), Some(ts));
-                                }
-                                Err(e) => {
-                                    let msg = fmt_err(&e);
-                                    hist.info(now, op1, &msg);
-                                    hist.info(now, op2, &msg);
-                                }
-                            }
-                            schedule_next(c, cl);
-                        }),
-                    ),
-                    Err(e) => c.txn_rollback(
-                        h,
-                        Box::new(move |c, _| {
-                            let now = c.now();
-                            let msg = fmt_err(&e);
-                            hist.fail(now, op1, &msg);
-                            hist.fail(now, op2, &msg);
-                            schedule_next(c, cl);
-                        }),
-                    ),
-                }),
-            ),
-            Err(e) => c.txn_rollback(
-                h,
-                Box::new(move |c, _| {
-                    let now = c.now();
-                    let msg = fmt_err(&e);
-                    hist.fail(now, op1, &msg);
-                    hist.fail(now, op2, &msg);
-                    schedule_next(c, cl);
-                }),
-            ),
-        }),
-    );
+    let ops: Vec<OpId> = keys
+        .iter()
+        .map(|k| cl.hist.invoke_write(now, cl.id, k))
+        .collect();
+    let writes = keys
+        .iter()
+        .zip(&ops)
+        .map(|(k, op)| {
+            (
+                Key::from(k.as_str()),
+                Some(Value::from(op.to_string().as_str())),
+            )
+        })
+        .collect();
+    run_txn(c, cl.gateway, None, writes, move |c, end| {
+        let now = c.now();
+        for &op in &ops {
+            match &end {
+                TxnEnd::Committed { ts, .. } => cl.hist.ok(now, op, Some(op), Some(*ts)),
+                TxnEnd::Aborted(e) => cl.hist.fail(now, op, &fmt_err(e)),
+                // The commit RPC may have applied before the response was
+                // lost — outcome unknown.
+                TxnEnd::CommitFailed(_, e) => cl.hist.info(now, op, &fmt_err(e)),
+            }
+        }
+        schedule_next(c, cl);
+    });
 }
 
 fn fresh_read(c: &mut Cluster, cl: Client, key: String) {
-    let hist = cl.hist.clone();
-    let op = hist.invoke(c.now(), cl.id, OpKind::FreshRead, &key, None, None);
-    let h = c.txn_begin(cl.gateway);
-    c.txn_get(
-        h,
-        Key::from(key.as_str()),
-        Box::new(move |c, res| match res {
-            Ok(v) => {
-                let value = parse_value(&v);
-                c.txn_commit(
-                    h,
-                    Box::new(move |c, res| {
-                        let now = c.now();
-                        match res {
-                            Ok(ts) => hist.ok(now, op, value, Some(ts)),
-                            // Read-only: nothing can have been written.
-                            Err(e) => hist.fail(now, op, &fmt_err(&e)),
-                        }
-                        schedule_next(c, cl);
-                    }),
-                );
+    let op = cl
+        .hist
+        .invoke(c.now(), cl.id, OpKind::FreshRead, &key, None, None);
+    run_txn(
+        c,
+        cl.gateway,
+        Some(Key::from(key.as_str())),
+        Vec::new(),
+        move |c, end| {
+            let now = c.now();
+            match end {
+                TxnEnd::Committed { ts, read } => cl.hist.ok(now, op, parse_value(&read), Some(ts)),
+                // Read-only: nothing can have been written.
+                TxnEnd::Aborted(e) | TxnEnd::CommitFailed(_, e) => {
+                    cl.hist.fail(now, op, &fmt_err(&e))
+                }
             }
-            Err(e) => c.txn_rollback(
-                h,
-                Box::new(move |c, _| {
-                    let now = c.now();
-                    hist.fail(now, op, &fmt_err(&e));
-                    schedule_next(c, cl);
-                }),
-            ),
-        }),
+            schedule_next(c, cl);
+        },
     );
 }
 

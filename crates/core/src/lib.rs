@@ -190,7 +190,7 @@ mod tests {
             SimDuration::from_millis(50)
         );
         assert_eq!(
-            db.cluster.cfg.closed_ts.max_clock_offset,
+            db.cluster.cfg.closed_ts.max_clock_offset(),
             SimDuration::from_millis(50)
         );
     }

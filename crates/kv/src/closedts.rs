@@ -63,15 +63,22 @@ pub struct ClosedTsParams {
     /// residual gateway↔leaseholder clock skew, so that a promise is still
     /// ahead of every reader's uncertainty limit when the *next* promise
     /// arrives. (§6.2.1 folds this into its latency estimates; we make it
-    /// explicit. The cluster derives it from the side-transport interval
-    /// and the configured skew amplitude.)
-    pub lead_slack: SimDuration,
+    /// explicit. `Cluster::new` derives it from the side-transport interval
+    /// and the configured skew amplitude, or takes
+    /// `ClusterConfig::lead_slack_override`.)
+    pub(crate) lead_slack: SimDuration,
     /// Maximum tolerated clock skew (uncertainty interval width).
-    pub max_clock_offset: SimDuration,
+    /// `Cluster::new` copies it from `ClusterConfig::clock`.
+    pub(crate) max_clock_offset: SimDuration,
 }
 
 impl ClosedTsParams {
     pub const DEFAULT_LAG_SECS: u64 = 3;
+
+    /// Maximum tolerated clock skew the lead covers.
+    pub fn max_clock_offset(&self) -> SimDuration {
+        self.max_clock_offset
+    }
 
     /// The future-time lead for GLOBAL ranges:
     /// `L_raft + L_replicate + slack + max_clock_offset`.

@@ -231,10 +231,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             seed: 0,
             clock,
-            closed_ts: ClosedTsParams {
-                max_clock_offset: clock.max_offset,
-                ..ClosedTsParams::default()
-            },
+            closed_ts: ClosedTsParams::default(),
             skew_amplitude: SimDuration(clock.max_offset.nanos() / 4),
             rpc_timeout: None,
             commit_wait_holds_locks: false,
@@ -256,7 +253,6 @@ impl ClusterConfig {
     /// Set `max_clock_offset`, keeping the derived fields consistent.
     pub fn with_max_offset(mut self, offset: SimDuration) -> Self {
         self.clock = ClockConfig::new(offset);
-        self.closed_ts.max_clock_offset = offset;
         self.skew_amplitude = SimDuration(offset.nanos() / 4);
         self
     }
@@ -499,6 +495,8 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(topo: Topology, mut cfg: ClusterConfig) -> Cluster {
+        // A GLOBAL range's lead covers the clock bound the nodes run with.
+        cfg.closed_ts.max_clock_offset = cfg.clock.max_offset;
         // A closed-timestamp promise must stay ahead of reader uncertainty
         // limits until the next side-transport publication lands: cover the
         // publication interval, twice the skew amplitude (gateway ahead,

@@ -16,9 +16,10 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-# crates/kv/clippy.toml and crates/sql/clippy.toml make walking a
-# HashMap/HashSet in mr-kv or mr-sql an error here (disallowed-methods):
-# iteration order there must be structural.
+# crates/{kv,sql,workload,chaos,sim,storage}/clippy.toml make walking a
+# HashMap/HashSet in those crates an error here (disallowed-methods):
+# iteration order there must be structural. Each file sits in its crate, not
+# at the root: clippy searches upward and would also gate crates/ledger.
 cargo clippy --workspace --all-targets -- -D warnings
 # The canary switch (`Cluster::arm_bug`, one `injected-bug` feature on
 # mr-kv, forwarded by mr-chaos) only compiles with the feature: lint it too.
@@ -81,7 +82,7 @@ panic_sites() {
         awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
     done | { grep -o 'unwrap()\|expect(\|panic!\|unreachable!' || true; } | wc -l
 }
-for entry in kv:23 sql:17 chaos:17 obs:2 workload:3 sim:1 storage:0 raft:0; do
+for entry in kv:23 sql:17 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
     crate="${entry%%:*}" ceiling="${entry#*:}"
     got="$(panic_sites "$crate")"
     if [ "$got" -gt "$ceiling" ]; then

@@ -90,7 +90,7 @@ fn follower_read_trace_has_no_cross_region_hop() {
 #[test]
 fn global_txn_commit_wait_covers_the_uncertainty_interval() {
     let mut db = traced_db(9);
-    let max_offset = db.cluster.cfg.closed_ts.max_clock_offset;
+    let max_offset = db.cluster.cfg.closed_ts.max_clock_offset();
     assert!(max_offset > SimDuration::ZERO);
 
     let sess = db.session_in_region("europe-west2", Some("movr"));
