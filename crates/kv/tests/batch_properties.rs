@@ -120,9 +120,9 @@ fn launch_txn(c: &mut Cluster, gateway: NodeId, idx: usize, recs: Rc<RefCell<Vec
 }
 
 /// The copy discipline of the replication path: a proposed batch is
-/// materialised once, and the paper's 3 voters + 2 non-voters, the appends
-/// in flight between them and every `take_committed` drain hold that one
-/// allocation — a re-sent or duplicated entry costs a pointer.
+/// materialised once, and the paper's 3 voters + 2 non-voters and every
+/// `take_committed` drain hold that one allocation; the appends in flight
+/// between them hold none — a re-sent or duplicated entry costs no handle.
 #[test]
 fn replication_shares_one_batch_allocation() {
     let now = SimTime::ZERO;
@@ -145,9 +145,10 @@ fn replication_shares_one_batch_allocation() {
         op: CmdOp::Noop,
     }]);
     let (_, first) = nodes[0].propose(batch.clone(), now).unwrap();
-    // A second proposal before any ack: its appends re-cover entry 1.
+    // A second proposal before any ack: its appends re-cover entry 1, as a
+    // view of the leader's log that holds no payload handle of its own.
     let (_, second) = nodes[0].propose(batch.clone(), now).unwrap();
-    assert_eq!(Rc::strong_count(&batch), 1 + 2 + 3 * 4, "log + appends");
+    assert_eq!(Rc::strong_count(&batch), 1 + 2, "the leader's log alone");
     // Deliver both rounds, the first one twice, and the resulting acks.
     for (to, msg) in first.clone().into_iter().chain(first).chain(second) {
         for (_, ack) in nodes[to as usize].step(0, msg, now) {

@@ -13,6 +13,13 @@
 //! the log (and thus closed timestamps) but never vote or count toward
 //! quorum.
 //!
+//! Copy discipline: a payload is materialised once, at the proposal, and
+//! every log and apply shares it (see [`Entry`]). An `AppendEntries`
+//! carries a [`Window`], a view of positions of the sender's log, so
+//! re-covering a follower's unacked window costs a reference count; the
+//! follower clones only the entries it appends. A truncation of a log that
+//! a window in flight still shares copies the kept prefix first.
+//!
 //! Simplifications (fine at simulation scale, documented in DESIGN.md):
 //! no snapshots or log truncation, no joint-consensus membership changes
 //! (the allocator fixes membership at range creation or swaps it wholesale
@@ -21,4 +28,4 @@
 
 pub mod state;
 
-pub use state::{Entry, Peer, RaftConfig, RaftMsg, RaftNode, Role};
+pub use state::{Entry, Peer, RaftConfig, RaftMsg, RaftNode, Role, Window};

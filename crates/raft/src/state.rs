@@ -1,5 +1,9 @@
 //! The Raft state machine.
 
+use std::cell::{Ref, RefCell};
+use std::fmt;
+use std::rc::Rc;
+
 use mr_sim::{SimDuration, SimTime};
 
 /// A replica's identity within its Raft group.
@@ -7,16 +11,58 @@ pub type Peer = u32;
 
 /// A replicated log entry carrying an opaque payload.
 ///
-/// Copy discipline: an entry is cloned into every `AppendEntries` that
-/// covers it and out of every [`RaftNode::take_committed`] drain, so `P`
+/// Copy discipline: an entry is cloned into every log that appends it and
+/// out of every [`RaftNode::take_committed`] drain, never into a message
+/// (an `AppendEntries` carries a [`Window`] of the sender's log). `P`
 /// should be a handle whose clone is a pointer copy (`mr-kv` uses
 /// `Rc<[Command]>`): the payload is materialised once at the proposal and
-/// every log, in-flight message and apply shares it.
+/// every log and apply shares it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Entry<P> {
     pub index: u64,
     pub term: u64,
     pub payload: P,
+}
+
+/// A replica's log, shared with the [`Window`]s it has sent. Appends go to
+/// the shared vector (a window reads only the positions it was cut with);
+/// truncation copies first when a window still shares it
+/// ([`RaftNode::truncate_log`]).
+type Log<P> = Rc<RefCell<Vec<Entry<P>>>>;
+
+/// The positions `[start, end)` of a sender's log, shared rather than
+/// copied: an append re-covers its follower's whole unacked window, and
+/// that costs one reference count. The sender only ever pushes to a log a
+/// window shares, and copies the kept prefix before it cuts one, so a
+/// window reads the entries it was cut with for as long as it lives.
+#[derive(Clone)]
+pub struct Window<P> {
+    log: Log<P>,
+    start: usize,
+    end: usize,
+}
+
+impl<P> Window<P> {
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The window's entries, borrowed from the sender's log. Drop the
+    /// borrow before handing control back to the sender.
+    pub fn entries(&self) -> Ref<'_, [Entry<P>]> {
+        Ref::map(self.log.borrow(), |log| &log[self.start..self.end])
+    }
+}
+
+/// Prints the entries, as the `Vec` it stands for would.
+impl<P: fmt::Debug> fmt::Debug for Window<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.entries().iter()).finish()
+    }
 }
 
 /// Raft messages exchanged between replicas of one group. The transport
@@ -27,7 +73,7 @@ pub enum RaftMsg<P> {
         term: u64,
         prev_index: u64,
         prev_term: u64,
-        entries: Vec<Entry<P>>,
+        entries: Window<P>,
         commit: u64,
     },
     AppendResp {
@@ -119,7 +165,7 @@ pub struct RaftNode<P> {
     role: Role,
     term: u64,
     voted_for: Option<Peer>,
-    log: Vec<Entry<P>>,
+    log: Log<P>,
     commit_index: u64,
     applied_index: u64,
     /// Known leader (for redirect hints).
@@ -159,7 +205,7 @@ impl<P: Clone> RaftNode<P> {
             role: Role::Follower,
             term: 0,
             voted_for: None,
-            log: Vec::new(),
+            log: Log::default(),
             commit_index: 0,
             applied_index: 0,
             leader_hint: None,
@@ -218,7 +264,7 @@ impl<P: Clone> RaftNode<P> {
     }
 
     pub fn last_index(&self) -> u64 {
-        self.log.len() as u64
+        self.log.borrow().len() as u64
     }
 
     /// Term of the last log entry (0 when the log is empty).
@@ -269,7 +315,7 @@ impl<P: Clone> RaftNode<P> {
     /// re-commit through normal replication.
     pub fn crash_volatile(&mut self, recovered_applied: u64, drop_unsynced_log: bool) {
         if drop_unsynced_log {
-            self.log.truncate(self.log_synced_index as usize);
+            self.truncate_log(self.log_synced_index);
         }
         self.after_log_change();
         self.role = Role::Follower;
@@ -283,14 +329,31 @@ impl<P: Clone> RaftNode<P> {
     }
 
     fn last_term(&self) -> u64 {
-        self.log.last().map_or(0, |e| e.term)
+        self.log.borrow().last().map_or(0, |e| e.term)
     }
 
     fn term_at(&self, index: u64) -> Option<u64> {
         if index == 0 {
             Some(0)
         } else {
-            self.log.get(index as usize - 1).map(|e| e.term)
+            self.log.borrow().get(index as usize - 1).map(|e| e.term)
+        }
+    }
+
+    /// Cut the log back to its first `len` entries. A [`Window`] still in
+    /// flight may share the log, so a shared log is not cut: this replica
+    /// moves to a copy of the kept prefix, and the window keeps reading the
+    /// entries it was cut with, exactly as a copied message would.
+    fn truncate_log(&mut self, len: u64) {
+        let len = len as usize;
+        if len >= self.log.borrow().len() {
+            return;
+        }
+        if Rc::strong_count(&self.log) > 1 {
+            let kept = self.log.borrow()[..len].to_vec();
+            self.log = Rc::new(RefCell::new(kept));
+        } else {
+            self.log.borrow_mut().truncate(len);
         }
     }
 
@@ -321,7 +384,7 @@ impl<P: Clone> RaftNode<P> {
             return None;
         }
         let index = self.last_index() + 1;
-        self.log.push(Entry {
+        self.log.borrow_mut().push(Entry {
             index,
             term: self.term,
             payload,
@@ -481,17 +544,22 @@ impl<P: Clone> RaftNode<P> {
     /// The append covering `[next, last]` for `peer`. Every append re-covers
     /// the whole unacked window rather than pipelining from `sent`: links
     /// reorder, and a follower can only accept an append whose predecessor
-    /// it already holds. The entries are clones of the log's (see
-    /// [`Entry`]), never copies of their payloads.
+    /// it already holds. The entries are a [`Window`] of the log: the
+    /// re-covered window costs a reference count, not a copy.
     fn append_for(&mut self, peer: Peer) -> RaftMsg<P> {
+        let end = self.log.borrow().len();
         let pr = &mut self.progress[peer as usize];
-        pr.sent = self.log.len() as u64;
+        pr.sent = end as u64;
         let prev_index = pr.next - 1;
         RaftMsg::AppendEntries {
             term: self.term,
             prev_index,
             prev_term: self.term_at(prev_index).unwrap_or(0),
-            entries: self.log.get(prev_index as usize..).unwrap_or(&[]).to_vec(),
+            entries: Window {
+                log: Rc::clone(&self.log),
+                start: (prev_index as usize).min(end),
+                end,
+            },
             commit: self.commit_index,
         }
     }
@@ -599,7 +667,7 @@ impl<P: Clone> RaftNode<P> {
         term: u64,
         prev_index: u64,
         prev_term: u64,
-        entries: Vec<Entry<P>>,
+        entries: Window<P>,
         commit: u64,
         now: SimTime,
     ) -> Vec<(Peer, RaftMsg<P>)> {
@@ -618,28 +686,37 @@ impl<P: Clone> RaftNode<P> {
             let hint = self.last_index().min(prev_index.saturating_sub(1));
             return self.append_resp(from, false, hint);
         }
+        let window = entries.entries();
         // Log Matching: if our entry at the last index the append overlaps
         // carries the leader's term, everything up to it is identical — a
         // re-sent window is skipped without comparing it entry by entry.
-        let held = self.last_index().min(prev_index + entries.len() as u64);
+        let held = self.last_index().min(prev_index + window.len() as u64);
         let skip = match (held - prev_index) as usize {
-            n if n > 0 && self.term_at(held) == Some(entries[n - 1].term) => n,
+            n if n > 0 && self.term_at(held) == Some(window[n - 1].term) => n,
             _ => 0,
         };
-        // Append, truncating any divergent suffix.
-        for e in entries.into_iter().skip(skip) {
-            let pos = e.index as usize - 1;
-            match self.log.get(pos) {
-                Some(existing) if existing.term == e.term => {} // already have it
-                _ => {
-                    self.log.truncate(pos);
-                    debug_assert_eq!(self.log.len(), pos, "log gap");
-                    self.log.push(e);
-                }
-            }
+        // Append from the first entry we lack, truncating any divergent
+        // suffix; only appended entries are cloned.
+        let rest = &window[skip..];
+        if let Some(i) = rest
+            .iter()
+            .position(|e| self.term_at(e.index) != Some(e.term))
+        {
+            self.truncate_log(rest[i].index - 1);
+            debug_assert_eq!(self.last_index() + 1, rest[i].index, "log gap");
+            self.log.borrow_mut().extend_from_slice(&rest[i..]);
         }
         self.after_log_change();
-        let match_index = self.last_index();
+        // Ack only what this append proved: the log matches the leader's
+        // through the window's end, and through our tail when our last entry
+        // is from the leader's own term (Log Matching). A longer stale
+        // suffix from an older term is not the leader's and must not count
+        // toward its quorum.
+        let match_index = if self.last_term() == term {
+            self.last_index()
+        } else {
+            prev_index + window.len() as u64
+        };
         self.commit_index = self.commit_index.max(commit.min(match_index));
         self.append_resp(from, true, match_index)
     }
@@ -760,7 +837,8 @@ impl<P: Clone> RaftNode<P> {
         if self.applied_index >= self.commit_index {
             return Vec::new();
         }
-        let out = self.log[self.applied_index as usize..self.commit_index as usize].to_vec();
+        let out =
+            self.log.borrow()[self.applied_index as usize..self.commit_index as usize].to_vec();
         self.applied_index = self.commit_index;
         out
     }
@@ -771,6 +849,18 @@ mod tests {
     use super::*;
 
     type Net = Vec<(Peer, Peer, RaftMsg<&'static str>)>; // (from, to, msg)
+
+    /// A window over entries that belong to no replica's log.
+    impl<P> From<Vec<Entry<P>>> for Window<P> {
+        fn from(entries: Vec<Entry<P>>) -> Window<P> {
+            let end = entries.len();
+            Window {
+                log: Rc::new(RefCell::new(entries)),
+                start: 0,
+                end,
+            }
+        }
+    }
 
     struct Group {
         nodes: Vec<RaftNode<&'static str>>,
@@ -902,7 +992,7 @@ mod tests {
         let mut g = Group::new(vec![0, 1, 2], vec![]);
         // Node 1 has a stale divergent entry from a dead term.
         g.node(1).term = 1;
-        g.node(1).log.push(Entry {
+        g.node(1).log.borrow_mut().push(Entry {
             index: 1,
             term: 1,
             payload: "stale",
@@ -914,8 +1004,8 @@ mod tests {
         let (_, msgs) = g.node(0).propose("fresh", SimTime::ZERO).unwrap();
         let net: Net = msgs.into_iter().map(|(to, m)| (0, to, m)).collect();
         g.settle(net, SimTime::ZERO);
-        assert_eq!(g.node(1).log.len(), 1);
-        assert_eq!(g.node(1).log[0].payload, "fresh");
+        assert_eq!(g.node(1).log.borrow().len(), 1);
+        assert_eq!(g.node(1).log.borrow()[0].payload, "fresh");
         assert_eq!(g.node(0).commit_index(), 1);
     }
 
@@ -936,13 +1026,13 @@ mod tests {
         entries: &[Entry<&'static str>],
     ) -> u64 {
         g.node(1).term = 3;
-        g.node(1).log = log.to_vec();
+        g.node(1).log = Rc::new(RefCell::new(log.to_vec()));
         let prev_term = g.node(1).term_at(prev_index).unwrap();
         let msg = RaftMsg::AppendEntries {
             term: 3,
             prev_index,
             prev_term,
-            entries: entries.to_vec(),
+            entries: entries.to_vec().into(),
             commit: 0,
         };
         match g.node(1).step(0, msg, SimTime::ZERO).pop() {
@@ -965,21 +1055,21 @@ mod tests {
         // Divergence (index 2) *before* the last overlapping entry (index 3).
         let stale = [entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
         assert_eq!(follower_append(&mut g, &stale, 0, &leader), 3);
-        assert_eq!(g.node(1).log, leader);
+        assert_eq!(*g.node(1).log.borrow(), leader);
         // Divergence *at* the last overlapping entry, stale tail beyond it.
         let stale = [entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
         assert_eq!(follower_append(&mut g, &stale, 0, &leader[..2]), 2);
-        assert_eq!(g.node(1).log, leader[..2]);
+        assert_eq!(*g.node(1).log.borrow(), leader[..2]);
         // Divergence right behind `prev_index`: nothing is skipped.
         assert_eq!(follower_append(&mut g, &stale, 1, &leader[1..]), 3);
-        assert_eq!(g.node(1).log, leader);
+        assert_eq!(*g.node(1).log.borrow(), leader);
         // A re-sent, shorter window is a held prefix: skipped whole, and the
         // entry past it must survive.
         assert_eq!(follower_append(&mut g, &leader, 0, &leader[..2]), 3);
-        assert_eq!(g.node(1).log, leader);
+        assert_eq!(*g.node(1).log.borrow(), leader);
         // A window reaching past the held prefix appends only the rest.
         assert_eq!(follower_append(&mut g, &leader[..2], 1, &leader[1..]), 3);
-        assert_eq!(g.node(1).log, leader);
+        assert_eq!(*g.node(1).log.borrow(), leader);
     }
 
     #[test]
@@ -1000,7 +1090,9 @@ mod tests {
         }
         let (_, msgs) = g.node(0).propose("g", SimTime::ZERO).unwrap();
         match &msgs[0] {
-            (1, RaftMsg::AppendEntries { entries, .. }) => assert_eq!(entries[0].index, 6),
+            (1, RaftMsg::AppendEntries { entries, .. }) => {
+                assert_eq!(entries.entries()[0].index, 6)
+            }
             m => panic!("unexpected {m:?}"),
         }
     }
@@ -1008,7 +1100,7 @@ mod tests {
     #[test]
     fn vote_denied_to_stale_log() {
         let mut g = Group::new(vec![0, 1, 2], vec![]);
-        g.node(1).log.push(Entry {
+        g.node(1).log.borrow_mut().push(Entry {
             index: 1,
             term: 1,
             payload: "x",
@@ -1314,7 +1406,7 @@ mod tests {
         let mut g = Group::new(vec![0, 1, 2], vec![]);
         g.node(0).bootstrap_leader(SimTime::ZERO);
         g.node(0).term = 3;
-        g.node(0).log.push(Entry {
+        g.node(0).log.borrow_mut().push(Entry {
             index: 1,
             term: 3,
             payload: "committed",
@@ -1322,7 +1414,7 @@ mod tests {
         g.node(0).commit_index = 1;
         g.node(0).applied_index = 1;
         g.node(2).term = 3;
-        g.node(2).log.push(Entry {
+        g.node(2).log.borrow_mut().push(Entry {
             index: 1,
             term: 2,
             payload: "divergent",
@@ -1357,5 +1449,135 @@ mod tests {
         let c2 = g.node(0).take_committed();
         assert_eq!(c2.len(), 1);
         assert_eq!(c2[0].index, 3);
+    }
+
+    /// The payloads of `node`'s log, in order.
+    fn payloads(g: &mut Group, node: Peer) -> Vec<&'static str> {
+        g.node(node)
+            .log
+            .borrow()
+            .iter()
+            .map(|e| e.payload)
+            .collect()
+    }
+
+    /// The payloads an append carries.
+    fn carried(msg: &RaftMsg<&'static str>) -> Vec<&'static str> {
+        match msg {
+            RaftMsg::AppendEntries { entries, .. } => {
+                entries.entries().iter().map(|e| e.payload).collect()
+            }
+            m => panic!("unexpected {m:?}"),
+        }
+    }
+
+    #[test]
+    fn stale_suffix_beyond_the_append_is_not_acked() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        // Follower 1 kept an uncommitted term-2 suffix; the term-3 leader
+        // never saw it.
+        g.node(1).term = 2;
+        *g.node(1).log.borrow_mut() = vec![entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
+        g.node(0).term = 3;
+        g.node(0).log.borrow_mut().push(entry(1, 1, "a"));
+        g.node(0).become_leader(SimTime::ZERO);
+        // The leader's first append is empty and matches at index 1: it
+        // proves nothing past index 1.
+        let msgs = g.node(0).broadcast_appends(SimTime::ZERO);
+        let (_, first) = msgs.into_iter().find(|(to, _)| *to == 1).unwrap();
+        assert_eq!(carried(&first), Vec::<&str>::new());
+        let out = g.node(1).step(0, first, SimTime::ZERO);
+        match &out[..] {
+            [(
+                0,
+                RaftMsg::AppendResp {
+                    success: true,
+                    match_index,
+                    ..
+                },
+            )] => {
+                assert_eq!(*match_index, 1)
+            }
+            m => panic!("unexpected {m:?}"),
+        }
+        for (to, ack) in out {
+            g.node(0).step(1, ack, SimTime::ZERO);
+            assert_eq!(to, 0);
+        }
+        // Index 2 is held by the leader alone: it must not commit.
+        let (idx, msgs) = g.node(0).propose("b", SimTime::ZERO).unwrap();
+        assert_eq!(idx, 2);
+        assert_eq!(g.node(0).commit_index(), 0, "committed on a stale ack");
+        // Once follower 1 really holds it, it commits.
+        let net: Net = msgs
+            .into_iter()
+            .filter(|(to, _)| *to == 1)
+            .map(|(to, m)| (0, to, m))
+            .collect();
+        g.settle(net, SimTime::ZERO);
+        assert_eq!(payloads(&mut g, 1), ["a", "b"]);
+        assert_eq!(g.node(0).commit_index(), 2);
+    }
+
+    #[test]
+    fn in_flight_append_outlives_the_overwritten_suffix() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        g.node(0).bootstrap_leader(SimTime::ZERO);
+        g.node(0).propose_batched("a").unwrap();
+        g.node(0).propose_batched("b").unwrap();
+        let in_flight = g.node(0).flush_appends(SimTime::ZERO);
+        // Node 0 is deposed before its append lands: a term-2 leader
+        // overwrites its whole suffix.
+        let overwrite = RaftMsg::AppendEntries {
+            term: 2,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![entry(1, 2, "x")].into(),
+            commit: 0,
+        };
+        g.node(0).step(1, overwrite, SimTime::ZERO);
+        assert_eq!(g.node(0).role(), Role::Follower);
+        assert_eq!(payloads(&mut g, 0), ["x"]);
+        // The old append still carries, and delivers, what it was cut with.
+        let (to, msg) = in_flight.into_iter().find(|(to, _)| *to == 2).unwrap();
+        assert_eq!(carried(&msg), ["a", "b"]);
+        // It prints as the `Vec` it stands for.
+        let RaftMsg::AppendEntries { entries, .. } = &msg else {
+            unreachable!()
+        };
+        let copy = entries.entries().to_vec();
+        assert_eq!(format!("{entries:?}"), format!("{copy:?}"));
+        assert_eq!(format!("{entries:#?}"), format!("{copy:#?}"));
+        g.node(to).step(0, msg, SimTime::ZERO);
+        assert_eq!(payloads(&mut g, 2), ["a", "b"]);
+        assert_eq!(payloads(&mut g, 0), ["x"]);
+    }
+
+    #[test]
+    fn in_flight_append_outlives_a_crash_that_drops_the_log() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        g.node(0).bootstrap_leader(SimTime::ZERO);
+        g.node(0).set_defer_log_sync(true);
+        g.node(0).propose_batched("a").unwrap();
+        g.node(0).propose_batched("b").unwrap();
+        let in_flight = g.node(0).flush_appends(SimTime::ZERO);
+        // Nothing was fsynced: the crash loses the whole log.
+        g.node(0).crash_volatile(0, true);
+        assert_eq!(g.node(0).last_index(), 0);
+        for (to, msg) in in_flight {
+            assert_eq!(carried(&msg), ["a", "b"]);
+            g.node(to).step(0, msg, SimTime::ZERO);
+            assert_eq!(payloads(&mut g, to), ["a", "b"]);
+        }
+        // The crashed replica's fresh log takes appends of its own.
+        let repair = RaftMsg::AppendEntries {
+            term: 1,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![entry(1, 1, "a")].into(),
+            commit: 0,
+        };
+        g.node(0).step(1, repair, SimTime::ZERO);
+        assert_eq!(payloads(&mut g, 0), ["a"]);
     }
 }

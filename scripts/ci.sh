@@ -92,7 +92,7 @@ for entry in kv:23 sql:17 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
     echo "$crate: $got non-test panic sites (ceiling $ceiling)"
 done
 
-echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under their ceilings"
+echo "==> allocation and RSS ratchets: host.allocs_per_op, host.alloc_bytes_per_op, peak_rss_mb under their ceilings"
 # Heap allocations per operation repeat for a seed (to the fifth digit), so
 # they gate where host time cannot: a clone per statement, a label lookup per
 # KV op or a `format!` for a span that is off shows up here as a count. The
@@ -100,7 +100,15 @@ echo "==> allocation and RSS ratchets: host.allocs_per_op, peak_rss_mb under the
 # ratchet: a change that removes allocations lowers them, one that adds them
 # back fails. `tpcc_nothink` read 2,235.9 while every index key cloned its
 # columns and regrew its buffer, 2,134.6 since a key is encoded from the row
-# into one buffer sized for it.
+# into one buffer sized for it, and 2,045.0 since a Raft append carries a view
+# of the leader's log instead of a copy of every unacked entry.
+#
+# Bytes allocated per operation gate that copy: an append re-covers its
+# follower's whole unacked window (34 entries on `regional_ycsb_a`, 25 on
+# `tpcc_nothink`), so a per-message copy of it coming back shows up in bytes
+# long before it shows up in counts. `regional_ycsb_a` read 30,192 B per op
+# and `tpcc_nothink` 371,178 B while every append cloned its window, 15,958
+# and 305,874 B since.
 #
 # Peak RSS on `wide_idle` (260 ranges x 28 replicas, nearly no traffic) is
 # what range state costs once per range plus what each of the 7,280 replicas
@@ -140,24 +148,28 @@ ledger_ceilings() {
         echo "$workload: $got $what (ceiling $ceiling)"
     done
 }
-ledger_ceilings global_ycsb_b host.allocs_per_op 73 "allocations per op"
-ledger_ceilings tpcc_nothink host.allocs_per_op 2348 "allocations per op"
+ledger_ceilings global_ycsb_b host.allocs_per_op 71 "allocations per op"
+ledger_ceilings tpcc_nothink \
+    host.allocs_per_op 2249 "allocations per op" \
+    host.alloc_bytes_per_op 336500 "bytes allocated per op"
 # `regional_ycsb_a` read 111.0 allocations per op while index keys cloned
-# their columns, 109.5 since.
+# their columns, 109.5 since, and 99.3 since Raft appends stopped copying.
 ledger_ceilings regional_ycsb_a \
     peak_rss_mb 26 "MiB peak RSS" \
-    host.allocs_per_op 120 "allocations per op"
+    host.allocs_per_op 109 "allocations per op" \
+    host.alloc_bytes_per_op 17560 "bytes allocated per op"
 # The idle run counted in allocations: 477.7 per op while every
 # side-transport tick built a `Vec` of updates per (sender, destination)
 # pair, 310.2 with one shared batch per sender, 259.1 once index keys stopped
-# regrowing their buffers. A per-replica or per-pair allocation
+# regrowing their buffers, 255.3 once Raft appends stopped copying their
+# window. A per-replica or per-pair allocation
 # on a periodic path shows up here as a count. Counted in calendar events:
 # 74.4 per op while every side-transport delivery was an event, 16.4 since a
 # batch that repeats its sender's previous one waits in the receiver's inbox
 # instead. A per-link event per tick coming back shows up here.
 ledger_ceilings wide_idle \
     peak_rss_mb 40 "MiB peak RSS" \
-    host.allocs_per_op 285 "allocations per op" \
+    host.allocs_per_op 280 "allocations per op" \
     sim.events_per_op 18 "calendar events per op"
 
 echo "==> strict-monitor perf_probe smoke"
