@@ -1177,8 +1177,8 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
         let j = rng.index(i + 1);
         lookups.swap(i, j);
     }
-    let probes0 = eng.stats().bloom_probes.get();
-    let skips0 = eng.stats().bloom_skips.get();
+    let probes0 = eng.stats().run_probes.get();
+    let skips0 = eng.stats().run_skips.get();
     let read_ts = Timestamp::new(idx * ns, 0);
     let ctx = ReadCtx::fresh(read_ts, read_ts);
     let mut hits = 0u64;
@@ -1189,8 +1189,8 @@ pub fn storage_probe(seed: u64) -> StorageProbeReport {
         hits += u64::from(out.value.is_some());
     }
     assert_eq!(hits as usize, runs * per_run, "every present key was found");
-    let bloom_probes = eng.stats().bloom_probes.get() - probes0;
-    let bloom_skips = eng.stats().bloom_skips.get() - skips0;
+    let bloom_probes = eng.stats().run_probes.get() - probes0;
+    let bloom_skips = eng.stats().run_skips.get() - skips0;
     let bloom_skip_milli = bloom_skips * 1000 / bloom_probes.max(1);
 
     // ---- Workload B: overwrite-heavy GC under a protection -----------

@@ -301,8 +301,8 @@ impl Cluster {
                 s.sst_count += rep.store.sst_count() as i64;
                 s.sst_versions += rep.store.sst_version_count() as i64;
                 s.memtable_versions += rep.store.mem_version_count() as i64;
-                s.bloom_probes += e.bloom_probes.get() as i64;
-                s.bloom_skips += e.bloom_skips.get() as i64;
+                s.run_probes += e.run_probes.get() as i64;
+                s.run_skips += e.run_skips.get() as i64;
                 s.gc_reclaimed += e.gc_reclaimed as i64;
                 s.flushes += e.flushes as i64;
                 s.compactions += e.compactions as i64;

@@ -143,8 +143,8 @@ pub(crate) struct ScrapeStats {
     pub sst_count: i64,
     pub sst_versions: i64,
     pub memtable_versions: i64,
-    pub bloom_probes: i64,
-    pub bloom_skips: i64,
+    pub run_probes: i64,
+    pub run_skips: i64,
     pub gc_reclaimed: i64,
     pub flushes: i64,
     pub compactions: i64,
@@ -179,8 +179,9 @@ const SCRAPE_GAUGES: [ScrapeGaugeRow; 22] = [
     ("storage.sst_count", &[], |s| s.sst_count),
     ("storage.sst_versions", &[], |s| s.sst_versions),
     ("storage.memtable_versions", &[], |s| s.memtable_versions),
-    ("storage.bloom_probes", &[], |s| s.bloom_probes),
-    ("storage.bloom_skips", &[], |s| s.bloom_skips),
+    // Named from when runs carried bloom filters; the ledger reads them so.
+    ("storage.bloom_probes", &[], |s| s.run_probes),
+    ("storage.bloom_skips", &[], |s| s.run_skips),
     ("storage.gc_reclaimed", &[], |s| s.gc_reclaimed),
     ("storage.flushes", &[], |s| s.flushes),
     ("storage.compactions", &[], |s| s.compactions),

@@ -14,7 +14,8 @@
 //! 2. **Apply** (every replica, on commit): deterministically apply the
 //!    command to the MVCC store, advance the closed-timestamp tracker, and
 //!    on the leaseholder, release locks, wake waiters, and answer the
-//!    parked RPC.
+//!    waiting RPC with what applying did — the answer is decided here, not
+//!    at evaluation (DESIGN §9, "Who answers a command").
 //!
 //! Reads never go through Raft: the leaseholder serves them from applied
 //! state (recording them in the timestamp cache), and followers serve them
@@ -47,7 +48,8 @@ pub struct Command {
 /// commit). Commands evaluated close together — a transaction's pipelined
 /// intents, its STAGING record, concurrent 1PC writes — coalesce into one
 /// entry and therefore one consensus round; apply fans the batch back out
-/// into per-command effects and responses.
+/// into per-command effects, and answers each slot's proposal with what
+/// applying its command did.
 ///
 /// A shared handle: the batch is materialised once, at the proposal, and the
 /// leader's log, every in-flight `AppendEntries`, every follower's log and
@@ -153,9 +155,11 @@ pub enum EvalOutcome {
     /// the blocking transaction so intents orphaned by a dead coordinator
     /// are recovered.
     Parked { key: Key, holder: TxnMeta },
-    /// A command was proposed; the response fires when it applies. The Raft
-    /// messages must be delivered by the caller. Batched proposals produce
-    /// no messages here — they ship on the next flush (or heartbeat).
+    /// A command was proposed; the response is decided and sent when it
+    /// applies (or a redirect, if another leader's entry takes its slot).
+    /// The Raft messages must be delivered by the caller. Batched proposals
+    /// produce no messages here — they ship on the next flush (or
+    /// heartbeat).
     Proposed { msgs: Vec<(Peer, RaftMsg<Batch>)> },
 }
 
@@ -172,9 +176,10 @@ pub struct EvalCtx<'a> {
     pub stale_read_bug: bool,
 }
 
+/// A proposal waiting for its log slot to apply: who to answer, and the
+/// term it was proposed in (an `Ok` answer goes out only in that term).
 struct PendingProp {
     path: ReplyPath,
-    response: Response,
     term: u64,
 }
 
@@ -202,12 +207,12 @@ pub struct Replica {
     pub lease: ClosedTsLeaseState,
     pub policy: ClosedTsPolicy,
     /// In-flight proposals, keyed by `(log index, slot within the batch)`:
-    /// apply fans each entry back out into per-slot responses.
+    /// apply answers each slot's proposal from what its command did.
     pending_props: HashMap<(u64, usize), PendingProp>,
-    /// Commands evaluated but not yet appended to the Raft log: the
-    /// group-commit staging area. Drained into a single multi-command
-    /// entry by [`Replica::flush_batch`].
-    batch_buf: Vec<(Command, Response, ReplyPath)>,
+    /// Commands evaluated but not yet appended to the Raft log, each with
+    /// the RPC its apply answers: the group-commit staging area. Drained
+    /// into a single multi-command entry by [`Replica::flush_batch`].
+    batch_buf: Vec<(Command, ReplyPath)>,
     /// Batch sizes of flushed proposals since the last metrics scrape
     /// (feeds the `raft.batch_occupancy` histogram).
     prop_occupancy: Vec<u32>,
@@ -363,46 +368,37 @@ impl Replica {
     }
 
     fn evaluate_at_follower(&mut self, req: Request, ctx: &EvalCtx<'_>) -> EvalOutcome {
-        match req {
-            Request::Get { ctx: rctx, key } => {
-                let closed = self.tracker.closed();
-                if closed < rctx.uncertainty_limit && !ctx.stale_read_bug {
-                    return EvalOutcome::Reply(Err(KvError::FollowerReadUnavailable {
-                        range: self.range,
-                        read_ts: rctx.read_ts,
-                        closed_ts: closed,
-                        leaseholder: ctx.leaseholder,
-                    }));
-                }
-                match self.store.get(&key, &rctx) {
-                    Ok(out) => EvalOutcome::Reply(Ok(Response::Get {
-                        value: out.value,
-                        value_ts: out.value_ts,
-                    })),
-                    Err(e) => EvalOutcome::Reply(Err(self.map_mvcc_err(e, ctx.leaseholder))),
-                }
+        // The follower-read gate: serve only once the read's whole
+        // uncertainty window is closed.
+        if let Request::Get { ctx: rctx, .. } | Request::Scan { ctx: rctx, .. } = &req {
+            let closed = self.tracker.closed();
+            if closed < rctx.uncertainty_limit && !ctx.stale_read_bug {
+                return EvalOutcome::Reply(Err(KvError::FollowerReadUnavailable {
+                    range: self.range,
+                    read_ts: rctx.read_ts,
+                    closed_ts: closed,
+                    leaseholder: ctx.leaseholder,
+                }));
             }
+        }
+        match req {
+            Request::Get { ctx: rctx, key } => match self.store.get(&key, &rctx) {
+                Ok(out) => EvalOutcome::Reply(Ok(Response::Get {
+                    value: out.value,
+                    value_ts: out.value_ts,
+                })),
+                Err(e) => EvalOutcome::Reply(Err(self.map_mvcc_err(e, ctx.leaseholder))),
+            },
             Request::Scan {
                 ctx: rctx,
                 span,
                 max_keys,
-            } => {
-                let closed = self.tracker.closed();
-                if closed < rctx.uncertainty_limit && !ctx.stale_read_bug {
-                    return EvalOutcome::Reply(Err(KvError::FollowerReadUnavailable {
-                        range: self.range,
-                        read_ts: rctx.read_ts,
-                        closed_ts: closed,
-                        leaseholder: ctx.leaseholder,
-                    }));
-                }
-                match self.store.scan(&span, &rctx, max_keys) {
-                    Ok(rows) => EvalOutcome::Reply(Ok(Response::Scan {
-                        rows: rows.into_iter().map(|(k, v, _)| (k, v)).collect(),
-                    })),
-                    Err(e) => EvalOutcome::Reply(Err(self.map_mvcc_err(e, ctx.leaseholder))),
-                }
-            }
+            } => match self.store.scan(&span, &rctx, max_keys) {
+                Ok(rows) => EvalOutcome::Reply(Ok(Response::Scan {
+                    rows: rows.into_iter().map(|(k, v, _)| (k, v)).collect(),
+                })),
+                Err(e) => EvalOutcome::Reply(Err(self.map_mvcc_err(e, ctx.leaseholder))),
+            },
             Request::Negotiate { span } => EvalOutcome::Reply(Ok(self.negotiate(&span))),
             _ => EvalOutcome::Reply(Err(KvError::NotLeaseholder {
                 range: self.range,
@@ -706,9 +702,7 @@ impl Replica {
         ts = ts.forward(self.tscache.max_read_ts(&key, Some(txn.id)).next());
         // 2. Above the closed-timestamp promise. For GLOBAL (Lead) ranges
         //    this is what schedules the write in the future (§6.2.1).
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        ts = ts.forward(self.lease.min_write_ts());
+        ts = ts.forward(self.advance_promise(hlc, ctx));
         // 3. Above any newer committed version (write-too-old).
         if let Some(latest) = self.store.latest_committed_ts(&key) {
             ts = ts.forward(latest.next());
@@ -716,15 +710,12 @@ impl Replica {
         let mut meta = txn;
         meta.write_ts = ts;
         self.locks.acquire(&key, meta.clone());
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::Put {
-                key,
-                value,
-                txn: meta,
-            },
+        let op = CmdOp::Put {
+            key,
+            value,
+            txn: meta,
         };
-        self.propose(cmd, Response::Put { written_ts: ts }, path, ctx.now)
+        self.propose(op, path)
     }
 
     /// One-phase commit (the CRDB 1PC fast path): evaluate every write,
@@ -786,9 +777,7 @@ impl Replica {
                 ts = ts.forward(latest.next());
             }
         }
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        ts = ts.forward(self.lease.min_write_ts());
+        ts = ts.forward(self.advance_promise(hlc, ctx));
         // If the timestamp moved and some reads live on other ranges, we
         // cannot validate them here: refuse without side effects and let
         // the coordinator run the two-phase path.
@@ -815,16 +804,13 @@ impl Replica {
         for (key, _) in &writes {
             self.locks.acquire(key, meta.clone());
         }
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::Commit1PC {
-                txn_id: meta.id,
-                commit_ts: ts,
-                writes,
-                resolve_inline,
-            },
+        let op = CmdOp::Commit1PC {
+            txn_id: meta.id,
+            commit_ts: ts,
+            writes,
+            resolve_inline,
         };
-        self.propose(cmd, Response::CommitInline { commit_ts: ts }, path, ctx.now)
+        self.propose(op, path)
     }
 
     fn lh_end_txn(
@@ -861,23 +847,12 @@ impl Replica {
         } else {
             TxnStatus::Aborted
         };
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::TxnRecord {
-                txn_id: txn.id,
-                rec: TxnRecord::finalized(status, txn.write_ts),
-            },
+        self.advance_promise(hlc, ctx);
+        let op = CmdOp::TxnRecord {
+            txn_id: txn.id,
+            rec: TxnRecord::finalized(status, txn.write_ts),
         };
-        self.propose(
-            cmd,
-            Response::EndTxn {
-                commit_ts: txn.write_ts,
-            },
-            path,
-            ctx.now,
-        )
+        self.propose(op, path)
     }
 
     /// Write a STAGING record carrying the parallel commit's in-flight
@@ -905,27 +880,17 @@ impl Replica {
             }
             _ => {}
         }
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::TxnRecord {
-                txn_id: txn.id,
-                rec: TxnRecord {
-                    status: TxnStatus::Staging,
-                    commit_ts: txn.write_ts,
-                    in_flight,
-                },
-            },
+        self.advance_promise(hlc, ctx);
+        let rec = TxnRecord {
+            status: TxnStatus::Staging,
+            commit_ts: txn.write_ts,
+            in_flight,
         };
-        self.propose(
-            cmd,
-            Response::StageTxn {
-                commit_ts: txn.write_ts,
-            },
-            path,
-            ctx.now,
-        )
+        let op = CmdOp::TxnRecord {
+            txn_id: txn.id,
+            rec,
+        };
+        self.propose(op, path)
     }
 
     /// Finalize an abandoned STAGING record on behalf of a contender. The
@@ -958,35 +923,29 @@ impl Replica {
             }
             _ => {}
         }
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        let (status, cts) = if commit {
-            (TxnStatus::Committed, staged_ts)
-        } else {
-            (TxnStatus::Aborted, Timestamp::ZERO)
-        };
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::RecoverTxn {
-                txn_id,
-                staged_ts,
-                commit,
-            },
-        };
+        self.advance_promise(hlc, ctx);
+        let cmd = self.stamped(CmdOp::RecoverTxn {
+            txn_id,
+            staged_ts,
+            commit,
+        });
         // Deliberately NOT batched: the apply-time staged_ts guard decides
         // the race between this recovery and a coordinator re-stage by log
         // order, so the recovery must occupy its own entry at a definite
         // log position rather than ride in a coalesced batch whose flush
-        // timing would blur that ordering.
-        self.propose_unbatched(
-            cmd,
-            Response::RecoverTxn {
-                status,
-                commit_ts: cts,
-            },
-            path,
-            ctx.now,
-        )
+        // timing would blur that ordering. Any buffered batch is appended
+        // first so the log keeps evaluation order; the broadcast ships it
+        // too.
+        self.flush_buf_into_log();
+        let term = self.raft.term();
+        match self.raft.propose(Rc::new([cmd]), ctx.now) {
+            Some((index, msgs)) => {
+                self.pending_props
+                    .insert((index, 0), PendingProp { path, term });
+                EvalOutcome::Proposed { msgs }
+            }
+            None => EvalOutcome::Reply(Err(self.not_leader())),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1000,18 +959,14 @@ impl Replica {
         hlc: &mut Hlc,
         ctx: &EvalCtx<'_>,
     ) -> EvalOutcome {
-        let skew = hlc.physical_clock().skew_nanos();
-        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
-        let cmd = Command {
-            closed_ts: self.lease.promised(),
-            op: CmdOp::Resolve {
-                key,
-                txn_id,
-                status,
-                commit_ts,
-            },
+        self.advance_promise(hlc, ctx);
+        let op = CmdOp::Resolve {
+            key,
+            txn_id,
+            status,
+            commit_ts,
         };
-        self.propose(cmd, Response::ResolveIntent, path, ctx.now)
+        self.propose(op, path)
     }
 
     fn lh_refresh(
@@ -1035,58 +990,43 @@ impl Replica {
         }
     }
 
-    fn propose(
-        &mut self,
-        cmd: Command,
-        response: Response,
-        path: ReplyPath,
-        _now: SimTime,
-    ) -> EvalOutcome {
+    /// Advance the lease's closed-timestamp promise to now (§5.1.1) and
+    /// return the lowest timestamp a write may take under it.
+    fn advance_promise(&mut self, hlc: &Hlc, ctx: &EvalCtx<'_>) -> Timestamp {
+        let skew = hlc.physical_clock().skew_nanos();
+        self.lease.advance(ctx.params, self.policy, ctx.now, skew);
+        self.lease.min_write_ts()
+    }
+
+    /// `op` as a command carrying the lease's current promise.
+    fn stamped(&self, op: CmdOp) -> Command {
+        Command {
+            closed_ts: self.lease.promised(),
+            op,
+        }
+    }
+
+    /// The redirect for a command this replica cannot propose: it no longer
+    /// leads.
+    fn not_leader(&self) -> KvError {
+        KvError::NotLeaseholder {
+            range: self.range,
+            leaseholder: self.raft.leader_hint().map(|p| self.node_for_peer(p)),
+        }
+    }
+
+    /// Stamp `op` and buffer it; `path` is answered when it applies.
+    fn propose(&mut self, op: CmdOp, path: ReplyPath) -> EvalOutcome {
         // Group commit: the command is *buffered*, not yet appended — the
         // cluster schedules a flush, so commands evaluated close together —
         // a transaction's pipelined intents and its STAGING record — fold
         // into a single multi-command log entry and one consensus round.
         if !self.raft.is_leader() {
-            return EvalOutcome::Reply(Err(KvError::NotLeaseholder {
-                range: self.range,
-                leaseholder: self.raft.leader_hint().map(|p| self.node_for_peer(p)),
-            }));
+            return EvalOutcome::Reply(Err(self.not_leader()));
         }
-        self.batch_buf.push((cmd, response, path));
+        let cmd = self.stamped(op);
+        self.batch_buf.push((cmd, path));
         EvalOutcome::Proposed { msgs: Vec::new() }
-    }
-
-    /// Propose a command as its *own* log entry, broadcast immediately —
-    /// for operations whose apply-time semantics depend on strict log order
-    /// against re-proposals (see [`Replica::lh_recover_txn`]). Any buffered
-    /// batch is appended first so the log preserves evaluation order; the
-    /// broadcast ships it too.
-    fn propose_unbatched(
-        &mut self,
-        cmd: Command,
-        response: Response,
-        path: ReplyPath,
-        now: SimTime,
-    ) -> EvalOutcome {
-        self.flush_buf_into_log();
-        let term = self.raft.term();
-        match self.raft.propose(Rc::new([cmd]), now) {
-            Some((index, msgs)) => {
-                self.pending_props.insert(
-                    (index, 0),
-                    PendingProp {
-                        path,
-                        response,
-                        term,
-                    },
-                );
-                EvalOutcome::Proposed { msgs }
-            }
-            None => EvalOutcome::Reply(Err(KvError::NotLeaseholder {
-                range: self.range,
-                leaseholder: self.raft.leader_hint().map(|p| self.node_for_peer(p)),
-            })),
-        }
     }
 
     /// Append the buffered commands as one multi-command entry, registering
@@ -1105,13 +1045,9 @@ impl Replica {
         let cmds: Batch = buf
             .into_iter()
             .enumerate()
-            .map(|(slot, (cmd, response, path))| {
-                let prop = PendingProp {
-                    path,
-                    response,
-                    term,
-                };
-                self.pending_props.insert((index, slot), prop);
+            .map(|(slot, (cmd, path))| {
+                self.pending_props
+                    .insert((index, slot), PendingProp { path, term });
                 cmd
             })
             .collect();
@@ -1124,22 +1060,18 @@ impl Replica {
     /// commands cannot be proposed — each caller gets a `NotLeaseholder`
     /// redirect instead of a silent drop.
     pub fn flush_batch(&mut self, now: SimTime) -> (Vec<(Peer, RaftMsg<Batch>)>, Vec<Effect>) {
-        let mut effects = Vec::new();
         if !self.raft.is_leader() && !self.batch_buf.is_empty() {
-            let leaseholder = self.raft.leader_hint().map(|p| self.node_for_peer(p));
-            for (_cmd, _response, path) in self.batch_buf.drain(..) {
-                effects.push(Effect::Reply {
+            let err = self.not_leader();
+            let effects = (self.batch_buf.drain(..))
+                .map(|(_, path)| Effect::Reply {
                     path,
-                    result: Err(KvError::NotLeaseholder {
-                        range: self.range,
-                        leaseholder,
-                    }),
-                });
-            }
+                    result: Err(err.clone()),
+                })
+                .collect();
             return (Vec::new(), effects);
         }
         self.flush_buf_into_log();
-        (self.raft.flush_appends(now), effects)
+        (self.raft.flush_appends(now), Vec::new())
     }
 
     /// Whether a flush would do work: buffered commands or appended-but-
@@ -1152,6 +1084,27 @@ impl Replica {
     /// (metrics scrape).
     pub fn take_prop_occupancy(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.prop_occupancy)
+    }
+
+    /// Append `op` as its own log entry and broadcast it at once, stamped
+    /// with the closed timestamp this replica has applied or been promised.
+    /// For the leader-only entries, which answer no client; `None` when this
+    /// replica does not lead.
+    fn propose_alone(
+        &mut self,
+        op: CmdOp,
+        now: SimTime,
+        side_rx: SideRxAt<'_>,
+    ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
+        if !self.raft.is_leader() {
+            return None;
+        }
+        self.settle(side_rx);
+        let cmd = Command {
+            closed_ts: self.tracker.closed(),
+            op,
+        };
+        self.raft.propose(Rc::new([cmd]), now).map(|(_, msgs)| msgs)
     }
 
     /// Propose a leader no-op if this replica leads a term whose log tail
@@ -1168,15 +1121,8 @@ impl Replica {
         if !self.raft.is_leader() || self.raft.last_log_term() == self.raft.term() {
             return Vec::new();
         }
-        self.settle(side_rx);
-        let cmd = Command {
-            closed_ts: self.tracker.closed(),
-            op: CmdOp::Noop,
-        };
-        match self.raft.propose(Rc::new([cmd]), now) {
-            Some((_, msgs)) => msgs,
-            None => Vec::new(),
-        }
+        self.propose_alone(CmdOp::Noop, now, side_rx)
+            .unwrap_or_default()
     }
 
     /// Propose a replicated lease claim for this node (failover path). The
@@ -1191,21 +1137,15 @@ impl Replica {
         now: SimTime,
         side_rx: SideRxAt<'_>,
     ) -> Vec<(Peer, RaftMsg<Batch>)> {
-        if !self.raft.is_leader() || self.lease_claim_term == Some(self.raft.term()) {
+        if self.lease_claim_term == Some(self.raft.term()) {
             return Vec::new();
         }
-        self.settle(side_rx);
-        let cmd = Command {
-            closed_ts: self.tracker.closed(),
-            op: CmdOp::ClaimLease { node: self.node },
-        };
-        match self.raft.propose(Rc::new([cmd]), now) {
-            Some((_, msgs)) => {
-                self.lease_claim_term = Some(self.raft.term());
-                msgs
-            }
-            None => Vec::new(),
+        let claim = CmdOp::ClaimLease { node: self.node };
+        let msgs = self.propose_alone(claim, now, side_rx);
+        if msgs.is_some() {
+            self.lease_claim_term = Some(self.raft.term());
         }
+        msgs.unwrap_or_default()
     }
 
     /// Propose a range-lifecycle mutation (`Split` or `Merge`) as its own
@@ -1222,22 +1162,13 @@ impl Replica {
         now: SimTime,
         side_rx: SideRxAt<'_>,
     ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
-        if !self.raft.is_leader() || self.lifecycle_term == Some(self.raft.term()) {
+        if self.lifecycle_term == Some(self.raft.term()) {
             return None;
         }
         self.flush_buf_into_log();
-        self.settle(side_rx);
-        let cmd = Command {
-            closed_ts: self.tracker.closed(),
-            op,
-        };
-        match self.raft.propose(Rc::new([cmd]), now) {
-            Some((_, msgs)) => {
-                self.lifecycle_term = Some(self.raft.term());
-                Some(msgs)
-            }
-            None => None,
-        }
+        let msgs = self.propose_alone(op, now, side_rx)?;
+        self.lifecycle_term = Some(self.raft.term());
+        Some(msgs)
     }
 
     // ---------------------------------------------------------------
@@ -1265,9 +1196,8 @@ impl Replica {
         effects
     }
 
-    /// Apply one command of a batch entry. `(index, slot)` addresses the
-    /// pending proposal this command answers, so errors attribute to the
-    /// exact command that failed, not the whole batch.
+    /// Apply one command of a batch entry and answer the proposal waiting at
+    /// `(index, slot)`, if any, with what applying it did.
     fn apply_cmd(
         &mut self,
         cmd: &Command,
@@ -1276,99 +1206,74 @@ impl Replica {
         slot: usize,
         effects: &mut Vec<Effect>,
     ) {
-        let prop_key = (index, slot);
-        match &cmd.op {
-            CmdOp::Noop => {}
+        // `None` for the leader-only entries, which answer no client.
+        let result = match &cmd.op {
+            CmdOp::Noop => None,
             CmdOp::ClaimLease { node } => {
                 self.lease_claim_term = None;
                 effects.push(Effect::LeaseApplied { node: *node, index });
+                None
             }
             CmdOp::Put { key, value, txn } => {
                 // Lock discipline prevents conflicts while this replica
                 // holds the lease, but a pipelined proposal can commit
                 // *after* a lease failover — by then another transaction may
                 // hold the key (locks are leaseholder-local, not
-                // replicated). The store state is replicated, so the checks
-                // below are deterministic across replicas.
-                match self.store.put(key, value.clone(), txn) {
-                    Ok(out) => {
-                        if out.written_ts != txn.write_ts {
-                            // Bumped above a later committed value: report
-                            // the real timestamp so the coordinator refreshes
-                            // (or a parallel commit restages) instead of
-                            // acking at the staged timestamp.
-                            if let Some(prop) = self.pending_props.get_mut(&prop_key) {
-                                if let Response::Put { written_ts } = &mut prop.response {
-                                    *written_ts = out.written_ts;
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Another transaction's intent occupies the key: the
-                        // late write is dropped. Fail the proposal so the
-                        // coordinator aborts rather than acking a write that
-                        // never landed.
-                        if let Some(prop) = self.pending_props.remove(&prop_key) {
-                            let holder = self
-                                .store
-                                .intent(key)
-                                .map(|i| i.txn.clone())
-                                .expect("put only fails on a conflicting intent");
-                            effects.push(Effect::Reply {
-                                path: prop.path,
-                                result: Err(KvError::WriteIntent {
-                                    key: key.clone(),
-                                    intent_txn: holder,
-                                    leaseholder: None,
-                                }),
-                            });
-                        }
-                    }
-                }
+                // replicated). The store state is replicated, so what it
+                // does is deterministic across replicas: over a foreign
+                // intent the late write is dropped and fails, so the
+                // coordinator aborts rather than acking a write that never
+                // landed; above a later committed value it is bumped, and
+                // the real timestamp goes back so the coordinator refreshes
+                // (or a parallel commit restages).
+                let put = self.store.put(key, value.clone(), txn);
+                Some(match put {
+                    Ok(out) => Ok(Response::Put {
+                        written_ts: out.written_ts,
+                    }),
+                    Err(e) => Err(self.map_mvcc_err(e, None)),
+                })
             }
             CmdOp::TxnRecord { txn_id, rec: new } => {
-                match self.store.txn_record(*txn_id) {
+                let answer = |commit_ts| match new.status {
+                    TxnStatus::Staging => Response::StageTxn { commit_ts },
+                    _ => Response::EndTxn { commit_ts },
+                };
+                Some(match self.store.txn_record(*txn_id) {
                     Some(rec) if rec.status.is_finalized() => {
                         // Finalized records are immutable. A replayed entry
                         // agreeing with the recorded outcome reports the
                         // original commit timestamp; one that conflicts
                         // (e.g. a late stage after a recovery abort) fails.
-                        let (rstatus, cts) = (rec.status, rec.commit_ts);
+                        // A stage landing on a committed record means a
+                        // recovery already committed at the staged ts.
                         let agrees = match new.status {
-                            TxnStatus::Committed => rstatus == TxnStatus::Committed,
-                            TxnStatus::Aborted => rstatus == TxnStatus::Aborted,
-                            // A stage landing on a committed record means a
-                            // recovery already committed at the staged ts.
-                            TxnStatus::Staging => rstatus == TxnStatus::Committed,
+                            TxnStatus::Committed | TxnStatus::Staging => {
+                                rec.status == TxnStatus::Committed
+                            }
+                            TxnStatus::Aborted => rec.status == TxnStatus::Aborted,
                             TxnStatus::Pending => false,
                         };
                         if agrees {
-                            if let Some(prop) = self.pending_props.get_mut(&prop_key) {
-                                match &mut prop.response {
-                                    Response::EndTxn { commit_ts }
-                                    | Response::StageTxn { commit_ts } => *commit_ts = cts,
-                                    _ => {}
-                                }
-                            }
-                        } else if let Some(prop) = self.pending_props.remove(&prop_key) {
-                            effects.push(Effect::Reply {
-                                path: prop.path,
-                                result: Err(KvError::TxnAborted { id: *txn_id }),
-                            });
+                            Ok(answer(rec.commit_ts))
+                        } else {
+                            Err(KvError::TxnAborted { id: *txn_id })
                         }
                     }
                     // No record yet, or a STAGING record being re-staged or
                     // finalized: the new entry takes effect.
-                    _ => self.store.note_txn_record(*txn_id, new.clone()),
-                }
+                    _ => {
+                        self.store.note_txn_record(*txn_id, new.clone());
+                        Ok(answer(new.commit_ts))
+                    }
+                })
             }
             CmdOp::RecoverTxn {
                 txn_id,
                 staged_ts,
                 commit,
             } => {
-                let (status, cts) = match self.store.txn_record(*txn_id) {
+                let (status, commit_ts) = match self.store.txn_record(*txn_id) {
                     Some(rec)
                         if rec.status == TxnStatus::Staging && rec.commit_ts == *staged_ts =>
                     {
@@ -1396,56 +1301,37 @@ impl Replica {
                         (TxnStatus::Aborted, Timestamp::ZERO)
                     }
                 };
-                if let Some(prop) = self.pending_props.get_mut(&prop_key) {
-                    if let Response::RecoverTxn {
-                        status: s,
-                        commit_ts: c,
-                    } = &mut prop.response
-                    {
-                        *s = status;
-                        *c = cts;
-                    }
-                }
+                Some(Ok(Response::RecoverTxn { status, commit_ts }))
             }
             CmdOp::Commit1PC {
                 txn_id,
                 commit_ts,
                 writes,
                 resolve_inline,
-            } => {
-                if let Some((status, cts)) = self
-                    .store
-                    .txn_record(*txn_id)
-                    .map(|r| (r.status, r.commit_ts))
-                {
-                    // Replayed commit: a stalled first attempt and its retry
-                    // both made it into the log (leadership change mid-commit).
-                    // The first entry finalized the txn; drop the duplicate's
-                    // writes, release any locks its evaluation acquired, and
-                    // report the original timestamp to the waiting client.
+            } => Some(match self.store.txn_record(*txn_id) {
+                // Replayed commit: a stalled first attempt and its retry
+                // both made it into the log (leadership change mid-commit).
+                // The first entry finalized the txn; drop the duplicate's
+                // writes, release any locks its evaluation acquired, and
+                // report the first entry's outcome.
+                Some(rec) => {
+                    let (status, cts) = (rec.status, rec.commit_ts);
                     for (key, _) in writes {
-                        if self.locks.holder(key).is_some_and(|h| h.id == *txn_id) {
-                            for w in self.locks.release(key) {
-                                effects.push(Effect::ReEval { waiter: w });
-                            }
-                        }
+                        self.release_lock(key, *txn_id, effects);
                     }
                     if status == TxnStatus::Committed {
-                        if let Some(prop) = self.pending_props.get_mut(&prop_key) {
-                            if let Response::CommitInline { commit_ts } = &mut prop.response {
-                                *commit_ts = cts;
-                            }
-                        }
-                    } else if let Some(prop) = self.pending_props.remove(&prop_key) {
-                        effects.push(Effect::Reply {
-                            path: prop.path,
-                            result: Err(KvError::TxnAborted { id: *txn_id }),
-                        });
+                        Ok(Response::CommitInline { commit_ts: cts })
+                    } else {
+                        Err(KvError::TxnAborted { id: *txn_id })
                     }
-                } else {
-                    self.apply_commit_1pc(txn_id, commit_ts, writes, *resolve_inline, effects);
                 }
-            }
+                None => {
+                    self.apply_commit_1pc(txn_id, commit_ts, writes, *resolve_inline, effects);
+                    Ok(Response::CommitInline {
+                        commit_ts: *commit_ts,
+                    })
+                }
+            }),
             CmdOp::Split { split_key, rhs } => {
                 // The descriptor/store surgery is cluster-level (it spans
                 // replicas on several nodes); signal it.
@@ -1454,10 +1340,12 @@ impl Replica {
                     split_key: split_key.clone(),
                     rhs: *rhs,
                 });
+                None
             }
             CmdOp::Merge { rhs } => {
                 self.lifecycle_term = None;
                 effects.push(Effect::MergeApplied { rhs: *rhs });
+                None
             }
             CmdOp::Resolve {
                 key,
@@ -1473,30 +1361,38 @@ impl Replica {
                         self.store.abort_intent(key, *txn_id);
                     }
                 }
-                // Only release if the lock is still held by that txn (a
-                // waiter may have acquired it since a stale resolve).
-                if self.locks.holder(key).is_some_and(|h| h.id == *txn_id) {
-                    for w in self.locks.release(key) {
-                        effects.push(Effect::ReEval { waiter: w });
-                    }
-                }
+                self.release_lock(key, *txn_id, effects);
+                Some(Ok(Response::ResolveIntent))
             }
-        }
+        };
         self.tracker.on_entry_applied(cmd.closed_ts, index);
-        if let Some(prop) = self.pending_props.remove(&prop_key) {
-            let result = if prop.term == term {
-                Ok(prop.response)
-            } else {
-                // Our proposal was superseded by another leader's entry.
-                Err(KvError::NotLeaseholder {
+        if let Some(prop) = self.pending_props.remove(&(index, slot)) {
+            // The reply rule (DESIGN §9): an apply error answers whichever
+            // proposal waits here, whatever its term; success only the
+            // proposal whose own entry this is. Anything else — another
+            // leader's entry took the slot — is a redirect.
+            let result = match result {
+                Some(Err(e)) => Err(e),
+                Some(Ok(resp)) if prop.term == term => Ok(resp),
+                _ => Err(KvError::NotLeaseholder {
                     range: self.range,
                     leaseholder: None,
-                })
+                }),
             };
             effects.push(Effect::Reply {
                 path: prop.path,
                 result,
             });
+        }
+    }
+
+    /// Release `key`'s lock if `txn_id` still holds it (a waiter may have
+    /// acquired it since, e.g. after a stale resolve), queueing its waiters
+    /// for re-evaluation.
+    fn release_lock(&mut self, key: &Key, txn_id: TxnId, effects: &mut Vec<Effect>) {
+        if self.locks.holder(key).is_some_and(|h| h.id == txn_id) {
+            let waiters = self.locks.release(key).into_iter();
+            effects.extend(waiters.map(|waiter| Effect::ReEval { waiter }));
         }
     }
 
@@ -1518,11 +1414,7 @@ impl Replica {
                 .expect("1PC lock discipline");
             if resolve_inline {
                 self.store.commit_intent(key, *txn_id, *commit_ts);
-                if self.locks.holder(key).is_some_and(|h| h.id == *txn_id) {
-                    for w in self.locks.release(key) {
-                        effects.push(Effect::ReEval { waiter: w });
-                    }
-                }
+                self.release_lock(key, *txn_id, effects);
             }
             // else: the intent stays locked until the coordinator's
             // post-commit-wait resolve (Spanner-style ablation).
@@ -2195,6 +2087,188 @@ mod tests {
                 assert_eq!(status, TxnStatus::Pending);
             }
             _ => panic!(),
+        }
+    }
+
+    /// Evaluate `req` as request `req_id`; it must be proposed, not answered.
+    fn propose_req(
+        r: &mut Replica,
+        hlc: &mut Hlc,
+        params: &ClosedTsParams,
+        req_id: u64,
+        req: Request,
+    ) {
+        let path = ReplyPath {
+            gateway: NodeId(9),
+            req_id,
+        };
+        let out = r.evaluate(req, path, hlc, &ectx(params, 0));
+        assert!(matches!(out, EvalOutcome::Proposed { .. }));
+    }
+
+    /// The reply `effects` carry for request `req_id`.
+    fn reply_to(effects: &[Effect], req_id: u64) -> Result<Response, KvError> {
+        effects
+            .iter()
+            .find_map(|e| match e {
+                Effect::Reply { path, result } if path.req_id == req_id => Some(result.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no reply to {req_id} in {effects:?}"))
+    }
+
+    fn commit_inline(txn: TxnMeta, resolve_inline: bool) -> Request {
+        Request::CommitInline {
+            txn,
+            writes: vec![(Key::from("k"), Some(Value::from("v")))],
+            refresh_spans: Vec::new(),
+            local_reads_only: true,
+            resolve_inline,
+        }
+    }
+
+    #[test]
+    fn a_put_applied_above_a_newer_version_answers_the_bumped_timestamp() {
+        let (mut r, mut hlc) = solo_replica(ClosedTsPolicy::Lag);
+        let params = ClosedTsParams::default();
+        let key = Key::from("k");
+        let ts = Timestamp::new(1_000, 0);
+        let put = Request::Put {
+            txn: txn_at(1, ts),
+            key: key.clone(),
+            value: Some(Value::from("a")),
+        };
+        propose_req(&mut r, &mut hlc, &params, 1, put);
+        // A newer version commits between evaluation and apply, as one
+        // applied from an earlier leaseholder's log entries can.
+        let newer = Timestamp::new(5_000, 0);
+        r.store
+            .put(&key, Some(Value::from("b")), &txn_at(2, newer))
+            .unwrap();
+        assert!(r.store.commit_intent(&key, TxnId(2), newer));
+        let effects = flush_apply(&mut r);
+        match reply_to(&effects, 1) {
+            Ok(Response::Put { written_ts }) => assert_eq!(written_ts, newer.next()),
+            res => panic!("{res:?}"),
+        }
+        assert_eq!(r.store.intent(&key).unwrap().txn.write_ts, newer.next());
+    }
+
+    #[test]
+    fn a_put_applied_over_a_foreign_intent_answers_write_intent_and_writes_nothing() {
+        let (mut r, mut hlc) = solo_replica(ClosedTsPolicy::Lag);
+        let params = ClosedTsParams::default();
+        let key = Key::from("k");
+        let put = Request::Put {
+            txn: txn_at(1, Timestamp::new(1_000, 0)),
+            key: key.clone(),
+            value: Some(Value::from("a")),
+        };
+        propose_req(&mut r, &mut hlc, &params, 1, put);
+        let holder = txn_at(2, Timestamp::new(2_000, 0));
+        r.store.put(&key, Some(Value::from("b")), &holder).unwrap();
+        let effects = flush_apply(&mut r);
+        match reply_to(&effects, 1) {
+            Err(KvError::WriteIntent {
+                key: k,
+                intent_txn,
+                leaseholder,
+            }) => {
+                assert_eq!(k, key);
+                assert_eq!(intent_txn.id, holder.id);
+                assert_eq!(intent_txn.write_ts, holder.write_ts);
+                assert_eq!(leaseholder, None);
+            }
+            res => panic!("{res:?}"),
+        }
+        let intent = r.store.intent(&key).unwrap();
+        assert_eq!(intent.txn.id, holder.id);
+        assert_eq!(intent.value, Some(Value::from("b")));
+        assert_eq!(r.store.latest_committed_ts(&key), None);
+    }
+
+    #[test]
+    fn a_replayed_one_phase_commit_answers_the_first_outcome_and_releases_its_locks() {
+        let params = ClosedTsParams::default();
+        let key = Key::from("k");
+        let (t1, t2) = (Timestamp::new(1_000, 0), Timestamp::new(2_000, 0));
+        // A first attempt and its retry land in one entry. The first keeps
+        // its lock (no inline resolve); the replay releases it.
+        let (mut r, mut hlc) = solo_replica(ClosedTsPolicy::Lag);
+        propose_req(
+            &mut r,
+            &mut hlc,
+            &params,
+            1,
+            commit_inline(txn_at(1, t1), false),
+        );
+        propose_req(
+            &mut r,
+            &mut hlc,
+            &params,
+            2,
+            commit_inline(txn_at(1, t2), true),
+        );
+        let effects = flush_apply(&mut r);
+        for req_id in [1, 2] {
+            match reply_to(&effects, req_id) {
+                Ok(Response::CommitInline { commit_ts }) => assert_eq!(commit_ts, t1),
+                res => panic!("{res:?}"),
+            }
+        }
+        assert!(r.locks.holder(&key).is_none());
+        assert_eq!(r.store.intent(&key).unwrap().txn.write_ts, t1);
+        // An abort applied ahead of the attempt: it answers `TxnAborted`,
+        // writes nothing and still releases the lock.
+        let (mut r, mut hlc) = solo_replica(ClosedTsPolicy::Lag);
+        let abort = Request::EndTxn {
+            txn: txn_at(1, t1),
+            commit: false,
+        };
+        propose_req(&mut r, &mut hlc, &params, 1, abort);
+        propose_req(
+            &mut r,
+            &mut hlc,
+            &params,
+            2,
+            commit_inline(txn_at(1, t1), true),
+        );
+        let effects = flush_apply(&mut r);
+        assert!(matches!(
+            reply_to(&effects, 2),
+            Err(KvError::TxnAborted { id }) if id == TxnId(1)
+        ));
+        assert!(r.locks.holder(&key).is_none());
+        assert!(r.store.intent(&key).is_none());
+        assert_eq!(r.store.latest_committed_ts(&key), None);
+    }
+
+    #[test]
+    fn a_stage_landing_on_a_recovered_record_answers_from_the_record() {
+        let params = ClosedTsParams::default();
+        let staged = Timestamp::new(1_000, 0);
+        let recovered = Timestamp::new(3_000, 0);
+        for status in [TxnStatus::Committed, TxnStatus::Aborted] {
+            let (mut r, mut hlc) = solo_replica(ClosedTsPolicy::Lag);
+            let stage = Request::StageTxn {
+                txn: txn_at(1, staged),
+                in_flight: vec![Key::from("k")],
+            };
+            propose_req(&mut r, &mut hlc, &params, 1, stage);
+            // A recovery finalizes the record before the stage applies.
+            let rec = TxnRecord::finalized(status, recovered);
+            r.store.note_txn_record(TxnId(1), rec);
+            let effects = flush_apply(&mut r);
+            match (status, reply_to(&effects, 1)) {
+                (TxnStatus::Committed, Ok(Response::StageTxn { commit_ts })) => {
+                    assert_eq!(commit_ts, recovered)
+                }
+                (TxnStatus::Aborted, Err(KvError::TxnAborted { id })) => {
+                    assert_eq!(id, TxnId(1))
+                }
+                (_, res) => panic!("{status:?}: {res:?}"),
+            }
+            assert_eq!(r.store.txn_record(TxnId(1)).unwrap().status, status);
         }
     }
 }

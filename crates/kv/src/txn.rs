@@ -768,9 +768,10 @@ impl Cluster {
             // GLOBAL tables serve consistent present-time point reads from
             // any replica (§6) — except one of our own (unreplicated-yet)
             // intent. REGIONAL fresh reads need the leaseholder, and so do
-            // scans (they may span in-flight writes; simulation-scale
-            // tables keep one range per partition, so a scan never crosses
-            // ranges within a partition).
+            // scans (they may span in-flight writes). A scan is routed by
+            // its start key, and the range that serves it returns only its
+            // own keys: past a split the rest of the span goes unread
+            // (ROADMAP direction 1).
             (ReadTarget::Point(_), Some(d))
                 if !own_intent && d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead =>
             {

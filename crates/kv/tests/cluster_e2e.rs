@@ -9,6 +9,7 @@ use mr_clock::Timestamp;
 use mr_kv::cluster::{
     Cluster, ClusterConfig, IngestError, ReadOptions, Staleness, SIDE_TRANSPORT_INTERVAL,
 };
+use mr_kv::fault::FaultKind;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
@@ -1943,4 +1944,65 @@ fn ingest_refuses_a_repeated_key_and_loads_nothing() {
         c.ingest(vec![row("q/a", "1")]),
         Err(IngestError::Uncovered(Key::from("q/a")))
     );
+}
+
+/// A leaseholder proposes a write and is cut off before the write commits.
+/// The majority side elects a leader whose entries take the write's log
+/// slot; once the old leaseholder rejoins and applies them, its waiting
+/// client is told `NotLeaseholder` and re-routes. There is no RPC timeout:
+/// nothing but that answer can end the wait.
+#[test]
+fn a_superseded_proposal_answers_not_leaseholder_and_the_client_reroutes() {
+    // Unpipelined, a one-range write is a single 1PC command: one slot.
+    let mut c = cluster(ClusterConfig {
+        tracing: true,
+        pipelined_writes: false,
+        ..ClusterConfig::default()
+    });
+    let zc = derive_zone_config(
+        US_EAST,
+        &all_regions(),
+        SurvivalGoal::Region,
+        PlacementPolicy::Default,
+        ClosedTsPolicy::Lag,
+    );
+    let id = c.create_range(Span::all(), zc).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    write_key(&mut c, gw(0), "k1", "v1");
+    let lh = c.registry().get(id).unwrap().leaseholder;
+    assert_eq!(c.topology().region_of(lh), US_EAST);
+
+    let done: Rc<RefCell<Option<Result<Timestamp, KvError>>>> = Rc::new(RefCell::new(None));
+    let d2 = Rc::clone(&done);
+    let h = c.txn_begin(lh);
+    c.txn_put(
+        h,
+        Key::from("k2"),
+        Some(Value::from("v2")),
+        Box::new(move |c, res| {
+            res.unwrap();
+            c.txn_commit(h, Box::new(move |_c, res| *d2.borrow_mut() = Some(res)));
+        }),
+    );
+    // Cut the home region off once the leaseholder holds the command.
+    while !c.node(lh).replicas[&id].has_pending_batch() {
+        assert!(c.step(), "the commit never reached the leaseholder");
+    }
+    c.inject_fault(&FaultKind::IsolateRegion(US_EAST), None);
+    c.run_until(c.now() + SimDuration::from_secs(10));
+    assert!(done.borrow().is_none(), "answered while cut off");
+    assert_ne!(c.registry().get(id).unwrap().leaseholder, lh);
+
+    c.inject_fault(&FaultKind::RejoinRegion(US_EAST), None);
+    c.run_until_quiescent(deadline());
+    let res = done.borrow_mut().take().expect("the client still waits");
+    res.unwrap();
+    let traces: String = (c.obs.tracer.roots().into_iter())
+        .map(|r| c.obs.tracer.render_tree(r))
+        .collect();
+    // The old leaseholder answers from apply, without a hint.
+    let redirect = format!("redirect to leaseholder: {id}: not leaseholder (hint: None)");
+    assert!(traces.contains(&redirect), "no such redirect in\n{traces}");
+    let (val, _) = read_key(&mut c, gw(1), "k2", fresh());
+    assert_eq!(val.unwrap(), Some(Value::from("v2")));
 }

@@ -451,15 +451,15 @@ impl<'a> MergeCursor<'a> {
     }
 }
 
-/// Monotone operation counters. The two point-lookup counters keep the
-/// names they had when runs carried bloom filters (the registry series are
-/// read by name) and use `Cell` so read paths stay `&self`.
+/// Monotone operation counters. The two point-lookup counters use `Cell`
+/// so read paths stay `&self`; their registry series keep the names they had
+/// when runs carried bloom filters (`storage.bloom_*`, read by name).
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Runs consulted by point lookups.
-    pub bloom_probes: Cell<u64>,
+    pub run_probes: Cell<u64>,
     /// Of those, runs whose index answered without an entry being read.
-    pub bloom_skips: Cell<u64>,
+    pub run_skips: Cell<u64>,
     pub flushes: u64,
     pub compactions: u64,
     pub gc_reclaimed: u64,
@@ -578,11 +578,11 @@ impl Engine {
         // Hashed at the first run, for all of them.
         let mut hash = None;
         self.runs.iter().filter_map(move |run| {
-            stats.bloom_probes.set(stats.bloom_probes.get() + 1);
+            stats.run_probes.set(stats.run_probes.get() + 1);
             let hash = *hash.get_or_insert_with(|| KeyHash::of(key.as_slice()));
             let (versions, entries_read) = run.find(hash, key);
             if entries_read == 0 {
-                stats.bloom_skips.set(stats.bloom_skips.get() + 1);
+                stats.run_skips.set(stats.run_skips.get() + 1);
             }
             versions
         })
@@ -2036,12 +2036,12 @@ mod tests {
         }
         e.flush(0);
         assert_eq!(e.sst_count(), 2);
-        let before = (e.stats().bloom_probes.get(), e.stats().bloom_skips.get());
+        let before = (e.stats().run_probes.get(), e.stats().run_skips.get());
         for i in 0..100u64 {
             assert!(read(&e, &format!("right-{i:03}"), 1000).is_some());
         }
-        let probes = e.stats().bloom_probes.get() - before.0;
-        let skips = e.stats().bloom_skips.get() - before.1;
+        let probes = e.stats().run_probes.get() - before.0;
+        let skips = e.stats().run_skips.get() - before.1;
         // Every lookup consults both runs; the "left" run's index says
         // "absent" without an entry being read (a 16-bit fingerprint would
         // have to collide for it not to), the "right" run's never does.

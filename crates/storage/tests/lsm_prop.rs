@@ -291,12 +291,12 @@ proptest! {
         }
         for e in [&lhs, &rhs] {
             let stats = e.stats();
-            let before = (stats.bloom_probes.get(), stats.bloom_skips.get());
+            let before = (stats.run_probes.get(), stats.run_skips.get());
             let never_written = Key::from(format!("pk-{}-absent", split_at).into_bytes());
             prop_assert_eq!(e.latest_committed_ts(&never_written), None);
             let runs = e.sst_count() as u64;
-            prop_assert_eq!(stats.bloom_probes.get() - before.0, runs);
-            prop_assert_eq!(stats.bloom_skips.get() - before.1, runs);
+            prop_assert_eq!(stats.run_probes.get() - before.0, runs);
+            prop_assert_eq!(stats.run_skips.get() - before.1, runs);
         }
     }
 }
