@@ -141,8 +141,11 @@ pub struct ClusterConfig {
     pub commit_wait_holds_locks: bool,
     /// Write pipelining: intent writes are proposed to Raft at statement
     /// time and tracked in flight by the coordinator, so statements return
-    /// before replication completes. Off = every Put replicates before its
-    /// statement returns (the pre-pipelining 2-RTT ablation baseline).
+    /// before replication completes. Off = the gateway buffers a
+    /// transaction's writes and sends them only at commit, which takes the
+    /// one-phase path (1PC) when they all land in one range and otherwise
+    /// writes intents, then the record (the pre-pipelining ablation
+    /// baseline; DESIGN.md §9).
     pub pipelined_writes: bool,
     /// Parallel commits: commit writes a STAGING transaction record
     /// carrying the in-flight write set concurrently with the last

@@ -22,6 +22,7 @@
 //! backfills (§2.4); the experiments only change schemas between workload
 //! phases, so the latency of the change itself is out of scope.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -42,6 +43,7 @@ use crate::catalog::{
 use crate::encoding::{
     decode_row, encode_row_into, index_key, index_key_into, partition_span, IndexId,
 };
+use crate::expr::next_uuid;
 use crate::types::{ColumnType, Datum};
 
 /// DDL error.
@@ -103,12 +105,15 @@ pub enum DdlOutcome {
     Rows(Vec<Vec<Datum>>),
 }
 
-/// Execute a DDL statement. `current_db` resolves unqualified table names.
+/// Execute a DDL statement. `current_db` resolves unqualified table names;
+/// `uuids` is the database's `gen_random_uuid()` counter ([`next_uuid`]),
+/// which an `ADD COLUMN` backfill draws from.
 pub fn exec_ddl(
     cluster: &mut Cluster,
     catalog: &mut Catalog,
     current_db: Option<&str>,
     stmt: &Stmt,
+    uuids: &Cell<u64>,
 ) -> Result<DdlOutcome, DdlError> {
     match stmt {
         Stmt::CreateDatabase {
@@ -183,7 +188,7 @@ pub fn exec_ddl(
         }
         Stmt::AlterTable { name, action } => {
             let db_name = required_db(current_db)?;
-            alter_table(cluster, catalog, &db_name, name, action)
+            alter_table(cluster, catalog, &db_name, name, action, uuids)
         }
         Stmt::CreateIndex {
             name,
@@ -581,6 +586,24 @@ fn zone_config_for_partition(
 // Tables
 // ---------------------------------------------------------------------
 
+/// The hidden `crdb_region` column a REGIONAL BY ROW table gets when it
+/// defines none (§2.3.2): homed where the row is inserted.
+fn hidden_region_column() -> Column {
+    Column {
+        name: REGION_COLUMN.into(),
+        ty: ColumnType::Region,
+        not_null: true,
+        hidden: true,
+        default: Some(Expr::FnCall {
+            name: "gateway_region".into(),
+            args: vec![],
+        }),
+        computed: None,
+        on_update: None,
+        references: None,
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn create_table(
     cluster: &mut Cluster,
@@ -638,19 +661,7 @@ fn create_table(
     // unless the user defined one (computed partitioning).
     if locality == TableLocality::RegionalByRow && !columns.iter().any(|c| c.name == REGION_COLUMN)
     {
-        columns.push(Column {
-            name: REGION_COLUMN.into(),
-            ty: ColumnType::Region,
-            not_null: true,
-            hidden: true,
-            default: Some(Expr::FnCall {
-                name: "gateway_region".into(),
-                args: vec![],
-            }),
-            computed: None,
-            on_update: None,
-            references: None,
-        });
+        columns.push(hidden_region_column());
     }
     if let Some(rc) = columns.iter().find(|c| c.name == REGION_COLUMN) {
         if rc.ty != ColumnType::Region {
@@ -830,10 +841,11 @@ fn alter_table(
     db_name: &str,
     name: &str,
     action: &AlterTableAction,
+    uuids: &Cell<u64>,
 ) -> Result<DdlOutcome, DdlError> {
     match action {
         AlterTableAction::SetLocality(loc) => set_locality(cluster, catalog, db_name, name, loc),
-        AlterTableAction::AddColumn(def) => add_column(cluster, catalog, db_name, name, def),
+        AlterTableAction::AddColumn(def) => add_column(cluster, catalog, db_name, name, def, uuids),
         AlterTableAction::PartitionByList { column, partitions } => {
             partition_by_list(cluster, catalog, db_name, name, column, partitions)
         }
@@ -878,53 +890,51 @@ fn set_locality(
         return reconfigure_named_table(cluster, catalog, db_name, name);
     }
 
-    // Partitioning changes: offline rewrite. Extract all rows via the
-    // primary index, drop all ranges, rebuild layout, re-insert.
-    let rows = read_all_rows(cluster, old);
-    drop_table_ranges(cluster, old);
-    let mut table = old.clone();
-    for index in table.indexes.iter_mut() {
-        index.region_partitioned = is_rbr;
-    }
-    table.locality = new_locality;
-    // The layout now follows the locality alone.
-    table.manual_partitioning = None;
-
-    // Ensure the region column exists when becoming RBR; rows without one
-    // are homed in the primary region.
-    let mut rows = rows;
-    if is_rbr && table.region_column().is_none() {
-        table.columns.push(Column {
-            name: REGION_COLUMN.into(),
-            ty: ColumnType::Region,
-            not_null: true,
-            hidden: true,
-            default: Some(Expr::FnCall {
-                name: "gateway_region".into(),
-                args: vec![],
-            }),
-            computed: None,
-            on_update: None,
-            references: None,
-        });
+    // Partitioning changes: offline rewrite.
+    rewrite_table(cluster, catalog, db_name, name, |db, table, rows| {
+        for index in table.indexes.iter_mut() {
+            index.region_partitioned = is_rbr;
+        }
+        table.locality = new_locality;
+        // The layout now follows the locality alone.
+        table.manual_partitioning = None;
+        // Ensure the region column exists when becoming RBR; rows without
+        // one (and rows shorter than the column set: a column added before
+        // the alter) are homed in the primary region, other gaps are NULL.
+        if is_rbr && table.region_column().is_none() {
+            table.columns.push(hidden_region_column());
+        }
         for row in rows.iter_mut() {
-            row.push(Datum::Region(db.primary_region.clone()));
+            for col in &table.columns[row.len()..] {
+                row.push(if col.name == REGION_COLUMN {
+                    Datum::Region(db.primary_region.clone())
+                } else {
+                    Datum::Null
+                });
+            }
         }
-    }
-    // Rows may be shorter than the column set (column added before the
-    // alter); pad with the primary region / NULLs.
-    let ncols = table.columns.len();
-    for row in rows.iter_mut() {
-        while row.len() < ncols {
-            let col = &table.columns[row.len()];
-            row.push(if col.name == REGION_COLUMN {
-                Datum::Region(db.primary_region.clone())
-            } else {
-                Datum::Null
-            });
-        }
-    }
+        Ok(())
+    })
+}
 
+/// Offline rewrite of table `name`: read every row through the primary
+/// index, let `change` alter a copy of the table and the rows, then drop the
+/// table's ranges, create the copy's, bulk-load the rows into them and
+/// install the copy. New ranges hold only the rewritten rows, so nothing a
+/// transaction wrote earlier shadows them (a bulk load lands below every
+/// such version).
+fn rewrite_table(
+    cluster: &mut Cluster,
+    catalog: &mut Catalog,
+    db_name: &str,
+    name: &str,
+    change: impl FnOnce(&Database, &mut Table, &mut Vec<Vec<Datum>>) -> Result<(), DdlError>,
+) -> Result<DdlOutcome, DdlError> {
+    let (db, old) = table_of(catalog, db_name, name)?;
+    let mut rows = read_all_rows(cluster, old);
+    let mut table = old.clone();
+    change(db, &mut table, &mut rows)?;
+    drop_table_ranges(cluster, old);
     create_table_ranges(cluster, db, &table)?;
     write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
     *table_mut_of(catalog, db_name, name)? = table;
@@ -937,38 +947,36 @@ fn add_column(
     db_name: &str,
     name: &str,
     def: &ColumnDef,
+    uuids: &Cell<u64>,
 ) -> Result<DdlOutcome, DdlError> {
-    let (db, table) = table_of(catalog, db_name, name)?;
-    let mut table = table.clone();
+    let (_, table) = table_of(catalog, db_name, name)?;
     if table.column_ordinal(&def.name).is_some() {
         return err(format!("column {:?} already exists", def.name));
     }
     let ty = def
         .ty
         .ok_or_else(|| DdlError(format!("column {:?} missing type", def.name)))?;
-    // Backfill value for existing rows: computed expression, else default,
-    // else NULL. (gateway_region() backfills as the primary region — the
-    // schema change runs "at" the primary.)
-    let rows = read_all_rows(cluster, &table);
-    table.columns.push(Column {
-        name: def.name.clone(),
-        ty,
-        not_null: def.not_null,
-        hidden: def.hidden,
-        default: def.default.clone(),
-        computed: def.computed.clone(),
-        on_update: def.on_update.clone(),
-        references: def.references.clone(),
-    });
-    let mut rows = rows;
-    for row in rows.iter_mut() {
-        let value = backfill_value(&table, row, def, db)?;
-        row.push(value);
-    }
-    // Rewrite stored rows (values embed the full row).
-    write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
-    *table_mut_of(catalog, db_name, name)? = table;
-    Ok(DdlOutcome::Ok)
+    // Rewrite stored rows (values embed the full row) with the backfill
+    // value: computed expression, else default, else NULL.
+    // (gateway_region() backfills as the primary region — the schema change
+    // runs "at" the primary.)
+    rewrite_table(cluster, catalog, db_name, name, |db, table, rows| {
+        table.columns.push(Column {
+            name: def.name.clone(),
+            ty,
+            not_null: def.not_null,
+            hidden: def.hidden,
+            default: def.default.clone(),
+            computed: def.computed.clone(),
+            on_update: def.on_update.clone(),
+            references: def.references.clone(),
+        });
+        for row in rows.iter_mut() {
+            let value = backfill_value(table, row, def, db, uuids)?;
+            row.push(value);
+        }
+        Ok(())
+    })
 }
 
 fn backfill_value(
@@ -976,19 +984,15 @@ fn backfill_value(
     row: &[Datum],
     def: &ColumnDef,
     db: &Database,
+    uuids: &Cell<u64>,
 ) -> Result<Datum, DdlError> {
     let expr = def.computed.as_ref().or(def.default.as_ref());
     let Some(expr) = expr else {
         return Ok(Datum::Null);
     };
-    let mut uuid_bits = 0u128;
-    let mut source = move || {
-        uuid_bits += 1;
-        uuid_bits
-    };
     let mut env = crate::expr::EvalEnv {
         gateway_region: &db.primary_region,
-        uuid_source: &mut source,
+        uuid_source: &mut || next_uuid(uuids),
     };
     crate::expr::eval(expr, table, row, &mut env)
         .map(|d| d.coerce(def.ty.unwrap_or(ColumnType::String)))
@@ -1007,7 +1011,7 @@ fn partition_by_list(
     column: &str,
     partitions: &[(String, Vec<Datum>)],
 ) -> Result<DdlOutcome, DdlError> {
-    let (db, old) = table_of(catalog, db_name, name)?;
+    let (_, old) = table_of(catalog, db_name, name)?;
     if old.locality == TableLocality::RegionalByRow {
         return err(format!(
             "table {name:?} is REGIONAL BY ROW: its indexes are already partitioned by region"
@@ -1025,18 +1029,14 @@ fn partition_by_list(
             ));
         }
     }
-    let rows = read_all_rows(cluster, old);
-    drop_table_ranges(cluster, old);
-    let mut table = old.clone();
-    table.manual_partitioning = Some(ManualPartitioning {
-        column: ord,
-        partitions: partitions.to_vec(),
-        zones: BTreeMap::new(),
-    });
-    create_table_ranges(cluster, db, &table)?;
-    write_rows(cluster, &table, &rows, 0..table.indexes.len())?;
-    *table_mut_of(catalog, db_name, name)? = table;
-    Ok(DdlOutcome::Ok)
+    rewrite_table(cluster, catalog, db_name, name, |_, table, _| {
+        table.manual_partitioning = Some(ManualPartitioning {
+            column: ord,
+            partitions: partitions.to_vec(),
+            zones: BTreeMap::new(),
+        });
+        Ok(())
+    })
 }
 
 fn alter_partition_zone(

@@ -10,8 +10,9 @@
 //!   uncertainty restarts that cannot refresh);
 //! * `SELECT ... AS OF SYSTEM TIME` runs lock-free as a stale read
 //!   (exact or bounded staleness, §5.3) on the nearest replica;
-//! * INSERT/UPDATE enforce global uniqueness with the planned probe set
-//!   (§4.1) and foreign keys with parent lookups;
+//! * INSERT, UPSERT and UPDATE write each row through one routine
+//!   (`write_row`): type and NOT NULL checks, global uniqueness with the
+//!   planned probe set (§4.1) and foreign keys with parent lookups;
 //! * lookups use locality-optimized search when applicable (§4.2);
 //! * `UPDATE` applies `ON UPDATE rehome_row()` columns, moving rows
 //!   between partitions (automatic rehoming, §2.3.2).
@@ -29,7 +30,7 @@ use crate::ast::{Aost, Expr, Stmt};
 use crate::catalog::{Catalog, Database, Index, Table};
 use crate::ddl::{self, entry_key, row_region, DdlError, DdlOutcome};
 use crate::encoding::{decode_row, encode_row, index_key};
-use crate::expr::{eval, EvalEnv};
+use crate::expr::{eval, next_uuid, EvalEnv};
 use crate::parser::parse;
 use crate::plan::{
     plan_read, plan_uniqueness_checks, PartitionStrategy, ReadPlan, UniquenessCheck,
@@ -218,23 +219,6 @@ impl SqlDb {
         }
     }
 
-    /// Toggle write pipelining and parallel commits (both on by default).
-    ///
-    /// With pipelining on, a DML statement's result means its writes were
-    /// *evaluated* at their leaseholders and their intents are replicating
-    /// asynchronously — not that they are durable. COMMIT is the only
-    /// durability point: it joins every in-flight intent (and, with
-    /// parallel commits, overlaps the transaction-record write with the
-    /// last of them), so a successful COMMIT retains exactly the
-    /// traditional guarantee while intermediate statements return a WAN
-    /// round-trip earlier. Turning pipelining off restores synchronous
-    /// per-statement replication; parallel commits require pipelining's
-    /// in-flight bookkeeping, so disabling pipelining disables both.
-    pub fn set_write_pipelining(&mut self, pipelined: bool, parallel_commits: bool) {
-        self.cluster.cfg.pipelined_writes = pipelined;
-        self.cluster.cfg.parallel_commits = pipelined && parallel_commits;
-    }
-
     /// Open a session whose gateway is `node` (clients connect to a
     /// collocated node, §7.1.1).
     pub fn session(&self, node: NodeId, db: Option<&str>) -> Session {
@@ -400,7 +384,13 @@ impl SqlDb {
                     sess.inner.borrow_mut().db = Some(name.as_str().into());
                 }
                 let mut catalog = self.catalog.borrow_mut();
-                let res = ddl::exec_ddl(&mut self.cluster, &mut catalog, db.as_deref(), &stmt);
+                let res = ddl::exec_ddl(
+                    &mut self.cluster,
+                    &mut catalog,
+                    db.as_deref(),
+                    &stmt,
+                    &self.uuid_counter,
+                );
                 drop(catalog);
                 let res = res.map(|o| match o {
                     DdlOutcome::Ok => SqlResult::Ok,
@@ -708,18 +698,9 @@ impl ExecCtx {
     }
 
     fn eval(&self, table: &Table, row: &[Datum], e: &Expr) -> Result<Datum, SqlError> {
-        let uuid = Rc::clone(&self.uuid);
-        let mut src = move || {
-            let v = uuid.get() + 1;
-            uuid.set(v);
-            // Splitmix-style scramble so generated UUIDs look random but
-            // stay deterministic per simulation.
-            let x = (v as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
-            x ^ (x >> 64)
-        };
         let mut env = EvalEnv {
             gateway_region: &self.gateway_region,
-            uuid_source: &mut src,
+            uuid_source: &mut || next_uuid(&self.uuid),
         };
         eval(e, table, row, &mut env).map_err(|e| SqlError::Eval(e.0))
     }
@@ -934,10 +915,26 @@ fn exec_dml_in_txn(
     cont: SqlCont<SqlResult>,
 ) {
     match &*stmt {
-        Stmt::Insert { .. } => exec_insert(cluster, ctx, stmt, txn, cont),
         Stmt::Select { .. } => exec_select(cluster, ctx, stmt, FetchMode::Txn(txn), cont),
-        Stmt::Update { .. } => exec_update(cluster, ctx, stmt, txn, cont),
-        Stmt::Delete { .. } => exec_delete(cluster, ctx, stmt, txn, cont),
+        Stmt::Insert {
+            table,
+            columns,
+            rows,
+            upsert,
+        } => match Writer::new(ctx, table, txn) {
+            Ok(w) => exec_insert(cluster, w, columns, rows, *upsert, cont),
+            Err(e) => cont(cluster, Err(e)),
+        },
+        Stmt::Update {
+            table, predicate, ..
+        } => match Writer::new(ctx, table, txn) {
+            Ok(w) => exec_update(cluster, w, Rc::clone(&stmt), predicate.as_ref(), cont),
+            Err(e) => cont(cluster, Err(e)),
+        },
+        Stmt::Delete { table, predicate } => match Writer::new(ctx, table, txn) {
+            Ok(w) => exec_delete(cluster, w, Rc::clone(&stmt), predicate.as_ref(), cont),
+            Err(e) => cont(cluster, Err(e)),
+        },
         other => cont(
             cluster,
             Err(SqlError::Plan(format!("not a DML statement: {other:?}"))),
@@ -964,15 +961,9 @@ fn plan_for(
     predicate: Option<&Expr>,
     limit: Option<u64>,
 ) -> Result<ReadPlan, SqlError> {
-    let uuid = Rc::clone(&ctx.uuid);
-    let mut src = move || {
-        let v = uuid.get() + 1;
-        uuid.set(v);
-        v as u128
-    };
     let mut env = EvalEnv {
         gateway_region: &ctx.gateway_region,
-        uuid_source: &mut src,
+        uuid_source: &mut || next_uuid(&ctx.uuid),
     };
     // Resolver for duplicate-index selection: the home region of an
     // index's backing range.
@@ -1061,7 +1052,7 @@ fn explain(cluster: &mut Cluster, ctx: &ExecCtx, stmt: &Stmt) -> Result<SqlResul
                 table.name
             ));
             if let Some(exprs) = vrows.first() {
-                if let Ok((row, generated)) = build_insert_row(ctx, &db, &table, columns, exprs) {
+                if let Ok((row, generated)) = build_insert_row(ctx, &table, columns, exprs) {
                     let checks = plan_uniqueness_checks(&db, &table, &row, &generated);
                     if checks.is_empty() {
                         line("  uniqueness checks: none (omitted by the optimizer)".into());
@@ -1165,6 +1156,14 @@ fn filter_of(stmt: &Stmt) -> (Option<&Expr>, usize) {
             (predicate.as_ref(), usize::MAX)
         }
         _ => (None, usize::MAX),
+    }
+}
+
+/// The SET list of an UPDATE (empty for any other statement).
+fn assignments(stmt: &Stmt) -> &[(String, Expr)] {
+    match stmt {
+        Stmt::Update { sets, .. } => sets,
+        _ => &[],
     }
 }
 
@@ -1342,34 +1341,49 @@ fn exec_select(
 }
 
 // ---------------------------------------------------------------------
-// INSERT
+// INSERT / UPSERT / UPDATE / DELETE: one row write
 // ---------------------------------------------------------------------
+
+/// What the row writes of one INSERT, UPSERT, UPDATE or DELETE share: its
+/// context, the descriptors it runs against and its transaction. A clone
+/// into a continuation is refcount bumps.
+#[derive(Clone)]
+struct Writer {
+    ctx: ExecCtx,
+    db: Rc<Database>,
+    table: Rc<Table>,
+    txn: TxnHandle,
+    /// Record a `RowRehomed` event for every row whose region the write
+    /// changes: UPDATE's rows (automatic rehoming, §2.3.2). UPSERT moves
+    /// rows without one.
+    records_rehomes: bool,
+}
+
+impl Writer {
+    fn new(ctx: ExecCtx, table: &str, txn: TxnHandle) -> Result<Writer, SqlError> {
+        let (db, table) = ctx.snapshot(table)?;
+        Ok(Writer {
+            ctx,
+            db,
+            table,
+            txn,
+            records_rehomes: false,
+        })
+    }
+}
 
 fn exec_insert(
     cluster: &mut Cluster,
-    ctx: ExecCtx,
-    stmt: Rc<Stmt>,
-    txn: TxnHandle,
+    w: Writer,
+    columns: &Option<Vec<String>>,
+    rows: &[Vec<Expr>],
+    upsert: bool,
     cont: SqlCont<SqlResult>,
 ) {
-    let Stmt::Insert {
-        table: tname,
-        columns,
-        rows,
-        upsert,
-    } = &*stmt
-    else {
-        unreachable!()
-    };
-    let upsert = *upsert;
-    let (db, table) = match ctx.snapshot(tname) {
-        Ok(x) => x,
-        Err(e) => return cont(cluster, Err(e)),
-    };
     // Build full rows.
     let mut built: Vec<(Vec<Datum>, Vec<bool>)> = Vec::new();
     for value_exprs in rows {
-        match build_insert_row(&ctx, &db, &table, columns, value_exprs) {
+        match build_insert_row(&w.ctx, &w.table, columns, value_exprs) {
             Ok(rg) => built.push(rg),
             Err(e) => return cont(cluster, Err(e)),
         }
@@ -1381,16 +1395,18 @@ fn exec_insert(
     // read-modify-write path: fetch by primary key, then overwrite or
     // insert.
     let blind_upsert =
-        upsert && table.indexes.len() == 1 && !table.primary_index().region_partitioned;
+        upsert && w.table.indexes.len() == 1 && !w.table.primary_index().region_partitioned;
     let per_row: Rc<dyn Fn(&mut Cluster, (Vec<Datum>, Vec<bool>), SqlCont<()>)> =
         Rc::new(move |cluster, (row, generated), done| {
             if blind_upsert {
-                write_row_entries(cluster, &table, &row, None, txn, done);
+                match validate_row(&w.db, &w.table, None, &row) {
+                    Ok(()) => write_row_entries(cluster, &w.table, None, &row, w.txn, done),
+                    Err(e) => done(cluster, Err(e)),
+                }
             } else if upsert {
-                let (ctx, db, table) = (ctx.clone(), Rc::clone(&db), Rc::clone(&table));
-                upsert_one_row(cluster, ctx, db, table, row, txn, done);
+                upsert_row(cluster, &w, row, done);
             } else {
-                insert_one_row(cluster, &ctx, &db, &table, row, &generated, txn, done);
+                write_row(cluster, &w, None, row, &generated, done);
             }
         });
     for_each_seq(
@@ -1406,10 +1422,10 @@ fn exec_insert(
 
 /// Assemble a full row from the INSERT column list: provided values, then
 /// defaults, then computed columns. Returns the row plus per-column "came
-/// from gen_random_uuid()" flags (rule 1 of §4.1).
+/// from gen_random_uuid()" flags (rule 1 of §4.1). The row is checked where
+/// it is written ([`validate_row`]).
 fn build_insert_row(
     ctx: &ExecCtx,
-    db: &Database,
     table: &Table,
     columns: &Option<Vec<String>>,
     value_exprs: &[Expr],
@@ -1458,22 +1474,129 @@ fn build_insert_row(
             row[i] = ctx.eval(table, &row, cexpr)?.coerce(col.ty);
         }
     }
-    // NOT NULL + type + region-enum validation.
+    Ok((row, generated))
+}
+
+/// Read-modify-write UPSERT: fetch the existing row by primary key (the
+/// row's own partition first when its region is known, then every other
+/// one) and write over it. With no existing row this is an INSERT: its
+/// primary-key probe re-reads the key just seen absent — cheap, and the
+/// refresh at commit keeps it correct under races. An UPSERT marks no
+/// column as generated, so its UUID defaults are probed like any value.
+fn upsert_row(cluster: &mut Cluster, w: &Writer, row: Vec<Datum>, done: SqlCont<()>) {
+    let (db, table) = (&w.db, &w.table);
+    let pk = table.primary_index();
+    let pk_key: Vec<Datum> = pk.key_columns.iter().map(|&o| row[o].clone()).collect();
+    if pk_key.iter().any(|d| d.is_null()) {
+        return done(
+            cluster,
+            Err(SqlError::Plan(
+                "UPSERT requires all primary key columns".into(),
+            )),
+        );
+    }
+    let probe = |region: Option<&str>| {
+        let probe = Probe::new(table, pk.id, true, region, &pk_key);
+        probe_task(probe, FetchMode::Txn(w.txn), w.ctx.gateway, 1)
+    };
+    let tasks: Vec<RowsTask> = if pk.region_partitioned {
+        let own = row_region(table, &row);
+        let regions = db.regions.iter().map(|r| r.name.as_str());
+        let others = regions.filter(|r| Some(*r) != own);
+        own.into_iter()
+            .chain(others)
+            .map(|r| probe(Some(r)))
+            .collect()
+    } else {
+        vec![probe(None)]
+    };
+    let w = w.clone();
+    join_all(
+        cluster,
+        tasks,
+        Box::new(move |c, res| match res {
+            Ok(groups) => write_row(c, &w, groups.into_iter().flatten().next(), row, &[], done),
+            Err(e) => done(c, Err(e)),
+        }),
+    );
+}
+
+/// The one row write of INSERT, UPSERT and UPDATE (DESIGN.md §17), over
+/// `old` when the statement replaces a row. In order: check `row`
+/// ([`validate_row`]); probe every unique index whose key columns changed
+/// (all of them with no old row; `generated` marks the columns
+/// `gen_random_uuid()` filled, §4.1 rule 1), then the parent of every
+/// non-NULL referencing column that changed; unless a probe reports a
+/// violation, write the row's index entries over `old`'s.
+fn write_row(
+    cluster: &mut Cluster,
+    w: &Writer,
+    old: Option<Vec<Datum>>,
+    row: Vec<Datum>,
+    generated: &[bool],
+    done: SqlCont<()>,
+) {
+    if let Err(e) = validate_row(&w.db, &w.table, old.as_deref(), &row) {
+        return done(cluster, Err(e));
+    }
+    if w.records_rehomes {
+        record_rehome(cluster, &w.table, old.as_deref(), &row);
+    }
+    let kept = |o: usize| old.as_ref().is_some_and(|old| old.get(o) == row.get(o));
+    let mut probes: Vec<CheckTask> = Vec::new();
+    if w.ctx.unique_checks {
+        for check in plan_uniqueness_checks(&w.db, &w.table, &row, generated) {
+            let index = ddl::index_by_id(&w.table, check.index_id);
+            if index.is_some_and(|i| !i.key_columns.iter().all(|&o| kept(o))) {
+                uniqueness_probes(&w.table, &check, w.txn, &mut probes);
+            }
+        }
+    }
+    if w.ctx.fk_checks {
+        if let Err(e) = fk_probes(w, &row, kept, &mut probes) {
+            return done(cluster, Err(e));
+        }
+    }
+    let (table, txn) = (Rc::clone(&w.table), w.txn);
+    join_all(
+        cluster,
+        probes,
+        Box::new(move |c, res| match res {
+            Ok(outcomes) => match outcomes.into_iter().flatten().next() {
+                Some(violation) => done(c, Err(violation)),
+                None => write_row_entries(c, &table, old.as_deref(), &row, txn, done),
+            },
+            Err(e) => done(c, Err(e)),
+        }),
+    );
+}
+
+/// Step 1 of [`write_row`]: every column of `row` holds a value of its type
+/// and no NULL where it is NOT NULL, and every region value the write
+/// brings in — all of them with no old row, the changed ones over `old` —
+/// names a region of the database that still takes writes.
+fn validate_row(
+    db: &Database,
+    table: &Table,
+    old: Option<&[Datum]>,
+    row: &[Datum],
+) -> Result<(), SqlError> {
     for (i, col) in table.columns.iter().enumerate() {
-        if col.not_null && row[i].is_null() {
+        let value = row.get(i).unwrap_or(&Datum::Null);
+        if col.not_null && value.is_null() {
             return Err(SqlError::NotNullViolation {
                 table: table.name.clone(),
                 column: col.name.clone(),
             });
         }
-        if !row[i].fits(col.ty) {
+        if !value.fits(col.ty) {
             return Err(SqlError::Eval(format!(
-                "value {:?} does not fit column {:?} ({:?})",
-                row[i], col.name, col.ty
+                "value {value:?} does not fit column {:?} ({:?})",
+                col.name, col.ty
             )));
         }
-        if col.ty == ColumnType::Region && !row[i].is_null() {
-            let r = row[i].as_str().unwrap_or_default();
+        let kept = old.is_some_and(|old| old.get(i) == Some(value));
+        if let (ColumnType::Region, false, Some(r)) = (col.ty, kept, value.as_str()) {
             if !db.has_region(r) {
                 return Err(SqlError::Eval(format!(
                     "{r:?} is not a region of database {:?}",
@@ -1485,7 +1608,25 @@ fn build_insert_row(
             }
         }
     }
-    Ok((row, generated))
+    Ok(())
+}
+
+/// Record that an UPDATE moved a row from `old`'s region to `row`'s.
+fn record_rehome(cluster: &mut Cluster, table: &Table, old: Option<&[Datum]>, row: &[Datum]) {
+    let (Some(ro), Some(old)) = (table.region_column(), old) else {
+        return;
+    };
+    if row[ro] != old[ro] {
+        let region = |row: &[Datum]| row[ro].as_str().unwrap_or_default().to_string();
+        let now = cluster.now();
+        cluster.events.record(
+            now,
+            mr_kv::events::EventKind::RowRehomed {
+                from_region: region(old),
+                to_region: region(row),
+            },
+        );
+    }
 }
 
 /// One existence probe per partition `check` names: a hit violates the
@@ -1521,152 +1662,20 @@ fn uniqueness_probes(
     }
 }
 
-/// Run the constraint checks; unless one reports a violation, write (or,
-/// over `old_row`, rewrite) every index entry of `row`.
-fn check_then_write(
-    cluster: &mut Cluster,
-    probes: Vec<CheckTask>,
-    table: &Rc<Table>,
-    row: Vec<Datum>,
-    old_row: Option<Vec<Datum>>,
-    txn: TxnHandle,
-    done: SqlCont<()>,
-) {
-    let table = Rc::clone(table);
-    join_all(
-        cluster,
-        probes,
-        Box::new(move |c, res| match res {
-            Ok(outcomes) => match outcomes.into_iter().flatten().next() {
-                Some(violation) => done(c, Err(violation)),
-                None => write_row_entries(c, &table, &row, old_row.as_deref(), txn, done),
-            },
-            Err(e) => done(c, Err(e)),
-        }),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn insert_one_row(
-    cluster: &mut Cluster,
-    ctx: &ExecCtx,
-    db: &Database,
-    table: &Rc<Table>,
-    row: Vec<Datum>,
-    generated: &[bool],
-    txn: TxnHandle,
-    done: SqlCont<()>,
-) {
-    // Probe tasks: uniqueness checks (§4.1) + FK parent checks.
-    let mut probes: Vec<CheckTask> = Vec::new();
-    if ctx.unique_checks {
-        for check in plan_uniqueness_checks(db, table, &row, generated) {
-            uniqueness_probes(table, &check, txn, &mut probes);
-        }
-    }
-    if ctx.fk_checks {
-        match fk_probe_tasks(ctx, db, table, &row, txn) {
-            Ok(mut tasks) => probes.append(&mut tasks),
-            Err(e) => return done(cluster, Err(e)),
-        }
-    }
-    check_then_write(cluster, probes, table, row, None, txn, done);
-}
-
-/// Read-modify-write UPSERT: fetch the existing row by primary key; if
-/// present overwrite it (probing only unique indexes whose keys changed),
-/// else insert with the usual checks — the probe set still protects unique
-/// secondaries, and a concurrent insert of the same key is serialized by
-/// the read-refresh validation at commit.
-fn upsert_one_row(
-    cluster: &mut Cluster,
-    ctx: ExecCtx,
-    db: Rc<Database>,
-    table: Rc<Table>,
-    row: Vec<Datum>,
-    txn: TxnHandle,
-    done: SqlCont<()>,
-) {
-    let pk = table.primary_index();
-    let pk_key: Vec<Datum> = pk.key_columns.iter().map(|&o| row[o].clone()).collect();
-    if pk_key.iter().any(|d| d.is_null()) {
-        return done(
-            cluster,
-            Err(SqlError::Plan(
-                "UPSERT requires all primary key columns".into(),
-            )),
-        );
-    }
-    // Fetch the current row: the row's own partition first when its region
-    // is known, then every other one.
-    let probe = |region: Option<&str>| {
-        let probe = Probe::new(&table, pk.id, true, region, &pk_key);
-        probe_task(probe, FetchMode::Txn(txn), ctx.gateway, 1)
-    };
-    let tasks: Vec<RowsTask> = if pk.region_partitioned {
-        let own = row_region(&table, &row);
-        let regions = db.regions.iter().map(|r| r.name.as_str());
-        let others = regions.filter(|r| Some(*r) != own);
-        own.into_iter()
-            .chain(others)
-            .map(|r| probe(Some(r)))
-            .collect()
-    } else {
-        vec![probe(None)]
-    };
-    join_all(
-        cluster,
-        tasks,
-        Box::new(move |c, res| {
-            let existing = match res {
-                Ok(groups) => groups.into_iter().flatten().next(),
-                Err(e) => return done(c, Err(e)),
-            };
-            match existing {
-                Some(old_row) => {
-                    // Overwrite: probe unique secondaries whose keys changed.
-                    let changed = |o: &usize| row.get(*o) != old_row.get(*o);
-                    let mut probes: Vec<CheckTask> = Vec::new();
-                    if ctx.unique_checks {
-                        let generated = vec![false; table.columns.len()];
-                        for check in plan_uniqueness_checks(&db, &table, &row, &generated) {
-                            let relevant =
-                                ddl::index_by_id(&table, check.index_id).is_some_and(|i| {
-                                    !i.is_primary() && i.key_columns.iter().any(changed)
-                                });
-                            if relevant {
-                                uniqueness_probes(&table, &check, txn, &mut probes);
-                            }
-                        }
-                    }
-                    check_then_write(c, probes, &table, row, Some(old_row), txn, done);
-                }
-                None => {
-                    // No existing row: regular insert (its pk probe will
-                    // re-read the key we just saw absent — cheap, and the
-                    // refresh at commit keeps it correct under races).
-                    let generated = vec![false; row.len()];
-                    insert_one_row(c, &ctx, &db, &table, row, &generated, txn, done);
-                }
-            }
-        }),
-    );
-}
-
-/// FK parent-existence probes for every referencing column of `row`.
-fn fk_probe_tasks(
-    ctx: &ExecCtx,
-    db: &Database,
-    table: &Rc<Table>,
+/// FK parent-existence probes for every non-NULL referencing column of
+/// `row` that is not `kept` from the old row.
+fn fk_probes(
+    w: &Writer,
     row: &[Datum],
-    txn: TxnHandle,
-) -> Result<Vec<CheckTask>, SqlError> {
-    let mut tasks: Vec<CheckTask> = Vec::new();
-    for (i, col) in table.columns.iter().enumerate() {
+    kept: impl Fn(usize) -> bool,
+    probes: &mut Vec<CheckTask>,
+) -> Result<(), SqlError> {
+    let db = &w.db;
+    for (i, col) in w.table.columns.iter().enumerate() {
         let Some((parent_name, parent_col)) = &col.references else {
             continue;
         };
-        if row[i].is_null() {
+        if row[i].is_null() || kept(i) {
             continue;
         }
         let parent = db
@@ -1696,24 +1705,24 @@ fn fk_probe_tasks(
         // in parallel.
         let probe = |region: Option<&str>| {
             let probe = Probe::new(parent, index.id, true, region, &row[i..=i]);
-            probe_task(probe, FetchMode::Txn(txn), ctx.gateway, 1)
+            probe_task(probe, FetchMode::Txn(w.txn), w.ctx.gateway, 1)
         };
         let (local, remote): (RowsTask, Vec<RowsTask>) = if index.region_partitioned {
-            let local = &*ctx.gateway_region;
+            let local = &*w.ctx.gateway_region;
             let regions = db.regions.iter().map(|r| r.name.as_str());
             let remote = regions.filter(|r| *r != local);
             (probe(Some(local)), remote.map(|r| probe(Some(r))).collect())
         } else {
             (probe(None), Vec::new())
         };
-        let (table, parent) = (Rc::clone(table), Rc::clone(parent));
+        let (table, parent) = (Rc::clone(&w.table), Rc::clone(parent));
         let found = move |found: bool| {
             (!found).then(|| SqlError::FkViolation {
                 table: table.name.clone(),
                 parent: parent.name.clone(),
             })
         };
-        tasks.push(Box::new(move |cluster, cont| {
+        probes.push(Box::new(move |cluster, cont| {
             local(
                 cluster,
                 Box::new(move |c, res| match res {
@@ -1731,21 +1740,23 @@ fn fk_probe_tasks(
             );
         }));
     }
-    Ok(tasks)
+    Ok(())
 }
 
-/// Write (or rewrite) every index entry of `row`. When `old_row` is given,
-/// entries whose keys changed are deleted from their old locations first.
-fn write_row_entries(
-    cluster: &mut Cluster,
+/// One KV write of an index entry.
+type WriteTask = Task<(), SqlError>;
+
+/// Queue the KV writes that take `table`'s index entries from row `old` to
+/// row `new`, index by index: delete the old entry unless the new row keeps
+/// its key, then put the new one. DELETE passes no new row.
+fn entry_writes(
+    tasks: &mut Vec<WriteTask>,
     table: &Table,
-    row: &[Datum],
-    old_row: Option<&[Datum]>,
+    old: Option<&[Datum]>,
+    new: Option<&[Datum]>,
     txn: TxnHandle,
-    done: SqlCont<()>,
 ) {
-    let value = encode_row(row);
-    let mut tasks: Vec<Task<(), SqlError>> = Vec::new();
+    let value = new.map(encode_row);
     let mut put = |key: Key, value: Option<Value>| {
         tasks.push(Box::new(move |cluster, cont| {
             cluster.txn_put(
@@ -1757,15 +1768,28 @@ fn write_row_entries(
         }));
     };
     for index in &table.indexes {
-        let new_key = entry_key(table, index, row_region(table, row), row);
-        if let Some(old) = old_row {
-            let old_key = entry_key(table, index, row_region(table, old), old);
-            if old_key != new_key {
-                put(old_key, None);
-            }
+        let key = |row: &[Datum]| entry_key(table, index, row_region(table, row), row);
+        let new_key = new.map(key);
+        if let Some(old_key) = old.map(key).filter(|k| new_key.as_ref() != Some(k)) {
+            put(old_key, None);
         }
-        put(new_key, Some(value.clone()));
+        if let Some(new_key) = new_key {
+            put(new_key, value.clone());
+        }
     }
+}
+
+/// Write `row`'s index entries over `old`'s ([`entry_writes`]).
+fn write_row_entries(
+    cluster: &mut Cluster,
+    table: &Table,
+    old: Option<&[Datum]>,
+    row: &[Datum],
+    txn: TxnHandle,
+    done: SqlCont<()>,
+) {
+    let mut tasks = Vec::new();
+    entry_writes(&mut tasks, table, old, Some(row), txn);
     join_all(
         cluster,
         tasks,
@@ -1773,41 +1797,29 @@ fn write_row_entries(
     );
 }
 
-// ---------------------------------------------------------------------
-// UPDATE / DELETE
-// ---------------------------------------------------------------------
-
 fn exec_update(
     cluster: &mut Cluster,
-    ctx: ExecCtx,
+    w: Writer,
     stmt: Rc<Stmt>,
-    txn: TxnHandle,
+    predicate: Option<&Expr>,
     cont: SqlCont<SqlResult>,
 ) {
-    let Stmt::Update {
-        table: tname,
-        predicate,
-        ..
-    } = &*stmt
-    else {
-        unreachable!()
-    };
-    let (db, table) = match ctx.snapshot(tname) {
-        Ok(x) => x,
-        Err(e) => return cont(cluster, Err(e)),
-    };
-    let plan = match plan_for(&ctx, cluster, &db, &table, predicate.as_ref(), None) {
+    let plan = match plan_for(&w.ctx, cluster, &w.db, &w.table, predicate, None) {
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };
-    let (ctx2, table2, stmt2) = (ctx.clone(), Rc::clone(&table), Rc::clone(&stmt));
+    let w = Writer {
+        records_rehomes: true,
+        ..w
+    };
+    let (ctx, table, mode) = (w.ctx.clone(), Rc::clone(&w.table), FetchMode::Txn(w.txn));
     fetch_rows(
         cluster,
         ctx,
         table,
-        stmt,
+        Rc::clone(&stmt),
         plan,
-        FetchMode::Txn(txn),
+        mode,
         Box::new(move |c, res| {
             let rows = match res {
                 Ok(r) => r,
@@ -1815,11 +1827,11 @@ fn exec_update(
             };
             let count = rows.len() as u64;
             let per_row: Rc<dyn Fn(&mut Cluster, Vec<Datum>, SqlCont<()>)> =
-                Rc::new(move |cluster, old_row, done| {
-                    let Stmt::Update { sets, .. } = &*stmt2 else {
-                        unreachable!()
-                    };
-                    update_one_row(cluster, &ctx2, &db, &table2, sets, old_row, txn, done);
+                Rc::new(move |cluster, old, done| {
+                    match updated_row(&w.ctx, &w.table, assignments(&stmt), &old) {
+                        Ok(row) => write_row(cluster, &w, Some(old), row, &[], done),
+                        Err(e) => done(cluster, Err(e)),
+                    }
                 });
             for_each_seq(
                 c,
@@ -1834,151 +1846,70 @@ fn exec_update(
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn update_one_row(
-    cluster: &mut Cluster,
+/// UPDATE's new row: `old` with the SET list applied (its expressions see
+/// the old row), then the ON UPDATE columns not set explicitly (automatic
+/// rehoming, §2.3.2), then the computed columns.
+fn updated_row(
     ctx: &ExecCtx,
-    db: &Database,
-    table: &Rc<Table>,
+    table: &Table,
     sets: &[(String, Expr)],
-    old_row: Vec<Datum>,
-    txn: TxnHandle,
-    done: SqlCont<()>,
-) {
-    let mut new_row = old_row.clone();
+    old: &[Datum],
+) -> Result<Vec<Datum>, SqlError> {
+    let mut row = old.to_vec();
     let mut set_ordinals = Vec::new();
     for (col, e) in sets {
-        let Some(ord) = table.column_ordinal(col) else {
-            return done(
-                cluster,
-                Err(SqlError::Plan(format!("unknown column {col:?}"))),
-            );
-        };
+        let ord = table
+            .column_ordinal(col)
+            .ok_or_else(|| SqlError::Plan(format!("unknown column {col:?}")))?;
         if table.columns[ord].computed.is_some() {
-            return done(
-                cluster,
-                Err(SqlError::Plan(format!(
-                    "cannot UPDATE computed column {col:?}"
-                ))),
-            );
+            return Err(SqlError::Plan(format!(
+                "cannot UPDATE computed column {col:?}"
+            )));
         }
-        // SET expressions see the OLD row.
-        match ctx.eval(table, &old_row, e) {
-            Ok(v) => new_row[ord] = v.coerce(table.columns[ord].ty),
-            Err(e) => return done(cluster, Err(e)),
-        }
+        row[ord] = ctx.eval(table, old, e)?.coerce(table.columns[ord].ty);
         set_ordinals.push(ord);
     }
-    // ON UPDATE columns not explicitly set (automatic rehoming, §2.3.2).
     for (i, col) in table.columns.iter().enumerate() {
-        if set_ordinals.contains(&i) {
-            continue;
-        }
-        if let Some(e) = &col.on_update {
-            match ctx.eval(table, &old_row, e) {
-                Ok(v) => new_row[i] = v.coerce(col.ty),
-                Err(e) => return done(cluster, Err(e)),
-            }
+        if let (Some(e), false) = (&col.on_update, set_ordinals.contains(&i)) {
+            row[i] = ctx.eval(table, old, e)?.coerce(col.ty);
         }
     }
-    // Recompute computed columns.
     for (i, col) in table.columns.iter().enumerate() {
         if let Some(e) = &col.computed {
-            match ctx.eval(table, &new_row, e) {
-                Ok(v) => new_row[i] = v.coerce(col.ty),
-                Err(e) => return done(cluster, Err(e)),
-            }
+            row[i] = ctx.eval(table, &row, e)?.coerce(col.ty);
         }
     }
-    // Region-enum validation on change.
-    if let Some(ro) = table.region_column() {
-        if new_row[ro] != old_row[ro] {
-            let r = new_row[ro].as_str().unwrap_or_default().to_string();
-            if !db.has_region(&r) {
-                return done(
-                    cluster,
-                    Err(SqlError::Eval(format!("{r:?} is not a database region"))),
-                );
-            }
-            if !db.region_writable(&r) {
-                return done(cluster, Err(SqlError::ReadOnlyRegion(r)));
-            }
-            let from = old_row[ro].as_str().unwrap_or_default().to_string();
-            let now = cluster.now();
-            cluster.events.record(
-                now,
-                mr_kv::events::EventKind::RowRehomed {
-                    from_region: from,
-                    to_region: r,
-                },
-            );
-        }
-    }
-    // Uniqueness checks for unique indexes whose keys changed.
-    let changed = |o: &usize| new_row[*o] != old_row[*o];
-    let mut probes: Vec<CheckTask> = Vec::new();
-    if ctx.unique_checks && (0..table.columns.len()).any(|o| changed(&o)) {
-        let generated = vec![false; table.columns.len()];
-        for check in plan_uniqueness_checks(db, table, &new_row, &generated) {
-            let index_changed = ddl::index_by_id(table, check.index_id)
-                .is_some_and(|idx| idx.key_columns.iter().any(changed));
-            if index_changed {
-                uniqueness_probes(table, &check, txn, &mut probes);
-            }
-        }
-    }
-    check_then_write(cluster, probes, table, new_row, Some(old_row), txn, done);
+    Ok(row)
 }
 
 fn exec_delete(
     cluster: &mut Cluster,
-    ctx: ExecCtx,
+    w: Writer,
     stmt: Rc<Stmt>,
-    txn: TxnHandle,
+    predicate: Option<&Expr>,
     cont: SqlCont<SqlResult>,
 ) {
-    let Stmt::Delete {
-        table: tname,
-        predicate,
-    } = &*stmt
-    else {
-        unreachable!()
-    };
-    let (db, table) = match ctx.snapshot(tname) {
-        Ok(x) => x,
-        Err(e) => return cont(cluster, Err(e)),
-    };
-    let plan = match plan_for(&ctx, cluster, &db, &table, predicate.as_ref(), None) {
+    let plan = match plan_for(&w.ctx, cluster, &w.db, &w.table, predicate, None) {
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };
-    let table2 = Rc::clone(&table);
+    let (ctx, table, mode) = (w.ctx.clone(), Rc::clone(&w.table), FetchMode::Txn(w.txn));
     fetch_rows(
         cluster,
         ctx,
         table,
         stmt,
         plan,
-        FetchMode::Txn(txn),
+        mode,
         Box::new(move |c, res| {
             let rows = match res {
                 Ok(r) => r,
                 Err(e) => return cont(c, Err(e)),
             };
             let count = rows.len() as u64;
-            let mut tasks: Vec<Task<(), SqlError>> = Vec::new();
-            for row in rows {
-                for index in &table2.indexes {
-                    let key = entry_key(&table2, index, row_region(&table2, &row), &row);
-                    tasks.push(Box::new(move |cluster, cont| {
-                        cluster.txn_put(
-                            txn,
-                            key,
-                            None,
-                            Box::new(move |c, res| cont(c, res.map_err(SqlError::Kv))),
-                        );
-                    }));
-                }
+            let mut tasks = Vec::new();
+            for row in &rows {
+                entry_writes(&mut tasks, &w.table, Some(row), None, w.txn);
             }
             join_all(
                 c,

@@ -5,6 +5,8 @@
 //! datum-out against a table's column set, with an [`EvalEnv`] carrying the
 //! request context (gateway region, RNG for `gen_random_uuid()`).
 
+use std::cell::Cell;
+
 use crate::ast::{BinOp, Expr};
 use crate::catalog::Table;
 use crate::types::Datum;
@@ -16,6 +18,18 @@ pub struct EvalEnv<'a> {
     pub gateway_region: &'a str,
     /// Pseudo-random bits for `gen_random_uuid()`.
     pub uuid_source: &'a mut dyn FnMut() -> u128,
+}
+
+/// The next value of a database's `gen_random_uuid()` stream: bump its
+/// counter, then scramble it (splitmix-style) so generated UUIDs look
+/// random but stay deterministic per simulation. Statements, the planner
+/// and `ADD COLUMN` backfills all draw from the one counter of their
+/// [`crate::exec::SqlDb`].
+pub fn next_uuid(counter: &Cell<u64>) -> u128 {
+    let v = counter.get() + 1;
+    counter.set(v);
+    let x = (v as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+    x ^ (x >> 64)
 }
 
 /// Evaluation error.

@@ -994,8 +994,11 @@ fn write_pipelining_toggle_changes_commit_path_not_results() {
     pipelined.exec_sync(&sess, "COMMIT").unwrap();
     assert!(metric(&mut pipelined, "kv.txn.parallel_commit.restages") > restages_before);
 
-    let mut legacy = movr_db();
-    legacy.set_write_pipelining(false, false);
+    let mut legacy = movr_db_with(ClusterConfig {
+        pipelined_writes: false,
+        parallel_commits: false,
+        ..ClusterConfig::default()
+    });
     let got_legacy = workload(&mut legacy);
     assert_eq!(metric(&mut legacy, "kv.txn.pipelined_writes"), 0);
     assert_eq!(metric(&mut legacy, "kv.txn.parallel_commit.acks"), 0);
@@ -1146,4 +1149,183 @@ fn descriptors_are_shared_and_ddl_copies_on_write() {
     d.exec_sync(&sess, "ALTER DATABASE movr SURVIVE REGION FAILURE")
         .unwrap();
     assert_eq!(descriptor(&d, "users"), ((db, 1), (users, 1)));
+}
+
+// ---------------------------------------------------------------------
+// One row write: INSERT, UPSERT and UPDATE run the same checks
+// ---------------------------------------------------------------------
+
+/// `movr` plus a REGIONAL BY ROW child of the GLOBAL `promo_codes`, one
+/// parent row (`'OK'`) and one child row (id 1 → `'OK'`). The child's
+/// partitioned primary index sends UPSERT down the read-modify-write path.
+fn movr_with_fk_child() -> (SqlDb, mr_sql::exec::Session) {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_script(
+        &sess,
+        "CREATE TABLE redemptions (
+            id INT PRIMARY KEY,
+            code STRING REFERENCES promo_codes (code),
+            n INT
+        ) LOCALITY REGIONAL BY ROW;
+        INSERT INTO promo_codes VALUES ('OK', 'fine');
+        INSERT INTO redemptions (id, code, n) VALUES (1, 'OK', 0)",
+    )
+    .unwrap();
+    (d, sess)
+}
+
+fn code_of_redemption_1(d: &mut SqlDb, sess: &mr_sql::exec::Session) -> Datum {
+    let res = d
+        .exec_sync(sess, "SELECT code FROM redemptions WHERE id = 1")
+        .unwrap();
+    res.rows()[0][0].clone()
+}
+
+#[test]
+fn insert_of_null_into_a_not_null_column_is_rejected() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    for sql in [
+        "INSERT INTO users (id, email, name) VALUES (1, NULL, 'a')",
+        // An omitted column without a default is NULL too.
+        "INSERT INTO users (id, name) VALUES (1, 'a')",
+    ] {
+        let err = d.exec_sync(&sess, sql).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::NotNullViolation { column, .. } if column == "email"),
+            "{sql}: {err}"
+        );
+    }
+    let res = d.exec_sync(&sess, "SELECT * FROM users").unwrap();
+    assert_eq!(res.rows().len(), 0);
+}
+
+#[test]
+fn update_to_null_in_a_not_null_column_is_rejected() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_sync(
+        &sess,
+        "INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'a')",
+    )
+    .unwrap();
+    let err = d
+        .exec_sync(&sess, "UPDATE users SET email = NULL WHERE id = 1")
+        .unwrap_err();
+    assert!(
+        matches!(&err, SqlError::NotNullViolation { column, .. } if column == "email"),
+        "{err}"
+    );
+    let res = d
+        .exec_sync(&sess, "SELECT email FROM users WHERE id = 1")
+        .unwrap();
+    assert_eq!(res.rows()[0][0], Datum::String("a@x.com".into()));
+}
+
+#[test]
+fn update_to_a_value_that_does_not_fit_its_column_is_rejected() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_sync(
+        &sess,
+        "INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'a')",
+    )
+    .unwrap();
+    let err = d
+        .exec_sync(&sess, "UPDATE users SET name = 5 WHERE id = 1")
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Eval(_)), "{err}");
+    let res = d
+        .exec_sync(&sess, "SELECT name FROM users WHERE id = 1")
+        .unwrap();
+    assert_eq!(res.rows()[0][0], Datum::String("a".into()));
+}
+
+#[test]
+fn update_and_upsert_to_a_missing_fk_parent_are_rejected() {
+    let (mut d, sess) = movr_with_fk_child();
+    for sql in [
+        "UPDATE redemptions SET code = 'NOPE' WHERE id = 1",
+        // Row 1 exists: the UPSERT overwrites it.
+        "UPSERT INTO redemptions (id, code, n) VALUES (1, 'NOPE', 0)",
+    ] {
+        let err = d.exec_sync(&sess, sql).unwrap_err();
+        assert!(matches!(err, SqlError::FkViolation { .. }), "{sql}: {err}");
+        assert_eq!(
+            code_of_redemption_1(&mut d, &sess),
+            Datum::String("OK".into()),
+            "{sql}"
+        );
+    }
+    // A change to a parent that exists, and to NULL, goes through.
+    d.exec_sync(&sess, "INSERT INTO promo_codes VALUES ('NEW', 'also fine')")
+        .unwrap();
+    d.exec_sync(&sess, "UPDATE redemptions SET code = 'NEW' WHERE id = 1")
+        .unwrap();
+    assert_eq!(
+        code_of_redemption_1(&mut d, &sess),
+        Datum::String("NEW".into())
+    );
+    d.exec_sync(
+        &sess,
+        "UPSERT INTO redemptions (id, code, n) VALUES (1, NULL, 0)",
+    )
+    .unwrap();
+    assert_eq!(code_of_redemption_1(&mut d, &sess), Datum::Null);
+}
+
+/// An UPDATE that leaves the referencing column alone probes no parent: it
+/// sends as many RPCs as the same UPDATE on a table without the FK.
+#[test]
+fn update_that_keeps_the_fk_column_sends_no_parent_probe() {
+    let (mut d, sess) = movr_with_fk_child();
+    d.exec_script(
+        &sess,
+        "CREATE TABLE plain_redemptions (
+            id INT PRIMARY KEY,
+            code STRING,
+            n INT
+        ) LOCALITY REGIONAL BY ROW;
+        INSERT INTO plain_redemptions (id, code, n) VALUES (1, 'OK', 0)",
+    )
+    .unwrap();
+    let mut rpcs = |table: &str| {
+        settle_secs(&mut d, 5);
+        let before = d.cluster.metrics().rpcs_sent;
+        d.exec_sync(&sess, &format!("UPDATE {table} SET n = n + 1 WHERE id = 1"))
+            .unwrap();
+        settle_secs(&mut d, 5);
+        d.cluster.metrics().rpcs_sent - before
+    };
+    let with_fk = rpcs("redemptions");
+    let without_fk = rpcs("plain_redemptions");
+    assert!(with_fk > 0);
+    assert_eq!(with_fk, without_fk);
+}
+
+/// `ADD COLUMN ... DEFAULT gen_random_uuid()` draws a fresh UUID for every
+/// existing row from the database's one UUID stream.
+#[test]
+fn add_column_backfills_a_distinct_uuid_per_row() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_script(
+        &sess,
+        "INSERT INTO users (id, email) VALUES (1, 'a@x.com');
+        INSERT INTO users (id, email) VALUES (2, 'b@x.com');
+        INSERT INTO users (id, email) VALUES (3, 'c@x.com');
+        ALTER TABLE users ADD COLUMN token UUID DEFAULT gen_random_uuid()",
+    )
+    .unwrap();
+    let res = d.exec_sync(&sess, "SELECT token FROM users").unwrap();
+    let mut tokens: Vec<String> = res.rows().iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(tokens.len(), 3);
+    assert!(
+        res.rows().iter().all(|r| matches!(r[0], Datum::Uuid(_))),
+        "{tokens:?}"
+    );
+    tokens.sort();
+    tokens.dedup();
+    assert_eq!(tokens.len(), 3, "one UUID per row: {tokens:?}");
 }

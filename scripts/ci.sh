@@ -74,7 +74,8 @@ echo "==> panic-site ratchet: non-test unwrap/expect/panic!/unreachable! per cra
 # `panic!` and `unreachable!` counts, in the scope of scripts/loc_delta.sh:
 # `crates/*/src` outside `crates/ledger`, each file cut at its first
 # `#[cfg(test)]`. The ceilings are the counts measured when the gate went in
-# (mr-kv read 32 before its send path checked replies in one place) — a
+# (mr-kv read 32 before its send path checked replies in one place; mr-sql
+# read 17 while INSERT, UPDATE and DELETE re-matched their `Rc<Stmt>`) — a
 # ratchet: a change that removes sites lowers its crate's ceiling, one that
 # adds them fails.
 panic_sites() {
@@ -82,7 +83,7 @@ panic_sites() {
         awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
     done | { grep -o 'unwrap()\|expect(\|panic!\|unreachable!' || true; } | wc -l
 }
-for entry in kv:22 sql:17 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
+for entry in kv:22 sql:13 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
     crate="${entry%%:*}" ceiling="${entry#*:}"
     got="$(panic_sites "$crate")"
     if [ "$got" -gt "$ceiling" ]; then
