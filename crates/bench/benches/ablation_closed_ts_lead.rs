@@ -70,8 +70,8 @@ fn run(replicate_ms: u64, seed: u64) {
     run_to_completion(&mut db, &mut driver);
     report_errors(&format!("L_replicate={replicate_ms}ms"), &driver.stats);
     let m = db.cluster.metrics();
-    let served = m.follower_reads_served as f64;
-    let redirected = m.follower_read_redirects as f64;
+    let served = m.follower_reads_served.get() as f64;
+    let redirected = m.follower_read_redirects.get() as f64;
     let hit = 100.0 * served / (served + redirected).max(1.0);
     let mut reads = driver.stats.merged(|l| l.contains("read"));
     let mut writes = driver.stats.merged(|l| l.contains("write"));

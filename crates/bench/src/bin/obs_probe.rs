@@ -5,7 +5,7 @@
 //! 10x-slower write trickle at a second) so the EWMA load recorder has a
 //! known ground truth: the hot range must rank first and its decayed QPS
 //! must land within 10% of the driven rate. The same window is replayed
-//! against the tsdb at both resolutions: the `kv.txn.commits` rate must
+//! against the scrape store at both resolutions: the `kv.txn.commits` rate must
 //! match the driven commit rate within 10% at fine and coarse. The
 //! attribution phase then runs closed-loop multi-range write transactions
 //! and requires the named latency components (rpc, replication,

@@ -144,5 +144,4 @@ fn main() {
     w.field("monitor_violations", monitors).end();
     write_bench("perf", &w.finish());
     write_obs_exports(&db, "perf_probe");
-    eprintln!("metrics: {:?}", db.cluster.metrics());
 }

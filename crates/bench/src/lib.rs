@@ -584,7 +584,11 @@ fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) ->
     let mut c = raft_probe_cluster(seed, flush, true, 0);
     c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
     c.scrape_now();
-    let before = c.metrics();
+    let counts = |c: &Cluster| {
+        let m = c.metrics();
+        [&m.proposals_batched, &m.entries_proposed, &m.read_fast_path].map(|n| n.get())
+    };
+    let before = counts(&c);
     let t0 = c.now();
     let mut clients = Vec::new();
     for node in 0..3u32 {
@@ -600,16 +604,15 @@ fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) ->
     assert_eq!(txns as usize, expected, "probe txns went missing");
     let dt_secs = (c.now().nanos() - t0.nanos()) as f64 / 1e9;
     c.scrape_now();
-    let after = c.metrics();
-    let commands = after.proposals_batched - before.proposals_batched;
-    let entries = after.entries_proposed - before.entries_proposed;
+    let after = counts(&c);
+    let [commands, entries, read_fast_path] = [0, 1, 2].map(|i| after[i] - before[i]);
     RaftPhase {
         commands,
         entries,
         mean_occupancy: commands as f64 / entries.max(1) as f64,
         proposals_per_sec: commands as f64 / dt_secs,
         txns,
-        read_fast_path: after.read_fast_path - before.read_fast_path,
+        read_fast_path,
     }
 }
 
@@ -618,10 +621,10 @@ fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) ->
 fn raft_heartbeat_phase(seed: u64, quiesce: bool, cold: u32) -> (f64, u64) {
     let mut c = raft_probe_cluster(seed, SimDuration::ZERO, quiesce, cold);
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
-    let before = c.metrics().heartbeats_sent;
+    let before = c.metrics().heartbeats_sent.get();
     let window = SimDuration::from_secs(20);
     c.run_until(SimTime(c.now().nanos() + window.nanos()));
-    let total = c.metrics().heartbeats_sent - before;
+    let total = c.metrics().heartbeats_sent.get() - before;
     (total as f64 / (window.nanos() as f64 / 1e9), total)
 }
 
@@ -885,7 +888,7 @@ pub struct ObsProbeReport {
     pub hot: Vec<mr_obs::RangeLoadSnapshot>,
     /// `kv.txn.commits` growth expected over the steady window, milli/sec.
     pub expected_commit_rate_milli: i64,
-    /// The same rate as the tsdb reports it at each resolution.
+    /// The same rate as the scrape store reports it at each resolution.
     pub commit_rate_fine_milli: i64,
     pub commit_rate_coarse_milli: i64,
     /// Retained in-window samples at each resolution.
@@ -975,9 +978,9 @@ pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport
     // resolutions.
     let wfrom = SimTime(t0.nanos() + 2_000_000_000);
     let wto = SimTime(t_skew_end.nanos() - 2_000_000_000);
-    let tsdb = &c.obs.tsdb;
-    let rate = |res| tsdb.rate_milli("kv.txn.commits", res, wfrom, wto);
-    let samples = |res| tsdb.window("kv.txn.commits", res, wfrom, wto).len();
+    let scraper = &c.obs.scraper;
+    let rate = |res| scraper.rate_milli("kv.txn.commits", res, wfrom, wto);
+    let samples = |res| scraper.window("kv.txn.commits", res, wfrom, wto).len();
     let commit_rate_fine_milli = rate(Resolution::Fine).unwrap_or(0);
     let commit_rate_coarse_milli = rate(Resolution::Coarse).unwrap_or(0);
     let (fine_samples, coarse_samples) = (samples(Resolution::Fine), samples(Resolution::Coarse));
@@ -1015,7 +1018,7 @@ pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport
         instrument_count: c.obs.registry.instrument_count(),
         hot_ranges_json: c.obs.load.export_json(now, 10),
         slow_txns_json: c.attr_log.export_json(20),
-        metrics_history_json: c.obs.tsdb.export_json(&[
+        metrics_history_json: c.obs.scraper.export_json(&[
             "kv.txn.commits",
             "kv.attr.slow_txn_records",
             "kv.load.tracked_ranges",

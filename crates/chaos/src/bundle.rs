@@ -256,17 +256,12 @@ fn events_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
     w.finish()
 }
 
-/// Every fine-resolution sample inside the window, per metric in store
+/// Every fine-resolution sample inside the window, per metric in name
 /// order.
 fn metrics_json(cluster: &Cluster, from: SimTime, to: SimTime) -> String {
-    let tsdb = &cluster.obs.tsdb;
     let mut w = JsonWriter::default();
     w.obj();
-    for metric in tsdb.metrics() {
-        let samples = tsdb.window(&metric, Resolution::Fine, from, to);
-        if samples.is_empty() {
-            continue;
-        }
+    for (metric, samples) in cluster.obs.scraper.windows(Resolution::Fine, from, to) {
         w.key(&metric).arr_inline();
         for (at, v) in samples {
             w.arr_inline().val(at.0).val(v).end();

@@ -476,7 +476,7 @@ pub fn run_chaos(
     }
 
     // Forensics must be captured while the cluster is still alive: the
-    // tracer, event log, tsdb, and range registry all die with it.
+    // tracer, event log, scrape store, and range registry all die with it.
     let bundle = IncidentBundle::collect(&c, schedule, &hist, &report);
     let splits = c.events.count_kind("range_split");
     let merges = c.events.count_kind("range_merge");

@@ -28,9 +28,9 @@
 //! component (the rest).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
+use mr_obs::Ring;
 use mr_sim::SimTime;
 
 /// A named latency component. `other` is derived at finalize, not charged.
@@ -187,17 +187,11 @@ pub struct TxnAttrRecord {
 /// Default retention for finished-transaction attribution records.
 pub const DEFAULT_ATTR_CAP: usize = 16_384;
 
-struct TxnAttrLogInner {
-    records: VecDeque<TxnAttrRecord>,
-    cap: usize,
-    dropped: u64,
-}
-
 /// Bounded ring of finished transactions with their latency breakdowns,
 /// backing `crdb_internal.slow_txns`. Cloning shares the store.
 #[derive(Clone)]
 pub struct TxnAttrLog {
-    inner: Rc<RefCell<TxnAttrLogInner>>,
+    inner: Rc<RefCell<Ring<TxnAttrRecord>>>,
 }
 
 impl Default for TxnAttrLog {
@@ -212,27 +206,17 @@ impl TxnAttrLog {
     }
 
     pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "attribution capacity must be positive");
         TxnAttrLog {
-            inner: Rc::new(RefCell::new(TxnAttrLogInner {
-                records: VecDeque::new(),
-                cap,
-                dropped: 0,
-            })),
+            inner: Rc::new(RefCell::new(Ring::new(cap))),
         }
     }
 
     pub fn record(&self, rec: TxnAttrRecord) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.records.len() == inner.cap {
-            inner.records.pop_front();
-            inner.dropped += 1;
-        }
-        inner.records.push_back(rec);
+        self.inner.borrow_mut().push(rec);
     }
 
     pub fn len(&self) -> usize {
-        self.inner.borrow().records.len()
+        self.inner.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -241,12 +225,12 @@ impl TxnAttrLog {
 
     /// Records evicted by the retention cap so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.inner.borrow().dropped()
     }
 
     /// Retained records in finish order.
     pub fn records(&self) -> Vec<TxnAttrRecord> {
-        self.inner.borrow().records.iter().cloned().collect()
+        self.inner.borrow().iter().cloned().collect()
     }
 
     /// The `k` slowest retained transactions, by total latency descending;

@@ -43,7 +43,7 @@ use crate::allocator::{allocate, AllocError};
 use crate::attribution::{self, TxnAttrLog};
 use crate::closedts::{ClosedTsParams, SideBatch, SideRx};
 use crate::events::{EventKind, EventLog};
-use crate::metrics::{KvMetrics, MetricsView};
+use crate::metrics::KvMetrics;
 use crate::range::{RangeDescriptor, RangeLineage, RangeMeta, RangeRegistry};
 use crate::replica::{Batch, Effect, EvalCtx, EvalOutcome, Replica, ReplyPath};
 use crate::report::{self, RangeStatus, ReplicationReport};
@@ -602,10 +602,11 @@ impl Cluster {
         &self.registry
     }
 
-    /// Point-in-time copy of the KV counters (tests, harnesses). Richer
-    /// queries — labels, histograms, dumps — go through `obs.registry`.
-    pub fn metrics(&self) -> MetricsView {
-        self.m.view()
+    /// The KV instrument handles (tests, harnesses): read a counter with
+    /// `.get()`. Richer queries — labels, histograms, dumps — go through
+    /// `obs.registry`.
+    pub fn metrics(&self) -> &KvMetrics {
+        &self.m
     }
 
     /// In-flight (unfinished) transactions, sorted by id — the live

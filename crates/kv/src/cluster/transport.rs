@@ -343,7 +343,11 @@ mod tests {
         // served and answered, but the answer finds the entry retired.
         let (mut c, range, _, outcomes) = get_in_flight(SimDuration::from_millis(10));
         c.run_until(SimTime(SimDuration::from_secs(1).nanos()));
-        assert_eq!(c.metrics().ev_rpc, 2, "request and response both delivered");
+        assert_eq!(
+            c.metrics().ev_rpc.get(),
+            2,
+            "request and response both delivered"
+        );
         let outcomes = outcomes.borrow();
         assert!(
             matches!(outcomes[..], [Err(KvError::RangeUnavailable { range: r })] if r == range),

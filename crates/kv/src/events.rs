@@ -7,15 +7,15 @@
 //! invariant monitors; its JSON export is deterministic for a fixed seed
 //! (integers and fixed strings only, append order).
 //!
-//! Retention is a ring: once `cap` events are held, each new record evicts
+//! Retention is a [`Ring`]: once `cap` events are held, each new record evicts
 //! the oldest and bumps a `dropped` counter. Sequence numbers stay globally
 //! monotone across evictions, so a reader can always tell truncated history
 //! (first retained `seq` > `dropped` gap) from empty history.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
+use mr_obs::Ring;
 use mr_proto::RangeId;
 use mr_sim::{NodeId, SimTime};
 
@@ -194,18 +194,11 @@ pub struct ClusterEvent {
 /// schedules roll over with `dropped` accounting.
 pub const DEFAULT_EVENT_CAP: usize = 65_536;
 
-struct EventLogInner {
-    events: VecDeque<ClusterEvent>,
-    cap: usize,
-    next_seq: u64,
-    dropped: u64,
-}
-
 /// The bounded log. Cloning shares the underlying store (the SQL layer
 /// holds a handle alongside the cluster).
 #[derive(Clone)]
 pub struct EventLog {
-    inner: Rc<RefCell<EventLogInner>>,
+    inner: Rc<RefCell<Ring<ClusterEvent>>>,
 }
 
 impl Default for EventLog {
@@ -221,34 +214,23 @@ impl EventLog {
 
     /// A log retaining at most `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "event capacity must be positive");
         EventLog {
-            inner: Rc::new(RefCell::new(EventLogInner {
-                events: VecDeque::new(),
-                cap,
-                next_seq: 1,
-                dropped: 0,
-            })),
+            inner: Rc::new(RefCell::new(Ring::new(cap))),
         }
     }
 
     /// Append one event; returns its sequence number (1-based, monotone
     /// across evictions).
     pub fn record(&self, at: SimTime, kind: EventKind) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.events.len() == inner.cap {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(ClusterEvent { seq, at, kind });
+        let mut events = self.inner.borrow_mut();
+        let seq = events.pushed() + 1;
+        events.push(ClusterEvent { seq, at, kind });
         seq
     }
 
     /// Retained events (excludes evicted ones).
     pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
+        self.inner.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -257,19 +239,18 @@ impl EventLog {
 
     /// Events evicted by the retention cap so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.inner.borrow().dropped()
     }
 
     /// Copy of the retained log in append order.
     pub fn events(&self) -> Vec<ClusterEvent> {
-        self.inner.borrow().events.iter().cloned().collect()
+        self.inner.borrow().iter().cloned().collect()
     }
 
     /// Count of retained events with the given kind label.
     pub fn count_kind(&self, label: &str) -> usize {
         self.inner
             .borrow()
-            .events
             .iter()
             .filter(|e| e.kind.label() == label)
             .count()
@@ -279,7 +260,7 @@ impl EventLog {
     pub fn export_json(&self) -> String {
         let mut w = mr_obs::export::JsonWriter::default();
         w.arr();
-        for e in &self.inner.borrow().events {
+        for e in self.inner.borrow().iter() {
             w.obj_inline().field("seq", e.seq).field("time_ns", e.at.0);
             w.field("kind", e.kind.label());
             w.field("range", e.kind.range().map(|r| r.0));

@@ -57,7 +57,7 @@ pub use cluster::{
 };
 pub use events::{ClusterEvent, EventKind, EventLog};
 pub use fault::FaultKind;
-pub use metrics::MetricsView;
+pub use metrics::KvMetrics;
 pub use range::{RangeDescriptor, RangeRegistry};
 pub use report::{RangeConformance, RangeStatus, ReplicationReport};
 pub use txn::TxnHandle;

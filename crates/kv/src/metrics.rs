@@ -205,8 +205,9 @@ const SCRAPE_GAUGES: [ScrapeGaugeRow; 22] = [
     ("obs.trace.dropped_spans", &[], |s| s.trace_dropped_spans),
 ];
 
-/// Every KV instrument, bound once per cluster.
-pub(crate) struct KvMetrics {
+/// Every KV instrument, bound once per cluster. Tests and harnesses read
+/// the counters through [`crate::Cluster::metrics`] (`.rpcs_sent.get()`).
+pub struct KvMetrics {
     pub rpcs_sent: Counter,
     pub rpcs_by_kind: [Counter; 12],
     pub follower_reads_served: Counter,
@@ -271,7 +272,7 @@ pub(crate) struct KvMetrics {
 }
 
 impl KvMetrics {
-    pub fn bind(r: &Registry, topo: &Topology) -> KvMetrics {
+    pub(crate) fn bind(r: &Registry, topo: &Topology) -> KvMetrics {
         let ev = |kind: &str| r.counter("kv.events.by_kind", &[("kind", kind)]);
         let regions: Vec<String> = (0..topo.num_regions() as u32)
             .map(|i| topo.region_name(RegionId(i)).to_string())
@@ -323,7 +324,12 @@ impl KvMetrics {
 
     /// The latency histogram of successful `op`s under `policy` issued
     /// through a gateway in `region`.
-    pub fn op_latency(&self, op: Op, policy: OpPolicy, region: RegionId) -> &HistogramHandle {
+    pub(crate) fn op_latency(
+        &self,
+        op: Op,
+        policy: OpPolicy,
+        region: RegionId,
+    ) -> &HistogramHandle {
         let class = op as usize * OpPolicy::COUNT + policy as usize;
         self.op_latency[class * self.regions.len() + region.0 as usize].get_or_init(|| {
             let labels = [
@@ -337,7 +343,7 @@ impl KvMetrics {
 
     /// Roll one finished transaction's latency attribution into
     /// `kv.txn.attr.latency{comp}`.
-    pub fn record_txn_attr(&self, b: &AttrBreakdown) {
+    pub(crate) fn record_txn_attr(&self, b: &AttrBreakdown) {
         let labels = COMPONENTS
             .iter()
             .map(|c| c.label())
@@ -353,83 +359,9 @@ impl KvMetrics {
     }
 
     /// Export one scrape's statistics through the [`SCRAPE_GAUGES`] table.
-    pub fn set_scrape_gauges(&self, stats: &ScrapeStats) {
+    pub(crate) fn set_scrape_gauges(&self, stats: &ScrapeStats) {
         for (gauge, read) in &self.scrape_gauges {
             gauge.set(read(stats));
-        }
-    }
-}
-
-/// Point-in-time copy of the KV counters, field-compatible with the old
-/// `Metrics` struct so tests and harnesses read `cluster.metrics().X`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MetricsView {
-    pub rpcs_sent: u64,
-    pub follower_reads_served: u64,
-    pub follower_read_redirects: u64,
-    pub uncertainty_restarts: u64,
-    pub refreshes: u64,
-    pub refresh_failures: u64,
-    pub commit_waits: u64,
-    pub commit_wait_nanos: u64,
-    pub txn_commits: u64,
-    pub txn_aborts: u64,
-    pub txn_restarts: u64,
-    pub lease_transfers: u64,
-    /// Total calendar events processed (perf diagnostics).
-    pub events_processed: u64,
-    pub parked_requests: u64,
-    pub ev_rpc: u64,
-    pub ev_raft: u64,
-    pub ev_tick: u64,
-    pub ev_side: u64,
-    pub ev_wake: u64,
-    pub gc_versions_removed: u64,
-    pub pipelined_writes: u64,
-    pub parallel_commit_acks: u64,
-    pub parallel_commit_restages: u64,
-    pub staging_recoveries: u64,
-    pub staging_recovery_commits: u64,
-    pub staging_recovery_aborts: u64,
-    pub proposals_batched: u64,
-    pub entries_proposed: u64,
-    pub heartbeats_sent: u64,
-    pub read_fast_path: u64,
-}
-
-impl KvMetrics {
-    pub fn view(&self) -> MetricsView {
-        MetricsView {
-            rpcs_sent: self.rpcs_sent.get(),
-            follower_reads_served: self.follower_reads_served.get(),
-            follower_read_redirects: self.follower_read_redirects.get(),
-            uncertainty_restarts: self.uncertainty_restarts.get(),
-            refreshes: self.refreshes.get(),
-            refresh_failures: self.refresh_failures.get(),
-            commit_waits: self.commit_waits.get(),
-            commit_wait_nanos: self.commit_wait_nanos.get(),
-            txn_commits: self.txn_commits.get(),
-            txn_aborts: self.txn_aborts.get(),
-            txn_restarts: self.txn_restarts.get(),
-            lease_transfers: self.lease_transfers.get(),
-            events_processed: self.events_processed.get(),
-            parked_requests: self.parked_requests.get(),
-            ev_rpc: self.ev_rpc.get(),
-            ev_raft: self.ev_raft.get(),
-            ev_tick: self.ev_tick.get(),
-            ev_side: self.ev_side.get(),
-            ev_wake: self.ev_wake.get(),
-            gc_versions_removed: self.gc_versions_removed.get(),
-            pipelined_writes: self.pipelined_writes.get(),
-            parallel_commit_acks: self.parallel_commit_acks.get(),
-            parallel_commit_restages: self.parallel_commit_restages.get(),
-            staging_recoveries: self.staging_recoveries.get(),
-            staging_recovery_commits: self.staging_recovery_commits.get(),
-            staging_recovery_aborts: self.staging_recovery_aborts.get(),
-            proposals_batched: self.proposals_batched.get(),
-            entries_proposed: self.entries_proposed.get(),
-            heartbeats_sent: self.heartbeats_sent.get(),
-            read_fast_path: self.read_fast_path.get(),
         }
     }
 }
@@ -454,7 +386,7 @@ mod tests {
         // A second bind sees the same instruments (single source of truth).
         let m2 = KvMetrics::bind(&r, &topo);
         assert_eq!(m2.txn_commits.get(), 1);
-        assert_eq!(m.view().txn_commits, 1);
+        assert_eq!(m.txn_commits.get(), 1);
     }
 
     #[test]

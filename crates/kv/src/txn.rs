@@ -1898,7 +1898,7 @@ mod tests {
         quiesce(&mut c);
         // (The one operation outstanding at the ack was that tail.)
         assert!(matches!(taken(&acked), Ok((true, 1))));
-        assert_eq!(c.metrics().parallel_commit_acks, 1);
+        assert_eq!(c.metrics().parallel_commit_acks.get(), 1);
         assert!(c.txns.is_empty(), "parallel commit and its async tail");
 
         // Restage: a read bumps "n"'s timestamp cache above the open
@@ -1909,7 +1909,7 @@ mod tests {
         put(&mut c, h, "a");
         put(&mut c, h, "n");
         commit(&mut c, h).unwrap();
-        assert_eq!(c.metrics().parallel_commit_restages, 1);
+        assert_eq!(c.metrics().parallel_commit_restages.get(), 1);
         assert!(c.txns.is_empty(), "restaged commit");
 
         // Rollback with pipelined writes outstanding: the entry stays while
@@ -1940,9 +1940,9 @@ mod tests {
         commit(&mut c, other).unwrap();
         read_now(&mut c, "n");
         put(&mut c, h, "n");
-        let failures = c.metrics().refresh_failures;
+        let failures = c.metrics().refresh_failures.get();
         assert!(commit(&mut c, h).is_err());
-        assert_eq!(c.metrics().refresh_failures, failures + 1);
+        assert_eq!(c.metrics().refresh_failures.get(), failures + 1);
         assert!(c.txns.is_empty(), "refresh-failure abort");
     }
 

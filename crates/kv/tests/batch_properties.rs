@@ -241,7 +241,7 @@ proptest! {
 
         // The batched path was actually exercised.
         c.scrape_now();
-        prop_assert!(c.metrics().entries_proposed > 0, "no batched entries proposed");
+        prop_assert!(c.metrics().entries_proposed.get() > 0, "no batched entries proposed");
 
         // Apply-order check: per key, the newest committed value (or an
         // aborted-to-the-client value that raced) is what a final read

@@ -164,7 +164,7 @@ fn stale_read_is_served_by_local_non_voting_replica() {
     // Let replication + closed timestamps advance well past the write.
     c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
 
-    let before = c.metrics().follower_reads_served;
+    let before = c.metrics().follower_reads_served.get();
     let opts = ReadOptions {
         staleness: Staleness::ExactAgo(SimDuration::from_secs(5)),
         fallback_to_leaseholder: true,
@@ -176,7 +176,7 @@ fn stale_read_is_served_by_local_non_voting_replica() {
         rlat < SimDuration::from_millis(5),
         "stale read should be region-local: {rlat}"
     );
-    assert_eq!(c.metrics().follower_reads_served, before + 1);
+    assert_eq!(c.metrics().follower_reads_served.get(), before + 1);
 }
 
 #[test]
@@ -234,7 +234,7 @@ fn bounded_scan_behind_the_bound_errors_or_falls_back_like_a_point_read() {
         };
         let out = Rc::new(RefCell::new(None));
         let o2 = Rc::clone(&out);
-        let (start, rpcs) = (c.now(), c.metrics().rpcs_sent);
+        let (start, rpcs) = (c.now(), c.metrics().rpcs_sent.get());
         c.scan(
             gw(4),
             Span::new(Key::from("k"), Key::from("l")),
@@ -244,7 +244,7 @@ fn bounded_scan_behind_the_bound_errors_or_falls_back_like_a_point_read() {
         );
         c.run_until_quiescent(deadline());
         let res = out.borrow_mut().take().expect("scan did not complete");
-        (res, c.now() - start, c.metrics().rpcs_sent - rpcs)
+        (res, c.now() - start, c.metrics().rpcs_sent.get() - rpcs)
     };
 
     let (res, lat, rpcs) = scan(false);
@@ -308,7 +308,7 @@ fn global_table_reads_fast_everywhere_writes_pay_commit_wait() {
             "global read from region {region} took {rlat}"
         );
     }
-    assert!(c.metrics().follower_reads_served >= 4);
+    assert!(c.metrics().follower_reads_served.get() >= 4);
 }
 
 #[test]
@@ -349,11 +349,11 @@ fn global_reader_observing_recent_write_commit_waits_briefly() {
     // value is within the reader's uncertainty window → uncertainty restart
     // + reader-side commit wait (bounded by max_offset).
     c.run_until(SimTime(SimDuration::from_millis(5_450).nanos()));
-    let before_restarts = c.metrics().uncertainty_restarts;
+    let before_restarts = c.metrics().uncertainty_restarts.get();
     let (val, rlat) = read_key(&mut c, gw(4), "g1", fresh());
     assert_eq!(val.unwrap(), Some(Value::from("v1")));
     assert!(
-        c.metrics().uncertainty_restarts > before_restarts,
+        c.metrics().uncertainty_restarts.get() > before_restarts,
         "reader should have hit the uncertainty window"
     );
     // Reader-side commit wait is bounded by max_clock_offset (250ms) plus
@@ -516,7 +516,7 @@ fn region_survivability_survives_home_region_failure() {
     assert_eq!(val.unwrap(), Some(Value::from("before")));
     let (val, _) = read_key(&mut c, gw(1), "k2", fresh());
     assert_eq!(val.unwrap(), Some(Value::from("after")));
-    assert!(c.metrics().lease_transfers >= 1);
+    assert!(c.metrics().lease_transfers.get() >= 1);
 }
 
 #[test]
@@ -877,7 +877,7 @@ fn gc_collects_old_versions_without_breaking_reads() {
     // Far past the TTL: old versions get collected.
     c.run_until(SimTime(SimDuration::from_secs(60).nanos()));
     assert!(
-        c.metrics().gc_versions_removed > 0,
+        c.metrics().gc_versions_removed.get() > 0,
         "GC should have removed shadowed versions"
     );
     // Fresh reads still see the newest value...
@@ -1087,7 +1087,7 @@ fn op_latency_series_count_the_successful_ops_of_their_class() {
 
     let finished = 3 + 2 + 4 + 1;
     let m = c.metrics();
-    assert_eq!(m.txn_commits + m.txn_aborts, finished);
+    assert_eq!(m.txn_commits.get() + m.txn_aborts.get(), finished);
     for (k, h) in snap
         .histograms
         .iter()
@@ -1145,7 +1145,7 @@ fn idle_followers_trail_their_leaseholders_by_one_interval_and_the_wire() {
     // line and waits in the receiver's inbox instead, so what is left is the
     // set-up: leases settling, first promises, indices moving while the
     // ranges quiesce. (167,179 while every delivery was an event.)
-    assert_eq!(c.metrics().ev_side, 942);
+    assert_eq!(c.metrics().ev_side.get(), 942);
 
     let interval = SIDE_TRANSPORT_INTERVAL;
     let mut followers = 0;
@@ -1171,7 +1171,7 @@ fn idle_followers_trail_their_leaseholders_by_one_interval_and_the_wire() {
     assert_eq!(followers, 26 * 27);
 
     // A stale read of an idle range is served by the reader's own region.
-    let before = c.metrics().follower_reads_served;
+    let before = c.metrics().follower_reads_served.get();
     let opts = ReadOptions {
         staleness: Staleness::ExactAgo(SimDuration::from_secs(5)),
         fallback_to_leaseholder: true,
@@ -1179,7 +1179,7 @@ fn idle_followers_trail_their_leaseholders_by_one_interval_and_the_wire() {
     let (val, lat) = read_key(&mut c, NodeId(20 * 3), "p07/k", opts);
     assert_eq!(val.unwrap(), Some(Value::from("v")));
     assert!(lat < SimDuration::from_millis(5), "served remotely: {lat}");
-    assert_eq!(c.metrics().follower_reads_served, before + 1);
+    assert_eq!(c.metrics().follower_reads_served.get(), before + 1);
 }
 
 /// One range homed in us-east1 with every promise-reader that runs on a

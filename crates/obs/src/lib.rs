@@ -22,9 +22,15 @@
 //!   (e.g. "this follower read never crossed a region boundary").
 //! * [`Scraper`] — periodic snapshots of the registry over sim-time, giving
 //!   benches time series (closed-ts lag, lease transfers, restarts) instead
-//!   of end-of-run totals only.
+//!   of end-of-run totals only. It is the one scrape store: the CSV export,
+//!   the ledger and the windowed queries ([`tsdb`]: fine windows over the
+//!   points, coarse windows over per-metric rollups) all read it.
 //!
-//! [`Obs`] bundles the three with shared ownership (`Rc` clones) so the
+//! Every bounded log here — scrape points, coarse buckets, spans, and the
+//! KV layer's event and attribution logs — is one [`Ring`]: a capped queue
+//! that evicts its oldest item and counts the drop.
+//!
+//! [`Obs`] bundles them with shared ownership (`Rc` clones) so the
 //! cluster, SQL layer, and bench harness observe the same instruments.
 
 pub mod export;
@@ -32,6 +38,7 @@ pub mod histogram;
 pub mod load;
 pub mod monitor;
 pub mod registry;
+pub mod ring;
 pub mod scrape;
 pub mod trace;
 pub mod tsdb;
@@ -40,22 +47,21 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use load::{DecayedCounter, LoadRecorder, RangeLoadSnapshot};
 pub use monitor::{MonitorSet, Violation};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, Registry, Snapshot};
+pub use ring::Ring;
 pub use scrape::{ScrapePoint, Scraper};
 pub use trace::{SpanData, SpanId, Tracer};
-pub use tsdb::{Resolution, TsDb, TsDbConfig};
+pub use tsdb::Resolution;
 
 use mr_sim::SimTime;
 
 /// The observability bundle a cluster carries: one registry, one tracer, one
-/// scrape series, one windowed time-series store, one per-range load
-/// recorder, one set of online invariant monitors. Cloning shares the
-/// underlying state.
+/// scrape store, one per-range load recorder, one set of online invariant
+/// monitors. Cloning shares the underlying state.
 #[derive(Clone, Default)]
 pub struct Obs {
     pub registry: Registry,
     pub tracer: Tracer,
     pub scraper: Scraper,
-    pub tsdb: TsDb,
     pub load: LoadRecorder,
     pub monitors: MonitorSet,
 }
@@ -66,11 +72,7 @@ impl Obs {
     }
 
     /// Record one scrape point at `now` from the current registry contents.
-    /// One registry walk feeds both the flat scrape series and the windowed
-    /// time-series store.
     pub fn scrape(&self, now: SimTime) {
-        let values = scrape::collect_values(&self.registry);
-        self.tsdb.ingest(now, &values);
-        self.scraper.push(now, values);
+        self.scraper.scrape(now, &self.registry);
     }
 }

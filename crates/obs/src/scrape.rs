@@ -1,4 +1,4 @@
-//! Periodic registry scrapes: time series over sim-time.
+//! Periodic registry scrapes: the one store of the cluster's time series.
 //!
 //! The cluster schedules a scrape event on a fixed sim-time interval; each
 //! scrape copies every counter and gauge (and histogram `count`/`sum` plus
@@ -7,18 +7,21 @@
 //! lag, lease transfers, or restart rates over the run instead of only
 //! end-of-run totals.
 //!
-//! Retention is a ring: once `cap` points are held, each new scrape evicts
-//! the oldest and bumps a `dropped` counter, so multi-hour runs don't
+//! Retention is a [`Ring`]: once `cap` points are held, each new scrape
+//! evicts the oldest and bumps a `dropped` counter, so multi-hour runs don't
 //! accrete memory forever and readers can tell truncated history from
-//! empty history. The full-fidelity windowed store is [`crate::tsdb`]; the
-//! scraper remains the flat tail used by CSV exports.
+//! empty history. The same scrape also feeds each metric's coarse rollup,
+//! and the windowed queries ([`crate::tsdb`]) read both: fine windows the
+//! points, coarse windows the rollups.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::export::csv_field;
 use crate::registry::Registry;
+use crate::ring::Ring;
+use crate::tsdb::Rollup;
 use mr_sim::SimTime;
 
 /// One scrape: every instrument's value at `at`, in registry (sorted) order.
@@ -30,9 +33,18 @@ pub struct ScrapePoint {
     pub values: Vec<(String, i64)>,
 }
 
+impl ScrapePoint {
+    /// This scrape's value of `metric`, if it carried the metric.
+    pub(crate) fn value(&self, metric: &str) -> Option<i64> {
+        self.values
+            .iter()
+            .find(|(name, _)| name == metric)
+            .map(|(_, v)| *v)
+    }
+}
+
 /// Flatten the registry into one scrape's worth of `(metric, value)` rows,
-/// in deterministic sorted order. Shared by the scraper and the tsdb so one
-/// registry walk feeds both.
+/// in deterministic sorted order.
 pub fn collect_values(registry: &Registry) -> Vec<(String, i64)> {
     let snap = registry.snapshot();
     let mut values = Vec::new();
@@ -55,16 +67,16 @@ pub fn collect_values(registry: &Registry) -> Vec<(String, i64)> {
 /// history.
 pub const DEFAULT_SCRAPE_CAP: usize = 4096;
 
-struct ScraperInner {
-    points: VecDeque<ScrapePoint>,
-    cap: usize,
-    dropped: u64,
+pub(crate) struct ScraperInner {
+    pub(crate) points: Ring<ScrapePoint>,
+    /// Per metric, by name: its first scrape number and coarse buckets.
+    pub(crate) rollups: BTreeMap<String, Rollup>,
 }
 
 /// Bounded scrape series. Cloning shares the underlying store.
 #[derive(Clone)]
 pub struct Scraper {
-    inner: Rc<RefCell<ScraperInner>>,
+    pub(crate) inner: Rc<RefCell<ScraperInner>>,
 }
 
 impl Default for Scraper {
@@ -80,29 +92,32 @@ impl Scraper {
 
     /// A scraper retaining at most `cap` points.
     pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "scrape capacity must be positive");
         Scraper {
             inner: Rc::new(RefCell::new(ScraperInner {
-                points: VecDeque::new(),
-                cap,
-                dropped: 0,
+                points: Ring::new(cap),
+                rollups: BTreeMap::new(),
             })),
         }
     }
 
+    /// Record one scrape point at `at` from the current registry contents
+    /// (evicting the oldest point when at capacity). Only a metric's first
+    /// scrape allocates its rollup.
     pub fn scrape(&self, at: SimTime, registry: &Registry) {
-        self.push(at, collect_values(registry));
-    }
-
-    /// Append an already-collected scrape (evicting the oldest point when
-    /// at capacity).
-    pub fn push(&self, at: SimTime, values: Vec<(String, i64)>) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.points.len() == inner.cap {
-            inner.points.pop_front();
-            inner.dropped += 1;
+        let values = collect_values(registry);
+        let inner = &mut *self.inner.borrow_mut();
+        let scrape = inner.points.pushed();
+        for (name, value) in &values {
+            match inner.rollups.get_mut(name.as_str()) {
+                Some(known) => known.add(at, *value),
+                None => {
+                    let mut new = Rollup::new(scrape);
+                    new.add(at, *value);
+                    inner.rollups.insert(name.clone(), new);
+                }
+            }
         }
-        inner.points.push_back(ScrapePoint { at, values });
+        inner.points.push(ScrapePoint { at, values });
     }
 
     /// Retained points (excludes evicted ones).
@@ -116,7 +131,7 @@ impl Scraper {
 
     /// Points evicted by the retention cap so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.inner.borrow().points.dropped()
     }
 
     pub fn points(&self) -> Vec<ScrapePoint> {
@@ -130,12 +145,7 @@ impl Scraper {
             .borrow()
             .points
             .iter()
-            .filter_map(|p| {
-                p.values
-                    .iter()
-                    .find(|(name, _)| name == metric)
-                    .map(|(_, v)| (p.at, *v))
-            })
+            .filter_map(|p| Some((p.at, p.value(metric)?)))
             .collect()
     }
 

@@ -15,19 +15,19 @@
 //! Exports: Chrome-trace JSON (load in `chrome://tracing` or Perfetto) and an
 //! indented human-readable tree.
 //!
-//! Retention is a ring: once `cap` spans are held, each new span evicts the
-//! oldest and bumps a `dropped` counter, so long-running traced workloads
+//! Retention is a [`Ring`]: once `cap` spans are held, each new span evicts
+//! the oldest and bumps a `dropped` counter, so long-running traced workloads
 //! hold memory under a fixed cap. Span ids stay **globally monotone** across
 //! evictions and [`Tracer::clear`] — an id is never reused, so a stale
 //! `SpanId` held across either simply resolves to nothing (mutations become
 //! no-ops, `try_get` returns `None`) instead of aliasing a newer span.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Display;
 use std::rc::Rc;
 
 use crate::export::JsonWriter;
+use crate::ring::Ring;
 use mr_sim::{SimDuration, SimTime};
 
 /// Opaque span handle. Ids are assigned sequentially from 1 and never
@@ -82,23 +82,18 @@ pub const DEFAULT_SPAN_CAP: usize = 65_536;
 
 struct Inner {
     enabled: bool,
-    spans: VecDeque<SpanData>,
-    /// Count of spans ever allocated before the first retained one, so
-    /// `spans[i].id == base + i + 1`. Bumped by eviction and `clear`.
-    base: u64,
-    cap: usize,
-    /// Spans evicted by the retention cap (clears are not counted).
-    dropped: u64,
+    spans: Ring<SpanData>,
+    /// Spans forgotten by `clear`, which the ring does not count as drops:
+    /// span `i` of the ring has id `cleared + spans.dropped() + i + 1`.
+    cleared: u64,
 }
 
 impl Default for Inner {
     fn default() -> Self {
         Inner {
             enabled: false,
-            spans: VecDeque::new(),
-            base: 0,
-            cap: DEFAULT_SPAN_CAP,
-            dropped: 0,
+            spans: Ring::new(DEFAULT_SPAN_CAP),
+            cleared: 0,
         }
     }
 }
@@ -107,13 +102,17 @@ impl Inner {
     /// Ring index of a live span; `None` for evicted/cleared or
     /// not-yet-allocated ids.
     fn index(&self, id: SpanId) -> Option<usize> {
-        let idx = id.0.checked_sub(self.base + 1)?;
+        let idx = id.0.checked_sub(self.cleared + self.spans.dropped() + 1)?;
         ((idx as usize) < self.spans.len()).then_some(idx as usize)
+    }
+
+    fn get(&self, id: SpanId) -> Option<&SpanData> {
+        self.spans.get(self.index(id)?)
     }
 
     fn get_mut(&mut self, id: SpanId) -> Option<&mut SpanData> {
         let i = self.index(id)?;
-        Some(&mut self.spans[i])
+        self.spans.get_mut(i)
     }
 }
 
@@ -141,25 +140,18 @@ impl Tracer {
     /// aliasing spans recorded afterwards.
     pub fn clear(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.base += inner.spans.len() as u64;
+        inner.cleared += inner.spans.len() as u64;
         inner.spans.clear();
     }
 
     /// Change the retention cap, evicting oldest spans if over it.
     pub fn set_capacity(&self, cap: usize) {
-        assert!(cap > 0, "span capacity must be positive");
-        let mut inner = self.inner.borrow_mut();
-        inner.cap = cap;
-        while inner.spans.len() > cap {
-            inner.spans.pop_front();
-            inner.base += 1;
-            inner.dropped += 1;
-        }
+        self.inner.borrow_mut().spans.set_cap(cap);
     }
 
     /// Spans evicted by the retention cap so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.inner.borrow().spans.dropped()
     }
 
     /// Open a span. Returns `None` when tracing is disabled; every other
@@ -169,13 +161,8 @@ impl Tracer {
         if !inner.enabled {
             return None;
         }
-        if inner.spans.len() == inner.cap {
-            inner.spans.pop_front();
-            inner.base += 1;
-            inner.dropped += 1;
-        }
-        let id = SpanId(inner.base + inner.spans.len() as u64 + 1);
-        inner.spans.push_back(SpanData {
+        let id = SpanId(inner.cleared + inner.spans.pushed() + 1);
+        inner.spans.push(SpanData {
             id,
             parent,
             name: name.to_string(),
@@ -225,8 +212,7 @@ impl Tracer {
 
     /// A retained span, or `None` if the id was evicted or cleared.
     pub fn try_get(&self, id: SpanId) -> Option<SpanData> {
-        let inner = self.inner.borrow();
-        inner.index(id).map(|i| inner.spans[i].clone())
+        self.inner.borrow().get(id).cloned()
     }
 
     pub fn get(&self, id: SpanId) -> SpanData {
@@ -292,8 +278,8 @@ impl Tracer {
     pub fn root_of(&self, id: SpanId) -> SpanId {
         let inner = self.inner.borrow();
         let mut cur = id;
-        while let Some(i) = inner.index(cur) {
-            match inner.spans[i].parent {
+        while let Some(s) = inner.get(cur) {
+            match s.parent {
                 Some(p) if inner.index(p).is_some() => cur = p,
                 _ => break,
             }
@@ -309,7 +295,7 @@ impl Tracer {
         let inner = self.inner.borrow();
         let mut w = JsonWriter::default();
         w.arr();
-        for s in &inner.spans {
+        for s in inner.spans.iter() {
             let start_ns = s.start.0;
             let dur_ns = s.end.map(|e| e.0 - s.start.0).unwrap_or(0);
             w.obj_inline().field("name", &s.name);

@@ -957,9 +957,10 @@ fn add_column(
         .ty
         .ok_or_else(|| DdlError(format!("column {:?} missing type", def.name)))?;
     // Rewrite stored rows (values embed the full row) with the backfill
-    // value: computed expression, else default, else NULL.
-    // (gateway_region() backfills as the primary region — the schema change
-    // runs "at" the primary.)
+    // value: computed expression, else default, else NULL — which a NOT
+    // NULL column refuses, so such a column can only be added to an empty
+    // table. (gateway_region() backfills as the primary region — the schema
+    // change runs "at" the primary.)
     rewrite_table(cluster, catalog, db_name, name, |db, table, rows| {
         table.columns.push(Column {
             name: def.name.clone(),
@@ -973,6 +974,12 @@ fn add_column(
         });
         for row in rows.iter_mut() {
             let value = backfill_value(table, row, def, db, uuids)?;
+            if def.not_null && value.is_null() {
+                return err(format!(
+                    "column {:?} is NOT NULL but has no value for existing rows",
+                    def.name
+                ));
+            }
             row.push(value);
         }
         Ok(())

@@ -1390,8 +1390,9 @@ fn exec_insert(
     }
     let total = built.len() as u64;
     // UPSERT fast path: a table whose only index is an unpartitioned
-    // primary can be blind-written in one round (no probes, no fetch) —
-    // CRDB's UPSERT, used by the YCSB driver (§7.1). Other tables take a
+    // primary can be blind-written in one round (no fetch, no uniqueness
+    // probe; only REFERENCES columns probe their parent) — CRDB's UPSERT,
+    // used by the YCSB driver (§7.1). Other tables take a
     // read-modify-write path: fetch by primary key, then overwrite or
     // insert.
     let blind_upsert =
@@ -1399,8 +1400,14 @@ fn exec_insert(
     let per_row: Rc<dyn Fn(&mut Cluster, (Vec<Datum>, Vec<bool>), SqlCont<()>)> =
         Rc::new(move |cluster, (row, generated), done| {
             if blind_upsert {
-                match validate_row(&w.db, &w.table, None, &row) {
-                    Ok(()) => write_row_entries(cluster, &w.table, None, &row, w.txn, done),
+                // No old row is read and no uniqueness probe runs (the write
+                // replaces whatever the key held); the row checks and FK
+                // probes are write_row's.
+                let mut probes = Vec::new();
+                match validate_row(&w.db, &w.table, None, &row)
+                    .and_then(|()| fk_probes(&w, &row, |_| false, &mut probes))
+                {
+                    Ok(()) => probe_then_write(cluster, &w, probes, None, row, done),
                     Err(e) => done(cluster, Err(e)),
                 }
             } else if upsert {
@@ -1552,10 +1559,24 @@ fn write_row(
             }
         }
     }
-    if w.ctx.fk_checks {
-        if let Err(e) = fk_probes(w, &row, kept, &mut probes) {
-            return done(cluster, Err(e));
-        }
+    if let Err(e) = fk_probes(w, &row, kept, &mut probes) {
+        return done(cluster, Err(e));
+    }
+    probe_then_write(cluster, w, probes, old, row, done);
+}
+
+/// The last step of [`write_row`]: run `probes`, then, unless one reports a
+/// violation, write `row`'s index entries over `old`'s.
+fn probe_then_write(
+    cluster: &mut Cluster,
+    w: &Writer,
+    probes: Vec<CheckTask>,
+    old: Option<Vec<Datum>>,
+    row: Vec<Datum>,
+    done: SqlCont<()>,
+) {
+    if probes.is_empty() {
+        return write_row_entries(cluster, &w.table, old.as_deref(), &row, w.txn, done);
     }
     let (table, txn) = (Rc::clone(&w.table), w.txn);
     join_all(
@@ -1663,13 +1684,16 @@ fn uniqueness_probes(
 }
 
 /// FK parent-existence probes for every non-NULL referencing column of
-/// `row` that is not `kept` from the old row.
+/// `row` that is not `kept` from the old row (none with FK checks off).
 fn fk_probes(
     w: &Writer,
     row: &[Datum],
     kept: impl Fn(usize) -> bool,
     probes: &mut Vec<CheckTask>,
 ) -> Result<(), SqlError> {
+    if !w.ctx.fk_checks {
+        return Ok(());
+    }
     let db = &w.db;
     for (i, col) in w.table.columns.iter().enumerate() {
         let Some((parent_name, parent_col)) = &col.references else {

@@ -402,8 +402,8 @@ fn hot_ranges(cluster: &Cluster) -> (Table, Vec<Vec<Datum>>) {
     (schema, rows)
 }
 
-/// `crdb_internal.metrics_history`: every sample retained by the windowed
-/// time-series store, at both resolutions, with the instantaneous rate
+/// `crdb_internal.metrics_history`: every sample retained by the scrape
+/// store, at both resolutions, with the instantaneous rate
 /// against the previous sample (milli-units/sec; NULL on the first sample
 /// of a series).
 fn metrics_history(cluster: &Cluster) -> (Table, Vec<Vec<Datum>>) {
@@ -417,13 +417,15 @@ fn metrics_history(cluster: &Cluster) -> (Table, Vec<Vec<Datum>>) {
             ("rate_milli", ColumnType::Int),
         ],
     );
-    let tsdb = &cluster.obs.tsdb;
+    let scraper = &cluster.obs.scraper;
     let now = cluster.now();
+    let windows = [Resolution::Fine, Resolution::Coarse]
+        .map(|res| (res, scraper.windows(res, SimTime::ZERO, now)));
     let mut rows = Vec::new();
-    for metric in tsdb.metrics() {
-        for res in [Resolution::Fine, Resolution::Coarse] {
+    for metric in scraper.metrics() {
+        for (res, samples) in &windows {
             let mut prev: Option<(SimTime, i64)> = None;
-            for (at, v) in tsdb.window(&metric, res, SimTime::ZERO, now) {
+            for &(at, v) in samples.get(&metric).into_iter().flatten() {
                 let rate = prev.and_then(|(pat, pv)| {
                     let dt = (at - pat).nanos();
                     if dt == 0 {

@@ -677,7 +677,7 @@ fn uuid_default_skips_uniqueness_checks() {
         ) LOCALITY REGIONAL BY ROW",
     )
     .unwrap();
-    let before = d.cluster.metrics().rpcs_sent;
+    let before = d.cluster.metrics().rpcs_sent.get();
     let t0 = d.cluster.now();
     d.exec_sync(&sess, "INSERT INTO tokens (v) VALUES ('x')")
         .unwrap();
@@ -1275,6 +1275,74 @@ fn update_and_upsert_to_a_missing_fk_parent_are_rejected() {
     assert_eq!(code_of_redemption_1(&mut d, &sess), Datum::Null);
 }
 
+/// A blind UPSERT (the table's only index is an unpartitioned primary, so
+/// nothing is read first) probes the parent of a REFERENCES column like
+/// INSERT does.
+#[test]
+fn blind_upsert_to_a_missing_fk_parent_is_rejected() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_script(
+        &sess,
+        "CREATE TABLE kids (id INT PRIMARY KEY, code STRING REFERENCES promo_codes (code));
+        INSERT INTO promo_codes VALUES ('OK', 'fine')",
+    )
+    .unwrap();
+    for sql in [
+        "INSERT INTO kids VALUES (2, 'NOPE')",
+        "UPSERT INTO kids VALUES (2, 'NOPE')",
+    ] {
+        let err = d.exec_sync(&sess, sql).unwrap_err();
+        assert!(matches!(err, SqlError::FkViolation { .. }), "{sql}: {err}");
+    }
+    let res = d.exec_sync(&sess, "SELECT * FROM kids").unwrap();
+    assert_eq!(res.rows().len(), 0);
+    d.exec_sync(&sess, "UPSERT INTO kids VALUES (2, 'OK')")
+        .unwrap();
+    d.exec_sync(&sess, "UPSERT INTO kids VALUES (3, NULL)")
+        .unwrap();
+    let res = d.exec_sync(&sess, "SELECT * FROM kids").unwrap();
+    assert_eq!(res.rows().len(), 2);
+}
+
+/// `ADD COLUMN ... NOT NULL` with nothing to backfill is refused while the
+/// table has rows (their NULLs would fail every later write of the row),
+/// and the table is left as it was; an empty table takes the column.
+#[test]
+fn add_not_null_column_without_a_default_needs_an_empty_table() {
+    let mut d = movr_db();
+    let sess = d.session_in_region("us-east1", Some("movr"));
+    d.exec_sync(&sess, "INSERT INTO users (id, email) VALUES (1, 'a@x.com')")
+        .unwrap();
+    let err = d
+        .exec_sync(&sess, "ALTER TABLE users ADD COLUMN nick STRING NOT NULL")
+        .unwrap_err();
+    assert!(
+        matches!(&err, SqlError::Catalog(msg) if msg.contains("\"nick\"")),
+        "{err}"
+    );
+    let res = d.exec_sync(&sess, "SELECT * FROM users").unwrap();
+    assert_eq!(res.rows()[0].len(), 3, "no column added");
+    d.exec_sync(&sess, "UPDATE users SET name = 'a' WHERE id = 1")
+        .unwrap();
+
+    d.exec_script(
+        &sess,
+        "CREATE TABLE empty (id INT PRIMARY KEY);
+        ALTER TABLE empty ADD COLUMN nick STRING NOT NULL",
+    )
+    .unwrap();
+    let err = d
+        .exec_sync(&sess, "INSERT INTO empty (id) VALUES (1)")
+        .unwrap_err();
+    assert!(
+        matches!(&err, SqlError::NotNullViolation { column, .. } if column == "nick"),
+        "{err}"
+    );
+    d.exec_sync(&sess, "INSERT INTO empty (id, nick) VALUES (1, 'n')")
+        .unwrap();
+}
+
 /// An UPDATE that leaves the referencing column alone probes no parent: it
 /// sends as many RPCs as the same UPDATE on a table without the FK.
 #[test]
@@ -1292,11 +1360,11 @@ fn update_that_keeps_the_fk_column_sends_no_parent_probe() {
     .unwrap();
     let mut rpcs = |table: &str| {
         settle_secs(&mut d, 5);
-        let before = d.cluster.metrics().rpcs_sent;
+        let before = d.cluster.metrics().rpcs_sent.get();
         d.exec_sync(&sess, &format!("UPDATE {table} SET n = n + 1 WHERE id = 1"))
             .unwrap();
         settle_secs(&mut d, 5);
-        d.cluster.metrics().rpcs_sent - before
+        d.cluster.metrics().rpcs_sent.get() - before
     };
     let with_fk = rpcs("redemptions");
     let without_fk = rpcs("plain_redemptions");

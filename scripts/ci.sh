@@ -235,7 +235,7 @@ assert_bench raft_probe BENCH_raft.json
 
 echo "==> obs_probe: load-telemetry + attribution + metrics-cardinality guard"
 # Drives a known open-loop skew and fails if the hot-range ranking or its
-# decayed QPS drifts >10% from the driven rate, if the windowed tsdb
+# decayed QPS drifts >10% from the driven rate, if the scrape store
 # mis-reports the commit rate at either resolution, if the named latency
 # attribution components stop explaining >=95% of end-to-end transaction
 # latency, or if registry cardinality exceeds the budget (per-range load

@@ -7,8 +7,9 @@
 # Counts `crates/*/src/**/*.rs` outside `crates/ledger` (the benchmark is
 # not the product), each file cut at its first `#[cfg(test)]` line, so unit
 # tests, integration tests, benches, examples and docs never count. Prints
-# `git diff --no-index --shortstat` between the two cut trees and a per-file
-# table of the files whose non-test line count changed.
+# a per-file table of the files whose non-test line count changed,
+# `git diff --no-index --shortstat` between the two cut trees, and last one
+# net non-test line count per crate.
 set -euo pipefail
 
 REV="${1:?usage: scripts/loc_delta.sh <parent-rev>}"
@@ -42,3 +43,16 @@ done || true
 echo
 echo "non-test lines, crates/*/src outside crates/ledger, vs $REV:"
 (cd "$TMP" && git diff --no-index --shortstat parent change) || true
+
+echo
+echo "net non-test lines per crate, vs $REV:"
+printf '%-12s %8s %8s %7s\n' crate parent change net
+# lines <tree> <crate>: non-test lines of one crate in one cut tree.
+lines() {
+    [ -d "$1/crates/$2" ] || { echo 0; return; }
+    find "$1/crates/$2" -name '*.rs' -exec cat {} + | wc -l
+}
+(cd "$TMP" && ls parent/crates change/crates | grep -v ':$' | grep . | sort -u) | while read -r c; do
+    p=$(lines "$TMP/parent" "$c"); n=$(lines "$TMP/change" "$c")
+    printf '%-12s %8d %8d %+7d\n' "$c" "$p" "$n" $((n - p))
+done

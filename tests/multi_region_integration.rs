@@ -286,10 +286,10 @@ fn metrics_reflect_protocol_activity() {
     db.exec_sync(&eu, "SELECT v FROM g WHERE k = 1").unwrap();
 
     let m = db.cluster.metrics();
-    assert!(m.txn_commits > 0);
-    assert!(m.commit_waits > 0, "global write must commit-wait");
+    assert!(m.txn_commits.get() > 0);
+    assert!(m.commit_waits.get() > 0, "global write must commit-wait");
     assert!(
-        m.follower_reads_served > 0,
+        m.follower_reads_served.get() > 0,
         "global read from europe should be served by the local replica"
     );
 }

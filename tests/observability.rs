@@ -116,11 +116,11 @@ fn global_txn_commit_wait_covers_the_uncertainty_interval() {
     }
     // The same wait is visible in the metrics.
     let m = db.cluster.metrics();
-    assert!(m.commit_waits > 0);
-    assert!(m.commit_wait_nanos >= max_offset.nanos());
+    assert!(m.commit_waits.get() > 0);
+    assert!(m.commit_wait_nanos.get() >= max_offset.nanos());
 }
 
-fn run_seeded_workload(seed: u64) -> (String, String, String) {
+fn run_seeded_workload(seed: u64) -> (String, String, String, String) {
     let mut db = traced_db(seed);
     let s_east = db.session_in_region("us-east1", Some("movr"));
     let s_eu = db.session_in_region("europe-west2", Some("movr"));
@@ -141,14 +141,19 @@ fn run_seeded_workload(seed: u64) -> (String, String, String) {
     let t = db.cluster.now();
     db.cluster
         .run_until(SimTime(t.nanos() + SimDuration::from_secs(3).nanos()));
+    let history = db
+        .exec_sync(&s_eu, "SELECT * FROM crdb_internal.metrics_history")
+        .unwrap();
     (
         db.cluster.obs.registry.dump_json(),
         db.cluster.obs.tracer.export_chrome_json(),
         db.cluster.obs.scraper.export_csv(),
+        format!("{:?}", history.rows()),
     )
 }
 
-/// Same seed ⇒ byte-identical metrics dump, Chrome trace, and scrape series.
+/// Same seed ⇒ byte-identical metrics dump, Chrome trace, scrape series and
+/// `crdb_internal.metrics_history`.
 #[test]
 fn same_seed_exports_are_byte_identical() {
     let a = run_seeded_workload(42);
@@ -156,7 +161,9 @@ fn same_seed_exports_are_byte_identical() {
     assert_eq!(a.0, b.0, "registry dumps differ between same-seed runs");
     assert_eq!(a.1, b.1, "chrome traces differ between same-seed runs");
     assert_eq!(a.2, b.2, "scrape series differ between same-seed runs");
+    assert_eq!(a.3, b.3, "metrics history differs between same-seed runs");
     assert!(a.0.contains("kv.txn.commits"));
     assert!(a.1.contains("sql.stmt"));
     assert!(a.2.contains("kv.closedts.lag_nanos"));
+    assert!(a.3.contains("kv.closedts.lag_nanos"));
 }
