@@ -147,7 +147,9 @@ impl fmt::Display for OpRecord {
 
 struct Inner {
     events: Vec<HistoryEvent>,
-    next_op: OpId,
+    /// Per op, in id order (ids are dense and 1-based): where its invoke
+    /// sits in `events`, and whether a completion followed it.
+    ops: Vec<(usize, bool)>,
 }
 
 /// The shared append-only history. Cloning shares the underlying store, so
@@ -168,7 +170,7 @@ impl History {
         History {
             inner: Rc::new(RefCell::new(Inner {
                 events: Vec::new(),
-                next_op: 1,
+                ops: Vec::new(),
             })),
         }
     }
@@ -177,7 +179,7 @@ impl History {
     /// register workload's unique-value convention), so it is filled in
     /// here rather than passed by the caller.
     pub fn invoke_write(&self, at: SimTime, client: u32, key: &str) -> OpId {
-        let next = self.inner.borrow().next_op;
+        let next = self.inner.borrow().ops.len() as OpId + 1;
         self.invoke(at, client, OpKind::Write, key, Some(next), None)
     }
 
@@ -192,9 +194,9 @@ impl History {
         ts: Option<Timestamp>,
     ) -> OpId {
         let mut h = self.inner.borrow_mut();
-        let op = h.next_op;
-        h.next_op += 1;
-        let seq = h.events.len() as u64 + 1;
+        let (op, at_event) = (h.ops.len() as OpId + 1, h.events.len());
+        h.ops.push((at_event, false));
+        let seq = at_event as u64 + 1;
         h.events.push(HistoryEvent {
             seq,
             op,
@@ -219,21 +221,17 @@ impl History {
         ts: Option<Timestamp>,
         error: Option<String>,
     ) {
-        let mut h = self.inner.borrow_mut();
-        let inv = h
-            .events
-            .iter()
-            .find(|e| e.op == op && e.phase == Phase::Invoke)
+        let Inner { events, ops } = &mut *self.inner.borrow_mut();
+        let (invoke, completed) = op
+            .checked_sub(1)
+            .and_then(|i| ops.get_mut(i as usize))
             .unwrap_or_else(|| panic!("completion for unknown op {op}"));
+        debug_assert!(!*completed, "op {op} completed twice");
+        *completed = true;
+        let inv = &events[*invoke];
         let (client, kind, key) = (inv.client, inv.kind, inv.key.clone());
-        debug_assert!(
-            !h.events
-                .iter()
-                .any(|e| e.op == op && e.phase != Phase::Invoke),
-            "op {op} completed twice"
-        );
-        let seq = h.events.len() as u64 + 1;
-        h.events.push(HistoryEvent {
+        let seq = events.len() as u64 + 1;
+        events.push(HistoryEvent {
             seq,
             op,
             client,
@@ -364,6 +362,14 @@ mod tests {
         assert_eq!(ops[1].value, Some(1));
         assert_eq!(ops[lost as usize - 1].outcome, Phase::Invoke);
         assert_eq!(ops[0].latency(), Some(mr_sim::SimDuration(30)));
+    }
+
+    #[test]
+    #[should_panic(expected = "completion for unknown op 2")]
+    fn completing_an_unknown_op_panics() {
+        let h = History::new();
+        h.invoke(SimTime(1), 0, OpKind::FreshRead, "k", None, None);
+        h.ok(SimTime(2), 2, None, None);
     }
 
     #[test]

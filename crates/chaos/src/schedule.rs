@@ -103,18 +103,6 @@ impl Default for ScheduleBounds {
     }
 }
 
-impl ScheduleBounds {
-    /// Total simulated time the schedule spans, including the final heal.
-    pub fn span(&self) -> SimDuration {
-        let blocks = self.blocks
-            + u32::from(self.coordinator_crash)
-            + u32::from(self.quiesced_leader_crash)
-            + 3 * u32::from(self.lifecycle_storm)
-            + 3 * u32::from(self.durability_storm);
-        self.first_at + SimDuration((self.hold + self.gap).nanos() * blocks as u64)
-    }
-}
-
 impl FaultSchedule {
     /// A hand-written schedule (seed recorded as 0).
     pub fn scripted(name: &str, steps: Vec<FaultStep>) -> FaultSchedule {
@@ -126,41 +114,66 @@ impl FaultSchedule {
     }
 
     /// Derive a schedule entirely from `seed`: `bounds.blocks` disrupt→heal
-    /// blocks, one major disruption at a time, ending with a `HealAll`.
-    /// The same seed and bounds always produce the identical schedule.
+    /// blocks, one major disruption at a time, then the storms the bounds
+    /// ask for, ending with a `HealAll`. The same seed and bounds always
+    /// produce the identical schedule.
     pub fn random(seed: u64, bounds: &ScheduleBounds) -> FaultSchedule {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x6e656d65_73697321); // "nemesis!"
-        let nodes = bounds.regions * bounds.nodes_per_region;
-        let mut steps = Vec::new();
-        let mut t = bounds.first_at;
+        let regions = u64::from(bounds.regions);
+        let nodes = regions * u64::from(bounds.nodes_per_region);
+        let any_node = |rng: &mut SimRng| NodeId(rng.next_below(nodes) as u32);
+        // Region 0 owns the first `nodes_per_region` node ids.
+        let region0_node =
+            |rng: &mut SimRng| NodeId(rng.next_below(u64::from(bounds.nodes_per_region)) as u32);
+        let region_pair = |rng: &mut SimRng| {
+            let a = rng.next_below(regions) as u32;
+            let b = (a + 1 + rng.next_below(regions - 1) as u32) % bounds.regions;
+            (RegionId(a), RegionId(b))
+        };
+        let half = SimDuration(bounds.hold.nanos() / 2);
+        let (mut steps, mut t) = (Vec::new(), bounds.first_at);
+        // One block at `t`: `disrupt`, then `mid` (if any) half a hold in,
+        // then `heal` a hold after `disrupt`; the next block starts one gap
+        // after the heal. Each block draws its faults before it is laid out.
+        let mut block = |disrupt: FaultKind, mid: Option<FaultKind>, heal: FaultKind| {
+            steps.push(FaultStep {
+                at: t,
+                fault: disrupt,
+            });
+            steps.extend(mid.map(|fault| FaultStep {
+                at: t + half,
+                fault,
+            }));
+            t = t + bounds.hold;
+            steps.push(FaultStep { at: t, fault: heal });
+            t = t + bounds.gap;
+        };
         let variants = if bounds.allow_region_crash { 6 } else { 5 };
         for _ in 0..bounds.blocks {
             let (disrupt, heal) = match rng.next_below(variants) {
                 0 => {
-                    let n = NodeId(rng.next_below(nodes as u64) as u32);
+                    let n = any_node(&mut rng);
                     (FaultKind::CrashNode(n), FaultKind::RestartNode(n))
                 }
                 1 => {
                     // One zone per node, so this crashes a single node too,
                     // but exercises the zone-scoped plumbing.
-                    let z = ZoneId(rng.next_below(nodes as u64) as u32);
+                    let z = ZoneId(any_node(&mut rng).0);
                     (FaultKind::CrashZone(z), FaultKind::RestartZone(z))
                 }
                 2 => {
-                    let a = rng.next_below(bounds.regions as u64) as u32;
-                    let b =
-                        (a + 1 + rng.next_below(bounds.regions as u64 - 1) as u32) % bounds.regions;
+                    let (a, b) = region_pair(&mut rng);
                     (
-                        FaultKind::PartitionRegions(RegionId(a), RegionId(b)),
-                        FaultKind::HealPartition(RegionId(a), RegionId(b)),
+                        FaultKind::PartitionRegions(a, b),
+                        FaultKind::HealPartition(a, b),
                     )
                 }
                 3 => {
-                    let r = RegionId(rng.next_below(bounds.regions as u64) as u32);
+                    let r = RegionId(rng.next_below(regions) as u32);
                     (FaultKind::IsolateRegion(r), FaultKind::RejoinRegion(r))
                 }
                 4 => {
-                    let node = NodeId(rng.next_below(nodes as u64) as u32);
+                    let node = any_node(&mut rng);
                     let mag = rng.next_below(bounds.max_skew_nanos.unsigned_abs() + 1) as i64;
                     let skew_nanos = if rng.chance(0.5) { mag } else { -mag };
                     (
@@ -172,51 +185,27 @@ impl FaultSchedule {
                     )
                 }
                 _ => {
-                    let r = RegionId(rng.next_below(bounds.regions as u64) as u32);
+                    let r = RegionId(rng.next_below(regions) as u32);
                     (FaultKind::CrashRegion(r), FaultKind::RestartRegion(r))
                 }
             };
-            steps.push(FaultStep {
-                at: t,
-                fault: disrupt,
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep { at: t, fault: heal });
-            t = t + bounds.gap;
+            block(disrupt, None, heal);
         }
         if bounds.coordinator_crash {
             // A gateway crash is a coordinator crash: every transaction it
             // was driving dies mid-flight, at whatever commit stage the
             // timing lands on — including between the STAGING record and
             // the explicit commit.
-            let n = NodeId(rng.next_below(nodes as u64) as u32);
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashNode(n),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartNode(n),
-            });
-            t = t + bounds.gap;
+            let n = any_node(&mut rng);
+            block(FaultKind::CrashNode(n), None, FaultKind::RestartNode(n));
         }
         if bounds.quiesced_leader_crash {
             // The cold ranges are homed in region 0, so one of its nodes
             // hosts their leaders — leaders that have long stopped
             // heartbeating. Crashing that node proves failover does not
             // depend on the heartbeats quiescence suppressed.
-            let n = NodeId(rng.next_below(bounds.nodes_per_region as u64) as u32);
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashNode(n),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartNode(n),
-            });
-            t = t + bounds.gap;
+            let n = region0_node(&mut rng);
+            block(FaultKind::CrashNode(n), None, FaultKind::RestartNode(n));
         }
         if bounds.lifecycle_storm {
             // Three blocks racing range-descriptor surgery against live
@@ -224,116 +213,67 @@ impl FaultSchedule {
             // or merge commits while the disruption is still active. Keys
             // sit inside the workload keyspace ("{class}k0".."k3"), so
             // racing transactions straddle the new boundary.
-            let half = SimDuration(bounds.hold.nanos() / 2);
             // Split the region-survivable range while two regions are
             // partitioned from each other.
-            let a = rng.next_below(bounds.regions as u64) as u32;
-            let b = (a + 1 + rng.next_below(bounds.regions as u64 - 1) as u32) % bounds.regions;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::PartitionRegions(RegionId(a), RegionId(b)),
-            });
-            steps.push(FaultStep {
-                at: t + half,
-                fault: FaultKind::SplitAt(Key::from("rs/k2")),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::HealPartition(RegionId(a), RegionId(b)),
-            });
-            t = t + bounds.gap;
+            let (a, b) = region_pair(&mut rng);
+            block(
+                FaultKind::PartitionRegions(a, b),
+                Some(FaultKind::SplitAt(Key::from("rs/k2"))),
+                FaultKind::HealPartition(a, b),
+            );
             // Merge the halves back while a region-0 node — the leaseholder
             // region for both workload ranges — is down. (A no-op if the
             // earlier split never applied; the schedule stays valid.)
-            let n = NodeId(rng.next_below(bounds.nodes_per_region as u64) as u32);
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashNode(n),
-            });
-            steps.push(FaultStep {
-                at: t + half,
-                fault: FaultKind::MergeAt(Key::from("rs/k0")),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartNode(n),
-            });
-            t = t + bounds.gap;
+            let n = region0_node(&mut rng);
+            block(
+                FaultKind::CrashNode(n),
+                Some(FaultKind::MergeAt(Key::from("rs/k0"))),
+                FaultKind::RestartNode(n),
+            );
             // Split the zone-survivable range under clock skew: the split
             // must seed both halves' timestamp-cache bounds above every
             // read any skewed gateway could have been served.
-            let node = NodeId(rng.next_below(nodes as u64) as u32);
+            let node = any_node(&mut rng);
             // At least 1ns of skew, so the disrupt step never reads as a heal.
             let mag = 1 + rng.next_below(bounds.max_skew_nanos.unsigned_abs()) as i64;
             let skew_nanos = if rng.chance(0.5) { mag } else { -mag };
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::SkewClock { node, skew_nanos },
-            });
-            steps.push(FaultStep {
-                at: t + half,
-                fault: FaultKind::SplitAt(Key::from("zs/k2")),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::SkewClock {
+            block(
+                FaultKind::SkewClock { node, skew_nanos },
+                Some(FaultKind::SplitAt(Key::from("zs/k2"))),
+                FaultKind::SkewClock {
                     node,
                     skew_nanos: 0,
                 },
-            });
-            t = t + bounds.gap;
+            );
         }
         if bounds.durability_storm {
             // Three durability blocks: volatile crashes force recovery from
             // the write-ahead log while transactions race.
             // Crash one random node, dropping its volatile state.
-            let n = NodeId(rng.next_below(nodes as u64) as u32);
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashNodeVolatile(n),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartNode(n),
-            });
-            t = t + bounds.gap;
+            let n = any_node(&mut rng);
+            block(
+                FaultKind::CrashNodeVolatile(n),
+                None,
+                FaultKind::RestartNode(n),
+            );
             // Crash all of region 0 — home of the ZONE-survivable range —
             // so its entire Raft group loses volatile state simultaneously
             // and the range comes back solely from WAL + SST replay.
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashRegionVolatile(RegionId(0)),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartRegion(RegionId(0)),
-            });
-            t = t + bounds.gap;
+            block(
+                FaultKind::CrashRegionVolatile(RegionId(0)),
+                None,
+                FaultKind::RestartRegion(RegionId(0)),
+            );
             // Split the zone-survivable range while one of its replicas is
             // down mid volatile recovery: the surviving quorum splits, and
             // the recovered node must reconcile its replayed state with the
             // new tiling. (A no-op if the tiling disallows the split.)
-            let half = SimDuration(bounds.hold.nanos() / 2);
-            let n = NodeId(rng.next_below(bounds.nodes_per_region as u64) as u32);
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::CrashNodeVolatile(n),
-            });
-            steps.push(FaultStep {
-                at: t + half,
-                fault: FaultKind::SplitAt(Key::from("zs/k2")),
-            });
-            t = t + bounds.hold;
-            steps.push(FaultStep {
-                at: t,
-                fault: FaultKind::RestartNode(n),
-            });
-            t = t + bounds.gap;
+            let n = region0_node(&mut rng);
+            block(
+                FaultKind::CrashNodeVolatile(n),
+                Some(FaultKind::SplitAt(Key::from("zs/k2"))),
+                FaultKind::RestartNode(n),
+            );
         }
         steps.push(FaultStep {
             at: t,
@@ -450,8 +390,12 @@ mod tests {
                 other => panic!("unexpected pair {other:?} in {s}"),
             }
             assert_eq!(s.steps.last().unwrap().fault, FaultKind::HealAll);
-            // The extra block extends the declared span.
-            assert_eq!(s.span(), b.span());
+            // The extra block extends the span: 4 blocks of a hold and a
+            // gap each, then the final heal.
+            assert_eq!(
+                s.span(),
+                b.first_at + SimDuration((b.hold + b.gap).nanos() * 4)
+            );
         }
     }
 
@@ -475,7 +419,11 @@ mod tests {
                 other => panic!("unexpected pair {other:?} in {s}"),
             }
             assert_eq!(s.steps.last().unwrap().fault, FaultKind::HealAll);
-            assert_eq!(s.span(), b.span());
+            // 4 blocks of a hold and a gap each, then the final heal.
+            assert_eq!(
+                s.span(),
+                b.first_at + SimDuration((b.hold + b.gap).nanos() * 4)
+            );
         }
     }
 
@@ -516,7 +464,11 @@ mod tests {
                 assert!(block[2].fault.is_heal(), "{s}");
             }
             assert_eq!(s.steps.last().unwrap().fault, FaultKind::HealAll);
-            assert_eq!(s.span(), b.span());
+            // 6 blocks of a hold and a gap each, then the final heal.
+            assert_eq!(
+                s.span(),
+                b.first_at + SimDuration((b.hold + b.gap).nanos() * 6)
+            );
         }
     }
 
@@ -562,8 +514,64 @@ mod tests {
                 other => panic!("unexpected split-race block {other:?} in {s}"),
             }
             assert_eq!(s.steps.last().unwrap().fault, FaultKind::HealAll);
-            assert_eq!(s.span(), b.span());
+            // 6 blocks of a hold and a gap each, then the final heal.
+            assert_eq!(
+                s.span(),
+                b.first_at + SimDuration((b.hold + b.gap).nanos() * 6)
+            );
         }
+    }
+
+    /// Every random schedule, pinned: seeds 0–49 under the default bounds,
+    /// region crashes allowed, each storm alone and every flag at once,
+    /// their `Display` text folded into one FNV-1a digest. A change to how
+    /// blocks are drawn or laid out moves it.
+    #[test]
+    fn random_schedules_are_pinned() {
+        let d = ScheduleBounds::default();
+        let bounds = [
+            d.clone(),
+            ScheduleBounds {
+                allow_region_crash: true,
+                ..d.clone()
+            },
+            ScheduleBounds {
+                coordinator_crash: true,
+                ..d.clone()
+            },
+            ScheduleBounds {
+                quiesced_leader_crash: true,
+                ..d.clone()
+            },
+            ScheduleBounds {
+                lifecycle_storm: true,
+                ..d.clone()
+            },
+            ScheduleBounds {
+                durability_storm: true,
+                ..d.clone()
+            },
+            ScheduleBounds {
+                allow_region_crash: true,
+                coordinator_crash: true,
+                quiesced_leader_crash: true,
+                lifecycle_storm: true,
+                durability_storm: true,
+                ..d
+            },
+        ];
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in &bounds {
+            for seed in 0..50 {
+                for byte in FaultSchedule::random(seed, b).to_string().bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xcb80_1e5e_21fc_1686,
+            "random schedules changed: digest {hash:#018x}"
+        );
     }
 
     #[test]

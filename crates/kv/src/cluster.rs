@@ -36,7 +36,7 @@ use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
 use mr_obs::{Obs, SpanId};
 use mr_proto::{Key, KvError, RangeId, Request, Span, TxnId, Value};
 use mr_raft::{Peer, RaftConfig, RaftMsg, RaftNode};
-use mr_sim::{EventKey, EventQueue, NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
+use mr_sim::{EventKey, EventQueue, NodeId, SimDuration, SimRng, SimTime, Topology};
 use mr_storage::{ProtectedTimestamps, SortedRun};
 
 use crate::allocator::{allocate, AllocError};
@@ -716,49 +716,19 @@ impl Cluster {
     }
 
     /// Override a node's clock skew (clock-misbehaviour tests, §6.2.3).
-    pub fn set_node_skew(&mut self, node: NodeId, skew_nanos: i64) {
+    pub(crate) fn set_node_skew(&mut self, node: NodeId, skew_nanos: i64) {
         self.nodes[node.0 as usize].hlc.set_skew_nanos(skew_nanos);
     }
 
-    // ------------------------------------------------------------------
-    // Failure injection
-    // ------------------------------------------------------------------
-
-    pub fn fail_node(&mut self, n: NodeId) {
-        self.topo_mut().fail_node(n);
-        self.mark_orphaned_leases();
-    }
-
-    pub fn revive_node(&mut self, n: NodeId) {
-        self.topo_mut().revive_node(n);
-    }
-
-    /// Crash `n` AND drop its volatile state: each replica recovers right
-    /// away from its durable WAL + SSTs (see [`Replica::crash_volatile`]),
-    /// so a later [`Cluster::revive_node`] resumes from exactly what was
-    /// fsynced before the crash.
-    pub fn crash_node_volatile(&mut self, n: NodeId) {
-        self.fail_node(n);
-        self.recover_node_volatile(n);
-    }
-
-    /// [`Cluster::crash_node_volatile`] for every node in a region.
-    pub fn crash_region_volatile(&mut self, r: RegionId) {
-        let nodes = self.topo.all_nodes_in_region(r);
-        self.topo_mut().fail_region(r);
-        self.mark_orphaned_leases();
-        for n in nodes {
-            self.recover_node_volatile(n);
-        }
-    }
-
-    /// Replay every replica of `n` from durable state. The Raft log
-    /// truncates to its fsynced horizon only under the armed fsync-skip
-    /// bug — a correct node syncs its log at append time, so nothing is
-    /// ever above the horizon. Recovery un-quiesces every replica; the
-    /// failure that precedes it went through [`Cluster::topo_mut`], so all of
-    /// them are awake already.
-    fn recover_node_volatile(&mut self, n: NodeId) {
+    /// Replay every replica of `n` from durable state: the second half of a
+    /// volatile crash (`FaultKind::CrashNodeVolatile`, `CrashRegionVolatile`),
+    /// so a restart resumes from exactly what was fsynced (see
+    /// [`Replica::crash_volatile`]). The Raft log truncates to its fsynced
+    /// horizon only under the armed fsync-skip bug — a correct node syncs
+    /// its log at append time, so nothing is ever above the horizon.
+    /// Recovery un-quiesces every replica; the crash that precedes it went
+    /// through [`Cluster::topo_mut`], so all of them are awake already.
+    pub(crate) fn recover_node_volatile(&mut self, n: NodeId) {
         let now = self.queue.now();
         let params = self.cfg.closed_ts;
         let max_off = self.cfg.clock.max_offset;
@@ -815,29 +785,6 @@ impl Cluster {
             wal_bytes: rep.store.wal_bytes(),
             wal_records: rep.store.wal_record_count(),
         })
-    }
-
-    pub fn fail_region_by_name(&mut self, name: &str) {
-        let r = self
-            .topo
-            .region_by_name(name)
-            .unwrap_or_else(|| panic!("unknown region {name}"));
-        self.topo_mut().fail_region(r);
-        self.mark_orphaned_leases();
-    }
-
-    pub fn revive_region_by_name(&mut self, name: &str) {
-        let r = self
-            .topo
-            .region_by_name(name)
-            .unwrap_or_else(|| panic!("unknown region {name}"));
-        self.topo_mut().revive_region(r);
-    }
-
-    pub fn fail_zone_of(&mut self, n: NodeId) {
-        let z = self.topo.zone_of(n);
-        self.topo_mut().fail_zone(z);
-        self.mark_orphaned_leases();
     }
 
     /// Arm one of the deliberately injected bugs. Exists solely so the

@@ -86,6 +86,14 @@ impl Cluster {
         }
     }
 
+    /// Whether `range`'s lease was orphaned by its holder's crash and has
+    /// not moved since.
+    pub(crate) fn lease_orphaned(&self, range: RangeId) -> bool {
+        self.range_meta
+            .get(&range)
+            .is_some_and(|m| m.live.lease_orphaned)
+    }
+
     /// After Raft activity, align the lease with Raft leadership if the
     /// recorded leaseholder is gone (failover).
     pub(super) fn maybe_claim_lease(&mut self, node: NodeId, range: RangeId) {
@@ -119,11 +127,10 @@ impl Cluster {
         // restarts — a revived whole-region group can elect a different
         // leader, and the lease must follow it or the range stays wedged
         // (writes would propose into a Raft follower forever).
-        let orphaned = self
-            .range_meta
-            .get(&range)
-            .is_some_and(|m| m.live.lease_orphaned);
-        if !orphaned && self.topo.is_node_alive(old) && self.topo.reachable(node, old) {
+        if !self.lease_orphaned(range)
+            && self.topo.is_node_alive(old)
+            && self.topo.reachable(node, old)
+        {
             return;
         }
         // The claim replicates through Raft rather than editing the

@@ -284,6 +284,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::zone::ZoneConfig;
+    use crate::FaultKind;
 
     type Outcomes = Rc<RefCell<Vec<KvResult<Response>>>>;
 
@@ -328,7 +329,7 @@ mod tests {
     fn timeout_names_the_range_and_fires_once() {
         let (mut c, range, target, outcomes) = get_in_flight(SimDuration::from_secs(1));
         // The target dies with the request on the wire: nothing answers.
-        c.fail_node(target);
+        c.inject_fault(&FaultKind::CrashNode(target), None);
         c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
         let outcomes = outcomes.borrow();
         assert!(

@@ -3,9 +3,9 @@
 //! [`FaultKind`] is the closed vocabulary of injectable faults — node
 //! crashes/restarts, zone and region crashes, pairwise region partitions,
 //! full region isolation, clock skew, and the closed-timestamp regression
-//! used by the invariant-monitor tests. Faults are applied through
-//! [`Cluster::inject_fault`] (immediately) or [`Cluster::schedule_fault`]
-//! (as a first-class timed event on the simulation calendar), and every
+//! used by the invariant-monitor tests. [`Cluster::inject_fault`] is the one
+//! way a fault is applied — right away, or as a first-class timed event on
+//! the simulation calendar through [`Cluster::schedule_fault`] — and every
 //! injection is recorded in the cluster event log as a `fault_injected`
 //! event so `crdb_internal.cluster_events` and the offline history checker
 //! can correlate anomalies with the exact fault (and schedule step) that
@@ -136,27 +136,21 @@ impl Cluster {
     /// violations can name the exact fault that preceded them.
     pub fn inject_fault(&mut self, fault: &FaultKind, step: Option<u32>) {
         match fault {
-            FaultKind::CrashNode(n) => self.fail_node(*n),
-            FaultKind::CrashNodeVolatile(n) => self.crash_node_volatile(*n),
-            FaultKind::CrashRegionVolatile(r) => self.crash_region_volatile(*r),
-            FaultKind::RestartNode(n) => self.revive_node(*n),
-            FaultKind::CrashZone(z) => {
-                self.topo_mut().fail_zone(*z);
-                self.mark_orphaned_leases();
+            FaultKind::CrashNode(n) | FaultKind::CrashNodeVolatile(n) => {
+                self.topo_mut().fail_node(*n)
             }
+            FaultKind::RestartNode(n) => self.topo_mut().revive_node(*n),
+            FaultKind::CrashZone(z) => self.topo_mut().fail_zone(*z),
             FaultKind::RestartZone(z) => self.topo_mut().revive_zone(*z),
-            FaultKind::CrashRegion(r) => {
-                self.topo_mut().fail_region(*r);
-                self.mark_orphaned_leases();
+            FaultKind::CrashRegion(r) | FaultKind::CrashRegionVolatile(r) => {
+                self.topo_mut().fail_region(*r)
             }
             FaultKind::RestartRegion(r) => self.topo_mut().revive_region(*r),
             FaultKind::PartitionRegions(a, b) => self.topo_mut().partition_regions(*a, *b),
             FaultKind::HealPartition(a, b) => self.topo_mut().heal_partition(*a, *b),
             FaultKind::IsolateRegion(r) => self.topo_mut().isolate_region(*r),
             FaultKind::RejoinRegion(r) => self.topo_mut().rejoin_region(*r),
-            FaultKind::SkewClock { node, skew_nanos } => {
-                self.set_node_skew(*node, *skew_nanos);
-            }
+            FaultKind::SkewClock { node, skew_nanos } => self.set_node_skew(*node, *skew_nanos),
             FaultKind::RegressClosedTs { range, node, delta } => {
                 // Settled first, so the frontier that regresses is the one a
                 // reader sees and the next read does not take it back.
@@ -166,9 +160,10 @@ impl Cluster {
                 rep.tracker.fault_regress(delta.nanos());
             }
             FaultKind::HealAll => {
-                self.topo_mut().heal_all_partitions();
-                for n in self.topo_mut().node_ids().collect::<Vec<_>>() {
-                    self.revive_node(n);
+                let topo = self.topo_mut();
+                topo.heal_all_partitions();
+                for n in topo.node_ids().collect::<Vec<_>>() {
+                    topo.revive_node(n);
                 }
             }
             FaultKind::SplitAt(key) => {
@@ -176,6 +171,23 @@ impl Cluster {
             }
             FaultKind::MergeAt(key) => {
                 self.admin_merge_at(key.clone());
+            }
+        }
+        // The crash rule, once for every crash kind: a lease whose holder
+        // just died is orphaned (see `mark_orphaned_leases`), then each node
+        // of a volatile crash replays from durable state.
+        let volatile = match fault {
+            FaultKind::CrashNode(_) | FaultKind::CrashZone(_) | FaultKind::CrashRegion(_) => {
+                Some(vec![])
+            }
+            FaultKind::CrashNodeVolatile(n) => Some(vec![*n]),
+            FaultKind::CrashRegionVolatile(r) => Some(self.topology().all_nodes_in_region(*r)),
+            _ => None,
+        };
+        if let Some(volatile) = volatile {
+            self.mark_orphaned_leases();
+            for n in volatile {
+                self.recover_node_volatile(n);
             }
         }
         let now = self.now();
@@ -229,6 +241,49 @@ mod tests {
         let evs = c.events.events();
         assert_eq!(evs[0].kind.detail(), "step 0: crash n4");
         assert_eq!(evs[1].kind.detail(), "step 1: isolate region r2");
+    }
+
+    /// Every crash kind that takes down a range's leaseholder orphans its
+    /// lease, and the mark outlives the matching restart: the revived group
+    /// may elect another leader, and the lease must be free to follow it.
+    #[test]
+    fn every_crash_kind_orphans_the_leaseholders_lease() {
+        use crate::zone::ZoneConfig;
+        use mr_proto::Span;
+        let kinds: [fn(&Cluster, NodeId) -> (FaultKind, FaultKind); 5] = [
+            |_, n| (FaultKind::CrashNode(n), FaultKind::RestartNode(n)),
+            |_, n| (FaultKind::CrashNodeVolatile(n), FaultKind::RestartNode(n)),
+            |c, n| {
+                let z = c.topology().zone_of(n);
+                (FaultKind::CrashZone(z), FaultKind::RestartZone(z))
+            },
+            |c, n| {
+                let r = c.topology().region_of(n);
+                (FaultKind::CrashRegion(r), FaultKind::RestartRegion(r))
+            },
+            |c, n| {
+                let r = c.topology().region_of(n);
+                (
+                    FaultKind::CrashRegionVolatile(r),
+                    FaultKind::RestartRegion(r),
+                )
+            },
+        ];
+        for kind in kinds {
+            let mut c = cluster();
+            let range = c
+                .create_range(Span::all(), ZoneConfig::single_region(RegionId(0)))
+                .unwrap();
+            let lh = c.registry().get(range).unwrap().leaseholder;
+            let (crash, restart) = kind(&c, lh);
+            assert!(!c.lease_orphaned(range), "{crash}");
+            c.inject_fault(&crash, None);
+            assert!(!c.topology().is_node_alive(lh), "{crash}");
+            assert!(c.lease_orphaned(range), "{crash}");
+            c.inject_fault(&restart, None);
+            assert!(c.topology().is_node_alive(lh), "{restart}");
+            assert!(c.lease_orphaned(range), "{restart}");
+        }
     }
 
     #[test]

@@ -507,7 +507,8 @@ fn region_survivability_survives_home_region_failure() {
 
     // Kill the home region. Raft elects a new leader among the surviving
     // voters; the lease follows it.
-    c.fail_region_by_name("us-east1");
+    let r = c.topology().region_by_name("us-east1").unwrap();
+    c.inject_fault(&FaultKind::CrashRegion(r), None);
     c.run_until(SimTime(SimDuration::from_secs(30).nanos()));
 
     // Writes and reads still succeed from a surviving region.
@@ -538,7 +539,8 @@ fn zone_survivability_loses_writes_on_home_region_failure() {
     write_key(&mut c, gw(0), "k1", "v1");
     c.run_until(SimTime(SimDuration::from_secs(10).nanos()));
 
-    c.fail_region_by_name("us-east1");
+    let r = c.topology().region_by_name("us-east1").unwrap();
+    c.inject_fault(&FaultKind::CrashRegion(r), None);
     c.run_until(SimTime(SimDuration::from_secs(15).nanos()));
 
     // All three voters are gone: writes cannot find a quorum and fail.
@@ -600,7 +602,8 @@ fn zone_survivability_survives_single_zone_failure() {
 
     // Fail the zone of the current leaseholder.
     let lh = c.registry().iter().next().unwrap().leaseholder;
-    c.fail_zone_of(lh);
+    let z = c.topology().zone_of(lh);
+    c.inject_fault(&FaultKind::CrashZone(z), None);
     c.run_until(SimTime(SimDuration::from_secs(30).nanos()));
 
     // The two surviving in-region voters elect a leader; writes continue
@@ -671,8 +674,20 @@ fn uncertainty_interval_enforces_real_time_order_across_skewed_clocks() {
     let mut c = cluster(cfg);
     // Manually skew: writer gateway fast by 100ms, reader slow by 100ms
     // (within the 250ms bound).
-    c.set_node_skew(gw(0), 100_000_000);
-    c.set_node_skew(gw(1), -100_000_000);
+    c.inject_fault(
+        &FaultKind::SkewClock {
+            node: gw(0),
+            skew_nanos: 100_000_000,
+        },
+        None,
+    );
+    c.inject_fault(
+        &FaultKind::SkewClock {
+            node: gw(1),
+            skew_nanos: -100_000_000,
+        },
+        None,
+    );
     let zc = derive_zone_config(
         US_EAST,
         &all_regions(),
@@ -816,8 +831,20 @@ fn excessive_clock_skew_permits_stale_reads_but_not_corruption() {
     let mut c = cluster(cfg);
     // Writer's gateway runs 200ms fast, reader's 200ms slow: pairwise skew
     // 400ms >> the 250ms bound.
-    c.set_node_skew(gw(0), 200_000_000);
-    c.set_node_skew(gw(1), -200_000_000);
+    c.inject_fault(
+        &FaultKind::SkewClock {
+            node: gw(0),
+            skew_nanos: 200_000_000,
+        },
+        None,
+    );
+    c.inject_fault(
+        &FaultKind::SkewClock {
+            node: gw(1),
+            skew_nanos: -200_000_000,
+        },
+        None,
+    );
     let zc = derive_zone_config(
         US_EAST,
         &all_regions(),
@@ -1216,7 +1243,7 @@ fn failover_claim_inherits_the_promise_still_standing_in_the_inbox() {
     let (mut c, id) = quiet_cluster(SurvivalGoal::Zone);
     run_for(&mut c, SimDuration::from_secs(10));
     let old = c.registry().get(id).unwrap().leaseholder;
-    c.fail_node(old);
+    c.inject_fault(&FaultKind::CrashNode(old), None);
     let last_promise = c.node(old).replicas[&id].lease.promised();
     assert!(last_promise.wall > 0);
     // Election timeout, campaign, claim: the lease moves within seconds,
@@ -1324,7 +1351,7 @@ fn a_volatile_crash_forgets_the_inbox_with_the_trackers() {
     let follower = desc.replicas.iter().find(|p| !p.voting).unwrap().node;
     let before = c.closed_ts_at(follower, id).unwrap();
 
-    c.crash_node_volatile(follower);
+    c.inject_fault(&FaultKind::CrashNodeVolatile(follower), None);
     let durable = c.node(follower).replicas[&id].store.closed_ts();
     assert!(durable < before, "the durable frontier is the last entry's");
     assert_eq!(
@@ -1333,7 +1360,7 @@ fn a_volatile_crash_forgets_the_inbox_with_the_trackers() {
         "a pre-crash promise came back out of the inbox"
     );
     run_for(&mut c, SimDuration::from_secs(2));
-    c.revive_node(follower);
+    c.inject_fault(&FaultKind::RestartNode(follower), None);
     run_for(&mut c, SimDuration::from_secs(3));
     // Back in step with the leaseholder, every scrape along the way quiet.
     assert!(c.closed_ts_at(follower, id).unwrap() > before);
@@ -1463,9 +1490,9 @@ fn far_follower(c: &Cluster, id: mr_proto::RangeId) -> NodeId {
 fn a_crash_while_repeats_are_on_the_wire_serves_what_every_delivery_did() {
     let (mut c, id) = idle_with_repeats_on_the_wire();
     let far = far_follower(&c, id);
-    c.crash_node_volatile(far);
+    c.inject_fault(&FaultKind::CrashNodeVolatile(far), None);
     let down = closed_trail(&mut c, id, SimDuration::from_millis(70), 3);
-    c.revive_node(far);
+    c.inject_fault(&FaultKind::RestartNode(far), None);
     let back = closed_trail(&mut c, id, SimDuration::from_millis(70), 3);
     // The crashed follower rebuilt its tracker from a WAL that holds no
     // promise; back up, it serves the first batch that reaches it.
@@ -1762,7 +1789,7 @@ fn followers_of_a_crashed_quiesced_leader_campaign_one_election_timeout_after_th
     let term = c.node(lh).replicas[&id].raft.term();
     // Between two ticks.
     run_for(&mut c, SimDuration::from_millis(110));
-    c.fail_node(lh);
+    c.inject_fault(&FaultKind::CrashNode(lh), None);
     let campaigned = step_until(&mut c, SimDuration::from_secs(10), |c| {
         desc.replica_nodes()
             .any(|n| n != lh && c.node(n).replicas[&id].raft.term() > term)

@@ -167,24 +167,6 @@ impl Cdf {
     }
 }
 
-/// Counter set for throughput-style experiments (Fig. 6).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Throughput {
-    pub committed: u64,
-    pub aborted: u64,
-    pub retried: u64,
-}
-
-impl Throughput {
-    /// Transactions per simulated minute.
-    pub fn per_minute(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.nanos() == 0 {
-            return 0.0;
-        }
-        self.committed as f64 * 60e9 / elapsed.nanos() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,17 +220,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.max(), SimDuration::from_millis(4));
-    }
-
-    #[test]
-    fn throughput_per_minute() {
-        let t = Throughput {
-            committed: 600,
-            ..Default::default()
-        };
-        assert!((t.per_minute(SimDuration::from_secs(60)) - 600.0).abs() < 1e-9);
-        assert!((t.per_minute(SimDuration::from_secs(30)) - 1200.0).abs() < 1e-9);
-        assert_eq!(t.per_minute(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -741,11 +741,7 @@ fn exec_select_virtual(
         None => None,
         Some(cols) => Some(
             cols.iter()
-                .map(|c| {
-                    schema
-                        .column_ordinal(c)
-                        .ok_or_else(|| SqlError::Plan(format!("unknown column {c:?}")))
-                })
+                .map(|c| ordinal(&schema, c))
                 .collect::<Result<_, _>>()?,
         ),
     };
@@ -1254,6 +1250,14 @@ fn fetch_rows(
 // SELECT
 // ---------------------------------------------------------------------
 
+/// `name`'s position in `table`'s columns; every statement that names a
+/// column it lacks fails planning with the same error.
+fn ordinal(table: &Table, name: &str) -> Result<usize, SqlError> {
+    table
+        .column_ordinal(name)
+        .ok_or_else(|| SqlError::Plan(format!("unknown column {name:?}")))
+}
+
 fn project(
     table: &Table,
     columns: &Option<Vec<String>>,
@@ -1263,11 +1267,7 @@ fn project(
         None => table.visible_columns().map(|(i, _)| i).collect(),
         Some(names) => names
             .iter()
-            .map(|n| {
-                table
-                    .column_ordinal(n)
-                    .ok_or_else(|| SqlError::Plan(format!("unknown column {n:?}")))
-            })
+            .map(|n| ordinal(table, n))
             .collect::<Result<_, _>>()?,
     };
     Ok(rows
@@ -1440,11 +1440,7 @@ fn build_insert_row(
     let target_cols: Vec<usize> = match columns {
         Some(names) => names
             .iter()
-            .map(|n| {
-                table
-                    .column_ordinal(n)
-                    .ok_or_else(|| SqlError::Plan(format!("unknown column {n:?}")))
-            })
+            .map(|n| ordinal(table, n))
             .collect::<Result<_, _>>()?,
         None => table.visible_columns().map(|(i, _)| i).collect(),
     };
@@ -1882,9 +1878,7 @@ fn updated_row(
     let mut row = old.to_vec();
     let mut set_ordinals = Vec::new();
     for (col, e) in sets {
-        let ord = table
-            .column_ordinal(col)
-            .ok_or_else(|| SqlError::Plan(format!("unknown column {col:?}")))?;
+        let ord = ordinal(table, col)?;
         if table.columns[ord].computed.is_some() {
             return Err(SqlError::Plan(format!(
                 "cannot UPDATE computed column {col:?}"

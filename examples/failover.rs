@@ -1,9 +1,12 @@
 //! Survivability goals under failure (§2.2, §3.3): the same database,
 //! first with ZONE survivability (a zone can burn down), then with REGION
-//! survivability (a whole region can).
+//! survivability (a whole region can). Every failure goes through
+//! `Cluster::inject_fault`, the one entry the chaos nemesis uses too; a
+//! region is named by `topology().region_by_name`.
 //!
 //! Run with: `cargo run --release --example failover`
 
+use multiregion::kv::FaultKind;
 use multiregion::{ClusterBuilder, SimDuration, SimTime};
 
 fn main() {
@@ -34,9 +37,11 @@ fn main() {
         .unwrap();
     println!("== ZONE survivability (the default): 3 voters, all in us-east1 ==");
 
-    // Kill one zone of the home region: writes keep working.
+    // Kill one zone of the home region (a zone is one node here): writes
+    // keep working.
     let lh_node = mr_sim::NodeId(0);
-    db.cluster.fail_node(lh_node);
+    db.cluster
+        .inject_fault(&FaultKind::CrashNode(lh_node), None);
     db.cluster.run_until(SimTime(
         db.cluster.now().nanos() + SimDuration::from_secs(20).nanos(),
     ));
@@ -50,7 +55,8 @@ fn main() {
         "after losing one zone: balance = {:?} (writes survived; a surviving zone holds the lease)",
         rows.rows()[0][0]
     );
-    db.cluster.revive_node(lh_node);
+    db.cluster
+        .inject_fault(&FaultKind::RestartNode(lh_node), None);
 
     // Upgrade to REGION survivability: one statement (§2.2).
     db.exec_sync(&sess, "ALTER DATABASE bank SURVIVE REGION FAILURE")
@@ -61,7 +67,9 @@ fn main() {
     ));
 
     // Now kill the whole primary region.
-    db.cluster.fail_region_by_name("us-east1");
+    let us_east1 = db.cluster.topology().region_by_name("us-east1").unwrap();
+    db.cluster
+        .inject_fault(&FaultKind::CrashRegion(us_east1), None);
     println!("us-east1 is gone. waiting for elections and lease failover...");
     db.cluster.run_until(SimTime(
         db.cluster.now().nanos() + SimDuration::from_secs(30).nanos(),
@@ -82,7 +90,8 @@ fn main() {
     );
 
     // Bring the region back; it rejoins as a follower.
-    db.cluster.revive_region_by_name("us-east1");
+    db.cluster
+        .inject_fault(&FaultKind::RestartRegion(us_east1), None);
     db.cluster.run_until(SimTime(
         db.cluster.now().nanos() + SimDuration::from_secs(10).nanos(),
     ));

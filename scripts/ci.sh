@@ -12,8 +12,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
-cargo fmt --check
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # crates/{kv,sql,workload,chaos,sim,storage}/clippy.toml make walking a
@@ -74,7 +74,8 @@ echo "==> panic-site ratchet: non-test unwrap/expect/panic!/unreachable! per cra
 # `panic!` and `unreachable!` counts, in the scope of scripts/loc_delta.sh:
 # `crates/*/src` outside `crates/ledger`, each file cut at its first
 # `#[cfg(test)]`. The ceilings are the counts measured when the gate went in
-# (mr-kv read 32 before its send path checked replies in one place; mr-sql
+# (mr-kv read 32 before its send path checked replies in one place, and 22
+# while two by-region-name failure wrappers panicked on an unknown name; mr-sql
 # read 17 while INSERT, UPDATE and DELETE re-matched their `Rc<Stmt>`) — a
 # ratchet: a change that removes sites lowers its crate's ceiling, one that
 # adds them fails.
@@ -83,7 +84,7 @@ panic_sites() {
         awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
     done | { grep -o 'unwrap()\|expect(\|panic!\|unreachable!' || true; } | wc -l
 }
-for entry in kv:22 sql:13 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
+for entry in kv:20 sql:13 chaos:15 obs:2 workload:3 sim:1 storage:0 raft:0; do
     crate="${entry%%:*}" ceiling="${entry#*:}"
     got="$(panic_sites "$crate")"
     if [ "$got" -gt "$ceiling" ]; then

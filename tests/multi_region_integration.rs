@@ -1,6 +1,7 @@
 //! Cross-crate integration tests through the public `multiregion` facade:
 //! everything a downstream user touches, in one place.
 
+use multiregion::kv::FaultKind;
 use multiregion::{ClusterBuilder, Datum, SimDuration, SimTime, SqlDb};
 
 fn db() -> SqlDb {
@@ -215,7 +216,8 @@ fn region_failure_with_region_survivability() {
     dbx.exec_sync(&east, "INSERT INTO t VALUES (1, 'before')")
         .unwrap();
 
-    dbx.cluster.fail_region_by_name("us-east1");
+    let r = dbx.cluster.topology().region_by_name("us-east1").unwrap();
+    dbx.cluster.inject_fault(&FaultKind::CrashRegion(r), None);
     settle(&mut dbx, 30);
 
     let eu = dbx.session_in_region("europe-west2", Some("app"));
