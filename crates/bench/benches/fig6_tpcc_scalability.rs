@@ -47,10 +47,8 @@ fn run(nregions: usize, restricted: bool, warehouses: u32, lifecycle: bool, seed
             if lifecycle {
                 // Dynamic topology: the loaded warehouse rows push the
                 // per-region table ranges over the size trigger, so the
-                // controller splits them while terminals run. Requests in
-                // flight across a surgery must time out and retry.
+                // controller splits them while terminals run.
                 c.lifecycle.enabled = true;
-                c.rpc_timeout = Some(SimDuration::from_millis(800));
             }
         });
     for r in &region_names {

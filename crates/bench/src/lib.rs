@@ -724,10 +724,6 @@ pub struct SplitProbeReport {
 fn split_probe_cluster(seed: u64, lifecycle_on: bool) -> Cluster {
     let cfg = ClusterConfig {
         seed,
-        // Descriptor surgery drops in-flight requests to the old
-        // incarnation; they must time out and retry, not hang — and the
-        // stall is pure dead time, so keep it just above the worst RTT.
-        rpc_timeout: Some(SimDuration::from_millis(400)),
         lifecycle: mr_kv::cluster::LifecycleConfig {
             enabled: lifecycle_on,
             // ~12 remote closed-loop clients sustain 50-100 qps on the

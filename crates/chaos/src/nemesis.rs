@@ -31,6 +31,9 @@ use crate::schedule::FaultSchedule;
 pub const REGION_SURVIVABLE_PREFIX: &str = "rs/";
 /// Key prefix of the ZONE-survivable range.
 pub const ZONE_SURVIVABLE_PREFIX: &str = "zs/";
+/// RPC timeout of the chaos cluster: it fails the requests a fault leaves
+/// unanswered (a dead node, a cut link, a lock that nothing releases).
+const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
 /// Nemesis run parameters. Everything is derived from `seed`.
 #[derive(Clone, Debug)]
@@ -43,9 +46,6 @@ pub struct ChaosConfig {
     pub think: SimDuration,
     /// How long clients keep issuing operations (from workload start).
     pub run_for: SimDuration,
-    /// RPC timeout — must be set for chaos runs, or operations against
-    /// dead/partitioned nodes would hang forever.
-    pub rpc_timeout: SimDuration,
     /// Escalate online invariant-monitor violations to panics. Turn off
     /// for runs that deliberately break an invariant (the injected-bug
     /// test), where the offline checker is the detector under test.
@@ -87,7 +87,6 @@ impl Default for ChaosConfig {
             keys_per_class: 4,
             think: SimDuration::from_millis(40),
             run_for: SimDuration::from_secs(60),
-            rpc_timeout: SimDuration::from_secs(1),
             strict_monitors: true,
             arm_bug: None,
             pipelined_writes: true,
@@ -147,7 +146,7 @@ impl ChaosConfig {
     pub fn cluster_config(&self) -> ClusterConfig {
         ClusterConfig {
             seed: self.seed,
-            rpc_timeout: Some(self.rpc_timeout),
+            rpc_timeout: Some(RPC_TIMEOUT),
             strict_monitors: self.strict_monitors,
             pipelined_writes: self.pipelined_writes,
             parallel_commits: self.parallel_commits,

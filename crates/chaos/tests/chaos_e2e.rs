@@ -9,12 +9,17 @@
 //! not, and bounded-staleness reads keep serving locally while the primary
 //! region is partitioned away.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use mr_chaos::{
-    build_chaos_cluster, run_chaos, AvailabilityExpectation, ChaosConfig, CheckerConfig, Expect,
-    FaultSchedule, FaultStep, OpKind, Phase, ScheduleBounds,
+    build_chaos_cluster, check, run_chaos, AvailabilityExpectation, ChaosConfig, CheckReport,
+    CheckerConfig, Expect, FaultSchedule, FaultStep, History, OpKind, Phase, ScheduleBounds,
 };
-use mr_kv::FaultKind;
-use mr_proto::Key;
+use mr_clock::Timestamp;
+use mr_kv::cluster::{Cluster, ReadOptions, Staleness};
+use mr_kv::{FaultKind, TxnHandle};
+use mr_proto::{Key, Value};
 use mr_sim::{NodeId, RegionId, SimDuration, SimTime};
 use mr_testutil::{at, secs};
 
@@ -441,15 +446,13 @@ fn lifecycle_storm_schedules_produce_clean_histories() {
     assert!(total_merges >= 5, "only {total_merges} merges applied");
 }
 
-/// A scripted schedule for the split-tscache canary: the remote gateways
-/// run 200ms ahead (within the 250ms offset spec), while the workload
-/// ranges are repeatedly split and merged back. An ahead-clock gateway's
-/// reads are served — and timestamp-cached — up to 200ms in the future;
-/// the split is obliged to carry that high-water to BOTH halves (its new
-/// bound is `hlc + max_offset`, which covers any in-spec clock). The
-/// armed bug zeroes the RHS bound, so an honest-clock write invoked
-/// *after* such a read completes can commit below the read's timestamp —
-/// a real-time-order inversion the offline checker must flag.
+/// A scripted split storm: the remote gateways run 200ms ahead (within
+/// the 250ms offset spec), while the workload ranges are repeatedly split
+/// and merged back. An ahead-clock gateway's reads are served — and
+/// timestamp-cached — up to 200ms in the future; the split is obliged to
+/// carry that high-water to BOTH halves (its new bound is
+/// `hlc + max_offset`, which covers any in-spec clock), or an
+/// honest-clock write can commit below a read that has already returned.
 fn split_storm_schedule() -> FaultSchedule {
     let mut steps = Vec::new();
     // Skew the non-home-region gateways ahead; region 0 keeps honest
@@ -491,7 +494,7 @@ fn split_storm_schedule() -> FaultSchedule {
     FaultSchedule::scripted("split-storm", steps)
 }
 
-fn split_storm_config(seed: u64, armed: bool) -> ChaosConfig {
+fn split_storm_config(seed: u64) -> ChaosConfig {
     ChaosConfig {
         seed,
         run_for: secs(60),
@@ -501,63 +504,186 @@ fn split_storm_config(seed: u64, armed: bool) -> ChaosConfig {
         clients_per_region: 3,
         think: SimDuration::from_millis(20),
         recent_stale_reads: true,
-        arm_bug: armed.then_some(mr_kv::InjectedBug::SplitTscache),
-        // The offline checker is the detector under test; relaxed
-        // monitors in BOTH runs so the armed/control diff is the bug.
+        // A violation is left to the offline checker, which reports it
+        // with its history, rather than to an online monitor's panic.
         strict_monitors: false,
         ..ChaosConfig::default()
     }
 }
 
+/// The race injects its own faults; the checker gets an empty schedule.
+fn race_schedule() -> FaultSchedule {
+    FaultSchedule::scripted("split-tscache-race", Vec::new())
+}
+
+/// The split-tscache race, forced: each step waits for the one before it
+/// to finish, not for a clock, so every seed runs the race.
+///
+/// 1. An honest region-0 gateway writes `rs/k1` (so a read has something
+///    to observe), then begins transaction W, whose timestamp is fixed
+///    now, at `t0`.
+/// 2. Node 3's clock jumps 200ms ahead (inside the 250ms offset spec), and
+///    it reads `rs/k1` 50ms into its own past, at about `t0 + 150ms`. The
+///    closed timestamp lags 3s, so the read falls back to the leaseholder,
+///    which serves it and records it in its timestamp cache.
+/// 3. Once the read has returned, `rs/k1` is split off its range.
+/// 4. Once the split has applied, W writes `rs/k1` and commits.
+///
+/// A correct split carries the parent's read history to both halves, so
+/// W's write is pushed above the read. The armed bug zeroes the right
+/// half's bound: W commits at `t0`, below a read that has already
+/// returned without it. Returns the checker's report on the history, the
+/// read's timestamp and W's commit timestamp.
+fn split_tscache_race(seed: u64, armed: bool) -> (CheckReport, Timestamp, Timestamp) {
+    let mut c = build_chaos_cluster(&ChaosConfig {
+        seed,
+        arm_bug: armed.then_some(mr_kv::InjectedBug::SplitTscache),
+        // The offline checker is the detector under test; relaxed
+        // monitors in BOTH runs so the armed/control diff is the bug.
+        strict_monitors: false,
+        ..ChaosConfig::default()
+    });
+    c.run_until(at(SimDuration::ZERO));
+    let hist = History::new();
+    let key = || Key::from("rs/k1");
+    let (gateway, skewed) = (NodeId(0), NodeId(3));
+
+    // Steps the calendar until `done` holds, for at most 10s.
+    fn step_until(c: &mut Cluster, what: &str, done: impl Fn(&Cluster) -> bool) {
+        let deadline = c.now() + secs(10);
+        while !done(c) {
+            assert!(c.step() && c.now() < deadline, "{what} never finished");
+        }
+    }
+    // Puts op's value under `rs/k1` in `h`, then commits; the cell gets
+    // the commit timestamp.
+    let write = |c: &mut Cluster, h: TxnHandle, op: u64| {
+        let (hist, ts) = (hist.clone(), Rc::new(Cell::new(None)));
+        let out = ts.clone();
+        let value = Some(Value::from(op.to_string().as_str()));
+        c.txn_put(
+            h,
+            key(),
+            value,
+            Box::new(move |c, res| {
+                res.expect("put");
+                c.txn_commit(
+                    h,
+                    Box::new(move |c, res| {
+                        let at = res.expect("commit");
+                        hist.ok(c.now(), op, Some(op), Some(at));
+                        ts.set(Some(at));
+                    }),
+                );
+            }),
+        );
+        out
+    };
+
+    // 1. The first write, then W's begin.
+    let w0 = hist.invoke_write(c.now(), 0, "rs/k1");
+    let h0 = c.txn_begin(gateway);
+    let w0_ts = write(&mut c, h0, w0);
+    step_until(&mut c, "the first write", |_| w0_ts.get().is_some());
+    c.run_until(c.now() + SimDuration::from_millis(500));
+    let w = hist.invoke_write(c.now(), 1, "rs/k1");
+    let h = c.txn_begin(gateway);
+
+    // 2. The ahead-clock read, served by the leaseholder.
+    c.inject_fault(
+        &FaultKind::SkewClock {
+            node: skewed,
+            skew_nanos: 200_000_000,
+        },
+        None,
+    );
+    let read_ts = Timestamp::new(c.hlc_now(skewed).wall - 50_000_000, 0);
+    let r = hist.invoke(c.now(), 2, OpKind::StaleRead, "rs/k1", None, Some(read_ts));
+    let read_done = Rc::new(Cell::new(false));
+    let (rh, rd) = (hist.clone(), read_done.clone());
+    c.read(
+        skewed,
+        key(),
+        ReadOptions {
+            staleness: Staleness::ExactAt(read_ts),
+            fallback_to_leaseholder: true,
+        },
+        Box::new(move |c, res| {
+            let v = res.expect("stale read");
+            let v = v.and_then(|v| std::str::from_utf8(&v.0).ok()?.parse().ok());
+            rh.ok(c.now(), r, v, None);
+            rd.set(true);
+        }),
+    );
+    step_until(&mut c, "the read", |_| read_done.get());
+
+    // 3. The split under the read.
+    let parent = c.registry().lookup(&key()).unwrap().id;
+    c.inject_fault(&FaultKind::SplitAt(key()), None);
+    step_until(&mut c, "the split", |c| {
+        c.registry().lookup(&key()).unwrap().id != parent
+    });
+
+    // 4. W's write lands on the right half.
+    let w_ts = write(&mut c, h, w);
+    step_until(&mut c, "W", |_| w_ts.get().is_some());
+    c.run_until_quiescent(c.now() + secs(30));
+    let report = check(&hist.ops(), &race_schedule(), &CheckerConfig::default());
+    (report, read_ts, w_ts.get().unwrap())
+}
+
 /// The acceptance gate for split correctness coverage: with the injected
 /// split-tscache bug armed (the RHS of every split forgets the reads the
-/// parent served), a behind-clock gateway can commit a write below an
-/// already-served read's timestamp, and the offline checker must flag the
-/// history. Any single seed's race window is probabilistic, so the gate
-/// is: at least one of the seeds is caught.
+/// parent served), the forced race commits a write below a read that has
+/// already returned without it, and the offline checker must flag the
+/// history on every seed.
 #[cfg(feature = "injected-bug")]
 #[test]
 fn injected_split_tscache_bug_is_caught() {
-    let schedule = split_storm_schedule();
-    let mut caught = 0usize;
-    for seed in 1..=8u64 {
-        let outcome = run_chaos(
-            &split_storm_config(seed, true),
-            &schedule,
-            &CheckerConfig::default(),
+    for seed in 1..=4u64 {
+        let (report, read_ts, w_ts) = split_tscache_race(seed, true);
+        assert!(
+            w_ts < read_ts,
+            "seed {seed}: W committed at {w_ts}, above the read at {read_ts}"
         );
-        assert!(outcome.splits >= 5, "seed {seed}: storm barely split");
-        if !outcome.passed() {
-            assert!(
-                outcome
-                    .report
-                    .violations
-                    .iter()
-                    .any(|v| v.kind == "stale-read-skew"
-                        || v.kind == "stale-fresh-read"
-                        || v.kind == "real-time-order"
-                        || v.kind == "serialization-cycle"),
-                "seed {seed}: unexpected violation kinds:\n{}",
-                outcome.render()
-            );
-            caught += 1;
-        }
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.kind == "stale-read-skew"),
+            "seed {seed}: the armed split-tscache bug was not detected:\n{}",
+            report.render(&race_schedule())
+        );
     }
-    assert!(
-        caught >= 1,
-        "the armed split-tscache bug was never detected across 8 seeds"
-    );
 }
 
-/// Control for the split-tscache canary: the identical storm (same seeds,
-/// same skew, same relaxed monitors) without the bug armed must be clean
-/// on EVERY seed — the zeroed RHS bound is the only difference.
+/// Control for the forced split-tscache race: without the bug armed, the
+/// right half refuses W's write below the parent's read, W commits above
+/// the read, and the history is clean on every seed.
+#[test]
+fn split_tscache_race_without_bug_is_clean() {
+    for seed in 1..=4u64 {
+        let (report, read_ts, w_ts) = split_tscache_race(seed, false);
+        assert!(
+            w_ts > read_ts,
+            "seed {seed}: W committed at {w_ts}, under the read at {read_ts}"
+        );
+        assert!(
+            report.passed(),
+            "seed {seed}:\n{}",
+            report.render(&race_schedule())
+        );
+    }
+}
+
+/// Split surgery under traffic: the split storm (same skew, relaxed
+/// monitors) must be clean on every seed.
 #[test]
 fn split_storm_without_bug_is_clean() {
     let schedule = split_storm_schedule();
     for seed in 1..=8u64 {
         let outcome = run_chaos(
-            &split_storm_config(seed, false),
+            &split_storm_config(seed),
             &schedule,
             &CheckerConfig::default(),
         );

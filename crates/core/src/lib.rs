@@ -121,12 +121,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enable RPC timeouts (needed when injecting failures).
-    pub fn rpc_timeout(mut self, t: SimDuration) -> Self {
-        self.cfg.rpc_timeout = Some(t);
-        self
-    }
-
     /// Access the full low-level configuration.
     pub fn config(mut self, f: impl FnOnce(&mut ClusterConfig)) -> Self {
         f(&mut self.cfg);

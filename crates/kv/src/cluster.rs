@@ -131,9 +131,12 @@ pub struct ClusterConfig {
     /// `[-amplitude, +amplitude]`. Must be ≤ `max_offset / 2` for the
     /// cluster to be within spec.
     pub skew_amplitude: SimDuration,
-    /// If set, RPCs that receive no response within this duration fail with
-    /// `RangeUnavailable` (the dist-sender then re-routes). `None` disables
-    /// timeouts (fine when no failures are injected).
+    /// If set, an RPC with no answer within this duration fails with
+    /// `RangeUnavailable` and the dist-sender re-routes; each send arms one
+    /// calendar event, never cancelled. `None` (the default) arms none.
+    /// Surgery answers what it strands, so the timer ends only what a fault
+    /// leaves unanswered (a request in flight to a node that dies, or across
+    /// a link that is cut) and a lock wait that nothing releases.
     pub rpc_timeout: Option<SimDuration>,
     /// Ablation (Spanner-style commit wait): hold locks through commit wait
     /// instead of resolving intents concurrently with it (§6.2 contrasts
@@ -186,10 +189,11 @@ pub struct ClusterConfig {
     /// `obs.monitors` instead.
     pub strict_monitors: bool,
     /// Dynamic range lifecycle: size/QPS-triggered splits, cold-range
-    /// merges, and load-based lease/replica rebalancing. Off by default —
-    /// clusters that enable it should also set `rpc_timeout`, because a
-    /// split or merge drops uncommitted proposals and parked waiters of the
-    /// reshaped ranges (clients recover by timeout + re-route).
+    /// merges, and load-based lease/replica rebalancing. Off by default.
+    /// A split, merge or replica move answers the parked waiters, pending
+    /// proposals and buffered commands of the replicas it removes with
+    /// `RangeUnavailable`, and their clients re-route: it needs no
+    /// `rpc_timeout`.
     pub lifecycle: LifecycleConfig,
 }
 
@@ -909,13 +913,28 @@ impl Cluster {
     }
 
     /// Take a range out of the registry and off its nodes ahead of a
-    /// re-install (or for good), returning its descriptor.
+    /// re-install (or for good), returning its descriptor. Every request
+    /// waiting on a removed replica is answered once, in request-id order,
+    /// from the replica's node; a dead node answers nothing (its requests
+    /// are the fault case, left to the RPC timeout).
     fn uninstall_range(&mut self, id: RangeId) -> Option<RangeDescriptor> {
         let desc = self.registry.remove(id)?;
+        let mut stranded = Vec::new();
         for n in desc.replica_nodes() {
             let node = &mut self.nodes[n.0 as usize];
-            node.replicas.remove(&id);
             node.awake.remove(&id);
+            let rep = node.replicas.remove(&id);
+            if let Some(rep) = rep.filter(|_| self.topo.is_node_alive(n)) {
+                stranded.extend(rep.into_waiting().map(|path| (n, path)));
+            }
+        }
+        stranded.sort_by_key(|(_, path)| path.req_id);
+        for (n, path) in stranded {
+            // The ambiguous answer, never a `NotLeaseholder` redirect: a
+            // stranded proposal may already have applied, and a redirect
+            // tells the coordinator it did not (re-sending it as a fresh
+            // write broke serializability under the split storm).
+            self.send_response(n, path, Err(KvError::RangeUnavailable { range: id }));
         }
         Some(desc)
     }
@@ -1397,8 +1416,8 @@ impl Cluster {
                 }
                 Effect::ReEval { waiter } => {
                     // A split/merge applied earlier in this same effects
-                    // batch may have removed the replica (surgery drops
-                    // parked waiters; their RPCs time out and re-route).
+                    // batch may have removed the replica (surgery answered
+                    // its parked waiters `RangeUnavailable`).
                     let parked = self.nodes[node.0 as usize]
                         .replicas
                         .get_mut(&range)

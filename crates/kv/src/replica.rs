@@ -21,7 +21,7 @@
 //! state (recording them in the timestamp cache), and followers serve them
 //! when the read's whole uncertainty window is closed (§5.1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mr_clock::{Hlc, Timestamp};
@@ -208,7 +208,7 @@ pub struct Replica {
     pub policy: ClosedTsPolicy,
     /// In-flight proposals, keyed by `(log index, slot within the batch)`:
     /// apply answers each slot's proposal from what its command did.
-    pending_props: HashMap<(u64, usize), PendingProp>,
+    pending_props: BTreeMap<(u64, usize), PendingProp>,
     /// Commands evaluated but not yet appended to the Raft log, each with
     /// the RPC its apply answers: the group-commit staging area. Drained
     /// into a single multi-command entry by [`Replica::flush_batch`].
@@ -216,7 +216,7 @@ pub struct Replica {
     /// Batch sizes of flushed proposals since the last metrics scrape
     /// (feeds the `raft.batch_occupancy` histogram).
     prop_occupancy: Vec<u32>,
-    parked: HashMap<WaiterId, ParkedReq>,
+    parked: BTreeMap<WaiterId, ParkedReq>,
     next_waiter: WaiterId,
     /// Term in which this replica last proposed a `ClaimLease` (dedups
     /// re-proposals while the claim is in flight; a new term re-arms).
@@ -256,10 +256,10 @@ impl Replica {
             tracker: ClosedTsTracker::new(),
             lease: ClosedTsLeaseState::default(),
             policy,
-            pending_props: HashMap::new(),
+            pending_props: BTreeMap::new(),
             batch_buf: Vec::new(),
             prop_occupancy: Vec::new(),
-            parked: HashMap::new(),
+            parked: BTreeMap::new(),
             next_waiter: 1,
             lease_claim_term: None,
             lifecycle_term: None,
@@ -288,11 +288,14 @@ impl Replica {
         self.parked.len()
     }
 
-    /// Drop all pending proposals and buffered commands (leadership lost);
-    /// callers time out.
-    pub fn clear_pending_props(&mut self) {
-        self.pending_props.clear();
-        self.batch_buf.clear();
+    /// The requests a removed replica strands: parked in a lock queue,
+    /// proposed, or buffered for the next flush (range surgery answers
+    /// them).
+    pub(crate) fn into_waiting(self) -> impl Iterator<Item = ReplyPath> {
+        let parked = self.parked.into_values().map(|p| p.path);
+        let props = self.pending_props.into_values().map(|p| p.path);
+        let buffered = self.batch_buf.into_iter().map(|(_, path)| path);
+        parked.chain(props).chain(buffered)
     }
 
     /// Simulate a process crash that loses all volatile state. The storage
@@ -308,7 +311,8 @@ impl Replica {
     ///   served), and the lease promise inherits the same bound so no
     ///   post-restart write lands below a pre-crash promise;
     /// * the lock table, parked waiters, and pending proposals vanish
-    ///   (their RPCs time out and re-route).
+    ///   unanswered: a crash is the fault case, and only the RPC timeout
+    ///   re-routes their clients.
     pub fn crash_volatile(
         &mut self,
         conservative: Timestamp,
@@ -326,7 +330,8 @@ impl Replica {
         self.tscache = tscache;
         self.locks = LockTable::new();
         self.parked.clear();
-        self.clear_pending_props();
+        self.pending_props.clear();
+        self.batch_buf.clear();
         self.lease_claim_term = None;
         self.lifecycle_term = None;
         self.flush_scheduled = false;

@@ -1575,7 +1575,8 @@ impl Cluster {
 
     fn pusher_tick(&mut self, p: Pusher, rounds: u32) {
         // Stop when the block is gone, this replica lost the lease, or the
-        // node died (waiters will time out / re-route).
+        // node died. A replica that range surgery removed has answered its
+        // waiters; a dead node's are left to the RPC timeout.
         let still_leaseholder = self
             .registry()
             .get(p.range)

@@ -489,11 +489,11 @@ fn write_write_conflict_serializes() {
 
 #[test]
 fn region_survivability_survives_home_region_failure() {
-    let cfg = ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_secs(3)),
-        ..ClusterConfig::default()
-    };
-    let mut c = cluster(cfg);
+    // No `rpc_timeout`: no request is in flight when the fault is
+    // injected, and one sent to a dead node afterwards fails at once as
+    // unreachable. A request already in flight to a node that dies would
+    // never be answered without the timer.
+    let mut c = cluster(ClusterConfig::default());
     let zc = derive_zone_config(
         US_EAST,
         &all_regions(),
@@ -522,11 +522,11 @@ fn region_survivability_survives_home_region_failure() {
 
 #[test]
 fn zone_survivability_loses_writes_on_home_region_failure() {
-    let cfg = ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_millis(500)),
-        ..ClusterConfig::default()
-    };
-    let mut c = cluster(cfg);
+    // No `rpc_timeout`: no request is in flight when the fault is
+    // injected, and one sent to a dead node afterwards fails at once as
+    // unreachable. A request already in flight to a node that dies would
+    // never be answered without the timer.
+    let mut c = cluster(ClusterConfig::default());
     let zc = derive_zone_config(
         US_EAST,
         &all_regions(),
@@ -584,11 +584,11 @@ fn zone_survivability_loses_writes_on_home_region_failure() {
 
 #[test]
 fn zone_survivability_survives_single_zone_failure() {
-    let cfg = ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_secs(3)),
-        ..ClusterConfig::default()
-    };
-    let mut c = cluster(cfg);
+    // No `rpc_timeout`: no request is in flight when the fault is
+    // injected, and one sent to a dead node afterwards fails at once as
+    // unreachable. A request already in flight to a node that dies would
+    // never be answered without the timer.
+    let mut c = cluster(ClusterConfig::default());
     let zc = derive_zone_config(
         US_EAST,
         &all_regions(),

@@ -26,16 +26,6 @@ fn all_regions() -> Vec<RegionId> {
     (0..5).map(RegionId).collect()
 }
 
-/// Lifecycle-enabled clusters set an RPC timeout: a split or merge drops
-/// uncommitted proposals of the reshaped ranges and clients recover by
-/// timeout + re-route.
-fn config() -> ClusterConfig {
-    ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_secs(2)),
-        ..ClusterConfig::default()
-    }
-}
-
 fn cluster(cfg: ClusterConfig) -> Cluster {
     Cluster::new(paper_topology(), cfg)
 }
@@ -102,7 +92,7 @@ fn single_region_zc() -> mr_kv::zone::ZoneConfig {
 /// the split.
 #[test]
 fn admin_split_preserves_data_and_reroutes() {
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
 
@@ -157,7 +147,7 @@ fn admin_split_preserves_data_and_reroutes() {
 /// union of the data, and merge-after-split restores the original tiling.
 #[test]
 fn admin_merge_restores_single_range() {
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
     for k in ["a1", "m1", "z1"] {
@@ -198,7 +188,7 @@ fn admin_merge_restores_single_range() {
 /// split carries intents and the transaction record to the right halves.
 #[test]
 fn txn_straddling_a_split_commits() {
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
 
@@ -242,18 +232,92 @@ fn txn_straddling_a_split_commits() {
     }
 }
 
+/// A split answers the requests it strands: a write parked behind another
+/// transaction's intent gets exactly one `RangeUnavailable` naming the
+/// reshaped range — with no RPC timeout configured — and its re-sent write
+/// lands once the blocker commits.
+#[test]
+fn a_split_answers_the_write_parked_under_it() {
+    let mut c = cluster(ClusterConfig {
+        tracing: true,
+        ..ClusterConfig::default()
+    });
+    let id = c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    let lh = c.registry().get(id).unwrap().leaseholder;
+
+    let blocker = c.txn_begin(gw(0));
+    let blocked: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let b2 = Rc::clone(&blocked);
+    c.txn_put(
+        blocker,
+        Key::from("k"),
+        Some(Value::from("blocker")),
+        Box::new(move |_c, res| {
+            res.unwrap();
+            *b2.borrow_mut() = true;
+        }),
+    );
+    step_until(&mut c, "the blocker's intent", |_| *blocked.borrow());
+
+    // Pipelined, the put returns at once and its write is the one RPC in
+    // flight; the commit waits until after the blocker's.
+    let waiter = c.txn_begin(gw(1));
+    c.txn_put(
+        waiter,
+        Key::from("k"),
+        Some(Value::from("waiter")),
+        Box::new(|_c, res| res.unwrap()),
+    );
+    step_until(&mut c, "the write parks", |c| {
+        c.node(lh).replicas[&id].parked_count() == 1
+    });
+    c.admin_split_at(Key::from("m")).expect("split proposed");
+    step_until(&mut c, "split applied", |c| c.registry().len() == 2);
+
+    // Bounded: a stranded request with no answer fails here, not by hanging.
+    c.run_until(c.now() + SimDuration::from_secs(1));
+    let traces: String = (c.obs.tracer.roots().into_iter())
+        .map(|r| c.obs.tracer.render_tree(r))
+        .collect();
+    let answer = format!("result=err: {id} unavailable");
+    assert_eq!(traces.matches(&answer).count(), 1, "in\n{traces}");
+    assert_eq!(traces.matches("result=err").count(), 1, "in\n{traces}");
+    assert!(!traces.contains("redirect"), "in\n{traces}");
+
+    let commit = |c: &mut Cluster, h| {
+        let ts: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
+        let t2 = Rc::clone(&ts);
+        c.txn_commit(
+            h,
+            Box::new(move |_c, res| *t2.borrow_mut() = Some(res.unwrap())),
+        );
+        c.run_until_quiescent(deadline());
+        let ts = ts.borrow().expect("commit did not complete");
+        ts
+    };
+    let blocker_ts = commit(&mut c, blocker);
+    let waiter_ts = commit(&mut c, waiter);
+    assert!(waiter_ts > blocker_ts, "{waiter_ts:?} <= {blocker_ts:?}");
+    assert_eq!(
+        read_key(&mut c, gw(0), "k").unwrap(),
+        Some(Value::from("waiter"))
+    );
+}
+
 /// With the lifecycle enabled, a range growing past the size threshold
 /// splits on its own at the sampled-load median, and the halves keep every
 /// committed key.
 #[test]
 fn size_triggered_split_fires_under_load() {
-    let mut cfg = config();
-    cfg.lifecycle = LifecycleConfig {
-        enabled: true,
-        split_size_keys: 16,
-        ..LifecycleConfig::default()
-    };
-    let mut c = cluster(cfg);
+    let mut c = cluster(ClusterConfig {
+        lifecycle: LifecycleConfig {
+            enabled: true,
+            split_size_keys: 16,
+            ..LifecycleConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
     c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
 
@@ -291,12 +355,13 @@ fn size_triggered_split_fires_under_load() {
 /// cooldown and QPS floors allow it.
 #[test]
 fn cold_adjacent_ranges_merge_automatically() {
-    let mut cfg = config();
-    cfg.lifecycle = LifecycleConfig {
-        enabled: true,
-        ..LifecycleConfig::default()
-    };
-    let mut c = cluster(cfg);
+    let mut c = cluster(ClusterConfig {
+        lifecycle: LifecycleConfig {
+            enabled: true,
+            ..LifecycleConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
     write_key(&mut c, gw(0), "a1", "v");
@@ -322,13 +387,14 @@ fn cold_adjacent_ranges_merge_automatically() {
 /// configured preference.
 #[test]
 fn lease_rebalances_toward_demand_then_rehomes() {
-    let mut cfg = config();
-    cfg.lifecycle = LifecycleConfig {
-        enabled: true,
-        rebalance_min_qps_milli: 500,
-        ..LifecycleConfig::default()
-    };
-    let mut c = cluster(cfg);
+    let mut c = cluster(ClusterConfig {
+        lifecycle: LifecycleConfig {
+            enabled: true,
+            rebalance_min_qps_milli: 500,
+            ..LifecycleConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
     // Region-survivable: voters spread across regions, so eu has a voter
     // the lease can move to. Lease preference stays us-east.
     let zc = derive_zone_config(
@@ -395,7 +461,7 @@ fn lease_rebalances_toward_demand_then_rehomes() {
 /// same run (recorded at the parent commit).
 #[test]
 fn split_then_merge_retires_the_rhs_and_keeps_monitor_baselines() {
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
     for k in ["a1", "m1", "z1"] {
@@ -457,7 +523,7 @@ fn record_statuses(c: &Cluster, range: RangeId, id: TxnId) -> Vec<Option<TxnStat
 /// recovery would abort a committed transaction.
 #[test]
 fn merge_keeps_the_finalized_record_of_a_txn_anchored_on_the_right() {
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
 
@@ -537,7 +603,7 @@ fn surgery_installs_one_image_on_every_replica() {
         assert!(reps[0].store.closed_ts() > Timestamp::ZERO);
     }
 
-    let mut c = cluster(config());
+    let mut c = cluster(ClusterConfig::default());
     let lhs = c.create_range(Span::all(), single_region_zc()).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
     for k in ["a1", "m1", "z1"] {

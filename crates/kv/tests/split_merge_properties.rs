@@ -164,7 +164,6 @@ fn run_case(ops: &[Op]) {
         RttMatrix::paper_table1(),
     );
     let cfg = ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_secs(2)),
         lifecycle: LifecycleConfig {
             enabled: true,
             // Low floor so the cross-region reads can trigger lease

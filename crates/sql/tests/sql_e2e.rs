@@ -1031,12 +1031,7 @@ fn descriptor(
 /// sees the new version; DDL with nothing in flight mutates in place.
 #[test]
 fn descriptors_are_shared_and_ddl_copies_on_write() {
-    // Re-deriving a range's zone config reinstalls its replicas, which drops
-    // requests parked there: the timeout is what re-sends them.
-    let mut d = movr_db_with(ClusterConfig {
-        rpc_timeout: Some(SimDuration::from_secs(3)),
-        ..ClusterConfig::default()
-    });
+    let mut d = movr_db_with(ClusterConfig::default());
     let sess = d.session_in_region("us-east1", Some("movr"));
     d.exec_sync(
         &sess,

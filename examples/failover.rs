@@ -10,13 +10,17 @@ use multiregion::kv::FaultKind;
 use multiregion::{ClusterBuilder, SimDuration, SimTime};
 
 fn main() {
+    // No RPC timeout is set: each failure is injected with no statement in
+    // flight, and a request sent to a dead node afterwards fails at once as
+    // unreachable and re-routes. A request already in flight to a node that
+    // dies is answered only by a timer; to inject faults under live traffic,
+    // set one with `.config(|c| c.rpc_timeout = Some(..))`, as the chaos
+    // harness does.
     let mut db = ClusterBuilder::new()
         .region("us-east1", 3)
         .region("us-west1", 3)
         .region("europe-west1", 3)
         .seed(9)
-        // Failure handling needs RPC timeouts so stranded requests re-route.
-        .rpc_timeout(SimDuration::from_secs(2))
         .build();
 
     let sess = db.session_in_region("us-east1", None);

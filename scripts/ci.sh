@@ -3,12 +3,13 @@
 # suite. Run from anywhere; operates on the repository root. Offline-safe:
 # all external deps are vendored under third_party/.
 #
-#   scripts/ci.sh [parent-rev [allowed-metrics]]
+#   scripts/ci.sh [parent-rev [allowed]]
 #
 # With a parent revision, also runs scripts/digest_parity.sh against it (the
 # gate for a change that claims to move host time only; a change that means
-# to move exact counts lists them, comma-separated, as the second argument)
-# and prints scripts/loc_delta.sh, the non-test line delta against it.
+# to move exact counts, or probe files, lists them comma-separated as the
+# second argument: `storage.compactions`, `file:BENCH_split.json`) and
+# prints scripts/loc_delta.sh, the non-test line delta against it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,17 @@ echo "==> cargo test -q -p mr-ledger: both-clocks determinism gate"
 # across processes, different seeds differ, the output audit is clean, and
 # BENCHMARK.json lists exactly the metrics the ledger prints.
 cargo test -q -p mr-ledger
+
+echo "==> examples: every examples/*.rs runs to completion in release"
+# The examples are the facade's walkthroughs (README); `cargo test` only
+# builds them. Each must exit zero — `failover` injects zone and region
+# failures with no RPC timeout set. All six run in well under a second. A
+# file missing its `[[example]]` entry in crates/core/Cargo.toml fails here.
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    cargo run -q --release --offline -p multiregion --example "$name" >/dev/null \
+        || { echo "FAIL: example $name exited non-zero" >&2; exit 1; }
+done
 
 if [ -n "${1:-}" ]; then
     echo "==> digest_parity: simulated behaviour identical to $1"
@@ -287,11 +299,14 @@ cargo test -q -p mr-chaos --features injected-bug --test durability \
 
 echo "==> split-tscache canary: the armed RHS-bound drop must be caught"
 # Arms the deliberate split bug that zeroes the right half's timestamp-
-# cache bound and drives a split storm under ahead-of-time clock skew: the
-# checker must flag the resulting stale reads, and the identical unarmed
-# runs must stay clean — guards the split surgery's tscache carryover.
+# cache bound and forces the race it opens, step by step: an ahead-clock
+# read served by the parent, the split under it, then a write with an
+# older timestamp on the right half. The checker must flag the stale read
+# on every seed, the identical unarmed race must stay clean, and so must
+# the unarmed split storm — guards the split surgery's tscache carryover.
 cargo test -q -p mr-chaos --features injected-bug --test chaos_e2e \
     injected_split_tscache_bug_is_caught >/dev/null
+cargo test -q -p mr-chaos --test chaos_e2e split_tscache_race_without_bug_is_clean >/dev/null
 cargo test -q -p mr-chaos --test chaos_e2e split_storm_without_bug_is_clean >/dev/null
 
 echo "==> injected-bug canary: the checker must catch every armed bug"

@@ -2,7 +2,7 @@
 # Host-only gate: a change that claims to alter nothing but host time must
 # leave the simulation bit for bit where the parent left it.
 #
-#   scripts/digest_parity.sh <parent-rev> [allowed-metrics]
+#   scripts/digest_parity.sh <parent-rev> [allowed]
 #
 # Exports <parent-rev> into a temporary tree, runs
 # `mr-ledger run --seed <s> --seconds 2` for the four ledger workloads and
@@ -31,10 +31,27 @@
 # behaviour on purpose. An entry `workload:metric`
 # (`wide_idle:sim.events_per_op`) allows the metric to move on that workload
 # only; a bare metric name allows it on all four.
+#
+# A change that moves a probe's simulated behaviour but not the ledger
+# workloads' (range surgery, fault handling, the lifecycle: paths the ledger
+# never takes) names the probe files it moves instead: an entry
+# `file:<name>` (`file:BENCH_split.json`) lets that one file differ and
+# prints its diff. With only `file:` entries the run is otherwise the plain
+# one — all eight digests must match and every other probe file must be
+# byte-identical. Given together with metric entries, the metric mode above
+# decides and the probes are not run.
 set -euo pipefail
 
-REV="${1:?usage: scripts/digest_parity.sh <parent-rev> [allowed-metrics]}"
-ALLOWED="${2:-}"
+REV="${1:?usage: scripts/digest_parity.sh <parent-rev> [allowed]}"
+# Split the allowed list into metric entries and `file:` entries.
+METRICS="" MOVED_FILES=""
+IFS=',' read -ra ENTRIES <<<"${2:-}"
+for entry in "${ENTRIES[@]}"; do
+    case "$entry" in
+        file:*) MOVED_FILES+=" ${entry#file:}" ;;
+        *) METRICS+="${METRICS:+,}$entry" ;;
+    esac
+done
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -50,7 +67,7 @@ digests() {
     for seed in $SEEDS; do
         (cd "$1" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
             cargo run -q --release --offline -p mr-ledger -- \
-            run --seed "$seed" --seconds 2 ${ALLOWED:+--traced} --out "$TMP/$2-$seed-out") \
+            run --seed "$seed" --seconds 2 ${METRICS:+--traced} --out "$TMP/$2-$seed-out") \
             | grep '^## ' | sed "s/^/seed $seed /"
     done
 }
@@ -95,7 +112,7 @@ if [ "$(wc -l <"$TMP/parent.txt")" -ne 8 ]; then
     echo "FAIL: expected four workloads x two seeds, parent printed $(wc -l <"$TMP/parent.txt")" >&2
     exit 1
 fi
-if [ -n "$ALLOWED" ]; then
+if [ -n "$METRICS" ]; then
     # compare's own exit status also covers host-time rows, which a 2 s run
     # cannot resolve; only the exact rows are judged here.
     for seed in $SEEDS; do
@@ -106,10 +123,10 @@ if [ -n "$ALLOWED" ]; then
     grep -q ' exact ' "$TMP/compare.txt" \
         || { echo "FAIL: compare printed no exact rows" >&2; exit 1; }
     MOVED="$(awk '$1 != "#" && $NF == "changed" { print $1, $2 }' "$TMP/compare.txt" | sort -u)"
-    STRAY="$(echo "$MOVED" | awk -v allowed="$ALLOWED" '
+    STRAY="$(echo "$MOVED" | awk -v allowed="$METRICS" '
         BEGIN { n = split(allowed, a, ","); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
         NF && !($2 in ok) && !(($1 ":" $2) in ok)')"
-    echo "==> exact rows that moved (allowed: $ALLOWED)"
+    echo "==> exact rows that moved (allowed: $METRICS)"
     echo "${MOVED:-none}"
     if [ -n "$STRAY" ]; then
         echo "FAIL: simulated figures outside the allowed list changed against $REV:" >&2
@@ -138,10 +155,13 @@ for f in $FILES; do
         echo "identical  $f"
     elif [[ " $LAYOUT_ONLY " == *" $f "* ]] && same_json "$a" "$b"; then
         echo "same JSON  $f (layout differs)"
+    elif [[ " $MOVED_FILES " == *" $f "* ]]; then
+        echo "moved      $f (allowed):"
+        diff "$a" "$b" || true
     else
         echo "FAIL: $f differs from $REV" >&2
         diff "$a" "$b" | head -20 >&2 || true
         exit 1
     fi
 done
-echo "digest parity OK: four workloads x seeds $SEEDS and $(echo "$FILES" | wc -w) probe files identical to $REV"
+echo "digest parity OK: four workloads x seeds $SEEDS and $(echo "$FILES" | wc -w) probe files identical to $REV${MOVED_FILES:+ (allowed to differ:$MOVED_FILES)}"

@@ -194,12 +194,15 @@ fn serializable_bank_transfers_conserve_money() {
 
 #[test]
 fn region_failure_with_region_survivability() {
+    // No `rpc_timeout`: no statement is in flight when the region dies,
+    // and one sent to a dead node afterwards fails at once as unreachable.
+    // A request already in flight to a node that dies would never be
+    // answered without the timer.
     let mut dbx = ClusterBuilder::new()
         .region("us-east1", 3)
         .region("europe-west2", 3)
         .region("asia-northeast1", 3)
         .seed(4)
-        .rpc_timeout(SimDuration::from_secs(2))
         .build();
     let sess = dbx.session_in_region("us-east1", None);
     dbx.exec_script(
