@@ -1,90 +1,6 @@
-//! Ablation A: commit wait *concurrent with* lock release (CockroachDB,
-//! §6.2) vs commit wait *holding locks* (Spanner-style).
-//!
-//! The paper emphasizes that CRDB releases a global transaction's locks
-//! while the coordinator commit-waits, "key to minimizing the amount of
-//! time a lock can be observed by a reader". This ablation flips that
-//! design choice (`commit_wait_holds_locks`) and reruns the Fig. 3 GLOBAL
-//! workload: with locks held through commit wait, contended readers and
-//! writers stack the ~600ms wait serially and the tail explodes.
-
-use mr_bench::*;
-use mr_sim::SimRng;
-use mr_workload::driver::{ClosedLoop, DriverStats};
-use mr_workload::ycsb::{KeyChooser, ReadMode, YcsbGen, YcsbTable};
-use mr_workload::Zipf;
-
-const KEYS: u64 = 100_000;
-
-fn run(holds_locks: bool, seed: u64) -> DriverStats {
-    let mut db = multiregion::ClusterBuilder::new()
-        .paper_regions()
-        .max_clock_offset(multiregion::SimDuration::from_millis(250))
-        .seed(seed)
-        .config(|c| c.commit_wait_holds_locks = holds_locks)
-        .build();
-    let regions = paper_regions();
-    setup_ycsb(
-        &mut db,
-        &regions,
-        "usertable",
-        YcsbTable::Global,
-        KEYS,
-        |_| unreachable!(),
-    );
-    let mut driver = ClosedLoop::new();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let ops = ops_per_client();
-    add_clients(
-        &db,
-        &mut driver,
-        &regions,
-        "ycsb",
-        10,
-        &mut rng,
-        |ri, _, _| {
-            Box::new(YcsbGen {
-                table: "usertable".into(),
-                variant: YcsbTable::Global,
-                read_fraction: 0.5,
-                insert_workload: false,
-                keys: KeyChooser::Zipf(Zipf::ycsb(KEYS)),
-                read_mode: ReadMode::Fresh,
-                regions: paper_regions(),
-                region_idx: ri,
-                remaining: Some(ops),
-                next_insert: 0,
-                insert_stride: 1,
-                nregions: 5,
-                label_prefix: String::new(),
-            })
-        },
-    );
-    run_to_completion(&mut db, &mut driver);
-    driver.stats
-}
+//! Ablation A: commit wait with locks released or held, §6.2 (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!(
-        "Ablation A: commit wait concurrent with lock release (CRDB) vs holding locks \
-         (Spanner-style), GLOBAL table, YCSB-A, {} ops/client\n",
-        ops_per_client()
-    );
-    for (name, holds) in [
-        ("CRDB (release during wait)", false),
-        ("Spanner-style (hold)", true),
-    ] {
-        let stats = run(holds, 81);
-        report_errors(name, &stats);
-        let mut reads = stats.merged(|l| l.contains("read"));
-        let mut writes = stats.merged(|l| l.contains("write"));
-        print_row(&format!("{name:<28} read"), &mut reads);
-        print_row(&format!("{name:<28} write"), &mut writes);
-        println!();
-    }
-    println!(
-        "expectation: medians match (the wait itself is identical), but holding locks\n\
-         serializes contended access across the ~600ms commit wait — read and write\n\
-         tails grow by multiples."
-    );
+    report(&AblationA::run(ops_per_client()));
 }

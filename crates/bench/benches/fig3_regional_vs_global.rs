@@ -1,103 +1,6 @@
-//! Figure 3: transaction latency for REGIONAL and GLOBAL tables (§7.1).
-//!
-//! Five regions (Table 1 RTTs), `max_clock_offset = 250ms`, YCSB-A (50/50
-//! reads and writes, Zipf keys over 100k rows), 10 clients per region
-//! against collocated gateways. Three configurations:
-//!
-//! 1. *Global* — fresh reads and writes on a GLOBAL table;
-//! 2. *Regional (Latest)* — fresh reads and writes on a
-//!    `REGIONAL BY TABLE IN PRIMARY REGION` table;
-//! 3. *Regional (Stale)* — bounded-staleness reads on the REGIONAL table.
-//!
-//! Results split by request origin (PRIMARY region vs non-PRIMARY), read
-//! vs write — the paper's box plots become percentile rows.
-//!
-//! Expected shape (paper): GLOBAL reads < 3ms everywhere, GLOBAL writes
-//! 500-600ms; REGIONAL reads/writes < 3ms from the primary, 100-200ms
-//! remote; stale reads < 3ms everywhere.
-
-use mr_bench::*;
-use mr_sim::{SimDuration, SimRng};
-use mr_workload::driver::ClosedLoop;
-use mr_workload::ycsb::{KeyChooser, ReadMode, YcsbGen, YcsbTable};
-use mr_workload::Zipf;
-
-const KEYS: u64 = 100_000;
-
-fn run_config(name: &str, variant: YcsbTable, read_mode: ReadMode, seed: u64) {
-    let mut db = five_region_db(250, seed);
-    let regions = paper_regions();
-    setup_ycsb(&mut db, &regions, "usertable", variant, KEYS, |_| {
-        unreachable!("unpartitioned")
-    });
-    let mut driver = ClosedLoop::new();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let ops = ops_per_client();
-    add_clients(
-        &db,
-        &mut driver,
-        &regions,
-        "ycsb",
-        10,
-        &mut rng,
-        |ri, _, _| {
-            Box::new(YcsbGen {
-                table: "usertable".into(),
-                variant,
-                read_fraction: 0.5,
-                insert_workload: false,
-                keys: KeyChooser::Zipf(Zipf::ycsb(KEYS)),
-                read_mode,
-                regions: paper_regions(),
-                region_idx: ri,
-                remaining: Some(ops),
-                next_insert: 0,
-                insert_stride: 1,
-                nregions: 5,
-                // Region 0 hosts the PRIMARY (all leaseholders).
-                label_prefix: if ri == 0 {
-                    "primary/".into()
-                } else {
-                    "nonprimary/".into()
-                },
-            })
-        },
-    );
-    run_to_completion(&mut db, &mut driver);
-    report_errors(name, &driver.stats);
-    for origin in ["primary", "nonprimary"] {
-        for kind in ["read", "write"] {
-            let mut rec = driver
-                .stats
-                .merged(|l| l.starts_with(&format!("{origin}/{kind}")));
-            print_row(&format!("{name:<18} {origin:<11} {kind}"), &mut rec);
-        }
-    }
-    println!();
-}
+//! Figure 3: REGIONAL and GLOBAL table latency, §7.1 (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!(
-        "Figure 3: transaction latency for REGIONAL and GLOBAL tables \
-         (5 regions, max_clock_offset=250ms, YCSB-A, {} ops/client)\n",
-        ops_per_client()
-    );
-    run_config("Global", YcsbTable::Global, ReadMode::Fresh, 31);
-    run_config(
-        "Regional (Latest)",
-        YcsbTable::RegionalByTable,
-        ReadMode::Fresh,
-        32,
-    );
-    run_config(
-        "Regional (Stale)",
-        YcsbTable::RegionalByTable,
-        ReadMode::BoundedStaleness(SimDuration::from_secs(10)),
-        33,
-    );
-    println!(
-        "paper expectation: GLOBAL reads <3ms everywhere / writes 500-600ms;\n\
-         REGIONAL (Latest) <3ms from primary, 100-200ms elsewhere;\n\
-         REGIONAL (Stale) reads <3ms everywhere."
-    );
+    report(&Fig3::run(ops_per_client()));
 }

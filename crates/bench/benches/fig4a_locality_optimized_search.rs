@@ -1,136 +1,6 @@
-//! Figure 4a: locality-optimized search and automatic rehoming on REGIONAL
-//! BY ROW tables (§7.2.1).
-//!
-//! Three regions (us-east1, europe-west2, asia-northeast1), YCSB-B (95%
-//! reads / 5% updates), uniform keys, clients accessing *disjoint* key
-//! sets, at 95% and 50% locality of access. Four variants:
-//!
-//! * *Unoptimized* — RBR without LOS: every lookup fans out to all
-//!   partitions (150-200ms for reads AND writes);
-//! * *Default*     — RBR with LOS: local-first probe keeps local accesses
-//!   local; remote accesses pay the fan-out only on a local miss;
-//! * *Rehoming*    — LOS + `ON UPDATE rehome_row()`: uncontended remote
-//!   rows migrate to the accessor's region, converging to local latency;
-//! * *Baseline*    — legacy manually partitioned table (partition key in
-//!   the primary key): predictable single-partition routing.
-
-use mr_bench::*;
-use mr_sim::SimRng;
-use mr_workload::driver::{ClosedLoop, DriverStats};
-use mr_workload::ycsb::{KeyChooser, ReadMode, YcsbGen, YcsbTable};
-
-const KEYS: u64 = 30_000;
-const CLIENTS_PER_REGION: usize = 3;
-
-fn run_variant(name: &str, variant: YcsbTable, los: bool, locality: f64, seed: u64) -> DriverStats {
-    let mut db = three_region_db(seed);
-    db.los_enabled = los;
-    let (regions, _) = three_regions();
-    let nregions = regions.len() as u64;
-    let regions_for_home = regions.clone();
-    setup_ycsb(&mut db, &regions, "usertable", variant, KEYS, move |k| {
-        regions_for_home[(k % nregions) as usize].clone()
-    });
-    let mut rng = SimRng::seed_from_u64(seed);
-    let ops = ops_per_client();
-    let nclients = (regions.len() * CLIENTS_PER_REGION) as u64;
-    // Warmup pass (discarded) so the Rehoming variant converges, then the
-    // measured pass — mirroring the paper's steady-state measurements.
-    for phase in 0..2 {
-        let measuring = phase == 1;
-        let mut driver = ClosedLoop::new();
-        add_clients(
-            &db,
-            &mut driver,
-            &regions,
-            "ycsb",
-            CLIENTS_PER_REGION,
-            &mut rng,
-            |ri, _, global| {
-                Box::new(YcsbGen {
-                    table: "usertable".into(),
-                    variant,
-                    read_fraction: 0.95,
-                    insert_workload: false,
-                    keys: KeyChooser::Locality {
-                        n: KEYS,
-                        nregions,
-                        region_idx: ri as u64,
-                        locality,
-                        client_idx: global as u64,
-                        nclients,
-                        shared_remote: None,
-                        // A bounded remote working set per client: lets the
-                        // Rehoming variant reach its converged (re-homed)
-                        // steady state within the run.
-                        remote_set: Some(25),
-                    },
-                    read_mode: ReadMode::Fresh,
-                    regions: three_regions().0,
-                    region_idx: ri,
-                    remaining: Some(ops),
-                    next_insert: 0,
-                    insert_stride: 1,
-                    nregions,
-                    label_prefix: String::new(),
-                })
-            },
-        );
-        run_to_completion(&mut db, &mut driver);
-        if measuring {
-            report_errors(name, &driver.stats);
-            return driver.stats;
-        }
-    }
-    unreachable!()
-}
-
-fn print_variant(name: &str, stats: &DriverStats) {
-    for kind in ["read", "write"] {
-        for loc in ["local", "remote"] {
-            let mut rec = stats.merged(|l| l == format!("{kind}-{loc}"));
-            print_row(&format!("{name:<24} {kind:<6} {loc}"), &mut rec);
-        }
-    }
-    println!();
-}
-
-fn run_locality_block(locality: f64, seed0: u64) {
-    println!("--- locality of access = {:.0}% ---", locality * 100.0);
-    let variants: Vec<(&str, YcsbTable, bool)> = vec![
-        (
-            "Unoptimized",
-            YcsbTable::RegionalByRow { rehoming: false },
-            false,
-        ),
-        (
-            "Default",
-            YcsbTable::RegionalByRow { rehoming: false },
-            true,
-        ),
-        (
-            "Rehoming",
-            YcsbTable::RegionalByRow { rehoming: true },
-            true,
-        ),
-        ("Baseline", YcsbTable::ManualPartition, true),
-    ];
-    for (i, (name, variant, los)) in variants.into_iter().enumerate() {
-        let stats = run_variant(name, variant, los, locality, seed0 + i as u64);
-        print_variant(name, &stats);
-    }
-}
+//! Figure 4a: locality-optimized search and rehoming, §7.2.1 (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!(
-        "Figure 4a: LOS and automatic rehoming, YCSB-B, 3 regions, disjoint keys, {} ops/client\n",
-        ops_per_client()
-    );
-    run_locality_block(0.95, 41);
-    run_locality_block(0.50, 46);
-    println!(
-        "paper expectation: Unoptimized pays 150-200ms on every op; Default keeps local ops\n\
-         local and is only slightly slower than Baseline on remote ops; Rehoming converges\n\
-         remote rows into the accessor's region (local latencies for a disjoint working set)."
-    );
+    report(&Fig4a::run(ops_per_client()));
 }

@@ -1,102 +1,6 @@
-//! Figure 4b: the cost of global uniqueness-constraint checks on INSERT
-//! (§7.2.2).
-//!
-//! YCSB-D (95% reads, 5% inserts), 100% locality of access, three regions.
-//! Variants:
-//!
-//! * *Default*  — `crdb_region DEFAULT gateway_region()`: a primary-key
-//!   uniqueness check must probe every region's partition, so INSERTs pay
-//!   the inter-region RTT (the paper's "three spikes");
-//! * *Computed* — `crdb_region` computed from the key: the key determines
-//!   its partition, so checking the home partition proves global
-//!   uniqueness — INSERTs stay local (§4.1, rule 3);
-//! * *Baseline* — legacy manual partitioning (partition key in the primary
-//!   key): local by construction, but needs schema + application changes.
-
-use mr_bench::*;
-use mr_sim::SimRng;
-use mr_workload::driver::{ClosedLoop, DriverStats};
-use mr_workload::ycsb::{KeyChooser, ReadMode, YcsbGen, YcsbTable};
-
-const KEYS: u64 = 30_000;
-const CLIENTS_PER_REGION: usize = 3;
-
-fn run_variant(name: &str, variant: YcsbTable, seed: u64) -> DriverStats {
-    let mut db = three_region_db(seed);
-    let (regions, _) = three_regions();
-    let nregions = regions.len() as u64;
-    let regions_for_home = regions.clone();
-    setup_ycsb(&mut db, &regions, "usertable", variant, KEYS, move |k| {
-        regions_for_home[(k % nregions) as usize].clone()
-    });
-    let mut driver = ClosedLoop::new();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let ops = ops_per_client();
-    let nclients = (regions.len() * CLIENTS_PER_REGION) as u64;
-    add_clients(
-        &db,
-        &mut driver,
-        &regions,
-        "ycsb",
-        CLIENTS_PER_REGION,
-        &mut rng,
-        |ri, _, global| {
-            Box::new(YcsbGen {
-                table: "usertable".into(),
-                variant,
-                read_fraction: 0.95,
-                insert_workload: true,
-                keys: KeyChooser::Locality {
-                    n: KEYS,
-                    nregions,
-                    region_idx: ri as u64,
-                    locality: 1.0,
-                    client_idx: global as u64,
-                    nclients,
-                    shared_remote: None,
-                    remote_set: None,
-                },
-                read_mode: ReadMode::Fresh,
-                regions: three_regions().0,
-                region_idx: ri,
-                remaining: Some(ops),
-                // Inserted keys stay in the inserting client's region
-                // stripe (computed variant homes k%3): start at a fresh key
-                // congruent to the client's region, strided to stay unique
-                // and region-stable.
-                next_insert: KEYS + global as u64 * nregions + ri as u64,
-                insert_stride: nclients * nregions,
-                nregions,
-                label_prefix: String::new(),
-            })
-        },
-    );
-    run_to_completion(&mut db, &mut driver);
-    report_errors(name, &driver.stats);
-    driver.stats
-}
+//! Figure 4b: uniqueness checks on INSERT, §7.2.2 (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!(
-        "Figure 4b: uniqueness-check cost on INSERT, YCSB-D, 100% locality, {} ops/client\n",
-        ops_per_client()
-    );
-    let variants: Vec<(&str, YcsbTable)> = vec![
-        ("Default", YcsbTable::RegionalByRow { rehoming: false }),
-        ("Computed", YcsbTable::ComputedRegion),
-        ("Baseline", YcsbTable::ManualPartition),
-    ];
-    for (i, (name, variant)) in variants.into_iter().enumerate() {
-        let stats = run_variant(name, variant, 61 + i as u64);
-        let mut reads = stats.merged(|l| l.starts_with("read"));
-        let mut inserts = stats.merged(|l| l.starts_with("insert"));
-        print_row(&format!("{name:<10} read"), &mut reads);
-        print_row(&format!("{name:<10} insert"), &mut inserts);
-        println!();
-    }
-    println!(
-        "paper expectation: Computed and Baseline INSERT locally; Default INSERTs pay a\n\
-         cross-region round trip for the primary-key uniqueness probes (latency clusters\n\
-         at the inter-region RTTs). Reads are local for all three."
-    );
+    report(&Fig4b::run(ops_per_client()));
 }

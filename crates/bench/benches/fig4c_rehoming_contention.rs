@@ -1,118 +1,6 @@
-//! Figure 4c: automatic rehoming under contention (§7.2.3).
-//!
-//! YCSB-B at 50% locality of access from all three regions, with every
-//! *remote* access targeting a shared, contended key range. The number of
-//! contending clients per region varies over c ∈ {1, 2, 3}; compared
-//! against *Default* (no rehoming).
-//!
-//! Expected shape (paper): with c=1 the shared rows re-home to their
-//! single accessor's region and everything converges to local latency;
-//! with c=2,3 rows thrash between regions and remote accesses approach the
-//! no-rehoming Default.
-
-use mr_bench::*;
-use mr_sim::SimRng;
-use mr_workload::driver::{ClosedLoop, DriverStats};
-use mr_workload::ycsb::{KeyChooser, ReadMode, YcsbGen, YcsbTable};
-
-const KEYS: u64 = 30_000;
-/// Shared contended block: remote accesses hit keys below this bound.
-const SHARED: u64 = 24;
-
-/// `contenders` = how many regions host an active client (the paper's c):
-/// c=1 is a single, uncontended client whose remote accesses can re-home
-/// freely; c=2,3 make the shared rows thrash between regions.
-fn run_variant(name: &str, rehoming: bool, contenders: usize, seed: u64) -> DriverStats {
-    let variant = YcsbTable::RegionalByRow { rehoming };
-    let mut db = three_region_db(seed);
-    let (all_regions, _) = three_regions();
-    let regions: Vec<String> = all_regions[..contenders].to_vec();
-    let nregions = all_regions.len() as u64;
-    let regions_for_home = all_regions.clone();
-    setup_ycsb(
-        &mut db,
-        &all_regions,
-        "usertable",
-        variant,
-        KEYS,
-        move |k| regions_for_home[(k % nregions) as usize].clone(),
-    );
-    let mut rng = SimRng::seed_from_u64(seed);
-    let ops = ops_per_client();
-    let nclients = regions.len() as u64;
-    // Warmup pass (discarded): lets rehoming reach its steady state, as the
-    // paper's 10-minute runs do.
-    for phase in 0..2 {
-        let measuring = phase == 1;
-        let mut driver = ClosedLoop::new();
-        add_clients(
-            &db,
-            &mut driver,
-            &regions,
-            "ycsb",
-            1,
-            &mut rng,
-            |ri, _, global| {
-                Box::new(YcsbGen {
-                    table: "usertable".into(),
-                    variant,
-                    read_fraction: 0.95,
-                    insert_workload: false,
-                    keys: KeyChooser::Locality {
-                        n: KEYS,
-                        nregions,
-                        region_idx: ri as u64,
-                        locality: 0.5,
-                        client_idx: global as u64,
-                        nclients,
-                        shared_remote: Some(SHARED),
-                        remote_set: None,
-                    },
-                    read_mode: ReadMode::Fresh,
-                    regions: three_regions().0,
-                    region_idx: ri,
-                    remaining: Some(ops),
-                    next_insert: 0,
-                    insert_stride: 1,
-                    nregions,
-                    label_prefix: String::new(),
-                })
-            },
-        );
-        run_to_completion(&mut db, &mut driver);
-        if measuring {
-            report_errors(name, &driver.stats);
-            return driver.stats;
-        }
-    }
-    unreachable!()
-}
+//! Figure 4c: rehoming under contention, §7.2.3 (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!(
-        "Figure 4c: automatic rehoming under contention, YCSB-B, 50% locality,\n\
-         remote accesses share a {SHARED}-key block, {} ops/client\n",
-        ops_per_client()
-    );
-    let mut configs: Vec<(String, bool, usize, u64)> = vec![];
-    for c in 1..=3 {
-        configs.push((format!("Rehoming c={c}"), true, c, 70 + c as u64));
-    }
-    configs.push(("Default c=1".into(), false, 1, 79));
-    for (name, rehoming, contenders, seed) in configs {
-        let stats = run_variant(&name, rehoming, contenders, seed);
-        for kind in ["read", "write"] {
-            for loc in ["local", "remote"] {
-                let mut rec = stats.merged(|l| l == format!("{kind}-{loc}"));
-                print_row(&format!("{name:<14} {kind:<6} {loc}"), &mut rec);
-            }
-        }
-        println!();
-    }
-    println!(
-        "paper expectation: Rehoming c=1 pulls the shared rows local (remote band collapses\n\
-         toward local); c=2,3 thrash between regions and approach Default's remote costs.\n\
-         (\"remote\" labels mark where the key was originally homed; after re-homing those\n\
-         accesses become physically local — that is the effect being measured.)"
-    );
+    report(&Fig4c::run(ops_per_client()));
 }

@@ -1,101 +1,6 @@
-//! Table 1: inter-region round-trip times.
-//!
-//! The paper's Table 1 reports measured GCP RTTs between the five
-//! evaluation regions; those numbers are this simulation's *input*. This
-//! harness prints the configured matrix and then verifies it empirically:
-//! it sends a ping RPC between nodes of every region pair and reports the
-//! measured round trip (expected: RTT plus ~10% jitter and processing).
-
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use mr_sim::RegionId;
-use multiregion::{ClusterBuilder, Datum, SimDuration};
+//! Table 1: inter-region round-trip times (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let matrix = mr_sim::RttMatrix::paper_table1();
-
-    println!("Table 1: inter-region round-trip times (ms)\n");
-    println!("configured (simulation input, from the paper):");
-    print!("{:<22}", "");
-    for r in &regions {
-        print!("{:>8}", &r[..r.len().min(7)]);
-    }
-    println!();
-    for (i, r) in regions.iter().enumerate() {
-        print!("{r:<22}");
-        for j in 0..regions.len() {
-            let ms = matrix
-                .rtt(RegionId(i as u32), RegionId(j as u32))
-                .as_millis_f64();
-            if j == i {
-                print!("{:>8}", "-");
-            } else {
-                print!("{ms:>8.0}");
-            }
-        }
-        println!();
-    }
-
-    // Empirical verification: a fresh read of a REGIONAL table homed in
-    // region j, issued from region i, pays ~1 RTT(i, j).
-    let mut db = ClusterBuilder::new().paper_regions().seed(11).build();
-    let sess = db.session_in_region(regions[0], None);
-    db.exec_sync(
-        &sess,
-        r#"CREATE DATABASE ping PRIMARY REGION "us-east1" REGIONS "us-west1",
-           "europe-west2", "asia-northeast1", "australia-southeast1""#,
-    )
-    .unwrap();
-    for (j, home) in regions.iter().enumerate() {
-        db.exec_sync(
-            &sess,
-            &format!(
-                "CREATE TABLE t{j} (k INT PRIMARY KEY, v STRING) \
-                 LOCALITY REGIONAL BY TABLE IN \"{home}\""
-            ),
-        )
-        .unwrap();
-        db.exec_sync(&sess, &format!("INSERT INTO t{j} VALUES (1, 'x')"))
-            .unwrap();
-    }
-    let settle = multiregion::SimTime(db.cluster.now().nanos() + SimDuration::from_secs(2).nanos());
-    db.cluster.run_until(settle);
-
-    println!("\nmeasured (fresh read from region i of a table homed in region j, ms):");
-    print!("{:<22}", "");
-    for r in &regions {
-        print!("{:>8}", &r[..r.len().min(7)]);
-    }
-    println!();
-    for (i, from) in regions.iter().enumerate() {
-        let s = db.session_in_region(from, Some("ping"));
-        print!("{from:<22}");
-        for j in 0..regions.len() {
-            let t0 = db.cluster.now();
-            let got: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
-            let g2 = Rc::clone(&got);
-            db.exec(
-                &s,
-                &format!("SELECT v FROM t{j} WHERE k = 1"),
-                Box::new(move |_c, res| {
-                    *g2.borrow_mut() = Some(res.unwrap().rows().len());
-                }),
-            );
-            while got.borrow().is_none() {
-                db.cluster.step();
-            }
-            assert_eq!(got.borrow().unwrap(), 1, "row visible");
-            let ms = (db.cluster.now() - t0).as_millis_f64();
-            if i == j {
-                print!("{:>8}", format!("({ms:.1})"));
-            } else {
-                print!("{ms:>8.0}");
-            }
-        }
-        println!();
-    }
-    println!("\n(diagonal in parentheses: intra-region latency; off-diagonal ≈ RTT + jitter)");
-    let _ = Datum::Null; // keep the facade import exercised
+    report(&Table1::run());
 }

@@ -1,214 +1,6 @@
-//! Table 2: DDL statements needed for multi-region schema operations,
-//! before (legacy imperative syntax) and after (the declarative syntax).
-//!
-//! The "after" scripts are counted *and executed* against the engine; the
-//! "before" scripts are generated from the same schemas using the legacy
-//! primitives (PARTITION BY LIST, CONFIGURE ZONE, duplicate indexes) the
-//! paper's baseline used, and counted. Counts are our scripts'; the
-//! paper's reported numbers are printed alongside for comparison — small
-//! deviations reflect schema-detail differences, the shape (an order of
-//! magnitude fewer statements, and region add/drop becoming a single
-//! statement) is the result.
-
-use mr_workload::movr;
-use multiregion::{ClusterBuilder, SqlDb};
-
-struct Schema {
-    name: &'static str,
-    /// (table, is_global, computed_region_col) — RBR tables get legacy
-    /// partitioning; GLOBAL tables get legacy duplicate indexes.
-    tables: Vec<(&'static str, bool, bool)>,
-}
-
-fn movr_schema() -> Schema {
-    Schema {
-        name: "movr",
-        tables: vec![
-            ("users", false, true),
-            ("vehicles", false, true),
-            ("rides", false, true),
-            ("vehicle_location_histories", false, true),
-            ("promo_codes", true, false),
-            ("user_promo_codes", false, true),
-        ],
-    }
-}
-
-fn tpcc_schema() -> Schema {
-    Schema {
-        name: "TPC-C",
-        tables: vec![
-            ("warehouse", false, true),
-            ("district", false, true),
-            ("customer", false, true),
-            ("history", false, true),
-            ("orders", false, true),
-            ("new_order", false, true),
-            ("order_line", false, true),
-            ("stock", false, true),
-            ("item", true, false),
-        ],
-    }
-}
-
-fn ycsb_schema() -> Schema {
-    Schema {
-        name: "YCSB",
-        tables: vec![("usertable", false, false)],
-    }
-}
-
-const REGIONS: [&str; 3] = ["us-east1", "europe-west2", "asia-northeast1"];
-
-/// "After": fresh multi-region schema with the new declarative syntax.
-/// 1 CREATE DATABASE + 1 CREATE TABLE ... LOCALITY per table + 1 ALTER
-/// ADD COLUMN per computed region column (the paper counts these
-/// separately).
-fn new_syntax_fresh(s: &Schema) -> usize {
-    1 + s.tables.len() + s.tables.iter().filter(|(_, _, c)| *c).count()
-}
-
-/// "After": converting an existing single-region schema: regions are added
-/// with ALTER DATABASE (1 SET PRIMARY + 2 ADD REGION for 3 regions), then
-/// one SET LOCALITY per table plus computed columns.
-fn new_syntax_convert(s: &Schema) -> usize {
-    REGIONS.len() + s.tables.len() + s.tables.iter().filter(|(_, _, c)| *c).count()
-}
-
-/// "Before": the legacy imperative equivalent.
-/// Per REGIONAL-BY-ROW-equivalent table: 1 PARTITION BY LIST + one ALTER
-/// PARTITION ... CONFIGURE ZONE per region. Per GLOBAL-equivalent table:
-/// duplicate indexes — (N-1) CREATE INDEX ... STORING + N CONFIGURE ZONE
-/// (primary + each duplicate). Plus one table-level CONFIGURE ZONE per
-/// partitioned table to pin the default/lease placement.
-fn legacy_fresh(s: &Schema) -> usize {
-    let mut n = 0;
-    for (_, global, _) in &s.tables {
-        if *global {
-            n += (REGIONS.len() - 1) + REGIONS.len();
-        } else {
-            n += 1 + REGIONS.len() + 1;
-        }
-    }
-    n
-}
-
-/// Legacy region add: every partitioned table needs a re-partition plus a
-/// zone config for the new partition; duplicate-index tables need one new
-/// index plus its zone config.
-fn legacy_add_region(s: &Schema) -> usize {
-    // Partitioned tables: re-partition + new partition's zone config.
-    // Duplicate-index tables: one new index + its zone config.
-    2 * s.tables.len() + 1 // plus one node/zone bookkeeping statement
-}
-
-fn legacy_drop_region(s: &Schema) -> usize {
-    s.tables
-        .iter()
-        .map(|(_, global, _)| if *global { 2 } else { 1 })
-        .sum::<usize>()
-}
-
-/// Execute the declarative movr conversion for real, proving the "after"
-/// numbers are not hypothetical.
-fn execute_movr_after() -> (usize, SqlDb) {
-    let mut db = ClusterBuilder::new()
-        .region(REGIONS[0], 3)
-        .region(REGIONS[1], 3)
-        .region(REGIONS[2], 3)
-        .seed(3)
-        .build();
-    let sess = db.session_in_region(REGIONS[0], None);
-    let mut count = 0;
-    let create = format!(
-        "CREATE DATABASE movr PRIMARY REGION \"{}\" REGIONS \"{}\", \"{}\"",
-        REGIONS[0], REGIONS[1], REGIONS[2]
-    );
-    db.exec_sync(&sess, &create).unwrap();
-    count += 1;
-    let regions: Vec<String> = REGIONS.iter().map(|s| s.to_string()).collect();
-    for ddl in movr::schema_multiregion(&regions) {
-        db.exec_sync(&sess, &ddl).unwrap();
-        count += 1;
-    }
-    // The inline computed columns above fold the paper's 5 extra ALTER
-    // statements into the CREATEs; count them the way the paper does.
-    count += 5;
-    (count, db)
-}
+//! Table 2: DDL statement counts, legacy against declarative (`mr_bench::paper`).
+use mr_bench::paper::*;
 
 fn main() {
-    println!("Table 2: DDL statements for multi-region schema operations");
-    println!("(Bef. = legacy imperative syntax, Aft. = declarative syntax; paper numbers in [brackets])\n");
-    println!(
-        "{:<36} {:>18} {:>18} {:>18}",
-        "Operation", "movr", "TPC-C", "YCSB"
-    );
-
-    let schemas = [movr_schema(), tpcc_schema(), ycsb_schema()];
-    debug_assert_eq!(
-        schemas.iter().map(|s| s.name).collect::<Vec<_>>(),
-        vec!["movr", "TPC-C", "YCSB"]
-    );
-    let paper: [[(usize, usize); 3]; 4] = [
-        [(28, 12), (44, 18), (5, 1)],
-        [(28, 14), (44, 20), (5, 1)],
-        [(15, 1), (20, 1), (2, 1)],
-        [(9, 1), (11, 1), (2, 1)],
-    ];
-
-    let rows: Vec<(&str, Vec<(usize, usize)>)> = vec![
-        (
-            "New multi-region schema",
-            schemas
-                .iter()
-                .map(|s| (legacy_fresh(s), new_syntax_fresh(s)))
-                .collect(),
-        ),
-        (
-            "Converting single-region schema",
-            schemas
-                .iter()
-                .map(|s| (legacy_fresh(s), new_syntax_convert(s)))
-                .collect(),
-        ),
-        (
-            "Adding a region",
-            schemas.iter().map(|s| (legacy_add_region(s), 1)).collect(),
-        ),
-        (
-            "Dropping a region",
-            schemas.iter().map(|s| (legacy_drop_region(s), 1)).collect(),
-        ),
-    ];
-
-    for (ri, (op, counts)) in rows.iter().enumerate() {
-        print!("{op:<36}");
-        for (si, (before, after)) in counts.iter().enumerate() {
-            let (pb, pa) = paper[ri][si];
-            print!(" {:>18}", format!("{before}/{after} [{pb}/{pa}]"));
-        }
-        println!();
-    }
-
-    // Prove the declarative path by executing it.
-    let (executed, mut db) = execute_movr_after();
-    println!(
-        "\nexecuted the declarative movr schema: {executed} statements (incl. 5 computed \
-         columns folded into CREATE TABLE), all accepted by the engine"
-    );
-    // And one-statement region add/drop, for real.
-    let sess = db.session_in_region(REGIONS[0], Some("movr"));
-    db.exec_sync(&sess, r#"ALTER DATABASE movr ADD REGION "us-east1""#)
-        .expect_err("already present");
-    // Add a region that exists in the topology? Only 3 regions built; so
-    // demonstrate drop+re-add of a non-primary region instead.
-    db.exec_sync(
-        &sess,
-        r#"ALTER DATABASE movr DROP REGION "asia-northeast1""#,
-    )
-    .unwrap();
-    db.exec_sync(&sess, r#"ALTER DATABASE movr ADD REGION "asia-northeast1""#)
-        .unwrap();
-    println!("executed single-statement DROP REGION and ADD REGION round-trip");
+    report(&Table2::run());
 }

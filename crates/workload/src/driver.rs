@@ -372,22 +372,27 @@ impl ClosedLoop {
 
     /// Run until every client retires, or until `deadline` and then until
     /// the ops in flight have ended.
-    pub fn run(&mut self, db: &mut SqlDb, deadline: SimTime) {
-        self.run_with(db, deadline, &mut ());
+    pub fn run(&mut self, db: &mut SqlDb, deadline: SimTime) -> Result<(), Stall> {
+        self.run_with(db, deadline, &mut ())
     }
 
-    /// [`run`](ClosedLoop::run), with `hook` watching. Panics when
-    /// statements are in flight and no attempt has ended for two simulated
-    /// minutes: periodic ticks keep the calendar busy forever, so a lost
-    /// wake-up or a lock cycle would otherwise spin here.
-    pub fn run_with(&mut self, db: &mut SqlDb, deadline: SimTime, hook: &mut impl Hook) {
+    /// [`run`](ClosedLoop::run), with `hook` watching. Stops with a
+    /// [`Stall`] when statements are in flight and no attempt has ended for
+    /// two simulated minutes: periodic ticks keep the calendar busy forever,
+    /// so a lost wake-up or a lock cycle would otherwise spin here.
+    pub fn run_with(
+        &mut self,
+        db: &mut SqlDb,
+        deadline: SimTime,
+        hook: &mut impl Hook,
+    ) -> Result<(), Stall> {
         let started = db.cluster.now();
         self.deadline = deadline;
         self.last_end = started;
         for client in 0..self.clients.len() {
             self.next_op(db, hook, client);
         }
-        loop {
+        let outcome = loop {
             let batch: Vec<Signal> = self.signals.borrow_mut().drain(..).collect();
             for sig in batch {
                 self.in_flight -= 1;
@@ -426,35 +431,64 @@ impl ClosedLoop {
                 continue;
             }
             if self.in_flight == 0 {
-                break;
+                break Ok(());
             }
             hook.enter();
             let more = db.cluster.step();
             hook.leave(Call::Step);
             assert!(more, "event calendar drained with ops in flight");
-            self.check_progress(db);
-        }
+            if let Some(stall) = self.check_progress(db) {
+                break Err(stall);
+            }
+        };
         self.stats.elapsed = db.cluster.now() - started;
+        outcome
     }
 
-    fn check_progress(&mut self, db: &SqlDb) {
+    fn check_progress(&mut self, db: &SqlDb) -> Option<Stall> {
         let now = db.cluster.now();
         if self.in_flight == self.thinking {
             self.last_end = now;
         } else if now - self.last_end > STALL {
-            let open: Vec<String> = db
+            let open_txns = db
                 .cluster
                 .active_txns()
                 .iter()
                 .map(|t| format!("txn{} since {} on ranges {:?}", t.id, t.start, t.ranges))
                 .collect();
-            panic!(
-                "no op finished for {STALL} of simulated time ({} statements in flight, \
-                 {} ops done); open transactions: {open:?}",
-                self.in_flight - self.thinking,
-                self.stats.completed + self.stats.failed,
-            );
+            return Some(Stall {
+                in_flight: self.in_flight - self.thinking,
+                ops_done: self.stats.completed + self.stats.failed,
+                open_txns,
+            });
         }
+        None
+    }
+}
+
+/// A run the no-progress guard stopped: statements were in flight and no
+/// attempt ended for two simulated minutes. The driver's stats hold the ops
+/// that ended before it.
+#[must_use]
+#[derive(Debug)]
+pub struct Stall {
+    /// Statements in flight when the guard fired.
+    pub in_flight: usize,
+    /// Ops that had ended, committed or failed.
+    pub ops_done: u64,
+    /// The cluster's open transactions, one `txn<id> since <t> on ranges
+    /// [..]` each.
+    pub open_txns: Vec<String>,
+}
+
+impl std::fmt::Display for Stall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no op finished for {STALL} of simulated time ({} statements in flight, \
+             {} ops done); open transactions: {:?}",
+            self.in_flight, self.ops_done, self.open_txns
+        )
     }
 }
 

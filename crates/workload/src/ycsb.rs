@@ -233,6 +233,34 @@ pub struct YcsbGen {
 }
 
 impl YcsbGen {
+    /// A YCSB-A client in region `region_idx` of `regions`: half fresh
+    /// reads, half updates, keys from `keys`, `ops` ops, unlabelled. Set the
+    /// public fields for another mix.
+    pub fn new(
+        table: &str,
+        variant: YcsbTable,
+        keys: KeyChooser,
+        regions: Vec<String>,
+        region_idx: usize,
+        ops: u64,
+    ) -> YcsbGen {
+        YcsbGen {
+            table: table.into(),
+            variant,
+            read_fraction: 0.5,
+            insert_workload: false,
+            keys,
+            read_mode: ReadMode::Fresh,
+            nregions: regions.len() as u64,
+            regions,
+            region_idx,
+            remaining: Some(ops),
+            next_insert: 0,
+            insert_stride: 1,
+            label_prefix: String::new(),
+        }
+    }
+
     fn key_home(&self, k: u64) -> usize {
         (k % self.nregions) as usize
     }

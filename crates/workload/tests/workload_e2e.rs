@@ -85,7 +85,9 @@ fn ycsb_b_closed_loop_on_rbr() {
             driver.add_client(sess, seed.fork(), Box::new(gen));
         }
     }
-    driver.run(&mut d, SimTime(SimDuration::from_secs(300).nanos()));
+    driver
+        .run(&mut d, SimTime(SimDuration::from_secs(300).nanos()))
+        .unwrap();
     let stats = &driver.stats;
     assert_eq!(stats.completed + stats.failed, 240);
     assert_eq!(stats.failed, 0, "errors: {:?}", stats.errors);
@@ -145,7 +147,9 @@ fn ycsb_a_on_global_table_with_zipf() {
         };
         driver.add_client(sess, seed.fork(), Box::new(gen));
     }
-    driver.run(&mut d, SimTime(SimDuration::from_secs(600).nanos()));
+    driver
+        .run(&mut d, SimTime(SimDuration::from_secs(600).nanos()))
+        .unwrap();
     let stats = &driver.stats;
     assert_eq!(stats.failed, 0, "errors: {:?}", stats.errors);
     let mut writes = stats.merged(|l| l.starts_with("write"));
@@ -198,7 +202,9 @@ fn tpcc_terminals_drive_transactions() {
         term.remaining = Some(12);
         driver.add_client(sess, seed.fork(), Box::new(term));
     }
-    driver.run(&mut d, SimTime(SimDuration::from_secs(600).nanos()));
+    driver
+        .run(&mut d, SimTime(SimDuration::from_secs(600).nanos()))
+        .unwrap();
     let stats = &driver.stats;
     assert_eq!(stats.failed, 0, "errors: {:?}", stats.errors);
     assert_eq!(stats.completed, 6 * 12);
@@ -298,7 +304,7 @@ fn retryable_failure_is_rerun_and_counted_once() {
             .with_think(SimDuration::from_millis(60))]),
     );
     let deadline = far_future(&d);
-    driver.run(&mut d, deadline);
+    driver.run(&mut d, deadline).unwrap();
     let stats = &driver.stats;
     assert_eq!(
         (stats.completed, stats.failed),
@@ -335,7 +341,7 @@ fn unique_violation_is_not_retried_and_counted_by_kind() {
         ]),
     );
     let deadline = far_future(&d);
-    driver.run(&mut d, deadline);
+    driver.run(&mut d, deadline).unwrap();
     let stats = &driver.stats;
     assert_eq!((stats.completed, stats.failed), (1, 1));
     assert_eq!(stats.errors, BTreeMap::from([("UniqueViolation", 1)]));
@@ -349,7 +355,6 @@ fn unique_violation_is_not_retried_and_counted_by_kind() {
 /// names the two open transactions. (Once deadlocks are detected, one of the
 /// two is aborted and re-run, and both commit.)
 #[test]
-#[should_panic(expected = "no op finished for")]
 fn lock_cycle_trips_the_no_progress_guard() {
     let mut d = db_with_rows();
     let mut driver = ClosedLoop::new();
@@ -366,7 +371,11 @@ fn lock_cycle_trips_the_no_progress_guard() {
         driver.add_client(s, SimRng::seed_from_u64(i as u64), ops(vec![op]));
     }
     let deadline = far_future(&d);
-    driver.run(&mut d, deadline);
+    let stall = driver
+        .run(&mut d, deadline)
+        .expect_err("a lock cycle never ends");
+    assert_eq!((stall.in_flight, stall.ops_done), (2, 0), "{stall}");
+    assert_eq!(stall.open_txns.len(), 2, "{stall}");
 }
 
 /// The guard watches statements, not clients: a think delay longer than its
@@ -387,7 +396,7 @@ fn long_think_does_not_trip_the_guard() {
         ]),
     );
     let deadline = SimTime(d.cluster.now().nanos() + SimDuration::from_secs(60).nanos());
-    driver.run(&mut d, deadline);
+    driver.run(&mut d, deadline).unwrap();
     assert_eq!((driver.stats.completed, driver.stats.failed), (1, 0));
     assert!(driver.stats.elapsed > think, "{}", driver.stats.elapsed);
 }

@@ -9,7 +9,7 @@
 # seeds 1 and 2 on that tree and on this one, and fails unless all eight
 # `sim_digest`s match. The digest folds every simulated figure and exact count
 # of a run, so equal digests mean equal `sim_*` metrics, events, RPCs, Raft
-# entries and WAL bytes. It also runs the seven `mr-bench` probes on both
+# entries and WAL bytes. It also runs the eight `mr-bench` probes on both
 # trees at `scripts/ci.sh`'s sizes, each tree's from an empty directory, and
 # `cmp`s every file they write (`BENCH_*.json`, `perf_probe_*.json` and
 # `perf_probe_*.csv`): the ledger workloads never crash, partition or restart
@@ -18,7 +18,9 @@
 # export renders. The one layout difference allowed is `BENCH_obs.json`
 # against a parent that closed it `…}\n` rather than `…\n}\n` (before the
 # shared JSON writer): it passes when both parse to the same JSON value
-# (python3). The probes add ~4 min warm. Builds the parent from scratch
+# (python3). A probe the parent tree does not have (`paper_probe` against a
+# parent older than it) is skipped on both trees with a printed note. The
+# probes add ~5 min warm. Builds the parent from scratch
 # (~3 min); both trees must be committed or at least buildable as they
 # stand.
 #
@@ -81,16 +83,22 @@ PROBES=(
     "obs_probe MR_OBS_SKEW_SECS=40 MR_OBS_TXNS=10 MR_METRIC_BUDGET=128"
     "split_probe"
     "storage_probe"
+    "paper_probe"
 )
 # Files whose layout may differ from an older parent's (see the header).
 LAYOUT_ONLY="BENCH_obs.json"
 
-# probes <tree> <label>: run every probe from an empty directory of its own.
+# probes <tree> <label>: run every probe from an empty directory of its own,
+# skipping one the parent tree has no source for.
 probes() {
     mkdir "$TMP/$2-probes"
     local bin vars
     for spec in "${PROBES[@]}"; do
         read -r bin vars <<<"$spec"
+        if [ ! -f "$TMP/parent/crates/bench/src/bin/$bin.rs" ]; then
+            [ "$2" = parent ] && echo "note: $REV has no $bin; skipped on both trees"
+            continue
+        fi
         # shellcheck disable=SC2086
         (cd "$TMP/$2-probes" && env $vars CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
             cargo run -q --release --offline --manifest-path "$1/Cargo.toml" \
@@ -141,7 +149,7 @@ if ! diff "$TMP/parent.txt" "$TMP/change.txt" >/dev/null; then
     diff "$TMP/parent.txt" "$TMP/change.txt" >&2 || true
     exit 1
 fi
-echo "==> the seven probes on both trees"
+echo "==> the mr-bench probes on both trees"
 probes "$TMP/parent" parent
 probes "$ROOT" change
 FILES="$( (cd "$TMP/parent-probes" && ls; cd "$TMP/change-probes" && ls) | sort -u)"
