@@ -11,7 +11,7 @@
 //!   cargo run --release -p mr-bench --bin paper_probe
 
 use mr_bench::paper::*;
-use mr_bench::{exit_on_regressions, write_bench};
+use mr_bench::verdict::{conclude, tally};
 use mr_obs::export::JsonWriter;
 
 fn main() {
@@ -30,28 +30,17 @@ fn main() {
     ];
     let mut w = JsonWriter::default();
     w.obj();
-    let (mut gated, mut open, mut failures) = (0u64, 0u64, Vec::new());
+    let mut all = Vec::new();
     for (key, run) in figures {
         let (text, verdicts) = report(&*run());
         println!();
         figure_json(&mut w, key, &text, &verdicts);
-        for v in &verdicts {
-            *(if v.open.is_some() {
-                &mut open
-            } else {
-                &mut gated
-            }) += 1;
-            if v.fails() {
-                failures.push(format!("{key}: {}: {}", v.claim, v.seen));
-            }
-        }
+        all.extend(verdicts);
     }
-    let failed = failures.len() as u64;
+    let [gated, failed, open] = tally(&all);
     w.field("gated", gated)
         .field("open", open)
         .field("failed", failed)
         .end();
-    println!("paper_probe: {gated} gated predicates, {failed} failed; {open} open");
-    write_bench("paper", &w.finish());
-    exit_on_regressions(&failures);
+    conclude("paper", &w.finish(), &all);
 }

@@ -1,16 +1,22 @@
 // perf probe: YCSB over a REGIONAL and a GLOBAL table on the paper's five
-// regions. Latency classes are read from the cluster's own kv.op.latency
-// histograms (not harness-side timers) and summarized into BENCH_perf.json:
-// regional reads (lag policy), global reads (lead policy), and
-// global-transaction commits (commit wait included), plus conformance
-// counters (replication_violations, monitor_violations).
+// regions, 50 ops per client. Latency classes are read from the cluster's
+// own kv.op.latency histograms (not harness-side timers) and summarized into
+// BENCH_perf.json: regional reads (lag policy), global reads (lead policy),
+// and global-transaction commits (commit wait included), plus conformance
+// counters (replication_violations, monitor_violations). The online
+// monitors are strict, as every cluster's are by default, so an invariant
+// violation (closed-timestamp regression, bad follower read, short commit
+// wait, non-conforming placement) panics: the probe gates nothing else.
 use mr_bench::paper::{five_region_db, paper_regions, setup_ycsb, YcsbA};
-use mr_bench::{obs_hist_json, probe_param, write_bench, write_obs_exports};
+use mr_bench::verdict::conclude;
+use mr_bench::{obs_hist_json, write_obs_exports};
 use mr_sim::SimRng;
 use mr_workload::ycsb::{ReadMode, YcsbTable};
 
 const REGIONAL_KEYS: u64 = 100_000;
 const GLOBAL_KEYS: u64 = 10_000;
+/// Ops per REGIONAL client; a GLOBAL client runs a fifth of them.
+const OPS: u64 = 50;
 
 /// One YCSB-A phase, run to completion.
 fn run_phase(db: &mut multiregion::SqlDb, ycsb: YcsbA, rng: &mut SimRng) {
@@ -27,19 +33,11 @@ fn run_phase(db: &mut multiregion::SqlDb, ycsb: YcsbA, rng: &mut SimRng) {
 fn main() {
     let t0 = std::time::Instant::now();
     let mut db = five_region_db(250, 1, |_| {});
-    // MR_STRICT_MONITORS=1 escalates any online-invariant violation
-    // (closed-timestamp regression, bad follower read, short commit wait,
-    // non-conforming placement) to a panic, turning the probe into an
-    // invariant smoke test.
-    if std::env::var("MR_STRICT_MONITORS").is_ok_and(|v| v == "1") {
-        db.cluster.obs.monitors.set_strict(true);
-    }
-    let ops = probe_param("OPS", 500);
     let phases = [
         // REGIONAL table, YCSB-A mix (lag-policy reads and commits).
-        ("t", YcsbTable::RegionalByTable, REGIONAL_KEYS, 10, ops),
+        ("t", YcsbTable::RegionalByTable, REGIONAL_KEYS, 10, OPS),
         // GLOBAL table (lead-policy reads; commits pay commit wait).
-        ("g", YcsbTable::Global, GLOBAL_KEYS, 5, ops / 5),
+        ("g", YcsbTable::Global, GLOBAL_KEYS, 5, OPS / 5),
     ];
     let home = |_: u64| -> String { unreachable!("unpartitioned") };
     for (table, variant, keys, ..) in phases {
@@ -77,6 +75,6 @@ fn main() {
     w.field("replication_violations", report.violations());
     let monitors = db.cluster.obs.monitors.violation_count();
     w.field("monitor_violations", monitors).end();
-    write_bench("perf", &w.finish());
     write_obs_exports(&db, "perf_probe");
+    conclude("perf", &w.finish(), &[]);
 }

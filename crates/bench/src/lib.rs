@@ -3,11 +3,15 @@
 //! Each bench target (`cargo bench --bench fig3_regional_vs_global`, …)
 //! prints one table or figure of the paper's evaluation section from its
 //! definition in [`paper`]; the `paper_probe` binary runs them all and checks
-//! their shapes. The other probes (`perf_probe`, `commit_probe`, …) each gate
-//! one mechanism. Simulated experiments are deterministic: same seed, same
-//! numbers.
+//! their shapes. The other probes (`commit_probe`, `raft_probe`, …) each gate
+//! one mechanism: a `<name>_probe` run returns its report,
+//! `<name>_probe_json` renders `BENCH_<name>.json` and `<name>_probe_verdicts`
+//! checks it, and the binary runs it at one fixed scale and ends with
+//! [`verdict::conclude`], as `paper_probe` does. Simulated experiments are
+//! deterministic: same seed, same numbers.
 
 pub mod paper;
+pub mod verdict;
 
 use mr_chaos::{corner_cluster, prefix_span, run_txn, TxnEnd};
 use mr_kv::cluster::{Cluster, ClusterConfig};
@@ -15,6 +19,8 @@ use mr_kv::zone::SurvivalGoal::{Region, Zone};
 use mr_obs::export::JsonWriter;
 use mr_sim::SimRng;
 use multiregion::{SimDuration, SimTime, SqlDb};
+
+use crate::verdict::{list, Check, Verdict};
 
 /// JSON object for one merged latency histogram (nanosecond values).
 pub fn obs_hist_json(h: &mr_obs::Histogram) -> String {
@@ -27,16 +33,10 @@ pub fn obs_hist_json(h: &mr_obs::Histogram) -> String {
 }
 
 /// Write one export file, naming the path if the write fails.
-fn write_export(path: &str, contents: &str) {
+pub(crate) fn write_export(path: &str, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
         panic!("cannot write {path}: {e}");
     }
-}
-
-/// Write a probe's document to `BENCH_<name>.json` and echo it to stdout.
-pub fn write_bench(name: &str, json: &str) {
-    write_export(&format!("BENCH_{name}.json"), json);
-    print!("{json}");
 }
 
 /// Write a finished run's observability exports next to the bench output:
@@ -61,37 +61,6 @@ pub fn write_obs_exports(db: &SqlDb, prefix: &str) {
     for (suffix, contents) in files {
         write_export(&format!("{prefix}_{suffix}"), &contents);
     }
-}
-
-/// A probe's parameter: the seed (`"seed"`) from the first command-line
-/// argument, any other name from that environment variable, `default` when
-/// it is not given. A value that does not parse is fatal.
-pub fn probe_param<T: std::str::FromStr>(name: &str, default: T) -> T
-where
-    T::Err: std::fmt::Debug,
-{
-    let given = if name == "seed" {
-        std::env::args().nth(1)
-    } else {
-        std::env::var(name).ok()
-    };
-    given.map_or(default, |s| {
-        let ty = std::any::type_name::<T>();
-        s.parse()
-            .unwrap_or_else(|e| panic!("{name} must be a {ty}: {e:?}"))
-    })
-}
-
-/// A gated probe's tail: print each failed gate as `REGRESSION: …` and exit
-/// with status 1; return when every gate passed.
-pub fn exit_on_regressions(failures: &[String]) {
-    if failures.is_empty() {
-        return;
-    }
-    for f in failures {
-        eprintln!("REGRESSION: {f}");
-    }
-    std::process::exit(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +317,62 @@ pub fn commit_probe(seed: u64, txns_per_cell: usize) -> Vec<CommitRow> {
     rows
 }
 
+/// Render probe rows as the deterministic `BENCH_commit.json` document.
+pub fn commit_probe_json(rows: &[CommitRow]) -> String {
+    let mut w = JsonWriter::default();
+    w.obj().key("rows").arr();
+    for r in rows {
+        w.obj().field("gateway_region", &r.gateway_region);
+        w.field("scenario", r.scenario);
+        w.key("rtt_ms").fixed(r.rtt_ms, 3);
+        for (name, c) in [("legacy", &r.legacy), ("pipelined", &r.pipelined)] {
+            w.key(name).obj_inline().key("p50_ms").fixed(c.p50_ms, 3);
+            w.key("p99_ms").fixed(c.p99_ms, 3).field("n", c.n).end();
+        }
+        w.end();
+    }
+    w.end().end();
+    w.finish()
+}
+
+/// The gates of `commit_probe`'s rows. Each claim holds on every cell it
+/// names, with margins generous over the deterministic measurements, so
+/// only a structural regression (an extra WAN round trip back on the commit
+/// path) trips one, not drift. Only the pipelining claim covers the home
+/// region, whose latencies are sub-RTT in either mode. `seen` lists each
+/// cell with the two values compared.
+pub fn commit_probe_verdicts(rows: &[CommitRow]) -> Vec<Verdict> {
+    type Of = fn(&CommitRow) -> f64;
+    // `holds(a, b)` on every cell, or on the remote cells of one scenario.
+    let cells = |scenario: Option<&str>, (a, b): (Of, Of), holds: fn(f64, f64) -> bool| {
+        let named = |r: &&CommitRow| scenario.is_none_or(|s| r.scenario == s && r.rtt_ms >= 1.0);
+        let (mut ok, mut seen) = (true, Vec::new());
+        for r in rows.iter().filter(named) {
+            ok &= holds(a(r), b(r));
+            let (who, what) = (&r.gateway_region, r.scenario);
+            seen.push(format!("{who}/{what} {:.1}/{:.1}", a(r), b(r)));
+        }
+        Check(ok, seen.join(", "))
+    };
+    let piped: Of = |r| r.pipelined.p50_ms;
+    let legacy: Of = |r| r.legacy.p50_ms;
+    let rtt: Of = |r| r.rtt_ms;
+    vec![
+        cells(None, (piped, legacy), |p, l| p <= l * 1.05)
+            .gate("pipelining is never slower: pipelined p50 <= 1.05 x legacy p50 in every cell"),
+        cells(Some("single"), (piped, rtt), |p, t| p <= 1.4 * t)
+            .gate("a single-range commit is one round trip: pipelined p50 <= 1.4 x RTT"),
+        cells(Some("multi"), (legacy, rtt), |l, t| l >= 1.6 * t)
+            .gate("a legacy multi-range commit pays two round trips: legacy p50 >= 1.6 x RTT"),
+        cells(Some("multi"), (piped, rtt), |p, t| p <= 1.4 * t)
+            .gate("a parallel multi-range commit is one round trip: pipelined p50 <= 1.4 x RTT"),
+        cells(Some("multi"), (piped, legacy), |p, l| p <= 0.65 * l)
+            .gate("parallel commits save the round trip: multi pipelined p50 <= 0.65 x legacy"),
+        cells(Some("cross"), (piped, legacy), |p, l| p <= 0.8 * l)
+            .gate("the REGION write hides the record round trip: pipelined p50 <= 0.8 x legacy"),
+    ]
+}
+
 // ---------------------------------------------------------------------------
 // Raft machinery probe (group commit + quiescence)
 // ---------------------------------------------------------------------------
@@ -509,6 +534,32 @@ pub fn raft_probe_json(r: &RaftProbeReport) -> String {
     w.key("suppression").fixed(r.heartbeat_suppression, 1);
     w.end().end();
     w.finish()
+}
+
+/// The gates of a raft probe report.
+pub fn raft_probe_verdicts(r: &RaftProbeReport) -> Vec<Verdict> {
+    let (b, u) = (&r.batched, &r.unbatched);
+    let occupancy = [b.mean_occupancy, u.mean_occupancy];
+    let rates = list(&[b.proposals_per_sec, u.proposals_per_sec]);
+    let heartbeats = [r.heartbeat_suppression, r.hb_per_sec_off, r.hb_per_sec_on];
+    let txns = b.txns + u.txns;
+    let fast = format!("{} of {txns}", r.read_fast_path);
+    vec![
+        Check(b.mean_occupancy > 1.5, list(&occupancy[..1]))
+            .gate("group commit fills entries: batched mean occupancy > 1.5"),
+        Check(b.mean_occupancy > u.mean_occupancy, list(&occupancy))
+            .gate("the flush window beats the zero-window occupancy: batched / unbatched"),
+        // The window trades a bounded latency bump for fewer consensus
+        // rounds; it must not cost real throughput.
+        Check(b.proposals_per_sec >= 0.5 * u.proposals_per_sec, rates)
+            .gate("batched proposals/s >= 0.5 x unbatched: batched / unbatched"),
+        // The cold ranges stop heartbeating entirely; the residual rate is
+        // the settle tail before each leader quiesced.
+        Check(r.heartbeat_suppression >= 10.0, list(&heartbeats))
+            .gate("quiescence cuts idle heartbeats >= 10x: factor / per s off / on"),
+        Check(r.read_fast_path >= txns, fast)
+            .gate("every opening read rides the leaseholder fast path"),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -681,22 +732,32 @@ pub fn split_probe_json(r: &SplitProbeReport) -> String {
     w.finish()
 }
 
-/// Render probe rows as the deterministic `BENCH_commit.json` document.
-pub fn commit_probe_json(rows: &[CommitRow]) -> String {
-    let mut w = JsonWriter::default();
-    w.obj().key("rows").arr();
-    for r in rows {
-        w.obj().field("gateway_region", &r.gateway_region);
-        w.field("scenario", r.scenario);
-        w.key("rtt_ms").fixed(r.rtt_ms, 3);
-        for (name, c) in [("legacy", &r.legacy), ("pipelined", &r.pipelined)] {
-            w.key(name).obj_inline().key("p50_ms").fixed(c.p50_ms, 3);
-            w.key("p99_ms").fixed(c.p99_ms, 3).field("n", c.n).end();
-        }
-        w.end();
-    }
-    w.end().end();
-    w.finish()
+/// The gates of a split probe report.
+pub fn split_probe_verdicts(r: &SplitProbeReport) -> Vec<Verdict> {
+    let (b, l) = (&r.baseline, &r.lifecycle);
+    let shape = |p: &SplitPhase| format!("{} splits, {} ranges", p.splits, p.ranges);
+    let rates = list(&[l.ops_per_sec, b.ops_per_sec]);
+    let (moves, share) = (l.lease_rebalances, l.hottest_share_milli);
+    let idle = format!("{} at drain, {} after idle", l.ranges, l.ranges_after_idle);
+    let p99 = list(&[l.split_p99_ms]);
+    vec![
+        Check(b.splits == 0 && b.ranges == 1, shape(b)).gate("the static baseline stays one range"),
+        Check(l.splits >= 1, shape(l)).gate("the lifecycle splits under the skewed workload"),
+        Check(moves >= 1, format!("{moves} moves"))
+            .gate("a lease moves toward demand after the splits"),
+        // The acceptance bar: post-split throughput scales past the
+        // single-range baseline.
+        Check(l.ops_per_sec > b.ops_per_sec, rates)
+            .gate("the lifecycle beats the static throughput: ops/s lifecycle / static"),
+        Check(share < 1000, format!("{share}/1000"))
+            .gate("load disperses: the hottest range carries < 1000/1000 after splitting"),
+        Check(l.splits == 0 || l.split_p99_ms > 0.0, p99)
+            .gate("splits record their surgery latency: p99 ms"),
+        // Hysteresis must not leave the keyspace shattered once traffic
+        // stops.
+        Check(l.ranges_after_idle < l.ranges || l.ranges <= 1, idle)
+            .gate("the idle tail merges split ranges"),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -892,6 +953,43 @@ pub fn obs_probe_json(r: &ObsProbeReport) -> String {
     w.key("metrics_history").raw(history);
     w.end();
     w.finish()
+}
+
+/// The gates of an obs probe report.
+pub fn obs_probe_verdicts(r: &ObsProbeReport) -> Vec<Verdict> {
+    let near = |v: f64, want: f64| (v - want).abs() <= 0.10 * want;
+    let top = r.hot.first();
+    let ranked = top.map_or("an empty ranking".into(), |t| {
+        format!("r{} at {}m qps", t.range, t.qps_milli)
+    });
+    let first = top.is_some_and(|t| t.range == r.hot_range);
+    let driven = r.driven_qps_milli as f64;
+    let at_rate = top.is_some_and(|t| near(t.qps_milli as f64, driven));
+    let expected = r.expected_commit_rate_milli;
+    let rate = |rate: i64| {
+        let seen = format!("{rate}m/s, driven {expected}m/s");
+        Check(near(rate as f64, expected as f64), seen)
+    };
+    let samples = |n: usize| Check(n >= 2, format!("{n} samples"));
+    let named = r.named_fraction();
+    vec![
+        Check(first, ranked.clone()).gate("the skewed range ranks hottest"),
+        Check(at_rate, ranked).gate("its decayed QPS is within 10% of the driven rate"),
+        samples(r.fine_samples).gate("the fine window holds >= 2 samples"),
+        rate(r.commit_rate_fine_milli).gate("the fine commit rate is within 10% of the driven"),
+        samples(r.coarse_samples).gate("the coarse window holds >= 2 samples"),
+        rate(r.commit_rate_coarse_milli).gate("the coarse commit rate is within 10% of the driven"),
+        Check(r.attr_txns > 0, format!("{} txns", r.attr_txns))
+            .gate("the attribution log holds transactions"),
+        // A growing `other` bucket is an instrumentation hole on the
+        // client's critical path.
+        Check(named >= 0.95, format!("{:.1}%", 100.0 * named))
+            .gate("named components explain >= 95% of transaction latency"),
+        // Per-range load lives in the LoadRecorder, never as per-range
+        // registry instruments.
+        Check(r.instrument_count <= 128, format!("{}", r.instrument_count))
+            .gate("the registry holds <= 128 instruments"),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -1181,4 +1279,427 @@ pub fn storage_probe_json(r: &StorageProbeReport) -> String {
     w.field("space_amp_milli", r.space_amp_milli);
     w.end().end();
     w.finish()
+}
+
+/// The gates of a storage probe report. DESIGN.md §14 derives the three
+/// compaction constants.
+pub fn storage_probe_verdicts(r: &StorageProbeReport) -> Vec<Verdict> {
+    let (kept, after) = (r.gc_versions_protected, r.gc_versions_after);
+    let (read_ok, errors) = (r.protected_read_ok, r.below_threshold_read_errors);
+    let skips = format!(
+        "{}/1000 ({} skips / {} probes over {} runs)",
+        r.bloom_skip_milli, r.bloom_skips, r.bloom_probes, r.bloom_runs
+    );
+    let reclaimed = format!(
+        "{}/1000 ({} -> {kept})",
+        r.gc_reclaim_milli, r.gc_versions_before
+    );
+    let recovered = format!("{} of {after}", r.recovered_versions);
+    let written = format!(
+        "{}/1000 ({} flushed, {} rewritten in {} passes)",
+        r.write_amp_milli, r.compaction_flushed, r.compaction_rewritten, r.compaction_passes
+    );
+    let (runs, space) = (r.compaction_max_runs, r.space_amp_milli);
+    vec![
+        // An exact index reads 1000/1000 short of a fingerprint collision.
+        Check(r.bloom_skip_milli >= 900, skips)
+            .gate("run indexes answer >= 900/1000 cold-run probes unread"),
+        Check(r.gc_reclaim_milli >= 500, reclaimed)
+            .gate("GC reclaims >= 500/1000 of the overwritten versions under a protection"),
+        Check(read_ok, read_ok.to_string())
+            .gate("an AOST read at the protected timestamp survives GC"),
+        Check(errors, errors.to_string())
+            .gate("a read below the GC threshold errors with BelowGcThreshold"),
+        Check(after < kept, format!("{kept} -> {after}"))
+            .gate("releasing the protection reclaims history"),
+        Check(r.recovered_versions == after, recovered)
+            .gate("WAL replay recovers every surviving version"),
+        // Tiered compaction: a pass rewrites what piled up, not what exists.
+        Check(r.write_amp_milli <= 3000, written)
+            .gate("compaction writes each version <= 3000/1000 times"),
+        Check(runs <= 9, format!("{runs} runs"))
+            .gate("<= 9 runs stand after a pass, three per size class"),
+        Check(space <= 1850, format!("{space}/1000"))
+            .gate("<= 1850/1000 versions are kept per live one"),
+    ]
+}
+
+// ---------------------------------------------------------------------------
+// Chaos probe (seeded fault schedules + history checker)
+// ---------------------------------------------------------------------------
+
+/// One fault schedule's run through the chaos harness.
+pub struct ChaosRow {
+    pub seed: u64,
+    pub ops_ok: usize,
+    pub ops_failed: usize,
+    /// Committed client operations per simulated second.
+    pub ops_per_sec: f64,
+    /// p99 latency of operations invoked while a disruption was active.
+    pub recovery_p99_ms: f64,
+    /// p99 latency of operations invoked outside disruption windows.
+    pub steady_p99_ms: f64,
+    /// Violations the offline history checker found.
+    pub checker_violations: usize,
+}
+
+/// Run the random fault schedule of each of `seeds` through the full chaos
+/// harness (faults, workload, strict online monitors, offline history
+/// checker), each for its span plus 8 s. A run the checker flags prints its
+/// violations with the schedule step named and writes its incident bundle
+/// to `incident_seed<N>/`. Deterministic for fixed seeds.
+pub fn chaos_probe(seeds: &[u64]) -> Vec<ChaosRow> {
+    use mr_chaos::{run_chaos, ChaosConfig, CheckerConfig, FaultSchedule, ScheduleBounds};
+
+    let mut rows = Vec::new();
+    for &seed in seeds {
+        let schedule = FaultSchedule::random(seed, &ScheduleBounds::default());
+        let cfg = ChaosConfig {
+            seed,
+            run_for: schedule.span() + SimDuration::from_secs(8),
+            ..ChaosConfig::default()
+        };
+        let t = std::time::Instant::now();
+        let out = run_chaos(&cfg, &schedule, &CheckerConfig::default());
+        eprintln!(
+            "seed {seed}: {:?} ops_ok={} ops/sec={:.1} recovery_p99={} steady_p99={}",
+            t.elapsed(),
+            out.ops_ok,
+            out.ops_per_sec,
+            out.recovery_p99,
+            out.steady_p99
+        );
+        if !out.passed() {
+            eprintln!("CHECKER VIOLATIONS (seed {seed}):\n{}", out.render());
+            if let Some(bundle) = &out.bundle {
+                let dir = std::path::PathBuf::from(format!("incident_seed{seed}"));
+                match bundle.write_to(&dir) {
+                    Ok(path) => eprintln!("incident bundle: {}", path.display()),
+                    Err(e) => eprintln!("failed to write incident bundle: {e}"),
+                }
+            }
+        }
+        rows.push(ChaosRow {
+            seed,
+            ops_ok: out.ops_ok,
+            ops_failed: out.ops_failed,
+            ops_per_sec: out.ops_per_sec,
+            recovery_p99_ms: out.recovery_p99.as_millis_f64(),
+            steady_p99_ms: out.steady_p99.as_millis_f64(),
+            checker_violations: out.report.violations.len(),
+        });
+    }
+    rows
+}
+
+/// Render the probe as the deterministic `BENCH_chaos.json` document.
+pub fn chaos_probe_json(rows: &[ChaosRow]) -> String {
+    let mut w = JsonWriter::default();
+    w.obj().key("scenarios").arr();
+    for r in rows {
+        w.obj().field("seed", r.seed).field("ops_ok", r.ops_ok);
+        w.field("ops_failed", r.ops_failed);
+        w.key("ops_per_sec").fixed(r.ops_per_sec, 2);
+        w.key("recovery_p99_ms").fixed(r.recovery_p99_ms, 3);
+        w.key("steady_p99_ms").fixed(r.steady_p99_ms, 3);
+        w.field("checker_violations", r.checker_violations);
+        w.end();
+    }
+    w.end().end();
+    w.finish()
+}
+
+/// The gate of a chaos probe run.
+pub fn chaos_probe_verdicts(rows: &[ChaosRow]) -> Vec<Verdict> {
+    let clean = rows.iter().all(|r| r.checker_violations == 0);
+    let seen: Vec<String> = rows
+        .iter()
+        .map(|r| format!("seed {}: {}", r.seed, r.checker_violations))
+        .collect();
+    vec![Check(clean, seen.join(", "))
+        .gate("the history checker finds no violation under any schedule")]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verdict::tests::gates;
+
+    fn commit_rows() -> Vec<CommitRow> {
+        // (region, RTT) × (scenario, legacy p50, pipelined p50), in ms.
+        let regions = [
+            ("us-east1", 0.5f64),
+            ("us-west1", 63.0),
+            ("europe-west2", 87.0),
+        ];
+        let scenarios = [("single", 1.1), ("multi", 2.2), ("cross", 3.2)];
+        let mut rows = Vec::new();
+        for (scenario, per_rtt) in scenarios {
+            for (region, rtt) in regions {
+                let cell = |p50_ms| CommitCell {
+                    p50_ms,
+                    p99_ms: p50_ms,
+                    n: 10,
+                };
+                let legacy = per_rtt * rtt.max(1.0);
+                let pipelined = if scenario == "single" {
+                    legacy
+                } else {
+                    0.6 * legacy
+                };
+                rows.push(CommitRow {
+                    gateway_region: region.into(),
+                    scenario,
+                    rtt_ms: rtt,
+                    legacy: cell(legacy),
+                    pipelined: cell(pipelined),
+                });
+            }
+        }
+        rows
+    }
+
+    /// Set the (legacy, pipelined) p50s of the `scenario` cell from `region`.
+    fn set(rows: &mut [CommitRow], region: &str, scenario: &str, legacy: f64, pipelined: f64) {
+        let r = rows
+            .iter_mut()
+            .find(|r| r.gateway_region == region && r.scenario == scenario)
+            .unwrap();
+        (r.legacy.p50_ms, r.pipelined.p50_ms) = (legacy, pipelined);
+    }
+
+    #[test]
+    fn commit_probe_gates() {
+        let at = |region, scenario, legacy, pipelined| {
+            move |rows: &mut Vec<CommitRow>| set(rows, region, scenario, legacy, pipelined)
+        };
+        gates(
+            |rows: &Vec<CommitRow>| commit_probe_verdicts(rows),
+            commit_rows,
+            &[
+                (
+                    "pipelining is never slower",
+                    &at("us-east1", "single", 1.0, 1.2),
+                ),
+                (
+                    "a single-range commit",
+                    &at("us-west1", "single", 90.0, 90.0),
+                ),
+                (
+                    "a legacy multi-range",
+                    &at("us-west1", "multi", 100.0, 60.0),
+                ),
+                (
+                    "a parallel multi-range",
+                    &at("europe-west2", "multi", 200.0, 125.0),
+                ),
+                (
+                    "parallel commits save",
+                    &at("us-west1", "multi", 120.0, 80.0),
+                ),
+                ("the REGION write", &at("us-west1", "cross", 199.6, 170.0)),
+            ],
+        );
+    }
+
+    #[test]
+    fn raft_probe_gates() {
+        let phase = |mean_occupancy, proposals_per_sec| RaftPhase {
+            commands: 2872,
+            entries: 346,
+            mean_occupancy,
+            proposals_per_sec,
+            txns: 240,
+            read_fast_path: 240,
+        };
+        let pass = || RaftProbeReport {
+            batched: phase(8.3, 4160.0),
+            unbatched: phase(1.36, 4601.0),
+            read_fast_path: 480,
+            cold_ranges: 100,
+            hb_per_sec_off: 824.0,
+            hb_per_sec_on: 0.0,
+            heartbeat_suppression: 16480.0,
+        };
+        type R = RaftProbeReport;
+        gates(
+            raft_probe_verdicts,
+            pass,
+            &[
+                ("group commit fills entries", &|r: &mut R| {
+                    (r.batched.mean_occupancy, r.unbatched.mean_occupancy) = (1.4, 1.3)
+                }),
+                ("the flush window beats", &|r: &mut R| {
+                    (r.batched.mean_occupancy, r.unbatched.mean_occupancy) = (2.0, 2.5)
+                }),
+                ("batched proposals/s", &|r: &mut R| {
+                    r.batched.proposals_per_sec = 2000.0
+                }),
+                ("quiescence cuts", &|r: &mut R| {
+                    r.heartbeat_suppression = 9.9
+                }),
+                ("every opening read", &|r: &mut R| r.read_fast_path = 479),
+            ],
+        );
+    }
+
+    #[test]
+    fn split_probe_gates() {
+        let phase = |ops_per_sec, splits, ranges, lease_rebalances| SplitPhase {
+            txns: 2880,
+            retries: 3,
+            ops_per_sec,
+            ranges,
+            splits,
+            merges: 1,
+            lease_rebalances,
+            split_p99_ms: if splits > 0 { 92.2 } else { 0.0 },
+            hottest_share_milli: if splits > 0 { 143 } else { 1000 },
+            convergence_ticks: 40,
+            ranges_after_idle: 1,
+        };
+        let pass = || SplitProbeReport {
+            baseline: phase(48.0, 0, 1, 0),
+            lifecycle: phase(88.7, 14, 15, 2),
+        };
+        type R = SplitProbeReport;
+        gates(
+            split_probe_verdicts,
+            pass,
+            &[
+                ("the static baseline", &|r: &mut R| r.baseline.splits = 1),
+                ("the lifecycle splits", &|r: &mut R| r.lifecycle.splits = 0),
+                ("a lease moves", &|r: &mut R| {
+                    r.lifecycle.lease_rebalances = 0
+                }),
+                ("the lifecycle beats", &|r: &mut R| {
+                    r.lifecycle.ops_per_sec = 48.0
+                }),
+                ("load disperses", &|r: &mut R| {
+                    r.lifecycle.hottest_share_milli = 1000
+                }),
+                ("splits record", &|r: &mut R| r.lifecycle.split_p99_ms = 0.0),
+                ("the idle tail", &|r: &mut R| {
+                    r.lifecycle.ranges_after_idle = 15
+                }),
+            ],
+        );
+    }
+
+    #[test]
+    fn obs_probe_gates() {
+        let snapshot = |range, qps_milli| mr_obs::RangeLoadSnapshot {
+            range,
+            qps_milli,
+            read_qps_milli: qps_milli,
+            write_qps_milli: 0,
+            write_bytes_per_sec: 0,
+            mean_latency_nanos: 1,
+        };
+        let pass = || ObsProbeReport {
+            hot_range: 1,
+            warm_range: 2,
+            driven_qps_milli: 50_000,
+            hot: vec![snapshot(1, 48_000), snapshot(2, 5_000)],
+            expected_commit_rate_milli: 55_000,
+            commit_rate_fine_milli: 55_100,
+            commit_rate_coarse_milli: 54_900,
+            fine_samples: 36,
+            coarse_samples: 4,
+            attr_txns: 10,
+            attr_total_nanos: 1_000,
+            attr_named_nanos: 990,
+            attr_other_nanos: 10,
+            instrument_count: 100,
+            hot_ranges_json: String::new(),
+            slow_txns_json: String::new(),
+            metrics_history_json: String::new(),
+        };
+        type R = ObsProbeReport;
+        gates(
+            obs_probe_verdicts,
+            pass,
+            &[
+                ("the skewed range ranks", &|r: &mut R| r.hot[0].range = 2),
+                ("its decayed QPS", &|r: &mut R| r.hot[0].qps_milli = 56_000),
+                ("the fine window", &|r: &mut R| r.fine_samples = 1),
+                ("the fine commit rate", &|r: &mut R| {
+                    r.commit_rate_fine_milli = 61_000
+                }),
+                ("the coarse window", &|r: &mut R| r.coarse_samples = 1),
+                ("the coarse commit rate", &|r: &mut R| {
+                    r.commit_rate_coarse_milli = 49_000
+                }),
+                ("the attribution log", &|r: &mut R| r.attr_txns = 0),
+                ("named components", &|r: &mut R| r.attr_named_nanos = 940),
+                ("the registry holds", &|r: &mut R| r.instrument_count = 129),
+            ],
+        );
+    }
+
+    #[test]
+    fn storage_probe_gates() {
+        let pass = || StorageProbeReport {
+            bloom_runs: 12,
+            bloom_lookups: 1_536,
+            bloom_probes: 18_000,
+            bloom_skips: 17_244,
+            bloom_skip_milli: 958,
+            gc_versions_written: 2_000,
+            gc_versions_before: 2_000,
+            gc_versions_protected: 550,
+            gc_versions_after: 50,
+            gc_reclaim_milli: 725,
+            protected_read_ok: true,
+            below_threshold_read_errors: true,
+            wal_replayed: 100,
+            recovered_versions: 50,
+            compaction_passes: 20,
+            compaction_flushed: 20_000,
+            compaction_rewritten: 30_000,
+            write_amp_milli: 2_500,
+            compaction_max_runs: 8,
+            space_amp_milli: 1_500,
+        };
+        type R = StorageProbeReport;
+        gates(
+            storage_probe_verdicts,
+            pass,
+            &[
+                ("run indexes answer", &|r: &mut R| r.bloom_skip_milli = 899),
+                ("GC reclaims", &|r: &mut R| r.gc_reclaim_milli = 499),
+                ("an AOST read", &|r: &mut R| r.protected_read_ok = false),
+                ("a read below", &|r: &mut R| {
+                    r.below_threshold_read_errors = false
+                }),
+                ("releasing the protection", &|r: &mut R| {
+                    (r.gc_versions_after, r.recovered_versions) = (550, 550)
+                }),
+                ("WAL replay", &|r: &mut R| r.recovered_versions = 49),
+                ("compaction writes", &|r: &mut R| r.write_amp_milli = 3_001),
+                ("<= 9 runs", &|r: &mut R| r.compaction_max_runs = 10),
+                ("<= 1850/1000", &|r: &mut R| r.space_amp_milli = 1_851),
+            ],
+        );
+    }
+
+    #[test]
+    fn chaos_probe_gates() {
+        let row = |seed| ChaosRow {
+            seed,
+            ops_ok: 400,
+            ops_failed: 20,
+            ops_per_sec: 20.0,
+            recovery_p99_ms: 900.0,
+            steady_p99_ms: 300.0,
+            checker_violations: 0,
+        };
+        gates(
+            |rows: &Vec<ChaosRow>| chaos_probe_verdicts(rows),
+            || [11, 23, 37].map(row).into(),
+            &[("the history checker", &|rows: &mut Vec<ChaosRow>| {
+                rows[1].checker_violations = 1
+            })],
+        );
+    }
 }

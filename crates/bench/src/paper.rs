@@ -19,6 +19,8 @@ use mr_workload::ycsb::{self, KeyChooser, ReadMode, YcsbGen, YcsbTable};
 use mr_workload::{bulk, movr, Zipf};
 use multiregion::{ClusterBuilder, RttMatrix, SimDuration, SimTime, SqlDb};
 
+use crate::verdict::{ascending, at_least, list, within, Check, Verdict};
+
 /// Ops per closed-loop client at bench scale (paper: 50k; `MR_OPS_PER_CLIENT`).
 pub const OPS_PER_CLIENT: u64 = 600;
 /// TPC-C warehouses per region at bench scale (paper: 100; `MR_TPCC_WH`).
@@ -41,80 +43,6 @@ pub fn tpcc_secs() -> u64 {
 
 pub fn tpcc_warehouses() -> u32 {
     env_or("MR_TPCC_WH", TPCC_WH)
-}
-
-/// One shape claim of a figure, checked over its rows.
-pub struct Verdict {
-    /// The paper's claim, with its threshold.
-    pub claim: &'static str,
-    pub holds: bool,
-    /// The values the claim was checked on.
-    pub seen: String,
-    /// The ROADMAP direction that owns a claim that does not hold yet. Such
-    /// a claim is printed, not gated.
-    pub open: Option<&'static str>,
-}
-
-impl Verdict {
-    /// A gated claim that does not hold.
-    pub fn fails(&self) -> bool {
-        !self.holds && self.open.is_none()
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let status = match (self.open, self.holds) {
-            (Some(_), _) => "open",
-            (None, true) => "ok",
-            (None, false) => "FAIL",
-        };
-        write!(f, "shape {status:<4} {}: {}", self.claim, self.seen)?;
-        match self.open {
-            Some(d) if self.holds => write!(f, " [holds; ROADMAP direction {d}]"),
-            Some(d) => write!(f, " [not yet; ROADMAP direction {d}]"),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A check over a figure's rows: whether it passed, and what it saw.
-struct Check(bool, String);
-
-/// Every one of `values` lies in `[lo, hi]`.
-fn within(values: &[f64], lo: f64, hi: f64) -> Check {
-    Check(values.iter().all(|&v| lo <= v && v <= hi), list(values))
-}
-
-/// Every one of `values` is at least `lo`.
-fn at_least(values: &[f64], lo: f64) -> Check {
-    within(values, lo, f64::INFINITY)
-}
-
-/// `values` never fall from one to the next.
-fn ascending(values: &[f64]) -> Check {
-    Check(values.windows(2).all(|w| w[0] <= w[1]), list(values))
-}
-
-impl Check {
-    /// The gated verdict on `claim`.
-    fn gate(self, claim: &'static str) -> Verdict {
-        let Check(holds, seen) = self;
-        let open = None;
-        Verdict {
-            claim,
-            holds,
-            seen,
-            open,
-        }
-    }
-
-    /// The verdict on `claim`, open: ROADMAP `direction` is to make it hold.
-    fn open(self, claim: &'static str, direction: &'static str) -> Verdict {
-        let mut v = self.gate(claim);
-        v.open = Some(direction);
-        v
-    }
 }
 
 /// A table, figure or ablation of the paper's evaluation, run.
@@ -202,12 +130,6 @@ fn render_rows(out: &mut String, rows: &[LatRow], label: fn(&LatRow) -> String) 
         }
     }
     Ok(())
-}
-
-/// `values` joined by ` / `, two decimals each.
-fn list(values: &[f64]) -> String {
-    let parts: Vec<String> = values.iter().map(|v| format!("{v:.2}")).collect();
-    parts.join(" / ")
 }
 
 fn max(values: &[f64]) -> f64 {
@@ -1520,32 +1442,9 @@ mod tests {
         r.s = sum(p50, p99);
     }
 
-    /// Every gate of `pass()` holds, and each of `breaks` makes exactly the
-    /// gate whose claim starts with its prefix fail. Every gate is broken
-    /// by one of them.
+    /// [`crate::verdict::tests::gates`] over a figure's verdicts.
     fn gates<F: Figure>(pass: impl Fn() -> F, breaks: &[(&str, &dyn Fn(&mut F))]) {
-        let failing = |fig: &F| -> Vec<&'static str> {
-            let verdicts = fig.verdicts();
-            verdicts
-                .into_iter()
-                .filter(|v| v.fails())
-                .map(|v| v.claim)
-                .collect()
-        };
-        assert_eq!(failing(&pass()), Vec::<&str>::new());
-        for (claim, break_it) in breaks {
-            let mut fig = pass();
-            break_it(&mut fig);
-            let failed = failing(&fig);
-            assert!(
-                failed.len() == 1 && failed[0].starts_with(claim),
-                "{claim}: {failed:?}"
-            );
-        }
-        for v in pass().verdicts().iter().filter(|v| v.open.is_none()) {
-            let covered = breaks.iter().any(|(claim, _)| v.claim.starts_with(claim));
-            assert!(covered, "no failing rows for {:?}", v.claim);
-        }
+        crate::verdict::tests::gates(F::verdicts, pass, breaks)
     }
 
     /// The open claim of `fig` that starts with `claim`: whether it holds.

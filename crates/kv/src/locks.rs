@@ -105,21 +105,6 @@ impl LockTable {
         }
     }
 
-    /// Remove a specific waiter (e.g. its request timed out). Returns true
-    /// if it was present.
-    pub fn cancel(&mut self, key: &Key, waiter: WaiterId) -> bool {
-        if let Some(q) = self.queues.get_mut(key) {
-            let before = q.waiters.len();
-            q.waiters.retain(|&w| w != waiter);
-            let removed = q.waiters.len() != before;
-            if q.waiters.is_empty() && q.holder.is_none() {
-                self.queues.remove(key);
-            }
-            return removed;
-        }
-        false
-    }
-
     /// Keys with active queues (for tests/metrics).
     pub fn locked_key_count(&self) -> usize {
         self.queues.len()
@@ -166,18 +151,6 @@ mod tests {
     fn release_without_waiters_is_empty() {
         let mut lt = LockTable::new();
         assert!(lt.release(&Key::from("x")).is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_waiter() {
-        let mut lt = LockTable::new();
-        let k = Key::from("k");
-        lt.acquire(&k, meta(1, 5));
-        lt.enqueue(&k, 10);
-        lt.enqueue(&k, 11);
-        assert!(lt.cancel(&k, 10));
-        assert!(!lt.cancel(&k, 10));
-        assert_eq!(lt.release(&k), vec![11]);
     }
 
     #[test]

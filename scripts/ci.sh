@@ -213,7 +213,7 @@ assert_bench() {
     fi
 }
 
-(cd "$SMOKE_DIR" && OPS=50 MR_STRICT_MONITORS=1 \
+(cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin perf_probe >/dev/null)
 assert_bench perf_probe BENCH_perf.json
 
@@ -224,7 +224,7 @@ echo "==> chaos_smoke: seeded nemesis schedules + history checker"
 # seed and schedule step named.
 # On a violation the probe exits nonzero after writing the incident bundle
 # directory and printing its path (see chaos_probe.rs).
-(cd "$SMOKE_DIR" && MR_STRICT_MONITORS=1 \
+(cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin chaos_probe >/dev/null)
 assert_bench chaos_probe BENCH_chaos.json
 
@@ -233,7 +233,7 @@ echo "==> commit_probe: parallel-commit round-trip regression guard"
 # pipelined+parallel commits and fails if the round-trip structure
 # regresses: multi-range commits must cost ~1 WAN RTT pipelined (~2
 # legacy), and pipelining must never be slower than the legacy path.
-(cd "$SMOKE_DIR" && MR_COMMIT_TXNS=10 \
+(cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin commit_probe >/dev/null)
 assert_bench commit_probe BENCH_commit.json
 
@@ -243,7 +243,7 @@ echo "==> raft_probe: group-commit occupancy + quiescence regression guard"
 # mean batch occupancy sinks toward one command per entry, if the flush
 # window costs real throughput, if quiescence stops suppressing idle
 # heartbeats by >=10x, or if leaseholder reads stop riding the fast path.
-(cd "$SMOKE_DIR" && MR_RAFT_TXNS=20 \
+(cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin raft_probe >/dev/null)
 assert_bench raft_probe BENCH_raft.json
 
@@ -254,7 +254,7 @@ echo "==> obs_probe: load-telemetry + attribution + metrics-cardinality guard"
 # attribution components stop explaining >=95% of end-to-end transaction
 # latency, or if registry cardinality exceeds the budget (per-range load
 # must stay in the LoadRecorder, never as per-range registry instruments).
-(cd "$SMOKE_DIR" && MR_OBS_SKEW_SECS=40 MR_OBS_TXNS=10 MR_METRIC_BUDGET=128 \
+(cd "$SMOKE_DIR" && \
     cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin obs_probe >/dev/null)
 assert_bench obs_probe BENCH_obs.json
 

@@ -74,7 +74,10 @@ digests() {
     done
 }
 
-# Each probe with the environment scripts/ci.sh runs it with.
+# Each probe with the environment scripts/ci.sh ran it with before the
+# probes fixed their scale as constants. A tree that has them ignores these
+# variables; the parent tree may still read them, so they stay until no
+# parent does, and can go then.
 PROBES=(
     "perf_probe OPS=50 MR_STRICT_MONITORS=1"
     "chaos_probe MR_STRICT_MONITORS=1"
