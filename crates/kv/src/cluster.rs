@@ -1169,11 +1169,15 @@ impl Cluster {
             return;
         };
         // A split may have narrowed this range while the RPC was in flight:
-        // the id still routes, but the key now belongs to the other half.
-        // Redirect so the dist-sender re-resolves against the registry —
-        // serving from the narrowed replica would silently miss the moved
-        // keys.
-        if !desc.span.contains(req.routing_key()) {
+        // the id still routes, but (part of) the request now belongs to the
+        // other half. Redirect so the dist-sender re-resolves (and splits)
+        // against the registry — serving from the narrowed replica would
+        // silently miss the moved keys.
+        let inside = match req.span() {
+            Some(span) => desc.span.contains_span(span),
+            None => desc.span.contains(req.routing_key()),
+        };
+        if !inside {
             let err = KvError::NotLeaseholder {
                 range,
                 leaseholder: None,

@@ -1,6 +1,6 @@
 //! Count-down join over concurrently completing continuations.
 //!
-//! Every fan-out in the coordinator (read refreshes, the two-phase intent
+//! Every fan-out in the coordinator (read refreshes, span parts, the intent
 //! flush, staging-recovery probes) and in the SQL executor (`join_all`)
 //! waits for N results the same way; this is the one copy of that
 //! bookkeeping. What each arrival *does* stays with its caller.

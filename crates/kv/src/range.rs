@@ -207,7 +207,7 @@ impl RangeRegistry {
 
     /// The range containing `key`.
     pub fn lookup(&self, key: &Key) -> Option<&RangeDescriptor> {
-        let (_, id) = self.by_start.range(..=key.clone()).next_back()?;
+        let (_, id) = self.by_start.range(..=key).next_back()?;
         let desc = &self.ranges[id];
         desc.span.contains(key).then_some(desc)
     }
@@ -320,6 +320,22 @@ mod tests {
         let all = Span::all();
         let ids: Vec<u64> = reg.lookup_span(&all).map(|d| d.id.0).collect();
         assert_eq!(ids, [4, 3, 2, 1]);
+        // Each overlap clipped to its range: the parts a span request is
+        // split into. A hole gets no part.
+        let s = |start: &str, end: &str| Span::new(Key::from(start), Key::from(end));
+        let parts = |span: Span| -> Vec<Span> {
+            reg.lookup_span(&span).map(|d| span.clip(&d.span)).collect()
+        };
+        assert_eq!(parts(s("k", "n")), [s("k", "m"), s("m", "n")]);
+        assert_eq!(parts(s("b", "g")), [s("b", "c"), s("f", "g")]);
+        assert_eq!(parts(s("n", "o")), [s("n", "o")]);
+        assert_eq!(
+            parts(all),
+            [s("a", "c"), s("f", "m"), s("m", "s"), s("s", "z")]
+        );
+        // An empty end is unbounded on either side.
+        assert_eq!(s("k", "n").clip(&s("m", "")), s("m", "n"));
+        assert_eq!(s("k", "").clip(&s("a", "m")), s("k", "m"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use mr_sim::{NodeId, SimDuration};
 
 use crate::attribution::{AttrAcc, Component, TxnAttrRecord, COMPONENTS};
 use crate::cluster::{Cluster, Cont, InjectedBug, KvResult, ReadOptions, Staleness};
-use crate::join::Join;
+use crate::join::{join_all, Join, Task};
 use crate::metrics::{Op, OpPolicy};
 use crate::zone::ClosedTsPolicy;
 
@@ -253,6 +253,30 @@ reply! {
         commit_ts,
         in_flight,
     } => (status, commit_ts, in_flight);
+}
+
+/// A part of a span request, taken whole to be joined with the others.
+impl Reply for Response {
+    fn take(resp: Response) -> Result<Self, Response> {
+        Ok(resp)
+    }
+}
+
+/// Two parts of a span request as one, `a`'s keys before `b`'s: rows cut at
+/// `max_keys`, the lower negotiated timestamp, a refresh both passed.
+fn join_parts(a: Response, b: Response, max_keys: usize) -> Response {
+    match (a, b) {
+        (Response::Scan { mut rows }, Response::Scan { rows: more }) => {
+            rows.extend(more);
+            rows.truncate(max_keys);
+            Response::Scan { rows }
+        }
+        (Response::Negotiate { max_safe_ts: a }, Response::Negotiate { max_safe_ts: b }) => {
+            let max_safe_ts = a.min(b);
+            Response::Negotiate { max_safe_ts }
+        }
+        (a, _) => a,
+    }
 }
 
 /// The client-facing shape of a read's response.
@@ -768,10 +792,7 @@ impl Cluster {
             // GLOBAL tables serve consistent present-time point reads from
             // any replica (§6) — except one of our own (unreplicated-yet)
             // intent. REGIONAL fresh reads need the leaseholder, and so do
-            // scans (they may span in-flight writes). A scan is routed by
-            // its start key, and the range that serves it returns only its
-            // own keys: past a split the rest of the span goes unread
-            // (ROADMAP direction 1).
+            // scans (they may span in-flight writes).
             (ReadTarget::Point(_), Some(d))
                 if !own_intent && d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead =>
             {
@@ -1019,6 +1040,40 @@ impl Cluster {
         parent: Option<SpanId>,
         cont: Cont<KvResult<T>>,
     ) {
+        // A span that no one range holds goes out in parts, one per range it
+        // overlaps, clipped to that range (a gap holds no data). Each part
+        // comes back through here, so one that a split outruns is redirected
+        // and split again; the replies join in key order, first error wins.
+        let one_range = |span: &Span| {
+            (self.registry().lookup(&span.start)).is_some_and(|d| d.span.contains_span(span))
+        };
+        if let Some(span) = req.span().filter(|span| !one_range(span)) {
+            let parts: Vec<Task<Response, KvError>> = (self.registry().lookup_span(span))
+                .map(|d| {
+                    let mut part = req.clone();
+                    if let Request::Scan { span, .. }
+                    | Request::Refresh { span, .. }
+                    | Request::Negotiate { span } = &mut part
+                    {
+                        *span = span.clip(&d.span);
+                    }
+                    Box::new(move |c: &mut Cluster, done| {
+                        c.dist_send(gateway, mode, part, attempts, parent, done)
+                    }) as Task<_, _>
+                })
+                .collect();
+            let key = req.routing_key().clone();
+            let max_keys = match req {
+                Request::Scan { max_keys, .. } => max_keys,
+                _ => usize::MAX,
+            };
+            let joined: Cont<KvResult<Vec<Response>>> = Box::new(move |c, res| {
+                let one = res.map(|p| p.into_iter().reduce(|a, b| join_parts(a, b, max_keys)));
+                let one = one.and_then(|one| one.ok_or(KvError::NoSuchRange { key }));
+                cont(c, one.map(T::from_response))
+            });
+            return join_all(self, parts, joined);
+        }
         let (range, target) = match self.route(gateway, &req, mode) {
             Ok(rt) => rt,
             Err(e) => {

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mr_clock::Timestamp;
-use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig, ReadOptions};
+use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig, ReadOptions, Staleness};
 use mr_kv::report::RangeStatus;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
 use mr_proto::{Key, KvError, RangeId, Span, TxnId, TxnStatus, Value};
@@ -229,6 +229,142 @@ fn txn_straddling_a_split_commits() {
             Some(Value::from("straddle")),
             "write {k} lost across the racing split"
         );
+    }
+}
+
+/// The keys of `rows`, rendered (`/a1`).
+fn keys_of(rows: &[(Key, Value)]) -> Vec<String> {
+    rows.iter().map(|(k, _)| format!("{k:?}")).collect()
+}
+
+/// A non-transactional scan of `span` from `gateway`, run to completion.
+fn scan(
+    c: &mut Cluster,
+    gateway: NodeId,
+    span: Span,
+    max_keys: usize,
+    opts: ReadOptions,
+) -> Vec<String> {
+    let rows: Rc<RefCell<Option<Vec<(Key, Value)>>>> = Rc::new(RefCell::new(None));
+    let r2 = Rc::clone(&rows);
+    c.scan(
+        gateway,
+        span,
+        max_keys,
+        opts,
+        Box::new(move |_c, res| *r2.borrow_mut() = Some(res.unwrap())),
+    );
+    c.run_until_quiescent(deadline());
+    let rows = rows.borrow_mut().take().expect("scan did not complete");
+    keys_of(&rows)
+}
+
+const SCAN_KEYS: [&str; 5] = ["a1", "b1", "m1", "x1", "z1"];
+
+/// A scan reads every range its span overlaps: the span goes out in one
+/// part per range, and the parts' rows join in key order, cut at the limit.
+#[test]
+fn a_scan_across_splits_reads_every_range() {
+    let mut c = cluster(ClusterConfig::default());
+    c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    for k in SCAN_KEYS {
+        write_key(&mut c, gw(0), k, &format!("v-{k}"));
+    }
+    for (at, secs) in [("m", 8), ("y", 11)] {
+        c.admin_split_at(Key::from(at)).expect("split proposed");
+        c.run_until(SimTime(SimDuration::from_secs(secs).nanos()));
+    }
+    assert_eq!(c.registry().len(), 3);
+
+    let all = ["/a1", "/b1", "/m1", "/x1", "/z1"];
+    let fresh = ReadOptions::default();
+    assert_eq!(scan(&mut c, gw(0), Span::all(), usize::MAX, fresh), all);
+    assert_eq!(
+        scan(&mut c, gw(0), Span::all(), 3, fresh),
+        ["/a1", "/b1", "/m1"]
+    );
+    let bounded = ReadOptions {
+        staleness: Staleness::BoundedMaxStaleness(SimDuration::from_secs(5)),
+        ..ReadOptions::default()
+    };
+    assert_eq!(scan(&mut c, gw(2), Span::all(), usize::MAX, bounded), all);
+}
+
+/// A split that lands while a scan is in flight narrows the range the scan
+/// was sent to: the range redirects it, and the re-sent scan is split.
+#[test]
+fn a_scan_outrun_by_a_split_reads_both_halves() {
+    let mut c = cluster(ClusterConfig::default());
+    c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    for k in SCAN_KEYS {
+        write_key(&mut c, gw(0), k, &format!("v-{k}"));
+    }
+    let rows: Rc<RefCell<Option<Vec<(Key, Value)>>>> = Rc::new(RefCell::new(None));
+    let r2 = Rc::clone(&rows);
+    c.scan(
+        gw(3),
+        Span::all(),
+        usize::MAX,
+        ReadOptions::default(),
+        Box::new(move |_c, res| *r2.borrow_mut() = Some(res.unwrap())),
+    );
+    c.admin_split_at(Key::from("m")).expect("split proposed");
+    c.run_until_quiescent(deadline());
+    assert_eq!(c.registry().len(), 2);
+    let rows = rows.borrow_mut().take().expect("scan did not complete");
+    assert_eq!(keys_of(&rows), ["/a1", "/b1", "/m1", "/x1", "/z1"]);
+}
+
+/// A commit whose timestamp was pushed refreshes every range its read
+/// spans: a write that landed in the right-hand half after the read fails
+/// the refresh there.
+#[test]
+fn a_refresh_across_a_split_sees_the_right_hand_write() {
+    let mut c = cluster(ClusterConfig::default());
+    c.create_range(Span::all(), single_region_zc()).unwrap();
+    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
+    for k in ["a1", "m1", "z1"] {
+        write_key(&mut c, gw(0), k, &format!("v-{k}"));
+    }
+    c.admin_split_at(Key::from("m")).expect("split proposed");
+    c.run_until(SimTime(SimDuration::from_secs(8).nanos()));
+    assert_eq!(c.registry().len(), 2);
+
+    let h = c.txn_begin(gw(0));
+    let rows: Rc<RefCell<Option<Vec<(Key, Value)>>>> = Rc::new(RefCell::new(None));
+    let r2 = Rc::clone(&rows);
+    c.txn_scan(
+        h,
+        Span::all(),
+        usize::MAX,
+        Box::new(move |_c, res| *r2.borrow_mut() = Some(res.unwrap())),
+    );
+    c.run_until_quiescent(deadline());
+    let rows = rows.borrow_mut().take().expect("scan did not complete");
+    assert_eq!(keys_of(&rows), ["/a1", "/m1", "/z1"]);
+
+    // A phantom in the right-hand half, then a read that pushes the
+    // transaction's write above it.
+    write_key(&mut c, gw(0), "n1", "phantom");
+    assert_eq!(read_key(&mut c, gw(0), "b5").unwrap(), None);
+    let out: Rc<RefCell<Option<Result<Timestamp, KvError>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
+    c.txn_put(
+        h,
+        Key::from("b5"),
+        Some(Value::from("pushed")),
+        Box::new(move |c, res| {
+            res.unwrap();
+            c.txn_commit(h, Box::new(move |_c, res| *o2.borrow_mut() = Some(res)));
+        }),
+    );
+    c.run_until_quiescent(deadline());
+    let res = out.borrow_mut().take().expect("commit did not complete");
+    match res {
+        Err(KvError::RefreshFailed { span_start, .. }) => assert_eq!(span_start, Key::from("m")),
+        other => panic!("commit over the phantom: {other:?}"),
     }
 }
 

@@ -138,7 +138,7 @@ fn hex(b: &[u8]) -> String {
 }
 
 /// A half-open key interval `[start, end)`. An empty `end` means the span
-/// covers just `start` (a point span).
+/// has no upper bound (`Span::all`); a point span is `Span::point`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Span {
     pub start: Key,
@@ -186,6 +186,15 @@ impl Span {
     pub fn contains_span(&self, other: &Span) -> bool {
         other.start >= self.start
             && (self.unbounded_end() || (!other.unbounded_end() && other.end <= self.end))
+    }
+
+    /// The part of `self` inside `bounds` (the two must overlap): the later
+    /// start and the earlier bounded end (empty if neither is bounded).
+    pub fn clip(&self, bounds: &Span) -> Span {
+        let ends = [&self.end, &bounds.end];
+        let bounded_ends = ends.into_iter().filter(|end| !end.is_empty());
+        let end = bounded_ends.min().unwrap_or(&self.end).clone();
+        Span::new((&self.start).max(&bounds.start).clone(), end)
     }
 }
 

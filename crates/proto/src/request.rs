@@ -154,8 +154,8 @@ pub enum Request {
 }
 
 impl Request {
-    /// The key used to route this request to a Range: the one routing rule
-    /// the coordinator's send path follows.
+    /// The key used to route this request to a Range (a span request's
+    /// start; [`Request::span`] has the rest of it).
     pub fn routing_key(&self) -> &Key {
         match self {
             Request::Get { key, .. } => key,
@@ -170,6 +170,17 @@ impl Request {
             Request::Refresh { span, .. } => &span.start,
             Request::PushTxn { anchor, .. } => anchor,
             Request::Negotiate { span } => &span.start,
+        }
+    }
+
+    /// The keys a span request (`Scan`, `Refresh`, `Negotiate`) covers, all
+    /// of which its range must hold; `None` for a request about one key.
+    pub fn span(&self) -> Option<&Span> {
+        match self {
+            Request::Scan { span, .. }
+            | Request::Refresh { span, .. }
+            | Request::Negotiate { span } => Some(span),
+            _ => None,
         }
     }
 
@@ -295,7 +306,10 @@ mod tests {
             anchor: Key::from("anchor"),
         };
         assert_eq!(push.routing_key(), &Key::from("anchor"));
-        // Span requests route by the span's start.
+        assert!([&get, &end, &put, &commit, &resolve, &push]
+            .iter()
+            .all(|req| req.span().is_none()));
+        // Span requests route by the span's start and carry the whole span.
         let span = Span::new(Key::from("s"), Key::from("t"));
         let scan = Request::Scan {
             ctx: ReadCtx::stale(Timestamp::new(1, 0)),
@@ -308,9 +322,10 @@ mod tests {
             from_ts: Timestamp::new(1, 0),
             to_ts: Timestamp::new(2, 0),
         };
-        let negotiate = Request::Negotiate { span };
+        let negotiate = Request::Negotiate { span: span.clone() };
         for req in [&scan, &refresh, &negotiate] {
             assert_eq!(req.routing_key(), &Key::from("s"), "{req:?}");
+            assert_eq!(req.span(), Some(&span), "{req:?}");
         }
     }
 

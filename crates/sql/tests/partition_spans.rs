@@ -24,8 +24,7 @@ fn covering(d: &SqlDb, span: &Span) -> Vec<RangeDescriptor> {
     d.cluster.registry().lookup_span(span).cloned().collect()
 }
 
-/// Live entries over the ranges covering `span`. (A SQL scan still stops at
-/// the first range of its span, so rows are counted range by range.)
+/// Live entries over the ranges covering `span`, counted range by range.
 fn entries(d: &mut SqlDb, span: &Span) -> usize {
     let ids: Vec<RangeId> = covering(d, span).iter().map(|r| r.id).collect();
     ids.iter()

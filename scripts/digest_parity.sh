@@ -10,7 +10,7 @@
 # `sim_digest`s match. The digest folds every simulated figure and exact count
 # of a run, so equal digests mean equal `sim_*` metrics, events, RPCs, Raft
 # entries and WAL bytes. It also runs the eight `mr-bench` probes on both
-# trees at `scripts/ci.sh`'s sizes, each tree's from an empty directory, and
+# trees at their fixed scales, each tree's from an empty directory, and
 # `cmp`s every file they write (`BENCH_*.json`, `perf_probe_*.json` and
 # `perf_probe_*.csv`): the ledger workloads never crash, partition or restart
 # a node, so `chaos_probe`'s five fault schedules are the only part of the
@@ -18,9 +18,7 @@
 # export renders. The one layout difference allowed is `BENCH_obs.json`
 # against a parent that closed it `…}\n` rather than `…\n}\n` (before the
 # shared JSON writer): it passes when both parse to the same JSON value
-# (python3). A probe the parent tree does not have (`paper_probe` against a
-# parent older than it) is skipped on both trees with a printed note. The
-# probes add ~5 min warm. Builds the parent from scratch
+# (python3). The probes add ~5 min warm. Builds the parent from scratch
 # (~3 min); both trees must be committed or at least buildable as they
 # stand.
 #
@@ -74,36 +72,16 @@ digests() {
     done
 }
 
-# Each probe with the environment scripts/ci.sh ran it with before the
-# probes fixed their scale as constants. A tree that has them ignores these
-# variables; the parent tree may still read them, so they stay until no
-# parent does, and can go then.
-PROBES=(
-    "perf_probe OPS=50 MR_STRICT_MONITORS=1"
-    "chaos_probe MR_STRICT_MONITORS=1"
-    "commit_probe MR_COMMIT_TXNS=10"
-    "raft_probe MR_RAFT_TXNS=20"
-    "obs_probe MR_OBS_SKEW_SECS=40 MR_OBS_TXNS=10 MR_METRIC_BUDGET=128"
-    "split_probe"
-    "storage_probe"
-    "paper_probe"
-)
+PROBES=(perf_probe chaos_probe commit_probe raft_probe obs_probe split_probe storage_probe paper_probe)
 # Files whose layout may differ from an older parent's (see the header).
 LAYOUT_ONLY="BENCH_obs.json"
 
-# probes <tree> <label>: run every probe from an empty directory of its own,
-# skipping one the parent tree has no source for.
+# probes <tree> <label>: run every probe from an empty directory of the tree's.
 probes() {
     mkdir "$TMP/$2-probes"
-    local bin vars
-    for spec in "${PROBES[@]}"; do
-        read -r bin vars <<<"$spec"
-        if [ ! -f "$TMP/parent/crates/bench/src/bin/$bin.rs" ]; then
-            [ "$2" = parent ] && echo "note: $REV has no $bin; skipped on both trees"
-            continue
-        fi
-        # shellcheck disable=SC2086
-        (cd "$TMP/$2-probes" && env $vars CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
+    local bin
+    for bin in "${PROBES[@]}"; do
+        (cd "$TMP/$2-probes" && CARGO_TARGET_DIR="$ROOT/target/digest_parity/$2" \
             cargo run -q --release --offline --manifest-path "$1/Cargo.toml" \
             -p mr-bench --bin "$bin" >/dev/null)
     done
