@@ -1040,39 +1040,13 @@ impl Cluster {
         parent: Option<SpanId>,
         cont: Cont<KvResult<T>>,
     ) {
-        // A span that no one range holds goes out in parts, one per range it
-        // overlaps, clipped to that range (a gap holds no data). Each part
-        // comes back through here, so one that a split outruns is redirected
-        // and split again; the replies join in key order, first error wins.
         let one_range = |span: &Span| {
             (self.registry().lookup(&span.start)).is_some_and(|d| d.span.contains_span(span))
         };
-        if let Some(span) = req.span().filter(|span| !one_range(span)) {
-            let parts: Vec<Task<Response, KvError>> = (self.registry().lookup_span(span))
-                .map(|d| {
-                    let mut part = req.clone();
-                    if let Request::Scan { span, .. }
-                    | Request::Refresh { span, .. }
-                    | Request::Negotiate { span } = &mut part
-                    {
-                        *span = span.clip(&d.span);
-                    }
-                    Box::new(move |c: &mut Cluster, done| {
-                        c.dist_send(gateway, mode, part, attempts, parent, done)
-                    }) as Task<_, _>
-                })
-                .collect();
-            let key = req.routing_key().clone();
-            let max_keys = match req {
-                Request::Scan { max_keys, .. } => max_keys,
-                _ => usize::MAX,
-            };
-            let joined: Cont<KvResult<Vec<Response>>> = Box::new(move |c, res| {
-                let one = res.map(|p| p.into_iter().reduce(|a, b| join_parts(a, b, max_keys)));
-                let one = one.and_then(|one| one.ok_or(KvError::NoSuchRange { key }));
-                cont(c, one.map(T::from_response))
-            });
-            return join_all(self, parts, joined);
+        if let Some(span) = req.span().filter(|span| !one_range(span)).cloned() {
+            let cont: Cont<KvResult<Response>> =
+                Box::new(move |c, res| cont(c, res.map(T::from_response)));
+            return self.dist_send_parts(gateway, mode, span, req, attempts, parent, cont);
         }
         let (range, target) = match self.route(gateway, &req, mode) {
             Ok(rt) => rt,
@@ -1118,6 +1092,52 @@ impl Cluster {
                 Err(e) => cont(c, Err(e)),
             }),
         );
+    }
+
+    /// [`Cluster::dist_send`] of `req`, whose `span` no one range holds: it
+    /// goes out in parts, one per range it overlaps, clipped to that range (a gap
+    /// holds no data). Each part comes back through `dist_send`, so one that
+    /// a split outruns is redirected and split again; the replies join in
+    /// key order, first error wins. Not generic, so the fan-out is compiled
+    /// once, whatever reply the caller expects.
+    #[allow(clippy::too_many_arguments)]
+    fn dist_send_parts(
+        &mut self,
+        gateway: NodeId,
+        mode: RoutingPolicy,
+        span: Span,
+        req: Request,
+        attempts: u8,
+        parent: Option<SpanId>,
+        cont: Cont<KvResult<Response>>,
+    ) {
+        let parts: Vec<Task<Response, KvError>> = (self.registry().lookup_span(&span))
+            .map(|d| {
+                let mut part = req.clone();
+                if let Request::Scan { span, .. }
+                | Request::Refresh { span, .. }
+                | Request::Negotiate { span } = &mut part
+                {
+                    *span = span.clip(&d.span);
+                }
+                Box::new(move |c: &mut Cluster, done| {
+                    c.dist_send(gateway, mode, part, attempts, parent, done)
+                }) as Task<_, _>
+            })
+            .collect();
+        let key = req.routing_key().clone();
+        let max_keys = match req {
+            Request::Scan { max_keys, .. } => max_keys,
+            _ => usize::MAX,
+        };
+        let joined: Cont<KvResult<Vec<Response>>> = Box::new(move |c, res| {
+            let one = res.map(|p| p.into_iter().reduce(|a, b| join_parts(a, b, max_keys)));
+            cont(
+                c,
+                one.and_then(|one| one.ok_or(KvError::NoSuchRange { key })),
+            )
+        });
+        join_all(self, parts, joined);
     }
 
     // ------------------------------------------------------------------

@@ -24,7 +24,7 @@ pub enum RegionStatus {
 }
 
 /// One region configured on a database.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegionState {
     pub name: String,
     pub status: RegionStatus,

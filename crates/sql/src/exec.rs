@@ -33,7 +33,7 @@ use crate::encoding::{decode_row, encode_row, index_key};
 use crate::expr::{eval, next_uuid, EvalEnv};
 use crate::parser::parse;
 use crate::plan::{
-    plan_read, plan_uniqueness_checks, PartitionStrategy, ReadPlan, UniquenessCheck,
+    plan_read, plan_uniqueness_checks, remote_regions, PartitionStrategy, ReadPlan, UniquenessCheck,
 };
 use crate::types::{ColumnType, Datum};
 
@@ -949,14 +949,14 @@ enum FetchMode {
     Stale(Staleness),
 }
 
-fn plan_for(
+fn plan_for<'a>(
     ctx: &ExecCtx,
     cluster: &mut Cluster,
-    db: &Database,
+    db: &'a Database,
     table: &Table,
     predicate: Option<&Expr>,
     limit: Option<u64>,
-) -> Result<ReadPlan, SqlError> {
+) -> Result<ReadPlan<'a>, SqlError> {
     let mut env = EvalEnv {
         gateway_region: &ctx.gateway_region,
         uuid_source: &mut || next_uuid(&ctx.uuid),
@@ -1021,13 +1021,15 @@ fn explain(cluster: &mut Cluster, ctx: &ExecCtx, stmt: &Stmt) -> Result<SqlResul
                 PartitionStrategy::Single(Some(r)) => {
                     line(format!("  partitions: {r} (region derived from predicate)"))
                 }
-                PartitionStrategy::LocalityOptimized { local, remote } => {
+                PartitionStrategy::LocalityOptimized { local, regions } => {
+                    let remote: Vec<&str> = remote_regions(regions, local).collect();
                     line(format!(
                         "  partitions: locality-optimized search — probe {local} first,                          then fan out to {}",
                         remote.join(", ")
                     ));
                 }
                 PartitionStrategy::AllPartitions(rs) => {
+                    let rs: Vec<&str> = rs.iter().map(|r| r.name.as_str()).collect();
                     line(format!("  partitions: fan out to all ({})", rs.join(", ")))
                 }
             }
@@ -1170,7 +1172,7 @@ fn fetch_rows(
     ctx: ExecCtx,
     table: Rc<Table>,
     stmt: Rc<Stmt>,
-    plan: ReadPlan,
+    plan: ReadPlan<'_>,
     mode: FetchMode,
     cont: SqlCont<Vec<Vec<Datum>>>,
 ) {
@@ -1191,12 +1193,13 @@ fn fetch_rows(
         match &plan.strategy {
             PartitionStrategy::Single(region) => tasks.push(task(region.as_deref(), key)),
             PartitionStrategy::AllPartitions(regions) => {
-                tasks.extend(regions.iter().map(|r| task(Some(r), key)));
+                tasks.extend(regions.iter().map(|r| task(Some(&r.name), key)));
             }
-            PartitionStrategy::LocalityOptimized { local, remote } => {
+            PartitionStrategy::LocalityOptimized { local, regions } => {
                 // §4.2: probe the local partition; fan out only on a miss.
                 let local_task = task(Some(local), key);
-                let remote_tasks: Vec<_> = remote.iter().map(|r| task(Some(r), key)).collect();
+                let remote = remote_regions(regions, local);
+                let remote_tasks: Vec<_> = remote.map(|r| task(Some(r), key)).collect();
                 let want = if plan.unique { 1 } else { limit };
                 tasks.push(Box::new(move |cluster, cont| {
                     local_task(
@@ -1824,7 +1827,9 @@ fn exec_update(
     predicate: Option<&Expr>,
     cont: SqlCont<SqlResult>,
 ) {
-    let plan = match plan_for(&w.ctx, cluster, &w.db, &w.table, predicate, None) {
+    // The plan borrows the descriptor, and the writer moves on.
+    let db = Rc::clone(&w.db);
+    let plan = match plan_for(&w.ctx, cluster, &db, &w.table, predicate, None) {
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };

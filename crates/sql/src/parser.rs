@@ -1,26 +1,35 @@
 //! Recursive-descent parser for the multi-region SQL dialect.
 
+use std::borrow::Cow;
+
 use mr_sim::SimDuration;
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Lexer, Token};
 use crate::types::{ColumnType, Datum};
 
 /// Whether `sql` contains no tokens (blank or comments only).
 pub fn is_blank(sql: &str) -> bool {
-    matches!(tokenize(sql), Ok(t) if t.is_empty())
+    Lexer::new(sql).next().is_none()
 }
 
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Stmt, String> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_symbol(';');
-    if !p.at_end() {
-        return Err(format!("unexpected trailing input at {:?}", p.peek()));
+    let mut p = Parser::new(sql);
+    let stmt = p.statement().and_then(|stmt| {
+        p.eat_symbol(';');
+        match p.at_end() {
+            true => Ok(stmt),
+            false => Err(format!("unexpected trailing input at {:?}", p.peek())),
+        }
+    });
+    // A bad character anywhere in the text is the error, whatever the parse
+    // made of the tokens before it.
+    let lex_error = p.lex_error.or_else(|| p.lexer.find_map(Result::err));
+    match lex_error {
+        Some(e) => Err(e),
+        None => stmt,
     }
-    Ok(stmt)
 }
 
 /// Split a script on top-level semicolons and parse each statement.
@@ -71,33 +80,56 @@ pub fn split_statements(sql: &str) -> Vec<String> {
     out
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A statement's tokens, pulled from the lexer one ahead of the parse and
+/// handed over by value.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    next: Option<Token<'a>>,
+    /// The lexer's error, if it met a bad character: the tokens end there.
+    lex_error: Option<String>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            lexer: Lexer::new(sql),
+            next: None,
+            lex_error: None,
+        };
+        p.bump();
+        p
+    }
+
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.next.as_ref()
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+        self.next.is_none()
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        self.pos += 1;
-        t
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let following = match self.lexer.next() {
+            Some(Err(e)) => {
+                self.lex_error = Some(e);
+                None
+            }
+            token => token.and_then(Result::ok),
+        };
+        std::mem::replace(&mut self.next, following)
+    }
+
+    /// Consume the next token if `is` accepts it.
+    fn eat(&mut self, is: impl FnOnce(&Token<'a>) -> bool) -> bool {
+        let hit = self.peek().is_some_and(is);
+        if hit {
+            self.bump();
+        }
+        hit
     }
 
     fn kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.is_kw(kw)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.eat(|t| t.is_kw(kw))
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), String> {
@@ -109,12 +141,7 @@ impl Parser {
     }
 
     fn eat_symbol(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Token::Symbol(c)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.eat(|t| *t == Token::Symbol(c))
     }
 
     fn expect_symbol(&mut self, c: char) -> Result<(), String> {
@@ -128,8 +155,7 @@ impl Parser {
     /// Identifier (word or quoted).
     fn ident(&mut self) -> Result<String, String> {
         match self.bump() {
-            Some(Token::Word(w)) => Ok(w),
-            Some(Token::QuotedIdent(w)) => Ok(w),
+            Some(Token::Word(w) | Token::QuotedIdent(w)) => Ok(w.to_string()),
             t => Err(format!("expected identifier, found {t:?}")),
         }
     }
@@ -137,13 +163,13 @@ impl Parser {
     /// Region names appear as quoted identifiers or string literals.
     fn region_name(&mut self) -> Result<String, String> {
         match self.bump() {
-            Some(Token::QuotedIdent(w)) | Some(Token::Word(w)) => Ok(w),
-            Some(Token::String(s)) => Ok(s),
+            Some(Token::QuotedIdent(w) | Token::Word(w)) => Ok(w.to_string()),
+            Some(Token::String(s)) => Ok(s.into_owned()),
             t => Err(format!("expected region name, found {t:?}")),
         }
     }
 
-    fn string_lit(&mut self) -> Result<String, String> {
+    fn string_lit(&mut self) -> Result<Cow<'a, str>, String> {
         match self.bump() {
             Some(Token::String(s)) => Ok(s),
             t => Err(format!("expected string literal, found {t:?}")),
@@ -633,7 +659,7 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Datum, String> {
         match self.bump() {
-            Some(Token::String(s)) => Ok(Datum::String(s)),
+            Some(Token::String(s)) => Ok(Datum::String(s.into_owned())),
             Some(Token::Number(n)) => {
                 if n.contains('.') {
                     Ok(Datum::Float(n.parse().map_err(|e| format!("{e}"))?))
@@ -828,7 +854,7 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
-            self.pos += 1;
+            self.bump();
             let rhs = self.add_expr()?;
             return Ok(Expr::BinOp {
                 op,
@@ -862,7 +888,7 @@ impl Parser {
                 Some(Token::Symbol('-')) => BinOp::Sub,
                 _ => break,
             };
-            self.pos += 1;
+            self.bump();
             let rhs = self.mul_expr()?;
             lhs = Expr::BinOp {
                 op,
@@ -882,7 +908,7 @@ impl Parser {
                 Some(Token::Symbol('%')) => BinOp::Mod,
                 _ => break,
             };
-            self.pos += 1;
+            self.bump();
             let rhs = self.atom()?;
             lhs = Expr::BinOp {
                 op,
@@ -916,7 +942,7 @@ impl Parser {
             return Ok(Expr::Case { whens, else_ });
         }
         match self.bump() {
-            Some(Token::String(s)) => Ok(self.maybe_cast(Expr::Lit(Datum::String(s)))),
+            Some(Token::String(s)) => Ok(self.maybe_cast(Expr::Lit(Datum::String(s.into_owned())))),
             Some(Token::Number(n)) => {
                 let d = if n.contains('.') {
                     Datum::Float(n.parse().map_err(|e| format!("{e}"))?)
@@ -945,19 +971,19 @@ impl Parser {
                         args,
                     })
                 } else {
-                    Ok(self.maybe_cast(Expr::Col(w)))
+                    Ok(self.maybe_cast(Expr::Col(w.to_string())))
                 }
             }
-            Some(Token::QuotedIdent(w)) => Ok(Expr::Col(w)),
+            Some(Token::QuotedIdent(w)) => Ok(Expr::Col(w.to_string())),
             t => Err(format!("expected expression, found {t:?}")),
         }
     }
 
     /// Accept and discard `::type` casts (values carry their type already).
     fn maybe_cast(&mut self, e: Expr) -> Expr {
-        if self.peek() == Some(&Token::Op("::")) {
-            self.pos += 1;
-            let _ = self.ident();
+        if self.eat(|t| *t == Token::Op("::")) {
+            // The type name, whatever token it is.
+            self.bump();
         }
         e
     }

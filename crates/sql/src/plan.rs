@@ -15,31 +15,48 @@
 //!    let the optimizer omit the checks entirely.
 
 use crate::ast::Expr;
-use crate::catalog::{Database, Index, Table, TableLocality};
+use crate::catalog::{Database, Index, RegionState, Table, TableLocality};
 use crate::encoding::IndexId;
 use crate::expr::{eval, extract_equalities, EvalEnv};
 use crate::types::Datum;
 
-/// Which partitions a lookup visits.
+/// Which partitions a lookup visits. A fan-out names the database's
+/// regions by borrowing its list: planning a read copies no region name.
 #[derive(Clone, PartialEq, Debug)]
-pub enum PartitionStrategy {
+pub enum PartitionStrategy<'a> {
     /// The index is unpartitioned, or the row's partition is known.
     Single(Option<String>),
-    /// Locality-optimized search: probe `local` first; fan out to `remote`
-    /// only if fewer than the row limit were found (§4.2).
-    LocalityOptimized { local: String, remote: Vec<String> },
-    /// No bound on result count and unknown region: visit everything.
-    AllPartitions(Vec<String>),
+    /// Locality-optimized search: probe `local` first; fan out to the rest
+    /// of `regions` ([`remote_regions`]) only if fewer than the row limit
+    /// were found (§4.2).
+    LocalityOptimized {
+        local: &'a str,
+        regions: &'a [RegionState],
+    },
+    /// No bound on result count and unknown region: visit every region.
+    AllPartitions(&'a [RegionState]),
 }
 
-/// A planned read.
+/// The regions of `regions` other than `local`, in order: where a
+/// locality-optimized search fans out to.
+pub fn remote_regions<'a>(
+    regions: &'a [RegionState],
+    local: &'a str,
+) -> impl Iterator<Item = &'a str> + 'a {
+    regions
+        .iter()
+        .map(|r| r.name.as_str())
+        .filter(move |r| *r != local)
+}
+
+/// A planned read of a table of the database `'a`.
 #[derive(Clone, Debug)]
-pub struct ReadPlan {
+pub struct ReadPlan<'a> {
     pub index_id: IndexId,
     /// One entry per key tuple to probe (IN lists expand combinatorially;
     /// in practice one).
     pub keys: Vec<Vec<Datum>>,
-    pub strategy: PartitionStrategy,
+    pub strategy: PartitionStrategy<'a>,
     /// Whether the chosen index key is fully bound and unique (≤1 row per
     /// probed key).
     pub unique: bool,
@@ -142,34 +159,44 @@ fn fully_bound_indexes<'t>(table: &'t Table, bound: &[(usize, Vec<Datum>)]) -> V
 }
 
 /// Expand the cartesian product of per-column values into key tuples, in
-/// index key-column order.
+/// index key-column order, the last column's values varying fastest. Each
+/// tuple is built once, at its size.
 fn expand_keys(index: &Index, bound: &[(usize, Vec<Datum>)]) -> Vec<Vec<Datum>> {
-    let mut keys: Vec<Vec<Datum>> = vec![Vec::new()];
-    for kc in &index.key_columns {
-        let vals = &bound
+    let values = |kc: &usize| -> &[Datum] {
+        let (_, vals) = bound
             .iter()
             .find(|(ord, _)| ord == kc)
-            .expect("index fully bound")
-            .1;
-        let mut next = Vec::with_capacity(keys.len() * vals.len());
-        for k in &keys {
-            for v in vals {
-                let mut k2 = k.clone();
-                k2.push(v.clone());
-                next.push(k2);
-            }
-        }
-        keys = next;
-    }
-    keys
+            .expect("index fully bound");
+        vals
+    };
+    let count: usize = index
+        .key_columns
+        .iter()
+        .map(|kc| values(kc).len())
+        .product();
+    (0..count)
+        .map(|i| {
+            // `i` in mixed radix: a column's digit counts the tuples of the
+            // columns after it.
+            let (mut rest, mut stride) = (i, count);
+            let digits = index.key_columns.iter().map(|kc| {
+                let vals = values(kc);
+                stride /= vals.len();
+                let v = &vals[rest / stride];
+                rest %= stride;
+                v.clone()
+            });
+            digits.collect()
+        })
+        .collect()
 }
 
 /// Plan a read of `table` given a predicate (already parsed). `prefer_local`
 /// selects among duplicate covering indexes (legacy duplicate-index
 /// topology): the caller passes the home-region resolver.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_read(
-    db: &Database,
+pub fn plan_read<'a>(
+    db: &'a Database,
     table: &Table,
     predicate: Option<&Expr>,
     limit: Option<u64>,
@@ -177,7 +204,7 @@ pub fn plan_read(
     los_enabled: bool,
     env: &mut EvalEnv<'_>,
     index_home_region: &mut dyn FnMut(&Index) -> Option<String>,
-) -> Result<ReadPlan, PlanError> {
+) -> Result<ReadPlan<'a>, PlanError> {
     let (bound, residual) = match predicate {
         Some(p) => extract_equalities(p, table),
         None => (Vec::new(), false),
@@ -192,20 +219,10 @@ pub fn plan_read(
         // count, so locality-optimized search still applies (§4.2): scan
         // the local partition first and fan out only if it comes up short.
         let strategy = match &table.locality {
-            TableLocality::RegionalByRow => {
-                let regions = db.all_regions();
-                if los_enabled && limit.is_some() && regions.iter().any(|r| r == gateway_region) {
-                    PartitionStrategy::LocalityOptimized {
-                        local: gateway_region.to_string(),
-                        remote: regions
-                            .into_iter()
-                            .filter(|r| r != gateway_region)
-                            .collect(),
-                    }
-                } else {
-                    PartitionStrategy::AllPartitions(regions)
-                }
+            TableLocality::RegionalByRow if los_enabled && limit.is_some() => {
+                fan_out(db, gateway_region)
             }
+            TableLocality::RegionalByRow => PartitionStrategy::AllPartitions(&db.regions),
             _ => PartitionStrategy::Single(None),
         };
         return Ok(ReadPlan {
@@ -237,28 +254,13 @@ pub fn plan_read(
         PartitionStrategy::Single(None)
     } else if let Some(region) = derive_region(table, &bound, env) {
         PartitionStrategy::Single(Some(region))
-    } else {
-        let regions = db.all_regions();
+    } else if los_enabled && (unique || limit.is_some()) {
         // LOS applies when the result count is bounded: a unique index probe
         // returns at most one row per key; a LIMIT bounds any lookup (§4.2).
         // The `Unoptimized` baseline of §7.2.1 disables it.
-        if los_enabled && (unique || limit.is_some()) {
-            let remote: Vec<String> = regions
-                .iter()
-                .filter(|r| r.as_str() != gateway_region)
-                .cloned()
-                .collect();
-            if regions.iter().any(|r| r == gateway_region) {
-                PartitionStrategy::LocalityOptimized {
-                    local: gateway_region.to_string(),
-                    remote,
-                }
-            } else {
-                PartitionStrategy::AllPartitions(regions)
-            }
-        } else {
-            PartitionStrategy::AllPartitions(regions)
-        }
+        fan_out(db, gateway_region)
+    } else {
+        PartitionStrategy::AllPartitions(&db.regions)
     };
 
     Ok(ReadPlan {
@@ -268,6 +270,18 @@ pub fn plan_read(
         unique,
         residual,
     })
+}
+
+/// A bounded lookup of unknown region: locality-optimized search from the
+/// gateway's region, or every region if the database lacks it.
+fn fan_out<'a>(db: &'a Database, gateway_region: &str) -> PartitionStrategy<'a> {
+    match db.regions.iter().find(|r| r.name == gateway_region) {
+        Some(local) => PartitionStrategy::LocalityOptimized {
+            local: &local.name,
+            regions: &db.regions,
+        },
+        None => PartitionStrategy::AllPartitions(&db.regions),
+    }
 }
 
 /// Plan the uniqueness checks for writing `row` into `table` (§4.1).
@@ -485,7 +499,13 @@ mod tests {
         }
     }
 
-    fn plan(table: &Table, sql_where: &str, limit: Option<u64>, gateway: &str) -> ReadPlan {
+    fn plan<'a>(
+        db: &'a Database,
+        table: &Table,
+        sql_where: &str,
+        limit: Option<u64>,
+        gateway: &str,
+    ) -> ReadPlan<'a> {
         let stmt = parse(&format!("SELECT * FROM users WHERE {sql_where}")).unwrap();
         let pred = match stmt {
             crate::ast::Stmt::Select { predicate, .. } => predicate,
@@ -497,7 +517,7 @@ mod tests {
             uuid_source: &mut src,
         };
         plan_read(
-            &database(),
+            db,
             table,
             pred.as_ref(),
             limit,
@@ -510,14 +530,33 @@ mod tests {
     }
 
     #[test]
+    fn keys_expand_with_the_last_column_fastest() {
+        let idx = index(9, "k", vec![2, 0], false, false);
+        let (int, s) = (Datum::Int, |v: &str| Datum::String(v.into()));
+        let bound = [(0, vec![s("a"), s("b"), s("c")]), (2, vec![int(1), int(2)])];
+        let keys = expand_keys(&idx, &bound);
+        let want: Vec<Vec<Datum>> = [1, 2]
+            .into_iter()
+            .flat_map(|i| ["a", "b", "c"].map(|v| vec![int(i), s(v)]))
+            .collect();
+        assert_eq!(keys, want);
+        let empty = [(0, vec![]), (2, vec![int(1)])];
+        assert!(expand_keys(&idx, &empty).is_empty());
+        let no_columns = index(9, "none", vec![], false, false);
+        assert_eq!(expand_keys(&no_columns, &[]), vec![Vec::<Datum>::new()]);
+    }
+
+    #[test]
     fn unique_lookup_uses_los_when_region_unknown() {
         let t = rbr_table(None);
-        let p = plan(&t, "email = 'a@b.c'", None, "r1");
+        let db = database();
+        let p = plan(&db, &t, "email = 'a@b.c'", None, "r1");
         assert_eq!(p.index_id, 2);
         assert!(p.unique);
         match p.strategy {
-            PartitionStrategy::LocalityOptimized { local, remote } => {
+            PartitionStrategy::LocalityOptimized { local, regions } => {
                 assert_eq!(local, "r1");
+                let remote: Vec<&str> = remote_regions(regions, local).collect();
                 assert_eq!(remote, vec!["r0", "r2"]);
             }
             s => panic!("expected LOS, got {s:?}"),
@@ -527,18 +566,20 @@ mod tests {
     #[test]
     fn bound_region_goes_to_single_partition() {
         let t = rbr_table(None);
-        let p = plan(&t, "id = 5 AND crdb_region = 'r2'", None, "r0");
+        let db = database();
+        let p = plan(&db, &t, "id = 5 AND crdb_region = 'r2'", None, "r0");
         assert_eq!(p.strategy, PartitionStrategy::Single(Some("r2".into())));
     }
 
     #[test]
     fn computed_region_derived_from_determinants() {
         let t = rbr_table(Some("CASE WHEN name = 'west' THEN 'r2' ELSE 'r0' END"));
+        let db = database();
         // Determinant (name) bound: partition computable.
-        let p = plan(&t, "id = 5 AND name = 'west'", None, "r1");
+        let p = plan(&db, &t, "id = 5 AND name = 'west'", None, "r1");
         assert_eq!(p.strategy, PartitionStrategy::Single(Some("r2".into())));
         // Determinant unbound: fall back to LOS (pk is unique).
-        let p = plan(&t, "id = 5", None, "r1");
+        let p = plan(&db, &t, "id = 5", None, "r1");
         assert!(matches!(
             p.strategy,
             PartitionStrategy::LocalityOptimized { .. }
@@ -548,11 +589,12 @@ mod tests {
     #[test]
     fn unbounded_scan_visits_all_partitions_unless_limited() {
         let t = rbr_table(None);
-        let p = plan(&t, "name = 'x'", None, "r0");
+        let db = database();
+        let p = plan(&db, &t, "name = 'x'", None, "r0");
         assert!(matches!(p.strategy, PartitionStrategy::AllPartitions(_)));
         assert!(p.residual);
         // A LIMIT bounds the row count: LOS applies (§4.2).
-        let p = plan(&t, "name = 'x'", Some(3), "r0");
+        let p = plan(&db, &t, "name = 'x'", Some(3), "r0");
         assert!(matches!(
             p.strategy,
             PartitionStrategy::LocalityOptimized { .. }
@@ -572,8 +614,9 @@ mod tests {
             gateway_region: "r1",
             uuid_source: &mut src,
         };
+        let db = database();
         let p = plan_read(
-            &database(),
+            &db,
             &t,
             pred.as_ref(),
             None,
@@ -606,8 +649,9 @@ mod tests {
             uuid_source: &mut src,
         };
         let homes: HashMap<u32, &str> = [(2u32, "r0"), (3u32, "r2")].into_iter().collect();
+        let db = database();
         let p = plan_read(
-            &database(),
+            &db,
             &t,
             pred.as_ref(),
             None,

@@ -23,28 +23,22 @@ pub struct Version {
     pub value: Option<Value>,
 }
 
-/// Latest version at or below `ts` in a newest-first version list. Binary
+/// Latest version at or below `ts` in an oldest-first version list. Binary
 /// search keeps hot keys (long lists) cheap.
 pub(crate) fn visible_at(versions: &[Version], ts: Timestamp) -> Option<&Version> {
-    versions.get(versions.partition_point(|v| v.ts > ts))
+    let above = versions.partition_point(|v| v.ts <= ts);
+    above.checked_sub(1).map(|i| &versions[i])
 }
 
-/// Earliest version strictly above `lo` and at or below `hi` in a
-/// newest-first version list.
+/// Earliest version strictly above `lo` and at or below `hi` in an
+/// oldest-first version list.
 pub(crate) fn committed_in(versions: &[Version], lo: Timestamp, hi: Timestamp) -> Option<&Version> {
-    // Everything before `start` is above `hi`, everything from `end` on is
-    // at or below `lo`.
-    let start = versions.partition_point(|v| v.ts > hi);
-    let end = versions.partition_point(|v| v.ts > lo);
-    if start < end {
-        versions.get(end - 1)
-    } else {
-        None
-    }
+    let first_above = versions.partition_point(|v| v.ts <= lo);
+    versions.get(first_above).filter(|v| v.ts <= hi)
 }
 
 /// The MVCC point-read over one key's merged state — the memtable's intent
-/// plus the newest-first version list of every source holding the key (in
+/// plus the oldest-first version list of every source holding the key (in
 /// any order; nothing is copied): own-intent read-your-writes,
 /// foreign-intent conflicts, uncertainty-interval restarts, then snapshot
 /// visibility. The single source of truth for every read the LSM engine
@@ -112,7 +106,8 @@ pub(crate) fn read_merged<'a>(
 }
 
 /// One key's state in the memtable: an optional intent plus committed
-/// versions, newest first.
+/// versions, oldest first — a commit, nearly always the newest version,
+/// pushes at the end.
 #[derive(Clone, Debug, Default)]
 pub struct VersionChain {
     pub intent: Option<Intent>,
@@ -121,16 +116,21 @@ pub struct VersionChain {
 
 impl VersionChain {
     pub fn latest_ts(&self) -> Option<Timestamp> {
-        self.versions.first().map(|v| v.ts)
+        self.versions.last().map(|v| v.ts)
     }
 
-    /// Insert keeping newest-first order. An exact-timestamp duplicate is
-    /// dropped: the same `(key, ts)` can only ever carry the same value
-    /// (MVCC forbids two commits at one timestamp on one key), so a replayed
-    /// op that is already in the checkpoint image changes nothing. Returns
-    /// whether a version was added.
+    /// Insert keeping oldest-first order: a push when `ts` is the newest,
+    /// the common case; otherwise (a replayed resolve below the newest
+    /// version) it lands in order. An exact-timestamp duplicate is dropped:
+    /// the same `(key, ts)` can only ever carry the same value (MVCC forbids
+    /// two commits at one timestamp on one key), so a replayed op that is
+    /// already in the checkpoint image changes nothing. Returns whether a
+    /// version was added.
     pub fn insert_version(&mut self, ts: Timestamp, value: Option<Value>) -> bool {
-        let pos = self.versions.partition_point(|v| v.ts > ts);
+        let pos = match self.versions.last() {
+            Some(newest) if newest.ts >= ts => self.versions.partition_point(|v| v.ts < ts),
+            _ => self.versions.len(),
+        };
         if self.versions.get(pos).is_some_and(|v| v.ts == ts) {
             return false;
         }
@@ -387,11 +387,11 @@ impl MvccStore {
     pub fn gc_with(&mut self, threshold: Timestamp, drop_tombstones: bool) -> usize {
         let mut removed = 0;
         self.data.retain(|_, chain| {
-            let keep_from = chain.versions.partition_point(|v| v.ts > threshold);
             // Keep everything above the threshold plus one version at/below.
-            let keep = (keep_from + 1).min(chain.versions.len());
-            removed += chain.versions.len() - keep;
-            chain.versions.truncate(keep);
+            let at_or_below = chain.versions.partition_point(|v| v.ts <= threshold);
+            let shadowed = at_or_below.saturating_sub(1);
+            removed += shadowed;
+            chain.versions.drain(..shadowed);
             // Drop fully-tombstoned singleton chains.
             if drop_tombstones
                 && chain.intent.is_none()

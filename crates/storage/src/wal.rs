@@ -320,7 +320,8 @@ pub mod codec {
         put_bytes(out, image);
     }
 
-    /// Head of an entry record's payload; its `ops` encoded ops follow.
+    /// Head of an entry record's payload; its `ops` encoded ops follow. Every
+    /// field is fixed-width, so the head is the same size whatever it says.
     pub fn put_entry_header(out: &mut Vec<u8>, apply_index: u64, closed_ts: Timestamp, ops: u32) {
         out.push(1);
         put_u64(out, apply_index);
@@ -412,9 +413,18 @@ pub fn replay(bytes: &[u8]) -> ReplayOutcome {
 
 /// The per-replica write-ahead log: an append-only byte buffer plus the
 /// fsync pointer separating the durable prefix from the volatile tail.
+///
+/// The entry record of the Raft entry being applied is written in place: its
+/// first op opens a frame at the end of the buffer, with room for the frame
+/// and entry headers, and every op encodes straight into it
+/// ([`Wal::entry_op`]); [`Wal::seal_entry`] fills the headers in. Until then
+/// the open frame is no part of the log: reads, syncs and crashes see the
+/// sealed records only, and a checkpoint or crash drops it.
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
     buf: Vec<u8>,
+    /// The open entry frame, if an op has been encoded since the last seal.
+    open: Option<OpenEntry>,
     /// Bytes at or below this offset survive a crash.
     durable_len: usize,
     /// Total records appended since the last truncation.
@@ -423,6 +433,13 @@ pub struct Wal {
     /// have been issued — the "fsync-point markers" chaos forensics read.
     pub last_sync_nanos: u64,
     pub syncs: u64,
+}
+
+/// Where an open entry frame starts, and how many ops are encoded into it.
+#[derive(Clone, Copy, Debug)]
+struct OpenEntry {
+    at: usize,
+    ops: u32,
 }
 
 impl Wal {
@@ -434,9 +451,48 @@ impl Wal {
     /// into the log (the frame header is filled in behind it). Volatile
     /// until the next sync.
     pub fn append(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        debug_assert!(self.open.is_none(), "a record appended inside an entry");
         let frame = self.buf.len();
         self.buf.extend_from_slice(&[0; 8]);
         write(&mut self.buf);
+        self.close_frame(frame);
+    }
+
+    /// The buffer the next op of the entry being applied is encoded into:
+    /// the end of the log, inside the entry's open frame.
+    pub fn entry_op(&mut self) -> &mut Vec<u8> {
+        self.open_entry().ops += 1;
+        &mut self.buf
+    }
+
+    /// Seal the open entry frame — an empty one if no op was encoded — into
+    /// the record of Raft entry `apply_index`. Volatile until the next sync.
+    pub fn seal_entry(&mut self, apply_index: u64, closed_ts: Timestamp) {
+        let OpenEntry { at, ops } = *self.open_entry();
+        self.open = None;
+        // Write the head behind the ops and move it over the placeholder
+        // (the same size: every field is fixed-width).
+        let end = self.buf.len();
+        codec::put_entry_header(&mut self.buf, apply_index, closed_ts, ops);
+        self.buf.copy_within(end.., at + 8);
+        self.buf.truncate(end);
+        self.close_frame(at);
+    }
+
+    /// The open entry frame, opened at the end of the log with placeholder
+    /// headers if there is none.
+    fn open_entry(&mut self) -> &mut OpenEntry {
+        let at = self.buf.len();
+        if self.open.is_none() {
+            self.buf.extend_from_slice(&[0; 8]);
+            codec::put_entry_header(&mut self.buf, 0, Timestamp::ZERO, 0);
+        }
+        self.open.get_or_insert(OpenEntry { at, ops: 0 })
+    }
+
+    /// Fill in the header of the frame at `frame`, which runs to the end of
+    /// the buffer.
+    fn close_frame(&mut self, frame: usize) {
         let payload = &self.buf[frame + 8..];
         let (len, crc) = (payload.len() as u32, crc32(payload));
         self.buf[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
@@ -444,35 +500,46 @@ impl Wal {
         self.records += 1;
     }
 
-    /// Advance the fsync pointer to the current end of log, marking the
-    /// point in sim-time.
+    /// Drop the open entry frame, if any: its ops never reach the log.
+    fn drop_open(&mut self) {
+        if let Some(open) = self.open.take() {
+            self.buf.truncate(open.at);
+        }
+    }
+
+    /// Advance the fsync pointer to the end of the sealed records, marking
+    /// the point in sim-time.
     pub fn sync(&mut self, now_nanos: u64) {
-        self.durable_len = self.buf.len();
+        self.durable_len = self.len();
         self.last_sync_nanos = now_nanos;
         self.syncs += 1;
     }
 
-    /// Simulate the crash: the unsynced tail is gone.
+    /// Simulate the crash: the unsynced tail, and any open entry, is gone.
     pub fn crash(&mut self) {
+        self.drop_open();
         self.buf.truncate(self.durable_len);
     }
 
-    /// Replace the entire log with a single (durable) checkpoint record.
+    /// Replace the entire log with a single (durable) checkpoint record. An
+    /// open entry is dropped: the checkpoint holds what its ops did.
     pub fn reset_to_checkpoint(&mut self, image: &[u8], now_nanos: u64) {
+        self.open = None;
         self.buf.clear();
         self.records = 0;
         self.append(|out| codec::put_checkpoint(out, image));
         self.sync(now_nanos);
     }
 
+    /// The sealed records.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.len()]
     }
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.open.map_or(self.buf.len(), |open| open.at)
     }
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
     pub fn durable_len(&self) -> usize {
         self.durable_len
@@ -484,6 +551,7 @@ impl Wal {
     /// Test hook: crash with the durability horizon forced to `len` bytes
     /// (simulates a torn write ending mid-frame).
     pub fn crash_at(&mut self, len: usize) {
+        self.drop_open();
         self.buf.truncate(len.min(self.buf.len()));
         self.durable_len = self.buf.len();
     }
@@ -496,11 +564,12 @@ impl Wal {
     /// Byte offsets of every frame boundary in the current log, including
     /// 0 and the final length — the crash points the recovery test sweeps.
     pub fn frame_boundaries(&self) -> Vec<usize> {
+        let bytes = self.bytes();
         let mut out = vec![0];
         let mut pos = 0usize;
-        while let Some(len) = self.buf.get(pos..pos + 8).and_then(le_u32) {
+        while let Some(len) = bytes.get(pos..pos + 8).and_then(le_u32) {
             let end = pos + 8 + len as usize;
-            if end > self.buf.len() {
+            if end > bytes.len() {
                 break;
             }
             out.push(end);

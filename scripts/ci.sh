@@ -120,15 +120,19 @@ echo "==> allocation and RSS ratchets: host.allocs_per_op, host.alloc_bytes_per_
 # ratchet: a change that removes allocations lowers them, one that adds them
 # back fails. `tpcc_nothink` read 2,235.9 while every index key cloned its
 # columns and regrew its buffer, 2,134.6 since a key is encoded from the row
-# into one buffer sized for it, and 2,045.0 since a Raft append carries a view
-# of the leader's log instead of a copy of every unacked entry.
+# into one buffer sized for it, 2,045.0 since a Raft append carries a view
+# of the leader's log instead of a copy of every unacked entry, and 1,613.8
+# since the SQL lexer's tokens borrow the statement text (no `String` per
+# token, no token `Vec`) and a planned key tuple is built once at its size;
+# `global_ycsb_b` read 65.2 before that change and 54.2 since.
 #
 # Bytes allocated per operation gate that copy: an append re-covers its
 # follower's whole unacked window (34 entries on `regional_ycsb_a`, 25 on
 # `tpcc_nothink`), so a per-message copy of it coming back shows up in bytes
 # long before it shows up in counts. `regional_ycsb_a` read 30,192 B per op
 # and `tpcc_nothink` 371,178 B while every append cloned its window, 15,958
-# and 305,874 B since.
+# and 305,874 B since; `tpcc_nothink` 268,471 B once the lexer stopped copying
+# every word of every statement.
 #
 # Peak RSS on `wide_idle` (260 ranges x 28 replicas, nearly no traffic) is
 # what range state costs once per range plus what each of the 7,280 replicas
@@ -168,28 +172,30 @@ ledger_ceilings() {
         echo "$workload: $got $what (ceiling $ceiling)"
     done
 }
-ledger_ceilings global_ycsb_b host.allocs_per_op 71 "allocations per op"
+ledger_ceilings global_ycsb_b host.allocs_per_op 59 "allocations per op"
 ledger_ceilings tpcc_nothink \
-    host.allocs_per_op 2249 "allocations per op" \
-    host.alloc_bytes_per_op 336500 "bytes allocated per op"
+    host.allocs_per_op 1775 "allocations per op" \
+    host.alloc_bytes_per_op 295300 "bytes allocated per op"
 # `regional_ycsb_a` read 111.0 allocations per op while index keys cloned
-# their columns, 109.5 since, and 99.3 since Raft appends stopped copying.
+# their columns, 109.5 since, 99.3 since Raft appends stopped copying, and
+# 87.7 since the lexer borrows the statement text.
 ledger_ceilings regional_ycsb_a \
     peak_rss_mb 26 "MiB peak RSS" \
-    host.allocs_per_op 109 "allocations per op" \
+    host.allocs_per_op 96 "allocations per op" \
     host.alloc_bytes_per_op 17560 "bytes allocated per op"
 # The idle run counted in allocations: 477.7 per op while every
 # side-transport tick built a `Vec` of updates per (sender, destination)
 # pair, 310.2 with one shared batch per sender, 259.1 once index keys stopped
 # regrowing their buffers, 255.3 once Raft appends stopped copying their
-# window. A per-replica or per-pair allocation
+# window, 185.0 once a read plan borrowed the database's 26 region names
+# instead of cloning each twice. A per-replica or per-pair allocation
 # on a periodic path shows up here as a count. Counted in calendar events:
 # 74.4 per op while every side-transport delivery was an event, 16.4 since a
 # batch that repeats its sender's previous one waits in the receiver's inbox
 # instead. A per-link event per tick coming back shows up here.
 ledger_ceilings wide_idle \
     peak_rss_mb 40 "MiB peak RSS" \
-    host.allocs_per_op 280 "allocations per op" \
+    host.allocs_per_op 203 "allocations per op" \
     sim.events_per_op 18 "calendar events per op"
 
 echo "==> strict-monitor perf_probe smoke"
