@@ -26,6 +26,7 @@
 mod leases;
 mod lifecycle;
 mod maintenance;
+mod replicas;
 mod transport;
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -41,7 +42,7 @@ use mr_storage::{ProtectedTimestamps, SortedRun};
 
 use crate::allocator::{allocate, AllocError};
 use crate::attribution::{self, TxnAttrLog};
-use crate::closedts::{ClosedTsParams, SideBatch, SideRx};
+use crate::closedts::{ClosedTsParams, SideBatch, SideEntry, SideRx};
 use crate::events::{EventKind, EventLog};
 use crate::metrics::KvMetrics;
 use crate::range::{RangeDescriptor, RangeLineage, RangeMeta, RangeRegistry};
@@ -51,6 +52,7 @@ use crate::txn::TxnState;
 use crate::zone::ZoneConfig;
 
 use lifecycle::LifecycleStats;
+pub use replicas::Replicas;
 use transport::{Envelope, Transport};
 
 /// Result alias for KV operations.
@@ -300,13 +302,23 @@ impl Default for ReadOptions {
     }
 }
 
+/// What a node's side-transport sender keeps from one tick to the next:
+/// the lines of the batch it builds, and the nodes that follow any of those
+/// ranges — a set that stands while the batch lists the same ranges and no
+/// descriptor changed.
+#[derive(Default)]
+struct SideOut {
+    lines: Vec<SideEntry>,
+    follows: Vec<bool>,
+}
+
 /// One simulated node: clock + replicas.
 pub struct Node {
     pub id: NodeId,
     pub hlc: Hlc,
     /// Ordered by range id: every per-node walk (Raft tick, crash
     /// recovery) visits replicas in the order that fixes RNG draws.
-    pub replicas: BTreeMap<RangeId, Replica>,
+    pub replicas: Replicas,
     /// Side-transport inbox: promises that have arrived, or are in flight
     /// without an event, but that a replica takes in only when its closed
     /// timestamp is read — through [`Node::settle`] or [`SideRx::at`], which
@@ -498,6 +510,11 @@ pub struct Cluster {
     /// can tell a newer promise from an older one whatever order they
     /// arrive in, and a tracker which ones it has already taken in.
     side_tick: u64,
+    /// The side-transport sender's per-node buffers, kept across ticks.
+    side_out: Vec<SideOut>,
+    /// [`RangeRegistry::changes`] when the `side_out` follower sets were
+    /// last current.
+    side_out_at: u64,
 }
 
 impl Cluster {
@@ -526,7 +543,7 @@ impl Cluster {
                 Node {
                     id,
                     hlc: Hlc::new(SkewedClock::new(skew)),
-                    replicas: BTreeMap::new(),
+                    replicas: Replicas::default(),
                     side_rx: SideRx::default(),
                     side_sent: None,
                     awake: BTreeSet::new(),
@@ -562,6 +579,8 @@ impl Cluster {
             lifecycle: LifecycleStats::default(),
             protected: ProtectedTimestamps::new(),
             side_tick: 0,
+            side_out: Vec::new(),
+            side_out_at: 0,
         };
         c.queue.schedule(RAFT_TICK_INTERVAL, Event::RaftTick);
         c.queue
@@ -744,7 +763,7 @@ impl Cluster {
         let bound = hlc_now.add_duration(max_off);
         let node = &mut self.nodes[n.0 as usize];
         node.side_rx.clear();
-        for (&range, rep) in &mut node.replicas {
+        for (&range, rep) in node.replicas.iter_mut() {
             let conservative = bound.forward(params.target(rep.policy, bound));
             let info = rep.crash_volatile(conservative, drop_log);
             self.events.record(

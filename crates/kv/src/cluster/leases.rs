@@ -27,22 +27,19 @@ impl Cluster {
         let (promised, old_hlc) = {
             let node = &mut self.nodes[old.0 as usize];
             let hlc_now = node.hlc.now(now);
-            let rep = node.replicas.get_mut(&range).expect("leaseholder replica");
+            let rep = &mut node.replicas[&range];
             (rep.lease.promised(), hlc_now)
         };
         // Raft leadership transfer.
         let msgs = {
-            let rep = self.nodes[old.0 as usize].replicas.get_mut(&range).unwrap();
+            let rep = &mut self.nodes[old.0 as usize].replicas[&range];
             let target_peer = rep.peer_for_node(to).expect("target peer");
             rep.raft.transfer_leadership(target_peer)
         };
         self.dispatch_raft_msgs(old, range, msgs);
         // Lease metadata.
         {
-            let rep = self.nodes[to.0 as usize]
-                .replicas
-                .get_mut(&range)
-                .expect("target replica");
+            let rep = &mut self.nodes[to.0 as usize].replicas[&range];
             rep.lease.inherit(promised);
             rep.tscache
                 .raise_low_water(old_hlc.add_duration(self.cfg.clock.max_offset));
@@ -144,7 +141,7 @@ impl Cluster {
         let now = self.queue.now();
         let msgs = {
             let n = &mut self.nodes[node.0 as usize];
-            let rep = n.replicas.get_mut(&range).unwrap();
+            let rep = &mut n.replicas[&range];
             rep.maybe_propose_lease_claim(now, n.side_rx.at(self.queue.key()))
         };
         self.dispatch_raft_msgs(node, range, msgs);

@@ -7,7 +7,8 @@
 //! order of RNG draws (link jitter) that same-seed determinism, and the
 //! chaos history replays built on it, depend on. The Raft tick walks only
 //! each node's awake replicas, in the same range order: the ones it skips
-//! would emit nothing.
+//! would emit nothing. The scrape emits nothing and draws nothing: it walks
+//! nodes × replicas, the order in which each replica is nearest at hand.
 
 use std::rc::Rc;
 
@@ -15,8 +16,10 @@ use mr_proto::RangeId;
 use mr_raft::{Peer, RaftMsg};
 use mr_sim::{Link, NodeId, SimDuration, Topology};
 
-use super::{Cluster, Event, InjectedBug, Node, RAFT_TICK_INTERVAL, SIDE_TRANSPORT_INTERVAL};
-use crate::closedts::{repeats, SideBatch, SideEntry};
+use super::{
+    Cluster, Event, InjectedBug, Node, SideOut, RAFT_TICK_INTERVAL, SIDE_TRANSPORT_INTERVAL,
+};
+use crate::closedts::{repeats, SideBatch};
 use crate::metrics::ScrapeStats;
 use crate::range::RangeRegistry;
 use crate::replica::{Batch, Effect, Replica};
@@ -246,18 +249,39 @@ impl Cluster {
             trace_dropped_spans: self.obs.tracer.dropped() as i64,
             ..ScrapeStats::default()
         };
-        for d in self.registry.iter() {
-            // Worst (largest) closed-timestamp lag across replicas, split
-            // by policy. Negative values mean the closed frontier leads
-            // present time, as lead-policy (GLOBAL) ranges are designed to.
-            let worst_lag = if d.zone_config.closed_ts_policy == ClosedTsPolicy::Lead {
-                &mut s.closedts_worst_lead
-            } else {
-                &mut s.closedts_worst_lag
-            };
-            for n in d.replica_nodes() {
-                let Some(rep) = self.nodes[n.0 as usize].settle(d.id, key) else {
+        // Each replica is reached from its node, in range order, with the
+        // node's inbox at hand to settle it; a node holds a replica of a
+        // range exactly while the range's descriptor places one there. What
+        // the walk needs of the descriptors is read once, in range order.
+        let ranges: Vec<(RangeId, ClosedTsPolicy, NodeId)> = (self.registry.iter())
+            .map(|d| (d.id, d.zone_config.closed_ts_policy, d.leaseholder))
+            .collect();
+        let Cluster { nodes, obs, m, .. } = self;
+        for node in nodes.iter_mut() {
+            let Node {
+                id: n,
+                replicas,
+                side_rx,
+                ..
+            } = node;
+            let (n, rx) = (*n, side_rx.at(key));
+            let mut at = 0;
+            for (&id, rep) in replicas.iter_mut() {
+                while ranges.get(at).is_some_and(|r| r.0 < id) {
+                    at += 1;
+                }
+                let Some(&(_, policy, leaseholder)) = ranges.get(at).filter(|r| r.0 == id) else {
                     continue;
+                };
+                rep.settle(rx);
+                // Worst (largest) closed-timestamp lag across replicas,
+                // split by policy. Negative values mean the closed frontier
+                // leads present time, as lead-policy (GLOBAL) ranges are
+                // designed to.
+                let worst_lag = if policy == ClosedTsPolicy::Lead {
+                    &mut s.closedts_worst_lead
+                } else {
+                    &mut s.closedts_worst_lag
                 };
                 let lag = rep.tracker.lag_nanos(now.nanos());
                 *worst_lag = Some(worst_lag.map_or(lag, |w| w.max(lag)));
@@ -265,29 +289,29 @@ impl Cluster {
                 // move backwards between scrapes (trackers only `forward`).
                 let wall = rep.tracker.closed().wall;
                 if let Some(prev) = rep.monitor_closed.replace(wall) {
-                    self.obs.monitors.check(
-                        &self.obs.registry,
+                    obs.monitors.check(
+                        &obs.registry,
                         "closed_ts_monotonic",
                         now,
                         wall >= prev,
                         || {
                             format!(
-                                "range {} replica n{}: closed frontier regressed {prev} -> {wall}",
-                                d.id, n.0
+                                "range {id} replica n{}: closed frontier regressed {prev} -> {wall}",
+                                n.0
                             )
                         },
                     );
                 }
-                if n == d.leaseholder {
+                if n == leaseholder {
                     s.lock_waiters += rep.locks.total_waiters() as i64;
                     s.locked_keys += rep.locks.locked_key_count() as i64;
                 }
                 // Group-commit accounting: drain the batch occupancy
                 // recorded since the last scrape, and count quiesced leaders.
                 for batch in rep.take_prop_occupancy() {
-                    self.m.batch_occupancy.record(batch as u64);
-                    self.m.proposals_batched.add(batch as u64);
-                    self.m.entries_proposed.inc();
+                    m.batch_occupancy.record(batch as u64);
+                    m.proposals_batched.add(batch as u64);
+                    m.entries_proposed.inc();
                 }
                 if rep.raft.is_leader() && rep.raft.is_quiesced() {
                     s.quiesced_ranges += 1;
@@ -322,9 +346,13 @@ impl Cluster {
         // The CRDB side transport is node-to-node, not per-range: a sender
         // builds one batch — every range it leads and holds the lease of,
         // in registry order — and ships that same batch to each node that
-        // follows any of them.
+        // follows any of them. The buffers are the last tick's.
         let n = self.nodes.len();
-        let mut senders: Vec<(Vec<SideEntry>, Vec<bool>)> = vec![Default::default(); n];
+        let mut senders = std::mem::take(&mut self.side_out);
+        senders.resize_with(n, SideOut::default);
+        for out in &mut senders {
+            out.lines.clear();
+        }
         for d in self.registry.iter() {
             let (lh, policy) = (d.leaseholder, d.zone_config.closed_ts_policy);
             if !self.topo.is_node_alive(lh) {
@@ -343,27 +371,36 @@ impl Cluster {
             // The leaseholder's own tracker advances immediately.
             let applied = rep.raft.applied_index();
             rep.tracker.on_side_transport(target, index, applied);
-            let (batch, follows) = &mut senders[lh.0 as usize];
-            batch.push((d.id, target, index));
-            follows.resize(n, false);
-            for follower in d.replica_nodes().filter(|&f| f != lh) {
-                follows[follower.0 as usize] = true;
-            }
+            senders[lh.0 as usize].lines.push((d.id, target, index));
         }
         let tick = self.side_tick;
+        let descriptors_moved = self.side_out_at != self.registry.changes();
+        self.side_out_at = self.registry.changes();
         // Shipped in (from, to) order: the order of the link-jitter draws.
         // Every delivery takes its calendar key here; a repeat of the
         // sender's previous batch waits in the receiver's inbox instead of on
         // the calendar when the inbox can hold it (`SideRx::send`).
-        for (from, (batch, follows)) in senders.into_iter().enumerate() {
-            let updates = (!batch.is_empty()).then(|| SideBatch::from(batch));
+        for (from, out) in senders.iter_mut().enumerate() {
+            let updates = (!out.lines.is_empty()).then(|| SideBatch::from(&out.lines[..]));
             let prev = std::mem::replace(&mut self.nodes[from].side_sent, updates.clone());
             let Some(updates) = updates else {
                 continue;
             };
+            let same_ranges = prev.as_ref().is_some_and(|p| {
+                p.len() == updates.len() && p.iter().zip(updates.iter()).all(|(a, b)| a.0 == b.0)
+            });
+            if descriptors_moved || !same_ranges || out.follows.len() != n {
+                out.follows.clear();
+                out.follows.resize(n, false);
+                for d in updates.iter().filter_map(|e| self.registry.get(e.0)) {
+                    for follower in d.replica_nodes().filter(|f| f.0 as usize != from) {
+                        out.follows[follower.0 as usize] = true;
+                    }
+                }
+            }
             let repeat = prev.is_some_and(|p| repeats(&p, &updates));
             let from = NodeId(from as u32);
-            for to in (0..n).filter(|&to| follows[to]) {
+            for to in (0..n).filter(|&to| out.follows[to]) {
                 let to = NodeId(to as u32);
                 let Link::Deliver(d) = self.topo.link(from, to, &mut self.rng) else {
                     continue;
@@ -385,6 +422,7 @@ impl Cluster {
                 self.resend_evicted(to);
             }
         }
+        self.side_out = senders;
     }
 
     /// A batch lands in `to`'s inbox. Only the replicas whose range the

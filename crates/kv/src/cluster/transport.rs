@@ -1,7 +1,7 @@
 //! RPC and Raft transport: the in-flight request table, request/response
 //! delivery over the simulated links, and Raft message fan-out.
 
-use std::collections::HashMap;
+use mr_proto::hash::LookupMap;
 
 use mr_clock::Timestamp;
 use mr_obs::SpanId;
@@ -57,14 +57,14 @@ impl InFlightRpc {
 /// Looked up by id only — never iterated — so hash order cannot leak into
 /// the simulation.
 pub(super) struct Transport {
-    inflight: HashMap<u64, InFlightRpc>,
+    inflight: LookupMap<u64, InFlightRpc>,
     next_req: u64,
 }
 
 impl Transport {
     pub(super) fn new() -> Transport {
         Transport {
-            inflight: HashMap::new(),
+            inflight: LookupMap::default(),
             next_req: 1,
         }
     }

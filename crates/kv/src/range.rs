@@ -164,6 +164,8 @@ pub struct RangeRegistry {
     by_start: BTreeMap<Key, RangeId>,
     ranges: BTreeMap<RangeId, RangeDescriptor>,
     next_id: u64,
+    /// Bumped by every call that can change a descriptor.
+    changes: u64,
 }
 
 impl RangeRegistry {
@@ -172,6 +174,7 @@ impl RangeRegistry {
             by_start: BTreeMap::new(),
             ranges: BTreeMap::new(),
             next_id: 1,
+            changes: 0,
         }
     }
 
@@ -189,9 +192,11 @@ impl RangeRegistry {
         }
         self.by_start.insert(desc.span.start.clone(), desc.id);
         self.ranges.insert(desc.id, desc);
+        self.changes += 1;
     }
 
     pub fn remove(&mut self, id: RangeId) -> Option<RangeDescriptor> {
+        self.changes += 1;
         let desc = self.ranges.remove(&id)?;
         self.by_start.remove(&desc.span.start);
         Some(desc)
@@ -202,7 +207,14 @@ impl RangeRegistry {
     }
 
     pub fn get_mut(&mut self, id: RangeId) -> Option<&mut RangeDescriptor> {
+        self.changes += 1;
         self.ranges.get_mut(&id)
+    }
+
+    /// How many times a descriptor may have changed: what was derived from
+    /// the descriptors still holds while this reads the same.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// The range containing `key`.

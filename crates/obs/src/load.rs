@@ -119,9 +119,10 @@ struct RangeLoad {
     /// that carried them), newest last. Feeds
     /// [`LoadRecorder::split_key_suggestion`].
     key_samples: std::collections::VecDeque<Bytes>,
-    /// Decayed request rate per gateway region, keyed by region index.
-    /// Feeds [`LoadRecorder::dominant_region`] (lease rebalancing).
-    gateway: BTreeMap<u32, DecayedCounter>,
+    /// Decayed request rate per gateway region, indexed by region (a
+    /// region that sent nothing has no counter). Feeds
+    /// [`LoadRecorder::dominant_region`] (lease rebalancing).
+    gateway: Vec<Option<DecayedCounter>>,
 }
 
 impl RangeLoad {
@@ -133,7 +134,7 @@ impl RangeLoad {
             latency_nanos: DecayedCounter::new(half_life),
             latency_count: DecayedCounter::new(half_life),
             key_samples: std::collections::VecDeque::new(),
-            gateway: BTreeMap::new(),
+            gateway: Vec::new(),
         }
     }
 }
@@ -241,10 +242,12 @@ impl LoadRecorder {
     pub fn record_request(&self, now: SimTime, range: u64, region: u32, key: Bytes) {
         self.with_range(range, |r| {
             let hl = r.reads.half_life;
-            r.gateway
-                .entry(region)
-                .or_insert_with(|| DecayedCounter::new(hl))
-                .add(now, 1);
+            let at = region as usize;
+            if r.gateway.len() <= at {
+                r.gateway.resize(at + 1, None);
+            }
+            let counter = r.gateway[at].get_or_insert_with(|| DecayedCounter::new(hl));
+            counter.add(now, 1);
             if r.key_samples.len() == KEY_SAMPLE_CAP {
                 r.key_samples.pop_front();
             }
@@ -274,10 +277,8 @@ impl LoadRecorder {
     pub fn region_qps_milli(&self, now: SimTime, range: u64) -> Vec<(u32, u64)> {
         let inner = self.inner.borrow();
         match inner.ranges.get(&range) {
-            Some(r) => r
-                .gateway
-                .iter()
-                .map(|(&reg, c)| (reg, c.rate_milli(now)))
+            Some(r) => (r.gateway.iter().enumerate())
+                .filter_map(|(reg, c)| Some((reg as u32, c.as_ref()?.rate_milli(now))))
                 .collect(),
             None => Vec::new(),
         }

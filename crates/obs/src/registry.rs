@@ -115,6 +115,13 @@ struct Inner {
     histograms: BTreeMap<MetricKey, HistogramHandle>,
 }
 
+impl Inner {
+    /// Rows per scrape: one per counter or gauge, four per histogram.
+    fn scrape_rows(&self) -> usize {
+        self.counters.len() + self.gauges.len() + 4 * self.histograms.len()
+    }
+}
+
 /// The registry. Cloning shares the underlying instrument store.
 #[derive(Clone, Default)]
 pub struct Registry {
@@ -200,6 +207,42 @@ impl Registry {
             }
         }
         out
+    }
+
+    /// Whether `other` shares this registry's instrument store.
+    pub fn same(&self, other: &Registry) -> bool {
+        Rc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// The rows one scrape reads, by name: every counter, then every gauge,
+    /// then each histogram's `.count`, `.sum`, `.p50` and `.p99`, each kind
+    /// in key order. Instruments are never dropped, so the names change only
+    /// when [`Registry::instrument_count`] does.
+    pub fn scrape_names(&self) -> Vec<Rc<str>> {
+        let inner = self.inner.borrow();
+        let mut names: Vec<Rc<str>> = Vec::with_capacity(inner.scrape_rows());
+        let keys = inner.counters.keys().chain(inner.gauges.keys());
+        names.extend(keys.map(|k| Rc::from(k.to_string())));
+        for k in inner.histograms.keys() {
+            for row in ["count", "sum", "p50", "p99"] {
+                names.push(Rc::from(format!("{k}.{row}")));
+            }
+        }
+        names
+    }
+
+    /// The values of [`Registry::scrape_names`]' rows, in its order, pushed
+    /// onto `out`: no key is copied.
+    pub fn scrape_values(&self, out: &mut Vec<i64>) {
+        let inner = self.inner.borrow();
+        out.reserve(inner.scrape_rows());
+        out.extend(inner.counters.values().map(|c| c.get() as i64));
+        out.extend(inner.gauges.values().map(Gauge::get));
+        for h in inner.histograms.values() {
+            let h = h.0.borrow();
+            let (p50, p99) = (h.quantile(0.50), h.quantile(0.99));
+            out.extend([h.count(), h.sum(), p50, p99].map(|v| v as i64));
+        }
     }
 
     /// Point-in-time copy of every instrument, in deterministic order.

@@ -26,41 +26,39 @@ use mr_sim::SimTime;
 
 /// One scrape: every instrument's value at `at`, in registry (sorted) order.
 /// Histograms contribute `<name>.count`, `<name>.sum`, `<name>.p50`, and
-/// `<name>.p99` rows.
+/// `<name>.p99` rows. The names are shared by every point scraped while the
+/// registry held the same instruments.
 #[derive(Clone, Debug)]
 pub struct ScrapePoint {
     pub at: SimTime,
-    pub values: Vec<(String, i64)>,
+    names: Rc<[Rc<str>]>,
+    values: Vec<i64>,
 }
 
 impl ScrapePoint {
+    /// The `(metric, value)` rows of this scrape, in registry order.
+    pub fn values(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
+        self.names
+            .iter()
+            .map(|n| &**n)
+            .zip(self.values.iter().copied())
+    }
+
     /// This scrape's value of `metric`, if it carried the metric.
     pub(crate) fn value(&self, metric: &str) -> Option<i64> {
-        self.values
-            .iter()
-            .find(|(name, _)| name == metric)
-            .map(|(_, v)| *v)
+        self.values()
+            .find(|(name, _)| *name == metric)
+            .map(|(_, v)| v)
     }
 }
 
 /// Flatten the registry into one scrape's worth of `(metric, value)` rows,
 /// in deterministic sorted order.
 pub fn collect_values(registry: &Registry) -> Vec<(String, i64)> {
-    let snap = registry.snapshot();
     let mut values = Vec::new();
-    for (k, v) in &snap.counters {
-        values.push((k.to_string(), *v as i64));
-    }
-    for (k, v) in &snap.gauges {
-        values.push((k.to_string(), *v));
-    }
-    for (k, h) in &snap.histograms {
-        values.push((format!("{k}.count"), h.count as i64));
-        values.push((format!("{k}.sum"), h.sum as i64));
-        values.push((format!("{k}.p50"), h.p50 as i64));
-        values.push((format!("{k}.p99"), h.p99 as i64));
-    }
-    values
+    registry.scrape_values(&mut values);
+    let names = registry.scrape_names();
+    names.iter().map(|n| n.to_string()).zip(values).collect()
 }
 
 /// Default scrape-point retention: at a 1s scrape interval, over an hour of
@@ -69,8 +67,28 @@ pub const DEFAULT_SCRAPE_CAP: usize = 4096;
 
 pub(crate) struct ScraperInner {
     pub(crate) points: Ring<ScrapePoint>,
-    /// Per metric, by name: its first scrape number and coarse buckets.
-    pub(crate) rollups: BTreeMap<String, Rollup>,
+    /// Per metric: its first scrape number and coarse buckets.
+    pub(crate) rollups: Vec<Rollup>,
+    /// Each metric's rollup, by name.
+    pub(crate) by_name: BTreeMap<Rc<str>, usize>,
+    /// The registry shape the last scrape read.
+    shape: Option<Shape>,
+}
+
+impl ScraperInner {
+    /// `metric`'s rollup, if it was ever scraped.
+    pub(crate) fn rollup(&self, metric: &str) -> Option<&Rollup> {
+        self.by_name.get(metric).map(|&i| &self.rollups[i])
+    }
+}
+
+/// What a scrape reads the registry by while its instruments stay the
+/// same: the row names, rendered once, and each row's rollup.
+struct Shape {
+    registry: Registry,
+    instruments: usize,
+    names: Rc<[Rc<str>]>,
+    rollups: Vec<usize>,
 }
 
 /// Bounded scrape series. Cloning shares the underlying store.
@@ -95,29 +113,57 @@ impl Scraper {
         Scraper {
             inner: Rc::new(RefCell::new(ScraperInner {
                 points: Ring::new(cap),
-                rollups: BTreeMap::new(),
+                rollups: Vec::new(),
+                by_name: BTreeMap::new(),
+                shape: None,
             })),
         }
     }
 
     /// Record one scrape point at `at` from the current registry contents
-    /// (evicting the oldest point when at capacity). Only a metric's first
-    /// scrape allocates its rollup.
+    /// (evicting the oldest point when at capacity). Names are rendered, and
+    /// a metric's rollup allocated, only when the registry gained an
+    /// instrument since the last scrape.
     pub fn scrape(&self, at: SimTime, registry: &Registry) {
-        let values = collect_values(registry);
-        let inner = &mut *self.inner.borrow_mut();
-        let scrape = inner.points.pushed();
-        for (name, value) in &values {
-            match inner.rollups.get_mut(name.as_str()) {
-                Some(known) => known.add(at, *value),
-                None => {
-                    let mut new = Rollup::new(scrape);
-                    new.add(at, *value);
-                    inner.rollups.insert(name.clone(), new);
-                }
-            }
+        let ScraperInner {
+            points,
+            rollups,
+            by_name,
+            shape,
+        } = &mut *self.inner.borrow_mut();
+        let instruments = registry.instrument_count();
+        if shape
+            .as_ref()
+            .is_some_and(|s| s.instruments != instruments || !s.registry.same(registry))
+        {
+            *shape = None;
         }
-        inner.points.push(ScrapePoint { at, values });
+        let shape = shape.get_or_insert_with(|| {
+            let scrape = points.pushed();
+            let names: Rc<[Rc<str>]> = registry.scrape_names().into();
+            let rollups = names
+                .iter()
+                .map(|name| {
+                    *by_name.entry(Rc::clone(name)).or_insert_with(|| {
+                        rollups.push(Rollup::new(scrape));
+                        rollups.len() - 1
+                    })
+                })
+                .collect();
+            Shape {
+                registry: registry.clone(),
+                instruments,
+                names,
+                rollups,
+            }
+        });
+        let mut values = Vec::new();
+        registry.scrape_values(&mut values);
+        for (&rollup, &value) in shape.rollups.iter().zip(&values) {
+            rollups[rollup].add(at, value);
+        }
+        let names = Rc::clone(&shape.names);
+        points.push(ScrapePoint { at, names, values });
     }
 
     /// Retained points (excludes evicted ones).
@@ -153,7 +199,7 @@ impl Scraper {
     pub fn export_csv(&self) -> String {
         let mut out = String::from("time_ns,metric,value\n");
         for p in self.inner.borrow().points.iter() {
-            for (name, v) in &p.values {
+            for (name, v) in p.values() {
                 out.push_str(&format!("{},{},{v}\n", p.at.0, csv_field(name)));
             }
         }
@@ -199,13 +245,7 @@ mod tests {
         let sc = Scraper::new();
         sc.scrape(SimTime(0), &r);
         let p = &sc.points()[0];
-        let get = |name: &str| {
-            p.values
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let get = |name: &str| p.value(name).unwrap();
         assert_eq!(get("kv.op.latency.count"), 4);
         assert_eq!(get("kv.op.latency.sum"), 10_600);
         let (p50, p99) = (get("kv.op.latency.p50"), get("kv.op.latency.p99"));

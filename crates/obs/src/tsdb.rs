@@ -117,7 +117,8 @@ impl Rollup {
 impl Scraper {
     /// Metric names ever scraped, sorted.
     pub fn metrics(&self) -> Vec<String> {
-        self.inner.borrow().rollups.keys().cloned().collect()
+        let inner = self.inner.borrow();
+        inner.by_name.keys().map(|name| name.to_string()).collect()
     }
 
     /// Retained samples of `metric` with `from <= at <= to`, as
@@ -138,7 +139,7 @@ impl Scraper {
                 .filter(|p| p.at >= from && p.at <= to)
                 .filter_map(|p| Some((p.at, p.value(metric)?)))
                 .collect(),
-            Resolution::Coarse => inner.rollups.get(metric).map_or_else(Vec::new, |r| {
+            Resolution::Coarse => inner.rollup(metric).map_or_else(Vec::new, |r| {
                 r.window(from, to).map(|b| (b.at, b.last)).collect()
             }),
         }
@@ -158,20 +159,21 @@ impl Scraper {
             Resolution::Fine => {
                 let points = inner.points.iter().filter(|p| p.at >= from && p.at <= to);
                 for p in points {
-                    for (name, v) in &p.values {
-                        if let Some(samples) = out.get_mut(name.as_str()) {
-                            samples.push((p.at, *v));
+                    for (name, v) in p.values() {
+                        if let Some(samples) = out.get_mut(name) {
+                            samples.push((p.at, v));
                         } else {
-                            out.insert(name.clone(), vec![(p.at, *v)]);
+                            out.insert(name.to_string(), vec![(p.at, v)]);
                         }
                     }
                 }
             }
             Resolution::Coarse => {
-                for (name, r) in &inner.rollups {
+                for (name, &r) in &inner.by_name {
+                    let r = &inner.rollups[r];
                     let samples: Vec<_> = r.window(from, to).map(|b| (b.at, b.last)).collect();
                     if !samples.is_empty() {
-                        out.insert(name.clone(), samples);
+                        out.insert(name.to_string(), samples);
                     }
                 }
             }
@@ -207,7 +209,7 @@ impl Scraper {
         let mut w = JsonWriter::default();
         w.obj();
         for name in metrics {
-            let rollup = inner.rollups.get(*name);
+            let rollup = inner.rollup(name);
             let fine_dropped = rollup.map_or(0, |r| inner.points.dropped().saturating_sub(r.first));
             w.key(name).obj_inline();
             w.field("fine_dropped", fine_dropped);
@@ -253,7 +255,10 @@ mod tests {
     }
 
     fn buckets(sc: &Scraper) -> Vec<Bucket> {
-        sc.inner.borrow().rollups["m"]
+        sc.inner
+            .borrow()
+            .rollup("m")
+            .unwrap()
             .coarse
             .iter()
             .copied()

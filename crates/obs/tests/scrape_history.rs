@@ -114,3 +114,103 @@ fn fine_dropped_counts_evicted_points_that_carried_the_metric() {
     assert!(json.contains("\"c\": {\"fine_dropped\": 4, \"coarse_dropped\": 0"));
     assert!(json.contains("\"g\": {\"fine_dropped\": 2, \"coarse_dropped\": 0"));
 }
+
+/// Instruments registered between two scrapes: the next point carries each
+/// at its place in registry order (counters, then gauges, then histogram
+/// rows, each by key) and its rollup starts at that scrape. Every reader of
+/// the store — the points, `export_csv`, `series` and both `window`
+/// resolutions — agrees with what `collect_values` rendered at each scrape.
+#[test]
+fn instruments_registered_between_scrapes_join_at_their_sorted_place() {
+    let obs = Obs::new();
+    let r = &obs.registry;
+    let b = r.counter("m.b", &[]);
+    let d = r.gauge("m.d", &[]);
+    let mut rendered = Vec::new();
+    for i in 0..25u64 {
+        if i == 3 {
+            // Sorts first among the counters; a labelled twin of `m.b`
+            // sorts right after it.
+            r.counter("m.a", &[]).add(100);
+            r.counter("m.b", &[("region", "eu")]).add(7);
+        }
+        if i == 5 {
+            r.histogram("h", &[]).record(1_000 + i);
+        }
+        b.add(i);
+        d.set(i as i64 % 4 - 1);
+        obs.scrape(secs(i));
+        rendered.push(mr_obs::scrape::collect_values(r));
+    }
+    let names = |i: usize| {
+        rendered[i]
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names(2), ["m.b", "m.d"]);
+    assert_eq!(names(3), ["m.a", "m.b", "m.b{region=\"eu\"}", "m.d"]);
+    assert_eq!(
+        names(5),
+        [
+            "m.a",
+            "m.b",
+            "m.b{region=\"eu\"}",
+            "m.d",
+            "h.count",
+            "h.sum",
+            "h.p50",
+            "h.p99"
+        ]
+    );
+
+    let store = &obs.scraper;
+    let points = store.points();
+    assert_eq!(points.len(), rendered.len());
+    let mut csv = String::from("time_ns,metric,value\n");
+    for (p, want) in points.iter().zip(&rendered) {
+        let got: Vec<(String, i64)> = p.values().map(|(n, v)| (n.to_string(), v)).collect();
+        assert_eq!(&got, want, "point at {:?}", p.at);
+        for (name, v) in want {
+            let field = match name.contains('"') {
+                true => format!("\"{}\"", name.replace('"', "\"\"")),
+                false => name.clone(),
+            };
+            csv.push_str(&format!("{},{field},{v}\n", p.at.0));
+        }
+    }
+    assert_eq!(store.export_csv(), csv);
+
+    let (from, to) = (SimTime::ZERO, secs(100));
+    for name in rendered.last().unwrap().iter().map(|(n, _)| n) {
+        let series: Vec<(SimTime, i64)> = rendered
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| {
+                let v = row.iter().find(|(n, _)| n == name)?.1;
+                Some((secs(i as u64), v))
+            })
+            .collect();
+        assert_eq!(store.series(name), series, "{name}");
+        assert_eq!(
+            store.window(name, Resolution::Fine, from, to),
+            series,
+            "{name}"
+        );
+        // The rollup starts at the metric's first scrape: a bucket closes
+        // every tenth sample counted from there.
+        let coarse: Vec<(SimTime, i64)> = series.iter().copied().skip(9).step_by(10).collect();
+        assert_eq!(
+            store.window(name, Resolution::Coarse, from, to),
+            coarse,
+            "{name}"
+        );
+    }
+    let late = store.window("m.a", Resolution::Coarse, from, to);
+    assert_eq!(
+        late.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+        [secs(12), secs(22)]
+    );
+    let hist = store.window("h.count", Resolution::Coarse, from, to);
+    assert_eq!(hist, [(secs(14), 1), (secs(24), 1)]);
+}

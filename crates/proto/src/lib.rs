@@ -6,6 +6,7 @@
 //! retries, redirects, refreshes, and restarts.
 
 pub mod error;
+pub mod hash;
 pub mod keys;
 pub mod request;
 pub mod txn;

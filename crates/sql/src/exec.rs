@@ -1166,10 +1166,12 @@ fn assignments(stmt: &Stmt) -> &[(String, Expr)] {
 }
 
 /// Fetch all rows of `stmt`'s table matching `plan`, applying
-/// locality-optimized search.
+/// locality-optimized search. `plan` borrows `db`.
+#[allow(clippy::too_many_arguments)]
 fn fetch_rows(
     cluster: &mut Cluster,
     ctx: ExecCtx,
+    db: &Rc<Database>,
     table: Rc<Table>,
     stmt: Rc<Stmt>,
     plan: ReadPlan<'_>,
@@ -1177,30 +1179,38 @@ fn fetch_rows(
     cont: SqlCont<Vec<Vec<Datum>>>,
 ) {
     let (_, limit) = filter_of(&stmt);
-    let task = |region: Option<&str>, key: &[Datum]| {
-        let probe = Probe::new(&table, plan.index_id, plan.unique, region, key);
-        probe_task(probe, mode, ctx.gateway, limit)
+    let (index_id, unique, gateway) = (plan.index_id, plan.unique, ctx.gateway);
+    let task = move |table: &Table, region: Option<&str>, key: &[Datum]| {
+        let probe = Probe::new(table, index_id, unique, region, key);
+        probe_task(probe, mode, gateway, limit)
     };
     // One fetch unit per key (a full scan is one probe with an empty key
     // prefix); results concatenated.
-    let full_scan = [Vec::new()];
     let keys = match plan.keys.is_empty() {
-        true => &full_scan[..],
-        false => &plan.keys[..],
+        true => vec![Vec::new()],
+        false => plan.keys,
     };
     let mut tasks: Vec<RowsTask> = Vec::new();
     for key in keys {
         match &plan.strategy {
-            PartitionStrategy::Single(region) => tasks.push(task(region.as_deref(), key)),
+            PartitionStrategy::Single(region) => {
+                tasks.push(task(&table, region.as_deref(), &key));
+            }
             PartitionStrategy::AllPartitions(regions) => {
-                tasks.extend(regions.iter().map(|r| task(Some(&r.name), key)));
+                tasks.extend(regions.iter().map(|r| task(&table, Some(&r.name), &key)));
             }
             PartitionStrategy::LocalityOptimized { local, regions } => {
                 // §4.2: probe the local partition; fan out only on a miss.
-                let local_task = task(Some(local), key);
-                let remote = remote_regions(regions, local);
-                let remote_tasks: Vec<_> = remote.map(|r| task(Some(r), key)).collect();
-                let want = if plan.unique { 1 } else { limit };
+                // The remote probes are built on the miss, from the
+                // database the plan borrows: a read that hits locally
+                // encodes no other region's key. The planner picks the
+                // gateway's region as the local one.
+                debug_assert!(std::ptr::eq(*regions, &db.regions[..]));
+                debug_assert_eq!(*local, &*ctx.gateway_region);
+                let local_task = task(&table, Some(local), &key);
+                let (db, table) = (Rc::clone(db), Rc::clone(&table));
+                let local = Rc::clone(&ctx.gateway_region);
+                let want = if unique { 1 } else { limit };
                 tasks.push(Box::new(move |cluster, cont| {
                     local_task(
                         cluster,
@@ -1210,7 +1220,10 @@ fn fetch_rows(
                                 // Fan out; a unique lookup can stop at the
                                 // first partition that has the row (§4.2) —
                                 // no need to wait for the farthest misses.
-                                race_until(c, remote_tasks, rows, want, cont);
+                                let remote = remote_regions(&db.regions, &local)
+                                    .map(|r| task(&table, Some(r), &key))
+                                    .collect();
+                                race_until(c, remote, rows, want, cont);
                             }
                             Err(e) => cont(c, Err(e)),
                         }),
@@ -1329,6 +1342,7 @@ fn exec_select(
     fetch_rows(
         cluster,
         ctx,
+        &db,
         table,
         stmt,
         plan,
@@ -1841,6 +1855,7 @@ fn exec_update(
     fetch_rows(
         cluster,
         ctx,
+        &db,
         table,
         Rc::clone(&stmt),
         plan,
@@ -1912,7 +1927,9 @@ fn exec_delete(
     predicate: Option<&Expr>,
     cont: SqlCont<SqlResult>,
 ) {
-    let plan = match plan_for(&w.ctx, cluster, &w.db, &w.table, predicate, None) {
+    // The plan borrows the descriptor, and the writer moves on.
+    let db = Rc::clone(&w.db);
+    let plan = match plan_for(&w.ctx, cluster, &db, &w.table, predicate, None) {
         Ok(p) => p,
         Err(e) => return cont(cluster, Err(e)),
     };
@@ -1920,6 +1937,7 @@ fn exec_delete(
     fetch_rows(
         cluster,
         ctx,
+        &db,
         table,
         stmt,
         plan,

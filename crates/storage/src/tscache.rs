@@ -11,9 +11,8 @@
 //! leaseholder starts its cache at the lease-transfer time, conservatively
 //! covering all reads the old leaseholder may have served.
 
-use std::collections::HashMap;
-
 use mr_clock::Timestamp;
+use mr_proto::hash::LookupMap;
 use mr_proto::{Key, Span, TxnId};
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -55,7 +54,7 @@ impl Entry {
 #[derive(Clone, Debug)]
 pub struct TsCache {
     low_water: Timestamp,
-    points: HashMap<Key, Entry>,
+    points: LookupMap<Key, Entry>,
     /// Span reads fold into a coarse high-water mark (no per-txn tracking;
     /// a txn that scans then writes into the scanned span pays one refresh).
     span_high: Timestamp,
@@ -65,7 +64,7 @@ impl TsCache {
     pub fn new(low_water: Timestamp) -> TsCache {
         TsCache {
             low_water,
-            points: HashMap::new(),
+            points: LookupMap::default(),
             span_high: Timestamp::ZERO,
         }
     }
