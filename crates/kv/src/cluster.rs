@@ -29,14 +29,14 @@ mod maintenance;
 mod replicas;
 mod transport;
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
 use mr_clock::{ClockConfig, Hlc, SkewedClock, Timestamp};
 use mr_obs::{Obs, SpanId};
 use mr_proto::{Key, KvError, RangeId, Request, Span, TxnId, Value};
-use mr_raft::{Peer, RaftConfig, RaftMsg, RaftNode};
+use mr_raft::{Outbox, Peer, RaftConfig, RaftMsg, RaftNode};
 use mr_sim::{EventKey, EventQueue, NodeId, SimDuration, SimRng, SimTime, Topology};
 use mr_storage::{ProtectedTimestamps, SortedRun};
 
@@ -327,10 +327,6 @@ pub struct Node {
     /// The batch this node sent at the last side-transport tick, if any: a
     /// batch that repeats it need not be an event.
     side_sent: Option<SideBatch>,
-    /// The replicas the Raft tick visits, in range order. A replica outside
-    /// it is *asleep*: its visit would do nothing, and stays so until
-    /// something marks it awake again (see `maintenance::asleep`).
-    awake: BTreeSet<RangeId>,
 }
 
 impl Node {
@@ -340,19 +336,6 @@ impl Node {
         let rep = self.replicas.get_mut(&range)?;
         rep.settle(self.side_rx.at(now));
         Some(rep)
-    }
-
-    /// `range`'s replica, marked awake: Raft traffic, a proposal or a flush
-    /// may give its next tick visit work.
-    fn wake(&mut self, range: RangeId) -> Option<&mut Replica> {
-        let rep = self.replicas.get_mut(&range)?;
-        self.awake.insert(range);
-        Some(rep)
-    }
-
-    /// Mark every replica awake.
-    fn wake_all(&mut self) {
-        self.awake = self.replicas.keys().copied().collect();
     }
 }
 
@@ -515,6 +498,12 @@ pub struct Cluster {
     /// [`RangeRegistry::changes`] when the `side_out` follower sets were
     /// last current.
     side_out_at: u64,
+    /// What Raft sends, shipped by the dispatch point that filled it; the
+    /// Raft tick's messages, held until its walk ends; what the apply
+    /// leaves to do. All three keep their buffers across events.
+    outbox: Outbox<Batch>,
+    tick_out: Outbox<Batch>,
+    effects: Vec<Effect>,
 }
 
 impl Cluster {
@@ -546,7 +535,6 @@ impl Cluster {
                     replicas: Replicas::default(),
                     side_rx: SideRx::default(),
                     side_sent: None,
-                    awake: BTreeSet::new(),
                 }
             })
             .collect();
@@ -581,6 +569,9 @@ impl Cluster {
             side_tick: 0,
             side_out: Vec::new(),
             side_out_at: 0,
+            outbox: Vec::new(),
+            tick_out: Vec::new(),
+            effects: Vec::new(),
         };
         c.queue.schedule(RAFT_TICK_INTERVAL, Event::RaftTick);
         c.queue
@@ -615,7 +606,7 @@ impl Cluster {
     /// flight goes back on the calendar.
     pub(crate) fn topo_mut(&mut self) -> &mut Topology {
         for node in &mut self.nodes {
-            node.wake_all();
+            node.replicas.wake_all();
         }
         self.recall_side_transport();
         &mut self.topo
@@ -914,7 +905,6 @@ impl Cluster {
             }
             let node = &mut self.nodes[p.node.0 as usize];
             node.replicas.insert(id, rep);
-            node.awake.insert(id);
         }
         self.registry.insert(RangeDescriptor {
             id,
@@ -940,9 +930,7 @@ impl Cluster {
         let desc = self.registry.remove(id)?;
         let mut stranded = Vec::new();
         for n in desc.replica_nodes() {
-            let node = &mut self.nodes[n.0 as usize];
-            node.awake.remove(&id);
-            let rep = node.replicas.remove(&id);
+            let rep = self.nodes[n.0 as usize].replicas.remove(&id);
             if let Some(rep) = rep.filter(|_| self.topo.is_node_alive(n)) {
                 stranded.extend(rep.into_waiting().map(|path| (n, path)));
             }
@@ -1241,7 +1229,7 @@ impl Cluster {
             leaseholder,
             stale_read_bug,
         };
-        let outcome = rep.evaluate(req, path, hlc, &ctx);
+        let outcome = rep.evaluate(req, path, hlc, &ctx, &mut self.outbox);
         // Server-side causality: annotate the in-flight RPC's span with
         // where and how the request evaluated.
         let rpc_span = self.rpc.span_of(path.req_id);
@@ -1249,7 +1237,7 @@ impl Cluster {
             EvalOutcome::Reply(Ok(_)) => f.write_str("reply-ok"),
             EvalOutcome::Reply(Err(e)) => write!(f, "reply-err: {e}"),
             EvalOutcome::Parked { holder, .. } => write!(f, "parked behind {}", holder.id),
-            EvalOutcome::Proposed { .. } => f.write_str("proposed to raft"),
+            EvalOutcome::Proposed => f.write_str("proposed to raft"),
         });
         self.obs.tracer.event(
             rpc_span,
@@ -1314,13 +1302,13 @@ impl Cluster {
                 self.rpc.parked(path.req_id, now);
                 self.start_pusher(node, range, key, holder);
             }
-            EvalOutcome::Proposed { msgs } => {
+            EvalOutcome::Proposed => {
                 if req_is_write {
                     // Accepted write: per-range write load with its logical
                     // key+value payload.
                     self.obs.load.record_write(now, range.0, wbytes);
                 }
-                self.dispatch_raft_msgs(node, range, msgs);
+                self.ship(node, range);
                 self.pump_replica(node, range);
                 self.schedule_raft_flush(node, range);
             }
@@ -1335,7 +1323,7 @@ impl Cluster {
     /// the flush is lost to a crash.
     fn schedule_raft_flush(&mut self, node: NodeId, range: RangeId) {
         let delay = self.cfg.raft_flush_interval;
-        let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
+        let Some(rep) = self.nodes[node.0 as usize].replicas.wake(&range) else {
             return;
         };
         if !rep.has_pending_batch() || rep.flush_scheduled {
@@ -1347,20 +1335,20 @@ impl Cluster {
 
     fn handle_raft_flush(&mut self, node: NodeId, range: RangeId) {
         let now = self.queue.now();
-        let (msgs, effects) = {
-            let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
-                return;
-            };
-            rep.flush_scheduled = false;
-            rep.flush_batch(now)
+        let mut refused = Vec::new();
+        let Some(rep) = self.nodes[node.0 as usize].replicas.wake(&range) else {
+            return;
         };
+        rep.flush_scheduled = false;
+        rep.flush_batch(now, &mut self.outbox, &mut refused);
         if !self.topo.is_node_alive(node) {
+            self.outbox.clear();
             return;
         }
-        // Effects here are NotLeaseholder replies for commands whose buffer
+        // `refused` holds NotLeaseholder replies for commands whose buffer
         // outlived this replica's leadership — they must still be answered.
-        self.dispatch_effects(node, range, effects);
-        self.dispatch_raft_msgs(node, range, msgs);
+        self.dispatch_effects(node, range, &mut refused);
+        self.ship(node, range);
         self.pump_replica(node, range);
     }
 
@@ -1379,51 +1367,45 @@ impl Cluster {
             return; // stale traffic from a reconfigured group
         }
         let now = self.queue.now();
-        let (out, noop) = {
-            let Node {
-                replicas, side_rx, ..
-            } = &mut self.nodes[to_node.0 as usize];
-            let Some(rep) = replicas.get_mut(&range) else {
-                return;
-            };
-            let out = rep.raft.step(from_peer, msg, now);
-            let noop = rep.maybe_propose_leader_noop(now, side_rx.at(self.queue.key()));
-            (out, noop)
+        let Node {
+            replicas, side_rx, ..
+        } = &mut self.nodes[to_node.0 as usize];
+        let Some(rep) = replicas.get_mut(&range) else {
+            return;
         };
-        self.dispatch_raft_msgs(to_node, range, out);
-        self.dispatch_raft_msgs(to_node, range, noop);
+        rep.raft.step_into(from_peer, msg, now, &mut self.outbox);
+        rep.maybe_propose_leader_noop(now, side_rx.at(self.queue.key()), &mut self.outbox);
+        self.ship(to_node, range);
         self.pump_replica(to_node, range);
         self.maybe_claim_lease(to_node, range);
     }
 
     /// Apply committed entries on a replica and dispatch resulting effects,
-    /// looping until no more effects are produced.
+    /// looping until no more effects are produced. The effects buffer is
+    /// taken for the loop: a pump that an effect re-enters fills a buffer
+    /// of its own.
     fn pump_replica(&mut self, node: NodeId, range: RangeId) {
         let now_nanos = self.queue.now().nanos();
-        loop {
-            let effects = {
-                let Some(rep) = self.nodes[node.0 as usize].wake(range) else {
-                    return;
-                };
-                let effects = rep.apply_committed();
-                // Fsync point: every applied entry is sealed into the WAL;
-                // sync before acking (no-op under the armed fsync-skip bug).
-                rep.store.sync(now_nanos);
-                effects
-            };
+        let mut effects = std::mem::take(&mut self.effects);
+        while let Some(rep) = self.nodes[node.0 as usize].replicas.wake(&range) {
+            rep.apply_committed(&mut effects);
+            // Fsync point: every applied entry is sealed into the WAL;
+            // sync before acking (no-op under the armed fsync-skip bug).
+            rep.store.sync(now_nanos);
             if effects.is_empty() {
-                return;
+                break;
             }
-            self.dispatch_effects(node, range, effects);
+            self.dispatch_effects(node, range, &mut effects);
         }
+        self.effects = effects;
     }
 
     /// Dispatch replica effects: client replies, re-evaluations of unparked
     /// waiters, and lease-claim applications. Shared by the apply pump and
     /// the batch flush (which can emit `NotLeaseholder` replies for
     /// commands buffered across a leadership loss).
-    fn dispatch_effects(&mut self, node: NodeId, range: RangeId, effects: Vec<Effect>) {
-        for eff in effects {
+    fn dispatch_effects(&mut self, node: NodeId, range: RangeId, effects: &mut Vec<Effect>) {
+        for eff in effects.drain(..) {
             match eff {
                 Effect::Reply { path, result } => {
                     self.obs.tracer.event(

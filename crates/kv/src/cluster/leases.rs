@@ -31,12 +31,10 @@ impl Cluster {
             (rep.lease.promised(), hlc_now)
         };
         // Raft leadership transfer.
-        let msgs = {
-            let rep = &mut self.nodes[old.0 as usize].replicas[&range];
-            let target_peer = rep.peer_for_node(to).expect("target peer");
-            rep.raft.transfer_leadership(target_peer)
-        };
-        self.dispatch_raft_msgs(old, range, msgs);
+        let rep = &mut self.nodes[old.0 as usize].replicas[&range];
+        let target_peer = rep.peer_for_node(to).expect("target peer");
+        rep.raft.transfer_leadership(target_peer, &mut self.outbox);
+        self.ship(old, range);
         // Lease metadata.
         {
             let rep = &mut self.nodes[to.0 as usize].replicas[&range];
@@ -67,7 +65,7 @@ impl Cluster {
             return;
         };
         for n in desc.replica_nodes() {
-            self.nodes[n.0 as usize].wake(range);
+            self.nodes[n.0 as usize].replicas.wake(&range);
         }
     }
 
@@ -139,12 +137,10 @@ impl Cluster {
         // committed just before it. The registry moves when the claim
         // applies (`apply_lease_claim`).
         let now = self.queue.now();
-        let msgs = {
-            let n = &mut self.nodes[node.0 as usize];
-            let rep = &mut n.replicas[&range];
-            rep.maybe_propose_lease_claim(now, n.side_rx.at(self.queue.key()))
-        };
-        self.dispatch_raft_msgs(node, range, msgs);
+        let n = &mut self.nodes[node.0 as usize];
+        let side_rx = n.side_rx.at(self.queue.key());
+        n.replicas[&range].maybe_propose_lease_claim(now, side_rx, &mut self.outbox);
+        self.ship(node, range);
         self.pump_replica(node, range);
     }
 

@@ -112,15 +112,15 @@ impl Cluster {
         let leader = self.raft_leader_of(desc)?;
         let rhs = self.registry.next_range_id();
         let node = &mut self.nodes[leader.0 as usize];
-        let msgs = node.replicas.get_mut(&desc.id)?.propose_lifecycle(
-            CmdOp::Split { split_key, rhs },
-            now,
-            node.side_rx.at(key),
-        )?;
+        let split = CmdOp::Split { split_key, rhs };
+        let rep = node.replicas.get_mut(&desc.id)?;
+        if !rep.propose_lifecycle(split, now, node.side_rx.at(key), &mut self.outbox) {
+            return None;
+        }
         let live = &mut self.meta_mut(desc.id).live;
         live.split_pending = Some(now);
         live.last_lifecycle = Some(now);
-        self.dispatch_raft_msgs(leader, desc.id, msgs);
+        self.ship(leader, desc.id);
         self.pump_replica(leader, desc.id);
         Some(rhs)
     }
@@ -139,16 +139,16 @@ impl Cluster {
             return false;
         };
         let node = &mut self.nodes[leader.0 as usize];
-        let msgs = node
-            .replicas
-            .get_mut(&ld.id)
-            .and_then(|rep| rep.propose_lifecycle(CmdOp::Merge { rhs }, now, node.side_rx.at(key)));
-        let Some(msgs) = msgs else {
+        let merge = CmdOp::Merge { rhs };
+        let proposed = node.replicas.get_mut(&ld.id).is_some_and(|rep| {
+            rep.propose_lifecycle(merge, now, node.side_rx.at(key), &mut self.outbox)
+        });
+        if !proposed {
             return false;
-        };
+        }
         self.meta_mut(ld.id).live.last_lifecycle = Some(now);
         self.meta_mut(rhs).live.last_lifecycle = Some(now);
-        self.dispatch_raft_msgs(leader, ld.id, msgs);
+        self.ship(leader, ld.id);
         self.pump_replica(leader, ld.id);
         true
     }
@@ -587,7 +587,7 @@ mod tests {
         assert_eq!(meta.live, LiveRangeMeta::default());
         assert_eq!(meta.gen, installed_gen + 1);
         assert_eq!(meta.lineage.as_ref().unwrap().merged_into, Some(lhs));
-        assert!(c.nodes.iter().all(|n| !n.replicas.contains_key(&rhs)));
+        assert!(c.nodes.iter().all(|n| n.replicas.get(&rhs).is_none()));
         // The survivor keeps its own record, cooldown stamp included.
         assert!(c.range_meta[&lhs].live.last_lifecycle.is_some());
     }

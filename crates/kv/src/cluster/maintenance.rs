@@ -13,7 +13,7 @@
 use std::rc::Rc;
 
 use mr_proto::RangeId;
-use mr_raft::{Peer, RaftMsg};
+use mr_raft::{Outbox, RaftMsg};
 use mr_sim::{Link, NodeId, SimDuration, Topology};
 
 use super::{
@@ -35,7 +35,7 @@ pub(super) const WAL_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(3);
 /// calendar, and neither leadership check can fire — a follower's last known
 /// leader is live and reachable, a leader is the registry's leaseholder.
 /// What can change that verdict marks the replica awake: its own Raft
-/// traffic, proposals and flushes (`Node::wake`), a re-install, a leaseholder
+/// traffic, proposals and flushes (`Replicas::wake`), a re-install, a leaseholder
 /// write to the registry, and any topology mutation (`Cluster::topo_mut`).
 fn asleep(rep: &Replica, registry: &RangeRegistry, topo: &Topology) -> bool {
     if !rep.raft.is_quiesced() || (rep.has_pending_batch() && !rep.flush_scheduled) {
@@ -56,11 +56,16 @@ impl Cluster {
     /// Visit every awake replica of every live node, in range order: the
     /// leadership checks below, the flush safety net, and the Raft timers.
     /// A replica whose visit leaves it [asleep](asleep) leaves the set.
+    /// What the visits send goes out after the walk: the flush replies, then
+    /// each batch in visit order, followed by its sender's lease check.
     pub(super) fn handle_raft_tick(&mut self) {
         self.queue.schedule(RAFT_TICK_INTERVAL, Event::RaftTick);
         let now = self.queue.now();
-        let mut outbox: Vec<(NodeId, RangeId, Vec<(Peer, RaftMsg<Batch>)>)> = Vec::new();
-        let mut flush_effects: Vec<(NodeId, RangeId, Vec<Effect>)> = Vec::new();
+        let mut out = std::mem::take(&mut self.tick_out);
+        // Each batch's sender, and where its messages end in `out`.
+        let mut batches: Vec<(NodeId, RangeId, usize)> = Vec::new();
+        let mut refused: Vec<(NodeId, RangeId, Effect)> = Vec::new();
+        let mut effects = Vec::new();
         let mut heartbeats = 0u64;
         let Cluster {
             nodes,
@@ -69,12 +74,7 @@ impl Cluster {
             ..
         } = self;
         for node in nodes.iter_mut() {
-            let Node {
-                id,
-                replicas,
-                awake,
-                ..
-            } = node;
+            let Node { id, replicas, .. } = node;
             let id = *id;
             if !topo.is_node_alive(id) {
                 continue;
@@ -82,15 +82,18 @@ impl Cluster {
             debug_assert_eq!(
                 replicas
                     .iter()
-                    .find(|&(rid, rep)| !awake.contains(rid) && !asleep(rep, registry, topo))
+                    .find(|&(rid, rep)| !replicas.is_awake(rid) && !asleep(rep, registry, topo))
                     .map(|(&rid, _)| rid),
                 None,
                 "n{}: a replica outside the awake set has tick work",
                 id.0
             );
-            awake.retain(|&rid| {
-                let Some(rep) = replicas.get_mut(&rid) else {
-                    return false;
+            replicas.visit_awake(|rid, rep| {
+                // Close the batch `rep` queued since the last one, if any.
+                let mut close = |out: &Outbox<Batch>| {
+                    if out.len() > batches.last().map_or(0, |&(.., end)| end) {
+                        batches.push((id, rid, out.len()));
+                    }
                 };
                 // Leadership doubt un-quiesces: a quiesced follower whose
                 // last known leader is dead or unreachable restarts its
@@ -122,10 +125,8 @@ impl Cluster {
                             && topo.reachable(id, desc.leaseholder)
                         {
                             if let Some(peer) = rep.peer_for_node(desc.leaseholder) {
-                                let msgs = rep.raft.transfer_leadership(peer);
-                                if !msgs.is_empty() {
-                                    outbox.push((id, rid, msgs));
-                                }
+                                rep.raft.transfer_leadership(peer, &mut out);
+                                close(&out);
                             }
                         }
                     }
@@ -134,33 +135,35 @@ impl Cluster {
                 // fired (the scheduling node crashed and restarted between
                 // proposal and flush) must not sit forever.
                 if rep.has_pending_batch() && !rep.flush_scheduled {
-                    let (msgs, effs) = rep.flush_batch(now);
-                    if !msgs.is_empty() {
-                        outbox.push((id, rid, msgs));
-                    }
-                    if !effs.is_empty() {
-                        flush_effects.push((id, rid, effs));
-                    }
+                    rep.flush_batch(now, &mut out, &mut effects);
+                    close(&out);
+                    refused.extend(effects.drain(..).map(|e| (id, rid, e)));
                 }
-                let msgs = rep.raft.tick(now);
-                heartbeats += msgs
+                let before = out.len();
+                rep.raft.tick_into(now, &mut out);
+                heartbeats += out[before..]
                     .iter()
                     .filter(|(_, m)| matches!(m, RaftMsg::AppendEntries { .. }))
                     .count() as u64;
-                if !msgs.is_empty() {
-                    outbox.push((id, rid, msgs));
-                }
+                close(&out);
                 !asleep(rep, registry, topo)
             });
         }
         self.m.heartbeats_sent.add(heartbeats);
-        for (node, range, effs) in flush_effects {
-            self.dispatch_effects(node, range, effs);
+        for (node, range, effect) in refused {
+            effects.push(effect);
+            self.dispatch_effects(node, range, &mut effects);
         }
-        for (node, range, msgs) in outbox {
-            self.dispatch_raft_msgs(node, range, msgs);
+        let mut msgs = out.drain(..);
+        let mut start = 0;
+        for &(node, range, end) in &batches {
+            self.outbox.extend(msgs.by_ref().take(end - start));
+            start = end;
+            self.ship(node, range);
             self.maybe_claim_lease(node, range);
         }
+        drop(msgs);
+        self.tick_out = out;
     }
 
     /// Per-range MVCC garbage collection. Each range's threshold candidate
@@ -496,7 +499,9 @@ mod tests {
     fn awake(c: &Cluster) -> Vec<(NodeId, u64)> {
         c.nodes
             .iter()
-            .flat_map(|n| n.awake.iter().map(move |r| (n.id, r.0)))
+            .flat_map(|n| n.replicas.iter().map(move |(r, _)| (n, r)))
+            .filter(|(n, r)| n.replicas.is_awake(r))
+            .map(|(n, r)| (n.id, r.0))
             .collect()
     }
 

@@ -10,10 +10,15 @@ use crate::replica::Replica;
 /// sequence, so the slots stay dense: a lookup indexes, where a tree map
 /// searched (every delivery, scrape, tick and read reaches its replica this
 /// way), and a walk visits the replicas in range order, as that map did.
+///
+/// Beside each slot, whether its replica is *awake*: whether the Raft tick
+/// visits it. An asleep replica's visit would do nothing, and stays so until
+/// something marks it awake again (see `maintenance::asleep`). A replica is
+/// awake when installed.
 #[derive(Default)]
 pub struct Replicas {
     slots: Vec<Option<(RangeId, Box<Replica>)>>,
-    len: usize,
+    awake: Vec<bool>,
 }
 
 impl Replicas {
@@ -27,33 +32,48 @@ impl Replicas {
         Some(rep)
     }
 
-    pub fn contains_key(&self, range: &RangeId) -> bool {
-        self.get(range).is_some()
+    /// `range`'s replica, marked awake.
+    pub fn wake(&mut self, range: &RangeId) -> Option<&mut Replica> {
+        let (_, rep) = self.slots.get_mut(range.0 as usize)?.as_mut()?;
+        self.awake[range.0 as usize] = true;
+        Some(rep)
     }
 
-    /// Put `rep` in `range`'s slot; the replica it held, if any.
-    pub fn insert(&mut self, range: RangeId, rep: Replica) -> Option<Replica> {
+    pub fn wake_all(&mut self) {
+        for (awake, slot) in self.awake.iter_mut().zip(&self.slots) {
+            *awake = slot.is_some();
+        }
+    }
+
+    pub fn is_awake(&self, range: &RangeId) -> bool {
+        self.awake.get(range.0 as usize) == Some(&true)
+    }
+
+    /// Visit every awake replica, in range order; a replica stays awake
+    /// when `visit` returns `true`.
+    pub fn visit_awake(&mut self, mut visit: impl FnMut(RangeId, &mut Replica) -> bool) {
+        for (awake, slot) in self.awake.iter_mut().zip(&mut self.slots) {
+            if let (true, Some((range, rep))) = (*awake, slot) {
+                *awake = visit(*range, rep);
+            }
+        }
+    }
+
+    /// Put `rep` in `range`'s slot, awake.
+    pub fn insert(&mut self, range: RangeId, rep: Replica) {
         let at = range.0 as usize;
         if self.slots.len() <= at {
             self.slots.resize_with(at + 1, || None);
+            self.awake.resize(at + 1, false);
         }
-        let old = self.slots[at].replace((range, Box::new(rep)));
-        self.len += usize::from(old.is_none());
-        old.map(|(_, rep)| *rep)
+        self.slots[at] = Some((range, Box::new(rep)));
+        self.awake[at] = true;
     }
 
     pub fn remove(&mut self, range: &RangeId) -> Option<Replica> {
         let (_, rep) = self.slots.get_mut(range.0 as usize)?.take()?;
-        self.len -= 1;
+        self.awake[range.0 as usize] = false;
         Some(*rep)
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Every replica with its range, in range order.
@@ -67,14 +87,6 @@ impl Replicas {
             .iter_mut()
             .flatten()
             .map(|(id, rep)| (&*id, &mut **rep))
-    }
-
-    pub fn keys(&self) -> impl Iterator<Item = &RangeId> {
-        self.iter().map(|(id, _)| id)
-    }
-
-    pub fn values(&self) -> impl Iterator<Item = &Replica> {
-        self.iter().map(|(_, rep)| rep)
     }
 
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Replica> {

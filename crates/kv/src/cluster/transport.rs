@@ -6,13 +6,12 @@ use mr_proto::hash::LookupMap;
 use mr_clock::Timestamp;
 use mr_obs::SpanId;
 use mr_proto::{KvError, RangeId, Request, Response, TxnId};
-use mr_raft::{Peer, RaftMsg};
 use mr_sim::{Link, NodeId, SimTime};
 
 use super::{Cluster, Cont, Event, KvResult};
 use crate::attribution::{self, Component};
 use crate::metrics::{req_kind_index, rpc_span_name};
-use crate::replica::{Batch, ReplyPath};
+use crate::replica::ReplyPath;
 
 pub(super) struct Envelope {
     req_id: u64,
@@ -223,21 +222,17 @@ impl Cluster {
         }
     }
 
-    pub(super) fn dispatch_raft_msgs(
-        &mut self,
-        from_node: NodeId,
-        range: RangeId,
-        msgs: Vec<(Peer, RaftMsg<Batch>)>,
-    ) {
-        if msgs.is_empty() {
-            return;
-        }
+    /// Ship what `range`'s replica on `from_node` queued in the outbox, in
+    /// order: each message draws its link's jitter and takes a calendar
+    /// key, so the order is part of the simulation.
+    pub(super) fn ship(&mut self, from_node: NodeId, range: RangeId) {
         let gen = self.range_gen(range);
-        let Some(rep) = self.nodes[from_node.0 as usize].wake(range) else {
+        let Some(rep) = self.nodes[from_node.0 as usize].replicas.wake(&range) else {
+            self.outbox.clear();
             return;
         };
         let from_peer = rep.peer;
-        for (to_peer, msg) in msgs {
+        for (to_peer, msg) in self.outbox.drain(..) {
             let to_node = rep.peer_nodes[to_peer as usize];
             if let Link::Deliver(d) = self.topo.link(from_node, to_node, &mut self.rng) {
                 self.queue.schedule(

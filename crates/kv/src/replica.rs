@@ -28,7 +28,7 @@ use mr_clock::{Hlc, Timestamp};
 use mr_proto::{
     Key, KvError, RangeId, ReadCtx, Request, Response, TxnId, TxnMeta, TxnRecord, TxnStatus, Value,
 };
-use mr_raft::{Peer, RaftMsg, RaftNode};
+use mr_raft::{Outbox, Peer, RaftNode};
 use mr_sim::{NodeId, SimTime};
 use mr_storage::{lsm::Engine, MvccError, RecoveryInfo, TsCache};
 
@@ -157,10 +157,9 @@ pub enum EvalOutcome {
     Parked { key: Key, holder: TxnMeta },
     /// A command was proposed; the response is decided and sent when it
     /// applies (or a redirect, if another leader's entry takes its slot).
-    /// The Raft messages must be delivered by the caller. Batched proposals
-    /// produce no messages here — they ship on the next flush (or
-    /// heartbeat).
-    Proposed { msgs: Vec<(Peer, RaftMsg<Batch>)> },
+    /// Batched proposals ship on the next flush (or heartbeat); a recovery
+    /// left its appends in the outbox.
+    Proposed,
 }
 
 /// Context the cluster supplies for each evaluation.
@@ -357,16 +356,17 @@ impl Replica {
     // Evaluation
     // ---------------------------------------------------------------
 
-    /// Evaluate `req` on this replica.
+    /// Evaluate `req` on this replica; Raft messages it sends go to `out`.
     pub fn evaluate(
         &mut self,
         req: Request,
         path: ReplyPath,
         hlc: &mut Hlc,
         ctx: &EvalCtx<'_>,
+        out: &mut Outbox<Batch>,
     ) -> EvalOutcome {
         if ctx.is_leaseholder {
-            self.evaluate_at_leaseholder(req, path, hlc, ctx)
+            self.evaluate_at_leaseholder(req, path, hlc, ctx, out)
         } else {
             self.evaluate_at_follower(req, ctx)
         }
@@ -454,6 +454,7 @@ impl Replica {
         path: ReplyPath,
         hlc: &mut Hlc,
         ctx: &EvalCtx<'_>,
+        out: &mut Outbox<Batch>,
     ) -> EvalOutcome {
         match req {
             Request::Get { ctx: rctx, key } => self.lh_get(rctx, key, path),
@@ -517,7 +518,7 @@ impl Replica {
                 staged_ts,
                 commit,
                 ..
-            } => self.lh_recover_txn(txn_id, staged_ts, commit, path, hlc, ctx),
+            } => self.lh_recover_txn(txn_id, staged_ts, commit, path, hlc, ctx, out),
             Request::ResolveIntent {
                 key,
                 txn_id,
@@ -902,6 +903,7 @@ impl Replica {
     /// decisive check reruns at apply time (guarded on the record still
     /// being staged at `staged_ts`), so a coordinator re-stage racing this
     /// proposal wins or loses by log order — never both outcomes.
+    #[allow(clippy::too_many_arguments)]
     fn lh_recover_txn(
         &mut self,
         txn_id: TxnId,
@@ -910,6 +912,7 @@ impl Replica {
         path: ReplyPath,
         hlc: &mut Hlc,
         ctx: &EvalCtx<'_>,
+        out: &mut Outbox<Batch>,
     ) -> EvalOutcome {
         match self.store.txn_record(txn_id) {
             Some(rec) if rec.status.is_finalized() => {
@@ -943,11 +946,12 @@ impl Replica {
         // too.
         self.flush_buf_into_log();
         let term = self.raft.term();
-        match self.raft.propose(Rc::new([cmd]), ctx.now) {
-            Some((index, msgs)) => {
+        match self.raft.propose_batched(Rc::new([cmd])) {
+            Some(index) => {
+                self.raft.flush_into(ctx.now, out);
                 self.pending_props
                     .insert((index, 0), PendingProp { path, term });
-                EvalOutcome::Proposed { msgs }
+                EvalOutcome::Proposed
             }
             None => EvalOutcome::Reply(Err(self.not_leader())),
         }
@@ -1031,7 +1035,7 @@ impl Replica {
         }
         let cmd = self.stamped(op);
         self.batch_buf.push((cmd, path));
-        EvalOutcome::Proposed { msgs: Vec::new() }
+        EvalOutcome::Proposed
     }
 
     /// Append the buffered commands as one multi-command entry, registering
@@ -1061,22 +1065,20 @@ impl Replica {
     }
 
     /// Ship the buffered batch: append it to the log and broadcast every
-    /// unsent entry. If leadership was lost since evaluation, the buffered
-    /// commands cannot be proposed — each caller gets a `NotLeaseholder`
-    /// redirect instead of a silent drop.
-    pub fn flush_batch(&mut self, now: SimTime) -> (Vec<(Peer, RaftMsg<Batch>)>, Vec<Effect>) {
+    /// unsent entry into `out`. If leadership was lost since evaluation,
+    /// the buffered commands cannot be proposed — each caller gets a
+    /// `NotLeaseholder` redirect in `effs` instead of a silent drop.
+    pub fn flush_batch(&mut self, now: SimTime, out: &mut Outbox<Batch>, effs: &mut Vec<Effect>) {
         if !self.raft.is_leader() && !self.batch_buf.is_empty() {
             let err = self.not_leader();
-            let effects = (self.batch_buf.drain(..))
-                .map(|(_, path)| Effect::Reply {
-                    path,
-                    result: Err(err.clone()),
-                })
-                .collect();
-            return (Vec::new(), effects);
+            effs.extend(self.batch_buf.drain(..).map(|(_, path)| Effect::Reply {
+                path,
+                result: Err(err.clone()),
+            }));
+            return;
         }
         self.flush_buf_into_log();
-        (self.raft.flush_appends(now), Vec::new())
+        self.raft.flush_into(now, out);
     }
 
     /// Whether a flush would do work: buffered commands or appended-but-
@@ -1091,25 +1093,28 @@ impl Replica {
         std::mem::take(&mut self.prop_occupancy)
     }
 
-    /// Append `op` as its own log entry and broadcast it at once, stamped
-    /// with the closed timestamp this replica has applied or been promised.
-    /// For the leader-only entries, which answer no client; `None` when this
-    /// replica does not lead.
+    /// Append `op` as its own log entry and broadcast it into `out` at
+    /// once, stamped with the closed timestamp this replica has applied or
+    /// been promised. For the leader-only entries, which answer no client;
+    /// `false` when this replica does not lead.
     fn propose_alone(
         &mut self,
         op: CmdOp,
         now: SimTime,
         side_rx: SideRxAt<'_>,
-    ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
+        out: &mut Outbox<Batch>,
+    ) -> bool {
         if !self.raft.is_leader() {
-            return None;
+            return false;
         }
         self.settle(side_rx);
         let cmd = Command {
             closed_ts: self.tracker.closed(),
             op,
         };
-        self.raft.propose(Rc::new([cmd]), now).map(|(_, msgs)| msgs)
+        self.raft.propose_batched(Rc::new([cmd]));
+        self.raft.flush_into(now, out);
+        true
     }
 
     /// Propose a leader no-op if this replica leads a term whose log tail
@@ -1122,12 +1127,11 @@ impl Replica {
         &mut self,
         now: SimTime,
         side_rx: SideRxAt<'_>,
-    ) -> Vec<(Peer, RaftMsg<Batch>)> {
-        if !self.raft.is_leader() || self.raft.last_log_term() == self.raft.term() {
-            return Vec::new();
+        out: &mut Outbox<Batch>,
+    ) {
+        if self.raft.is_leader() && self.raft.last_log_term() != self.raft.term() {
+            self.propose_alone(CmdOp::Noop, now, side_rx, out);
         }
-        self.propose_alone(CmdOp::Noop, now, side_rx)
-            .unwrap_or_default()
     }
 
     /// Propose a replicated lease claim for this node (failover path). The
@@ -1141,16 +1145,14 @@ impl Replica {
         &mut self,
         now: SimTime,
         side_rx: SideRxAt<'_>,
-    ) -> Vec<(Peer, RaftMsg<Batch>)> {
-        if self.lease_claim_term == Some(self.raft.term()) {
-            return Vec::new();
-        }
+        out: &mut Outbox<Batch>,
+    ) {
         let claim = CmdOp::ClaimLease { node: self.node };
-        let msgs = self.propose_alone(claim, now, side_rx);
-        if msgs.is_some() {
+        if self.lease_claim_term != Some(self.raft.term())
+            && self.propose_alone(claim, now, side_rx, out)
+        {
             self.lease_claim_term = Some(self.raft.term());
         }
-        msgs.unwrap_or_default()
     }
 
     /// Propose a range-lifecycle mutation (`Split` or `Merge`) as its own
@@ -1158,47 +1160,48 @@ impl Replica {
     /// apply time re-installs every replica of the range, so the entry must
     /// sit at a definite log position with every previously evaluated write
     /// flushed ahead of it — log order is what makes a transaction
-    /// straddling the split see a consistent keyspace. Returns `None` when
-    /// this replica does not lead or an earlier lifecycle proposal is still
-    /// in flight this term.
+    /// straddling the split see a consistent keyspace. Returns `false`
+    /// when this replica does not lead or an earlier lifecycle proposal is
+    /// still in flight this term.
     pub fn propose_lifecycle(
         &mut self,
         op: CmdOp,
         now: SimTime,
         side_rx: SideRxAt<'_>,
-    ) -> Option<Vec<(Peer, RaftMsg<Batch>)>> {
+        out: &mut Outbox<Batch>,
+    ) -> bool {
         if self.lifecycle_term == Some(self.raft.term()) {
-            return None;
+            return false;
         }
         self.flush_buf_into_log();
-        let msgs = self.propose_alone(op, now, side_rx)?;
+        if !self.propose_alone(op, now, side_rx, out) {
+            return false;
+        }
         self.lifecycle_term = Some(self.raft.term());
-        Some(msgs)
+        true
     }
 
     // ---------------------------------------------------------------
     // Application
     // ---------------------------------------------------------------
 
-    /// Apply all newly committed entries, fanning each multi-command batch
-    /// entry out into per-slot effects and responses. Lock releases, waiter
-    /// wake-ups, and proposal responses only have observable work to do on
-    /// the replica that evaluated the requests (the leaseholder); on other
-    /// replicas those structures are empty.
-    pub fn apply_committed(&mut self) -> Vec<Effect> {
-        let entries = self.raft.take_committed();
-        let mut effects = Vec::new();
-        for entry in entries {
+    /// Apply all newly committed entries in place, fanning each batch entry
+    /// out into per-slot effects and responses pushed onto `effects`. Lock
+    /// releases, waiter wake-ups, and proposal responses only have
+    /// observable work to do on the replica that evaluated the requests (the
+    /// leaseholder); on other replicas those structures are empty.
+    pub fn apply_committed(&mut self, effects: &mut Vec<Effect>) {
+        let committed = self.raft.take_committed();
+        for entry in committed.entries().iter() {
             let mut closed = Timestamp::ZERO;
             for (slot, cmd) in entry.payload.iter().enumerate() {
                 closed = closed.max(cmd.closed_ts);
-                self.apply_cmd(cmd, entry.index, entry.term, slot, &mut effects);
+                self.apply_cmd(cmd, entry.index, entry.term, slot, effects);
             }
             // Append on every Raft apply: the store mutations of this entry
             // become one framed WAL record (durable at the next sync).
             self.store.seal_entry(entry.index, closed);
         }
-        effects
     }
 
     /// Apply one command of a batch entry and answer the proposal waiting at
@@ -1478,8 +1481,9 @@ mod tests {
     /// Flush the buffered batch into the log (solo voter: commits
     /// instantly) and apply, returning every effect.
     fn flush_apply(r: &mut Replica) -> Vec<Effect> {
-        let (_msgs, mut effects) = r.flush_batch(SimTime::ZERO);
-        effects.extend(r.apply_committed());
+        let mut effects = Vec::new();
+        r.flush_batch(SimTime::ZERO, &mut Vec::new(), &mut effects);
+        r.apply_committed(&mut effects);
         effects
     }
 
@@ -1503,8 +1507,9 @@ mod tests {
             path(),
             hlc,
             &ectx(params, now_ms),
+            &mut Vec::new(),
         );
-        assert!(matches!(out, EvalOutcome::Proposed { .. }));
+        assert!(matches!(out, EvalOutcome::Proposed));
         let effects = flush_apply(r);
         match effects.iter().find_map(|e| match e {
             Effect::Reply {
@@ -1555,6 +1560,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 10_000),
+            &mut Vec::new(),
         );
         assert!(matches!(out, EvalOutcome::Reply(Ok(_))));
         // A later write at t=15s must land above the read.
@@ -1579,6 +1585,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 1),
+            &mut Vec::new(),
         );
         assert!(matches!(out, EvalOutcome::Parked { .. }));
         assert_eq!(r.parked_count(), 1);
@@ -1596,8 +1603,9 @@ mod tests {
             },
             &mut hlc,
             &ectx(&params, 2),
+            &mut Vec::new(),
         );
-        assert!(matches!(out, EvalOutcome::Proposed { .. }));
+        assert!(matches!(out, EvalOutcome::Proposed));
         let effects = flush_apply(&mut r);
         let reeval: Vec<_> = effects
             .iter()
@@ -1613,6 +1621,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 3),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::Get { value, .. })) => {
@@ -1637,6 +1646,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 10_000),
+            &mut Vec::new(),
         );
         // Present-time reader with a 250ms uncertainty interval: the intent
         // is beyond its uncertainty limit, so it must NOT block.
@@ -1649,6 +1659,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 10_000),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::Get { value, .. })) => assert_eq!(value, None),
@@ -1667,6 +1678,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 10_000),
+            &mut Vec::new(),
         );
         assert!(matches!(out, EvalOutcome::Parked { .. }));
     }
@@ -1691,6 +1703,7 @@ mod tests {
             path(),
             &mut hlc,
             &fctx,
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Err(KvError::FollowerReadUnavailable { leaseholder, .. })) => {
@@ -1708,6 +1721,7 @@ mod tests {
             path(),
             &mut hlc,
             &fctx,
+            &mut Vec::new(),
         );
         assert!(matches!(out, EvalOutcome::Reply(Ok(Response::Get { .. }))));
     }
@@ -1732,6 +1746,7 @@ mod tests {
             path(),
             &mut hlc,
             &fctx,
+            &mut Vec::new(),
         );
         assert!(matches!(
             out,
@@ -1751,6 +1766,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::Negotiate { max_safe_ts })) => {
@@ -1768,6 +1784,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         flush_apply(&mut r);
         let out = r.evaluate(
@@ -1777,6 +1794,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::Negotiate { max_safe_ts })) => {
@@ -1802,6 +1820,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         assert!(matches!(out, EvalOutcome::Reply(Ok(Response::Refresh))));
         // A later write to a covered key is forwarded above the refresh.
@@ -1825,9 +1844,9 @@ mod tests {
         params: &ClosedTsParams,
         req: Request,
     ) -> Result<Response, KvError> {
-        let out = r.evaluate(req, path(), hlc, &ectx(params, 0));
+        let out = r.evaluate(req, path(), hlc, &ectx(params, 0), &mut Vec::new());
         match out {
-            EvalOutcome::Proposed { .. } => {
+            EvalOutcome::Proposed => {
                 let effects = flush_apply(r);
                 effects
                     .into_iter()
@@ -2054,8 +2073,9 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
-        assert!(matches!(out, EvalOutcome::Proposed { .. }));
+        assert!(matches!(out, EvalOutcome::Proposed));
         flush_apply(&mut r);
         let out = r.evaluate(
             Request::PushTxn {
@@ -2065,6 +2085,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::PushTxn {
@@ -2086,6 +2107,7 @@ mod tests {
             path(),
             &mut hlc,
             &ectx(&params, 0),
+            &mut Vec::new(),
         );
         match out {
             EvalOutcome::Reply(Ok(Response::PushTxn { status, .. })) => {
@@ -2107,8 +2129,8 @@ mod tests {
             gateway: NodeId(9),
             req_id,
         };
-        let out = r.evaluate(req, path, hlc, &ectx(params, 0));
-        assert!(matches!(out, EvalOutcome::Proposed { .. }));
+        let out = r.evaluate(req, path, hlc, &ectx(params, 0), &mut Vec::new());
+        assert!(matches!(out, EvalOutcome::Proposed));
     }
 
     /// The reply `effects` carry for request `req_id`.

@@ -120,9 +120,10 @@ fn launch_txn(c: &mut Cluster, gateway: NodeId, idx: usize, recs: Rc<RefCell<Vec
 }
 
 /// The copy discipline of the replication path: a proposed batch is
-/// materialised once, and the paper's 3 voters + 2 non-voters and every
-/// `take_committed` drain hold that one allocation; the appends in flight
-/// between them hold none — a re-sent or duplicated entry costs no handle.
+/// materialised once, and the paper's 3 voters + 2 non-voters hold that one
+/// allocation; the appends in flight between them and the apply's
+/// `take_committed` windows hold none — a re-sent or duplicated entry, or
+/// an applied one, costs no handle.
 #[test]
 fn replication_shares_one_batch_allocation() {
     let now = SimTime::ZERO;
@@ -164,11 +165,17 @@ fn replication_shares_one_batch_allocation() {
         1 + 2 * 5,
         "two entries in five logs"
     );
-    for node in &mut nodes {
-        let drained = node.take_committed();
-        assert_eq!(drained.len(), 2);
-        assert!(drained.iter().all(|e| Rc::ptr_eq(&e.payload, &batch)));
+    let committed: Vec<_> = nodes.iter_mut().map(|n| n.take_committed()).collect();
+    for window in &committed {
+        assert_eq!(window.len(), 2);
+        let entries = window.entries();
+        assert!(entries.iter().all(|e| Rc::ptr_eq(&e.payload, &batch)));
     }
+    assert_eq!(
+        Rc::strong_count(&batch),
+        1 + 2 * 5,
+        "the apply reads the logs in place"
+    );
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! Each Range in the KV layer is replicated by an independent Raft group
 //! (§3.1). This crate implements Raft as a pure, deterministic state
 //! machine, generic over the command payload: callers feed it messages and
-//! clock ticks, and it returns outbound messages and newly committed
+//! clock ticks, and it hands back outbound messages and newly committed
 //! entries. The simulator owns delivery, delay, and loss.
 //!
 //! Faithful parts: terms, leader election with the log-up-to-date check,
@@ -14,11 +14,13 @@
 //! quorum.
 //!
 //! Copy discipline: a payload is materialised once, at the proposal, and
-//! every log and apply shares it (see [`Entry`]). An `AppendEntries`
-//! carries a [`Window`], a view of positions of the sender's log, so
-//! re-covering a follower's unacked window costs a reference count; the
-//! follower clones only the entries it appends. A truncation of a log that
-//! a window in flight still shares copies the kept prefix first.
+//! every log shares it (see [`Entry`]). An `AppendEntries` and the apply
+//! ([`RaftNode::take_committed`]) read a [`Window`] of the log in place; a
+//! truncation of a log a window still shares copies the kept prefix first.
+//! Every input that sends pushes onto one caller-owned [`Outbox`], in send
+//! order; `propose`, `flush_appends`, `tick` and `step` return a fresh one
+//! because `mr-ledger`'s layer benchmark (`crates/ledger/src/layers.rs`)
+//! compiles against those signatures.
 //!
 //! Simplifications (fine at simulation scale, documented in DESIGN.md):
 //! no snapshots or log truncation, no joint-consensus membership changes
@@ -28,4 +30,4 @@
 
 pub mod state;
 
-pub use state::{Entry, Peer, RaftConfig, RaftMsg, RaftNode, Role, Window};
+pub use state::{Entry, Outbox, Peer, RaftConfig, RaftMsg, RaftNode, Role, Window};

@@ -12,11 +12,11 @@ pub type Peer = u32;
 /// A replicated log entry carrying an opaque payload.
 ///
 /// Copy discipline: an entry is cloned into every log that appends it and
-/// out of every [`RaftNode::take_committed`] drain, never into a message
-/// (an `AppendEntries` carries a [`Window`] of the sender's log). `P`
+/// nowhere else: an `AppendEntries` carries a [`Window`] of the sender's
+/// log, and [`RaftNode::take_committed`] hands the apply a window too. `P`
 /// should be a handle whose clone is a pointer copy (`mr-kv` uses
 /// `Rc<[Command]>`): the payload is materialised once at the proposal and
-/// every log and apply shares it.
+/// every log shares it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Entry<P> {
     pub index: u64,
@@ -30,11 +30,11 @@ pub struct Entry<P> {
 /// ([`RaftNode::truncate_log`]).
 type Log<P> = Rc<RefCell<Vec<Entry<P>>>>;
 
-/// The positions `[start, end)` of a sender's log, shared rather than
-/// copied: an append re-covers its follower's whole unacked window, and
-/// that costs one reference count. The sender only ever pushes to a log a
-/// window shares, and copies the kept prefix before it cuts one, so a
-/// window reads the entries it was cut with for as long as it lives.
+/// The positions `[start, end)` of a replica's log, shared rather than
+/// copied: an append re-covering its follower's unacked window, or the
+/// apply reading what committed, costs one reference count. The replica
+/// only pushes to a log a window shares and copies the kept prefix before
+/// it cuts one, so a window reads what it was cut with while it lives.
 #[derive(Clone)]
 pub struct Window<P> {
     log: Log<P>,
@@ -51,8 +51,8 @@ impl<P> Window<P> {
         self.start == self.end
     }
 
-    /// The window's entries, borrowed from the sender's log. Drop the
-    /// borrow before handing control back to the sender.
+    /// The window's entries, borrowed from the replica's log. Drop the
+    /// borrow before handing control back to the replica.
     pub fn entries(&self) -> Ref<'_, [Entry<P>]> {
         Ref::map(self.log.borrow(), |log| &log[self.start..self.end])
     }
@@ -111,6 +111,10 @@ pub enum RaftMsg<P> {
         last_term: u64,
     },
 }
+
+/// Where a [`RaftNode`] input puts what it sends: `(recipient, message)`
+/// pairs, in send order. The caller owns it, drains it and reuses it.
+pub type Outbox<P> = Vec<(Peer, RaftMsg<P>)>;
 
 /// Raft role.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,11 +273,7 @@ impl<P: Clone> RaftNode<P> {
 
     /// Term of the last log entry (0 when the log is empty).
     pub fn last_log_term(&self) -> u64 {
-        self.last_term()
-    }
-
-    pub fn config(&self) -> &RaftConfig {
-        &self.cfg
+        self.log.borrow().last().map_or(0, |e| e.term)
     }
 
     /// Log durability bookkeeping after any append or truncation: entries
@@ -286,11 +286,6 @@ impl<P: Clone> RaftNode<P> {
         } else {
             self.log_synced_index = tail;
         }
-    }
-
-    /// Highest durably fsynced log index.
-    pub fn log_synced_index(&self) -> u64 {
-        self.log_synced_index
     }
 
     /// Arm or disarm deferred log syncs (the `InjectedBug::WalSkipFsync` canary:
@@ -328,10 +323,6 @@ impl<P: Clone> RaftNode<P> {
         self.commit_index = resume;
     }
 
-    fn last_term(&self) -> u64 {
-        self.log.borrow().last().map_or(0, |e| e.term)
-    }
-
     fn term_at(&self, index: u64) -> Option<u64> {
         if index == 0 {
             Some(0)
@@ -366,15 +357,15 @@ impl<P: Clone> RaftNode<P> {
 
     // ---- Input: proposals ----
 
-    /// Append a payload to the leader's log and broadcast it. Returns the
-    /// assigned index, or `None` if this replica is not the leader.
-    pub fn propose(&mut self, payload: P, now: SimTime) -> Option<(u64, Vec<(Peer, RaftMsg<P>)>)> {
+    /// [`RaftNode::propose_batched`] then [`RaftNode::flush_appends`]: the
+    /// assigned index and the appends, or `None` off the leader.
+    pub fn propose(&mut self, payload: P, now: SimTime) -> Option<(u64, Outbox<P>)> {
         let index = self.propose_batched(payload)?;
-        Some((index, self.broadcast_appends(now)))
+        Some((index, self.flush_appends(now)))
     }
 
     /// Append a payload to the leader's log *without* broadcasting it:
-    /// group commit. The entry ships on the next [`RaftNode::flush_appends`]
+    /// group commit. The entry ships on the next [`RaftNode::flush_into`]
     /// (or the heartbeat rebroadcast, which acts as the safety net), so
     /// several proposals arriving close together amortize into a single
     /// consensus round. Returns the assigned index, or `None` if this
@@ -397,14 +388,20 @@ impl<P: Clone> RaftNode<P> {
         Some(index)
     }
 
-    /// Ship every entry appended since the last broadcast. Returns no
-    /// messages when nothing is pending (or this replica lost leadership —
-    /// in that case the new leader's log reconciliation takes over).
-    pub fn flush_appends(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<P>)> {
-        if self.role != Role::Leader || !self.pending_broadcast {
-            return Vec::new();
+    /// Ship every entry appended since the last broadcast. Sends nothing
+    /// when nothing is pending (or this replica lost leadership — in that
+    /// case the new leader's log reconciliation takes over).
+    pub fn flush_into(&mut self, now: SimTime, out: &mut Outbox<P>) {
+        if self.role == Role::Leader && self.pending_broadcast {
+            self.broadcast_appends(now, out);
         }
-        self.broadcast_appends(now)
+    }
+
+    /// [`RaftNode::flush_into`] a fresh outbox.
+    pub fn flush_appends(&mut self, now: SimTime) -> Outbox<P> {
+        let mut out = Vec::new();
+        self.flush_into(now, &mut out);
+        out
     }
 
     /// Whether batched proposals are waiting for a flush.
@@ -453,9 +450,9 @@ impl<P: Clone> RaftNode<P> {
     /// once fully idle, after which they go silent; followers whose
     /// election timeout expired campaign (voters only, never while
     /// quiesced).
-    pub fn tick(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<P>)> {
+    pub fn tick_into(&mut self, now: SimTime, out: &mut Outbox<P>) {
         if self.quiesced {
-            return Vec::new();
+            return;
         }
         match self.role {
             Role::Leader => {
@@ -472,28 +469,32 @@ impl<P: Clone> RaftNode<P> {
                         let msg = RaftMsg::Quiesce {
                             term: self.term,
                             commit: self.commit_index,
-                            last_term: self.last_term(),
+                            last_term: self.last_log_term(),
                         };
-                        return self.peers.iter().map(|&p| (p, msg.clone())).collect();
+                        out.extend(self.peers.iter().map(|&p| (p, msg.clone())));
+                        return;
                     }
-                    self.broadcast_appends(now)
-                } else {
-                    Vec::new()
+                    self.broadcast_appends(now, out);
                 }
             }
             Role::Follower | Role::Candidate => {
                 if self.cfg.is_voter(self.cfg.id)
                     && now.since(self.last_heartbeat) >= self.my_election_timeout()
                 {
-                    self.campaign(now)
-                } else {
-                    Vec::new()
+                    self.campaign(now, out);
                 }
             }
         }
     }
 
-    fn campaign(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<P>)> {
+    /// [`RaftNode::tick_into`] a fresh outbox.
+    pub fn tick(&mut self, now: SimTime) -> Outbox<P> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    fn campaign(&mut self, now: SimTime, out: &mut Outbox<P>) {
         self.term += 1;
         self.role = Role::Candidate;
         self.voted_for = Some(self.cfg.id);
@@ -502,20 +503,15 @@ impl<P: Clone> RaftNode<P> {
         self.last_heartbeat = now;
         if self.votes >= self.cfg.quorum() {
             self.become_leader(now);
-            return self.broadcast_appends(now);
+            return self.broadcast_appends(now, out);
         }
         let msg = RaftMsg::RequestVote {
             term: self.term,
             last_index: self.last_index(),
-            last_term: self.last_term(),
+            last_term: self.last_log_term(),
         };
-        self.cfg
-            .voters
-            .clone()
-            .into_iter()
-            .filter(|&p| p != self.cfg.id)
-            .map(|p| (p, msg.clone()))
-            .collect()
+        let voters = self.cfg.voters.iter().filter(|&&p| p != self.cfg.id);
+        out.extend(voters.map(|&p| (p, msg.clone())));
     }
 
     fn become_leader(&mut self, now: SimTime) {
@@ -532,13 +528,14 @@ impl<P: Clone> RaftNode<P> {
         self.last_broadcast = now;
     }
 
-    fn broadcast_appends(&mut self, now: SimTime) -> Vec<(Peer, RaftMsg<P>)> {
+    fn broadcast_appends(&mut self, now: SimTime, out: &mut Outbox<P>) {
         self.last_broadcast = now;
         self.pending_broadcast = false;
         self.quiesced = false;
-        (0..self.peers.len())
-            .map(|i| (self.peers[i], self.append_for(self.peers[i])))
-            .collect()
+        for i in 0..self.peers.len() {
+            let peer = self.peers[i];
+            out.push((peer, self.append_for(peer)));
+        }
     }
 
     /// The append covering `[next, last]` for `peer`. Every append re-covers
@@ -566,8 +563,8 @@ impl<P: Clone> RaftNode<P> {
 
     // ---- Input: messages ----
 
-    /// Process an incoming message; returns outbound messages.
-    pub fn step(&mut self, from: Peer, msg: RaftMsg<P>, now: SimTime) -> Vec<(Peer, RaftMsg<P>)> {
+    /// Process an incoming message.
+    pub fn step_into(&mut self, from: Peer, msg: RaftMsg<P>, now: SimTime, out: &mut Outbox<P>) {
         // Any message with a newer term demotes us.
         let msg_term = match &msg {
             RaftMsg::AppendEntries { term, .. }
@@ -594,41 +591,46 @@ impl<P: Clone> RaftNode<P> {
                 prev_term,
                 entries,
                 commit,
-            } => self.handle_append(from, term, prev_index, prev_term, entries, commit, now),
+            } => self.handle_append(from, term, prev_index, prev_term, entries, commit, now, out),
             RaftMsg::AppendResp {
                 term,
                 success,
                 match_index,
-            } => self.handle_append_resp(from, term, success, match_index),
+            } => self.handle_append_resp(from, term, success, match_index, out),
             RaftMsg::RequestVote {
                 term,
                 last_index,
                 last_term,
-            } => self.handle_vote_request(from, term, last_index, last_term, now),
-            RaftMsg::VoteResp { term, granted } => self.handle_vote_resp(term, granted, now),
+            } => self.handle_vote_request(from, term, last_index, last_term, now, out),
+            RaftMsg::VoteResp { term, granted } => self.handle_vote_resp(term, granted, now, out),
             RaftMsg::TimeoutNow { term } => {
                 if term >= self.term && self.cfg.is_voter(self.cfg.id) && self.role != Role::Leader
                 {
-                    self.campaign(now)
-                } else {
-                    Vec::new()
+                    self.campaign(now, out);
                 }
             }
             RaftMsg::Quiesce {
                 term,
                 commit,
                 last_term,
-            } => self.handle_quiesce(from, term, commit, last_term, now),
+            } => self.handle_quiesce(from, term, commit, last_term, now, out),
         }
     }
 
-    fn append_resp(&self, to: Peer, success: bool, match_index: u64) -> Vec<(Peer, RaftMsg<P>)> {
+    /// [`RaftNode::step_into`] a fresh outbox.
+    pub fn step(&mut self, from: Peer, msg: RaftMsg<P>, now: SimTime) -> Outbox<P> {
+        let mut out = Vec::new();
+        self.step_into(from, msg, now, &mut out);
+        out
+    }
+
+    fn append_resp(&self, to: Peer, success: bool, match_index: u64, out: &mut Outbox<P>) {
         let resp = RaftMsg::AppendResp {
             term: self.term,
             success,
             match_index,
         };
-        vec![(to, resp)]
+        out.push((to, resp));
     }
 
     fn handle_quiesce(
@@ -638,10 +640,11 @@ impl<P: Clone> RaftNode<P> {
         commit: u64,
         last_term: u64,
         now: SimTime,
-    ) -> Vec<(Peer, RaftMsg<P>)> {
+        out: &mut Outbox<P>,
+    ) {
         if term < self.term {
             // Depose the stale leader, same as a stale AppendEntries.
-            return self.append_resp(from, false, 0);
+            return self.append_resp(from, false, 0, out);
         }
         // Valid leader for our term.
         self.role = Role::Follower;
@@ -652,12 +655,12 @@ impl<P: Clone> RaftNode<P> {
             // is the point.
             self.commit_index = self.commit_index.max(commit);
             self.quiesced = true;
-            return Vec::new();
+            return;
         }
         // Lagging (or divergent) log: refuse to quiesce and wake the leader
         // so normal append repair takes over.
         let hint = self.last_index().min(commit);
-        self.append_resp(from, false, hint)
+        self.append_resp(from, false, hint, out)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -670,9 +673,10 @@ impl<P: Clone> RaftNode<P> {
         entries: Window<P>,
         commit: u64,
         now: SimTime,
-    ) -> Vec<(Peer, RaftMsg<P>)> {
+        out: &mut Outbox<P>,
+    ) {
         if term < self.term {
-            return self.append_resp(from, false, 0);
+            return self.append_resp(from, false, 0, out);
         }
         // Valid leader for our term.
         self.role = Role::Follower;
@@ -684,7 +688,7 @@ impl<P: Clone> RaftNode<P> {
             // Hint the leader to back up to our log end (or below the
             // divergence point).
             let hint = self.last_index().min(prev_index.saturating_sub(1));
-            return self.append_resp(from, false, hint);
+            return self.append_resp(from, false, hint, out);
         }
         let window = entries.entries();
         // Log Matching: if our entry at the last index the append overlaps
@@ -712,13 +716,13 @@ impl<P: Clone> RaftNode<P> {
         // is from the leader's own term (Log Matching). A longer stale
         // suffix from an older term is not the leader's and must not count
         // toward its quorum.
-        let match_index = if self.last_term() == term {
+        let match_index = if self.last_log_term() == term {
             self.last_index()
         } else {
             prev_index + window.len() as u64
         };
         self.commit_index = self.commit_index.max(commit.min(match_index));
-        self.append_resp(from, true, match_index)
+        self.append_resp(from, true, match_index, out)
     }
 
     fn handle_append_resp(
@@ -727,12 +731,13 @@ impl<P: Clone> RaftNode<P> {
         term: u64,
         success: bool,
         match_index: u64,
-    ) -> Vec<(Peer, RaftMsg<P>)> {
+        out: &mut Outbox<P>,
+    ) {
         if self.role != Role::Leader || term < self.term {
-            return Vec::new();
+            return;
         }
         let Some(pr) = self.progress.get_mut(from as usize) else {
-            return Vec::new(); // not a member of this group
+            return; // not a member of this group
         };
         if success {
             // Acks reorder: an older one must not pull `next` back below
@@ -746,14 +751,13 @@ impl<P: Clone> RaftNode<P> {
             let sent = pr.sent;
             self.maybe_advance_commit();
             if match_index < self.last_index() && match_index >= sent {
-                return vec![(from, self.append_for(from))];
+                out.push((from, self.append_for(from)));
             }
-            Vec::new()
         } else {
             // Back up to the follower's hint (but at least one step) and
             // retry.
             pr.next = pr.next.saturating_sub(1).min(match_index + 1).max(1);
-            vec![(from, self.append_for(from))]
+            out.push((from, self.append_for(from)));
         }
     }
 
@@ -785,8 +789,9 @@ impl<P: Clone> RaftNode<P> {
         last_index: u64,
         last_term: u64,
         now: SimTime,
-    ) -> Vec<(Peer, RaftMsg<P>)> {
-        let up_to_date = (last_term, last_index) >= (self.last_term(), self.last_index());
+        out: &mut Outbox<P>,
+    ) {
+        let up_to_date = (last_term, last_index) >= (self.last_log_term(), self.last_index());
         let granted = term >= self.term
             && up_to_date
             && (self.voted_for.is_none() || self.voted_for == Some(from));
@@ -794,53 +799,51 @@ impl<P: Clone> RaftNode<P> {
             self.voted_for = Some(from);
             self.last_heartbeat = now; // reset our own timeout
         }
-        vec![(
-            from,
-            RaftMsg::VoteResp {
-                term: self.term,
-                granted,
-            },
-        )]
+        let resp = RaftMsg::VoteResp {
+            term: self.term,
+            granted,
+        };
+        out.push((from, resp));
     }
 
-    fn handle_vote_resp(
-        &mut self,
-        term: u64,
-        granted: bool,
-        now: SimTime,
-    ) -> Vec<(Peer, RaftMsg<P>)> {
+    fn handle_vote_resp(&mut self, term: u64, granted: bool, now: SimTime, out: &mut Outbox<P>) {
         if self.role != Role::Candidate || term < self.term || !granted {
-            return Vec::new();
+            return;
         }
         self.votes += 1;
         if self.votes >= self.cfg.quorum() {
             self.become_leader(now);
-            return self.broadcast_appends(now);
+            self.broadcast_appends(now, out);
         }
-        Vec::new()
     }
 
     // ---- Leadership transfer ----
 
     /// Ask `target` to take over leadership (used for lease transfers).
-    pub fn transfer_leadership(&mut self, target: Peer) -> Vec<(Peer, RaftMsg<P>)> {
-        if self.role != Role::Leader || !self.cfg.is_voter(target) || target == self.cfg.id {
-            return Vec::new();
+    pub fn transfer_leadership(&mut self, target: Peer, out: &mut Outbox<P>) {
+        if self.role == Role::Leader && self.cfg.is_voter(target) && target != self.cfg.id {
+            out.push((target, RaftMsg::TimeoutNow { term: self.term }));
         }
-        vec![(target, RaftMsg::TimeoutNow { term: self.term })]
     }
 
     // ---- Output: committed entries ----
 
-    /// Drain entries committed since the last call, in order.
-    pub fn take_committed(&mut self) -> Vec<Entry<P>> {
-        if self.applied_index >= self.commit_index {
-            return Vec::new();
+    /// The entries committed since the last call, in order, as a window of
+    /// the log the apply reads in place; empty at no position when nothing
+    /// is new (the armed fsync bug can cut the log below what applied).
+    pub fn take_committed(&mut self) -> Window<P> {
+        let (applied, commit) = (self.applied_index as usize, self.commit_index as usize);
+        self.applied_index = self.applied_index.max(self.commit_index);
+        let (start, end) = if applied < commit {
+            (applied, commit)
+        } else {
+            (0, 0)
+        };
+        Window {
+            log: Rc::clone(&self.log),
+            start,
+            end,
         }
-        let out =
-            self.log.borrow()[self.applied_index as usize..self.commit_index as usize].to_vec();
-        self.applied_index = self.commit_index;
-        out
     }
 }
 
@@ -928,7 +931,7 @@ mod tests {
         assert_eq!(g.node(0).commit_index(), 1);
         let committed = g.node(0).take_committed();
         assert_eq!(committed.len(), 1);
-        assert_eq!(committed[0].payload, "a");
+        assert_eq!(committed.entries()[0].payload, "a");
         // Followers learn the commit on the next broadcast.
         let net = g.tick_all(SimTime::ZERO + SimDuration::from_millis(60));
         g.settle(net, SimTime::ZERO + SimDuration::from_millis(60));
@@ -968,7 +971,8 @@ mod tests {
         assert_eq!(g.node(3).last_index(), 1, "learner received the entry");
         assert_eq!(g.node(0).commit_index(), 0, "no voter quorum");
         // Now deliver to one voter: 2/3 voters = quorum.
-        let msgs = g.node(0).broadcast_appends(SimTime::ZERO);
+        let mut msgs = Vec::new();
+        g.node(0).broadcast_appends(SimTime::ZERO, &mut msgs);
         let net: Net = msgs
             .into_iter()
             .filter(|(to, _)| *to == 1)
@@ -1126,7 +1130,8 @@ mod tests {
     fn leadership_transfer() {
         let mut g = Group::new(vec![0, 1, 2], vec![]);
         g.node(0).bootstrap_leader(SimTime::ZERO);
-        let msgs = g.node(0).transfer_leadership(1);
+        let mut msgs = Vec::new();
+        g.node(0).transfer_leadership(1, &mut msgs);
         let net: Net = msgs.into_iter().map(|(to, m)| (0, to, m)).collect();
         g.settle(net, SimTime::ZERO);
         assert!(g.node(1).is_leader());
@@ -1138,8 +1143,10 @@ mod tests {
     fn transfer_to_learner_refused() {
         let mut g = Group::new(vec![0, 1], vec![2]);
         g.node(0).bootstrap_leader(SimTime::ZERO);
-        assert!(g.node(0).transfer_leadership(2).is_empty());
-        assert!(g.node(0).transfer_leadership(0).is_empty());
+        let mut msgs = Vec::new();
+        g.node(0).transfer_leadership(2, &mut msgs);
+        g.node(0).transfer_leadership(0, &mut msgs);
+        assert!(msgs.is_empty());
     }
 
     #[test]
@@ -1156,7 +1163,8 @@ mod tests {
         g.settle(net, SimTime::ZERO);
         assert_eq!(g.node(0).commit_index(), 0);
         // One more ack reaches quorum.
-        let msgs = g.node(0).broadcast_appends(SimTime::ZERO);
+        let mut msgs = Vec::new();
+        g.node(0).broadcast_appends(SimTime::ZERO, &mut msgs);
         let net: Net = msgs
             .into_iter()
             .filter(|(to, _)| *to == 2)
@@ -1314,7 +1322,7 @@ mod tests {
         // follower. It must refuse, and its failed AppendResp must trigger
         // log repair on the leader.
         let commit = g.node(0).commit_index();
-        let last_term = g.node(0).last_term();
+        let last_term = g.node(0).last_log_term();
         let term = g.node(0).term();
         let out = g.node(2).step(
             0,
@@ -1443,12 +1451,12 @@ mod tests {
         g.node(0).propose("a", SimTime::ZERO);
         g.node(0).propose("b", SimTime::ZERO);
         let c1 = g.node(0).take_committed();
-        assert_eq!(c1.iter().map(|e| e.payload).collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(payloads_of(&c1), ["a", "b"]);
         assert!(g.node(0).take_committed().is_empty());
         g.node(0).propose("c", SimTime::ZERO);
         let c2 = g.node(0).take_committed();
         assert_eq!(c2.len(), 1);
-        assert_eq!(c2[0].index, 3);
+        assert_eq!(c2.entries()[0].index, 3);
     }
 
     /// The payloads of `node`'s log, in order.
@@ -1461,12 +1469,15 @@ mod tests {
             .collect()
     }
 
+    /// The payloads a window reads.
+    fn payloads_of(window: &Window<&'static str>) -> Vec<&'static str> {
+        window.entries().iter().map(|e| e.payload).collect()
+    }
+
     /// The payloads an append carries.
     fn carried(msg: &RaftMsg<&'static str>) -> Vec<&'static str> {
         match msg {
-            RaftMsg::AppendEntries { entries, .. } => {
-                entries.entries().iter().map(|e| e.payload).collect()
-            }
+            RaftMsg::AppendEntries { entries, .. } => payloads_of(entries),
             m => panic!("unexpected {m:?}"),
         }
     }
@@ -1483,7 +1494,8 @@ mod tests {
         g.node(0).become_leader(SimTime::ZERO);
         // The leader's first append is empty and matches at index 1: it
         // proves nothing past index 1.
-        let msgs = g.node(0).broadcast_appends(SimTime::ZERO);
+        let mut msgs = Vec::new();
+        g.node(0).broadcast_appends(SimTime::ZERO, &mut msgs);
         let (_, first) = msgs.into_iter().find(|(to, _)| *to == 1).unwrap();
         assert_eq!(carried(&first), Vec::<&str>::new());
         let out = g.node(1).step(0, first, SimTime::ZERO);
@@ -1579,5 +1591,64 @@ mod tests {
         };
         g.node(0).step(1, repair, SimTime::ZERO);
         assert_eq!(payloads(&mut g, 0), ["a"]);
+    }
+
+    /// The apply's window shares the log, so a later cut of a divergent
+    /// uncommitted suffix moves the replica to a copy, and the window goes
+    /// on reading exactly what committed.
+    #[test]
+    fn committed_window_outlives_a_truncated_suffix() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        // Follower 1 holds a committed entry and an uncommitted term-2 tail.
+        g.node(1).term = 2;
+        *g.node(1).log.borrow_mut() = vec![entry(1, 1, "a"), entry(2, 2, "x"), entry(3, 2, "y")];
+        g.node(1).commit_index = 1;
+        let committed = g.node(1).take_committed();
+        assert_eq!(payloads_of(&committed), ["a"]);
+        let before = Rc::as_ptr(&g.node(1).log);
+        // A term-3 leader overwrites the tail from index 2.
+        let overwrite = RaftMsg::AppendEntries {
+            term: 3,
+            prev_index: 1,
+            prev_term: 1,
+            entries: vec![entry(2, 3, "b")].into(),
+            commit: 2,
+        };
+        g.node(1).step(0, overwrite, SimTime::ZERO);
+        assert_eq!(payloads(&mut g, 1), ["a", "b"]);
+        assert_ne!(
+            Rc::as_ptr(&g.node(1).log),
+            before,
+            "cut a shared log in place"
+        );
+        assert_eq!(payloads_of(&committed), ["a"]);
+        // The next apply reads the new commit from the copy.
+        assert_eq!(payloads_of(&g.node(1).take_committed()), ["b"]);
+        drop(committed);
+        assert_eq!(Rc::strong_count(&g.node(1).log), 1);
+    }
+
+    /// An append that cuts the log below what already applied (only a lost
+    /// unsynced tail lets a leader do that) leaves nothing new to apply,
+    /// and the empty window reads no position past the shortened log.
+    #[test]
+    fn nothing_to_apply_after_a_cut_below_the_apply() {
+        let mut g = Group::new(vec![0, 1, 2], vec![]);
+        g.node(1).term = 1;
+        *g.node(1).log.borrow_mut() = vec![entry(1, 1, "a"), entry(2, 1, "b"), entry(3, 1, "c")];
+        g.node(1).commit_index = 3;
+        assert_eq!(g.node(1).take_committed().len(), 3);
+        let cut = RaftMsg::AppendEntries {
+            term: 2,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![entry(1, 2, "x")].into(),
+            commit: 0,
+        };
+        g.node(1).step(0, cut, SimTime::ZERO);
+        assert_eq!(payloads(&mut g, 1), ["x"]);
+        let window = g.node(1).take_committed();
+        assert!(payloads_of(&window).is_empty());
+        assert_eq!(g.node(1).applied_index(), 3);
     }
 }

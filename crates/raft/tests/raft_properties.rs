@@ -91,7 +91,13 @@ impl Harness {
     fn drain_committed(&mut self) -> Vec<Vec<Payload>> {
         self.nodes
             .iter_mut()
-            .map(|n| n.take_committed().into_iter().map(|e| e.payload).collect())
+            .map(|n| {
+                n.take_committed()
+                    .entries()
+                    .iter()
+                    .map(|e| e.payload)
+                    .collect()
+            })
             .collect()
     }
 }

@@ -128,7 +128,10 @@ echo "==> allocation and RSS ratchets: host.allocs_per_op, host.alloc_bytes_per_
 # token, no token `Vec`) and a planned key tuple is built once at its size;
 # `global_ycsb_b` read 65.2 before that change and 54.2 since, 52.9 since a
 # locality-optimized read builds its remote probes only on a miss.
-# `tpcc_nothink` read 1,608.2 and 267,601 B per op since then.
+# `tpcc_nothink` read 1,608.2 and 267,601 B per op since then, and 1,406.5
+# and 239,279 B (`global_ycsb_b` 50.4) since Raft sends through one
+# caller-owned outbox instead of a `Vec` per call and the apply reads its
+# committed entries in place instead of a copy of them.
 #
 # Bytes allocated per operation gate that copy: an append re-covers its
 # follower's whole unacked window (34 entries on `regional_ycsb_a`, 25 on
@@ -178,18 +181,21 @@ ledger_ceilings() {
         echo "$workload: $got $what (ceiling $ceiling)"
     done
 }
-ledger_ceilings global_ycsb_b host.allocs_per_op 58 "allocations per op"
+ledger_ceilings global_ycsb_b host.allocs_per_op 56 "allocations per op"
 ledger_ceilings tpcc_nothink \
-    host.allocs_per_op 1770 "allocations per op" \
-    host.alloc_bytes_per_op 294330 "bytes allocated per op"
+    host.allocs_per_op 1548 "allocations per op" \
+    host.alloc_bytes_per_op 263220 "bytes allocated per op"
 # `regional_ycsb_a` read 111.0 allocations per op while index keys cloned
 # their columns, 109.5 since, 99.3 since Raft appends stopped copying, and
 # 87.7 since the lexer borrows the statement text, and 84.6 (15,802 B)
-# since locality-optimized reads build remote probes only on a miss.
+# since locality-optimized reads build remote probes only on a miss, and
+# 64.1 (12,889 B) since a Raft reply is pushed onto one reused outbox
+# instead of a one-message `Vec`, and the apply reads a window of the log
+# into a reused effects buffer instead of a copied `Vec` of entries.
 ledger_ceilings regional_ycsb_a \
     peak_rss_mb 26 "MiB peak RSS" \
-    host.allocs_per_op 94 "allocations per op" \
-    host.alloc_bytes_per_op 17390 "bytes allocated per op"
+    host.allocs_per_op 71 "allocations per op" \
+    host.alloc_bytes_per_op 14180 "bytes allocated per op"
 # The idle run counted in allocations: 477.7 per op while every
 # side-transport tick built a `Vec` of updates per (sender, destination)
 # pair, 310.2 with one shared batch per sender, 259.1 once index keys stopped
@@ -199,14 +205,16 @@ ledger_ceilings regional_ycsb_a \
 # built its 25 remote probes only on a miss, the scrape stopped cloning
 # and formatting every metric name, the side-transport sender kept its
 # buffers across ticks and the load recorder its per-region counters in a
-# `Vec`. A per-replica or per-pair allocation
+# `Vec`, and 90.1 once Raft sent through one outbox, the apply read the log
+# in place and the Raft tick's awake set became a flag per range id instead
+# of a `BTreeSet`. A per-replica or per-pair allocation
 # on a periodic path shows up here as a count. Counted in calendar events:
 # 74.4 per op while every side-transport delivery was an event, 16.4 since a
 # batch that repeats its sender's previous one waits in the receiver's inbox
 # instead. A per-link event per tick coming back shows up here.
 ledger_ceilings wide_idle \
     peak_rss_mb 36 "MiB peak RSS" \
-    host.allocs_per_op 108 "allocations per op" \
+    host.allocs_per_op 100 "allocations per op" \
     sim.events_per_op 18 "calendar events per op"
 
 echo "==> strict-monitor perf_probe smoke"
