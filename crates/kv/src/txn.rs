@@ -1770,6 +1770,9 @@ impl Cluster {
     /// Write the recovery verdict through RecoverTxn and resolve the
     /// holder's intents with whatever status the record actually finalized
     /// to (the coordinator may have won the race with a different verdict).
+    /// The verdict goes out once: a re-send could land after the
+    /// coordinator's re-put moved the intent, committing on stale evidence,
+    /// so an error sends the pusher back to a fresh `QueryIntent` instead.
     fn recover_finalize(
         &mut self,
         p: Pusher,
@@ -1788,7 +1791,7 @@ impl Cluster {
             p.node,
             RoutingPolicy::Leaseholder,
             recover,
-            PUSH_ATTEMPTS,
+            0,
             rspan,
             Box::new(move |c, res| {
                 let now = c.now();
