@@ -64,8 +64,7 @@ impl Cluster {
         let mut out = std::mem::take(&mut self.tick_out);
         // Each batch's sender, and where its messages end in `out`.
         let mut batches: Vec<(NodeId, RangeId, usize)> = Vec::new();
-        let mut refused: Vec<(NodeId, RangeId, Effect)> = Vec::new();
-        let mut effects = Vec::new();
+        let mut refused: Vec<(NodeId, RangeId, Vec<Effect>)> = Vec::new();
         let mut heartbeats = 0u64;
         let Cluster {
             nodes,
@@ -135,9 +134,10 @@ impl Cluster {
                 // fired (the scheduling node crashed and restarted between
                 // proposal and flush) must not sit forever.
                 if rep.has_pending_batch() && !rep.flush_scheduled {
-                    rep.flush_batch(now, &mut out, &mut effects);
+                    let mut effs = Vec::new();
+                    rep.flush_batch(now, &mut out, &mut effs);
                     close(&out);
-                    refused.extend(effects.drain(..).map(|e| (id, rid, e)));
+                    refused.push((id, rid, effs));
                 }
                 let before = out.len();
                 rep.raft.tick_into(now, &mut out);
@@ -150,9 +150,8 @@ impl Cluster {
             });
         }
         self.m.heartbeats_sent.add(heartbeats);
-        for (node, range, effect) in refused {
-            effects.push(effect);
-            self.dispatch_effects(node, range, &mut effects);
+        for (node, range, mut effs) in refused {
+            self.dispatch_effects(node, range, &mut effs);
         }
         let mut msgs = out.drain(..);
         let mut start = 0;

@@ -20,7 +20,7 @@
 //! Every input that sends pushes onto one caller-owned [`Outbox`], in send
 //! order; `propose`, `flush_appends`, `tick` and `step` return a fresh one
 //! because `mr-ledger`'s layer benchmark (`crates/ledger/src/layers.rs`)
-//! compiles against those signatures.
+//! compiles against those signatures, and reads `take_committed().len()`.
 //!
 //! Simplifications (fine at simulation scale, documented in DESIGN.md):
 //! no snapshots or log truncation, no joint-consensus membership changes
